@@ -4,8 +4,9 @@
 //! repeat, packets within the receive window are buffered out of order.
 //! When the buffer-allocation handshake ran, the message length is known
 //! up front and the buffer is pre-allocated (the paper's §4 *Buffer
-//! management*); baselines without the handshake grow the buffer as
-//! in-order data arrives.
+//! management*) — or taken over from an earlier delivery the application
+//! has finished with ([`Assembly::recycling`]); baselines without the
+//! handshake grow the buffer as in-order data arrives.
 
 use crate::config::WindowDiscipline;
 use bytes::Bytes;
@@ -51,14 +52,40 @@ impl Assembly {
         discipline: WindowDiscipline,
         window: u32,
     ) -> Self {
+        Assembly::recycling(Vec::new(), msg_len, packet_size, discipline, window)
+    }
+
+    /// [`Assembly::preallocated`] over storage the caller already owns:
+    /// `spare` becomes the message buffer when its capacity covers
+    /// `msg_len`, and is dropped for a fresh zeroed allocation otherwise.
+    ///
+    /// A reused buffer is *not* cleared, and need not be: its old bytes are
+    /// never readable. [`Assembly::chunk`] answers only for packets the
+    /// bitmap/prefix marks as held, [`Assembly::into_bytes`] only once all
+    /// `k` are, and accepting a packet overwrites its whole slot (`store`
+    /// zero-pads a short chunk) — and the `k` slots tile `0..msg_len`.
+    pub fn recycling(
+        mut spare: Vec<u8>,
+        msg_len: usize,
+        packet_size: usize,
+        discipline: WindowDiscipline,
+        window: u32,
+    ) -> Self {
         assert!(packet_size >= 1);
         let k = (msg_len.div_ceil(packet_size)).max(1) as u32;
+        let buf = if spare.capacity() >= msg_len {
+            // Within capacity: truncates, or zero-extends past the old length.
+            spare.resize(msg_len, 0);
+            spare
+        } else {
+            vec![0; msg_len]
+        };
         Assembly {
             discipline,
             packet_size,
             k: Some(k),
             preallocated: true,
-            buf: vec![0; msg_len],
+            buf,
             have: vec![0; (k as usize).div_ceil(64)],
             next: 0,
             window,
@@ -270,6 +297,12 @@ impl Assembly {
             let end = off + chunk.len();
             debug_assert!(end <= self.buf.len(), "offer() checked fits()");
             self.buf[off..end].copy_from_slice(chunk);
+            // A chunk shorter than its slot (no honest sender emits one)
+            // reads as zero-padded, whatever a recycled buffer held there.
+            let slot_end = self.buf.len().min(off + self.packet_size);
+            if let Some(pad) = self.buf.get_mut(end..slot_end) {
+                pad.fill(0);
+            }
         } else {
             debug_assert_eq!(seq, self.next, "dynamic assembly is in-order only");
             self.buf.extend_from_slice(chunk);
@@ -371,6 +404,30 @@ mod tests {
         assert_eq!(g.offer(0, b"aaaa", false), Offer::InOrder);
         assert!(g.holds(0) && !g.holds(1));
         assert_eq!(g.chunk(0).unwrap(), b"aaaa");
+    }
+
+    #[test]
+    fn recycled_buffer_never_exposes_its_old_bytes() {
+        let stale = vec![0xee; 16];
+        let ptr = stale.as_ptr();
+        let mut a = Assembly::recycling(stale, 10, 4, WindowDiscipline::SelectiveRepeat, 8);
+        assert_eq!(a.buffered_bytes(), 10);
+        assert_eq!(a.chunk(0), None, "unheld slots are unreadable, not stale");
+        assert_eq!(a.offer(2, b"cc", true), Offer::Buffered);
+        assert_eq!((a.chunk(1), a.chunk(2)), (None, Some(&b"cc"[..])));
+        // A short chunk claims its whole slot: the remainder reads as the
+        // zero padding a fresh buffer would have had.
+        assert_eq!(a.offer(1, b"b", false), Offer::Buffered);
+        assert_eq!(a.chunk(1).unwrap(), b"b\0\0\0");
+        assert_eq!(a.offer(0, b"aaaa", false), Offer::InOrder);
+        let out = a.into_bytes();
+        assert_eq!(&out[..], b"aaaab\0\0\0cc");
+        assert_eq!(out.as_ptr(), ptr, "assembled in the storage handed in");
+
+        // Too small for the message: dropped for a fresh allocation.
+        let a = Assembly::recycling(vec![0xee; 4], 10, 4, WindowDiscipline::GoBackN, 8);
+        assert_eq!(a.buffered_bytes(), 10);
+        assert_eq!(a.chunk(0), None);
     }
 
     #[test]

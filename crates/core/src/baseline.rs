@@ -227,7 +227,7 @@ impl Endpoint for RawUdpReceiver {
         }
         let seq = header.seq.0;
         if seq == self.next {
-            self.buf.extend_from_slice(&body);
+            self.buf.extend_from_slice(body);
             self.next += 1;
         } else if seq < self.next {
             self.stats.data_discarded += 1;

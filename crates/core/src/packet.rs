@@ -6,15 +6,19 @@ use rmwire::{
     PacketType, Rank, RepairBody, SeqNo, SyncBody, WelcomeBody, WireError, HEADER_LEN,
 };
 
-/// A fully parsed incoming packet.
+/// A fully parsed incoming packet. Variable-length bytes (`Data.body`,
+/// `Repair`/`Parity.payload`) are views into the datagram it was parsed
+/// from, not copies.
 #[derive(Debug, Clone)]
-pub enum Packet {
+pub enum Packet<'a> {
     /// Application data chunk.
     Data {
         /// Parsed header.
         header: Header,
-        /// The data bytes (already detached from the receive buffer).
-        body: Bytes,
+        /// The data bytes, borrowed from the receive buffer: whoever keeps
+        /// them past the datagram's lifetime copies them (the receiver's
+        /// assembly does, once, into the message buffer).
+        body: &'a [u8],
     },
     /// Buffer-allocation request (a `Data` packet flagged `ALLOC`).
     Alloc {
@@ -86,7 +90,7 @@ pub enum Packet {
         body: RepairBody,
         /// The XOR of the named chunks, each zero-padded to the
         /// transfer's packet size.
-        payload: Bytes,
+        payload: &'a [u8],
     },
     /// Proactive parity over the last *k* data packets (same layout as
     /// [`Packet::Repair`], different emission policy).
@@ -96,14 +100,14 @@ pub enum Packet {
         /// Coded-block header (seq set + generation).
         body: RepairBody,
         /// The XOR of the named chunks, zero-padded to packet size.
-        payload: Bytes,
+        payload: &'a [u8],
     },
 }
 
-impl Packet {
+impl<'a> Packet<'a> {
     /// Parse a received datagram without requiring an integrity trailer
     /// (checksummed packets are still verified when the flag is present).
-    pub fn parse(datagram: &[u8]) -> Result<Packet, WireError> {
+    pub fn parse(datagram: &'a [u8]) -> Result<Packet<'a>, WireError> {
         Packet::parse_checked(datagram, false)
     }
 
@@ -112,7 +116,10 @@ impl Packet {
     /// the decoder *fails closed*: a packet without the flag is rejected
     /// ([`WireError::ChecksumMissing`]), so a corrupting flip that clears
     /// the flag bit itself cannot smuggle bytes past verification.
-    pub fn parse_checked(datagram: &[u8], require_integrity: bool) -> Result<Packet, WireError> {
+    pub fn parse_checked(
+        datagram: &'a [u8],
+        require_integrity: bool,
+    ) -> Result<Packet<'a>, WireError> {
         let _span = rmprof::span!(rmprof::Stage::WireDecode);
         // The flag byte sits at a fixed offset; peek it before the full
         // header decode so the checksum covers exactly the sealed bytes.
@@ -163,8 +170,7 @@ impl Packet {
                     Packet::Alloc { header, body }
                 } else {
                     // Arbitrary application bytes: consume everything.
-                    let body = Bytes::copy_from_slice(buf);
-                    buf = &[];
+                    let body = std::mem::take(&mut buf);
                     Packet::Data { header, body }
                 }
             }
@@ -213,8 +219,7 @@ impl Packet {
                 if buf.is_empty() {
                     return Err(WireError::Truncated { need: 1, have: 0 });
                 }
-                let payload = Bytes::copy_from_slice(buf);
-                buf = &[];
+                let payload = std::mem::take(&mut buf);
                 if header.ptype == PacketType::Repair {
                     Packet::Repair {
                         header,
@@ -524,7 +529,7 @@ mod tests {
                 assert_eq!(header.seq, SeqNo(9));
                 assert!(header.flags.contains(PacketFlags::POLL));
                 assert!(header.flags.contains(PacketFlags::LAST));
-                assert_eq!(&body[..], b"hello");
+                assert_eq!(body, b"hello");
             }
             other => panic!("wrong variant: {other:?}"),
         }
@@ -668,13 +673,13 @@ mod tests {
                 assert_eq!(header.transfer, 3);
                 assert_eq!(header.seq, SeqNo(4));
                 assert_eq!(b, body);
-                assert_eq!(&payload[..], b"\x12\x34");
+                assert_eq!(payload, b"\x12\x34");
             }
             other => panic!("wrong variant: {other:?}"),
         }
         let p = encode_parity(Rank(0), 3, body, b"\x56");
         match Packet::parse(&p).unwrap() {
-            Packet::Parity { payload, .. } => assert_eq!(&payload[..], b"\x56"),
+            Packet::Parity { payload, .. } => assert_eq!(payload, b"\x56"),
             other => panic!("wrong variant: {other:?}"),
         }
         // Sealed round trip too: the CRC covers the coded payload.
@@ -719,7 +724,7 @@ mod tests {
             match Packet::parse_checked(&sealed, strict).unwrap() {
                 Packet::Data { header, body } => {
                     assert!(header.flags.contains(PacketFlags::CKSUM));
-                    assert_eq!(&body[..], b"payload");
+                    assert_eq!(body, b"payload");
                 }
                 other => panic!("wrong variant: {other:?}"),
             }

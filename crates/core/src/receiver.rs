@@ -24,6 +24,7 @@ use crate::stats::Stats;
 use crate::telemetry::ReceiverTelemetry;
 use crate::tree::{TreeLinks, TreeTopology};
 
+use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmtrace::{TraceEvent, Tracer};
@@ -135,6 +136,13 @@ pub struct Receiver {
     max_seen: u32,
     /// Allocation bodies awaiting their data transfer.
     alloc_pending: HashMap<u32, AllocBody>,
+    /// A second handle to the payload last delivered from a sized
+    /// assembly. When the next transfer is sized, the buffer behind it is
+    /// reused if this is by then the only handle (the application dropped
+    /// its own); otherwise it is let go and the assembly allocates. Never
+    /// read, so not protocol state; a cloned receiver shares the handle,
+    /// which only makes both sides see it as shared.
+    spare: Option<Bytes>,
     /// Global NAK rate limiting (sender-side-suppression variant).
     last_nak: Option<Time>,
     pending_nak: Option<PendingNak>,
@@ -217,6 +225,7 @@ impl Receiver {
             transfers: BTreeMap::new(),
             max_seen: 0,
             alloc_pending: HashMap::new(),
+            spare: None,
             last_nak: None,
             pending_nak: None,
             load,
@@ -329,9 +338,15 @@ impl Receiver {
         self.links.as_ref().map_or(0, |l| l.children.len())
     }
 
-    fn ensure_state(&mut self, transfer: u32, is_alloc: bool) -> &mut TransferState {
-        let n_children = self.n_children();
-        self.transfers
+    /// The tracked state of `transfer`, created on first sight. Borrows
+    /// only the map, so callers keep the receiver's other fields.
+    fn ensure_state(
+        transfers: &mut BTreeMap<u32, TransferState>,
+        n_children: usize,
+        transfer: u32,
+        is_alloc: bool,
+    ) -> &mut TransferState {
+        transfers
             .entry(transfer)
             .or_insert_with(|| TransferState::new(is_alloc, n_children))
     }
@@ -370,6 +385,22 @@ impl Receiver {
         }
     }
 
+    /// The assembly for a transfer sized by the allocation handshake,
+    /// built over the last delivered buffer when nobody else holds it.
+    fn sized_assembly(spare: &mut Option<Bytes>, cfg: &ProtocolConfig, b: AllocBody) -> Assembly {
+        let storage = spare
+            .take()
+            .and_then(|delivered| delivered.try_into_mut().ok())
+            .map_or_else(Vec::new, Vec::from);
+        Assembly::recycling(
+            storage,
+            b.msg_len as usize,
+            b.packet_size as usize,
+            cfg.discipline,
+            cfg.window as u32,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
@@ -405,9 +436,6 @@ impl Receiver {
         }
 
         // Materialize the assembly lazily for data transfers.
-        let discipline = self.cfg.discipline;
-        let window = self.cfg.window as u32;
-        let packet_size = self.cfg.packet_size;
         let alloc_body = self.alloc_pending.get(&transfer).copied();
         let handshake = self.cfg.handshake;
 
@@ -429,21 +457,16 @@ impl Receiver {
             return;
         }
 
-        let st = self.ensure_state(transfer, is_alloc);
+        let n_children = self.n_children();
+        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, is_alloc);
         if st.first_heard.is_none() {
             st.first_heard = Some(now);
         }
         if st.assembly.is_none() && !st.delivered && !is_alloc {
-            let assembly = match alloc_body {
-                Some(b) => Assembly::preallocated(
-                    b.msg_len as usize,
-                    b.packet_size as usize,
-                    discipline,
-                    window,
-                ),
-                None => Assembly::dynamic(packet_size, discipline),
-            };
-            st.assembly = Some(assembly);
+            st.assembly = Some(match alloc_body {
+                Some(b) => Self::sized_assembly(&mut self.spare, &self.cfg, b),
+                None => Assembly::dynamic(self.cfg.packet_size, self.cfg.discipline),
+            });
         }
 
         let prev_next = st.own_next;
@@ -527,6 +550,10 @@ impl Receiver {
                 .take()
                 .expect("completed data transfer has an assembly")
                 .into_bytes();
+            if alloc_body.is_some() {
+                // rmlint: allow(hot-alloc): a second handle, no bytes copied
+                self.spare = Some(data.clone());
+            }
             let msg_id = (transfer / 2) as u64;
             self.stats.messages_completed += 1;
             if let Some(first) = st.first_heard {
@@ -796,21 +823,15 @@ impl Receiver {
         // Materialize the assembly exactly as the data path would, then
         // stamp the generation: the block counts as processed whatever the
         // decode outcome.
-        let discipline = self.cfg.discipline;
-        let window = self.cfg.window as u32;
         let alloc_body = self.alloc_pending.get(&transfer).copied();
-        let st = self.ensure_state(transfer, false);
+        let n_children = self.n_children();
+        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, false);
         if st.first_heard.is_none() {
             st.first_heard = Some(now);
         }
         if st.assembly.is_none() && !st.delivered {
             let b = alloc_body.expect("gated on alloc_pending above");
-            let asm = Assembly::preallocated(
-                b.msg_len as usize,
-                b.packet_size as usize,
-                discipline,
-                window,
-            );
+            let asm = Self::sized_assembly(&mut self.spare, &self.cfg, b);
             // Keep the tracked-progress mirrors in lockstep (invariant
             // R1), as the data path does after every offer.
             st.own_next = asm.next_expected();
@@ -939,7 +960,8 @@ impl Receiver {
                 next: next_expected,
             },
         );
-        let st = self.ensure_state(transfer, false);
+        let n_children = self.n_children();
+        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, false);
         let advanced = next_expected > st.child_cov[slot];
         st.child_cov[slot] = st.child_cov[slot].max(next_expected);
         self.send_aggregate(transfer, false);
@@ -1416,7 +1438,7 @@ impl Endpoint for Receiver {
             }
         };
         match pkt {
-            Packet::Data { header, body } => self.on_data(now, header, DataBody::Chunk(&body)),
+            Packet::Data { header, body } => self.on_data(now, header, DataBody::Chunk(body)),
             Packet::Alloc { header, body } => self.on_data(now, header, DataBody::Alloc(body)),
             Packet::Ack { header, body, .. } => {
                 self.on_peer_ack(now, header.src_rank, header.transfer, body.next_expected.0)
@@ -1436,7 +1458,7 @@ impl Endpoint for Receiver {
                 header,
                 body,
                 payload,
-            } => self.on_repair(now, header, body, &payload),
+            } => self.on_repair(now, header, body, payload),
             // Sender-bound admission control that strayed to a receiver.
             Packet::Join { .. } | Packet::Leave { .. } => self.stats.data_discarded += 1,
         }
