@@ -39,14 +39,16 @@ pub struct Loopback {
     /// flipped before delivery (byzantine corruption reaching the decode
     /// path, unlike `loss` which models FCS-dropped frames).
     corrupt: f64,
-    /// Datagrams held back by the reorder fault.
+    /// Datagrams held back by the reorder fault, by target (a receiver
+    /// index, or [`SENDER`]).
     held: Vec<(usize, Bytes)>,
-    /// One round's transmits, drained every round (kept for its capacity).
+    /// One round's transmits by origin (a receiver index, or [`SENDER`]),
+    /// drained every round (kept for its capacity).
     /// Sized up front for a window of data plus one reply per receiver: a
     /// long-lived buffer that grows mid-session is reallocated above the
     /// receivers' message buffers on the heap, where it stops the allocator
     /// from returning freed ones (+0.5 MiB peak RSS on 500 KB messages).
-    flights: Vec<(Origin, Transmit)>,
+    flights: Vec<(usize, Transmit)>,
     rng: SmallRng,
     /// Message ids the sender reported complete.
     pub sent: Vec<u64>,
@@ -54,12 +56,8 @@ pub struct Loopback {
     pub deliveries: Vec<(usize, u64, Bytes)>,
 }
 
-/// Which endpoint a transmit originated from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    Sender,
-    Receiver(usize),
-}
+/// The sender, where an endpoint is otherwise named by receiver index.
+const SENDER: usize = usize::MAX;
 
 impl Loopback {
     /// Build a loopback group of `n_receivers` receivers running `cfg`.
@@ -244,24 +242,19 @@ impl Loopback {
         // Release datagrams the reorder fault held back last round.
         let held = std::mem::take(&mut self.held);
         let released = !held.is_empty();
-        for (idx, payload) in held {
-            let now = self.now;
-            if idx == usize::MAX {
-                self.sender.handle_datagram(now, &payload);
-            } else if !self.dead[idx] {
-                self.receivers[idx].handle_datagram(now, &payload);
-            }
+        for (target, payload) in held {
+            self.arrive(target, &payload);
         }
 
         let mut flights = std::mem::take(&mut self.flights);
         while let Some(t) = self.sender.poll_transmit() {
-            flights.push((Origin::Sender, t));
+            flights.push((SENDER, t));
         }
         for (i, r) in self.receivers.iter_mut().enumerate() {
             while let Some(t) = r.poll_transmit() {
                 // A crashed receiver's queued datagrams never hit the wire.
                 if !self.dead[i] {
-                    flights.push((Origin::Receiver(i), t));
+                    flights.push((i, t));
                 }
             }
         }
@@ -271,48 +264,19 @@ impl Loopback {
             return released;
         }
         for (origin, t) in flights.drain(..) {
+            // No self-delivery: a receiver never hears its own transmit.
             match t.dest {
-                Dest::Sender => {
-                    if self.deliver_roll() {
-                        if self.reorder_roll() {
-                            self.held.push((usize::MAX, t.payload.clone()));
-                        } else {
-                            for _ in 0..self.dup_copies() {
-                                let p = self.maybe_corrupt(&t.payload);
-                                self.sender.handle_datagram(self.now, &p);
-                            }
-                        }
-                    }
-                }
+                Dest::Sender => self.deliver(SENDER, &t.payload),
                 Dest::Rank(rank) => {
                     let idx = rank.receiver_index();
-                    if origin != Origin::Receiver(idx) && !self.dead[idx] && self.deliver_roll() {
-                        if self.reorder_roll() {
-                            self.held.push((idx, t.payload.clone()));
-                        } else {
-                            let now = self.now;
-                            for _ in 0..self.dup_copies() {
-                                let p = self.maybe_corrupt(&t.payload);
-                                self.receivers[idx].handle_datagram(now, &p);
-                            }
-                        }
+                    if origin != idx {
+                        self.deliver(idx, &t.payload);
                     }
                 }
                 Dest::Receivers => {
                     for i in 0..self.receivers.len() {
-                        if origin == Origin::Receiver(i) || self.dead[i] {
-                            continue; // no self-delivery; crashed hear nothing
-                        }
-                        if self.deliver_roll() {
-                            if self.reorder_roll() {
-                                self.held.push((i, t.payload.clone()));
-                            } else {
-                                let now = self.now;
-                                for _ in 0..self.dup_copies() {
-                                    let p = self.maybe_corrupt(&t.payload);
-                                    self.receivers[i].handle_datagram(now, &p);
-                                }
-                            }
+                        if origin != i {
+                            self.deliver(i, &t.payload);
                         }
                     }
                 }
@@ -323,21 +287,39 @@ impl Loopback {
         true
     }
 
-    fn deliver_roll(&mut self) -> bool {
-        self.loss == 0.0 || self.rng.gen::<f64>() >= self.loss
-    }
-
-    fn reorder_roll(&mut self) -> bool {
-        self.reorder > 0.0 && self.rng.gen::<f64>() < self.reorder
-    }
-
-    /// How many copies of a delivered datagram arrive (1, or 2 under the
-    /// duplication fault). Draws randomness only when the fault is on.
-    fn dup_copies(&mut self) -> usize {
-        if self.dup > 0.0 && self.rng.gen::<f64>() < self.dup {
+    /// Put one copy of `payload` through the fault pipeline on its way to
+    /// `target`: loss, then reorder, then duplication, then per-copy
+    /// corruption. Each fault draws randomness only when it is on, and a
+    /// crashed receiver hears nothing and draws none.
+    fn deliver(&mut self, target: usize, payload: &Bytes) {
+        if target != SENDER && self.dead[target] {
+            return;
+        }
+        if self.loss > 0.0 && self.rng.gen::<f64>() < self.loss {
+            return;
+        }
+        if self.reorder > 0.0 && self.rng.gen::<f64>() < self.reorder {
+            self.held.push((target, payload.clone()));
+            return;
+        }
+        let copies = if self.dup > 0.0 && self.rng.gen::<f64>() < self.dup {
             2
         } else {
             1
+        };
+        for _ in 0..copies {
+            let p = self.maybe_corrupt(payload);
+            self.arrive(target, &p);
+        }
+    }
+
+    /// Hand a datagram to `target`, unless it crashed in the meantime (a
+    /// held-back datagram can outlive its receiver).
+    fn arrive(&mut self, target: usize, datagram: &[u8]) {
+        if target == SENDER {
+            self.sender.handle_datagram(self.now, datagram);
+        } else if !self.dead[target] {
+            self.receivers[target].handle_datagram(self.now, datagram);
         }
     }
 
@@ -457,5 +439,50 @@ mod tests {
             net.sender_stats().retx_sent > 0,
             "20% loss must force retransmissions"
         );
+    }
+
+    /// The fault pipeline's draw order is part of every seeded test's
+    /// meaning: one seed with every fault on, a tree so that all three
+    /// destination kinds occur, pinned counter for counter.
+    #[test]
+    fn faulted_run_is_pinned_draw_for_draw() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::flat_tree(2), 1_000, 8);
+        cfg.integrity = true;
+        let mut net = Loopback::new(cfg, 4, 2001)
+            .with_loss(0.05)
+            .with_reorder(0.1)
+            .with_dup(0.05)
+            .with_corrupt(0.02);
+        for (i, len) in [20_000usize, 7_000, 12_345].into_iter().enumerate() {
+            net.send_message(Bytes::from(vec![i as u8 + 1; len]));
+            assert_eq!(net.run().len(), 4);
+        }
+        // Every non-zero counter, in declaration order.
+        let nonzero = |s: &Stats| -> String {
+            let set = s.fields().into_iter().filter(|&(_, v)| v != 0);
+            set.map(|(k, v)| format!(" {k}={v}")).collect()
+        };
+        assert_eq!(net.now(), Time::from_nanos(1_680_000_000));
+        assert_eq!(
+            nonzero(net.sender_stats()),
+            " data_sent=43 retx_sent=79 acks_received=124 naks_received=30 retx_suppressed=158 \
+             user_copy_bytes=39345 payload_bytes_sent=39345 messages_completed=3 \
+             peak_buffer_bytes=8000 decode_errors=4 timeouts=14 integrity_fail=4"
+        );
+        let receivers = [
+            " data_received=108 data_discarded=10 acks_sent=52 acks_received=105 naks_sent=12 \
+             naks_suppressed=43 messages_completed=3 peak_buffer_bytes=20000 decode_errors=2 \
+             integrity_fail=2",
+            " data_received=116 data_discarded=62 acks_sent=103 naks_sent=4 naks_suppressed=7 \
+             messages_completed=3 peak_buffer_bytes=20000",
+            " data_received=122 data_discarded=39 acks_sent=77 acks_received=82 naks_sent=8 \
+             naks_suppressed=32 messages_completed=3 peak_buffer_bytes=20000 decode_errors=3 \
+             integrity_fail=3",
+            " data_received=119 data_discarded=44 acks_sent=86 naks_sent=6 naks_suppressed=26 \
+             messages_completed=3 peak_buffer_bytes=20000 decode_errors=1 integrity_fail=1",
+        ];
+        for (i, want) in receivers.into_iter().enumerate() {
+            assert_eq!(nonzero(net.receiver_stats(i)), want, "receiver {i}");
+        }
     }
 }

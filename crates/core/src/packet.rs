@@ -291,6 +291,38 @@ pub fn seal(packet: &[u8]) -> Bytes {
     buf.freeze()
 }
 
+/// Encode one packet: `header`, then the `body_len` bytes `body` writes,
+/// then the membership epoch trailer where one is stamped. Every
+/// `encode_*` below is this with its own header and body, so the encode
+/// side has one allocation and one `WireEncode` span.
+fn encode(
+    header: Header,
+    body_len: usize,
+    epoch: Option<u32>,
+    body: impl FnOnce(&mut BytesMut),
+) -> Bytes {
+    let _span = rmprof::span!(rmprof::Stage::WireEncode);
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + body_len + epoch.map_or(0, |_| 4));
+    header.encode(&mut buf);
+    body(&mut buf);
+    if let Some(epoch) = epoch {
+        bytes::BufMut::put_u32(&mut buf, epoch);
+    }
+    buf.freeze()
+}
+
+/// The header of a packet that belongs to no transfer (membership
+/// control traffic).
+fn control(ptype: PacketType, src_rank: Rank) -> Header {
+    Header {
+        ptype,
+        flags: PacketFlags::EMPTY,
+        src_rank,
+        transfer: 0,
+        seq: SeqNo::ZERO,
+    }
+}
+
 /// Encode a data packet.
 pub fn encode_data(
     src_rank: Rank,
@@ -299,165 +331,111 @@ pub fn encode_data(
     flags: PacketFlags,
     chunk: &[u8],
 ) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + chunk.len());
-    Header {
+    let header = Header {
         ptype: PacketType::Data,
         flags,
         src_rank,
         transfer,
         seq,
-    }
-    .encode(&mut buf);
-    buf.extend_from_slice(chunk);
-    buf.freeze()
+    };
+    encode(header, chunk.len(), None, |buf| {
+        buf.extend_from_slice(chunk)
+    })
 }
 
 /// Encode a buffer-allocation request packet.
 pub fn encode_alloc(src_rank: Rank, transfer: u32, flags: PacketFlags, body: AllocBody) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + AllocBody::LEN);
-    Header {
+    let header = Header {
         ptype: PacketType::Data,
         flags: flags | PacketFlags::ALLOC,
         src_rank,
         transfer,
         seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    body.encode(&mut buf);
-    buf.freeze()
+    };
+    encode(header, AllocBody::LEN, None, |buf| body.encode(buf))
 }
 
 /// Encode a cumulative ACK.
 pub fn encode_ack(src_rank: Rank, transfer: u32, next_expected: SeqNo) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + AckBody::LEN);
-    Header {
-        ptype: PacketType::Ack,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer,
-        seq: next_expected,
-    }
-    .encode(&mut buf);
-    AckBody { next_expected }.encode(&mut buf);
-    buf.freeze()
+    ack(src_rank, transfer, next_expected, None)
 }
 
 /// Encode a NAK for the first missing sequence number.
 pub fn encode_nak(src_rank: Rank, transfer: u32, expected: SeqNo) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + NakBody::LEN);
-    Header {
-        ptype: PacketType::Nak,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer,
-        seq: expected,
-    }
-    .encode(&mut buf);
-    NakBody { expected }.encode(&mut buf);
-    buf.freeze()
+    nak(src_rank, transfer, expected, None)
 }
 
 /// Encode a cumulative ACK stamped with the membership epoch (used only
 /// when membership is enabled; the trailer makes stale-epoch ACKs
 /// detectable).
 pub fn encode_ack_epoch(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: u32) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + AckBody::LEN + 4);
-    Header {
-        ptype: PacketType::Ack,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer,
-        seq: next_expected,
-    }
-    .encode(&mut buf);
-    AckBody { next_expected }.encode(&mut buf);
-    bytes::BufMut::put_u32(&mut buf, epoch);
-    buf.freeze()
+    ack(src_rank, transfer, next_expected, Some(epoch))
 }
 
 /// Encode an epoch-stamped NAK (membership-enabled counterpart of
 /// [`encode_nak`]).
 pub fn encode_nak_epoch(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: u32) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + NakBody::LEN + 4);
-    Header {
+    nak(src_rank, transfer, expected, Some(epoch))
+}
+
+fn ack(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: Option<u32>) -> Bytes {
+    let header = Header {
+        ptype: PacketType::Ack,
+        flags: PacketFlags::EMPTY,
+        src_rank,
+        transfer,
+        seq: next_expected,
+    };
+    encode(header, AckBody::LEN, epoch, |buf| {
+        AckBody { next_expected }.encode(buf)
+    })
+}
+
+fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<u32>) -> Bytes {
+    let header = Header {
         ptype: PacketType::Nak,
         flags: PacketFlags::EMPTY,
         src_rank,
         transfer,
         seq: expected,
-    }
-    .encode(&mut buf);
-    NakBody { expected }.encode(&mut buf);
-    bytes::BufMut::put_u32(&mut buf, epoch);
-    buf.freeze()
+    };
+    encode(header, NakBody::LEN, epoch, |buf| {
+        NakBody { expected }.encode(buf)
+    })
 }
 
 /// Encode an admission request. `last_epoch` is the epoch the joiner last
 /// belonged to (zero for a fresh join).
 pub fn encode_join(src_rank: Rank, last_epoch: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + JoinBody::LEN);
-    Header {
-        ptype: PacketType::Join,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer: 0,
-        seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    JoinBody { last_epoch }.encode(&mut buf);
-    buf.freeze()
+    let header = control(PacketType::Join, src_rank);
+    encode(header, JoinBody::LEN, None, |buf| {
+        JoinBody { last_epoch }.encode(buf)
+    })
 }
 
 /// Encode the sender's immediate response to a join request.
 pub fn encode_welcome(src_rank: Rank, epoch: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + WelcomeBody::LEN);
-    Header {
-        ptype: PacketType::Welcome,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer: 0,
-        seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    WelcomeBody { epoch }.encode(&mut buf);
-    buf.freeze()
+    let header = control(PacketType::Welcome, src_rank);
+    encode(header, WelcomeBody::LEN, None, |buf| {
+        WelcomeBody { epoch }.encode(buf)
+    })
 }
 
 /// Encode a voluntary departure announcement.
 pub fn encode_leave(src_rank: Rank, epoch: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + LeaveBody::LEN);
-    Header {
-        ptype: PacketType::Leave,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer: 0,
-        seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    LeaveBody { epoch }.encode(&mut buf);
-    buf.freeze()
+    let header = control(PacketType::Leave, src_rank);
+    encode(header, LeaveBody::LEN, None, |buf| {
+        LeaveBody { epoch }.encode(buf)
+    })
 }
 
 /// Encode a liveness beacon. The sender's multicast announce carries
 /// `Rank::SENDER`; receiver replies carry their own rank.
 pub fn encode_heartbeat(src_rank: Rank, epoch: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + HeartbeatBody::LEN);
-    Header {
-        ptype: PacketType::Heartbeat,
-        flags: PacketFlags::EMPTY,
-        src_rank,
-        transfer: 0,
-        seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    HeartbeatBody { epoch }.encode(&mut buf);
-    buf.freeze()
+    let header = control(PacketType::Heartbeat, src_rank);
+    encode(header, HeartbeatBody::LEN, None, |buf| {
+        HeartbeatBody { epoch }.encode(buf)
+    })
 }
 
 /// Encode a reactive coded-repair packet: `payload` is the XOR of the
@@ -478,36 +456,28 @@ fn encode_coded(
     body: RepairBody,
     payload: &[u8],
 ) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
     debug_assert!(body.bitmap & 1 == 1, "coded bitmap must be canonical");
     debug_assert!(!payload.is_empty(), "coded payload cannot be empty");
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + RepairBody::LEN + payload.len());
-    Header {
+    let header = Header {
         ptype,
         flags: PacketFlags::EMPTY,
         src_rank,
         transfer,
         seq: SeqNo(body.base_seq),
-    }
-    .encode(&mut buf);
-    body.encode(&mut buf);
-    buf.extend_from_slice(payload);
-    buf.freeze()
+    };
+    encode(header, RepairBody::LEN + payload.len(), None, |buf| {
+        body.encode(buf);
+        buf.extend_from_slice(payload);
+    })
 }
 
 /// Encode the admission handoff for one joiner.
 pub fn encode_sync(src_rank: Rank, body: SyncBody) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + SyncBody::LEN);
-    Header {
-        ptype: PacketType::Sync,
-        flags: PacketFlags::EMPTY,
-        src_rank,
+    let header = Header {
         transfer: body.next_transfer,
-        seq: SeqNo::ZERO,
-    }
-    .encode(&mut buf);
-    body.encode(&mut buf);
-    buf.freeze()
+        ..control(PacketType::Sync, src_rank)
+    };
+    encode(header, SyncBody::LEN, None, |buf| body.encode(buf))
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub mod scope {
     /// Engine crates that run on real time (so `wall-clock` cannot apply)
     /// but where ad-hoc `Instant::now` timing belongs in `rmprof` spans:
     /// the `raw-instant` rule scans these. `rmprof`/`rmtrace` own the
-    /// clocks and `rm-bench`'s whole job is timing, so they are exempt.
+    /// clocks, so they are exempt.
     pub const TIMED_ENGINE_DIRS: &[&str] = &["crates/udprun/src", "crates/simrun/src"];
 
     /// Wire-decode and packet-handling paths: parse hostile bytes, so the

@@ -10,14 +10,14 @@
 //!   format the udprun stats endpoint serves at `/stats.json` and
 //!   `rmreport --profile` reads back.
 //!
-//! A matching reader lives here too: [`Json`] is a minimal recursive
-//! JSON parser (objects, arrays, strings, numbers, booleans, null —
-//! enough for every artifact this workspace emits, since the vendored
-//! serde is an inert shim), and [`parse_snapshot`] lifts a `rmprof-v1`
-//! document into typed [`ProfileDoc`] rows.
+//! The reading side: [`parse_snapshot`] lifts a `rmprof-v1` document into
+//! typed [`ProfileDoc`] rows through [`Json`], the workspace's one JSON
+//! reader (it lives in `rmtrace`; re-exported here for this crate's users).
 
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
+
+pub use rmtrace::Json;
 
 /// Render the Prometheus-style text page. Quantiles are the histogram's
 /// bucket-resolved p50/p99 in nanoseconds.
@@ -219,242 +219,6 @@ pub fn parse_snapshot(text: &str) -> Result<ProfileDoc, String> {
     Ok(doc)
 }
 
-/// A parsed JSON value — the minimal recursive reader shared by the
-/// profile tooling and the bench-artifact schema validator. Numbers are
-/// kept as `f64` (every artifact this workspace writes stays inside the
-/// 2⁵³ exact-integer range).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// Object: ordered key/value pairs (insertion order preserved).
-    Obj(Vec<(String, Json)>),
-    /// Array.
-    Arr(Vec<Json>),
-    /// String.
-    Str(String),
-    /// Number.
-    Num(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Null.
-    Null,
-}
-
-impl Json {
-    /// Parse one complete JSON document (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array view.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Number view.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer view (rejects fractions and negatives).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// Integer view (rejects fractions).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            pairs.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    s.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    });
-                    self.i += 1;
-                }
-                Some(_) => {
-                    let start = self.i;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                        self.i += 1;
-                    }
-                    s.push_str(
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| "invalid utf8 in string")?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.i += 1;
-        }
-        let txt = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "invalid number")?;
-        txt.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {txt:?}: {e}"))
-    }
-
-    fn keyword(&mut self, kw: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(kw.as_bytes()) {
-            self.i += kw.len();
-            Ok(v)
-        } else {
-            Err(format!("expected {kw} at byte {}", self.i))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,22 +276,5 @@ mod tests {
                 "bad metric name in {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn parser_handles_the_bench_artifact_shape() {
-        let v = Json::parse(
-            "{\"pr\": 8, \"x\": -0.4, \"arr\": [1, 2.5, true, null], \"s\": \"a\\\"b\"}",
-        )
-        .unwrap();
-        assert_eq!(v.get("pr").and_then(Json::as_u64), Some(8));
-        assert_eq!(v.get("x").and_then(Json::as_f64), Some(-0.4));
-        assert_eq!(
-            v.get("arr").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(4)
-        );
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b"));
-        assert!(Json::parse("{\"a\": 1} trailing").is_err());
-        assert!(Json::parse("").is_err());
     }
 }

@@ -23,8 +23,9 @@
 //! # Cost model
 //!
 //! Profiling is **off by default**. Disabled, a span site is one relaxed
-//! atomic load and a branch — the overhead-budget regression test in
-//! `rm-bench` holds the whole instrumented loopback workload to ≤ 2%.
+//! atomic load and a branch — the overhead-budget regression test
+//! (`crates/core/tests/prof_overhead.rs`) holds the whole instrumented
+//! loopback workload to ≤ 2%.
 //! Enabled, each span costs two `Instant::now` reads plus a thread-local
 //! histogram record (tens of nanoseconds; bounded and measured by the
 //! same test). Building with the `noop` feature deletes span sites

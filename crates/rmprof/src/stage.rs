@@ -7,8 +7,7 @@
 //! exposition and report layers pick it up by name automatically.
 
 /// One profiled hot-path stage. The wire name (`Stage::name`) is what
-/// appears in exposition output, `BENCH_*.json` profile blocks, and the
-/// `rmreport` hotspot table.
+/// appears in exposition output and the `rmreport` hotspot table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Building outgoing datagrams (header + body encode, buffer fill).

@@ -28,7 +28,7 @@ pub mod sink;
 pub use event::{TraceEvent, TraceRecord};
 pub use flight::{FlightDump, FlightRecorder};
 pub use hist::Histogram;
-pub use json::{parse_jsonl, JsonValue, ParsedRecord};
+pub use json::{parse_jsonl, Json, JsonValue, ParsedRecord};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 
 use std::fmt;

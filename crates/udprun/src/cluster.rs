@@ -2,12 +2,12 @@
 
 use crate::faults::{FaultedEndpoint, NodeFaults};
 use crate::hub::Hub;
-use crate::node::{drive, Addresses, NodeEvent};
+use crate::node::{drive, Addresses, Report};
 use bytes::Bytes;
 use crossbeam::channel;
 use rmcast::{
-    Endpoint, FlightDump, GroupSpec, JsonlSink, ProtocolConfig, Receiver, Sender, SessionError,
-    Stats, TraceSink,
+    AppEvent, Endpoint, FlightDump, GroupSpec, JsonlSink, ProtocolConfig, Receiver, Sender,
+    SessionError, Stats, TraceSink,
 };
 use rmwire::{Rank, Time};
 use std::collections::HashMap;
@@ -39,11 +39,6 @@ pub struct ClusterConfig {
     /// a kill-and-restart of the receiver process. Requires
     /// `protocol.membership.enabled` so the reboot can rejoin.
     pub restart_receivers: Vec<(usize, StdDuration)>,
-    /// Legacy liveness policy: terminate a node thread after a run of
-    /// consecutive socket errors. With membership enabled the heartbeat
-    /// failure detector is the liveness authority (the same policy the
-    /// simulator backend uses) and this can be turned off.
-    pub io_error_giveup: bool,
     /// Shared trace sink: every endpoint streams its protocol events here,
     /// stamped with wall-clock nanoseconds since one run-wide epoch so
     /// records from different node threads are comparable.
@@ -83,7 +78,6 @@ impl ClusterConfig {
             hub_drop_every: None,
             dead_receivers: Vec::new(),
             restart_receivers: Vec::new(),
-            io_error_giveup: true,
             trace_sink: None,
             flight_recorder: 0,
             sender_faults: NodeFaults::default(),
@@ -176,7 +170,7 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         hub: hub.addr,
     };
 
-    let (tx, rx) = channel::unbounded::<NodeEvent>();
+    let (tx, rx) = channel::unbounded::<Report>();
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     // One wall-clock origin for every node thread: protocol times (and
@@ -205,36 +199,18 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
             .find(|&&(r, _)| r == i)
             .map(|(_, f)| f.clone())
             .unwrap_or_default();
-        let mut ep = FaultedEndpoint::new(
-            Receiver::new(
-                cfg.protocol,
-                group,
-                Rank::from_receiver_index(i),
-                cfg.seed.wrapping_add(i as u64),
-            ),
-            faults,
-        );
+        let rank = Rank::from_receiver_index(i);
+        let seed = cfg.seed.wrapping_add(i as u64);
+        let mut ep = FaultedEndpoint::new(Receiver::new(cfg.protocol, group, rank, seed), faults);
         instrument(&mut ep);
         let sock = rsock.try_clone()?;
         let addrs = addrs.clone();
         let tx = tx.clone();
         let stop = Arc::clone(&stop);
-        let giveup = cfg.io_error_giveup;
         handles.push(
             std::thread::Builder::new()
                 .name(format!("udprun-recv{}", i + 1))
-                .spawn(move || {
-                    drive(
-                        ep,
-                        sock,
-                        addrs,
-                        Rank::from_receiver_index(i),
-                        epoch,
-                        tx,
-                        stop,
-                        giveup,
-                    )
-                })?,
+                .spawn(move || drive(ep, sock, addrs, rank, epoch, tx, stop))?,
         );
     }
 
@@ -247,7 +223,6 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         let addrs = addrs.clone();
         let tx = tx.clone();
         let stop = Arc::clone(&stop);
-        let giveup = cfg.io_error_giveup;
         let seed = cfg.seed.wrapping_add(i as u64);
         let trace_sink = cfg.trace_sink.clone();
         let flight = cfg.flight_recorder;
@@ -273,7 +248,7 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
                     if flight > 0 {
                         ep.enable_flight_recorder(flight);
                     }
-                    drive(ep, sock, addrs, rank, epoch, tx, stop, giveup)
+                    drive(ep, sock, addrs, rank, epoch, tx, stop)
                 })?,
         );
     }
@@ -291,11 +266,10 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         let addrs = addrs.clone();
         let tx = tx.clone();
         let stop = Arc::clone(&stop);
-        let giveup = cfg.io_error_giveup;
         handles.push(
             std::thread::Builder::new()
                 .name("udprun-sender".into())
-                .spawn(move || drive(sender, sock, addrs, Rank::SENDER, epoch, tx, stop, giveup))?,
+                .spawn(move || drive(sender, sock, addrs, Rank::SENDER, epoch, tx, stop))?,
         );
     }
     drop(tx);
@@ -303,16 +277,11 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     // Coordinate: wait until the sender resolves every message — by
     // completing it or by abandoning it (liveness bound).
     let start = Instant::now(); // rmlint: allow(raw-instant): liveness deadline, not a measurement
-    let mut deliveries = Vec::new();
-    let mut failures: Vec<(Rank, u64, SessionError)> = Vec::new();
-    let mut evictions: Vec<(Rank, Rank, u64)> = Vec::new();
-    let mut joins: Vec<(Rank, u32)> = Vec::new();
-    let mut backpressure: Vec<(u64, bool)> = Vec::new();
-    let mut resolved = 0u64;
-    let mut elapsed = None;
-    let mut stats: HashMap<Rank, Stats> = HashMap::new();
-    let mut flight_dumps: Vec<(Rank, FlightDump)> = Vec::new();
-    while resolved < n_msgs {
+    let mut tally = Tally {
+        n_msgs,
+        ..Tally::default()
+    };
+    while tally.resolved < n_msgs {
         let remaining = cfg.timeout.checked_sub(start.elapsed()).unwrap_or_default();
         if remaining.is_zero() {
             stop.store(true, Ordering::Relaxed);
@@ -324,51 +293,14 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
                 format!(
                     "cluster did not finish in {:?}: {}/{} messages, {} deliveries",
                     cfg.timeout,
-                    resolved,
+                    tally.resolved,
                     n_msgs,
-                    deliveries.len()
+                    tally.deliveries.len()
                 ),
             ));
         }
         match rx.recv_timeout(remaining) {
-            Ok(NodeEvent::Sent { at, .. }) => {
-                resolved += 1;
-                if resolved == n_msgs {
-                    elapsed = Some(at);
-                }
-            }
-            Ok(NodeEvent::Delivered { rank, msg_id, data }) => {
-                deliveries.push((rank, msg_id, data));
-            }
-            Ok(NodeEvent::Failed {
-                rank,
-                msg_id,
-                error,
-            }) => {
-                failures.push((rank, msg_id, error));
-                // Only the sender's verdict resolves a message; receiver
-                // give-ups are informational.
-                if rank == Rank::SENDER {
-                    resolved += 1;
-                }
-            }
-            Ok(NodeEvent::Evicted { rank, peer, msg_id }) => {
-                evictions.push((rank, peer, msg_id));
-            }
-            Ok(NodeEvent::Joined { peer, epoch, .. }) => {
-                joins.push((peer, epoch));
-            }
-            Ok(NodeEvent::Backpressure {
-                msg_id, congested, ..
-            }) => {
-                backpressure.push((msg_id, congested));
-            }
-            Ok(NodeEvent::Finished { rank, stats: s }) => {
-                stats.insert(rank, *s);
-            }
-            Ok(NodeEvent::FlightDump { rank, dump }) => {
-                flight_dumps.push((rank, dump));
-            }
+            Ok(report) => tally.absorb(report),
             Err(channel::RecvTimeoutError::Timeout) => continue,
             Err(channel::RecvTimeoutError::Disconnected) => break,
         }
@@ -378,83 +310,128 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     let settle = Instant::now(); // rmlint: allow(raw-instant): settle deadline, not a measurement
     while settle.elapsed() < StdDuration::from_millis(200) {
         match rx.recv_timeout(StdDuration::from_millis(50)) {
-            Ok(NodeEvent::Delivered { rank, msg_id, data }) => {
-                deliveries.push((rank, msg_id, data))
-            }
-            Ok(NodeEvent::Failed {
-                rank,
-                msg_id,
-                error,
-            }) => {
-                failures.push((rank, msg_id, error));
-            }
-            Ok(NodeEvent::Evicted { rank, peer, msg_id }) => {
-                evictions.push((rank, peer, msg_id));
-            }
-            Ok(NodeEvent::Joined { peer, epoch, .. }) => {
-                joins.push((peer, epoch));
-            }
-            Ok(NodeEvent::Backpressure {
-                msg_id, congested, ..
-            }) => {
-                backpressure.push((msg_id, congested));
-            }
-            Ok(NodeEvent::Finished { rank, stats: s }) => {
-                stats.insert(rank, *s);
-            }
-            Ok(NodeEvent::FlightDump { rank, dump }) => {
-                flight_dumps.push((rank, dump));
-            }
-            Ok(_) => {}
+            Ok(report) => tally.absorb(report),
             Err(_) => break,
         }
     }
     stop.store(true, Ordering::Relaxed);
     // Collect the final stats snapshots as threads wind down.
-    for ev in rx.try_iter() {
-        match ev {
-            NodeEvent::Delivered { rank, msg_id, data } => deliveries.push((rank, msg_id, data)),
-            NodeEvent::Failed {
-                rank,
-                msg_id,
-                error,
-            } => failures.push((rank, msg_id, error)),
-            NodeEvent::Evicted { rank, peer, msg_id } => evictions.push((rank, peer, msg_id)),
-            NodeEvent::Joined { peer, epoch, .. } => joins.push((peer, epoch)),
-            NodeEvent::Backpressure {
-                msg_id, congested, ..
-            } => backpressure.push((msg_id, congested)),
-            NodeEvent::Finished { rank, stats: s } => {
-                stats.insert(rank, *s);
-            }
-            NodeEvent::FlightDump { rank, dump } => flight_dumps.push((rank, dump)),
-            NodeEvent::Sent { .. } => {}
-        }
-    }
+    rx.try_iter().for_each(|r| tally.absorb(r));
     for h in handles {
         let _ = h.join();
     }
-    for ev in rx.try_iter() {
-        if let NodeEvent::Finished { rank, stats: s } = ev {
-            stats.insert(rank, *s);
-        }
-    }
+    rx.try_iter().for_each(|r| tally.absorb(r));
 
     // The sink's writer is shared by every clone: one flush drains it.
     if let Some(mut s) = cfg.trace_sink.clone() {
         s.flush();
     }
 
-    let sender_stats = stats.remove(&Rank::SENDER).unwrap_or_default();
+    let sender_stats = tally.stats.remove(&Rank::SENDER).unwrap_or_default();
     Ok(ClusterResult {
-        elapsed: elapsed.unwrap_or_else(|| start.elapsed()),
-        deliveries,
+        elapsed: tally.elapsed.unwrap_or_else(|| start.elapsed()),
+        deliveries: tally.deliveries,
         sender_stats,
-        receiver_stats: stats,
-        failures,
-        evictions,
-        joins,
-        backpressure,
-        flight_dumps,
+        receiver_stats: tally.stats,
+        failures: tally.failures,
+        evictions: tally.evictions,
+        joins: tally.joins,
+        backpressure: tally.backpressure,
+        flight_dumps: tally.flight_dumps,
     })
+}
+
+/// Everything the coordinator has heard from the node threads so far.
+#[derive(Default)]
+struct Tally {
+    /// Messages queued on the sender.
+    n_msgs: u64,
+    /// Messages the sender has completed or abandoned.
+    resolved: u64,
+    /// When the sender completed the last message, if that is how the
+    /// last one resolved.
+    elapsed: Option<StdDuration>,
+    deliveries: Vec<(Rank, u64, Bytes)>,
+    failures: Vec<(Rank, u64, SessionError)>,
+    evictions: Vec<(Rank, Rank, u64)>,
+    joins: Vec<(Rank, u32)>,
+    backpressure: Vec<(u64, bool)>,
+    flight_dumps: Vec<(Rank, FlightDump)>,
+    stats: HashMap<Rank, Stats>,
+}
+
+impl Tally {
+    fn absorb(&mut self, report: Report) {
+        let (rank, at, ev) = match report {
+            Report::App { rank, at, ev } => (rank, at, ev),
+            Report::Finished { rank, stats } => {
+                self.stats.insert(rank, *stats);
+                return;
+            }
+        };
+        match ev {
+            AppEvent::MessageSent { .. } => {
+                self.resolved += 1;
+                if self.resolved == self.n_msgs {
+                    self.elapsed = Some(at);
+                }
+            }
+            AppEvent::MessageDelivered { msg_id, data } => {
+                self.deliveries.push((rank, msg_id, data));
+            }
+            AppEvent::MessageFailed { msg_id, error } => {
+                self.failures.push((rank, msg_id, error));
+                // Only the sender's verdict resolves a message; receiver
+                // give-ups are informational.
+                if rank == Rank::SENDER {
+                    self.resolved += 1;
+                }
+            }
+            AppEvent::ReceiverEvicted { msg_id, rank: peer } => {
+                self.evictions.push((rank, peer, msg_id));
+            }
+            AppEvent::ReceiverJoined { rank: peer, epoch } => self.joins.push((peer, epoch)),
+            AppEvent::Backpressure { msg_id, congested } => {
+                self.backpressure.push((msg_id, congested));
+            }
+            AppEvent::FlightRecorderDump { dump } => self.flight_dumps.push((rank, dump)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn failed(rank: Rank, msg_id: u64) -> Report {
+        Report::App {
+            rank,
+            at: StdDuration::ZERO,
+            ev: AppEvent::MessageFailed {
+                msg_id,
+                error: SessionError::SenderStalled { transfer: 0 },
+            },
+        }
+    }
+
+    #[test]
+    fn only_the_senders_verdict_resolves_a_message() {
+        let mut tally = Tally {
+            n_msgs: 2,
+            ..Tally::default()
+        };
+        tally.absorb(failed(Rank::from_receiver_index(1), 0));
+        assert_eq!(tally.failures.len(), 1, "a receiver's give-up is recorded");
+        assert_eq!(tally.resolved, 0, "but resolves nothing");
+        tally.absorb(failed(Rank::SENDER, 0));
+        assert_eq!((tally.failures.len(), tally.resolved), (2, 1));
+        // The last message completing is what stamps `elapsed`.
+        let at = StdDuration::from_millis(7);
+        tally.absorb(Report::App {
+            rank: Rank::SENDER,
+            at,
+            ev: AppEvent::MessageSent { msg_id: 1 },
+        });
+        assert_eq!((tally.resolved, tally.elapsed), (2, Some(at)));
+    }
 }

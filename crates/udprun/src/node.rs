@@ -1,9 +1,8 @@
 //! One endpoint on one real UDP socket, driven by a thread.
 
 use crate::hub::MAX_DGRAM;
-use bytes::Bytes;
 use crossbeam::channel::Sender as ChanSender;
-use rmcast::{AppEvent, Dest, Endpoint, SessionError};
+use rmcast::{AppEvent, Dest, Endpoint};
 use rmwire::{Rank, Time};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -32,119 +31,51 @@ impl Addresses {
     }
 }
 
-/// Events reported back to the coordinator.
+/// What a node thread reports to the coordinator.
 #[derive(Debug)]
-pub enum NodeEvent {
-    /// Sender finished a message.
-    Sent {
-        /// Message id.
-        msg_id: u64,
-        /// Wall-clock time since node start.
+pub enum Report {
+    /// An application event from the node's endpoint.
+    App {
+        /// Reporting node's rank (0 = sender).
+        rank: Rank,
+        /// Wall-clock time since the run's epoch when it was polled.
         at: StdDuration,
+        /// The event, as the endpoint produced it.
+        ev: AppEvent,
     },
-    /// A receiver delivered a message.
-    Delivered {
-        /// Receiver rank.
-        rank: Rank,
-        /// Message id.
-        msg_id: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// The node abandoned a message (liveness bound tripped).
-    Failed {
-        /// Reporting node's rank (0 = sender).
-        rank: Rank,
-        /// Message id.
-        msg_id: u64,
-        /// Why the message was given up on.
-        error: SessionError,
-    },
-    /// The node evicted an unresponsive peer from a message's
-    /// acknowledgment obligation.
-    Evicted {
-        /// Reporting node's rank (0 = sender).
-        rank: Rank,
-        /// The evicted peer.
-        peer: Rank,
-        /// Message id the eviction happened during.
-        msg_id: u64,
-    },
-    /// The sender signalled a backpressure edge: AIMD shrank the window
-    /// below its configured size and the send path stalled on it
-    /// (`congested: true`), or recovered (`congested: false`).
-    Backpressure {
-        /// Reporting node's rank (the sender).
-        rank: Rank,
-        /// Message in transfer when the edge fired.
-        msg_id: u64,
-        /// The new congestion state.
-        congested: bool,
-    },
-    /// The sender admitted a (re)joining receiver into the group.
-    Joined {
-        /// Reporting node's rank (the sender).
-        rank: Rank,
-        /// The admitted peer.
-        peer: Rank,
-        /// The membership epoch created by the admission.
-        epoch: u32,
-    },
-    /// The node thread exited (stats snapshot attached). Boxed: the
-    /// counter block dwarfs every other variant.
+    /// The node thread exited. Boxed: the counter block dwarfs an event.
     Finished {
         /// Node rank (0 = sender).
         rank: Rank,
         /// Final counters.
         stats: Box<rmcast::Stats>,
     },
-    /// A failure tripped the node's flight recorder (when enabled): the
-    /// last protocol events and counters leading up to it.
-    FlightDump {
-        /// Reporting node's rank (0 = sender).
-        rank: Rank,
-        /// The recorded dump.
-        dump: rmcast::FlightDump,
-    },
 }
 
-/// Consecutive socket errors (receive or send) tolerated before a node
-/// thread gives up. Transient `ECONNREFUSED`-style errors from a peer that
-/// died mid-run must not wedge or kill the survivors; a persistently broken
-/// socket still terminates the thread with the underlying error.
-///
-/// This is the legacy liveness policy, active only with
-/// `io_error_giveup = true`: with membership enabled the heartbeat
-/// failure detector inside the protocol is the liveness authority (the
-/// same policy the simulator backend uses), and IO errors from dead
-/// peers are absorbed indefinitely.
-const MAX_CONSEC_IO_ERRORS: u32 = 64;
-
 /// Drive `ep` over `socket` until `stop` is raised. `rank` identifies the
-/// node in [`NodeEvent`]s. `epoch` is the run's shared wall-clock origin:
+/// node in its [`Report`]s. `epoch` is the run's shared wall-clock origin:
 /// every node derives its protocol `Time` (and therefore its trace
 /// timestamps) from the same instant, so records from different threads
-/// are comparable. With `io_error_giveup` the thread dies after
-/// [`MAX_CONSEC_IO_ERRORS`] consecutive socket errors (the pre-membership
-/// compat behavior); without it, socket errors never terminate the thread
-/// and peer death is the failure detector's problem.
-// One thread = one node = one call; the parameters are the node's whole
-// world and bundling them into a struct would just rename the problem.
-#[allow(clippy::too_many_arguments)]
+/// are comparable.
+///
+/// Socket errors (receive or send) never terminate the thread: a peer
+/// that died mid-run surfaces as transient `ECONNREFUSED`-style errors on
+/// the survivors' sockets, which are counted in `udprun.io_errors` and
+/// absorbed. Peer death is the protocol's problem (its liveness bounds and
+/// the membership failure detector, the same policy the simulator backend
+/// uses); a run that cannot finish ends at the coordinator's timeout.
 pub fn drive<E: Endpoint>(
     mut ep: E,
     socket: UdpSocket,
     addrs: Addresses,
     rank: Rank,
     epoch: Instant,
-    events: ChanSender<NodeEvent>,
+    events: ChanSender<Report>,
     stop: Arc<AtomicBool>,
-    io_error_giveup: bool,
 ) -> io::Result<()> {
     let now = |epoch: Instant| Time::from_nanos(epoch.elapsed().as_nanos() as u64);
     let mut buf = vec![0u8; MAX_DGRAM];
     socket.set_read_timeout(Some(StdDuration::from_millis(1)))?;
-    let mut consec_errors: u32 = 0;
     // Counter handles are resolved once (registration takes a mutex);
     // per-datagram increments are single relaxed atomic adds.
     let ctr_rx = rmprof::counter("udprun.datagrams_rx");
@@ -158,7 +89,6 @@ pub fn drive<E: Endpoint>(
             Ok((n, _)) => {
                 drop(rx_span);
                 ctr_rx.inc();
-                consec_errors = 0;
                 ep.handle_datagram(now(epoch), &buf[..n]);
             }
             Err(e)
@@ -168,15 +98,11 @@ pub fn drive<E: Endpoint>(
                 // receive work: discard the sample.
                 rx_span.cancel();
             }
-            Err(e) => {
-                rx_span.cancel();
-                ctr_io_err.inc();
+            Err(_) => {
                 // On Linux a UDP socket can surface ECONNREFUSED from a
                 // dead peer; count it, don't die on it.
-                consec_errors += 1;
-                if io_error_giveup && consec_errors > MAX_CONSEC_IO_ERRORS {
-                    return Err(e);
-                }
+                rx_span.cancel();
+                ctr_io_err.inc();
             }
         }
         // 2. Fire due timers.
@@ -184,57 +110,23 @@ pub fn drive<E: Endpoint>(
         if ep.poll_timeout().is_some_and(|d| d <= t) {
             ep.handle_timeout(t);
         }
-        // 3. Flush transmits. Send failures are tolerated (bounded): the
-        // datagram is dropped and the protocol's own retransmission
-        // machinery recovers, or its liveness bound eventually fires.
+        // 3. Flush transmits. Send failures are tolerated: the datagram
+        // is dropped and the protocol's own retransmission machinery
+        // recovers, or its liveness bound eventually fires.
         while let Some(tx) = ep.poll_transmit() {
             let dest = addrs.resolve(tx.dest);
             let tx_span = rmprof::span!(rmprof::Stage::UdpTx);
             let sent = socket.send_to(&tx.payload, dest);
             drop(tx_span);
             match sent {
-                Ok(_) => {
-                    ctr_tx.inc();
-                    consec_errors = 0;
-                }
-                Err(e) => {
-                    ctr_io_err.inc();
-                    consec_errors += 1;
-                    if io_error_giveup && consec_errors > MAX_CONSEC_IO_ERRORS {
-                        return Err(e);
-                    }
-                }
+                Ok(_) => ctr_tx.inc(),
+                Err(_) => ctr_io_err.inc(),
             }
         }
         // 4. Report events.
         while let Some(ev) = ep.poll_event() {
-            let out = match ev {
-                AppEvent::MessageSent { msg_id } => NodeEvent::Sent {
-                    msg_id,
-                    at: epoch.elapsed(),
-                },
-                AppEvent::MessageDelivered { msg_id, data } => {
-                    NodeEvent::Delivered { rank, msg_id, data }
-                }
-                AppEvent::MessageFailed { msg_id, error } => NodeEvent::Failed {
-                    rank,
-                    msg_id,
-                    error,
-                },
-                AppEvent::ReceiverEvicted { msg_id, rank: peer } => {
-                    NodeEvent::Evicted { rank, peer, msg_id }
-                }
-                AppEvent::ReceiverJoined { rank: peer, epoch } => {
-                    NodeEvent::Joined { rank, peer, epoch }
-                }
-                AppEvent::Backpressure { msg_id, congested } => NodeEvent::Backpressure {
-                    rank,
-                    msg_id,
-                    congested,
-                },
-                AppEvent::FlightRecorderDump { dump } => NodeEvent::FlightDump { rank, dump },
-            };
-            if events.send(out).is_err() {
+            let at = epoch.elapsed();
+            if events.send(Report::App { rank, at, ev }).is_err() {
                 return Ok(());
             }
         }
@@ -242,7 +134,7 @@ pub fn drive<E: Endpoint>(
     // Push any span samples still batched in this thread's local tables
     // to the shared registry before the thread exits.
     rmprof::flush();
-    let _ = events.send(NodeEvent::Finished {
+    let _ = events.send(Report::Finished {
         rank,
         stats: Box::new(ep.stats().clone()),
     });

@@ -207,10 +207,9 @@ fn killed_receiver_without_eviction_fails_with_typed_error() {
 
 #[test]
 fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
-    // The membership failure detector replaces the legacy liveness pair
-    // (bounded retries + consecutive-IO-error giveup): with retries
-    // unbounded and the giveup compat flag off, only missed heartbeats
-    // can unstick the group from a dead receiver.
+    // The membership failure detector replaces bounded retries: with
+    // retries unbounded (and socket errors never fatal to a node), only
+    // missed heartbeats can unstick the group from a dead receiver.
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::PAPER; // retry forever
@@ -219,7 +218,6 @@ fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
     let msg = payload(60_000);
     let mut cc = ClusterConfig::new(cfg, 4);
     cc.dead_receivers = vec![1];
-    cc.io_error_giveup = false;
     cc.timeout = std::time::Duration::from_secs(20);
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
 
