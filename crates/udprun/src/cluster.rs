@@ -306,9 +306,15 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         }
     }
 
-    // Give receivers a moment to flush their last deliveries, then stop.
+    // Give receivers a moment to flush their last deliveries, then stop:
+    // at once when every live receiver has already delivered everything
+    // the sender completed, otherwise after 50 ms of silence (200 ms cap).
+    let live: Vec<Rank> = (0..n)
+        .filter(|i| !cfg.dead_receivers.contains(i))
+        .map(Rank::from_receiver_index)
+        .collect();
     let settle = Instant::now(); // rmlint: allow(raw-instant): settle deadline, not a measurement
-    while settle.elapsed() < StdDuration::from_millis(200) {
+    while !tally.settled(&live) && settle.elapsed() < StdDuration::from_millis(200) {
         match rx.recv_timeout(StdDuration::from_millis(50)) {
             Ok(report) => tally.absorb(report),
             Err(_) => break,
@@ -348,6 +354,8 @@ struct Tally {
     n_msgs: u64,
     /// Messages the sender has completed or abandoned.
     resolved: u64,
+    /// Ids of the messages the sender completed.
+    sent: Vec<u64>,
     /// When the sender completed the last message, if that is how the
     /// last one resolved.
     elapsed: Option<StdDuration>,
@@ -361,6 +369,23 @@ struct Tally {
 }
 
 impl Tally {
+    /// Nothing is left to wait for: every receiver in `live` that was not
+    /// evicted has delivered every message the sender completed. Never
+    /// true after a failure, or after a mid-run admission (a rejoined
+    /// receiver owes only the tail of the stream): those runs settle by
+    /// silence.
+    fn settled(&self, live: &[Rank]) -> bool {
+        let evicted = |r: &Rank| self.evictions.iter().any(|(_, peer, _)| peer == r);
+        let delivered =
+            |r: &Rank, id: &u64| self.deliveries.iter().any(|(at, m, _)| at == r && m == id);
+        self.failures.is_empty()
+            && self.joins.is_empty()
+            && live
+                .iter()
+                .filter(|r| !evicted(r))
+                .all(|r| self.sent.iter().all(|id| delivered(r, id)))
+    }
+
     fn absorb(&mut self, report: Report) {
         let (rank, at, ev) = match report {
             Report::App { rank, at, ev } => (rank, at, ev),
@@ -370,7 +395,8 @@ impl Tally {
             }
         };
         match ev {
-            AppEvent::MessageSent { .. } => {
+            AppEvent::MessageSent { msg_id } => {
+                self.sent.push(msg_id);
                 self.resolved += 1;
                 if self.resolved == self.n_msgs {
                     self.elapsed = Some(at);
@@ -433,5 +459,50 @@ mod tests {
             ev: AppEvent::MessageSent { msg_id: 1 },
         });
         assert_eq!((tally.resolved, tally.elapsed), (2, Some(at)));
+    }
+
+    #[test]
+    fn settled_once_every_live_receiver_delivered_every_sent_message() {
+        let event = |rank: Rank, ev: AppEvent| Report::App {
+            rank,
+            at: StdDuration::ZERO,
+            ev,
+        };
+        let delivered = |rank: Rank, msg_id: u64| {
+            let data = Bytes::new();
+            event(rank, AppEvent::MessageDelivered { msg_id, data })
+        };
+        let (r1, r2, r3) = (Rank(1), Rank(2), Rank(3));
+        let live = [r1, r2, r3];
+        let mut tally = Tally::default();
+        for msg_id in 0..2 {
+            tally.absorb(event(Rank::SENDER, AppEvent::MessageSent { msg_id }));
+            tally.absorb(delivered(r1, msg_id));
+        }
+        tally.absorb(delivered(r2, 0));
+        assert!(!tally.settled(&live), "rank 2 owes message 1, rank 3 both");
+        tally.absorb(delivered(r2, 1));
+        // Rank 3 never delivers: settled only if it is dead or evicted.
+        assert!(!tally.settled(&live));
+        assert!(
+            tally.settled(&[r1, r2]),
+            "a dead receiver is not waited for"
+        );
+        let (msg_id, rank) = (1, r3);
+        tally.absorb(event(
+            Rank::SENDER,
+            AppEvent::ReceiverEvicted { msg_id, rank },
+        ));
+        assert!(tally.settled(&live), "nor is an evicted one");
+        // A failure or a mid-run admission means settling by silence.
+        let epoch = 2;
+        tally.absorb(event(
+            Rank::SENDER,
+            AppEvent::ReceiverJoined { rank: r3, epoch },
+        ));
+        assert!(!tally.settled(&live));
+        tally.joins.clear();
+        tally.absorb(failed(r1, 1));
+        assert!(!tally.settled(&live));
     }
 }

@@ -372,3 +372,42 @@ fn pipelined_handshake_over_real_udp() {
         );
     }
 }
+
+#[test]
+fn clean_bulk_transfer_sits_through_no_rto_over_real_udp() {
+    // The benchmark's `udp_bulk` shape. A window of 20 8 000 B packets is
+    // more than a default socket buffer holds (12), so a driver that
+    // writes the window in one go overruns the hub's and the receivers'
+    // buffers and every message sits through several 120 ms RTOs. The
+    // drain-first loops with bounded bursts lose nothing on a clean path.
+    // The scheduler has a say in that (for a few seconds after both CPUs
+    // were saturated, say by the build, it spreads the threads and a yield
+    // hands the CPU to nobody), so every attempt must be correct and one
+    // of up to eight clean: attempts that are not take over a second each
+    // and outlast such a phase.
+    let cfg = ProtocolConfig::new(ProtocolKind::nak_polling(16), 8_000, 20);
+    let rto = std::time::Duration::from_nanos(cfg.rto.as_nanos());
+    assert_eq!(rto.as_millis(), 120, "the default RTO this test is about");
+    let msgs = vec![payload(500_000), payload(500_000)];
+    let mut runs = Vec::new();
+    for attempt in 0..8 {
+        let out = run_cluster(ClusterConfig::new(cfg, 2), msgs.clone()).expect("cluster");
+        assert!(out.failures.is_empty(), "#{attempt}: {:?}", out.failures);
+        assert_eq!(out.deliveries.len(), 4, "#{attempt}: exactly once");
+        for rank in [Rank(1), Rank(2)] {
+            for (id, msg) in msgs.iter().enumerate() {
+                let got = out
+                    .deliveries
+                    .iter()
+                    .find(|(r, m, _)| *r == rank && *m == id as u64)
+                    .unwrap_or_else(|| panic!("#{attempt}: {rank:?} missed message {id}"));
+                assert_eq!(&got.2, msg, "#{attempt}: corrupt bytes at {rank:?}");
+            }
+        }
+        runs.push((out.sender_stats.timeouts, out.elapsed));
+        if out.sender_stats.timeouts == 0 && out.elapsed < rto {
+            return;
+        }
+    }
+    panic!("every attempt sat through an RTO (timeouts, elapsed): {runs:?}");
+}

@@ -5,6 +5,13 @@
 //! ```text
 //! cargo run --release --example real_udp
 //! ```
+//!
+//! Every window here (8–16 packets of 8 000 B) is close to or over the 12
+//! datagrams a default socket buffer holds. The `udprun` loops drain their
+//! sockets first and hand the CPU over every four datagrams, so the `retx`
+//! column should read 0; a non-zero value means a socket buffer overflowed
+//! after all (a busy machine can still do that) and an RTO, 50 ms here,
+//! was sat through. See DESIGN.md, "The `udprun` driver".
 
 use bytes::Bytes;
 use rmcast::{ProtocolConfig, ProtocolKind};
