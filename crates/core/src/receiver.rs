@@ -385,6 +385,20 @@ impl Receiver {
         }
     }
 
+    /// Offer `buf` as the storage of the next sized assembly, as if this
+    /// receiver had delivered it: reused only if `buf` is by then the sole
+    /// handle and its capacity covers the message ([`Self::sized_assembly`]
+    /// decides, exactly as between two messages). Its bytes are never read.
+    pub fn seed_spare(&mut self, buf: Bytes) {
+        self.spare = Some(buf);
+    }
+
+    /// Give up the handle to the last delivered (or seeded and unused)
+    /// buffer, so a driver can carry it to the receiver of its next run.
+    pub fn take_spare(&mut self) -> Option<Bytes> {
+        self.spare.take()
+    }
+
     /// The assembly for a transfer sized by the allocation handshake,
     /// built over the last delivered buffer when nobody else holds it.
     fn sized_assembly(spare: &mut Option<Bytes>, cfg: &ProtocolConfig, b: AllocBody) -> Assembly {

@@ -1,6 +1,7 @@
 //! The receiver's recycled assembly buffer: a delivered message's storage
-//! backs the next transfer only once the application has dropped it, and
-//! nothing the old message left behind is ever readable.
+//! (or one a driver seeded from an earlier run) backs the next transfer
+//! only once nobody else holds it, and nothing it held before is ever
+//! readable.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -145,6 +146,149 @@ fn forked_receiver_never_shares_a_reclaimed_buffer() {
     let (out_a, out_b) = (delivered(&mut origin), delivered(&mut fork));
     assert_ne!(out_a.as_ptr(), out_b.as_ptr());
     assert_eq!((out_a, out_b), (a, b));
+}
+
+/// A buffer as a previous run's receiver hands it back: `len` bytes of
+/// `0xff`, which no payload here contains a run of.
+fn handed_back(len: usize) -> Bytes {
+    Bytes::from(vec![0xff; len])
+}
+
+/// Announce `msg` as message `msg_id` in 100-byte packets and feed it whole.
+fn transfer(r: &mut Receiver, msg_id: u32, msg: &[u8]) {
+    announce(r, msg_id, msg.len(), 100);
+    let k = msg.len().div_ceil(100) as u32;
+    for (seq, chunk) in msg.chunks(100).enumerate() {
+        feed(r, msg_id, seq as u32, k, chunk);
+    }
+}
+
+fn nak_receiver() -> Receiver {
+    let cfg = ProtocolConfig::new(ProtocolKind::nak_polling(4), 100, 8);
+    Receiver::new(cfg, GroupSpec::new(1), Rank(1), 1)
+}
+
+#[test]
+fn seeded_spare_backs_the_first_message_and_comes_back() {
+    let mut r = nak_receiver();
+    let seed = handed_back(300);
+    let storage = seed.as_ptr();
+    r.seed_spare(seed);
+    // Shorter than the seed and not a packet multiple: neither the stale
+    // tail nor the short last slot may show.
+    let msg = payload(250, 0x5a);
+    transfer(&mut r, 0, &msg);
+    let out = delivered(&mut r);
+    assert_eq!(out.as_ptr(), storage, "assembled in the seeded buffer");
+    assert_eq!(out, msg);
+    drop(out);
+    let back = r.take_spare().expect("the delivered buffer");
+    assert_eq!(back.as_ptr(), storage);
+    assert_eq!(back, msg);
+    assert!(r.take_spare().is_none(), "taken once");
+    // With the handle taken, the next message allocates; nothing dangles.
+    let next = payload(300, 0x21);
+    transfer(&mut r, 1, &next);
+    let out = delivered(&mut r);
+    assert_ne!(out.as_ptr(), storage, "`back` still owns that storage");
+    assert_eq!((out, back), (next, msg));
+}
+
+#[test]
+fn unused_seed_is_taken_back_untouched() {
+    let mut r = nak_receiver();
+    let seed = handed_back(64);
+    let storage = seed.as_ptr();
+    r.seed_spare(seed);
+    let back = r.take_spare().expect("the seed");
+    assert_eq!(back.as_ptr(), storage);
+    assert_eq!(back, handed_back(64));
+}
+
+#[test]
+fn too_small_seed_is_dropped_for_a_fresh_allocation() {
+    let mut r = nak_receiver();
+    let seed = handed_back(100);
+    let small = seed.as_ptr();
+    r.seed_spare(seed);
+    let msg = payload(300, 0x33);
+    transfer(&mut r, 0, &msg);
+    let out = delivered(&mut r);
+    // The seed is alive until the new buffer exists, so the two differ.
+    assert_ne!(out.as_ptr(), small);
+    assert_eq!(out, msg);
+    assert_eq!(r.take_spare().expect("the delivered buffer").len(), 300);
+}
+
+#[test]
+fn seed_held_elsewhere_is_not_reused() {
+    let mut r = nak_receiver();
+    let held = handed_back(300);
+    r.seed_spare(held.clone());
+    let msg = payload(300, 0x44);
+    transfer(&mut r, 0, &msg);
+    let out = delivered(&mut r);
+    assert_ne!(
+        out.as_ptr(),
+        held.as_ptr(),
+        "a shared buffer is never reused"
+    );
+    assert_eq!(out, msg);
+    assert_eq!(held, handed_back(300), "the holder's bytes are untouched");
+}
+
+#[test]
+fn forked_receiver_never_shares_a_seeded_buffer() {
+    let mut origin = nak_receiver();
+    let seed = handed_back(200);
+    let storage = seed.as_ptr();
+    origin.seed_spare(seed);
+    // Both worlds hold the seed.
+    let mut fork = origin.clone();
+    let (a, b) = (payload(200, 0xa0), payload(200, 0x0b));
+    transfer(&mut origin, 0, &a);
+    transfer(&mut fork, 0, &b);
+    let (out_a, out_b) = (delivered(&mut origin), delivered(&mut fork));
+    // The first world to need it found it shared and let go; the other was
+    // by then the only holder and may write into it.
+    assert_ne!(out_a.as_ptr(), storage, "shared at the time");
+    assert_ne!(out_a.as_ptr(), out_b.as_ptr());
+    assert_eq!((out_a, out_b), (a, b));
+}
+
+#[test]
+fn repair_first_materializes_the_assembly_in_the_seed() {
+    let cfg = ProtocolConfig::new(ProtocolKind::fec(4), 100, 8);
+    let mut r = Receiver::new(cfg, GroupSpec::new(1), Rank(1), 1);
+    let seed = handed_back(300);
+    let storage = seed.as_ptr();
+    r.seed_spare(seed);
+    let msg = payload(300, 0x42);
+    let xor: Vec<u8> = (0..100)
+        .map(|i| msg[i] ^ msg[100 + i] ^ msg[200 + i])
+        .collect();
+    let repair = |generation| {
+        let body = RepairBody {
+            base_seq: 0,
+            generation,
+            bitmap: 0b111,
+        };
+        packet::encode_repair(Rank::SENDER, 1, body, &xor)
+    };
+    announce(&mut r, 0, 300, 100);
+    // A block before any data: the repair path builds the assembly (over
+    // the seed) and decodes nothing, all three packets being missing.
+    r.handle_datagram(Time::ZERO, &repair(1));
+    assert_eq!(r.stats().repairs_decoded, 0);
+    feed(&mut r, 0, 0, 3, &msg[..100]);
+    feed(&mut r, 0, 2, 3, &msg[200..]);
+    // Were the unheld slot's 0xff seed bytes readable, the XOR would be
+    // wrong.
+    r.handle_datagram(Time::ZERO, &repair(2));
+    assert_eq!(r.stats().repairs_decoded, 1);
+    let out = delivered(&mut r);
+    assert_eq!(out.as_ptr(), storage, "assembled in the seeded buffer");
+    assert_eq!(out, msg);
 }
 
 proptest! {

@@ -5,7 +5,7 @@ use crate::egress::Egress;
 use crate::frame::Datagram;
 use crate::ids::{GroupId, HostId, PortRef};
 use rmwire::Time;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Work queued for a host's serial CPU.
@@ -25,12 +25,19 @@ pub(crate) enum WorkItem {
     McastFilter,
 }
 
+/// Bitmap of received fragment indices: 64 KiB datagrams need 45 bits at
+/// the standard MTU, so one inline word serves every datagram there and
+/// only small-MTU configurations pay for a heap bitmap.
+#[derive(Debug)]
+enum Have {
+    Word(u64),
+    Words(Vec<u64>),
+}
+
 /// In-progress IP reassembly of one datagram.
 #[derive(Debug)]
 pub(crate) struct Reassembly {
-    /// Bitmap of received fragment indices (64 KiB datagrams need 45 bits
-    /// at the standard MTU, more with small MTUs).
-    pub have: Vec<u64>,
+    have: Have,
     /// Number of distinct fragments received.
     pub count: u32,
     /// Total fragments expected.
@@ -41,7 +48,11 @@ impl Reassembly {
     pub(crate) fn new(total: u32) -> Self {
         assert!(total >= 1, "a datagram has at least one fragment");
         Reassembly {
-            have: vec![0; (total as usize).div_ceil(64)],
+            have: if total <= 64 {
+                Have::Word(0)
+            } else {
+                Have::Words(vec![0; (total as usize).div_ceil(64)])
+            },
             count: 0,
             total,
         }
@@ -50,10 +61,14 @@ impl Reassembly {
     /// Record fragment `index`; returns `true` when the datagram is now
     /// complete.
     pub(crate) fn add(&mut self, index: usize) -> bool {
-        let word = index / 64;
+        assert!(index < self.total as usize, "fragment index out of range");
+        let word = match &mut self.have {
+            Have::Word(w) => w,
+            Have::Words(ws) => &mut ws[index / 64],
+        };
         let bit = 1u64 << (index % 64);
-        if self.have[word] & bit == 0 {
-            self.have[word] |= bit;
+        if *word & bit == 0 {
+            *word |= bit;
             self.count += 1;
         }
         self.count == self.total
@@ -68,12 +83,17 @@ pub(crate) struct HostState {
     pub link: LinkParams,
     /// The far end of the uplink (switched fabric only).
     pub peer: Option<PortRef>,
+    // The three tables below hold one to three entries and are probed
+    // several times per fragment: a linear scan of a small vector beats
+    // hashing the key. None is ever iterated into a result, so entry order
+    // is not observable.
     /// Multicast groups this host has joined.
-    pub memberships: HashSet<GroupId>,
-    /// Receive-buffer occupancy per bound UDP port.
-    pub sockets: HashMap<u16, usize>,
-    /// IP reassembly contexts keyed by (source host, IP id).
-    pub reassembly: HashMap<(HostId, u64), Reassembly>,
+    pub memberships: Vec<GroupId>,
+    /// `(port, receive-buffer occupancy)` per bound UDP port.
+    pub sockets: Vec<(u16, usize)>,
+    /// IP reassembly contexts keyed by (source host, IP id); a key appears
+    /// at most once.
+    pub reassembly: Vec<((HostId, u64), Reassembly)>,
     /// Serial-CPU work queue.
     pub cpu_queue: VecDeque<WorkItem>,
     /// `true` while a `CpuDone` event is pending for this host.
@@ -96,9 +116,9 @@ impl HostState {
             egress: Egress::new(),
             link,
             peer: None,
-            memberships: HashSet::new(),
-            sockets: HashMap::new(),
-            reassembly: HashMap::new(),
+            memberships: Vec::new(),
+            sockets: Vec::new(),
+            reassembly: Vec::new(),
             cpu_queue: VecDeque::new(),
             cpu_active: false,
             timer_gen: 0,
@@ -106,6 +126,20 @@ impl HostState {
             cpu_busy_until: Time::ZERO,
             cpu_busy_accum: rmwire::Duration::ZERO,
         }
+    }
+
+    /// Receive-buffer occupancy of the socket bound to `port`, if any.
+    pub(crate) fn socket_mut(&mut self, port: u16) -> Option<&mut usize> {
+        self.sockets
+            .iter_mut()
+            .find(|(p, _)| *p == port)
+            .map(|(_, buffered)| buffered)
+    }
+
+    /// Remove and return the reassembly context for `key`, if one is open.
+    pub(crate) fn take_reassembly(&mut self, key: (HostId, u64)) -> Option<Reassembly> {
+        let at = self.reassembly.iter().position(|(k, _)| *k == key)?;
+        Some(self.reassembly.swap_remove(at).1)
     }
 }
 
@@ -136,8 +170,8 @@ mod tests {
     #[test]
     fn socket_bookkeeping() {
         let mut h = HostState::new(LinkParams::default());
-        assert!(!h.sockets.contains_key(&9));
-        h.sockets.insert(9, 0);
-        assert!(h.sockets.contains_key(&9));
+        assert!(h.socket_mut(9).is_none());
+        h.sockets.push((9, 0));
+        assert!(h.socket_mut(9).is_some());
     }
 }

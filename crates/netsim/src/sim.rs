@@ -348,9 +348,14 @@ impl Sim {
     pub fn create_group(&mut self, members: &[HostId]) -> GroupId {
         let gid = GroupId(self.groups.len());
         for &m in members {
-            self.hosts[m.0].memberships.insert(gid);
+            let joined = &mut self.hosts[m.0].memberships;
+            if !joined.contains(&gid) {
+                joined.push(gid);
+            }
         }
         self.groups.push(members.to_vec());
+        // The switches' fan-out tables have no entry for the new group yet.
+        self.routes_dirty = true;
         gid
     }
 
@@ -386,8 +391,12 @@ impl Sim {
 
     /// Bind an additional UDP port on a host.
     pub fn bind_port(&mut self, host: HostId, port: u16) {
-        let prev = self.hosts[host.0].sockets.insert(port, 0);
-        assert!(prev.is_none(), "{host} port {port} already bound");
+        let h = &mut self.hosts[host.0];
+        assert!(
+            h.socket_mut(port).is_none(),
+            "{host} port {port} already bound"
+        );
+        h.sockets.push((port, 0));
     }
 
     // ------------------------------------------------------------------
@@ -441,7 +450,7 @@ impl Sim {
             Event::CpuDone { host } => self.cpu_dispatch(host),
             Event::TimerFire { host, gen } => self.timer_fire(host, gen),
             Event::ReassemblyExpire { host, key } => {
-                if self.hosts[host.0].reassembly.remove(&key).is_some() {
+                if self.hosts[host.0].take_reassembly(key).is_some() {
                     self.note_drop(DropCause::ReassemblyTimeout, Some(host));
                     self.log_event(LogEvent::Drop {
                         cause: DropCause::ReassemblyTimeout,
@@ -469,7 +478,7 @@ impl Sim {
         h.cpu_queue.clear();
         h.cpu_active = false;
         h.reassembly.clear();
-        for buffered in h.sockets.values_mut() {
+        for (_, buffered) in &mut h.sockets {
             *buffered = 0;
         }
         h.timer_gen += 1;
@@ -657,66 +666,59 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn frame_at_switch(&mut self, sw: SwitchId, in_port: usize, frame: Frame) {
-        let out_ports: Vec<usize> = match frame.dg.dest {
+        match frame.dg.dest {
             UdpDest::Host(h, _) => {
                 let p = self.switches[sw.0].route[h.0];
                 debug_assert_ne!(p, usize::MAX, "no route from {sw} to {h}");
-                if p == in_port {
-                    Vec::new()
-                } else {
-                    vec![p]
+                if p != in_port {
+                    self.forward(sw, p, &frame);
                 }
             }
             UdpDest::Group(g, _) => {
-                if self.cfg.switch.igmp_snooping {
-                    let mut ports: Vec<usize> = self.groups[g.0]
-                        .iter()
-                        .map(|m| self.switches[sw.0].route[m.0])
-                        .filter(|&p| p != in_port && p != usize::MAX)
-                        .collect();
-                    ports.sort_unstable();
-                    ports.dedup();
-                    ports
-                } else {
-                    (0..self.switches[sw.0].ports.len())
-                        .filter(|&p| p != in_port && self.switches[sw.0].ports[p].peer.is_some())
-                        .collect()
+                // By index: forwarding needs `&mut self`, and the list is
+                // fixed while the simulation runs.
+                for i in 0..self.switches[sw.0].mcast_ports[g.0].len() {
+                    let p = self.switches[sw.0].mcast_ports[g.0][i];
+                    if p != in_port {
+                        self.forward(sw, p, &frame);
+                    }
                 }
             }
-        };
-
-        let eligible = self.now + self.cfg.switch.latency;
-        let cap = self.cfg.switch.queue_bytes;
-        for p in out_ports {
-            let peer = self.switches[sw.0].ports[p]
-                .peer
-                .expect("forwarding onto an uncabled port");
-            if matches!(peer, PortRef::Switch(..))
-                && !self.fault_plan.trunk_down.is_empty()
-                && self.fault_plan.trunk_is_down(self.now)
-            {
-                self.note_drop(DropCause::TrunkDown, None);
-                self.log_event(LogEvent::Drop {
-                    cause: DropCause::TrunkDown,
-                });
-                continue;
-            }
-            let bytes = frame.frame_bytes();
-            let port = &mut self.switches[sw.0].ports[p];
-            let link = port.link;
-            if port.egress.queued_bytes(eligible) + bytes > cap {
-                self.note_drop(DropCause::SwitchQueueFull, None);
-                continue;
-            }
-            let tx = frame.tx_time(link.rate_bps);
-            let done = port.egress.enqueue(eligible, tx, bytes);
-            let edge = match peer {
-                PortRef::Host(h) => Some(h),
-                PortRef::Switch(..) => None,
-            };
-            self.trace.wire_bytes_sent += frame.wire_bytes() as u64;
-            self.emit_frame(peer, frame.clone(), done, link.prop_delay, edge);
         }
+    }
+
+    /// Queue `frame` on output port `p` of `sw` and schedule its arrival at
+    /// the far end, unless the trunk is down or the port's queue is full.
+    fn forward(&mut self, sw: SwitchId, p: usize, frame: &Frame) {
+        let eligible = self.now + self.cfg.switch.latency;
+        let peer = self.switches[sw.0].ports[p]
+            .peer
+            .expect("forwarding onto an uncabled port");
+        if matches!(peer, PortRef::Switch(..))
+            && !self.fault_plan.trunk_down.is_empty()
+            && self.fault_plan.trunk_is_down(self.now)
+        {
+            self.note_drop(DropCause::TrunkDown, None);
+            self.log_event(LogEvent::Drop {
+                cause: DropCause::TrunkDown,
+            });
+            return;
+        }
+        let bytes = frame.frame_bytes();
+        let port = &mut self.switches[sw.0].ports[p];
+        let link = port.link;
+        if port.egress.queued_bytes(eligible) + bytes > self.cfg.switch.queue_bytes {
+            self.note_drop(DropCause::SwitchQueueFull, None);
+            return;
+        }
+        let tx = frame.tx_time(link.rate_bps);
+        let done = port.egress.enqueue(eligible, tx, bytes);
+        let edge = match peer {
+            PortRef::Host(h) => Some(h),
+            PortRef::Switch(..) => None,
+        };
+        self.trace.wire_bytes_sent += frame.wire_bytes() as u64;
+        self.emit_frame(peer, frame.clone(), done, link.prop_delay, edge);
     }
 
     // ------------------------------------------------------------------
@@ -757,14 +759,19 @@ impl Sim {
         let key = (frame.dg.src_host, frame.dg.ip_id);
         let total = frame.dg.n_fragments() as u32;
         let h = &mut self.hosts[host.0];
-        let entry = h.reassembly.get_mut(&key);
-        let complete = match entry {
-            Some(r) => r.add(frame.index),
+        let complete = match h.reassembly.iter().position(|(k, _)| *k == key) {
+            Some(at) => {
+                let complete = h.reassembly[at].1.add(frame.index);
+                if complete {
+                    h.reassembly.swap_remove(at);
+                }
+                complete
+            }
             None => {
                 let mut r = Reassembly::new(total);
                 let complete = r.add(frame.index);
                 if !complete {
-                    h.reassembly.insert(key, r);
+                    h.reassembly.push((key, r));
                     let expire = self.now + self.host_params[host.0].reassembly_timeout;
                     self.schedule(expire, Event::ReassemblyExpire { host, key });
                 }
@@ -774,7 +781,6 @@ impl Sim {
         if !complete {
             return;
         }
-        self.hosts[host.0].reassembly.remove(&key);
 
         let p = self.cfg.faults.datagram_loss;
         if p > 0.0 && self.rng.gen::<f64>() < p {
@@ -861,7 +867,7 @@ impl Sim {
         let exhausted = !self.fault_plan.sockbuf_exhaust.is_empty()
             && self.fault_plan.sockbuf_exhausted(host, self.now);
         let h = &mut self.hosts[host.0];
-        let Some(buffered) = h.sockets.get_mut(&port) else {
+        let Some(buffered) = h.socket_mut(port) else {
             // No socket bound: the kernel drops it (ICMP unreachable in
             // real life); invisible to the protocols.
             return;
@@ -952,7 +958,7 @@ impl Sim {
                 let len = dg.payload.len();
                 let n_frags = dg.n_fragments();
                 // recvfrom drains the socket buffer.
-                if let Some(b) = self.hosts[host.0].sockets.get_mut(&dg.dest.port()) {
+                if let Some(b) = self.hosts[host.0].socket_mut(dg.dest.port()) {
                     *b = b.saturating_sub(len);
                 }
                 let mut cost =
@@ -1140,7 +1146,24 @@ impl Sim {
                         route[h.0] = p;
                     }
                 }
+                let sw = &self.switches[s];
+                let mcast_ports = self
+                    .groups
+                    .iter()
+                    .map(|members| {
+                        let mut ports: Vec<usize> = if self.cfg.switch.igmp_snooping {
+                            members.iter().map(|m| route[m.0]).collect()
+                        } else {
+                            (0..sw.ports.len()).collect()
+                        };
+                        ports.retain(|&p| p != usize::MAX && sw.ports[p].peer.is_some());
+                        ports.sort_unstable();
+                        ports.dedup();
+                        ports
+                    })
+                    .collect();
                 self.switches[s].route = route;
+                self.switches[s].mcast_ports = mcast_ports;
             }
         }
         self.routes_dirty = false;
@@ -1183,5 +1206,22 @@ impl Sim {
         }
         let f = 1.0 + j * (self.rng.gen::<f64>() * 2.0 - 1.0);
         Duration::from_nanos((d.as_nanos() as f64 * f).round().max(0.0) as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_restart_zeroes_every_socket() {
+        let mut sim = Sim::new(SimConfig::default(), 1);
+        let h = sim.add_host();
+        for port in [7, 8, 9] {
+            sim.bind_port(h, port);
+            *sim.hosts[h.0].socket_mut(port).expect("just bound") = 1_000 + port as usize;
+        }
+        sim.host_restart(h);
+        assert_eq!(sim.hosts[h.0].sockets, [(7, 0), (8, 0), (9, 0)]);
     }
 }

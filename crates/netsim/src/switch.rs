@@ -19,6 +19,12 @@ pub(crate) struct SwitchState {
     /// `route[host.0]` = output port index toward that host (filled in by
     /// `Sim::finalize_routes`).
     pub route: Vec<usize>,
+    /// `mcast_ports[group.0]` = the ascending output ports a frame for that
+    /// group leaves on (forwarding skips the one it arrived on): with IGMP
+    /// snooping the ports toward members, without it every cabled port.
+    /// Derived with `route`, since groups and cabling are fixed while the
+    /// simulation runs; stale whenever `Sim::routes_dirty` is set.
+    pub mcast_ports: Vec<Vec<usize>>,
 }
 
 impl SwitchState {
@@ -26,6 +32,7 @@ impl SwitchState {
         SwitchState {
             ports: Vec::new(),
             route: Vec::new(),
+            mcast_ports: Vec::new(),
         }
     }
 

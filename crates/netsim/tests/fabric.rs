@@ -550,3 +550,211 @@ fn star_of_switches_routes_across_leaves() {
     sim.run();
     assert_eq!(log.borrow().len(), 5);
 }
+
+// ---------------------------------------------------------------------
+// Multicast fan-out (precomputed per switch and group) and the hosts'
+// small tables.
+// ---------------------------------------------------------------------
+
+type HostLog = Rc<RefCell<Vec<HostId>>>;
+
+/// Logs which host each datagram reached, in delivery order.
+struct Member {
+    log: HostLog,
+}
+impl Process for Member {
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _dg: DatagramIn) {
+        self.log.borrow_mut().push(ctx.host());
+    }
+}
+
+/// A group member that also multicasts one 3-fragment datagram to `dest`
+/// at start and at each instant in `later`, so the test can re-point it
+/// between `run_until` calls.
+struct Caster {
+    dest: Rc<std::cell::Cell<UdpDest>>,
+    later: Vec<Time>,
+    log: HostLog,
+}
+impl Caster {
+    fn cast(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.dest.get(), Bytes::from(vec![1u8; 3_000]));
+        if !self.later.is_empty() {
+            ctx.set_timer(self.later.remove(0));
+        }
+    }
+}
+impl Process for Caster {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.cast(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
+        self.cast(ctx);
+    }
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _dg: DatagramIn) {
+        self.log.borrow_mut().push(ctx.host());
+    }
+}
+
+#[test]
+fn multicast_leaves_each_switch_on_ascending_ports_and_never_turns_back() {
+    for snooping in [false, true] {
+        let mut cfg = no_jitter();
+        cfg.switch.igmp_snooping = snooping;
+        let mut sim = Sim::new(cfg, 1);
+        // h0..h15 on ports 0..15 of sw0, the trunk on port 16, h16..h19 on
+        // sw1 behind it.
+        let mut hosts = topology::two_switch_cluster(&mut sim, 20);
+        let log: HostLog = Rc::new(RefCell::new(Vec::new()));
+        let ids = |v: &[usize]| v.iter().map(|&i| HostId(i)).collect::<Vec<_>>();
+        // One datagram's deliveries and flooded-and-discarded frames.
+        let phase = |sim: &mut Sim, until_ms: u64| {
+            let before = sim.trace().frames_filtered;
+            sim.run_until(Time::from_millis(until_ms));
+            let reached = std::mem::take(&mut *log.borrow_mut());
+            (reached, sim.trace().frames_filtered - before)
+        };
+        // Every cabled host but the sender and the receivers discards the
+        // three flooded frames; a snooping switch sends them nothing.
+        let discarded = |cabled: u64, receivers: u64| {
+            if snooping {
+                0
+            } else {
+                3 * (cabled - 1 - receivers)
+            }
+        };
+
+        // Members listed out of port order, the sender among them: its own
+        // frames must not come back out of the port they arrived on.
+        let a = sim.create_group(&ids(&[17, 3, 0, 16, 1, 5]));
+        let dest = Rc::new(std::cell::Cell::new(UdpDest::group(a, PORT)));
+        sim.spawn(
+            hosts[0],
+            PORT,
+            Box::new(Caster {
+                dest: Rc::clone(&dest),
+                later: vec![Time::from_millis(10), Time::from_millis(20)],
+                log: Rc::clone(&log),
+            }),
+        );
+        for &h in &hosts[1..] {
+            sim.spawn(h, PORT, Box::new(Member { log: log.clone() }));
+        }
+        // Near switch in port order first, the far one a hop later.
+        assert_eq!(
+            phase(&mut sim, 5),
+            (ids(&[1, 3, 5, 16, 17]), discarded(20, 5))
+        );
+
+        // A group created after the routes were finalized.
+        let b = sim.create_group(&ids(&[18, 0, 4, 2]));
+        dest.set(UdpDest::group(b, PORT));
+        assert_eq!(phase(&mut sim, 15), (ids(&[2, 4, 18]), discarded(20, 3)));
+
+        // A host cabled to the finished topology: port 17 of sw0, past the
+        // trunk, so it hears in the same instant as its switch-mates and
+        // after them.
+        let late = sim.add_host();
+        sim.connect_host(late, netsim::SwitchId(0));
+        hosts.push(late);
+        sim.spawn(late, PORT, Box::new(Member { log: log.clone() }));
+        let c = sim.create_group(&ids(&[19, 20, 0, 7]));
+        dest.set(UdpDest::group(c, PORT));
+        assert_eq!(phase(&mut sim, 25), (ids(&[7, 20, 19]), discarded(21, 3)));
+        assert!(sim.trace().clean(), "snooping={snooping}");
+    }
+}
+
+/// Records who sent each datagram and its bytes.
+struct ByteSink {
+    log: Rc<RefCell<Vec<(HostId, Bytes)>>>,
+}
+impl Process for ByteSink {
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dg: DatagramIn) {
+        self.log.borrow_mut().push((dg.src_host, dg.payload));
+    }
+}
+
+struct Fill {
+    dest: UdpDest,
+    byte: u8,
+    len: usize,
+}
+impl Process for Fill {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.dest, Bytes::from(vec![self.byte; self.len]));
+    }
+}
+
+#[test]
+fn interleaved_reassemblies_from_two_sources_do_not_alias() {
+    // Two 14- and 21-fragment datagrams leave at the same instant and
+    // share the receiver's switch port frame by frame.
+    let mut sim = Sim::new(no_jitter(), 1);
+    let hosts = topology::single_switch(&mut sim, 3);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    for (i, (byte, len)) in [(0xa1, 20_000), (0xb2, 30_000)].into_iter().enumerate() {
+        let dest = UdpDest::host(hosts[2], PORT);
+        sim.spawn(hosts[i], PORT, Box::new(Fill { dest, byte, len }));
+    }
+    sim.spawn(hosts[2], PORT, Box::new(ByteSink { log: log.clone() }));
+    sim.run();
+    assert_eq!(
+        *log.borrow(),
+        [
+            (hosts[0], Bytes::from(vec![0xa1; 20_000])),
+            (hosts[1], Bytes::from(vec![0xb2; 30_000])),
+        ]
+    );
+    assert!(sim.trace().clean());
+}
+
+#[test]
+fn wide_datagram_missing_fragments_expires_when_it_always_did() {
+    // 120 fragments (more than one bitmap word) at the minimum MTU, a few
+    // of them lost while the receiver's link is down for 200 us.
+    let mut cfg = no_jitter();
+    cfg.link.mtu = 576;
+    let mut sim = Sim::new(cfg, 1);
+    let hosts = topology::single_switch(&mut sim, 2);
+    sim.set_fault_plan(netsim::FaultPlan::default().with_link_down(
+        hosts[1],
+        Time::from_micros(2_000),
+        Time::from_micros(2_200),
+    ));
+    sim.set_log_capacity(16);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    sim.spawn(
+        hosts[0],
+        PORT,
+        Box::new(Blast {
+            dest: UdpDest::host(hosts[1], PORT),
+            sizes: vec![65_507],
+        }),
+    );
+    sim.spawn(hosts[1], PORT, Box::new(Sink { log: log.clone() }));
+    sim.run();
+    assert!(
+        log.borrow().is_empty(),
+        "an incomplete datagram is not delivered"
+    );
+    assert!(sim.trace().drops_link_down > 0 && sim.trace().drops_link_down < 10);
+    assert_eq!(sim.trace().drops_reassembly, 1);
+    let expiries: Vec<u64> = sim
+        .event_log()
+        .entries
+        .iter()
+        .filter(|(_, ev)| {
+            matches!(
+                ev,
+                netsim::trace::LogEvent::Drop {
+                    cause: netsim::DropCause::ReassemblyTimeout
+                }
+            )
+        })
+        .map(|&(t, _)| t)
+        .collect();
+    // First fragment's arrival plus the reassembly timeout: the instant
+    // recorded before the bitmap and the context table changed type.
+    assert_eq!(expiries, [501_143_310]);
+}

@@ -10,6 +10,22 @@ use rmwire::{Rank, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+thread_local! {
+    /// Assembly buffers handed back by the receivers of this thread's most
+    /// recent simulation, for the next one to assemble in (DESIGN.md,
+    /// *Buffer lifecycle*). Per thread because the simulator is
+    /// single-threaded and `Rc`-based; never per scenario, or every
+    /// scenario kept alive would pin a run's worth of buffers.
+    static SPARES: RefCell<Vec<Bytes>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Take every buffer the previous run on this thread handed back. What the
+/// caller does not seed a receiver with it drops, so the list never holds
+/// more than the latest run's assemblies.
+pub(crate) fn take_spares() -> Vec<Bytes> {
+    SPARES.take()
+}
+
 /// Maps protocol-level destinations onto simulated addresses.
 #[derive(Debug, Clone)]
 pub struct AddrMap {
@@ -45,7 +61,8 @@ pub struct Recorder {
     /// `(rank, msg_id, time, bytes)` receiver deliveries.
     pub deliveries: Vec<(Rank, u64, Time, usize)>,
     /// `(rank, msg_id, crc32c)` of every delivered payload, parallel to
-    /// `deliveries`: the bit-intactness witness for byzantine runs.
+    /// `deliveries`: the bit-intactness witness for byzantine runs. Filled
+    /// only under [`DeliveryCheck::Crc`].
     pub delivery_crcs: Vec<(Rank, u64, u32)>,
     /// `(msg_id, error, time)` sender-side abandoned messages (liveness
     /// bound tripped).
@@ -71,6 +88,22 @@ pub struct Recorder {
     pub receiver_stats: Vec<Stats>,
     /// How many sender completions end the run.
     pub expect_msgs: u64,
+    /// What each delivered payload is held against.
+    pub check: DeliveryCheck,
+}
+
+/// How the recorder vouches for the bytes of a delivery.
+#[derive(Debug, Default)]
+pub enum DeliveryCheck {
+    /// Compare with the sent message of that id (the vector index) and
+    /// panic on any difference: in a run whose result carries no payload
+    /// witness, a delivery that is not bit-intact is a bug, like a hang.
+    Sent(Vec<Bytes>),
+    /// Fingerprint into [`Recorder::delivery_crcs`] and judge nothing:
+    /// under a byzantine fault plan a corrupted delivery is an outcome the
+    /// caller reports.
+    #[default]
+    Crc,
 }
 
 /// A shared handle to the run recorder.
@@ -80,6 +113,12 @@ pub type SharedRecorder = Rc<RefCell<Recorder>>;
 pub trait Launch: Endpoint {
     /// Queue the run's messages (senders) or do nothing (receivers).
     fn launch(&mut self, now: Time, msgs: &[Bytes]);
+
+    /// Give up the buffer the endpoint would assemble its next message in,
+    /// if it keeps one.
+    fn take_spare(&mut self) -> Option<Bytes> {
+        None
+    }
 }
 
 impl Launch for Sender {
@@ -107,6 +146,10 @@ impl Launch for SerialUnicastSender {
 
 impl Launch for Receiver {
     fn launch(&mut self, _now: Time, _msgs: &[Bytes]) {}
+
+    fn take_spare(&mut self) -> Option<Bytes> {
+        Receiver::take_spare(self)
+    }
 }
 
 impl Launch for RawUdpReceiver {
@@ -185,7 +228,7 @@ impl<E: Launch> NodeProcess<E> {
         let now = ctx.now();
         let mut stop = false;
         {
-            let mut rec = self.rec.borrow_mut();
+            let rec = &mut *self.rec.borrow_mut();
             while let Some(ev) = self.ep.poll_event() {
                 match ev {
                     AppEvent::MessageSent { msg_id } => {
@@ -200,8 +243,17 @@ impl<E: Launch> NodeProcess<E> {
                         if let NodeRole::Receiver { index } = self.role {
                             let rank = Rank::from_receiver_index(index);
                             rec.deliveries.push((rank, msg_id, now, data.len()));
-                            rec.delivery_crcs
-                                .push((rank, msg_id, rmwire::crc32c(&data)));
+                            match &rec.check {
+                                DeliveryCheck::Sent(msgs) => assert!(
+                                    msgs.get(msg_id as usize) == Some(&data),
+                                    "{rank} delivered message {msg_id} with bytes that \
+                                     differ from the message sent"
+                                ),
+                                DeliveryCheck::Crc => {
+                                    let crc = rmwire::crc32c(&data);
+                                    rec.delivery_crcs.push((rank, msg_id, crc));
+                                }
+                            }
                         }
                     }
                     AppEvent::MessageFailed { msg_id, error } => match self.role {
@@ -260,6 +312,17 @@ impl<E: Launch> NodeProcess<E> {
     }
 }
 
+/// When the simulation is torn down the endpoint's assembly buffer goes to
+/// this thread's next run instead of back to the allocator.
+impl<E: Launch> Drop for NodeProcess<E> {
+    fn drop(&mut self) {
+        if let Some(buf) = self.ep.take_spare() {
+            // During thread teardown the list may be gone: let the buffer go.
+            let _ = SPARES.try_with(|s| s.borrow_mut().push(buf));
+        }
+    }
+}
+
 impl<E: Launch> Process for NodeProcess<E> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let msgs = match &self.role {
@@ -298,5 +361,36 @@ impl<E: Launch> Process for NodeProcess<E> {
         // state (the pre-membership behavior); either way the timer must
         // be re-armed since the reboot wiped it.
         self.pump(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SPARES;
+    use crate::scenario::{Protocol, Scenario};
+    use rmcast::{ProtocolConfig, ProtocolKind};
+
+    fn handed_back() -> Vec<usize> {
+        SPARES.with(|s| s.borrow().iter().map(|b| b.len()).collect())
+    }
+
+    /// `Scenario::run` compares every delivery with the message sent, so
+    /// completing is being bit-intact.
+    #[test]
+    fn list_holds_only_the_last_runs_assemblies() {
+        let cfg = ProtocolConfig::new(ProtocolKind::nak_polling(16), 8_000, 20);
+        assert!(handed_back().is_empty(), "a fresh thread has none");
+        // Smaller, then larger than what the run before left behind; fewer
+        // receivers than buffers, then more.
+        for (n, size) in [(8u16, 500_000usize), (2, 100_000), (8, 600_000)] {
+            let r = Scenario::new(Protocol::Rm(cfg), n, size).run(1);
+            assert_eq!(r.deliveries, n as usize);
+            assert_eq!(handed_back(), vec![size; n as usize]);
+        }
+        // A run whose receivers keep no buffer still takes the list, and
+        // drops what it took.
+        let raw = Protocol::RawUdp { packet_size: 8_000 };
+        Scenario::new(raw, 4, 50_000).run(1);
+        assert!(handed_back().is_empty(), "raw UDP receivers keep no buffer");
     }
 }

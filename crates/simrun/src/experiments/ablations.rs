@@ -293,7 +293,7 @@ pub fn ablate_mtu(effort: Effort) -> Table {
 /// concurrent transfers interfere? (The paper runs one group at a time;
 /// real clusters run many.)
 pub fn ablate_two_groups(effort: Effort) -> Table {
-    use crate::adapter::{AddrMap, NodeProcess, NodeRole, Recorder, SharedRecorder};
+    use crate::adapter::{AddrMap, DeliveryCheck, NodeProcess, NodeRole, Recorder, SharedRecorder};
     use crate::calibration;
     use netsim::{topology, Sim};
     use rmcast::{GroupSpec, Receiver, Sender};
@@ -331,14 +331,15 @@ pub fn ablate_two_groups(effort: Effort) -> Table {
                 group,
                 port: PORT,
             });
+            let payload = bytes::Bytes::from(vec![0x42u8; MSG]);
             let rec: SharedRecorder = Rc::new(RefCell::new(Recorder {
                 expect_msgs: u64::MAX, // never stop the sim from one group
+                check: DeliveryCheck::Sent(vec![payload.clone()]),
                 ..Recorder::default()
             }));
             recs.push(Rc::clone(&rec));
             let gspec = GroupSpec::new(N as u16);
             let sender = Sender::new(cfg, gspec);
-            let payload = bytes::Bytes::from(vec![0x42u8; MSG]);
             sim.spawn(
                 sender_host,
                 PORT,

@@ -1,6 +1,8 @@
 //! One measurable run: protocol, workload, cluster, seeds.
 
-use crate::adapter::{AddrMap, NodeProcess, NodeRole, Recorder, SharedRecorder};
+use crate::adapter::{
+    take_spares, AddrMap, DeliveryCheck, NodeProcess, NodeRole, Recorder, SharedRecorder,
+};
 use crate::calibration;
 use crate::cost::CostModel;
 use bytes::Bytes;
@@ -131,8 +133,10 @@ impl Scenario {
     /// spawn endpoints, run to the time cap, and hand back the raw record.
     /// With `trace` set, every protocol endpoint and the network fabric
     /// stream structured events into the shared sink (and endpoints keep a
-    /// flight recorder when `flight_cap > 0`).
-    fn execute(&self, seed: u64, trace: Option<&TraceSpec>) -> RawRun {
+    /// flight recorder when `flight_cap > 0`). With `crc_witness` set the
+    /// record carries a CRC-32C per delivery and judges none; without it
+    /// every delivery is compared with the message sent.
+    fn execute(&self, seed: u64, trace: Option<&TraceSpec>, crc_witness: bool) -> RawRun {
         let mut sim_cfg = self.sim;
         if self.topology == TopologyKind::SharedBus {
             sim_cfg.fabric = FabricKind::SharedBus;
@@ -174,13 +178,20 @@ impl Scenario {
             port: PORT,
         });
 
+        let msgs: Vec<Bytes> = vec![self.payload(); self.n_messages];
         let rec: SharedRecorder = Rc::new(RefCell::new(Recorder {
             expect_msgs: self.n_messages as u64,
+            check: if crc_witness {
+                DeliveryCheck::Crc
+            } else {
+                DeliveryCheck::Sent(msgs.clone())
+            },
             ..Recorder::default()
         }));
-
-        let msgs: Vec<Bytes> = (0..self.n_messages).map(|_| self.payload()).collect();
         let gspec = GroupSpec::new(self.n_receivers);
+        // The previous run's assemblies; whatever is left over when the
+        // receivers are built is dropped with this vector.
+        let mut spares = take_spares();
 
         let wire = |ep: &mut dyn Endpoint| {
             if let Some(t) = trace {
@@ -209,6 +220,9 @@ impl Scenario {
                 for (i, &h) in receiver_hosts.iter().enumerate() {
                     let rank = Rank::from_receiver_index(i);
                     let mut r = Receiver::new(cfg, gspec, rank, seed);
+                    if let Some(buf) = spares.pop() {
+                        r.seed_spare(buf);
+                    }
                     wire(&mut r);
                     let mut node = NodeProcess::new(
                         r,
@@ -303,9 +317,12 @@ impl Scenario {
         sim.run_until(Time::ZERO + self.time_cap);
         let sender_cpu_busy = sim.cpu_busy(sender_host);
         let trace = sim.trace().clone();
+        // Dropping the simulator drops every process: each hands its
+        // assembly buffer back and lets go of its recorder handle.
+        drop(sim);
         let rec = Rc::try_unwrap(rec)
-            .map(|c| c.into_inner())
-            .unwrap_or_else(|rc| rc.borrow().clone_shallow());
+            .expect("the processes held every other recorder handle")
+            .into_inner();
         RawRun {
             rec,
             trace,
@@ -314,8 +331,9 @@ impl Scenario {
     }
 
     /// Execute once with `seed`. Panics if the run does not complete
-    /// within the time cap — the right behavior for the paper's
-    /// fault-free performance figures, where a hang is a bug.
+    /// within the time cap, or if any receiver delivers bytes that differ
+    /// from the message sent — the right behavior for the paper's
+    /// fault-free performance figures, where either is a bug.
     pub fn run(&self, seed: u64) -> RunResult {
         self.run_inner(seed, None)
     }
@@ -359,7 +377,7 @@ impl Scenario {
             rec,
             trace,
             sender_cpu_busy,
-        } = self.execute(seed, spec);
+        } = self.execute(seed, spec, false);
 
         let comm_time = match rec.sender_done {
             Some(t) => t.saturating_since(Time::ZERO),
@@ -441,7 +459,7 @@ impl Scenario {
             rec,
             trace,
             sender_cpu_busy: _,
-        } = self.execute(seed, spec);
+        } = self.execute(seed, spec, true);
         ChaosOutcome {
             completed: rec.sender_done.is_some(),
             comm_time: rec.sender_done.map(|t| t.saturating_since(Time::ZERO)),
@@ -533,27 +551,6 @@ impl ChaosOutcome {
     /// True if some sender-side abort carried `err`.
     pub fn failed_with(&self, err: SessionError) -> bool {
         self.failures.iter().any(|&(_, e)| e == err)
-    }
-}
-
-impl Recorder {
-    fn clone_shallow(&self) -> Recorder {
-        Recorder {
-            sender_done: self.sender_done,
-            messages_sent: self.messages_sent.clone(),
-            deliveries: self.deliveries.clone(),
-            delivery_crcs: self.delivery_crcs.clone(),
-            failures: self.failures.clone(),
-            receiver_failures: self.receiver_failures.clone(),
-            evictions: self.evictions.clone(),
-            joins: self.joins.clone(),
-            restarts: self.restarts,
-            backpressure: self.backpressure.clone(),
-            flight_dumps: self.flight_dumps.clone(),
-            sender_stats: self.sender_stats.clone(),
-            receiver_stats: self.receiver_stats.clone(),
-            expect_msgs: self.expect_msgs,
-        }
     }
 }
 
