@@ -272,15 +272,43 @@ fn decode_epoch_tail<B: Buf>(buf: &mut B) -> Result<Option<u32>, WireError> {
     }
 }
 
+/// Length of the integrity trailer, and the spare capacity [`encode`]
+/// leaves past every packet so that [`seal_in_place`] can append it.
+const TRAILER_LEN: usize = 4;
+
 /// Seal an encoded packet with the integrity trailer: set
 /// [`PacketFlags::CKSUM`] in the header's flag byte and append the
 /// big-endian CRC-32C of every preceding byte. The inverse lives in
-/// [`Packet::parse_checked`].
+/// [`Packet::parse_checked`]. Copies `packet`; the engines seal what they
+/// own with [`seal_in_place`].
 pub fn seal(packet: &[u8]) -> Bytes {
-    let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    debug_assert!(packet.len() >= HEADER_LEN, "cannot seal a runt");
-    let mut buf = BytesMut::with_capacity(packet.len() + 4);
+    seal_owned(with_trailer_room(packet))
+}
+
+/// [`seal`] without the copy: when `packet` is the only handle to its
+/// storage and the storage has room for the trailer — true of every
+/// `encode_*` output nobody cloned — the flag is set and the trailer
+/// appended where the packet already lies. Otherwise the bytes are copied
+/// first, exactly as `seal` does: storage another handle can read is never
+/// written through.
+pub fn seal_in_place(packet: Bytes) -> Bytes {
+    seal_owned(match packet.try_into_mut() {
+        Ok(buf) if buf.capacity() - buf.len() >= TRAILER_LEN => buf,
+        Ok(exact) => with_trailer_room(&exact),
+        Err(shared) => with_trailer_room(&shared),
+    })
+}
+
+/// A private copy of `packet` with capacity for the trailer.
+fn with_trailer_room(packet: &[u8]) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(packet.len() + TRAILER_LEN);
     buf.extend_from_slice(packet);
+    buf
+}
+
+fn seal_owned(mut buf: BytesMut) -> Bytes {
+    let _span = rmprof::span!(rmprof::Stage::WireEncode);
+    debug_assert!(buf.len() >= HEADER_LEN, "cannot seal a runt");
     if let Some(flags) = buf.get_mut(1) {
         *flags |= PacketFlags::CKSUM.bits();
     }
@@ -294,7 +322,9 @@ pub fn seal(packet: &[u8]) -> Bytes {
 /// Encode one packet: `header`, then the `body_len` bytes `body` writes,
 /// then the membership epoch trailer where one is stamped. Every
 /// `encode_*` below is this with its own header and body, so the encode
-/// side has one allocation and one `WireEncode` span.
+/// side has one allocation and one `WireEncode` span. The allocation
+/// reserves [`TRAILER_LEN`] bytes past the packet (capacity, not length):
+/// the room [`seal_in_place`] needs.
 fn encode(
     header: Header,
     body_len: usize,
@@ -302,7 +332,8 @@ fn encode(
     body: impl FnOnce(&mut BytesMut),
 ) -> Bytes {
     let _span = rmprof::span!(rmprof::Stage::WireEncode);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + body_len + epoch.map_or(0, |_| 4));
+    let len = HEADER_LEN + body_len + epoch.map_or(0, |_| 4);
+    let mut buf = BytesMut::with_capacity(len + TRAILER_LEN);
     header.encode(&mut buf);
     body(&mut buf);
     if let Some(epoch) = epoch {
@@ -686,39 +717,42 @@ mod tests {
 
     #[test]
     fn sealed_round_trip_and_flip_detection() {
-        let plain = encode_data(Rank(0), 5, SeqNo(9), PacketFlags::POLL, b"payload");
-        let sealed = seal(&plain);
-        assert_eq!(sealed.len(), plain.len() + 4);
-        // Verifies in both lenient and strict modes.
-        for strict in [false, true] {
-            match Packet::parse_checked(&sealed, strict).unwrap() {
-                Packet::Data { header, body } => {
-                    assert!(header.flags.contains(PacketFlags::CKSUM));
-                    assert_eq!(body, b"payload");
+        let encode = || encode_data(Rank(0), 5, SeqNo(9), PacketFlags::POLL, b"payload");
+        let plain = encode();
+        // The copying seal, then the same packet sealed where it lies.
+        for sealed in [seal(&plain), seal_in_place(encode())] {
+            assert_eq!(sealed.len(), plain.len() + 4);
+            // Verifies in both lenient and strict modes.
+            for strict in [false, true] {
+                match Packet::parse_checked(&sealed, strict).unwrap() {
+                    Packet::Data { header, body } => {
+                        assert!(header.flags.contains(PacketFlags::CKSUM));
+                        assert_eq!(body, b"payload");
+                    }
+                    other => panic!("wrong variant: {other:?}"),
                 }
-                other => panic!("wrong variant: {other:?}"),
             }
-        }
-        // Every single-bit flip anywhere in the sealed packet is caught
-        // in strict mode (flips in the CKSUM bit itself downgrade to
-        // ChecksumMissing; flips elsewhere to mismatch or header errors).
-        for byte in 0..sealed.len() {
-            for bit in 0..8 {
-                let mut bad = sealed.to_vec();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    Packet::parse_checked(&bad, true).is_err(),
-                    "flip at {byte}.{bit} went undetected"
-                );
+            // Every single-bit flip anywhere in the sealed packet is caught
+            // in strict mode (flips in the CKSUM bit itself downgrade to
+            // ChecksumMissing; flips elsewhere to mismatch or header errors).
+            for byte in 0..sealed.len() {
+                for bit in 0..8 {
+                    let mut bad = sealed.to_vec();
+                    bad[byte] ^= 1 << bit;
+                    assert!(
+                        Packet::parse_checked(&bad, true).is_err(),
+                        "flip at {byte}.{bit} went undetected"
+                    );
+                }
             }
+            // A sealed runt (trailer would eat into the header) is rejected.
+            assert!(Packet::parse_checked(&sealed[..HEADER_LEN + 2], true).is_err());
         }
         // Unsealed packets fail closed under strict mode.
         assert!(matches!(
             Packet::parse_checked(&plain, true),
             Err(WireError::ChecksumMissing)
         ));
-        // A sealed runt (trailer would eat into the header) is rejected.
-        assert!(Packet::parse_checked(&sealed[..HEADER_LEN + 2], true).is_err());
     }
 
     #[test]

@@ -1532,7 +1532,7 @@ impl Endpoint for Receiver {
     fn poll_transmit(&mut self) -> Option<Transmit> {
         let mut tx = self.out.pop_front()?;
         if self.cfg.integrity {
-            tx.payload = packet::seal(&tx.payload);
+            tx.payload = packet::seal_in_place(tx.payload);
         }
         Some(tx)
     }

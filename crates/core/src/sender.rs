@@ -2363,7 +2363,7 @@ impl Endpoint for Sender {
     fn poll_transmit(&mut self) -> Option<Transmit> {
         let mut tx = self.out.pop_front()?;
         if self.cfg.integrity {
-            tx.payload = packet::seal(&tx.payload);
+            tx.payload = packet::seal_in_place(tx.payload);
         }
         Some(tx)
     }

@@ -5,10 +5,11 @@
 //! stays exactly-once and bit-intact for every protocol family.
 
 use bytes::Bytes;
+use proptest::prelude::*;
 use rmcast::loopback::Loopback;
-use rmcast::packet;
+use rmcast::packet::{self, Packet};
 use rmcast::{ProtocolConfig, ProtocolKind};
-use rmwire::{PacketFlags, Rank, SeqNo};
+use rmwire::{AllocBody, PacketFlags, Rank, RepairBody, SeqNo, SyncBody};
 
 fn payload(len: usize, tag: u8) -> Bytes {
     Bytes::from(
@@ -117,7 +118,6 @@ fn garbage_counted_as_malformed() {
 
 #[test]
 fn hostile_alloc_claims_are_capped() {
-    use rmwire::AllocBody;
     // A forged ALLOC claiming a multi-exabyte message must never size a
     // buffer: the claim is counted as malformed and the announced data
     // transfer stays unsized (so its data is discarded, not allocated).
@@ -172,5 +172,102 @@ fn membership_with_integrity_survives_corruption() {
         let out = net.run();
         assert_eq!(out.len(), 3, "round {round}");
         assert!(out.iter().all(|d| d == &msg), "round {round}: bytes differ");
+    }
+}
+
+/// One output of each of the thirteen `packet::encode_*`, freshly encoded
+/// so that each is the only handle to its storage.
+fn one_of_each_encoder() -> Vec<Bytes> {
+    let coded = RepairBody {
+        base_seq: 4,
+        generation: 2,
+        bitmap: 0b101,
+    };
+    let alloc = AllocBody {
+        msg_len: 123,
+        data_transfer: 6,
+        packet_size: 500,
+    };
+    let sync = SyncBody {
+        epoch: 8,
+        next_msg: 12,
+        next_transfer: 24,
+        flags: SyncBody::DETACHED_ROOT,
+    };
+    vec![
+        packet::encode_data(Rank(0), 5, SeqNo(9), PacketFlags::POLL, &payload(700, 3)),
+        packet::encode_alloc(Rank(0), 5, PacketFlags::LAST, alloc),
+        packet::encode_ack(Rank(3), 7, SeqNo(100)),
+        packet::encode_nak(Rank(4), 7, SeqNo(55)),
+        packet::encode_ack_epoch(Rank(3), 7, SeqNo(100), 9),
+        packet::encode_nak_epoch(Rank(4), 7, SeqNo(55), 2),
+        packet::encode_join(Rank(5), 3),
+        packet::encode_welcome(Rank(0), 4),
+        packet::encode_leave(Rank(2), 4),
+        packet::encode_heartbeat(Rank(0), 7),
+        packet::encode_repair(Rank(0), 3, coded, &payload(700, 5)),
+        packet::encode_parity(Rank(0), 3, coded, &payload(700, 6)),
+        packet::encode_sync(Rank(0), sync),
+    ]
+}
+
+/// `seal_in_place` on a sole handle: the bytes `seal` produces, at the
+/// address the packet was encoded at.
+fn assert_sealed_where_it_lay(p: Bytes) {
+    let reference = packet::seal(&p);
+    let ptr = p.as_ptr();
+    let sealed = packet::seal_in_place(p);
+    assert_eq!(sealed, reference);
+    assert_eq!(sealed.as_ptr(), ptr, "the sole-handle path copied");
+    assert!(Packet::parse_checked(&sealed, true).is_ok());
+}
+
+#[test]
+fn every_encoder_seals_in_place_to_the_bytes_seal_makes() {
+    let packets = one_of_each_encoder();
+    assert_eq!(packets.len(), 13);
+    for p in packets {
+        assert_sealed_where_it_lay(p);
+    }
+}
+
+proptest! {
+    #[test]
+    fn data_bodies_seal_in_place_to_the_bytes_seal_makes(
+        body in proptest::collection::vec(any::<u8>(), 0..=9_000),
+    ) {
+        assert_sealed_where_it_lay(packet::encode_data(
+            Rank(0),
+            1,
+            SeqNo(2),
+            PacketFlags::EMPTY,
+            &body,
+        ));
+    }
+}
+
+/// Storage somebody else can read, or with no room for the trailer, is
+/// copied, never written: the result is still `seal`'s, at a new address,
+/// and the other handle reads what it read before — flag byte included.
+#[test]
+fn seal_in_place_copies_rather_than_write_through_shared_or_full_storage() {
+    for p in one_of_each_encoder() {
+        let reference = packet::seal(&p);
+        let before = p.to_vec();
+        assert_eq!(before[1] & PacketFlags::CKSUM.bits(), 0);
+
+        let other = p.clone();
+        let sealed = packet::seal_in_place(p);
+        assert_eq!(sealed, reference);
+        assert_ne!(sealed.as_ptr(), other.as_ptr());
+        assert_eq!(other, before, "a shared packet was written through");
+
+        // The only handle, but to a buffer exactly as long as the packet.
+        let exact = Bytes::from(before.clone());
+        let ptr = exact.as_ptr();
+        let sealed = packet::seal_in_place(exact);
+        assert_eq!(sealed, reference);
+        assert_ne!(sealed.as_ptr(), ptr);
+        assert!(Packet::parse_checked(&sealed, true).is_ok());
     }
 }
