@@ -29,6 +29,9 @@ pub struct Egress {
     clock: Time,
     /// `(done_instant, frame_bytes)` of frames not yet known-drained.
     inflight: VecDeque<(Time, usize)>,
+    /// Sum of `inflight`'s byte counts, kept by `enqueue` and `prune` so
+    /// that no query walks the deque.
+    inflight_bytes: usize,
 }
 
 impl Egress {
@@ -39,9 +42,10 @@ impl Egress {
 
     /// Drop bookkeeping for frames that finished before `now`.
     fn prune(&mut self, now: Time) {
-        while let Some(&(done, _)) = self.inflight.front() {
+        while let Some(&(done, bytes)) = self.inflight.front() {
             if done <= now {
                 self.inflight.pop_front();
+                self.inflight_bytes -= bytes;
             } else {
                 break;
             }
@@ -52,7 +56,7 @@ impl Egress {
     /// serialized, the one on the wire included).
     pub fn queued_bytes(&mut self, now: Time) -> usize {
         self.prune(now);
-        self.inflight.iter().map(|&(_, b)| b).sum()
+        self.inflight_bytes
     }
 
     /// Unconditionally enqueue a frame at `now`; returns the instant its
@@ -63,6 +67,7 @@ impl Egress {
         let done = start + tx_time;
         self.clock = done;
         self.inflight.push_back((done, frame_bytes));
+        self.inflight_bytes += frame_bytes;
         done
     }
 
@@ -74,7 +79,7 @@ impl Egress {
             return None;
         }
         self.prune(now);
-        let mut occupied: usize = self.inflight.iter().map(|&(_, b)| b).sum();
+        let mut occupied = self.inflight_bytes;
         if occupied + need <= cap {
             return Some(now);
         }
@@ -143,6 +148,44 @@ mod tests {
         assert_eq!(e.earliest_fit(t(0), 3000, 2500), None);
         // Needs a full drain.
         assert_eq!(e.earliest_fit(t(0), 2500, 2500), Some(t(200)));
+    }
+
+    proptest::proptest! {
+        /// The running total answers every query as a walk over the
+        /// frames still in flight would.
+        #[test]
+        fn running_total_equals_the_walking_sum(
+            // (advance us, tx us, frame bytes, 0 = enqueue / else query only)
+            steps in proptest::collection::vec((0u64..400, 1u64..300, 64usize..1_519, 0u8..3), 1..300),
+            cap in 2_000usize..40_000,
+        ) {
+            let mut e = Egress::new();
+            // Everything ever enqueued, never pruned.
+            let mut sent: Vec<(Time, usize)> = Vec::new();
+            let mut now = Time::ZERO;
+            for (advance, tx, bytes, op) in steps {
+                now += d(advance);
+                if op == 0 {
+                    sent.push((e.enqueue(now, d(tx), bytes), bytes));
+                }
+                let in_flight = || sent.iter().filter(|&&(done, _)| done > now);
+                let walked: usize = in_flight().map(|&(_, b)| b).sum();
+                proptest::prop_assert_eq!(e.queued_bytes(now), walked);
+                let mut occupied = walked;
+                let fit = if occupied + bytes <= cap {
+                    now
+                } else {
+                    in_flight()
+                        .find(|&&(_, b)| {
+                            occupied -= b;
+                            occupied + bytes <= cap
+                        })
+                        .expect("bytes <= 1518 < cap")
+                        .0
+                };
+                proptest::prop_assert_eq!(e.earliest_fit(now, bytes, cap), Some(fit));
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! A UDP datagram of up to [`MAX_DATAGRAM`] bytes is carried as a train of
 //! IP fragments, each at most [`MTU`] bytes of IP payload. The simulator
-//! never copies payload bytes per fragment: a fragment is an `Arc` to the
+//! never copies payload bytes per fragment: a fragment is an `Rc` to the
 //! owning datagram plus an index, so multicast fan-out and switch queuing
-//! are O(1) per frame.
+//! are O(1) per frame. (`Rc`, not `Arc`: a `Sim` owns `Box<dyn Process>`
+//! and never crosses threads, so the count need not be atomic.)
 
 use crate::ids::{GroupId, HostId};
 use bytes::Bytes;
 use rmwire::Duration;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Ethernet MTU: maximum IP packet size per frame, in bytes.
 pub const MTU: usize = 1500;
@@ -150,15 +151,20 @@ pub fn fragment_tx_time(total: usize, index: usize, rate_bps: u64) -> Duration {
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// The datagram this frame is a fragment of.
-    pub dg: Arc<Datagram>,
-    /// Fragment index within the datagram.
-    pub index: usize,
+    pub dg: Rc<Datagram>,
+    /// Fragment index within the datagram (at most 65 506: a datagram is
+    /// under 64 KiB and a fragment carries at least one byte of it).
+    pub index: u32,
 }
 
 impl Frame {
     /// Queue-occupancy size of this frame in bytes.
     pub fn frame_bytes(&self) -> usize {
-        fragment_frame_bytes_with(self.dg.payload.len(), self.index, self.dg.frag_data)
+        fragment_frame_bytes_with(
+            self.dg.payload.len(),
+            self.index as usize,
+            self.dg.frag_data,
+        )
     }
 
     /// Wire-time size of this frame in bytes (preamble + IFG included).
@@ -173,15 +179,15 @@ impl Frame {
 
     /// `true` if this is the last fragment of its datagram.
     pub fn is_last(&self) -> bool {
-        self.index + 1 == self.dg.n_fragments()
+        self.index as usize + 1 == self.dg.n_fragments()
     }
 }
 
 /// Split a datagram into its fragment frames.
-pub fn fragment(dg: Arc<Datagram>) -> impl Iterator<Item = Frame> {
-    let n = dg.n_fragments();
+pub fn fragment(dg: Rc<Datagram>) -> impl Iterator<Item = Frame> {
+    let n = u32::try_from(dg.n_fragments()).expect("a datagram is under 64 KiB");
     (0..n).map(move |index| Frame {
-        dg: Arc::clone(&dg),
+        dg: Rc::clone(&dg),
         index,
     })
 }
@@ -231,7 +237,7 @@ mod tests {
 
     #[test]
     fn fragment_iter_is_complete_and_cheap() {
-        let dg = Arc::new(Datagram {
+        let dg = Rc::new(Datagram {
             src_host: HostId(0),
             src_port: 1,
             dest: UdpDest::group(GroupId(0), 2),
@@ -239,12 +245,12 @@ mod tests {
             ip_id: 9,
             frag_data: FRAG_DATA,
         });
-        let frames: Vec<_> = fragment(Arc::clone(&dg)).collect();
+        let frames: Vec<_> = fragment(Rc::clone(&dg)).collect();
         assert_eq!(frames.len(), 3);
         assert!(frames[2].is_last());
         assert!(!frames[0].is_last());
         // All share the same allocation.
-        assert!(Arc::ptr_eq(&frames[0].dg, &dg));
+        assert!(Rc::ptr_eq(&frames[0].dg, &dg));
     }
 
     #[test]

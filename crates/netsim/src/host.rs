@@ -6,7 +6,7 @@ use crate::frame::Datagram;
 use crate::ids::{GroupId, HostId, PortRef};
 use rmwire::Time;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Work queued for a host's serial CPU.
 #[derive(Debug)]
@@ -17,7 +17,7 @@ pub(crate) enum WorkItem {
     Restart,
     /// Deliver a reassembled datagram (kernel receive costs charged when
     /// the item runs — that is when `recvfrom` happens).
-    Deliver(Arc<Datagram>),
+    Deliver(Rc<Datagram>),
     /// Run the process's `on_timer`.
     Timer,
     /// Discard a flooded multicast frame the host does not subscribe to;

@@ -75,6 +75,7 @@ pub mod frame;
 pub mod host;
 pub mod ids;
 pub mod process;
+mod queue;
 pub mod sim;
 pub mod switch;
 pub mod topology;

@@ -6,70 +6,25 @@ use crate::frame::{self, Datagram, Frame, UdpDest, MAX_DATAGRAM};
 use crate::host::{HostState, Reassembly, WorkItem};
 use crate::ids::{GroupId, HostId, PortRef, SwitchId};
 use crate::process::{Ctx, DatagramIn, Process};
+use crate::queue::{Event, EventQueue};
 use crate::switch::SwitchState;
 use crate::trace::{DropCause, EventLog, LogEvent, TraceCounters};
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmwire::{Duration, Time};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
-/// Simulator events. Arrival events carry the instant the *last bit* of a
-/// frame reaches the device (store-and-forward semantics).
-enum Event {
-    /// Frame fully received on a switch input port.
-    FrameAtSwitch {
-        sw: SwitchId,
-        in_port: usize,
-        frame: Frame,
-    },
-    /// Frame fully received at a host NIC.
-    FrameAtHost { host: HostId, frame: Frame },
-    /// The host CPU finished its current work item (or should dispatch).
-    CpuDone { host: HostId },
-    /// The process timer fired (ignored when `gen` is stale).
-    TimerFire { host: HostId, gen: u64 },
-    /// An IP reassembly context timed out.
-    ReassemblyExpire { host: HostId, key: (HostId, u64) },
-    /// A crash-restarted host reboots: state is wiped and the process's
-    /// `on_restart` runs.
-    HostRestart { host: HostId },
-    /// A host wants the shared bus (CSMA/CD fabric only).
-    BusAttempt { host: HostId },
-    /// End of the bus contention window: transmit or collide.
-    BusResolve,
-    /// A forged datagram from the fault plan arrives at a host socket.
-    ForgeDeliver {
-        host: HostId,
-        src: HostId,
-        port: u16,
-        payload: Vec<u8>,
-    },
-}
-
-struct HeapEntry {
-    at: Time,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// Events name hosts, switches and ports by `u32` (see [`crate::queue`]);
+/// `add_host`, `add_switch` and `SwitchState::add_port` keep every index
+/// in range, so the narrowing is lossless.
+fn id32(index: usize) -> u32 {
+    debug_assert!(
+        u32::try_from(index).is_ok(),
+        "index {index} escaped its bound"
+    );
+    index as u32
 }
 
 /// The simulator: topology, processes, the event queue and the clock.
@@ -80,8 +35,7 @@ impl Ord for HeapEntry {
 pub struct Sim {
     cfg: SimConfig,
     now: Time,
-    queue: BinaryHeap<Reverse<HeapEntry>>,
-    event_seq: u64,
+    queue: EventQueue,
     pub(crate) hosts: Vec<HostState>,
     host_params: Vec<crate::config::HostParams>,
     procs: Vec<Option<Box<dyn Process>>>,
@@ -101,7 +55,7 @@ pub struct Sim {
     /// Recently delivered datagrams the byzantine replay fault draws
     /// from; bounded at [`REPLAY_RING_CAP`]. Only populated while the
     /// replay knob is enabled.
-    replay_ring: VecDeque<Arc<Datagram>>,
+    replay_ring: VecDeque<Rc<Datagram>>,
 }
 
 /// How many recently delivered datagrams the replay fault remembers.
@@ -113,8 +67,7 @@ impl Sim {
         Sim {
             cfg,
             now: Time::ZERO,
-            queue: BinaryHeap::new(),
-            event_seq: 0,
+            queue: EventQueue::default(),
             hosts: Vec::new(),
             host_params: Vec::new(),
             procs: Vec::new(),
@@ -239,18 +192,10 @@ impl Sim {
         let forged: Vec<_> = plan.forge.clone();
         self.fault_plan = plan;
         for (host, at) in restarts {
-            self.schedule(at, Event::HostRestart { host });
+            self.schedule(at, Event::HostRestart { host: id32(host.0) });
         }
         for f in forged {
-            self.schedule(
-                f.at,
-                Event::ForgeDeliver {
-                    host: f.dest,
-                    src: f.src,
-                    port: f.port,
-                    payload: f.payload,
-                },
-            );
+            self.schedule(f.at, Event::ForgeDeliver(Box::new(f)));
         }
     }
 
@@ -266,6 +211,7 @@ impl Sim {
     /// Add a workstation (with the configuration's default host
     /// parameters; override with [`Sim::set_host_params`]).
     pub fn add_host(&mut self) -> HostId {
+        assert!(self.hosts.len() < u32::MAX as usize, "too many hosts");
         self.hosts.push(HostState::new(self.cfg.link));
         self.host_params.push(self.cfg.host);
         self.procs.push(None);
@@ -282,6 +228,7 @@ impl Sim {
             FabricKind::Switched,
             "switches exist only in the switched fabric"
         );
+        assert!(self.switches.len() < u32::MAX as usize, "too many switches");
         self.switches.push(SwitchState::new());
         self.routes_dirty = true;
         SwitchId(self.switches.len() - 1)
@@ -410,15 +357,17 @@ impl Sim {
             self.finalize_routes();
         }
         while !self.stop {
-            match self.queue.peek() {
-                Some(Reverse(e)) if e.at <= deadline => {}
-                _ => break,
-            }
-            let Reverse(entry) = self.queue.pop().expect("peeked entry");
-            debug_assert!(entry.at >= self.now, "time went backwards");
-            self.now = entry.at;
-            let _span = rmprof::span!(rmprof::Stage::NetsimDispatch);
-            self.dispatch(entry.ev);
+            let Some((at, ev)) = self.queue.pop_due(deadline) else {
+                break;
+            };
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            self.dispatch(ev);
+        }
+        if rmprof::enabled() {
+            let (near, timers) = self.queue.peaks();
+            rmprof::gauge("netsim.queue_peak").set(near as i64);
+            rmprof::gauge("netsim.timer_queue_peak").set(timers as i64);
         }
     }
 
@@ -438,34 +387,71 @@ impl Sim {
 
     fn schedule(&mut self, at: Time, ev: Event) {
         debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.queue.push(Reverse(HeapEntry { at, seq, ev }));
+        self.queue.schedule(at, ev);
+    }
+
+    /// Schedule `frame`'s arrival at the far end of a link. Every fabric's
+    /// host arrivals go through here, so a same-instant fan-out becomes one
+    /// queue entry whoever produced it.
+    fn schedule_frame(&mut self, to: PortRef, at: Time, frame: Frame) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        match to {
+            PortRef::Host(h) => self.queue.schedule_arrival(at, id32(h.0), frame),
+            PortRef::Switch(sw, in_port) => self.queue.schedule(
+                at,
+                Event::FrameAtSwitch {
+                    dg: frame.dg,
+                    index: frame.index,
+                    sw: id32(sw.0),
+                    in_port: id32(in_port),
+                },
+            ),
+        }
+    }
+
+    /// One `FrameAtHost` entry: the frame reaches each host of the list in
+    /// turn, each arrival a dispatch of its own.
+    fn frame_at_hosts(&mut self, frame: &Frame, run: u32) {
+        let run = self.queue.take_run(run);
+        for &h in run.hosts() {
+            let _span = rmprof::span!(rmprof::Stage::NetsimDispatch);
+            self.frame_at_host(HostId(h as usize), frame);
+        }
     }
 
     fn dispatch(&mut self, ev: Event) {
+        // A `FrameAtHost` entry opens its own spans, one per host reached.
+        let _span = match ev {
+            Event::FrameAtHost { .. } => None,
+            _ => Some(rmprof::span!(rmprof::Stage::NetsimDispatch)),
+        };
+        let host_id = |h: u32| HostId(h as usize);
         match ev {
-            Event::FrameAtSwitch { sw, in_port, frame } => self.frame_at_switch(sw, in_port, frame),
-            Event::FrameAtHost { host, frame } => self.frame_at_host(host, frame),
-            Event::CpuDone { host } => self.cpu_dispatch(host),
-            Event::TimerFire { host, gen } => self.timer_fire(host, gen),
-            Event::ReassemblyExpire { host, key } => {
-                if self.hosts[host.0].take_reassembly(key).is_some() {
+            Event::FrameAtSwitch {
+                dg,
+                index,
+                sw,
+                in_port,
+            } => self.frame_at_switch(SwitchId(sw as usize), in_port as usize, Frame { dg, index }),
+            Event::FrameAtHost { dg, index, run } => self.frame_at_hosts(&Frame { dg, index }, run),
+            Event::CpuDone { host } => self.cpu_dispatch(host_id(host)),
+            Event::TimerFire { host, gen } => self.timer_fire(host_id(host), gen),
+            Event::ReassemblyExpire { host, src, ip_id } => {
+                let host = host_id(host);
+                if self.hosts[host.0]
+                    .take_reassembly((host_id(src), ip_id))
+                    .is_some()
+                {
                     self.note_drop(DropCause::ReassemblyTimeout, Some(host));
                     self.log_event(LogEvent::Drop {
                         cause: DropCause::ReassemblyTimeout,
                     });
                 }
             }
-            Event::BusAttempt { host } => self.bus_attempt(host),
+            Event::BusAttempt { host } => self.bus_attempt(host_id(host)),
             Event::BusResolve => self.bus_resolve(),
-            Event::HostRestart { host } => self.host_restart(host),
-            Event::ForgeDeliver {
-                host,
-                src,
-                port,
-                payload,
-            } => self.forge_deliver(host, src, port, payload),
+            Event::HostRestart { host } => self.host_restart(host_id(host)),
+            Event::ForgeDeliver(f) => self.forge_deliver(f.dest, f.src, f.port, f.payload),
         }
     }
 
@@ -538,7 +524,7 @@ impl Sim {
         let ip_id = self.next_ip_id;
         self.next_ip_id += 1;
         let src_port = 0; // informational; protocols identify peers by rank
-        let dg = Arc::new(Datagram {
+        let dg = Rc::new(Datagram {
             src_host: src,
             src_port,
             dest,
@@ -553,7 +539,7 @@ impl Sim {
                     .peer
                     .expect("host is not cabled to a switch");
                 let link = self.hosts[src.0].link;
-                for fr in frame::fragment(Arc::clone(&dg)) {
+                for fr in frame::fragment(dg) {
                     let bytes = fr.frame_bytes();
                     let fit = self.hosts[src.0]
                         .egress
@@ -568,7 +554,7 @@ impl Sim {
                 }
             }
             FabricKind::SharedBus => {
-                for fr in frame::fragment(Arc::clone(&dg)) {
+                for fr in frame::fragment(dg) {
                     self.trace.frames_sent += 1;
                     self.bus_enqueue(src, fr, cursor);
                 }
@@ -598,11 +584,7 @@ impl Sim {
             return;
         }
         let dup = self.cfg.faults.frame_dup;
-        let copies = if dup > 0.0 && self.rng.gen::<f64>() < dup {
-            2
-        } else {
-            1
-        };
+        let duplicated = dup > 0.0 && self.rng.gen::<f64>() < dup;
         if let Some(h) = edge {
             if !self.fault_plan.link_down.is_empty() && self.fault_plan.link_is_down(h, done) {
                 self.note_drop(DropCause::LinkDown, Some(h));
@@ -638,27 +620,12 @@ impl Sim {
             at += self.fault_plan.reorder_delay;
             self.trace.frames_reordered += 1;
         }
-        for i in 0..copies {
+        if duplicated {
+            self.schedule_frame(to, at, frame.clone());
             // The duplicate trails its original by a microsecond.
-            let at = at + Duration::from_micros(i);
-            match to {
-                PortRef::Host(h) => self.schedule(
-                    at,
-                    Event::FrameAtHost {
-                        host: h,
-                        frame: frame.clone(),
-                    },
-                ),
-                PortRef::Switch(sw, in_port) => self.schedule(
-                    at,
-                    Event::FrameAtSwitch {
-                        sw,
-                        in_port,
-                        frame: frame.clone(),
-                    },
-                ),
-            }
+            at += Duration::from_micros(1);
         }
+        self.schedule_frame(to, at, frame);
     }
 
     // ------------------------------------------------------------------
@@ -671,7 +638,7 @@ impl Sim {
                 let p = self.switches[sw.0].route[h.0];
                 debug_assert_ne!(p, usize::MAX, "no route from {sw} to {h}");
                 if p != in_port {
-                    self.forward(sw, p, &frame);
+                    self.forward(sw, p, frame);
                 }
             }
             UdpDest::Group(g, _) => {
@@ -680,7 +647,7 @@ impl Sim {
                 for i in 0..self.switches[sw.0].mcast_ports[g.0].len() {
                     let p = self.switches[sw.0].mcast_ports[g.0][i];
                     if p != in_port {
-                        self.forward(sw, p, &frame);
+                        self.forward(sw, p, frame.clone());
                     }
                 }
             }
@@ -689,7 +656,7 @@ impl Sim {
 
     /// Queue `frame` on output port `p` of `sw` and schedule its arrival at
     /// the far end, unless the trunk is down or the port's queue is full.
-    fn forward(&mut self, sw: SwitchId, p: usize, frame: &Frame) {
+    fn forward(&mut self, sw: SwitchId, p: usize, frame: Frame) {
         let eligible = self.now + self.cfg.switch.latency;
         let peer = self.switches[sw.0].ports[p]
             .peer
@@ -718,14 +685,14 @@ impl Sim {
             PortRef::Switch(..) => None,
         };
         self.trace.wire_bytes_sent += frame.wire_bytes() as u64;
-        self.emit_frame(peer, frame.clone(), done, link.prop_delay, edge);
+        self.emit_frame(peer, frame, done, link.prop_delay, edge);
     }
 
     // ------------------------------------------------------------------
     // Host receive path
     // ------------------------------------------------------------------
 
-    fn frame_at_host(&mut self, host: HostId, frame: Frame) {
+    fn frame_at_host(&mut self, host: HostId, frame: &Frame) {
         if !self.fault_plan.host_faults.is_empty() && self.fault_plan.host_crashed(host, self.now) {
             self.note_drop(DropCause::HostDown, Some(host));
             return;
@@ -761,7 +728,7 @@ impl Sim {
         let h = &mut self.hosts[host.0];
         let complete = match h.reassembly.iter().position(|(k, _)| *k == key) {
             Some(at) => {
-                let complete = h.reassembly[at].1.add(frame.index);
+                let complete = h.reassembly[at].1.add(frame.index as usize);
                 if complete {
                     h.reassembly.swap_remove(at);
                 }
@@ -769,11 +736,18 @@ impl Sim {
             }
             None => {
                 let mut r = Reassembly::new(total);
-                let complete = r.add(frame.index);
+                let complete = r.add(frame.index as usize);
                 if !complete {
                     h.reassembly.push((key, r));
                     let expire = self.now + self.host_params[host.0].reassembly_timeout;
-                    self.schedule(expire, Event::ReassemblyExpire { host, key });
+                    self.schedule(
+                        expire,
+                        Event::ReassemblyExpire {
+                            host: id32(host.0),
+                            src: id32(key.0 .0),
+                            ip_id: key.1,
+                        },
+                    );
                 }
                 complete
             }
@@ -788,14 +762,14 @@ impl Sim {
             return;
         }
 
-        self.deliver_datagram(host, frame.dg);
+        self.deliver_datagram(host, Rc::clone(&frame.dg));
     }
 
     /// Deliver a fully reassembled datagram to `host`, applying the fault
     /// plan's byzantine modes first: corrupt-and-deliver, duplication and
     /// replay of a stale recorded datagram. Every check is gated on its
     /// knob, so an empty plan draws no randomness here.
-    fn deliver_datagram(&mut self, host: HostId, dg: Arc<Datagram>) {
+    fn deliver_datagram(&mut self, host: HostId, dg: Rc<Datagram>) {
         let mut dg = dg;
         let p = self.fault_plan.corrupt_deliver;
         if p > 0.0 && self.rng.gen::<f64>() < p {
@@ -813,24 +787,24 @@ impl Sim {
         if p > 0.0 {
             if !self.replay_ring.is_empty() && self.rng.gen::<f64>() < p {
                 let idx = self.rng.gen_range(0..self.replay_ring.len());
-                let stale = Arc::clone(&self.replay_ring[idx]);
+                let stale = Rc::clone(&self.replay_ring[idx]);
                 self.trace.byz_replays += 1;
                 self.deliver_to_socket(host, stale);
             }
             if self.replay_ring.len() >= REPLAY_RING_CAP {
                 self.replay_ring.pop_front();
             }
-            self.replay_ring.push_back(Arc::clone(&dg));
+            self.replay_ring.push_back(Rc::clone(&dg));
         }
         for _ in 0..copies {
-            self.deliver_to_socket(host, Arc::clone(&dg));
+            self.deliver_to_socket(host, Rc::clone(&dg));
         }
         // Feedback storm: deterministic window schedule, no RNG drawn.
         if !self.fault_plan.feedback_storm.is_empty() {
             let extra = self.fault_plan.storm_amplify(host, self.now);
             for _ in 0..extra {
                 self.trace.storm_amplified += 1;
-                self.deliver_to_socket(host, Arc::clone(&dg));
+                self.deliver_to_socket(host, Rc::clone(&dg));
             }
         }
     }
@@ -838,7 +812,7 @@ impl Sim {
     /// Return a copy of `dg` with 1–4 byte positions bit-flipped —
     /// byzantine corruption that passed the NIC's FCS check and reaches
     /// the protocol's decode path. Zero-length payloads pass unchanged.
-    fn corrupt_datagram(&mut self, dg: &Datagram) -> Arc<Datagram> {
+    fn corrupt_datagram(&mut self, dg: &Datagram) -> Rc<Datagram> {
         let mut payload = dg.payload.to_vec();
         if !payload.is_empty() {
             let flips = self.rng.gen_range(1..=4usize).min(payload.len());
@@ -848,7 +822,7 @@ impl Sim {
                 payload[at] ^= 1 << bit;
             }
         }
-        Arc::new(Datagram {
+        Rc::new(Datagram {
             src_host: dg.src_host,
             src_port: dg.src_port,
             dest: dg.dest,
@@ -860,7 +834,7 @@ impl Sim {
 
     /// The kernel socket step shared by normal, replayed and forged
     /// deliveries: buffer-space check, then a CPU work item.
-    fn deliver_to_socket(&mut self, host: HostId, dg: Arc<Datagram>) {
+    fn deliver_to_socket(&mut self, host: HostId, dg: Rc<Datagram>) {
         let port = dg.dest.port();
         let len = dg.payload.len();
         let sockbuf = self.host_params[host.0].recv_sockbuf;
@@ -894,7 +868,7 @@ impl Sim {
         self.trace.byz_forged += 1;
         let ip_id = self.next_ip_id;
         self.next_ip_id += 1;
-        let dg = Arc::new(Datagram {
+        let dg = Rc::new(Datagram {
             src_host: src,
             src_port: 0,
             dest: UdpDest::Host(host, port),
@@ -914,7 +888,7 @@ impl Sim {
         h.cpu_queue.push_back(item);
         if !h.cpu_active {
             h.cpu_active = true;
-            self.schedule(at.max(self.now), Event::CpuDone { host });
+            self.schedule(at.max(self.now), Event::CpuDone { host: id32(host.0) });
         }
     }
 
@@ -929,7 +903,7 @@ impl Sim {
             }
             if let Some(resume) = self.fault_plan.host_paused_until(host, self.now) {
                 // Stalled: hold the pending work until the pause ends.
-                self.schedule(resume, Event::CpuDone { host });
+                self.schedule(resume, Event::CpuDone { host: id32(host.0) });
                 return;
             }
         }
@@ -941,7 +915,7 @@ impl Sim {
         let end = self.run_work_item(host, item, start);
         self.hosts[host.0].cpu_busy_until = end;
         self.hosts[host.0].cpu_busy_accum += end.saturating_since(start);
-        self.schedule(end, Event::CpuDone { host });
+        self.schedule(end, Event::CpuDone { host: id32(host.0) });
     }
 
     fn run_work_item(&mut self, host: HostId, item: WorkItem, start: Time) -> Time {
@@ -1003,7 +977,13 @@ impl Sim {
         h.timer_gen += 1;
         h.timer_armed = true;
         let gen = h.timer_gen;
-        self.schedule(at, Event::TimerFire { host, gen });
+        self.schedule(
+            at,
+            Event::TimerFire {
+                host: id32(host.0),
+                gen,
+            },
+        );
     }
 
     pub(crate) fn clear_timer(&mut self, host: HostId) {
@@ -1033,7 +1013,7 @@ impl Sim {
         self.bus.txq[host.0].push_back(frame);
         if !self.bus.attempt_pending[host.0] {
             self.bus.attempt_pending[host.0] = true;
-            self.schedule(at.max(self.now), Event::BusAttempt { host });
+            self.schedule(at.max(self.now), Event::BusAttempt { host: id32(host.0) });
         }
     }
 
@@ -1047,7 +1027,7 @@ impl Sim {
             // goes idle.
             self.bus.attempt_pending[host.0] = true;
             let at = self.bus.busy_until;
-            self.schedule(at, Event::BusAttempt { host });
+            self.schedule(at, Event::BusAttempt { host: id32(host.0) });
             return;
         }
         if self.bus.contenders.contains(&host) {
@@ -1086,19 +1066,13 @@ impl Sim {
                     let at = done + self.cfg.link.prop_delay;
                     for h in 0..self.hosts.len() {
                         if HostId(h) != host {
-                            self.schedule(
-                                at,
-                                Event::FrameAtHost {
-                                    host: HostId(h),
-                                    frame: frame.clone(),
-                                },
-                            );
+                            self.schedule_frame(PortRef::Host(HostId(h)), at, frame.clone());
                         }
                     }
                 }
                 if !self.bus.txq[host.0].is_empty() {
                     self.bus.attempt_pending[host.0] = true;
-                    self.schedule(done, Event::BusAttempt { host });
+                    self.schedule(done, Event::BusAttempt { host: id32(host.0) });
                 }
             }
             _ => {
@@ -1120,7 +1094,7 @@ impl Sim {
                     let slots = self.rng.gen_range(0..(1u64 << exp));
                     let at = jam_end + BusState::SLOT_TIME.saturating_mul(slots);
                     self.bus.attempt_pending[host.0] = true;
-                    self.schedule(at, Event::BusAttempt { host });
+                    self.schedule(at, Event::BusAttempt { host: id32(host.0) });
                 }
             }
         }
@@ -1223,5 +1197,56 @@ mod tests {
         }
         sim.host_restart(h);
         assert_eq!(sim.hosts[h.0].sockets, [(7, 0), (8, 0), (9, 0)]);
+    }
+
+    struct SendOnce(UdpDest);
+    impl Process for SendOnce {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send(self.0, Bytes::from_static(b"to everyone on the wire"));
+        }
+    }
+    struct Heard(Rc<std::cell::RefCell<Vec<HostId>>>);
+    impl Process for Heard {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _dg: DatagramIn) {
+            self.0.borrow_mut().push(ctx.host());
+        }
+    }
+
+    #[test]
+    fn a_bus_broadcast_is_one_queue_pop_and_arrives_in_host_order() {
+        let cfg = SimConfig {
+            fabric: FabricKind::SharedBus,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(cfg, 1);
+        let hosts = crate::topology::shared_bus(&mut sim, 6);
+        let group = sim.create_group(&hosts[1..]);
+        let heard = Rc::new(std::cell::RefCell::new(Vec::new()));
+        sim.spawn(hosts[0], 9, Box::new(SendOnce(UdpDest::group(group, 9))));
+        for &h in &hosts[1..] {
+            sim.spawn(h, 9, Box::new(Heard(Rc::clone(&heard))));
+        }
+        // `run_until`'s loop, counting what it pops.
+        sim.finalize_routes();
+        let (mut pops, mut arrival_pops) = (0, 0);
+        while let Some((at, ev)) = sim.queue.pop_due(Time::MAX) {
+            sim.now = at;
+            pops += 1;
+            if matches!(ev, Event::FrameAtHost { .. }) {
+                arrival_pops += 1;
+                let before = sim.trace.frames_received;
+                sim.dispatch(ev);
+                assert_eq!(
+                    sim.trace.frames_received - before,
+                    5,
+                    "one pop, five arrivals"
+                );
+            } else {
+                sim.dispatch(ev);
+            }
+        }
+        assert_eq!(arrival_pops, 1);
+        assert!(pops > arrival_pops, "CPU and bus events were popped too");
+        assert_eq!(*heard.borrow(), hosts[1..]);
     }
 }

@@ -38,6 +38,7 @@ impl SwitchState {
 
     /// Allocate a new (unconnected) port and return its index.
     pub(crate) fn add_port(&mut self, link: LinkParams) -> usize {
+        assert!(self.ports.len() < u32::MAX as usize, "too many ports");
         self.ports.push(Port {
             peer: None,
             egress: Egress::new(),

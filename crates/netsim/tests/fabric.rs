@@ -758,3 +758,108 @@ fn wide_datagram_missing_fragments_expires_when_it_always_did() {
     // recorded before the bitmap and the context table changed type.
     assert_eq!(expiries, [501_143_310]);
 }
+
+/// One multicast datagram of `mcast` bytes from host 0 to hosts 1–5 while
+/// host 6 sends `ucast` bytes to host 3 alone, so host 3's downlink is
+/// busy with the unicast when the multicast reaches the switch. Returns
+/// every delivery callback as `(ns, host, bytes)`, in callback order.
+fn fan_out_past_a_busy_downlink(
+    cfg: SimConfig,
+    plan: netsim::FaultPlan,
+    (mcast, ucast): (usize, usize),
+) -> Vec<(u64, usize, usize)> {
+    let mut sim = Sim::new(cfg, 5);
+    let hosts = topology::single_switch(&mut sim, 7);
+    if !plan.is_empty() {
+        sim.set_fault_plan(plan);
+    }
+    let group = sim.create_group(&hosts[1..6]);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    sim.spawn(
+        hosts[0],
+        PORT,
+        Box::new(Blast {
+            dest: UdpDest::group(group, PORT),
+            sizes: vec![mcast],
+        }),
+    );
+    sim.spawn(
+        hosts[6],
+        PORT,
+        Box::new(Blast {
+            dest: UdpDest::host(hosts[3], PORT),
+            sizes: vec![ucast],
+        }),
+    );
+    for &h in &hosts[1..6] {
+        sim.spawn(h, PORT, Box::new(Sink { log: log.clone() }));
+    }
+    sim.run();
+    let log = log.borrow();
+    log.iter()
+        .map(|&(t, h, len)| (t.as_nanos(), h.0, len))
+        .collect()
+}
+
+/// The queue folds a same-instant fan-out into one entry and must split
+/// the run wherever a copy differs. These pin what a process can see of
+/// that — when each host's callback runs and in which order — to values
+/// recorded before the queue folded anything.
+#[test]
+fn fan_out_meeting_a_busy_downlink_is_late_at_exactly_that_host() {
+    let log =
+        fan_out_past_a_busy_downlink(no_jitter(), netsim::FaultPlan::default(), (3_100, 3_000));
+    assert_eq!(
+        log,
+        [
+            (536_880, 1, 3_100),
+            (536_880, 2, 3_100),
+            (536_880, 4, 3_100),
+            (536_880, 5, 3_100),
+            (772_960, 3, 3_000),
+            (852_960, 3, 3_100),
+        ]
+    );
+}
+
+#[test]
+fn duplicated_fan_out_copies_each_arrive_at_their_own_instant() {
+    let mut cfg = no_jitter();
+    cfg.faults.frame_dup = 1.0;
+    // One fragment each, so every copy is a delivery of its own.
+    let log = fan_out_past_a_busy_downlink(cfg, netsim::FaultPlan::default(), (1_100, 1_000));
+    // Two copies per hop, two hops: four deliveries of each datagram per
+    // host, a microsecond apart on the wire and a frame time apart once
+    // the downlink has serialized them.
+    let mut expect = Vec::new();
+    for (at, at_3) in [
+        (284_560, 266_560),
+        (338_560, 319_560),
+        (392_560, 372_560),
+        (446_560, 425_560),
+    ] {
+        expect.push((at_3, 3, 1_000));
+        expect.extend([1, 2, 4, 5].map(|h| (at, h, 1_100)));
+    }
+    expect.extend([479_560, 533_560, 587_560, 641_560].map(|at| (at, 3, 1_100)));
+    assert_eq!(log, expect);
+}
+
+#[test]
+fn reordered_fan_out_copies_each_arrive_at_their_own_instant() {
+    // Half the copies are held back 40 us: the fan-out's run is broken
+    // wherever the draw falls, on the uplinks as well as the downlinks.
+    let plan = netsim::FaultPlan::default().with_reorder(0.5, Duration::from_micros(40));
+    let log = fan_out_past_a_busy_downlink(no_jitter(), plan, (3_100, 3_000));
+    assert_eq!(
+        log,
+        [
+            (576_880, 2, 3_100),
+            (599_120, 5, 3_100),
+            (616_880, 1, 3_100),
+            (616_880, 4, 3_100),
+            (852_960, 3, 3_000),
+            (932_960, 3, 3_100),
+        ]
+    );
+}
