@@ -1,20 +1,20 @@
 //! Running a whole multicast group over real sockets.
 
 use crate::faults::{FaultedEndpoint, NodeFaults};
+use crate::flow::{probe_depth, Flow};
 use crate::hub::Hub;
 use crate::node::{drive, Addresses, Report};
 use bytes::Bytes;
-use crossbeam::channel;
 use rmcast::{
     AppEvent, Endpoint, FlightDump, GroupSpec, JsonlSink, ProtocolConfig, Receiver, Sender,
     SessionError, Stats, TraceSink,
 };
-use rmwire::{Rank, Time};
+use rmwire::{Rank, Time, HEADER_LEN};
 use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration as StdDuration, Instant};
 
 /// Cluster-run parameters.
@@ -163,14 +163,27 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         .iter()
         .map(|s| s.local_addr())
         .collect::<io::Result<_>>()?;
-    let hub = Hub::spawn_with_loss(receiver_addrs.clone(), cfg.hub_drop_every)?;
+    // How many of this cluster's largest datagrams a socket holds before
+    // the kernel drops the next: measured, because `std` can neither read
+    // nor set `SO_RCVBUF`, and what the kernel charges a datagram is not
+    // its length.
+    let holds = probe_depth(cfg.protocol.packet_size + HEADER_LEN)?;
+    rmprof::gauge("udprun.sockbuf_depth").set(holds as i64);
+    let flow = Flow::new(n, holds);
+    let hub = Hub::spawn_on(
+        receiver_addrs.clone(),
+        cfg.hub_drop_every,
+        None,
+        Arc::clone(&flow),
+    )?;
     let addrs = Addresses {
         sender: sender_sock.local_addr()?,
         receivers: receiver_addrs,
         hub: hub.addr,
+        flow,
     };
 
-    let (tx, rx) = channel::unbounded::<Report>();
+    let (tx, rx) = mpsc::channel::<Report>();
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     // One wall-clock origin for every node thread: protocol times (and
@@ -201,7 +214,16 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
             .unwrap_or_default();
         let rank = Rank::from_receiver_index(i);
         let seed = cfg.seed.wrapping_add(i as u64);
-        let mut ep = FaultedEndpoint::new(Receiver::new(cfg.protocol, group, rank, seed), faults);
+        let mut receiver = Receiver::new(cfg.protocol, group, rank, seed);
+        // The first message's assembly is allocated here, by the calling
+        // thread, not by the receiver's: node threads that run in parallel
+        // exit in varying order, their malloc arenas are handed on permuted
+        // from call to call, and each arena would end up retaining a freed
+        // buffer of this size.
+        if let Some(first) = msgs.first() {
+            receiver.seed_spare(Bytes::from(Vec::with_capacity(first.len())));
+        }
+        let mut ep = FaultedEndpoint::new(receiver, faults);
         instrument(&mut ep);
         let sock = rsock.try_clone()?;
         let addrs = addrs.clone();
@@ -301,8 +323,8 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         }
         match rx.recv_timeout(remaining) {
             Ok(report) => tally.absorb(report),
-            Err(channel::RecvTimeoutError::Timeout) => continue,
-            Err(channel::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
 

@@ -6,7 +6,8 @@
 //! member except the originator — the same semantics a switch flooding a
 //! multicast frame gives the paper's testbed.
 
-use crate::node::{hand_off, no_datagram, Burst, RX_BATCH, STOP_CHECK_CAP};
+use crate::flow::{Flow, Gauge, Outlet};
+use crate::node::{no_datagram, Pace, RX_BATCH, STOP_CHECK_CAP};
 use rmtrace::{TraceEvent, TraceSink, Tracer};
 use rmwire::{Header, Rank, HEADER_LEN};
 use std::collections::VecDeque;
@@ -20,51 +21,87 @@ use std::time::Instant;
 /// Largest UDP datagram the suite sends.
 pub const MAX_DGRAM: usize = 65_507;
 
-/// Frames the hub holds between its socket and its members: three windows
-/// of 20, so a clean run (one sender's window plus the receivers'
-/// feedback) never fills it, while a flood costs at most 64 recycled
-/// buffers before it is tail-dropped like on any switch port.
+/// Frames the hub holds between its socket and its members. The
+/// cluster's own traffic never comes near it: a member's credit for the
+/// hub's socket comes back when its frame *leaves* this queue, so members
+/// keep at most a gauge depth (8 of a measured 12) in socket and queue
+/// together (`udprun.hub_queue_peak` 8 on `udp_bulk`). The bound is for
+/// floods from outside the cluster, which cost at most 64 recycled buffers
+/// before they are tail-dropped like on any switch port.
 const QUEUE_FRAMES: usize = 64;
 
-/// The hub's finite output queue: FIFO, tail drop when full, frame
-/// buffers recycled through a free list so a warmed-up queue allocates
-/// nothing per datagram.
+/// The hub's finite output queue: FIFO, tail drop when full. A frame is
+/// received straight into the buffer it is queued in, and buffers are
+/// recycled through a free list, so a warmed-up queue neither allocates
+/// nor copies per datagram. The queue also keeps the hub's side of its own
+/// gauge: a datagram counts as in flight towards the hub until its frame
+/// leaves here — forwarded, tail-dropped or discarded — not until it is
+/// read, or the queue would be a second socket buffer for members to fill.
 struct FrameQueue {
-    frames: VecDeque<Vec<u8>>,
+    /// Queued frames: the buffer and how much of it the datagram filled.
+    frames: VecDeque<(Vec<u8>, usize)>,
     free: Vec<Vec<u8>>,
     capacity: usize,
     drops: u64,
     peak: usize,
+    flow: Arc<Flow>,
 }
 
 impl FrameQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, flow: Arc<Flow>) -> Self {
         FrameQueue {
             frames: VecDeque::with_capacity(capacity),
             free: Vec::new(),
             capacity,
             drops: 0,
             peak: 0,
+            flow,
         }
     }
 
-    /// Queue a copy of `frame`; `false` (and one more drop) when full.
-    fn push(&mut self, frame: &[u8]) -> bool {
+    /// The gauge of the hub's own socket.
+    fn own(&self) -> &Gauge {
+        self.flow.gauge(self.flow.hub())
+    }
+
+    /// A [`MAX_DGRAM`]-byte buffer to receive the next datagram into; hand
+    /// it back with [`FrameQueue::push`], [`FrameQueue::discard`] or
+    /// [`FrameQueue::recycle`].
+    fn buffer(&mut self) -> Vec<u8> {
+        self.free.pop().unwrap_or_else(|| vec![0u8; MAX_DGRAM])
+    }
+
+    /// Queue the `len`-byte frame received into `buf`; when full, `false`,
+    /// one more drop, and the buffer goes back to the free list.
+    fn push(&mut self, buf: Vec<u8>, len: usize) -> bool {
         if self.frames.len() == self.capacity {
             self.drops += 1;
+            self.discard(buf);
             return false;
         }
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(frame);
-        self.frames.push_back(buf);
+        self.frames.push_back((buf, len));
         self.peak = self.peak.max(self.frames.len());
         true
     }
 
-    /// The oldest queued frame; hand it back with [`FrameQueue::recycle`].
-    fn pop(&mut self) -> Option<Vec<u8>> {
-        self.frames.pop_front()
+    /// A datagram was received into `buf` and is not going to be queued.
+    fn discard(&mut self, buf: Vec<u8>) {
+        self.own().took_one();
+        self.recycle(buf);
+    }
+
+    /// The oldest queued frame and its length; hand the buffer back with
+    /// [`FrameQueue::recycle`].
+    fn pop(&mut self) -> Option<(Vec<u8>, usize)> {
+        let frame = self.frames.pop_front()?;
+        self.own().took_one();
+        Some(frame)
+    }
+
+    /// A read that followed `mark = own().mark()` found the socket empty:
+    /// of what members had sent by then, only the queued frames are left.
+    fn socket_empty(&self, mark: u64) {
+        self.own().found_empty(mark, self.frames.len() as u64);
     }
 
     fn recycle(&mut self, buf: Vec<u8>) {
@@ -114,21 +151,40 @@ impl Hub {
     /// sink that hears a `Drop` record for every runt the hub discards
     /// and every frame its full queue tail-drops.
     ///
-    /// The relay is a finite-queue switch. Each pass drains its socket
-    /// into the frame queue (non-blocking, a bounded batch), then forwards
-    /// the oldest frame to every member but its originator, handing the
-    /// CPU over every fourth frame so the members it just woke can empty
-    /// their sockets. With nothing queued and nothing to read it blocks in
-    /// `recv_from`. Socket errors are counted in `udprun.io_errors` and
-    /// absorbed, as in [`crate::node::drive`].
+    /// A hub spawned through the public constructors relays between
+    /// sockets it knows only by address and never waits for room in one;
+    /// `run_cluster` spawns its hub on the cluster's gauges.
     pub fn spawn_observed(
         member_addrs: Vec<SocketAddr>,
         drop_every: Option<u32>,
         trace: Option<Box<dyn TraceSink>>,
     ) -> io::Result<Hub> {
+        let flow = Flow::unmetered(member_addrs.len());
+        Hub::spawn_on(member_addrs, drop_every, trace, flow)
+    }
+
+    /// The relay on the gauges in `flow`: index `i + 1` is the socket of
+    /// `member_addrs[i]`, the last one the hub's own.
+    ///
+    /// The relay is a finite-queue switch. Each pass drains its socket
+    /// into the frame queue (non-blocking, a bounded batch), then forwards
+    /// the oldest frame to every member but its originator, waiting —
+    /// bounded, [`Outlet::admit`] — for room in a member's socket whose
+    /// gauge is at the depth. The frame's sender gets its credit for the
+    /// hub's socket back when the frame leaves the queue, not when it is
+    /// read, so the queue is not a second buffer to fill. A pass that
+    /// moved nothing polls on for `LINGER`, then blocks in `recv_from`
+    /// ([`Pace`]). Socket errors are counted in `udprun.io_errors` and
+    /// absorbed, as in [`crate::node::drive`].
+    pub(crate) fn spawn_on(
+        member_addrs: Vec<SocketAddr>,
+        drop_every: Option<u32>,
+        trace: Option<Box<dyn TraceSink>>,
+        flow: Arc<Flow>,
+    ) -> io::Result<Hub> {
         assert!(drop_every != Some(0), "drop_every must be >= 1");
         let socket = UdpSocket::bind("127.0.0.1:0")?;
-        // The hub has no timers: an idle read waits the stop-check cap.
+        // The hub has no timers: a blocking read waits the stop-check cap.
         socket.set_read_timeout(Some(STOP_CHECK_CAP))?;
         socket.set_nonblocking(true)?;
         let addr = socket.local_addr()?;
@@ -150,25 +206,29 @@ impl Hub {
                 let ctr_io_err = rmprof::counter("udprun.io_errors");
                 let ctr_drops = rmprof::counter("udprun.hub_queue_drops");
                 let gauge_peak = rmprof::gauge("udprun.hub_queue_peak");
-                let mut buf = vec![0u8; MAX_DGRAM];
-                let mut queue = FrameQueue::new(QUEUE_FRAMES);
-                let mut burst = Burst::default();
+                let mut queue = FrameQueue::new(QUEUE_FRAMES, Arc::clone(&flow));
+                let mut outlet = Outlet::new(Arc::clone(&flow));
+                let mut pace = Pace::new(epoch.elapsed());
                 let mut counter = 0u32;
-                // Non-blocking while `busy`, blocking with a read timeout
-                // while idle; the mode changes only when `busy` does.
-                let mut busy = true;
                 while !stop2.load(Ordering::Relaxed) {
-                    // 1. Receive: everything the kernel holds while busy,
-                    // one datagram (or the stop-check cap) while idle.
+                    // 1. Receive: everything the kernel holds while
+                    // polling, one datagram (or the stop-check cap) while
+                    // blocking.
                     let mut moved = false;
-                    let reads = if busy { RX_BATCH } else { 1 };
+                    let reads = if pace.blocking() { 1 } else { RX_BATCH };
                     for _ in 0..reads {
+                        let mark = queue.own().mark();
+                        let mut buf = queue.buffer();
                         let n = match socket.recv_from(&mut buf) {
                             Ok((n, _)) => n,
-                            Err(e) if no_datagram(&e) => break,
-                            // ECONNREFUSED from a member whose port
-                            // closed: count it and keep relaying.
-                            Err(_) => {
+                            Err(e) => {
+                                queue.recycle(buf);
+                                if no_datagram(&e) {
+                                    queue.socket_empty(mark);
+                                    break;
+                                }
+                                // ECONNREFUSED from a member whose port
+                                // closed: count it and keep relaying.
                                 ctr_io_err.inc();
                                 continue;
                             }
@@ -177,20 +237,18 @@ impl Hub {
                         // A runt cannot carry a header, so it cannot be
                         // rank demultiplexed: discard it here (like a
                         // switch drops an undersized frame) and make the
-                        // discard visible. recv_from never returns more
-                        // than the buffer holds, but slice defensively.
-                        let frame = match buf.get(..n) {
-                            Some(frame) if n >= HEADER_LEN => frame,
-                            _ => {
-                                malformed2.fetch_add(1, Ordering::Relaxed);
-                                tracer.emit(
-                                    epoch.elapsed().as_nanos() as u64,
-                                    TraceEvent::Drop { cause: "HubRunt" },
-                                );
-                                continue;
-                            }
-                        };
-                        if !queue.push(frame) {
+                        // discard visible. A frame that is not queued
+                        // has left already: its credit goes straight back.
+                        if n < HEADER_LEN {
+                            queue.discard(buf);
+                            malformed2.fetch_add(1, Ordering::Relaxed);
+                            tracer.emit(
+                                epoch.elapsed().as_nanos() as u64,
+                                TraceEvent::Drop { cause: "HubRunt" },
+                            );
+                            continue;
+                        }
+                        if !queue.push(buf, n) {
                             queue_drops2.store(queue.drops, Ordering::Relaxed);
                             ctr_drops.inc();
                             tracer.emit(
@@ -202,14 +260,17 @@ impl Hub {
                         }
                     }
                     // 2. Forward one frame, then look at the socket again.
-                    if let Some(frame) = queue.pop() {
+                    if let Some((buf, len)) = queue.pop() {
+                        // recv_from never returns more than the buffer
+                        // holds, but slice defensively.
+                        let frame = buf.get(..len).unwrap_or(&buf);
                         // Identify the originator from the protocol header
                         // so it does not hear its own multicast (a NIC
                         // does not receive its own frames). A full-length
                         // datagram with an unparseable header is still
                         // flooded — a switch does not validate payloads —
                         // but it is *counted*, never silently swallowed.
-                        let src = match Header::decode(&mut frame.as_slice()) {
+                        let src = match Header::decode(&mut &*frame) {
                             Ok(h) => Some(h.src_rank),
                             Err(_) => {
                                 malformed2.fetch_add(1, Ordering::Relaxed);
@@ -226,21 +287,20 @@ impl Hub {
                                     continue; // injected loss
                                 }
                             }
+                            outlet.admit(i + 1, epoch);
                             // Best effort, like the wire.
-                            let _ = socket.send_to(&frame, dest);
+                            if socket.send_to(frame, dest).is_ok() {
+                                outlet.sent(i + 1);
+                            }
                         }
-                        queue.recycle(frame);
+                        queue.recycle(buf);
                         moved = true;
-                        if burst.sent() {
-                            hand_off(epoch);
-                        }
                     }
-                    if busy != moved {
-                        busy = moved;
+                    if pace.pass(moved, epoch.elapsed(), &socket).is_err() {
+                        ctr_io_err.inc();
+                    }
+                    if !moved {
                         gauge_peak.set(queue.peak as i64);
-                        if socket.set_nonblocking(busy).is_err() {
-                            ctr_io_err.inc();
-                        }
                     }
                 }
                 gauge_peak.set(queue.peak as i64);
@@ -273,17 +333,25 @@ mod tests {
 
     #[test]
     fn frame_queue_is_fifo_recycles_buffers_and_tail_drops() {
-        let mut q = FrameQueue::new(3);
+        let mut q = FrameQueue::new(3, Flow::unmetered(0));
+        // What the relay does with a datagram: take a buffer, receive
+        // into it, queue it with its length.
+        fn push(q: &mut FrameQueue, frame: &[u8]) -> bool {
+            let mut buf = q.buffer();
+            assert_eq!(buf.len(), MAX_DGRAM, "room for any datagram");
+            buf[..frame.len()].copy_from_slice(frame);
+            q.push(buf, frame.len())
+        }
         // FIFO, and a popped buffer is reused by the next push: after the
-        // first frame the queue never allocates again.
-        assert!(q.push(&[1u8; 100]));
+        // second frame the queue never allocates again.
+        assert!(push(&mut q, &[1u8; 100]));
         let mut first_buf = None;
         for i in 2..=50u8 {
-            assert!(q.push(&[i; 100]));
-            let frame = q.pop().expect("one frame is always queued");
-            assert_eq!(frame, [i - 1; 100], "frames leave in arrival order");
-            first_buf.get_or_insert(frame.as_ptr());
-            q.recycle(frame);
+            assert!(push(&mut q, &[i; 100]));
+            let (buf, len) = q.pop().expect("one frame is always queued");
+            assert_eq!(buf[..len], [i - 1; 100], "frames leave in arrival order");
+            first_buf.get_or_insert(buf.as_ptr());
+            q.recycle(buf);
         }
         assert_eq!(q.free.len() + q.frames.len(), 2, "two buffers in all");
         assert!(q.free.iter().any(|b| Some(b.as_ptr()) == first_buf));
@@ -291,11 +359,53 @@ mod tests {
 
         // Tail drop: a full queue refuses the newcomer, counts it, and
         // keeps what it already held, in order.
-        assert!(q.push(&[51; 8]) && q.push(&[52; 8]));
-        assert!(!q.push(&[53; 8]) && !q.push(&[54; 8]));
+        assert!(push(&mut q, &[51; 8]) && push(&mut q, &[52; 8]));
+        assert!(!push(&mut q, &[53; 8]) && !push(&mut q, &[54; 8]));
         assert_eq!((q.drops, q.peak), (2, 3));
-        let held: Vec<u8> = std::iter::from_fn(|| q.pop()).map(|f| f[0]).collect();
+        let held: Vec<u8> = std::iter::from_fn(|| q.pop()).map(|(f, _)| f[0]).collect();
         assert_eq!(held, [50, 51, 52]);
+    }
+
+    #[test]
+    fn credit_for_the_hubs_socket_returns_on_forward_not_on_read() {
+        // A member that sends whenever the hub's gauge shows room, and a
+        // relay that — like the real one — drains a batch into the queue
+        // and forwards one frame per pass. Were credit returned when a
+        // frame is read, every pass would hand the member a full depth
+        // again and the queue would fill to its 64; returned when a frame
+        // leaves, socket and queue together never hold more than the depth.
+        let flow = Flow::new(1, 12);
+        let depth = 8;
+        let mut q = FrameQueue::new(QUEUE_FRAMES, Arc::clone(&flow));
+        let mut in_socket = 0;
+        let mut forwarded = 0;
+        for _ in 0..1_000 {
+            while q.own().in_flight() < depth {
+                in_socket += 1;
+                q.own().sent_one();
+            }
+            assert!(in_socket + q.frames.len() <= depth as usize);
+            let mark = q.own().mark();
+            for _ in 0..in_socket.min(RX_BATCH) {
+                let buf = q.buffer();
+                assert!(q.push(buf, 100));
+                in_socket -= 1;
+            }
+            q.socket_empty(mark);
+            if let Some((buf, _)) = q.pop() {
+                q.recycle(buf);
+                forwarded += 1;
+            }
+        }
+        assert_eq!((q.drops, forwarded), (0, 1_000));
+        assert_eq!(q.peak, depth as usize, "the queue is not a second buffer");
+        // A datagram that is not queued (a runt, a tail drop) gives its
+        // credit back at once.
+        let before = q.own().in_flight();
+        q.own().sent_one();
+        let buf = q.buffer();
+        q.discard(buf);
+        assert_eq!(q.own().in_flight(), before);
     }
 
     #[test]

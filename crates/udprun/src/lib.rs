@@ -37,6 +37,7 @@
 
 pub mod cluster;
 pub mod faults;
+mod flow;
 pub mod hub;
 pub mod multicast;
 pub mod node;

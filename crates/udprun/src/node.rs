@@ -1,16 +1,19 @@
 //! One endpoint on one real UDP socket, driven by a thread.
 
+use crate::flow::{Flow, Outlet};
 use crate::hub::MAX_DGRAM;
-use crossbeam::channel::Sender as ChanSender;
 use rmcast::{AppEvent, Dest, Endpoint};
 use rmwire::{Rank, Time};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender as ChanSender;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-/// Address book mapping protocol destinations to socket addresses.
+/// Address book mapping protocol destinations to socket addresses, and to
+/// the in-flight gauge of each of those sockets. [`crate::cluster`] builds
+/// it, once the sockets are bound.
 #[derive(Debug, Clone)]
 pub struct Addresses {
     /// The sender's socket.
@@ -19,14 +22,17 @@ pub struct Addresses {
     pub receivers: Vec<SocketAddr>,
     /// The hub relaying group traffic.
     pub hub: SocketAddr,
+    /// One gauge per socket above, shared by every thread of the cluster.
+    pub(crate) flow: Arc<Flow>,
 }
 
 impl Addresses {
-    fn resolve(&self, d: Dest) -> SocketAddr {
+    /// The socket address of `d` and the index of its gauge.
+    fn resolve(&self, d: Dest) -> (SocketAddr, usize) {
         match d {
-            Dest::Sender => self.sender,
-            Dest::Rank(r) => self.receivers[r.receiver_index()],
-            Dest::Receivers => self.hub,
+            Dest::Sender => (self.sender, 0),
+            Dest::Rank(r) => (self.receivers[r.receiver_index()], r.0 as usize),
+            Dest::Receivers => (self.hub, self.flow.hub()),
         }
     }
 }
@@ -52,20 +58,25 @@ pub enum Report {
     },
 }
 
-/// Most datagrams either loop sends back to back before it hands the CPU
-/// over ([`hand_off`]). The default `SO_RCVBUF` (212 992 B) holds 12 of
-/// the suite's 8 012 B datagrams (the kernel charges about twice their
-/// size), and a loopback send only *queues* its consumer behind the
-/// producer on the same run queue: a full window of 20 written in one go
-/// overflows a buffer nobody has run to empty yet. A third of the buffer
-/// per hand-off leaves room for what is already queued.
-pub(crate) const BURST: u32 = 4;
-
 /// Most datagrams a loop pulls from its socket before it looks at timers,
 /// transmits and the stop flag again: more than the 12 full-size datagrams
 /// a default buffer holds, so one pass empties it, yet a flood cannot keep
 /// a loop receiving for ever.
 pub(crate) const RX_BATCH: usize = 32;
+
+/// How long a loop that has nothing to do keeps polling (`yield_now()`
+/// between passes) before it blocks in `recv_from`. A blocked reader costs
+/// whoever sends to it next a cross-CPU wake-up inside `send_to`, and
+/// itself four system calls around the wait; the gaps inside a transfer
+/// (a window waiting for its acknowledgment) are tens of microseconds.
+/// 0/100/200/400/1 000 µs read, per `udp_bulk` call (median `elapsed`,
+/// three rounds of 1 000): 3 181–3 396 / 1 837–2 405 / 1 741–1 806 /
+/// 1 819–1 838 / 1 808–1 846 µs, and wall time around the call (a loop
+/// that is still polling sees `stop` at once, one that blocked sleeps out
+/// its cap) 9.2–14.4 / 6.8–7.7 / 3.1–3.8 / 2.5–2.7 / 2.4–2.9 ms. 200 µs is
+/// the shortest that gets what staying hot has to give to a transfer;
+/// longer only buys cheaper joins with more spinning.
+pub(crate) const LINGER: StdDuration = StdDuration::from_micros(200);
 
 /// Longest an idle loop blocks in `recv_from` before it looks at the stop
 /// flag again. It bounds how long `run_cluster` waits for its threads to
@@ -89,38 +100,50 @@ pub(crate) fn idle_wait(
     (nanos > 0).then(|| StdDuration::from_nanos(nanos).min(cap))
 }
 
-/// Counts datagrams sent back to back: every [`BURST`]-th send reports
-/// that the CPU is due to be handed to whoever the kernel queued behind
-/// this thread.
-#[derive(Debug, Default)]
-pub(crate) struct Burst(u32);
-
-impl Burst {
-    /// Record one more send; `true` when a hand-off is due.
-    pub(crate) fn sent(&mut self) -> bool {
-        self.0 = (self.0 + 1) % BURST;
-        self.0 == 0
-    }
+/// Whether a loop polls its socket or blocks on it. A pass that moved
+/// nothing yields and polls again until [`LINGER`] has gone by since the
+/// last pass that moved something; only then is the socket switched to
+/// blocking reads, and the first datagram or timer switches it back.
+#[derive(Debug)]
+pub(crate) struct Pace {
+    last_moved: StdDuration,
+    blocking: bool,
 }
 
-/// A `yield_now()` that returns sooner than this ran nobody: a switch to
-/// the consumer and back takes tens of microseconds.
-const YIELD_RAN_NOBODY: StdDuration = StdDuration::from_micros(5);
+impl Pace {
+    /// A loop that starts hot, on a socket already set non-blocking.
+    pub(crate) fn new(now: StdDuration) -> Self {
+        Pace {
+            last_moved: now,
+            blocking: false,
+        }
+    }
 
-/// Hand the CPU to whoever the burst just sent has woken. The kernel
-/// normally queued that consumer behind this thread, on the same run
-/// queue, and a yield runs it. If the yield comes straight back the
-/// consumer is on another CPU, possibly still waking up (the scheduler
-/// spreads threads for some seconds after all CPUs were busy, for example
-/// right after a build): then sleep the shortest sleep there is — the
-/// kernel rounds it up to the thread's timer slack, about 50 µs — or the
-/// rest of the window is written before anybody reads. `epoch` is only a
-/// clock.
-pub(crate) fn hand_off(epoch: Instant) {
-    let before = epoch.elapsed();
-    std::thread::yield_now();
-    if epoch.elapsed() - before < YIELD_RAN_NOBODY {
-        std::thread::sleep(StdDuration::from_nanos(1));
+    /// `true` when the next read is a blocking one.
+    pub(crate) fn blocking(&self) -> bool {
+        self.blocking
+    }
+
+    /// Account for one pass, `now` being the time since the run's epoch;
+    /// the socket's mode changes only on the polling↔blocking edge.
+    pub(crate) fn pass(
+        &mut self,
+        moved: bool,
+        now: StdDuration,
+        socket: &UdpSocket,
+    ) -> io::Result<()> {
+        if moved {
+            self.last_moved = now;
+        }
+        let block = now.saturating_sub(self.last_moved) >= LINGER;
+        if block != self.blocking {
+            self.blocking = block;
+            socket.set_nonblocking(!block)?;
+        }
+        if !moved && !block {
+            std::thread::yield_now();
+        }
+        Ok(())
     }
 }
 
@@ -140,11 +163,12 @@ pub(crate) fn no_datagram(e: &io::Error) -> bool {
 /// are comparable.
 ///
 /// Each pass drains the socket first (non-blocking, at most `RX_BATCH`
-/// datagrams), then fires due timers, then transmits, handing the CPU
-/// over every `BURST` datagrams, then reports events. A pass that moved
-/// nothing switches the socket to blocking reads and waits in `recv_from`
-/// until the endpoint's next deadline or the stop-check cap; the first
-/// datagram or timer switches it back.
+/// datagrams, each one taken off the socket's gauge), then fires due
+/// timers, then transmits — waiting, bounded, for room in a destination
+/// whose gauge is at the depth ([`Outlet::admit`]) — then reports events.
+/// A pass that moved nothing polls again for [`LINGER`] and then waits in
+/// a blocking `recv_from` until the endpoint's next deadline or the
+/// stop-check cap ([`Pace`]).
 ///
 /// Socket errors (receive or send) never terminate the thread: a peer
 /// that died mid-run surfaces as transient `ECONNREFUSED`-style errors on
@@ -168,17 +192,18 @@ pub fn drive<E: Endpoint>(
     let ctr_rx = rmprof::counter("udprun.datagrams_rx");
     let ctr_tx = rmprof::counter("udprun.datagrams_tx");
     let ctr_io_err = rmprof::counter("udprun.io_errors");
-    let mut burst = Burst::default();
-    // The socket is non-blocking while `busy`, blocking with a read
-    // timeout while idle; the mode changes only when `busy` does.
-    let mut busy = true;
+    let own = addrs.flow.gauge(rank.0 as usize);
+    let mut outlet = Outlet::new(Arc::clone(&addrs.flow));
     socket.set_nonblocking(true)?;
+    let mut pace = Pace::new(epoch.elapsed());
 
     while !stop.load(Ordering::Relaxed) {
         let mut moved = false;
-        // 1. Receive: everything the kernel holds while busy; while idle,
-        // one datagram or the next deadline, whichever comes first.
-        let reads = if busy {
+        // 1. Receive: everything the kernel holds while polling; while
+        // blocking, one datagram or the next deadline, whichever comes
+        // first.
+        let polling = !pace.blocking();
+        let reads = if polling {
             RX_BATCH
         } else if let Some(wait) = idle_wait(ep.poll_timeout(), now(epoch), STOP_CHECK_CAP) {
             socket.set_read_timeout(Some(wait))?;
@@ -187,12 +212,15 @@ pub fn drive<E: Endpoint>(
             0
         };
         for _ in 0..reads {
-            // Only a non-blocking read is timed: an idle one would measure
-            // the wait for the datagram, not the syscall and its copy.
-            let rx_span = busy.then(|| rmprof::span!(rmprof::Stage::UdpRx));
+            let mark = own.mark();
+            // Only a non-blocking read is timed: a blocking one would
+            // measure the wait for the datagram, not the syscall and its
+            // copy.
+            let rx_span = polling.then(|| rmprof::span!(rmprof::Stage::UdpRx));
             match socket.recv_from(&mut buf) {
                 Ok((n, _)) => {
                     drop(rx_span);
+                    own.took_one();
                     ctr_rx.inc();
                     ep.handle_datagram(now(epoch), &buf[..n]);
                     moved = true;
@@ -203,6 +231,7 @@ pub fn drive<E: Endpoint>(
                         span.cancel();
                     }
                     if no_datagram(&e) {
+                        own.found_empty(mark, 0);
                         break;
                     }
                     // On Linux a UDP socket can surface ECONNREFUSED from
@@ -217,23 +246,24 @@ pub fn drive<E: Endpoint>(
             ep.handle_timeout(t);
             moved = true;
         }
-        // 3. Flush transmits, handing the CPU over every `BURST`
-        // datagrams. Send failures are tolerated: the datagram is dropped
-        // and the protocol's own retransmission machinery recovers, or its
+        // 3. Flush transmits, each into a socket with room for it. Send
+        // failures are tolerated: the datagram is dropped and the
+        // protocol's own retransmission machinery recovers, or its
         // liveness bound eventually fires.
         while let Some(tx) = ep.poll_transmit() {
-            let dest = addrs.resolve(tx.dest);
+            let (dest, gauge) = addrs.resolve(tx.dest);
+            outlet.admit(gauge, epoch);
             let tx_span = rmprof::span!(rmprof::Stage::UdpTx);
             let sent = socket.send_to(&tx.payload, dest);
             drop(tx_span);
             match sent {
-                Ok(_) => ctr_tx.inc(),
+                Ok(_) => {
+                    outlet.sent(gauge);
+                    ctr_tx.inc();
+                }
                 Err(_) => ctr_io_err.inc(),
             }
             moved = true;
-            if burst.sent() {
-                hand_off(epoch);
-            }
         }
         // 4. Report events.
         while let Some(ev) = ep.poll_event() {
@@ -243,10 +273,7 @@ pub fn drive<E: Endpoint>(
             }
             moved = true;
         }
-        if busy != moved {
-            busy = moved;
-            socket.set_nonblocking(busy)?;
-        }
+        pace.pass(moved, epoch.elapsed(), &socket)?;
     }
     // Push any span samples still batched in this thread's local tables
     // to the shared registry before the thread exits.
@@ -290,10 +317,28 @@ mod tests {
     }
 
     #[test]
-    fn burst_asks_for_a_hand_off_every_fourth_send() {
-        let mut burst = Burst::default();
-        let due: Vec<bool> = (0..10).map(|_| burst.sent()).collect();
-        let every_fourth: Vec<bool> = (1..=10).map(|i| i % BURST == 0).collect();
-        assert_eq!(due, every_fourth);
+    fn pace_polls_through_the_linger_then_blocks_until_something_moves() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let at = |us: u64| StdDuration::from_micros(us);
+        let mut pace = Pace::new(at(1_000));
+        // Idle passes inside the linger keep polling, whatever their number.
+        for us in [1_001, 1_050, 1_199] {
+            pace.pass(false, at(us), &socket).unwrap();
+            assert!(!pace.blocking(), "{us} µs");
+        }
+        // A pass that moved something starts the linger again.
+        pace.pass(true, at(1_199), &socket).unwrap();
+        pace.pass(false, at(1_398), &socket).unwrap();
+        assert!(!pace.blocking());
+        // LINGER after the last movement the loop blocks, and stays blocked
+        // through reads that time out …
+        pace.pass(false, at(1_399), &socket).unwrap();
+        assert!(pace.blocking());
+        pace.pass(false, at(5_399), &socket).unwrap();
+        assert!(pace.blocking());
+        // … until a datagram or a timer moves it.
+        pace.pass(true, at(5_400), &socket).unwrap();
+        assert!(!pace.blocking());
     }
 }

@@ -378,19 +378,14 @@ fn clean_bulk_transfer_sits_through_no_rto_over_real_udp() {
     // The benchmark's `udp_bulk` shape. A window of 20 8 000 B packets is
     // more than a default socket buffer holds (12), so a driver that
     // writes the window in one go overruns the hub's and the receivers'
-    // buffers and every message sits through several 120 ms RTOs. The
-    // drain-first loops with bounded bursts lose nothing on a clean path.
-    // The scheduler has a say in that (for a few seconds after both CPUs
-    // were saturated, say by the build, it spreads the threads and a yield
-    // hands the CPU to nobody), so every attempt must be correct and one
-    // of up to eight clean: attempts that are not take over a second each
-    // and outlast such a phase.
+    // buffers and every message sits through several 120 ms RTOs. With a
+    // gauge on every socket nothing is sent into a buffer that has no room
+    // for it: every attempt must be correct *and* clean.
     let cfg = ProtocolConfig::new(ProtocolKind::nak_polling(16), 8_000, 20);
     let rto = std::time::Duration::from_nanos(cfg.rto.as_nanos());
     assert_eq!(rto.as_millis(), 120, "the default RTO this test is about");
     let msgs = vec![payload(500_000), payload(500_000)];
-    let mut runs = Vec::new();
-    for attempt in 0..8 {
+    for attempt in 0..20 {
         let out = run_cluster(ClusterConfig::new(cfg, 2), msgs.clone()).expect("cluster");
         assert!(out.failures.is_empty(), "#{attempt}: {:?}", out.failures);
         assert_eq!(out.deliveries.len(), 4, "#{attempt}: exactly once");
@@ -404,10 +399,51 @@ fn clean_bulk_transfer_sits_through_no_rto_over_real_udp() {
                 assert_eq!(&got.2, msg, "#{attempt}: corrupt bytes at {rank:?}");
             }
         }
-        runs.push((out.sender_stats.timeouts, out.elapsed));
-        if out.sender_stats.timeouts == 0 && out.elapsed < rto {
-            return;
-        }
+        assert_eq!(
+            (out.sender_stats.timeouts, out.elapsed < rto),
+            (0, true),
+            "#{attempt} sat through an RTO: {:?}, {} retransmissions",
+            out.elapsed,
+            out.sender_stats.retx_sent
+        );
     }
-    panic!("every attempt sat through an RTO (timeouts, elapsed): {runs:?}");
+}
+
+#[test]
+fn slow_receiver_blocks_the_head_of_the_line_for_a_bounded_time_only() {
+    // Receiver index 0 sleeps 25 ms per datagram, longer than any producer
+    // waits for room: its socket's gauge sits at the depth and stays
+    // there. The hub waits for it once (10 ms), gives up,
+    // and from then on forwards at the healthy receiver's pace, letting
+    // the kernel overrun the slow one — which the protocol then repairs at
+    // its leisure. The healthy receiver's copy is intact and the run ends.
+    let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
+    cfg.rto = rmcast::Duration::from_millis(40);
+    let msg = payload(120_000);
+    let mut cc = ClusterConfig::new(cfg, 2);
+    cc.receiver_faults = vec![(
+        0,
+        udprun::faults::NodeFaults {
+            per_datagram_delay: Some(std::time::Duration::from_millis(25)),
+            ..Default::default()
+        },
+    )];
+    cc.timeout = std::time::Duration::from_secs(30);
+    let giveups = || {
+        rmprof::snapshot()
+            .counter("udprun.flow_giveups")
+            .unwrap_or(0)
+    };
+    let before = giveups();
+    let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
+    assert!(out.failures.is_empty(), "{:?}", out.failures);
+    for rank in [Rank(1), Rank(2)] {
+        let got: Vec<_> = out.deliveries.iter().filter(|(r, ..)| *r == rank).collect();
+        assert_eq!(got.len(), 1, "{rank:?} delivers exactly once");
+        assert_eq!(got[0].2, msg, "corrupt bytes at {rank:?}");
+    }
+    assert!(
+        giveups() > before,
+        "30 datagrams at 25 ms each never outlasted one 10 ms wait"
+    );
 }
