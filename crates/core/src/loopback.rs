@@ -6,6 +6,37 @@
 //! run under `netsim`. Datagrams are delivered instantly; when nothing is
 //! in flight, virtual time jumps to the earliest pending timeout, so
 //! timer-driven recovery is exercised exactly.
+//!
+//! # Two cores for checksummed groups
+//!
+//! On the testbed every receiver is its own workstation and verifies its
+//! copy while the others verify theirs. A group with
+//! `ProtocolConfig::integrity` does the same on two threads in rounds
+//! whose transmits address at least [`FANOUT_MIN`] bytes to the upper half
+//! of the receivers. Such a round is *split*: its arrivals are gathered
+//! into two lists (the sender's and the lower half's; the upper half's),
+//! then the upper half's `Receiver`s and their list are moved to one
+//! helper thread while this thread lands the other list. Nothing is shared
+//! while both run, so nothing is locked per datagram. Every other round,
+//! and every round of a group without integrity, lands each datagram the
+//! moment its faults are drawn. A split round ends in the state the
+//! unsplit one would, for three reasons:
+//!
+//! * **Faults are drawn on the calling thread**, in the same order: the
+//!   walk over a round's transmits that draws loss, reorder, duplication
+//!   and corruption is the same walk; it only defers landing what it drew.
+//! * **Each receiver sees the same arrival sequence.** A list holds its
+//!   half's arrivals in the order the walk made them, datagram by datagram
+//!   (so one datagram stays in cache across its receivers), and a receiver
+//!   is in exactly one list. Datagrams the reorder fault held back land at
+//!   the start of the next round, before its `poll_transmit`, either way.
+//! * **Receivers never interact within a round.** What one of them does
+//!   with a datagram is queued in its own `out` and `events`, read only
+//!   after the round by `poll_transmit` and `collect_events`, which walk
+//!   the receivers in index order once all are back.
+//!
+//! `tests/fanout_lock.rs` holds whole-run digests recorded from the
+//! single-threaded loop for all five families, clean and faulted.
 
 use crate::config::ProtocolConfig;
 use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
@@ -16,6 +47,35 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmwire::{Duration, GroupSpec, Rank, Time};
+use std::sync::mpsc::{self, SyncSender, TryRecvError};
+use std::thread::JoinHandle;
+
+/// Bytes a round must address to the upper half of the receivers before
+/// it is split across two threads.
+///
+/// Chosen where splitting starts to pay. Median µs per message, NAK
+/// polling every 16 packets, window 20, 8 000 B packets, eight receivers,
+/// integrity on, 900 messages per cell, two CPUs (the upper half's bytes
+/// in the message's data round in brackets; unsplit / threshold 16, 32,
+/// 64, 128 KiB): 512 B (2 KiB) 10 / 10 10 10 10; 8 000 B (31 KiB)
+/// 26–27 / 30–32 26–28 27 27; 12 000 B (47 KiB) 37 / 39–40 40 36 36;
+/// 16 000 B (63 KiB) 44–46 / 44–46 43–47 44–46 44–45; 24 000 B (94 KiB)
+/// 63–65 / 57–59 58–59 56–59 63–65; 32 000 B (125 KiB) 81–84 / 68–73
+/// 68–72 68–72 81; 500 000 B 1 202–1 291 / 759–848 at every threshold.
+const FANOUT_MIN: usize = 64 * 1024;
+
+/// How long the helper waits for its next round, and the calling thread
+/// for the helper's half, by polling before it blocks.
+///
+/// Median µs per message on the shape [`FANOUT_MIN`] was swept on, two
+/// runs of 900 (150 at 500 000 B) per cell, poll 0 (block at once) / 20 /
+/// 50 / 200 / 1 000 µs: 24 000 B 71–84 / 62–68 / 56–60 / 57–62 / 57–65;
+/// 64 000 B 132–147 / 130–168 / 121–133 / 124–151 / 122–132; 500 000 B
+/// 840–869 / 831–901 / 824–843 / 791–795 / 798–801. Below 50 µs the
+/// helper has gone to sleep by the next round of a small message, and
+/// waking it costs more than its half saves; polling yields the CPU, so a
+/// longer bound costs only a CPU nothing else wanted.
+const POLL: std::time::Duration = std::time::Duration::from_micros(200);
 
 /// The loopback network.
 pub struct Loopback {
@@ -49,6 +109,14 @@ pub struct Loopback {
     /// receivers' message buffers on the heap, where it stops the allocator
     /// from returning freed ones (+0.5 MiB peak RSS on 500 KB messages).
     flights: Vec<(usize, Transmit)>,
+    /// A split round's arrivals by target (a receiver index, or
+    /// [`SENDER`]): the sender's and the lower half's, then the upper
+    /// half's, each in arrival order. Emptied every split round, kept for
+    /// their capacity.
+    arrivals: [Vec<(usize, Bytes)>; 2],
+    /// Takes the upper half of the receivers in split rounds; started at
+    /// the first.
+    helper: Option<Helper>,
     rng: SmallRng,
     /// Message ids the sender reported complete.
     pub sent: Vec<u64>,
@@ -69,6 +137,13 @@ impl Loopback {
             .map(|r| Receiver::new(cfg, group, r, seed.wrapping_add(r.0 as u64)))
             .collect();
         let dead = vec![false; n_receivers as usize];
+        // A window of data to each receiver of a half plus one reply from
+        // every receiver, sized up front for the reason `flights` is.
+        let half = if cfg.integrity {
+            (cfg.window + n_receivers as usize) * n_receivers.div_ceil(2) as usize
+        } else {
+            0
+        };
         Loopback {
             cfg,
             group,
@@ -83,6 +158,8 @@ impl Loopback {
             corrupt: 0.0,
             held: Vec::new(),
             flights: Vec::with_capacity(cfg.window + n_receivers as usize),
+            arrivals: [Vec::with_capacity(half), Vec::with_capacity(half)],
+            helper: None,
             rng: SmallRng::seed_from_u64(seed),
             sent: Vec::new(),
             deliveries: Vec::new(),
@@ -126,6 +203,15 @@ impl Loopback {
 
     /// Queue a message on the sender.
     pub fn send_message(&mut self, data: Bytes) -> u64 {
+        if self.cfg.integrity {
+            // A receiver's first assembly is allocated here, not on the
+            // helper thread, where it would stay behind in a second malloc
+            // arena once freed.
+            for r in &mut self.receivers {
+                let spare = r.take_spare();
+                r.seed_spare(spare.unwrap_or_else(|| Bytes::from(Vec::with_capacity(data.len()))));
+            }
+        }
         self.sender.send_message(self.now, data)
     }
 
@@ -263,35 +349,56 @@ impl Loopback {
             self.collect_events();
             return released;
         }
+        let split = self.cfg.integrity && self.upper_bytes(&flights) >= FANOUT_MIN;
         for (origin, t) in flights.drain(..) {
             // No self-delivery: a receiver never hears its own transmit.
             match t.dest {
-                Dest::Sender => self.deliver(SENDER, &t.payload),
+                Dest::Sender => self.deliver(SENDER, &t.payload, split),
                 Dest::Rank(rank) => {
                     let idx = rank.receiver_index();
                     if origin != idx {
-                        self.deliver(idx, &t.payload);
+                        self.deliver(idx, &t.payload, split);
                     }
                 }
                 Dest::Receivers => {
                     for i in 0..self.receivers.len() {
                         if origin != i {
-                            self.deliver(i, &t.payload);
+                            self.deliver(i, &t.payload, split);
                         }
                     }
                 }
             }
         }
         self.flights = flights;
+        if split {
+            self.land_split();
+        }
         self.collect_events();
         true
+    }
+
+    /// Bytes a round's transmits address to the upper half of the
+    /// receivers, before faults.
+    fn upper_bytes(&self, flights: &[(usize, Transmit)]) -> usize {
+        let half = self.receivers.len() / 2;
+        let per_multicast = self.receivers.len() - half;
+        let copies = |dest| match dest {
+            Dest::Sender => 0,
+            Dest::Rank(rank) => usize::from(rank.receiver_index() >= half),
+            Dest::Receivers => per_multicast,
+        };
+        flights
+            .iter()
+            .map(|(_, t)| copies(t.dest) * t.payload.len())
+            .sum()
     }
 
     /// Put one copy of `payload` through the fault pipeline on its way to
     /// `target`: loss, then reorder, then duplication, then per-copy
     /// corruption. Each fault draws randomness only when it is on, and a
-    /// crashed receiver hears nothing and draws none.
-    fn deliver(&mut self, target: usize, payload: &Bytes) {
+    /// crashed receiver hears nothing and draws none. What reaches `target`
+    /// arrives now, or in a `split` round joins its half's list.
+    fn deliver(&mut self, target: usize, payload: &Bytes, split: bool) {
         if target != SENDER && self.dead[target] {
             return;
         }
@@ -309,8 +416,41 @@ impl Loopback {
         };
         for _ in 0..copies {
             let p = self.maybe_corrupt(payload);
-            self.arrive(target, &p);
+            if !split {
+                self.arrive(target, &p);
+            } else if target != SENDER && target >= self.receivers.len() / 2 {
+                self.arrivals[1].push((target, p));
+            } else {
+                self.arrivals[0].push((target, p));
+            }
         }
+    }
+
+    /// Land a split round's arrivals: the upper half of the receivers on
+    /// the helper thread, the sender and the lower half on this one.
+    ///
+    /// Both threads only read the datagrams, and the lists are emptied
+    /// here once both are done, so no reference count is written while the
+    /// other thread reads the same cache line.
+    fn land_split(&mut self) {
+        let [mut lower, upper] = std::mem::take(&mut self.arrivals);
+        let base = self.receivers.len() / 2;
+        let batch = Batch {
+            now: self.now,
+            base,
+            receivers: self.receivers.split_off(base),
+            arrivals: upper,
+        };
+        let helper = self.helper.get_or_insert_with(Helper::spawn);
+        helper.start(batch);
+        for (target, datagram) in &lower {
+            self.arrive(*target, datagram);
+        }
+        let mut batch = self.helper.as_mut().expect("started above").finish();
+        self.receivers.append(&mut batch.receivers);
+        lower.clear();
+        batch.arrivals.clear();
+        self.arrivals = [lower, batch.arrivals];
     }
 
     /// Hand a datagram to `target`, unless it crashed in the meantime (a
@@ -359,6 +499,101 @@ impl Loopback {
     /// The rank of receiver index `i` (convenience for assertions).
     pub fn rank_of(&self, i: usize) -> Rank {
         Rank::from_receiver_index(i)
+    }
+}
+
+/// One round of the upper half of the receivers: the receivers themselves,
+/// moved to the helper and back, and their arrivals.
+struct Batch {
+    now: Time,
+    /// Receiver index of `receivers[0]`.
+    base: usize,
+    receivers: Vec<Receiver>,
+    arrivals: Vec<(usize, Bytes)>,
+}
+
+/// The helper thread of a checksummed [`Loopback`]: one [`Batch`] at a
+/// time goes out through `jobs` and comes back through `done`.
+struct Helper {
+    /// `None` once dropped, which is what tells the thread to exit.
+    jobs: Option<SyncSender<Batch>>,
+    done: mpsc::Receiver<Batch>,
+    /// `None` once joined.
+    thread: Option<JoinHandle<()>>,
+    rounds: rmprof::Counter,
+}
+
+impl Helper {
+    fn spawn() -> Helper {
+        let (jobs, inbox) = mpsc::sync_channel::<Batch>(1);
+        let (outbox, done) = mpsc::sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("loopback-fanout".into())
+            .spawn(move || {
+                while let Some(mut batch) = poll(&inbox) {
+                    for (target, datagram) in &batch.arrivals {
+                        batch.receivers[target - batch.base].handle_datagram(batch.now, datagram);
+                    }
+                    // The calling thread may read the registry as soon as
+                    // it has the receivers back.
+                    rmprof::flush();
+                    if outbox.send(batch).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn the loopback helper thread");
+        Helper {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+            rounds: rmprof::counter("core.loopback.fanout_rounds"),
+        }
+    }
+
+    fn start(&mut self, batch: Batch) {
+        self.rounds.inc();
+        // Fails only if the thread is gone, which `finish` reports.
+        let _ = self.jobs.as_ref().expect("live until dropped").send(batch);
+    }
+
+    /// The batch back from the thread. A panic there (a receiver's debug
+    /// audit, say) resurfaces here with its own payload.
+    fn finish(&mut self) -> Batch {
+        if let Some(batch) = poll(&self.done) {
+            return batch;
+        }
+        let thread = self.thread.take().expect("joined only here and in drop");
+        match thread.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("the helper thread exits only when its jobs hang up"),
+        }
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            // A panic can only be waiting here if this thread unwound
+            // between `start` and `finish`, so it is unwinding already.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The next value from `rx`, polling for up to [`POLL`] before blocking;
+/// `None` once the other side hung up.
+fn poll<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
+    // rmlint: allow(wall-clock): time decides how long this thread polls, never what it computes
+    let since = std::time::Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if since.elapsed() < POLL => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+        }
     }
 }
 
@@ -484,5 +719,25 @@ mod tests {
         for (i, want) in receivers.into_iter().enumerate() {
             assert_eq!(nonzero(net.receiver_stats(i)), want, "receiver {i}");
         }
+    }
+
+    /// A panic on the helper thread (a receiver's debug audit, or here an
+    /// arrival for a receiver the batch does not hold) is the caller's
+    /// panic, with the helper's payload; dropping the helper afterwards
+    /// neither hangs nor panics again.
+    #[test]
+    fn a_panic_on_the_helper_resurfaces_in_the_caller() {
+        let mut helper = Helper::spawn();
+        helper.start(Batch {
+            now: Time::ZERO,
+            base: 4,
+            receivers: Vec::new(),
+            arrivals: vec![(5, Bytes::from_static(b"x"))],
+        });
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| helper.finish()));
+        let payload = caught.err().expect("the helper's panic");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("index out of bounds"), "{message}");
+        drop(helper);
     }
 }
