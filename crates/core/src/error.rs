@@ -6,11 +6,10 @@
 //! engine reports *why* it stopped through one of these errors instead of
 //! spinning — the bounded-time guarantee the chaos experiments assert.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a message session was abandoned instead of completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionError {
     /// The sender hit `max_retx` consecutive timeouts on one transfer
     /// without the window advancing, and straggler eviction was off (or

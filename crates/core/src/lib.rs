@@ -77,7 +77,7 @@ pub use config::{
 };
 pub use endpoint::{AppEvent, Dest, Endpoint, Role, Transmit};
 pub use error::SessionError;
-pub use membership::{FailureDetector, LivenessVerdict, RttEstimator};
+pub use membership::{FailureDetector, LivenessVerdict};
 pub use overload::{AimdWindow, DupNakFilter, LoadScaler, OverloadConfig, TokenBucket};
 pub use receiver::Receiver;
 pub use sender::Sender;

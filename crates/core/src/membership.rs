@@ -1,25 +1,26 @@
-//! Dynamic membership support: the heartbeat failure detector and the
-//! adaptive round-trip-time estimator.
+//! Dynamic membership support: the heartbeat failure detector.
 //!
 //! The paper's protocols fix the receiver set before each message; this
-//! module supplies the two pure state machines PR 2 layers on top so the
-//! set can change at message boundaries:
+//! module supplies the pure state machine the sender layers on top so the
+//! set can change at message boundaries.
 //!
-//! * [`FailureDetector`] — per-receiver liveness scoring driven by the
-//!   sender's heartbeat schedule. A member that misses
-//!   `suspect_misses` consecutive heartbeats is *suspected* (counted in
-//!   stats, no action); at `evict_misses` it is reported for eviction.
-//!   Any current-epoch traffic from the member resets its score. This
-//!   replaces raw consecutive-retry counters as the eviction trigger when
-//!   membership is enabled.
-//! * [`RttEstimator`] — Jacobson/Karels smoothed RTT (`SRTT + 4·RTTVAR`,
-//!   gains 1/8 and 1/4). The caller enforces Karn's rule by sampling only
-//!   packets that were never retransmitted.
+//! [`FailureDetector`] is per-receiver liveness scoring driven by the
+//! sender's heartbeat schedule. A member that misses three consecutive
+//! heartbeats is *suspected* (counted in stats, no action); at six it is
+//! reported for eviction. Any current-epoch traffic from the member resets
+//! its score. This replaces raw consecutive-retry counters as the eviction
+//! trigger when membership is enabled.
 //!
-//! Both are plain data: no clocks, no I/O, usable identically by the
+//! It is plain data: no clocks, no I/O, usable identically by the
 //! simulator-driven and the real-socket backends.
 
-use rmwire::Duration;
+/// Consecutive missed heartbeats before a member is *suspected* (counted,
+/// not yet acted on).
+const SUSPECT_MISSES: u32 = 3;
+
+/// Consecutive missed heartbeats before a member is evicted from the group
+/// (epoch bump + re-release of its window obligations).
+const EVICT_MISSES: u32 = 6;
 
 /// What the failure detector concluded about one member after a missed
 /// heartbeat.
@@ -27,29 +28,24 @@ use rmwire::Duration;
 pub enum LivenessVerdict {
     /// Still within the suspect threshold.
     Alive,
-    /// Crossed `suspect_misses` (first time only; later misses inside the
+    /// Crossed three misses (first time only; later misses inside the
     /// suspect band report `Alive` so stats count each suspicion once).
     NewlySuspected,
-    /// Crossed `evict_misses`: the caller should evict the member.
+    /// Crossed six misses: the caller should evict the member.
     Evict,
 }
 
 /// Per-member heartbeat-miss scoring.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    suspect_misses: u32,
-    evict_misses: u32,
     misses: Vec<u32>,
     suspected: Vec<bool>,
 }
 
 impl FailureDetector {
-    /// A detector over `n` members with the given thresholds
-    /// (`1 <= suspect <= evict`, enforced by `ProtocolConfig::validate`).
-    pub fn new(n: usize, suspect_misses: u32, evict_misses: u32) -> Self {
+    /// A detector over `n` members.
+    pub fn new(n: usize) -> Self {
         FailureDetector {
-            suspect_misses,
-            evict_misses,
             misses: vec![0; n],
             suspected: vec![false; n],
         }
@@ -66,9 +62,9 @@ impl FailureDetector {
     /// resulting verdict.
     pub fn record_miss(&mut self, idx: usize) -> LivenessVerdict {
         self.misses[idx] = self.misses[idx].saturating_add(1);
-        if self.misses[idx] >= self.evict_misses {
+        if self.misses[idx] >= EVICT_MISSES {
             LivenessVerdict::Evict
-        } else if self.misses[idx] >= self.suspect_misses && !self.suspected[idx] {
+        } else if self.misses[idx] >= SUSPECT_MISSES && !self.suspected[idx] {
             self.suspected[idx] = true;
             LivenessVerdict::NewlySuspected
         } else {
@@ -87,60 +83,22 @@ impl FailureDetector {
     }
 }
 
-/// Jacobson/Karels RTT estimation, nanosecond arithmetic throughout.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RttEstimator {
-    /// Smoothed RTT in nanoseconds; `None` until the first sample.
-    srtt: Option<u64>,
-    /// Mean deviation in nanoseconds.
-    rttvar: u64,
-}
-
-impl RttEstimator {
-    /// Fold in one round-trip sample. Callers must only pass samples from
-    /// packets that were never retransmitted (Karn's rule) — a
-    /// retransmitted packet's ACK is ambiguous about which transmission it
-    /// answers.
-    pub fn sample(&mut self, rtt: Duration) {
-        let r = rtt.as_nanos();
-        match self.srtt {
-            None => {
-                self.srtt = Some(r);
-                self.rttvar = r / 2;
-            }
-            Some(s) => {
-                let err = s.abs_diff(r);
-                self.rttvar = (3 * self.rttvar + err) / 4;
-                self.srtt = Some((7 * s + r) / 8);
-            }
-        }
-    }
-
-    /// The current estimate `SRTT + 4·RTTVAR`, or `None` before any
-    /// sample.
-    pub fn rto(&self) -> Option<Duration> {
-        self.srtt
-            .map(|s| Duration::from_nanos(s.saturating_add(4 * self.rttvar)))
-    }
-
-    /// Has at least one sample been folded in?
-    pub fn has_sample(&self) -> bool {
-        self.srtt.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn detector_suspects_then_evicts() {
-        let mut d = FailureDetector::new(2, 2, 4);
-        assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
+        let mut d = FailureDetector::new(2);
+        for _ in 1..SUSPECT_MISSES {
+            assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
+        }
         assert_eq!(d.record_miss(0), LivenessVerdict::NewlySuspected);
         assert!(d.is_suspected(0));
-        // Second miss inside the suspect band is not re-reported.
-        assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
+        // Later misses inside the suspect band are not re-reported.
+        for _ in SUSPECT_MISSES + 1..EVICT_MISSES {
+            assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
+        }
         assert_eq!(d.record_miss(0), LivenessVerdict::Evict);
         // The other member is untouched.
         assert!(!d.is_suspected(1));
@@ -148,47 +106,13 @@ mod tests {
 
     #[test]
     fn proof_of_life_resets_score() {
-        let mut d = FailureDetector::new(1, 2, 3);
-        d.record_miss(0);
-        d.record_miss(0);
+        let mut d = FailureDetector::new(1);
+        for _ in 0..SUSPECT_MISSES {
+            d.record_miss(0);
+        }
         assert!(d.is_suspected(0));
         d.note_alive(0);
         assert!(!d.is_suspected(0));
         assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
-    }
-
-    #[test]
-    fn rtt_first_sample_initialises() {
-        let mut e = RttEstimator::default();
-        assert!(!e.has_sample());
-        assert_eq!(e.rto(), None);
-        e.sample(Duration::from_millis(10));
-        // srtt = 10ms, rttvar = 5ms, rto = 10 + 4*5 = 30ms.
-        assert_eq!(e.rto(), Some(Duration::from_millis(30)));
-    }
-
-    #[test]
-    fn rtt_smooths_toward_stable_samples() {
-        let mut e = RttEstimator::default();
-        for _ in 0..100 {
-            e.sample(Duration::from_millis(10));
-        }
-        // With zero variance the estimate converges to SRTT itself.
-        let rto = e.rto().unwrap();
-        assert!(
-            rto >= Duration::from_millis(10) && rto < Duration::from_millis(12),
-            "converged RTO was {rto}"
-        );
-    }
-
-    #[test]
-    fn rtt_spike_inflates_variance() {
-        let mut e = RttEstimator::default();
-        for _ in 0..50 {
-            e.sample(Duration::from_millis(10));
-        }
-        let before = e.rto().unwrap();
-        e.sample(Duration::from_millis(100));
-        assert!(e.rto().unwrap() > before, "spike must raise the estimate");
     }
 }

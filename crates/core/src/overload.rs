@@ -27,21 +27,21 @@
 //! byte-identically.
 
 use rmwire::{Duration, Time};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Overload-robustness knobs, carried by
 /// [`crate::ProtocolConfig::overload`]. The default ([`OverloadConfig::OFF`])
 /// switches every mechanism off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
     /// Master switch for AIMD window adaptation: shrink the effective send
     /// window multiplicatively on congestion signals (retransmission
     /// timeouts, loss-indicating NAKs), recover it additively as
     /// acknowledgments arrive.
     pub aimd: bool,
-    /// Smallest window AIMD may shrink to. Ring protocols must keep this
-    /// above the receiver count or the rotating release rule deadlocks.
+    /// Smallest window AIMD may shrink to. A ring sender raises it to one
+    /// above the receiver count, below which the rotating release rule
+    /// deadlocks.
     pub aimd_floor: usize,
     /// Largest window AIMD may grow to (additive probing beyond the
     /// configured window is allowed up to here).
@@ -51,27 +51,20 @@ pub struct OverloadConfig {
     /// the paper's behavior). Control packets arriving with the bucket
     /// empty are shed after their acknowledgment horizon is noted, so
     /// correctness is unaffected — only retransmission bookkeeping is
-    /// rate-limited.
+    /// rate-limited. A positive rate also collapses duplicate NAKs for the
+    /// same `(transfer, seq)` arriving within one `retx_suppress` interval
+    /// and scales `retx_suppress` (sender) and `nak_suppress` (receiver)
+    /// with observed feedback/retransmission load instead of keeping the
+    /// paper's static timers.
     pub feedback_rate: u64,
     /// Burst capacity of the feedback bucket, in packets.
     pub feedback_burst: u32,
-    /// Collapse duplicate NAKs for the same `(transfer, seq)` arriving
-    /// within one `retx_suppress` interval before they reach the
-    /// retransmission machinery.
-    pub nak_collapse: bool,
-    /// Scale `retx_suppress` (sender) and `nak_suppress` (receiver) with
-    /// observed feedback/retransmission load instead of keeping the
-    /// paper's static timers.
-    pub load_scaling: bool,
     /// Consecutive timeouts without window progress before the laggards
     /// holding the window are moved to quarantine (served catch-up
     /// retransmissions off the fast path instead of blocking it). `None`
     /// disables quarantine. Must stay below `liveness.max_retx` when both
     /// are set, or liveness eviction fires first.
     pub quarantine_after: Option<u32>,
-    /// Spacing between catch-up retransmission rounds to one quarantined
-    /// receiver.
-    pub catchup_interval: Duration,
     /// Catch-up rounds a quarantined receiver gets per transfer before the
     /// sender falls back to the liveness path (straggler eviction or typed
     /// failure).
@@ -93,10 +86,7 @@ impl OverloadConfig {
         aimd_ceiling: usize::MAX,
         feedback_rate: 0,
         feedback_burst: 0,
-        nak_collapse: false,
-        load_scaling: false,
         quarantine_after: None,
-        catchup_interval: Duration::from_millis(10),
         quarantine_budget: 8,
     };
 
@@ -104,8 +94,7 @@ impl OverloadConfig {
     /// AIMD in `[max(1, window/4), 2·window]`, feedback paced to 20k
     /// control packets/s with a 64-packet burst, duplicate-NAK collapse,
     /// load-scaled suppression, quarantine after 3 stalled timeouts with an
-    /// 8-round catch-up budget. Ring configurations must raise
-    /// [`OverloadConfig::aimd_floor`] above the receiver count.
+    /// 8-round catch-up budget.
     pub fn adaptive(window: usize) -> OverloadConfig {
         OverloadConfig {
             aimd: true,
@@ -113,21 +102,14 @@ impl OverloadConfig {
             aimd_ceiling: window.saturating_mul(2),
             feedback_rate: 20_000,
             feedback_burst: 64,
-            nak_collapse: true,
-            load_scaling: true,
             quarantine_after: Some(3),
-            catchup_interval: Duration::from_millis(10),
             quarantine_budget: 8,
         }
     }
 
     /// True when any mechanism that changes engine behavior is enabled.
     pub fn any_enabled(&self) -> bool {
-        self.aimd
-            || self.feedback_rate > 0
-            || self.nak_collapse
-            || self.load_scaling
-            || self.quarantine_after.is_some()
+        self.aimd || self.feedback_rate > 0 || self.quarantine_after.is_some()
     }
 }
 

@@ -333,6 +333,8 @@ fn encode(
 ) -> Bytes {
     let _span = rmprof::span!(rmprof::Stage::WireEncode);
     let len = HEADER_LEN + body_len + epoch.map_or(0, |_| 4);
+    // Reusing this buffer would need it back from the transport.
+    // rmlint: allow(hot-alloc): one buffer per packet, handed off by value
     let mut buf = BytesMut::with_capacity(len + TRAILER_LEN);
     header.encode(&mut buf);
     body(&mut buf);

@@ -146,7 +146,7 @@ pub struct Receiver {
     /// Global NAK rate limiting (sender-side-suppression variant).
     last_nak: Option<Time>,
     pending_nak: Option<PendingNak>,
-    /// Load-aware NAK-suppression scaling (`overload.load_scaling`), fed
+    /// Load-aware NAK-suppression scaling (on with feedback pacing), fed
     /// by the retransmission traffic this receiver observes: heavy RETX
     /// flow means the sender is overloaded, so our own NAK timers stretch.
     load: Option<LoadScaler>,
@@ -212,7 +212,7 @@ impl Receiver {
             .unwrap_or_default();
         let n_children = links.as_ref().map_or(0, |l| l.children.len());
         let epoch = if cfg.membership.enabled { 1 } else { 0 };
-        let load = cfg.overload.load_scaling.then(|| LoadScaler::new(32));
+        let load = (cfg.overload.feedback_rate > 0).then(|| LoadScaler::new(32));
         Receiver {
             cfg,
             group,
@@ -545,6 +545,7 @@ impl Receiver {
                         },
                     );
                 } else {
+                    // rmlint: allow(hot-alloc): once per ALLOC, not per data packet
                     self.alloc_pending.insert(b.data_transfer, b);
                 }
             }
@@ -890,6 +891,7 @@ impl Receiver {
                                 // transfer: hostile or corrupt.
                                 None => Outcome::Undecodable,
                                 Some(want) => {
+                                    // rmlint: allow(hot-alloc): once per decoded repair
                                     let mut acc = vec![0u8; packet_size];
                                     acc[..payload.len()].copy_from_slice(payload);
                                     let mut readable = true;

@@ -8,12 +8,12 @@
 //! suppression, the allocation handshake — is shared, exactly as in the
 //! paper's implementation (§4).
 
-use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline};
+use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
 use crate::coverage::{PerSourceCoverage, RingTracker};
 use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
 use crate::error::SessionError;
 use crate::fec::{self, FecState};
-use crate::membership::{FailureDetector, LivenessVerdict, RttEstimator};
+use crate::membership::{FailureDetector, LivenessVerdict};
 use crate::overload::{AimdWindow, DupNakFilter, LoadScaler, TokenBucket};
 use crate::packet::{self, Packet};
 use crate::stats::Stats;
@@ -119,8 +119,8 @@ struct Transfer {
     /// Consecutive retransmission timeouts without window progress
     /// (liveness bound; reset whenever the window base advances).
     streak: u32,
-    /// Effective RTO, grown by `LivenessConfig::rto_backoff` on each
-    /// consecutive timeout and reset on progress.
+    /// Effective RTO, doubled on each consecutive timeout when the
+    /// liveness bound is on and reset on progress.
     cur_rto: Duration,
     /// `true` while the window is full with payload remaining — edge
     /// detector so `WindowStall` traces once per stall, not per attempt.
@@ -160,6 +160,21 @@ struct QuarState {
 
 /// Packets unicast per catch-up round to one quarantined receiver.
 const CATCHUP_BATCH: u32 = 4;
+
+/// Spacing between catch-up rounds to one quarantined receiver.
+const CATCHUP_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Feedback-storm hardening, present exactly when
+/// `overload.feedback_rate > 0`.
+#[derive(Clone)]
+struct FeedbackGuard {
+    /// Token-bucket pacing of ACK/NAK processing.
+    bucket: TokenBucket,
+    /// Duplicate-NAK collapse within one `retx_suppress`.
+    dup_naks: DupNakFilter,
+    /// Load-aware suppression scaling.
+    load: LoadScaler,
+}
 
 /// The next message, staged while the current one is still transferring
 /// (handshake pipelining).
@@ -212,16 +227,10 @@ pub struct Sender {
     /// roots (they report straight to the sender instead of re-entering
     /// their original ack chain).
     detached: Vec<bool>,
-    /// Jacobson/Karels RTT estimator, fed only when `cfg.adaptive_rto`.
-    rtt: RttEstimator,
     /// AIMD window adaptation (present when `overload.aimd`).
     aimd: Option<AimdWindow>,
-    /// Token-bucket pacing of ACK/NAK processing (`overload.feedback_rate`).
-    feedback_bucket: Option<TokenBucket>,
-    /// Duplicate-NAK collapse (`overload.nak_collapse`).
-    dup_naks: Option<DupNakFilter>,
-    /// Load-aware suppression scaling (`overload.load_scaling`).
-    load: Option<LoadScaler>,
+    /// Feedback pacing, duplicate-NAK collapse and load scaling.
+    feedback: Option<FeedbackGuard>,
     /// Slow-receiver quarantine state, by receiver index.
     quar: Vec<Option<QuarState>>,
     /// Coding buffer and parity accumulator (present only for the fec
@@ -251,13 +260,15 @@ impl Sender {
         };
         let n = group.n_receivers as usize;
         let (epoch, detector) = if cfg.membership.enabled {
-            let m = cfg.membership;
-            (
-                1,
-                Some(FailureDetector::new(n, m.suspect_misses, m.evict_misses)),
-            )
+            (1, Some(FailureDetector::new(n)))
         } else {
             (0, None)
+        };
+        // Below one more than the group, the ring's rotating release rule
+        // (packet X is freed by the ACK for X + N) would deadlock.
+        let aimd_floor = match cfg.kind {
+            ProtocolKind::Ring => cfg.overload.aimd_floor.max(n + 1),
+            _ => cfg.overload.aimd_floor,
         };
         Sender {
             cfg,
@@ -278,21 +289,15 @@ impl Sender {
             hb_deadline: None,
             pending_joins: Vec::new(),
             detached: vec![false; n],
-            rtt: RttEstimator::default(),
-            aimd: cfg.overload.aimd.then(|| {
-                AimdWindow::new(
-                    cfg.window,
-                    cfg.overload.aimd_floor,
-                    cfg.overload.aimd_ceiling,
-                )
-            }),
-            feedback_bucket: (cfg.overload.feedback_rate > 0)
-                .then(|| TokenBucket::new(cfg.overload.feedback_rate, cfg.overload.feedback_burst)),
-            dup_naks: cfg
+            aimd: cfg
                 .overload
-                .nak_collapse
-                .then(|| DupNakFilter::new(cfg.retx_suppress)),
-            load: cfg.overload.load_scaling.then(|| LoadScaler::new(32)),
+                .aimd
+                .then(|| AimdWindow::new(cfg.window, aimd_floor, cfg.overload.aimd_ceiling)),
+            feedback: (cfg.overload.feedback_rate > 0).then(|| FeedbackGuard {
+                bucket: TokenBucket::new(cfg.overload.feedback_rate, cfg.overload.feedback_burst),
+                dup_naks: DupNakFilter::new(cfg.retx_suppress),
+                load: LoadScaler::new(32),
+            }),
             quar: vec![None; n],
             fec: matches!(cfg.kind, ProtocolKind::Fec { .. }).then(FecState::new),
             backpressured: false,
@@ -395,7 +400,7 @@ impl Sender {
             win,
             release,
             streak: 0,
-            cur_rto: self.base_rto(),
+            cur_rto: self.cfg.rto,
             stalled: false,
         }
     }
@@ -418,21 +423,6 @@ impl Sender {
             self.hb_deadline = Some(now + self.cfg.membership.heartbeat_interval);
         }
         self.pump(now);
-    }
-
-    /// The base retransmission timeout: the adaptive Jacobson/Karels
-    /// estimate clamped to `[2·retx_suppress, liveness.rto_max]` once a
-    /// sample exists, otherwise the configured fixed `rto`.
-    fn base_rto(&self) -> Duration {
-        if self.cfg.adaptive_rto {
-            if let Some(est) = self.rtt.rto() {
-                let floor = self.cfg.retx_suppress.saturating_mul(2);
-                let ceil = self.cfg.liveness.rto_max;
-                let ns = est.as_nanos().clamp(floor.as_nanos(), ceil.as_nanos());
-                return Duration::from_nanos(ns);
-            }
-        }
-        self.cfg.rto
     }
 
     /// Handshake pipelining: launch the next queued message's allocation
@@ -774,8 +764,8 @@ impl Sender {
         let Some(which) = self.which_by_id(transfer_id) else {
             return;
         };
-        if let Some(l) = self.load.as_mut() {
-            l.note(now);
+        if let Some(f) = self.feedback.as_mut() {
+            f.load.note(now);
         }
         // A quarantined peer's ACK only advances its catch-up horizon; it
         // is no longer part of the release obligation.
@@ -800,22 +790,18 @@ impl Sender {
             },
         );
         if next_expected > 0 {
-            // Sample the round trip of the newest packet this ACK covers,
-            // honouring Karn's rule: a retransmitted packet's ACK is
-            // ambiguous about which transmission it answers. The sample
-            // always feeds the telemetry histogram; it adjusts the RTO
-            // only under `adaptive_rto`.
+            // Sample the round trip of the newest packet this ACK covers
+            // for the telemetry histogram, honouring Karn's rule: a
+            // retransmitted packet's ACK is ambiguous about which
+            // transmission it answers.
             if let Some(slot) = self.tref(which).and_then(|t| t.win.slot(next_expected - 1)) {
                 if slot.retx == 0 {
                     let sample = now.saturating_since(slot.last_tx);
                     self.telem.ack_rtt_ns.record(sample.as_nanos());
-                    if self.cfg.adaptive_rto {
-                        self.rtt.sample(sample);
-                    }
                 }
             }
         }
-        let base_rto = self.base_rto();
+        let base_rto = self.cfg.rto;
         let t = self.tmut(which).expect("transfer exists");
         if let Some(released) = t.release.update(rank, next_expected.min(t.win.k())) {
             let before = t.win.base();
@@ -884,8 +870,8 @@ impl Sender {
         let Some(which) = self.which_by_id(transfer_id) else {
             return;
         };
-        if let Some(l) = self.load.as_mut() {
-            l.note(now);
+        if let Some(f) = self.feedback.as_mut() {
+            f.load.note(now);
         }
         // A quarantined peer's NAK carries its catch-up horizon (it holds
         // everything below `expected`); the catch-up path serves it.
@@ -898,8 +884,8 @@ impl Sender {
         }
         // Aggregated-duplicate collapse: a storm of NAKs for the same
         // packet triggers one retransmission decision, not hundreds.
-        if let Some(f) = self.dup_naks.as_mut() {
-            if f.is_dup(transfer_id as u64, expected as u64, now) {
+        if let Some(f) = self.feedback.as_mut() {
+            if f.dup_naks.is_dup(transfer_id as u64, expected as u64, now) {
                 self.stats.naks_collapsed += 1;
                 return;
             }
@@ -1054,6 +1040,7 @@ impl Sender {
         }
         let bound = match (self.fec.as_ref().and_then(|f| f.transfer()), &self.transfer) {
             (Some(fid), Some(t)) if t.id == fid => match &t.payload {
+                // rmlint: allow(hot-alloc): a second handle, no bytes copied
                 Payload::Data(m) => Some((fid, m.clone())),
                 Payload::Alloc(_) => None,
             },
@@ -1121,6 +1108,7 @@ impl Sender {
             return;
         };
         let Some((tid, msg)) = self.transfer.as_ref().and_then(|t| match &t.payload {
+            // rmlint: allow(hot-alloc): a second handle, no bytes copied
             Payload::Data(m) => Some((t.id, m.clone())),
             Payload::Alloc(_) => None,
         }) else {
@@ -1548,7 +1536,7 @@ impl Sender {
     /// shrunk) proof obligations: release what the survivors cover,
     /// finish what is fully released, refill the window.
     fn settle(&mut self, now: Time) {
-        let base_rto = self.base_rto();
+        let base_rto = self.cfg.rto;
         // Staged first: `finish_transfer` on the current message promotes
         // the staged one and expects its completion already recorded.
         if let Some(t) = self.tmut(Which::Staged) {
@@ -1628,10 +1616,10 @@ impl Sender {
     /// Feedback-pacing admission: `true` means shed this control packet.
     /// Emits the `StormSuppressed` edge on entry into the shedding state.
     fn shed_feedback(&mut self, now: Time, transfer_id: u32) -> bool {
-        let Some(b) = self.feedback_bucket.as_mut() else {
+        let Some(f) = self.feedback.as_mut() else {
             return false;
         };
-        if b.take(now) {
+        if f.bucket.take(now) {
             self.storm_shedding = false;
             return false;
         }
@@ -1723,10 +1711,10 @@ impl Sender {
     }
 
     /// `retx_suppress` scaled by observed feedback load (identity when
-    /// load scaling is disabled).
+    /// feedback pacing is off).
     fn effective_retx_suppress(&mut self, now: Time) -> Duration {
-        match self.load.as_mut() {
-            Some(l) => l.scale(self.cfg.retx_suppress, now),
+        match self.feedback.as_mut() {
+            Some(f) => f.load.scale(self.cfg.retx_suppress, now),
             None => self.cfg.retx_suppress,
         }
     }
@@ -1798,7 +1786,6 @@ impl Sender {
         }
         let tid = t.id;
         let horizon = t.release.released().min(t.win.k());
-        let interval = self.cfg.overload.catchup_interval;
         let mut any = false;
         for rank in laggards {
             let idx = rank.receiver_index();
@@ -1808,7 +1795,7 @@ impl Sender {
             self.quar[idx] = Some(QuarState {
                 transfer: tid,
                 horizon,
-                next_catchup: now + interval,
+                next_catchup: now + CATCHUP_INTERVAL,
                 rounds: 0,
             });
             any = true;
@@ -1827,10 +1814,9 @@ impl Sender {
         if !any {
             return false;
         }
-        let base_rto = self.base_rto();
         if let Some(t) = self.transfer.as_mut() {
             t.streak = 0;
-            t.cur_rto = base_rto;
+            t.cur_rto = self.cfg.rto;
         }
         self.settle(now);
         true
@@ -1838,10 +1824,9 @@ impl Sender {
 
     /// Serve one due catch-up round per quarantined receiver: a small
     /// unicast batch of retransmissions from its horizon, spaced
-    /// `catchup_interval` apart, for at most `quarantine_budget` rounds
+    /// [`CATCHUP_INTERVAL`] apart, for at most `quarantine_budget` rounds
     /// before the liveness path takes over.
     fn quarantine_catchup(&mut self, now: Time) {
-        let interval = self.cfg.overload.catchup_interval;
         let budget = self.cfg.overload.quarantine_budget;
         for idx in 0..self.quar.len() {
             // Re-fetch per iteration: a budget-exhaustion resolution may
@@ -1870,7 +1855,7 @@ impl Sender {
             if to > from {
                 q.rounds += 1;
             }
-            q.next_catchup = now + interval;
+            q.next_catchup = now + CATCHUP_INTERVAL;
         }
     }
 
@@ -2329,12 +2314,13 @@ impl Endpoint for Sender {
                     }
                 }
             }
-            // Exponential backoff: each consecutive timeout stretches the
-            // effective RTO up to the ceiling (progress resets it).
-            if liveness.rto_backoff > 1.0 {
-                let ceil_ns = liveness.rto_max.as_nanos().max(self.cfg.rto.as_nanos());
+            // Exponential backoff for a bounded sender: each consecutive
+            // timeout doubles the effective RTO up to the ceiling
+            // (progress resets it).
+            if liveness.max_retx.is_some() {
+                let ceil_ns = RTO_MAX.as_nanos().max(self.cfg.rto.as_nanos());
                 if let Some(t) = self.tmut(which) {
-                    let next_ns = (rto.as_nanos() as f64 * liveness.rto_backoff) as u64;
+                    let next_ns = rto.as_nanos().saturating_mul(2);
                     t.cur_rto = Duration::from_nanos(next_ns.min(ceil_ns));
                 }
             }
@@ -2962,32 +2948,6 @@ mod tests {
                 rank: Rank(2),
                 epoch: epoch + 1
             })
-        );
-    }
-
-    #[test]
-    fn adaptive_rto_tracks_samples() {
-        let mut c = cfg(ProtocolKind::Ack);
-        c.handshake = false;
-        c.adaptive_rto = true;
-        let mut s = Sender::new(c, GroupSpec::new(1));
-        s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
-        let _ = drain(&mut s);
-        assert_eq!(
-            s.poll_timeout(),
-            Some(Time::ZERO + c.rto),
-            "no sample yet: the fixed RTO applies"
-        );
-        // The ack arrives 20 ms after transmission: srtt = 20 ms,
-        // rttvar = 10 ms, so the estimate is 20 + 4·10 = 60 ms.
-        ack(&mut s, Time::from_millis(20), Rank(1), 1, 1);
-        assert_eq!(s.poll_event(), Some(AppEvent::MessageSent { msg_id: 0 }));
-        s.send_message(Time::from_millis(30), Bytes::from(vec![2u8; 100]));
-        let _ = drain(&mut s);
-        assert_eq!(
-            s.poll_timeout(),
-            Some(Time::from_millis(30) + Duration::from_millis(60)),
-            "the adaptive estimate replaces the fixed RTO"
         );
     }
 

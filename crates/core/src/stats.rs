@@ -10,7 +10,6 @@
 //! never be silently dropped from aggregation or from flight-recorder
 //! snapshots (a guard test below asserts every field participates).
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 macro_rules! merge_field {
@@ -25,7 +24,7 @@ macro_rules! merge_field {
 macro_rules! define_stats {
     ($( $(#[$doc:meta])* $name:ident : $kind:ident, )*) => {
         /// Counters maintained by every [`crate::Sender`] / [`crate::Receiver`].
-        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct Stats {
             $( $(#[$doc])* pub $name: u64, )*
         }

@@ -213,7 +213,11 @@ fn the_helpers_crc_spans_are_flushed_by_run_and_drop() {
     drop(net);
     let after_drop = crcs() - before;
     rmprof::set_enabled(false);
-    assert_eq!((after_run, after_drop), (656, 656), "the serial loop's count");
+    assert_eq!(
+        (after_run, after_drop),
+        (656, 656),
+        "the serial loop's count"
+    );
 }
 
 /// `Drop` joins the helper: a group dropped between messages leaves no

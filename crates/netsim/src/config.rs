@@ -7,7 +7,6 @@
 
 use crate::ids::HostId;
 use rmwire::{Duration, Time};
-use serde::{Deserialize, Serialize};
 
 fn assert_prob(p: f64) {
     assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
@@ -15,7 +14,7 @@ fn assert_prob(p: f64) {
 
 /// Physical-layer parameters of a point-to-point full-duplex link (or of
 /// the shared bus when [`FabricKind::SharedBus`] is selected).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Raw signalling rate in bits per second.
     pub rate_bps: u64,
@@ -38,7 +37,7 @@ impl Default for LinkParams {
 }
 
 /// Parameters of a store-and-forward Ethernet switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchParams {
     /// Forwarding latency added after a frame is fully received, before it
     /// is eligible for transmission on the output port.
@@ -68,7 +67,7 @@ impl Default for SwitchParams {
 /// received charges it. All costs are multiplied by `(1 ± jitter)` with a
 /// deterministic seeded jitter to model the paper's observation that
 /// "communication in Ethernet can sometimes be quite random".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostParams {
     /// Fixed cost of a `sendto` system call (user/kernel crossing,
     /// socket lookup, header construction).
@@ -123,7 +122,7 @@ impl Default for HostParams {
 /// Fault injection knobs. All default to a perfectly clean network, the
 /// paper's observation for wired LANs ("the transmission error rate is very
 /// low ... errors almost never happen").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultParams {
     /// Probability that any individual frame is lost on the wire.
     pub frame_loss: f64,
@@ -177,7 +176,7 @@ impl FaultParams {
 /// geometric sojourn times chosen so the long-run loss rate is `avg_loss`
 /// and the mean burst length is `mean_burst_len` frames. One independent
 /// channel runs per host access link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Long-run fraction of frames lost, in `(0, 1)`.
     pub avg_loss: f64,
@@ -216,7 +215,7 @@ impl GilbertElliott {
 
 /// A scheduled window during which one host's access link drops every
 /// frame in both directions (cable pull / port flap).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDownWindow {
     /// The host whose uplink goes dark.
     pub host: HostId,
@@ -227,7 +226,7 @@ pub struct LinkDownWindow {
 }
 
 /// What happens to a host at a scheduled instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HostFaultKind {
     /// The host halts permanently: its CPU stops, pending work is
     /// discarded and every frame addressed to it vanishes.
@@ -248,7 +247,7 @@ pub enum HostFaultKind {
 }
 
 /// One scheduled host fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostFault {
     /// The afflicted host.
     pub host: HostId,
@@ -263,7 +262,7 @@ pub struct HostFault {
 /// socket. Aimed at a protocol's sender host — which receives only
 /// control traffic — this reproduces an ACK/NAK implosion: one loss event
 /// fanned out into a flood of duplicate feedback.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormWindow {
     /// The host whose inbound datagrams are amplified.
     pub target: HostId,
@@ -279,7 +278,7 @@ pub struct StormWindow {
 /// `[from, until)` is multiplied by `factor` (>= 1). Models a receiver
 /// starved by a co-resident workload — it stays correct but falls behind,
 /// the trigger condition for sender-side slow-receiver quarantine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuLoadWindow {
     /// The saturated host.
     pub host: HostId,
@@ -295,7 +294,7 @@ pub struct CpuLoadWindow {
 /// host's receive path at a scheduled instant. The payload bytes are
 /// attacker-chosen, so any rank/type/sequence combination can be forged —
 /// including valid-looking control packets the protocol never sent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForgeFrame {
     /// When the forged frame arrives.
     pub at: Time,
@@ -315,7 +314,7 @@ pub struct ForgeFrame {
 /// [`crate::Sim::set_fault_plan`]; the default (empty) plan injects
 /// nothing and consumes no randomness, so runs stay bit-identical to a
 /// plan-free simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// `(host, p)`: uniform frame loss on that host's access link (both
     /// directions), on top of the global `FaultParams::frame_loss`.
@@ -644,7 +643,7 @@ impl FaultPlan {
 }
 
 /// Which layer-2 fabric connects the hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FabricKind {
     /// Full-duplex store-and-forward switches (the paper's testbed).
     #[default]
@@ -655,7 +654,7 @@ pub enum FabricKind {
 }
 
 /// Top-level simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimConfig {
     /// Link parameters applied to every link.
     pub link: LinkParams,

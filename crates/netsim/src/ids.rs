@@ -1,23 +1,15 @@
 //! Typed identifiers for simulated entities.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a simulated host (workstation).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub usize);
 
 /// Index of a simulated Ethernet switch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SwitchId(pub usize);
 
 /// Index of a static IP-multicast group.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GroupId(pub usize);
 
 /// One attachment point of a link: either a host NIC or a numbered switch

@@ -1,9 +1,7 @@
 //! Run-wide instrumentation counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a frame or datagram was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCause {
     /// Injected wire fault lost a frame.
     WireFault,
@@ -53,7 +51,7 @@ impl DropCause {
 
 /// Aggregate counters maintained by the simulator; read them after a run
 /// through [`crate::Sim::trace`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceCounters {
     /// UDP datagrams handed to the network by processes.
     pub datagrams_sent: u64,
@@ -166,7 +164,7 @@ mod tests {
 }
 
 /// One entry of the optional packet-level event log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogEvent {
     /// A process handed a datagram to the network.
     DatagramSent {
@@ -196,7 +194,7 @@ pub enum LogEvent {
 /// (keeps the *first* `capacity` events) or
 /// [`crate::Sim::set_log_keep_last`] (ring mode: keeps the *last*
 /// `capacity` events, so the end of a long run survives).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     capacity: usize,
     /// Ring mode: evict the oldest entry instead of dropping new ones.

@@ -2,33 +2,29 @@
 //! rule fired (CI gates on it).
 //!
 //! ```text
-//! rmlint [--root <dir>] [--json | --github] [--update-baseline]
+//! rmlint [--root <dir>] [--json | --github]
 //! ```
 //!
 //! Exit codes are stable for CI:
-//! - `0` — clean (no findings after the `rmlint.baseline` ratchet),
+//! - `0` — clean (no findings),
 //! - `1` — findings,
-//! - `2` — configuration error (bad arguments, unreadable scope files,
-//!   unparseable baseline).
+//! - `2` — configuration error (bad arguments, unreadable scope files).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rmcheck::baseline;
 use rmcheck::lint::Finding;
 
 const USAGE: &str = "\
-rmlint [--root <dir>] [--json | --github] [--update-baseline]
+rmlint [--root <dir>] [--json | --github]
 Source-level lint for the reliable multicast workspace;
 rules and scopes are documented in docs/CORRECTNESS.md.
 
   --root <dir>        workspace root (default: walk up from cwd)
   --json              emit findings as a JSON array
   --github            emit findings as GitHub Actions annotations
-  --update-baseline   rewrite rmlint.baseline to the current hot-alloc
-                      counts (locks in decreases), then report
   -h, --help          show this help
 
 exit codes: 0 clean, 1 findings, 2 config error
@@ -107,7 +103,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut update_baseline = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
@@ -119,7 +114,6 @@ fn main() -> ExitCode {
             },
             "--json" => format = Format::Json,
             "--github" => format = Format::Github,
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -137,22 +131,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if update_baseline {
-        let raw = rmcheck::lint::run_workspace_raw(&root);
-        let counts = baseline::counts_of(&raw);
-        let path = root.join("rmlint.baseline");
-        if let Err(e) = std::fs::write(&path, baseline::render(&counts)) {
-            eprintln!("rmlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "rmlint: wrote {} ({} file(s), {} grandfathered finding(s))",
-            path.display(),
-            counts.len(),
-            counts.values().sum::<usize>()
-        );
-    }
 
     let findings = rmcheck::lint::run_workspace(&root);
     emit(&findings, format);

@@ -158,13 +158,9 @@ impl ExploreConfig {
         if self.aimd {
             // AIMD alone is a pure function of delivered *events*
             // (timeouts shrink, acked progress regrows), so the
-            // time-abstract digest stays sound. The ring floor must clear
-            // the group size or the rotating release rule deadlocks.
+            // time-abstract digest stays sound. The floor is the preset's
+            // 1; a ring sender raises it above the group size itself.
             cfg.overload.aimd = true;
-            cfg.overload.aimd_floor = match self.family {
-                ProtocolKind::Ring => self.receivers as usize + 1,
-                _ => 1,
-            };
             cfg.overload.aimd_ceiling = window;
         }
         cfg

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod explore;
 pub mod lex;
 pub mod lint;

@@ -9,7 +9,7 @@
 //! | `panic-path` | wire-decode and packet-handling files | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` — network input must be rejectable, never a crash |
 //! | `index-unguarded` | wire-decode and packet-handling files | `expr[...]` indexing/slicing, which panics out of range; use `get()` / `split_at` or justify with an allow comment |
 //! | `raw-instant` | timed engine crates (`udprun`, `simrun`) | ad-hoc `Instant::now` timing; hot-path measurements go through `rmprof::span!` so they land in the shared registry — genuine wall-clock needs (epochs, deadlines) carry an allow comment |
-//! | `hot-alloc` | hot-path crates (`core`, `rmwire`, `netsim`, `udprun`) | allocation/copy tokens (`Vec::new`, `vec!`, `.clone()`, `format!`, `.collect`, map inserts, ...) inside functions that open an `rmprof::span!` — enforced through the `rmlint.baseline` ratchet (see [`crate::baseline`]) |
+//! | `hot-alloc` | hot-path crates (`core`, `rmwire`, `netsim`, `udprun`) | allocation/copy tokens (`Vec::new`, `vec!`, `.clone()`, `format!`, `.collect`, map inserts, ...) inside functions that open an `rmprof::span!` |
 //! | `packet-exhaustive` | packet dispatch files + `rmfuzz` | every `PacketType` variant matched in the wire dispatch, every `Packet` variant handled by both engine dispatches, every `PacketType` exercised by the fuzzer corpus, and no `_ =>` wildcard arm in a packet match |
 //! | `counter-drift` | `Stats` counters + `TraceEvent` variants vs the whole tree | every counter must be updated in non-test source and asserted in at least one test; every trace event must be emitted outside `rmtrace` and asserted in at least one test |
 //! | `stats-doc` | `crates/core/src/stats.rs` vs `docs/OBSERVABILITY.md` | every `Stats` counter must appear in the observability docs |
@@ -30,7 +30,6 @@ use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::baseline;
 use crate::lex::{self, TokKind, Token};
 
 /// One lint finding.
@@ -381,9 +380,8 @@ pub const HOT_ALLOC_PATTERNS: &[&[&str]] = &[
 
 /// `hot-alloc`: inside any function whose body opens an `rmprof::span!`
 /// (the marker that this is one of the hot stages the paper measures),
-/// flag allocation and copy tokens. Raw findings — [`run_workspace`]
-/// passes them through the [`crate::baseline`] ratchet so pre-existing
-/// allocations are grandfathered but new ones fail.
+/// flag allocation and copy tokens. A justified site carries an allow
+/// comment; anything else fails the run.
 pub fn lint_hot_alloc(file: &str, src: &str, findings: &mut Vec<Finding>) {
     let rule = "hot-alloc";
     let raw_lines: Vec<&str> = src.lines().collect();
@@ -900,11 +898,10 @@ fn counter_drift_sources(root: &Path) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Run every rule against the workspace rooted at `root`, returning raw
-/// findings — `hot-alloc` findings are **not** ratcheted against
-/// `rmlint.baseline` (that's [`run_workspace`]'s job). `--update-baseline`
-/// uses this view to compute the true current counts.
-pub fn run_workspace_raw(root: &Path) -> Vec<Finding> {
+/// Run every rule against the workspace rooted at `root`, returning all
+/// findings sorted by file and line. Missing files are themselves findings
+/// (a moved scope must move the lint config with it).
+pub fn run_workspace(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     let read = |rel_path: &str, findings: &mut Vec<Finding>| -> Option<String> {
         match std::fs::read_to_string(root.join(rel_path)) {
@@ -1002,34 +999,6 @@ pub fn run_workspace_raw(root: &Path) -> Vec<Finding> {
         lint_config_validate(&cfg, &mut findings);
     }
 
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    findings
-}
-
-/// Run every rule against the workspace rooted at `root` and apply the
-/// `rmlint.baseline` ratchet, returning all surviving findings sorted by
-/// file and line. Missing files are themselves findings (a moved scope
-/// must move the lint config with it); an unparseable baseline is a
-/// `lint-config` finding, and a *missing* baseline means nothing is
-/// grandfathered.
-pub fn run_workspace(root: &Path) -> Vec<Finding> {
-    let mut findings = run_workspace_raw(root);
-    let grandfathered = match std::fs::read_to_string(root.join("rmlint.baseline")) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(counts) => counts,
-            Err(e) => {
-                findings.push(Finding {
-                    rule: "lint-config",
-                    file: "rmlint.baseline".to_string(),
-                    line: 0,
-                    message: format!("unparseable baseline: {e}"),
-                });
-                Default::default()
-            }
-        },
-        Err(_) => Default::default(),
-    };
-    let mut findings = baseline::apply(findings, &grandfathered);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }

@@ -50,6 +50,29 @@ fn findings_exit_one_with_text_report() {
 }
 
 #[test]
+fn unannotated_hot_path_clone_exits_one() {
+    // One unannotated `.clone()` inside a span-instrumented function
+    // fails the run.
+    let root = fake_ws::create("cli-hot-alloc");
+    fake_ws::write(
+        &root,
+        "crates/core/src/hot.rs",
+        "pub fn encode(buf: &mut Vec<u8>, src: &Vec<u8>) {\n\
+         \x20   let _span = rmprof::span!(rmprof::Stage::WireEncode);\n\
+         \x20   let staged = src.clone();\n\
+         \x20   buf.push(staged.len() as u8);\n\
+         }\n",
+    );
+    let out = rmlint(&root, &[]);
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    assert!(
+        stdout(&out).contains("crates/core/src/hot.rs:3: [hot-alloc]"),
+        "stdout: {}",
+        stdout(&out)
+    );
+}
+
+#[test]
 fn json_mode_emits_machine_readable_findings() {
     let root = fake_ws::create("cli-json");
     fake_ws::write(
@@ -126,5 +149,5 @@ fn help_exits_zero() {
         .output()
         .expect("spawn rmlint");
     assert_eq!(code(&out), 0);
-    assert!(stdout(&out).contains("--update-baseline"));
+    assert!(stdout(&out).contains("--json"));
 }

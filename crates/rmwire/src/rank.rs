@@ -5,13 +5,9 @@
 //! fact of each run: one sender with [`Rank`] 0 and `n` receivers with ranks
 //! `1..=n`.
 
-use serde::{Deserialize, Serialize};
-
 /// A participant index inside a group: `0` is the sender, `1..=n` are
 /// receivers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Rank(pub u16);
 
 impl Rank {
@@ -50,7 +46,7 @@ impl core::fmt::Display for Rank {
 
 /// The shape of a static multicast group: one sender plus `n_receivers`
 /// receivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupSpec {
     /// Number of receivers (excludes the sender).
     pub n_receivers: u16,

@@ -6,15 +6,13 @@
 //! paper's four-byte sequence-number field requires once a long transfer
 //! wraps.
 
-use serde::{Deserialize, Serialize};
-
 /// A wrapping 32-bit sequence number.
 ///
 /// Ordering is *relative*: `a.precedes(b)` holds when the signed distance
 /// from `a` to `b` is positive, which is a total order only within windows
 /// smaller than 2³¹. All window logic in the suite keeps windows far below
 /// that bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SeqNo(pub u32);
 
 impl SeqNo {

@@ -4,18 +4,12 @@
 //! the real-socket backend maps `std::time::Instant` onto the same type so
 //! the protocol engines are oblivious to which world they run in.
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on a monotonic nanosecond timeline, starting at [`Time::ZERO`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 /// A span between two [`Time`] instants.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Time {

@@ -218,9 +218,7 @@ impl<E: Launch> NodeProcess<E> {
                 ctx.charge(self.cost.copy_cost(t.copied));
             }
             ctx.charge(self.cost.per_datagram_send);
-            if self.cost.model_clock_reads {
-                ctx.charge_clock_read();
-            }
+            ctx.charge_clock_read();
             let dest = self.addr.resolve(t.dest);
             ctx.send(dest, t.payload);
         }
@@ -335,18 +333,14 @@ impl<E: Launch> Process for NodeProcess<E> {
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dg: DatagramIn) {
         ctx.charge(self.cost.per_datagram_handle);
-        if self.cost.model_clock_reads {
-            ctx.charge_clock_read();
-        }
+        ctx.charge_clock_read();
         let now = ctx.now();
         self.ep.handle_datagram(now, &dg.payload);
         self.pump(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cost.model_clock_reads {
-            ctx.charge_clock_read();
-        }
+        ctx.charge_clock_read();
         let now = ctx.now();
         self.ep.handle_timeout(now);
         self.pump(ctx);

@@ -4,14 +4,14 @@
 //! per-fragment work, kernel copies). This model adds what the paper's
 //! **user-space** protocol implementation costs on top: per-datagram
 //! protocol processing, the user-to-protocol-buffer copy that Figure 9
-//! isolates, and `gettimeofday` reads (§4 *Timer management*). See
-//! [`crate::calibration`] for how the constants were chosen.
+//! isolates, and `gettimeofday` reads (§4 *Timer management*: one per
+//! event handled and per packet sent, the paper's approximate-time
+//! scheme). See [`crate::calibration`] for how the constants were chosen.
 
 use rmwire::Duration;
-use serde::{Deserialize, Serialize};
 
 /// User-level protocol costs charged by the [`crate::adapter`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Protocol state-machine work per received datagram (header decode,
     /// window bookkeeping, ACK aggregation).
@@ -21,9 +21,6 @@ pub struct CostModel {
     /// The user-space copy of payload into the protocol buffer,
     /// per byte (charged on `Transmit::copied` bytes).
     pub copy_ns_per_byte: u64,
-    /// Charge one clock read per event handled and per packet sent
-    /// (the paper's approximate-time scheme).
-    pub model_clock_reads: bool,
 }
 
 impl Default for CostModel {
@@ -32,7 +29,6 @@ impl Default for CostModel {
             per_datagram_handle: Duration::from_micros(10),
             per_datagram_send: Duration::from_micros(2),
             copy_ns_per_byte: 55,
-            model_clock_reads: true,
         }
     }
 }

@@ -23,9 +23,9 @@ const N: u16 = 8;
 /// Message size: ~25 data packets, several windows of work.
 const MSG: usize = 200_000;
 
-/// The five families with the adaptive overload profile on. Ring keeps
-/// its AIMD floor above the group size so the token rotation always has
-/// a full circuit of outstanding packets to ride on.
+/// The five families with the adaptive overload profile on. The ring
+/// sender keeps its AIMD floor above the group size itself, so the token
+/// rotation always has a full circuit of outstanding packets to ride on.
 fn families() -> Vec<(&'static str, ProtocolConfig)> {
     let mut v = vec![
         ("ack", ack_cfg(8_000, 4)),
@@ -34,12 +34,9 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         ("tree", tree_cfg(8_000, 8, 3)),
         ("fec", fec_cfg(8_000, 16, 8)),
     ];
-    for (name, cfg) in &mut v {
+    for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::evicting(30);
         cfg.overload = OverloadConfig::adaptive(cfg.window);
-        if *name == "ring" {
-            cfg.overload.aimd_floor = N as usize + 1;
-        }
         // Sub-ms simulated RTTs: a short RTO keeps timeout streaks (the
         // quarantine trigger) within the run instead of past it.
         cfg.rto = rmwire::Duration::from_millis(20);

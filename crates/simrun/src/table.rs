@@ -1,9 +1,7 @@
 //! Result tables: the common currency of the experiment library.
 
-use serde::{Deserialize, Serialize};
-
 /// One reproduced figure/table: a grid of cells plus identity metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Stable identifier, e.g. `"fig10"`.
     pub id: String,

@@ -23,8 +23,8 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         ),
         (
             "ring",
-            // Double-size window: the AIMD floor must stay above the
-            // group size (the rotating release frees packet X on the
+            // Double-size window: the sender keeps the AIMD floor above
+            // the group size (the rotating release frees packet X on the
             // ACK for X+N), so a 2(N+1) window halves to N+1 under load
             // and has room to visibly grow back.
             ProtocolConfig::new(ProtocolKind::Ring, 8_000, 2 * (N as usize + 1)),
@@ -35,12 +35,9 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         ),
         ("fec", ProtocolConfig::new(ProtocolKind::fec(8), 8_000, 16)),
     ];
-    for (name, cfg) in &mut v {
+    for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::evicting(40);
         cfg.overload = OverloadConfig::adaptive(cfg.window);
-        if *name == "ring" {
-            cfg.overload.aimd_floor = N as usize + 1;
-        }
         // The saturated receiver needs a while to chew through 500 KB;
         // give the catch-up loop room before the eviction fallback.
         cfg.overload.quarantine_budget = 64;

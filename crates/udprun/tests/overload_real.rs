@@ -30,9 +30,10 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         ),
         (
             "ring",
-            // Double-size window: the AIMD floor must stay above the group
-            // size (the rotating release frees packet X on the ACK for
-            // X+N), so the window can halve once and still grow back.
+            // Double-size window: the sender keeps the AIMD floor above
+            // the group size (the rotating release frees packet X on the
+            // ACK for X+N), so the window can halve once and still grow
+            // back.
             ProtocolConfig::new(ProtocolKind::Ring, 4_000, 2 * (N as usize + 1)),
         ),
         (
@@ -41,16 +42,13 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         ),
         ("fec", ProtocolConfig::new(ProtocolKind::fec(6), 4_000, 12)),
     ];
-    for (name, cfg) in &mut v {
+    for (_, cfg) in &mut v {
         // Real wall clocks: a short RTO keeps the blackout-induced
         // timeout streak (AIMD shrink + quarantine trigger) inside the
         // 250ms blackout window even with exponential backoff.
         cfg.rto = rmcast::Duration::from_millis(20);
         cfg.liveness = LivenessConfig::evicting(40);
         cfg.overload = OverloadConfig::adaptive(cfg.window);
-        if *name == "ring" {
-            cfg.overload.aimd_floor = N as usize + 1;
-        }
         cfg.overload.quarantine_budget = 64;
         // A feedback cap the 3x-amplified storm overruns even at this
         // small scale, so shedding is observable in every family.
