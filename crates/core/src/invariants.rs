@@ -20,7 +20,7 @@
 //! | `S3` | sender | release-tracker consistency: the released prefix is the minimum over active sources (ACK/NAK/tree), or obeys the ring `X − N` rule with the all-acked fast path |
 //! | `S4` | sender | at least one acknowledgment source stays in the proof obligation |
 //! | `S5` | sender | tree topology: symmetric parent/child links, roots cover the group exactly once |
-//! | `S6` | sender | transfer bookkeeping: an active transfer always belongs to a current message, alloc transfers are single-packet with even ids, data transfers carry odd ids |
+//! | `S6` | sender | transfer bookkeeping: an allocation transfer, current or staged, spans exactly one packet (transfer ids are derived from message and phase, even for allocation, odd for data) |
 //! | `S7` | sender | overload bookkeeping: a quarantined receiver is never sticky-evicted at the same time |
 //! | `S8` | sender | fec coding state: present iff the fec family is configured, bound only to (odd-id) data transfers, buffered losses always have a flush deadline armed |
 //! | `R1` | receiver | per-transfer progress: `own_next ≤ k`, a delivered transfer is complete, the tracked prefix mirrors the assembly |
@@ -38,7 +38,7 @@
 /// specific, state-bearing description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Invariant identifier (`S1`…`S6`, `R1`…`R4`).
+    /// Invariant identifier (`S1`…`S8`, `R1`…`R4`).
     pub id: &'static str,
     /// What exactly was violated, with the offending values.
     pub detail: String,

@@ -68,7 +68,6 @@ pub mod packet;
 pub mod receiver;
 pub mod sender;
 pub mod stats;
-pub mod telemetry;
 pub mod tree;
 pub mod window;
 
@@ -82,7 +81,6 @@ pub use overload::{AimdWindow, DupNakFilter, LoadScaler, OverloadConfig, TokenBu
 pub use receiver::Receiver;
 pub use sender::Sender;
 pub use stats::Stats;
-pub use telemetry::{ReceiverTelemetry, SenderTelemetry};
 
-pub use rmtrace::{FlightDump, Histogram, JsonlSink, MemorySink, NullSink, TraceEvent, TraceSink};
+pub use rmtrace::{FlightDump, JsonlSink, MemorySink, NullSink, TraceEvent, TraceSink};
 pub use rmwire::{Duration, GroupSpec, Rank, SeqNo, Time};

@@ -21,7 +21,6 @@ use crate::error::SessionError;
 use crate::overload::LoadScaler;
 use crate::packet::{self, Packet};
 use crate::stats::Stats;
-use crate::telemetry::ReceiverTelemetry;
 use crate::tree::{TreeLinks, TreeTopology};
 
 use bytes::Bytes;
@@ -68,9 +67,6 @@ struct TransferState {
     child_cov: Vec<u32>,
     /// Last cumulative acknowledgment sent toward the sender/parent.
     sent_up: Option<u32>,
-    /// When the first packet of this transfer was heard (assembly-latency
-    /// telemetry).
-    first_heard: Option<Time>,
     /// Highest coded-block generation processed (fec replay gate: REPAIR
     /// and PARITY share a strictly-increasing per-transfer counter).
     repair_gen: Option<u32>,
@@ -85,7 +81,6 @@ impl TransferState {
             delivered: false,
             child_cov: vec![0; n_children],
             sent_up: None,
-            first_heard: None,
             repair_gen: None,
         }
     }
@@ -181,7 +176,6 @@ pub struct Receiver {
     join_deadline: Option<Time>,
     rng: SmallRng,
     tracer: Tracer,
-    telem: ReceiverTelemetry,
     /// Latest driver-provided time, for trace hooks on paths without a
     /// `now` parameter (send_ack from the acknowledgment policies).
     now_cache: Time,
@@ -240,7 +234,6 @@ impl Receiver {
             join_deadline: None,
             rng: SmallRng::seed_from_u64(seed ^ (rank.0 as u64) << 32),
             tracer: Tracer::off(rank.0),
-            telem: ReceiverTelemetry::default(),
             now_cache: Time::ZERO,
         }
     }
@@ -327,11 +320,6 @@ impl Receiver {
     /// This receiver's rank.
     pub fn rank(&self) -> Rank {
         self.rank
-    }
-
-    /// Latency distributions maintained by this receiver.
-    pub fn telemetry(&self) -> &ReceiverTelemetry {
-        &self.telem
     }
 
     fn n_children(&self) -> usize {
@@ -473,9 +461,6 @@ impl Receiver {
 
         let n_children = self.n_children();
         let st = Self::ensure_state(&mut self.transfers, n_children, transfer, is_alloc);
-        if st.first_heard.is_none() {
-            st.first_heard = Some(now);
-        }
         if st.assembly.is_none() && !st.delivered && !is_alloc {
             st.assembly = Some(match alloc_body {
                 Some(b) => Self::sized_assembly(&mut self.spare, &self.cfg, b),
@@ -569,13 +554,10 @@ impl Receiver {
                 // rmlint: allow(hot-alloc): a second handle, no bytes copied
                 self.spare = Some(data.clone());
             }
+            // Transfer ids hold a message id's low 31 bits
+            // (`Sender::data_transfer_id`): from message 2^31 on this wraps.
             let msg_id = (transfer / 2) as u64;
             self.stats.messages_completed += 1;
-            if let Some(first) = st.first_heard {
-                self.telem
-                    .assembly_ns
-                    .record(now.saturating_since(first).as_nanos());
-            }
             self.tracer
                 .emit(now.as_nanos(), TraceEvent::Delivered { transfer, msg_id });
             self.events
@@ -841,9 +823,6 @@ impl Receiver {
         let alloc_body = self.alloc_pending.get(&transfer).copied();
         let n_children = self.n_children();
         let st = Self::ensure_state(&mut self.transfers, n_children, transfer, false);
-        if st.first_heard.is_none() {
-            st.first_heard = Some(now);
-        }
         if st.assembly.is_none() && !st.delivered {
             let b = alloc_body.expect("gated on alloc_pending above");
             let asm = Self::sized_assembly(&mut self.spare, &self.cfg, b);
@@ -1343,9 +1322,8 @@ impl Receiver {
     }
 
     /// Hash the protocol-logical state into `h`: everything that shapes
-    /// future behavior except clocks, counters and telemetry (see
-    /// [`crate::Sender::hash_protocol_state`] for the soundness
-    /// argument).
+    /// future behavior except clocks and counters (see
+    /// [`crate::Sender::hash_protocol_state`] for the soundness argument).
     pub fn hash_protocol_state(&self, h: &mut dyn std::hash::Hasher) {
         h.write_u16(self.rank.0);
         for (&id, st) in &self.transfers {

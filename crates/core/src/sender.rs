@@ -17,7 +17,6 @@ use crate::membership::{FailureDetector, LivenessVerdict};
 use crate::overload::{AimdWindow, DupNakFilter, LoadScaler, TokenBucket};
 use crate::packet::{self, Packet};
 use crate::stats::Stats;
-use crate::telemetry::SenderTelemetry;
 use crate::tree::TreeTopology;
 use crate::window::SendWindow;
 use bytes::Bytes;
@@ -102,18 +101,14 @@ impl Release {
     }
 }
 
-/// What the active transfer carries.
-#[derive(Clone)]
-enum Payload {
-    Alloc(AllocBody),
-    Data(Bytes),
-}
-
-/// One in-flight transfer (the allocation round trip or the data).
+/// One in-flight transfer: a message's allocation round trip or its data.
 #[derive(Clone)]
 struct Transfer {
-    id: u32,
-    payload: Payload,
+    msg_id: u64,
+    /// The whole message, carried through the allocation round trip to
+    /// the data transfer.
+    data: Bytes,
+    phase: Phase,
     win: SendWindow,
     release: Release,
     /// Consecutive retransmission timeouts without window progress
@@ -127,7 +122,31 @@ struct Transfer {
     stalled: bool,
 }
 
-/// Which half of the message the active transfer is.
+impl Transfer {
+    /// The wire transfer id, which `msg_id` and `phase` determine.
+    fn id(&self) -> u32 {
+        match self.phase {
+            Phase::Alloc => Sender::alloc_transfer_id(self.msg_id),
+            Phase::Data => Sender::data_transfer_id(self.msg_id),
+        }
+    }
+
+    /// Free the window below `upto`. On progress the liveness bound and
+    /// the stall edge start over; returns whether the base moved.
+    fn release_to(&mut self, upto: u32, base_rto: Duration) -> bool {
+        let before = self.win.base();
+        self.win.release(upto);
+        let progressed = self.win.base() > before;
+        if progressed {
+            self.streak = 0;
+            self.cur_rto = base_rto;
+            self.stalled = false;
+        }
+        progressed
+    }
+}
+
+/// Which half of the message a transfer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Alloc,
@@ -176,16 +195,6 @@ struct FeedbackGuard {
     load: LoadScaler,
 }
 
-/// The next message, staged while the current one is still transferring
-/// (handshake pipelining).
-#[derive(Clone)]
-struct Staged {
-    msg_id: u64,
-    data: Bytes,
-    /// The allocation transfer; `None` once every receiver acknowledged it.
-    alloc: Option<Transfer>,
-}
-
 /// The sender endpoint (rank 0) of a reliable multicast group.
 ///
 /// Cloning forks the entire protocol state (the `rmcheck explore` model
@@ -200,12 +209,13 @@ pub struct Sender {
     out: VecDeque<Transmit>,
     events: VecDeque<AppEvent>,
     queue: VecDeque<(u64, Bytes)>,
-    /// `(msg_id, payload, phase)` of the message being transferred.
-    cur: Option<(u64, Bytes, Phase)>,
     next_msg_id: u64,
+    /// The message being transferred.
     transfer: Option<Transfer>,
-    /// Next message's pipelined allocation (when `pipeline_handshake`).
-    staged: Option<Staged>,
+    /// The next message's pipelined allocation round trip (when
+    /// `pipeline_handshake`). Once every receiver acknowledged it, its
+    /// window stays fully released until the current message ends.
+    staged: Option<Transfer>,
     /// Rate pacing: the instant the next fresh data packet may enter the
     /// window (rate-based flow control option).
     pace_gate: Time,
@@ -242,8 +252,6 @@ pub struct Sender {
     storm_shedding: bool,
     /// Trace sink + flight recorder handle (inert by default).
     tracer: Tracer,
-    /// Latency/occupancy distributions, always maintained.
-    telem: SenderTelemetry,
     /// Timestamp of the most recent driver call, for trace emission from
     /// paths that do not carry `now` (membership admissions, data emits).
     now_cache: Time,
@@ -278,7 +286,6 @@ impl Sender {
             out: VecDeque::new(),
             events: VecDeque::new(),
             queue: VecDeque::new(),
-            cur: None,
             next_msg_id: 0,
             transfer: None,
             staged: None,
@@ -303,14 +310,8 @@ impl Sender {
             backpressured: false,
             storm_shedding: false,
             tracer: Tracer::off(Rank::SENDER.0),
-            telem: SenderTelemetry::default(),
             now_cache: Time::ZERO,
         }
-    }
-
-    /// Latency/occupancy distributions maintained by this sender.
-    pub fn telemetry(&self) -> &SenderTelemetry {
-        &self.telem
     }
 
     /// The current membership epoch (`0` when membership is disabled).
@@ -339,44 +340,33 @@ impl Sender {
 
     /// Messages accepted but not yet fully acknowledged.
     pub fn in_flight(&self) -> usize {
-        self.queue.len() + usize::from(self.cur.is_some()) + usize::from(self.staged.is_some())
+        self.queue.len() + usize::from(self.transfer.is_some()) + usize::from(self.staged.is_some())
     }
 
     fn start_next(&mut self, now: Time) {
-        if self.cur.is_some() || self.transfer.is_some() {
+        if self.transfer.is_some() {
             return;
         }
         let Some((msg_id, data)) = self.queue.pop_front() else {
             return;
         };
-        if self.cfg.handshake {
-            let alloc = AllocBody {
-                msg_len: data.len() as u64,
-                data_transfer: Self::data_transfer_id(msg_id),
-                packet_size: self.cfg.packet_size as u32,
-            };
-            self.cur = Some((msg_id, data, Phase::Alloc));
-            self.begin_transfer(
-                now,
-                Self::alloc_transfer_id(msg_id),
-                Payload::Alloc(alloc),
-                1,
-            );
+        let phase = if self.cfg.handshake {
+            Phase::Alloc
         } else {
-            let k = Self::packet_count(data.len(), self.cfg.packet_size);
-            self.cur = Some((msg_id, data.clone(), Phase::Data));
-            self.begin_transfer(now, Self::data_transfer_id(msg_id), Payload::Data(data), k);
-        }
+            Phase::Data
+        };
+        self.begin_transfer(now, msg_id, data, phase);
     }
 
-    /// Transfer id of message `m`'s allocation round trip.
+    /// Transfer id of message `m`'s allocation round trip. Ids hold the
+    /// message id's low 31 bits, so they wrap from message 2^31 on.
     pub fn alloc_transfer_id(msg_id: u64) -> u32 {
-        (msg_id as u32) * 2
+        (msg_id as u32).wrapping_mul(2)
     }
 
     /// Transfer id of message `m`'s data.
     pub fn data_transfer_id(msg_id: u64) -> u32 {
-        (msg_id as u32) * 2 + 1
+        Self::alloc_transfer_id(msg_id).wrapping_add(1)
     }
 
     /// Packets needed for a `len`-byte message at `packet_size`.
@@ -384,7 +374,11 @@ impl Sender {
         (len.div_ceil(packet_size)).max(1) as u32
     }
 
-    fn make_transfer(&self, id: u32, payload: Payload, k: u32) -> Transfer {
+    fn make_transfer(&self, msg_id: u64, data: Bytes, phase: Phase) -> Transfer {
+        let k = match phase {
+            Phase::Alloc => 1,
+            Phase::Data => Self::packet_count(data.len(), self.cfg.packet_size),
+        };
         let release = self.make_release(k);
         // The AIMD cap survives across transfers: congestion memory is a
         // property of the path, not of one message.
@@ -395,8 +389,9 @@ impl Sender {
             .max(1) as u32;
         let win = SendWindow::new(k, cap);
         Transfer {
-            id,
-            payload,
+            msg_id,
+            data,
+            phase,
             win,
             release,
             streak: 0,
@@ -405,16 +400,17 @@ impl Sender {
         }
     }
 
-    fn begin_transfer(&mut self, now: Time, id: u32, payload: Payload, k: u32) {
+    fn begin_transfer(&mut self, now: Time, msg_id: u64, data: Bytes, phase: Phase) {
+        let t = self.make_transfer(msg_id, data, phase);
         if let Some(f) = self.fec.as_mut() {
             // Only a data transfer is codable; stale losses and parity
             // runs from the previous transfer can never flush.
-            match payload {
-                Payload::Data(_) => f.bind(id),
-                Payload::Alloc(_) => f.unbind(),
+            match phase {
+                Phase::Data => f.bind(t.id()),
+                Phase::Alloc => f.unbind(),
             }
         }
-        self.transfer = Some(self.make_transfer(id, payload, k));
+        self.transfer = Some(t);
         if self.cfg.membership.enabled && self.hb_deadline.is_none() {
             // Going busy: start the heartbeat schedule with an immediate
             // announce so receivers can prove liveness before the first
@@ -431,54 +427,42 @@ impl Sender {
         if !(self.cfg.pipeline_handshake && self.cfg.handshake) {
             return;
         }
-        if self.staged.is_some() || !matches!(self.cur, Some((_, _, Phase::Data))) {
+        let data_flowing = self
+            .transfer
+            .as_ref()
+            .is_some_and(|t| t.phase == Phase::Data);
+        if self.staged.is_some() || !data_flowing {
             return;
         }
         let Some((msg_id, data)) = self.queue.pop_front() else {
             return;
         };
-        let alloc = AllocBody {
-            msg_len: data.len() as u64,
-            data_transfer: Self::data_transfer_id(msg_id),
-            packet_size: self.cfg.packet_size as u32,
-        };
-        let t = self.make_transfer(Self::alloc_transfer_id(msg_id), Payload::Alloc(alloc), 1);
-        self.staged = Some(Staged {
-            msg_id,
-            data,
-            alloc: Some(t),
-        });
+        self.staged = Some(self.make_transfer(msg_id, data, Phase::Alloc));
         self.pump(now);
     }
 
+    /// The transfer `which` names, while it is in flight. A staged
+    /// allocation every receiver acknowledged is not: it only waits for the
+    /// current message to end, and takes no more feedback or timeouts.
     fn tref(&self, which: Which) -> Option<&Transfer> {
         match which {
             Which::Cur => self.transfer.as_ref(),
-            Which::Staged => self.staged.as_ref().and_then(|s| s.alloc.as_ref()),
+            Which::Staged => self.staged.as_ref().filter(|t| !t.win.all_released()),
         }
     }
 
     fn tmut(&mut self, which: Which) -> Option<&mut Transfer> {
         match which {
             Which::Cur => self.transfer.as_mut(),
-            Which::Staged => self.staged.as_mut().and_then(|s| s.alloc.as_mut()),
+            Which::Staged => self.staged.as_mut().filter(|t| !t.win.all_released()),
         }
     }
 
     /// Which in-flight transfer has this id, if any.
     fn which_by_id(&self, id: u32) -> Option<Which> {
-        if self.transfer.as_ref().is_some_and(|t| t.id == id) {
-            Some(Which::Cur)
-        } else if self
-            .staged
-            .as_ref()
-            .and_then(|s| s.alloc.as_ref())
-            .is_some_and(|t| t.id == id)
-        {
-            Some(Which::Staged)
-        } else {
-            None
-        }
+        [Which::Cur, Which::Staged]
+            .into_iter()
+            .find(|&w| self.tref(w).is_some_and(|t| t.id() == id))
     }
 
     fn make_release(&self, k: u32) -> Release {
@@ -535,7 +519,7 @@ impl Sender {
                 // while payload remains unsent.
                 if t.win.next() < t.win.k() && !t.stalled {
                     t.stalled = true;
-                    stall = Some((t.id, t.win.base()));
+                    stall = Some((t.id(), t.win.base()));
                 }
                 break;
             }
@@ -549,7 +533,7 @@ impl Sender {
                 let base = self.pace_gate.max(now);
                 self.pace_gate = base + Duration::from_nanos(ns);
             }
-            self.emit_data(Which::Cur, seq, false);
+            self.emit_data(Which::Cur, seq, false, Dest::Receivers);
             self.fec_fresh(now, seq);
         }
         // The staged allocation round trip is one tiny packet: exempt from
@@ -559,7 +543,7 @@ impl Sender {
                 break;
             }
             let seq = t.win.mark_sent(now);
-            self.emit_data(Which::Staged, seq, false);
+            self.emit_data(Which::Staged, seq, false, Dest::Receivers);
         }
         if let Some((transfer, base)) = stall {
             self.tracer
@@ -574,7 +558,7 @@ impl Sender {
             {
                 self.backpressured = true;
                 self.stats.backpressure_signals += 1;
-                let msg_id = self.cur.as_ref().map(|&(id, _, _)| id).unwrap_or_default();
+                let msg_id = self.transfer.as_ref().map_or(0, |t| t.msg_id);
                 self.events.push_back(AppEvent::Backpressure {
                     msg_id,
                     congested: true,
@@ -591,7 +575,6 @@ impl Sender {
         if let Some(t) = &self.transfer {
             self.stats
                 .sample_buffer(t.win.buffered_bytes(self.cfg.packet_size));
-            self.telem.window_occupancy.record(t.win.occupancy() as u64);
         }
     }
 
@@ -607,23 +590,11 @@ impl Sender {
         }
     }
 
-    /// Encode and queue data packet `seq` of a transfer, multicast to the
-    /// group.
-    fn emit_data(&mut self, which: Which, seq: u32, retx: bool) {
-        self.emit_data_to(which, seq, retx, Dest::Receivers);
-    }
-
-    /// Encode and queue data packet `seq` toward an explicit destination
-    /// (unicast retransmission option).
-    fn emit_data_to(&mut self, which: Which, seq: u32, retx: bool, dest: Dest) {
-        let (tid, k, payload_src) = {
-            let t = self.tref(which).expect("active transfer");
-            let src = match &t.payload {
-                Payload::Alloc(b) => Err(*b),
-                Payload::Data(m) => Ok(m.clone()),
-            };
-            (t.id, t.win.k(), src)
-        };
+    /// Encode and queue packet `seq` of a transfer toward `dest` (the
+    /// group, or one receiver for unicast retransmission).
+    fn emit_data(&mut self, which: Which, seq: u32, retx: bool, dest: Dest) {
+        let t = self.tref(which).expect("active transfer");
+        let (tid, k, phase) = (t.id(), t.win.k(), t.phase);
         let mut flags = PacketFlags::EMPTY;
         if seq + 1 == k {
             flags |= PacketFlags::LAST;
@@ -646,18 +617,21 @@ impl Sender {
             }
         }
 
-        let is_data = payload_src.is_ok();
-        let (payload, copied) = match payload_src {
-            Err(body) => (packet::encode_alloc(Rank::SENDER, tid, flags, body), 0usize),
-            Ok(msg) => {
+        let (payload, copied) = match phase {
+            Phase::Alloc => {
+                let body = AllocBody {
+                    msg_len: t.data.len() as u64,
+                    data_transfer: Self::data_transfer_id(t.msg_id),
+                    packet_size: self.cfg.packet_size as u32,
+                };
+                (packet::encode_alloc(Rank::SENDER, tid, flags, body), 0usize)
+            }
+            Phase::Data => {
+                let msg = &t.data;
                 let ps = self.cfg.packet_size;
                 let start = seq as usize * ps;
                 let end = (start + ps).min(msg.len());
-                let chunk = if start < msg.len() {
-                    &msg[start..end]
-                } else {
-                    &[][..]
-                };
+                let chunk = msg.get(start..end).unwrap_or_default();
                 let copied = if self.cfg.charge_copy && !retx {
                     chunk.len()
                 } else {
@@ -688,7 +662,7 @@ impl Sender {
             }
         } else {
             self.stats.data_sent += 1;
-            if is_data {
+            if phase == Phase::Data {
                 self.stats.payload_bytes_sent += (payload.len() - rmwire::HEADER_LEN) as u64;
                 self.stats.user_copy_bytes += copied as u64;
             }
@@ -789,32 +763,12 @@ impl Sender {
                 next: next_expected,
             },
         );
-        if next_expected > 0 {
-            // Sample the round trip of the newest packet this ACK covers
-            // for the telemetry histogram, honouring Karn's rule: a
-            // retransmitted packet's ACK is ambiguous about which
-            // transmission it answers.
-            if let Some(slot) = self.tref(which).and_then(|t| t.win.slot(next_expected - 1)) {
-                if slot.retx == 0 {
-                    let sample = now.saturating_since(slot.last_tx);
-                    self.telem.ack_rtt_ns.record(sample.as_nanos());
-                }
-            }
-        }
         let base_rto = self.cfg.rto;
         let t = self.tmut(which).expect("transfer exists");
         if let Some(released) = t.release.update(rank, next_expected.min(t.win.k())) {
             let before = t.win.base();
-            t.win.release(released);
-            let progressed = t.win.base() > before;
-            if progressed {
-                // Window progress: the liveness bound starts over.
-                t.streak = 0;
-                t.cur_rto = base_rto;
-                t.stalled = false;
-            }
-            let (tid, new_base, occ, done) =
-                (t.id, t.win.base(), t.win.occupancy(), t.win.all_released());
+            let progressed = t.release_to(released, base_rto);
+            let (tid, new_base, done) = (t.id(), t.win.base(), t.win.all_released());
             if progressed {
                 self.tracer.emit(
                     now.as_nanos(),
@@ -823,27 +777,18 @@ impl Sender {
                         base: new_base,
                     },
                 );
-                self.telem.window_occupancy.record(occ as u64);
                 if which == Which::Cur {
                     // Acknowledged progress is the AIMD growth signal.
                     self.aimd_progress(now, tid, new_base - before);
                 }
             }
             if done {
-                match which {
-                    Which::Cur => {
-                        // Completion may still be gated on a quarantined
-                        // receiver's catch-up (buffers hold the payload it
-                        // is still owed).
-                        if !self.quarantine_blocks_completion() {
-                            self.finish_transfer(now);
-                        }
-                    }
-                    Which::Staged => {
-                        // The pipelined allocation completed: the data
-                        // transfer starts when the current message ends.
-                        self.staged.as_mut().expect("staged exists").alloc = None;
-                    }
+                // Completion may still be gated on a quarantined receiver's
+                // catch-up (buffers hold the payload it is still owed). A
+                // completed staged allocation waits for the current message
+                // to end; its data transfer starts then.
+                if which == Which::Cur && !self.quarantine_blocks_completion() {
+                    self.finish_transfer(now);
                 }
             } else {
                 self.pump(now);
@@ -917,18 +862,14 @@ impl Sender {
             Dest::Receivers
         };
         match self.cfg.discipline {
-            WindowDiscipline::GoBackN => self.retransmit_from_to(which, now, expected, dest),
-            WindowDiscipline::SelectiveRepeat => self.retransmit_one_to(which, now, expected, dest),
+            WindowDiscipline::GoBackN => self.retransmit_from(which, now, expected, dest),
+            WindowDiscipline::SelectiveRepeat => self.retransmit_one(which, now, expected, dest),
         }
     }
 
-    /// Go-Back-N: retransmit everything outstanding from `from`, subject
-    /// to per-packet suppression (multicast).
-    fn retransmit_from(&mut self, which: Which, now: Time, from: u32) {
-        self.retransmit_from_to(which, now, from, Dest::Receivers);
-    }
-
-    fn retransmit_from_to(&mut self, which: Which, now: Time, from: u32, dest: Dest) {
+    /// Go-Back-N: retransmit everything outstanding from `from` toward
+    /// `dest`, subject to per-packet suppression.
+    fn retransmit_from(&mut self, which: Which, now: Time, from: u32, dest: Dest) {
         let suppress = self.effective_retx_suppress(now);
         let mut to_send = Vec::new();
         let mut suppressed = 0u64;
@@ -951,15 +892,13 @@ impl Sender {
         }
         self.stats.retx_suppressed += suppressed;
         for seq in to_send {
-            self.emit_data_to(which, seq, true, dest);
+            self.emit_data(which, seq, true, dest);
         }
     }
 
-    fn retransmit_one(&mut self, which: Which, now: Time, seq: u32) {
-        self.retransmit_one_to(which, now, seq, Dest::Receivers);
-    }
-
-    fn retransmit_one_to(&mut self, which: Which, now: Time, seq: u32, dest: Dest) {
+    /// Selective repeat: retransmit packet `seq` toward `dest`, subject to
+    /// its suppression clock.
+    fn retransmit_one(&mut self, which: Which, now: Time, seq: u32, dest: Dest) {
         let suppress = self.effective_retx_suppress(now);
         let send = {
             let Some(t) = self.tmut(which) else {
@@ -977,7 +916,7 @@ impl Sender {
             }
         };
         if send {
-            self.emit_data_to(which, seq, true, dest);
+            self.emit_data(which, seq, true, dest);
         } else {
             self.stats.retx_suppressed += 1;
         }
@@ -1003,9 +942,7 @@ impl Sender {
             return false;
         }
         let codable = self.transfer.as_ref().is_some_and(|t| {
-            t.id == transfer_id
-                && matches!(t.payload, Payload::Data(_))
-                && t.win.slot(seq).is_some()
+            t.id() == transfer_id && t.phase == Phase::Data && t.win.slot(seq).is_some()
         });
         if !codable {
             return false;
@@ -1038,12 +975,11 @@ impl Sender {
         if !due {
             return;
         }
+        // Coding state binds only data transfers (odd ids), so an id match
+        // is a data transfer.
         let bound = match (self.fec.as_ref().and_then(|f| f.transfer()), &self.transfer) {
-            (Some(fid), Some(t)) if t.id == fid => match &t.payload {
-                // rmlint: allow(hot-alloc): a second handle, no bytes copied
-                Payload::Data(m) => Some((fid, m.clone())),
-                Payload::Alloc(_) => None,
-            },
+            // rmlint: allow(hot-alloc): a second handle, no bytes copied
+            (Some(fid), Some(t)) if t.id() == fid => Some((fid, t.data.clone())),
             _ => None,
         };
         let Some((tid, msg)) = bound else {
@@ -1107,13 +1043,10 @@ impl Sender {
         let ProtocolKind::Fec { parity_every, .. } = self.cfg.kind else {
             return;
         };
-        let Some((tid, msg)) = self.transfer.as_ref().and_then(|t| match &t.payload {
-            // rmlint: allow(hot-alloc): a second handle, no bytes copied
-            Payload::Data(m) => Some((t.id, m.clone())),
-            Payload::Alloc(_) => None,
-        }) else {
+        let Some(t) = self.transfer.as_ref().filter(|t| t.phase == Phase::Data) else {
             return;
         };
+        let tid = t.id();
         let Some((base, generation)) = self
             .fec
             .as_mut()
@@ -1134,7 +1067,7 @@ impl Sender {
             generation,
             bitmap,
         };
-        let xor = fec::xor_chunks(&msg, self.cfg.packet_size, body.seqs());
+        let xor = fec::xor_chunks(&t.data, self.cfg.packet_size, body.seqs());
         self.stats.parity_sent += 1;
         self.tracer.emit(
             now.as_nanos(),
@@ -1152,13 +1085,15 @@ impl Sender {
     }
 
     fn finish_transfer(&mut self, now: Time) {
-        let t = self.transfer.take().expect("finishing without a transfer");
-        let (msg_id, data, phase) = self.cur.take().expect("transfer without a message");
+        let Transfer {
+            msg_id,
+            data,
+            phase,
+            ..
+        } = self.transfer.take().expect("finishing without a transfer");
         match phase {
             Phase::Alloc => {
-                let k = Self::packet_count(data.len(), self.cfg.packet_size);
-                self.cur = Some((msg_id, data.clone(), Phase::Data));
-                self.begin_transfer(now, t.id + 1, Payload::Data(data), k);
+                self.begin_transfer(now, msg_id, data, Phase::Data);
                 // Data is now flowing: the next message's allocation may
                 // ride alongside it.
                 self.maybe_stage_next(now);
@@ -1179,7 +1114,7 @@ impl Sender {
     /// The current message is done (completed or abandoned): promote the
     /// pipelined next message, or start one from the queue.
     fn advance_after_current(&mut self, now: Time) {
-        debug_assert!(self.cur.is_none() && self.transfer.is_none());
+        debug_assert!(self.transfer.is_none());
         // The finished (or abandoned) message's coding state is moot; the
         // next data transfer re-binds in `begin_transfer`.
         if let Some(f) = self.fec.as_mut() {
@@ -1191,24 +1126,13 @@ impl Sender {
         self.try_admit();
         if let Some(st) = self.staged.take() {
             // Promote the pipelined next message.
-            match st.alloc {
-                None => {
-                    // Its allocation already completed: straight to data.
-                    let k = Self::packet_count(st.data.len(), self.cfg.packet_size);
-                    self.cur = Some((st.msg_id, st.data.clone(), Phase::Data));
-                    self.begin_transfer(
-                        now,
-                        Self::data_transfer_id(st.msg_id),
-                        Payload::Data(st.data),
-                        k,
-                    );
-                }
-                Some(alloc) => {
-                    // Allocation still in flight: it becomes the current
-                    // transfer, window state intact.
-                    self.cur = Some((st.msg_id, st.data, Phase::Alloc));
-                    self.transfer = Some(alloc);
-                }
+            if st.win.all_released() {
+                // Its allocation already completed: straight to data.
+                self.begin_transfer(now, st.msg_id, st.data, Phase::Data);
+            } else {
+                // Allocation still in flight: it becomes the current
+                // transfer, window state intact.
+                self.transfer = Some(st);
             }
         } else {
             self.start_next(now);
@@ -1221,9 +1145,9 @@ impl Sender {
     /// error. Either way the sender keeps making progress.
     fn give_up(&mut self, which: Which, now: Time) {
         let liveness = self.cfg.liveness;
-        let (tid, streak) = {
+        let (tid, streak, msg_id) = {
             let t = self.tref(which).expect("transfer exists");
-            (t.id, t.streak)
+            (t.id(), t.streak, t.msg_id)
         };
         if !liveness.evict_stragglers {
             self.fail_message(
@@ -1248,10 +1172,6 @@ impl Sender {
             );
             return;
         }
-        let msg_id = match which {
-            Which::Cur => self.cur.as_ref().map(|&(id, _, _)| id).unwrap_or_default(),
-            Which::Staged => self.staged.as_ref().expect("staged exists").msg_id,
-        };
         for rank in laggards {
             let idx = rank.receiver_index();
             self.evicted[idx] = true;
@@ -1339,12 +1259,10 @@ impl Sender {
             );
         }
         self.stats.evictions += 1;
-        let msg_id = self
-            .cur
+        let (msg_id, tid) = self
+            .transfer
             .as_ref()
-            .map(|&(id, _, _)| id)
-            .unwrap_or(self.next_msg_id);
-        let tid = self.transfer.as_ref().map(|t| t.id).unwrap_or_default();
+            .map_or((self.next_msg_id, 0), |t| (t.msg_id, t.id()));
         self.tracer.emit(
             self.now_cache.as_nanos(),
             TraceEvent::Evicted {
@@ -1360,10 +1278,7 @@ impl Sender {
     /// One heartbeat period elapsed: announce, charge every active member
     /// one miss, and evict those past the threshold.
     fn heartbeat_tick(&mut self, now: Time) {
-        let busy = self.cur.is_some()
-            || self.transfer.is_some()
-            || self.staged.is_some()
-            || !self.queue.is_empty();
+        let busy = self.transfer.is_some() || self.staged.is_some() || !self.queue.is_empty();
         if !busy {
             // An idle group stays silent so drivers reach quiescence.
             self.hb_deadline = None;
@@ -1471,11 +1386,7 @@ impl Sender {
     /// bits, bump the epoch once for the batch, and hand each joiner a
     /// SYNC naming the first message it is responsible for.
     fn try_admit(&mut self) {
-        if self.pending_joins.is_empty()
-            || self.cur.is_some()
-            || self.transfer.is_some()
-            || self.staged.is_some()
-        {
+        if self.pending_joins.is_empty() || self.transfer.is_some() || self.staged.is_some() {
             return;
         }
         let joiners = std::mem::take(&mut self.pending_joins);
@@ -1540,26 +1451,11 @@ impl Sender {
         // Staged first: `finish_transfer` on the current message promotes
         // the staged one and expects its completion already recorded.
         if let Some(t) = self.tmut(Which::Staged) {
-            let released = t.release.released().min(t.win.k());
-            let before = t.win.base();
-            t.win.release(released);
-            if t.win.base() > before {
-                t.streak = 0;
-                t.cur_rto = base_rto;
-            }
-            if t.win.all_released() {
-                self.staged.as_mut().expect("staged exists").alloc = None;
-            }
+            t.release_to(t.release.released().min(t.win.k()), base_rto);
         }
         if let Some(t) = self.transfer.as_mut() {
-            let released = t.release.released().min(t.win.k());
-            let before = t.win.base();
-            t.win.release(released);
-            if t.win.base() > before {
-                t.streak = 0;
-                t.cur_rto = base_rto;
-                t.stalled = false;
-                let (tid, new_base) = (t.id, t.win.base());
+            if t.release_to(t.release.released().min(t.win.k()), base_rto) {
+                let (tid, new_base) = (t.id(), t.win.base());
                 self.tracer.emit(
                     now.as_nanos(),
                     TraceEvent::WindowRelease {
@@ -1590,8 +1486,11 @@ impl Sender {
         }
         match which {
             Which::Cur => {
-                self.transfer = None;
-                let (msg_id, _, _) = self.cur.take().expect("transfer without a message");
+                let msg_id = self
+                    .transfer
+                    .take()
+                    .expect("failing without a transfer")
+                    .msg_id;
                 self.events
                     .push_back(AppEvent::MessageFailed { msg_id, error });
                 self.quarantine_boundary(now);
@@ -1671,7 +1570,7 @@ impl Sender {
         }
         if self.backpressured && cap >= self.cfg.window {
             // The window recovered its configured size: senders may resume.
-            let msg_id = self.cur.as_ref().map(|&(id, _, _)| id).unwrap_or_default();
+            let msg_id = self.transfer.as_ref().map_or(0, |t| t.msg_id);
             self.clear_backpressure(now, msg_id);
         }
         self.apply_aimd_cap();
@@ -1696,7 +1595,7 @@ impl Sender {
         }
         self.backpressured = false;
         self.stats.backpressure_signals += 1;
-        let tid = self.transfer.as_ref().map(|t| t.id).unwrap_or_default();
+        let tid = self.transfer.as_ref().map_or(0, Transfer::id);
         self.events.push_back(AppEvent::Backpressure {
             msg_id,
             congested: false,
@@ -1741,7 +1640,7 @@ impl Sender {
         let Some(t) = self.transfer.as_ref() else {
             return false;
         };
-        let (tid, k) = (t.id, t.win.k());
+        let (tid, k) = (t.id(), t.win.k());
         self.quar
             .iter()
             .flatten()
@@ -1769,10 +1668,7 @@ impl Sender {
         };
         // Only a data transfer has payload worth catching up on; an alloc
         // round trip resolves through the liveness path.
-        if !matches!(self.cur, Some((_, _, Phase::Data))) {
-            return false;
-        }
-        let Some(t) = self.transfer.as_ref() else {
+        let Some(t) = self.transfer.as_ref().filter(|t| t.phase == Phase::Data) else {
             return false;
         };
         if t.streak < after {
@@ -1784,7 +1680,7 @@ impl Sender {
             // obligation: let the liveness path resolve the stall.
             return false;
         }
-        let tid = t.id;
+        let tid = t.id();
         let horizon = t.release.released().min(t.win.k());
         let mut any = false;
         for rank in laggards {
@@ -1831,7 +1727,7 @@ impl Sender {
         for idx in 0..self.quar.len() {
             // Re-fetch per iteration: a budget-exhaustion resolution may
             // fail the message and change the in-flight transfer.
-            let Some((tid, next)) = self.transfer.as_ref().map(|t| (t.id, t.win.next())) else {
+            let Some((tid, next)) = self.transfer.as_ref().map(|t| (t.id(), t.win.next())) else {
                 return;
             };
             let Some(q) = self.quar[idx].as_ref() else {
@@ -1848,7 +1744,7 @@ impl Sender {
             let to = from.saturating_add(CATCHUP_BATCH).min(next);
             let rank = Rank::from_receiver_index(idx);
             for seq in from..to {
-                self.emit_data_to(Which::Cur, seq, true, Dest::Rank(rank));
+                self.emit_data(Which::Cur, seq, true, Dest::Rank(rank));
                 self.stats.catchup_retx_sent += 1;
             }
             let q = self.quar[idx].as_mut().expect("quarantine entry");
@@ -1918,7 +1814,7 @@ impl Sender {
 
     /// Earliest due catch-up round across quarantined receivers.
     fn quarantine_deadline(&self) -> Option<Time> {
-        let tid = self.transfer.as_ref()?.id;
+        let tid = self.transfer.as_ref()?.id();
         self.quar
             .iter()
             .flatten()
@@ -1929,7 +1825,7 @@ impl Sender {
 }
 
 impl Sender {
-    /// Audit every sender-side invariant (`S1`…`S6` in
+    /// Audit every sender-side invariant (`S1`…`S8` in
     /// [`crate::invariants`]) against the current state, recomputing the
     /// release rules from first principles. Cheap enough to run per
     /// driver call; under `debug_assertions` the engine does exactly that.
@@ -1941,7 +1837,7 @@ impl Sender {
         }
         for (which, label) in [(Which::Cur, "current"), (Which::Staged, "staged")] {
             let Some(t) = self.tref(which) else { continue };
-            let id = t.id;
+            let id = t.id();
             a.check(
                 "S1",
                 t.win
@@ -1968,41 +1864,13 @@ impl Sender {
             a.require("S4", t.release.n_active() >= 1, || {
                 format!("{label} transfer {id}: every acknowledgment source evicted")
             });
-        }
-        a.require("S6", self.transfer.is_none() || self.cur.is_some(), || {
-            "active transfer without a current message".into()
-        });
-        if let (Some(t), Some((msg_id, _, phase))) = (self.transfer.as_ref(), self.cur.as_ref()) {
-            let expect = match phase {
-                Phase::Alloc => Self::alloc_transfer_id(*msg_id),
-                Phase::Data => Self::data_transfer_id(*msg_id),
-            };
-            a.require("S6", t.id == expect, || {
-                format!(
-                    "message {msg_id} in phase {phase:?} runs transfer {} (expected {expect})",
-                    t.id
-                )
-            });
-            if matches!(phase, Phase::Alloc) {
+            if t.phase == Phase::Alloc {
                 a.require("S6", t.win.k() == 1, || {
-                    format!("allocation transfer {} spans {} packets", t.id, t.win.k())
+                    format!(
+                        "{label} allocation transfer {id} spans {} packets",
+                        t.win.k()
+                    )
                 });
-            }
-        }
-        if let Some(st) = &self.staged {
-            if let Some(t) = &st.alloc {
-                a.require(
-                    "S6",
-                    t.id == Self::alloc_transfer_id(st.msg_id) && t.win.k() == 1,
-                    || {
-                        format!(
-                            "staged allocation for message {} runs transfer {} over {} packets",
-                            st.msg_id,
-                            t.id,
-                            t.win.k()
-                        )
-                    },
-                );
             }
         }
         for (idx, q) in self.quar.iter().enumerate() {
@@ -2039,10 +1907,10 @@ impl Sender {
     }
 
     /// Hash the protocol-logical state into `h`: everything that shapes
-    /// future behavior *except* clocks, retry streaks, counters and
-    /// telemetry. `rmcheck explore` merges interleavings whose digests
-    /// converge, which is sound exactly because the model configurations
-    /// zero the time-sensitive knobs (suppression windows, backoff).
+    /// future behavior *except* clocks, retry streaks and counters.
+    /// `rmcheck explore` merges interleavings whose digests converge, which
+    /// is sound exactly because the model configurations zero the
+    /// time-sensitive knobs (suppression windows, backoff).
     pub fn hash_protocol_state(&self, h: &mut dyn std::hash::Hasher) {
         fn hash_release(h: &mut dyn std::hash::Hasher, r: &Release) {
             match r {
@@ -2069,41 +1937,27 @@ impl Sender {
                 }
             }
         }
-        fn hash_transfer(h: &mut dyn std::hash::Hasher, t: &Transfer) {
-            h.write_u32(t.id);
-            h.write_u32(t.win.k());
-            h.write_u32(t.win.base());
-            h.write_u32(t.win.next());
-            hash_release(h, &t.release);
-        }
         h.write_u64(self.next_msg_id);
         h.write_usize(self.queue.len());
-        match &self.cur {
-            None => h.write_u8(0),
-            Some((msg_id, _, phase)) => {
-                h.write_u8(1);
-                h.write_u64(*msg_id);
-                h.write_u8(matches!(phase, Phase::Data) as u8);
-            }
-        }
-        match &self.transfer {
-            None => h.write_u8(0),
-            Some(t) => {
-                h.write_u8(1);
-                hash_transfer(h, t);
-            }
-        }
-        match &self.staged {
-            None => h.write_u8(0),
-            Some(st) => {
-                h.write_u8(1);
-                h.write_u64(st.msg_id);
-                match &st.alloc {
-                    None => h.write_u8(0),
-                    Some(t) => {
-                        h.write_u8(1);
-                        hash_transfer(h, t);
-                    }
+        for (which, held) in [(Which::Cur, &self.transfer), (Which::Staged, &self.staged)] {
+            let Some(t) = held else {
+                h.write_u8(0);
+                continue;
+            };
+            h.write_u8(1);
+            h.write_u64(t.msg_id);
+            h.write_u8(matches!(t.phase, Phase::Data) as u8);
+            // A staged allocation every receiver acknowledged is its
+            // message alone: what its window and release rule held no
+            // longer shapes anything.
+            match self.tref(which) {
+                None => h.write_u8(0),
+                Some(t) => {
+                    h.write_u8(1);
+                    h.write_u32(t.win.k());
+                    h.write_u32(t.win.base());
+                    h.write_u32(t.win.next());
+                    hash_release(h, &t.release);
                 }
             }
         }
@@ -2272,9 +2126,8 @@ impl Endpoint for Sender {
             let (tid, streak, rto) = {
                 let t = self.tmut(which).expect("transfer exists");
                 t.streak += 1;
-                (t.id, t.streak, t.cur_rto)
+                (t.id(), t.streak, t.cur_rto)
             };
-            self.telem.rto_at_fire_ns.record(rto.as_nanos());
             self.tracer.emit(
                 now.as_nanos(),
                 TraceEvent::TimeoutFired {
@@ -2303,14 +2156,14 @@ impl Endpoint for Sender {
                 WindowDiscipline::GoBackN => {
                     let t = self.tref(which).expect("transfer exists");
                     let base = t.win.base();
-                    self.retransmit_from(which, now, base);
+                    self.retransmit_from(which, now, base, Dest::Receivers);
                 }
                 WindowDiscipline::SelectiveRepeat => {
                     // Per-packet timers: every expired outstanding packet
                     // is retransmitted individually.
                     let t = self.tref(which).expect("transfer exists");
                     for seq in t.win.expired(now, rto) {
-                        self.retransmit_one(which, now, seq);
+                        self.retransmit_one(which, now, seq, Dest::Receivers);
                     }
                 }
             }
@@ -2364,7 +2217,6 @@ impl Endpoint for Sender {
 
     fn is_idle(&self) -> bool {
         self.transfer.is_none()
-            && self.cur.is_none()
             && self.staged.is_none()
             && self.queue.is_empty()
             && self.out.is_empty()
@@ -2413,6 +2265,13 @@ mod tests {
             }
             other => panic!("expected alloc, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn transfer_ids_wrap_the_same_in_every_build() {
+        assert_eq!(Sender::alloc_transfer_id(1 << 31), 0);
+        assert_eq!(Sender::data_transfer_id(1 << 31), 1);
+        assert_eq!(Sender::data_transfer_id((1 << 31) - 1), u32::MAX);
     }
 
     #[test]

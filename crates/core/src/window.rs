@@ -104,18 +104,12 @@ impl SendWindow {
         self.slots.get_mut((seq - self.base) as usize)
     }
 
-    /// Read-only slot for an outstanding `seq` (tracing / telemetry).
+    /// Read-only slot for an outstanding `seq` (tracing, coding).
     pub fn slot(&self, seq: u32) -> Option<&Slot> {
         if seq < self.base || seq >= self.next {
             return None;
         }
         self.slots.get((seq - self.base) as usize)
-    }
-
-    /// Packets currently outstanding (sent but unreleased), as a count —
-    /// the window-occupancy gauge.
-    pub fn occupancy(&self) -> u32 {
-        self.next - self.base
     }
 
     /// Release every packet below `upto` (idempotent; clamped to what has
@@ -169,7 +163,7 @@ impl SendWindow {
     /// releases drain the window down to the requested cap.
     pub fn set_cap(&mut self, cap: u32) {
         assert!(cap >= 1, "window capacity must be >= 1");
-        self.cap = cap.max(self.occupancy());
+        self.cap = cap.max(self.next - self.base);
     }
 
     /// Structural self-check: the window-never-exceeded and

@@ -107,120 +107,6 @@ pub mod scope {
     ];
 }
 
-/// Blank out comments, string literals and char literals, preserving the
-/// line structure (every replaced byte becomes a space, newlines stay).
-/// Lifetimes (`'a`) are left alone. Retained for callers that want a
-/// line-oriented view; the rules themselves now run on [`crate::lex`].
-pub fn strip_comments_and_strings(src: &str) -> String {
-    let b = src.as_bytes();
-    let mut out = vec![b' '; b.len()];
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'\n' => {
-                out[i] = b'\n';
-                i += 1;
-            }
-            b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                // Line comment: blank to end of line.
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                // Block comment, nested per Rust.
-                let mut depth = 1;
-                i += 2;
-                while i < b.len() && depth > 0 {
-                    if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        depth += 1;
-                        i += 2;
-                    } else if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        if b[i] == b'\n' {
-                            out[i] = b'\n';
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            b'r' if i + 1 < b.len() && (b[i + 1] == b'"' || b[i + 1] == b'#') => {
-                // Raw string r"..." / r#"..."#.
-                let start = i;
-                let mut j = i + 1;
-                let mut hashes = 0;
-                while j < b.len() && b[j] == b'#' {
-                    hashes += 1;
-                    j += 1;
-                }
-                if j < b.len() && b[j] == b'"' {
-                    j += 1;
-                    'raw: while j < b.len() {
-                        if b[j] == b'"' {
-                            let mut k = 0;
-                            while k < hashes && j + 1 + k < b.len() && b[j + 1 + k] == b'#' {
-                                k += 1;
-                            }
-                            if k == hashes {
-                                j += 1 + hashes;
-                                break 'raw;
-                            }
-                        }
-                        if b[j] == b'\n' {
-                            out[j] = b'\n';
-                        }
-                        j += 1;
-                    }
-                    i = j;
-                } else {
-                    // `r` was just an identifier character.
-                    out[start] = b'r';
-                    i = start + 1;
-                }
-            }
-            b'"' => {
-                i += 1;
-                while i < b.len() && b[i] != b'"' {
-                    if b[i] == b'\\' {
-                        i += 1; // skip the escaped character
-                    }
-                    if i < b.len() {
-                        if b[i] == b'\n' {
-                            out[i] = b'\n';
-                        }
-                        i += 1;
-                    }
-                }
-                i += 1; // closing quote
-            }
-            b'\'' => {
-                // Char literal or lifetime. `'\x'`-style and `'a'` are
-                // literals; `'a` followed by anything but a quote is a
-                // lifetime and passes through.
-                if i + 1 < b.len() && b[i + 1] == b'\\' {
-                    i += 2;
-                    while i < b.len() && b[i] != b'\'' {
-                        i += 1;
-                    }
-                    i += 1;
-                } else if i + 2 < b.len() && b[i + 2] == b'\'' {
-                    i += 3;
-                } else {
-                    out[i] = b'\'';
-                    i += 1;
-                }
-            }
-            c => {
-                out[i] = c;
-                i += 1;
-            }
-        }
-    }
-    String::from_utf8(out).unwrap_or_default()
-}
-
 /// Is a finding of `rule` on 0-based line `idx` suppressed by an
 /// `rmlint: allow(<rule>)` comment on the same or the previous line of
 /// the *raw* source?
@@ -769,58 +655,45 @@ pub fn lint_doc_coverage(
 /// engines.
 pub fn lint_config_validate(config_src: &str, findings: &mut Vec<Finding>) {
     let raw_lines: Vec<&str> = config_src.lines().collect();
-    let stripped = strip_comments_and_strings(config_src);
-    let s_lines: Vec<&str> = stripped.lines().collect();
+    let tokens = lex::lex(config_src);
+    let ident = |k: usize, text: &str| {
+        tokens
+            .get(k)
+            .is_some_and(|t| t.kind == TokKind::Ident && t.text == text)
+    };
 
-    // Field declarations of `pub struct ProtocolConfig`.
+    // Field declarations of `struct ProtocolConfig`: `pub <name>:` at the
+    // top level of its body.
     let mut fields: Vec<(String, usize)> = Vec::new();
-    let mut in_struct = false;
-    for (idx, line) in s_lines.iter().enumerate() {
-        let t = line.trim();
-        if t.starts_with("pub struct ProtocolConfig") {
-            in_struct = true;
-            continue;
-        }
-        if in_struct {
-            if t.starts_with('}') {
-                break;
-            }
-            if let Some(rest) = t.strip_prefix("pub ") {
-                if let Some((name, _ty)) = rest.split_once(':') {
-                    let name = name.trim();
-                    if name.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-                        fields.push((name.to_string(), idx));
-                    }
-                }
+    let decl = (0..tokens.len()).find(|&i| lex::seq_at(&tokens, i, &["struct", "ProtocolConfig"]));
+    if let Some(open) = decl.and_then(|i| (i..tokens.len()).find(|&k| tokens[k].text == "{")) {
+        let close = lex::brace_end(&tokens, open).unwrap_or(tokens.len());
+        for k in open + 1..close.saturating_sub(2) {
+            let name = &tokens[k + 1];
+            if tokens[k].depth == tokens[open].depth + 1
+                && ident(k, "pub")
+                && name.kind == TokKind::Ident
+                && tokens[k + 2].text == ":"
+            {
+                fields.push((name.text.clone(), name.line));
             }
         }
     }
 
-    // Body of `fn validate`, brace-balanced.
-    let mut body = String::new();
-    let mut in_fn = false;
-    let mut depth = 0i32;
-    for line in &s_lines {
-        if line.trim_start().starts_with("pub fn validate") {
-            in_fn = true;
-        }
-        if in_fn {
-            body.push_str(line);
-            body.push('\n');
-            depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
-            if depth == 0 && line.contains('}') {
-                break;
-            }
-        }
-    }
-
-    for (name, idx) in fields {
-        let referenced = body.contains(&format!(".{name}"));
-        if !referenced && !allowed(&raw_lines, idx, "config-validate") {
+    // `.<field>` code tokens in the body of the first `fn validate`.
+    let body = lex::fn_bodies(&tokens)
+        .into_iter()
+        .find(|f| f.name == "validate")
+        .map_or(0..0, |f| f.body_open..f.body_close);
+    for (name, line) in fields {
+        let referenced = body
+            .clone()
+            .any(|k| tokens[k].text == "." && ident(k + 1, &name));
+        if !referenced && !allowed(&raw_lines, line - 1, "config-validate") {
             findings.push(Finding {
                 rule: "config-validate",
                 file: "crates/core/src/config.rs".to_string(),
-                line: idx + 1,
+                line,
                 message: format!(
                     "field `{name}` is never referenced by ProtocolConfig::validate; \
                      constrain it or justify with an allow comment"

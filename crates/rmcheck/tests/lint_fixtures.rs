@@ -4,7 +4,7 @@
 
 use rmcheck::lint::{
     lint_config_validate, lint_counter_drift, lint_doc_coverage, lint_packet_exhaustive,
-    lint_source, strip_comments_and_strings,
+    lint_source,
 };
 
 fn rules(findings: &[rmcheck::lint::Finding]) -> Vec<&'static str> {
@@ -154,6 +154,7 @@ fn doc_coverage_clean_when_all_names_present() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+/// A field `validate` names only in a comment or a string is unvalidated.
 #[test]
 fn config_validate_fires_on_unvalidated_field() {
     let src = "pub struct ProtocolConfig {\n\
@@ -162,14 +163,18 @@ fn config_validate_fires_on_unvalidated_field() {
                }\n\
                impl ProtocolConfig {\n\
                \x20   pub fn validate(&self) -> Result<(), Error> {\n\
-               \x20       if self.window == 0 { return Err(Error::Window); }\n\
+               \x20       // self.mystery_knob needs no check\n\
+               \x20       if self.window == 0 { return Err(Error::Msg(\"self.mystery_knob\")); }\n\
                \x20       Ok(())\n\
                \x20   }\n\
                }\n";
     let mut f = Vec::new();
     lint_config_validate(src, &mut f);
     assert_eq!(rules(&f), vec!["config-validate"], "{f:?}");
-    assert!(f[0].message.contains("mystery_knob"), "{f:?}");
+    assert!(
+        f[0].message.contains("mystery_knob") && f[0].line == 3,
+        "{f:?}"
+    );
 }
 
 #[test]
@@ -484,23 +489,4 @@ fn counter_drift_accepts_string_assertions_and_allow_comments() {
     let mut f = Vec::new();
     lint_counter_drift(stats, CD_EVENTS, &cd_sources(src, test), &mut f);
     assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn stripper_preserves_line_structure() {
-    let src = "let a = 1; /* multi\nline */ let b = \"x\\\"y\";\nlet c = r#\"raw \" str\"#;\n";
-    let out = strip_comments_and_strings(src);
-    assert_eq!(src.lines().count(), out.lines().count());
-    assert!(!out.contains("multi"));
-    assert!(!out.contains("raw"));
-    assert!(out.contains("let a = 1;"));
-    assert!(out.contains("let b ="));
-}
-
-#[test]
-fn stripper_distinguishes_lifetimes_from_chars() {
-    let src = "fn f<'a>(x: &'a [u8]) -> char { 'z' }\n";
-    let out = strip_comments_and_strings(src);
-    assert!(out.contains("'a"), "lifetimes must survive: {out:?}");
-    assert!(!out.contains('z'), "char literal must be blanked: {out:?}");
 }
