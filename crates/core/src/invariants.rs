@@ -21,7 +21,7 @@
 //! | `S4` | sender | at least one acknowledgment source stays in the proof obligation |
 //! | `S5` | sender | tree topology: symmetric parent/child links, roots cover the group exactly once |
 //! | `S6` | sender | transfer bookkeeping: an allocation transfer, current or staged, spans exactly one packet (transfer ids are derived from message and phase, even for allocation, odd for data) |
-//! | `S7` | sender | overload bookkeeping: a quarantined receiver is never sticky-evicted at the same time |
+//! | `S7` | sender (`Quarantine`) | overload bookkeeping: a quarantined receiver is never sticky-evicted at the same time; every eviction takes the rank's quarantine entry |
 //! | `S8` | sender | fec coding state: present iff the fec family is configured, bound only to (odd-id) data transfers, buffered losses always have a flush deadline armed |
 //! | `R1` | receiver | per-transfer progress: `own_next ≤ k`, a delivered transfer is complete, the tracked prefix mirrors the assembly |
 //! | `R2` | receiver | ack-aggregation monotonicity: nothing acknowledged up the tree beyond what this node and its live children can prove (`sent_up ≤ aggregate`) |

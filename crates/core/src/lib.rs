@@ -65,6 +65,7 @@ pub mod loopback;
 pub mod membership;
 pub mod overload;
 pub mod packet;
+mod quarantine;
 pub mod receiver;
 pub mod sender;
 pub mod stats;

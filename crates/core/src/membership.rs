@@ -1,8 +1,7 @@
-//! Dynamic membership support: the heartbeat failure detector.
+//! Group membership: who the sender delivers to, and how that changes.
 //!
 //! The paper's protocols fix the receiver set before each message; this
-//! module supplies the pure state machine the sender layers on top so the
-//! set can change at message boundaries.
+//! module lets the set change at message boundaries.
 //!
 //! [`FailureDetector`] is per-receiver liveness scoring driven by the
 //! sender's heartbeat schedule. A member that misses three consecutive
@@ -11,8 +10,24 @@
 //! its score. This replaces raw consecutive-retry counters as the eviction
 //! trigger when membership is enabled.
 //!
+//! `Members` is the sender's membership component. It holds the sticky
+//! evictions (kept with membership off too: the liveness bound evicts
+//! stragglers), the tree's detached rejoiners, the epoch, the detector and
+//! its heartbeat schedule, and the joins waiting for a message boundary.
+//! It gates incoming feedback, moves the epoch, and admits joiners; the
+//! sender removes an evicted rank from its windows.
+//!
 //! It is plain data: no clocks, no I/O, usable identically by the
 //! simulator-driven and the real-socket backends.
+
+use crate::config::MembershipConfig;
+use crate::endpoint::{AppEvent, Dest, Transmit};
+use crate::packet;
+use crate::sender::{Io, Sender};
+use crate::stats::Stats;
+use crate::tree::TreeTopology;
+use rmtrace::TraceEvent;
+use rmwire::{Duration, Rank, SyncBody, Time};
 
 /// Consecutive missed heartbeats before a member is *suspected* (counted,
 /// not yet acted on).
@@ -80,6 +95,285 @@ impl FailureDetector {
     /// Forget all state for `idx` (after eviction or readmission).
     pub fn reset(&mut self, idx: usize) {
         self.note_alive(idx);
+    }
+}
+
+/// The sender's membership component.
+#[derive(Debug, Clone)]
+pub(crate) struct Members {
+    /// By receiver index: out of every proof obligation. Set by eviction,
+    /// and by a restart until the rank is readmitted. Sticky across
+    /// transfers: a dead receiver never gates a later message.
+    evicted: Vec<bool>,
+    /// Tree mode, by receiver index: rejoined receivers acting as detached
+    /// roots (they report straight to the sender instead of re-entering
+    /// their original ack chain).
+    detached: Vec<bool>,
+    /// Membership epoch. `0` while membership is disabled; starts at `1`
+    /// and bumps on every membership change (eviction, leave, admission)
+    /// otherwise.
+    epoch: u32,
+    /// Heartbeat-driven failure detector, present exactly when membership
+    /// is enabled.
+    detector: Option<FailureDetector>,
+    /// Heartbeat period.
+    interval: Duration,
+    /// Next heartbeat announce / detector tick. Armed only while the
+    /// sender is busy, so an idle group stays silent.
+    hb_deadline: Option<Time>,
+    /// Ranks awaiting admission at the next message boundary.
+    pending_joins: Vec<Rank>,
+}
+
+impl Members {
+    /// All `n` receivers in, under `cfg`.
+    pub(crate) fn new(n: usize, cfg: &MembershipConfig) -> Members {
+        Members {
+            evicted: vec![false; n],
+            detached: vec![false; n],
+            epoch: u32::from(cfg.enabled),
+            detector: cfg.enabled.then(|| FailureDetector::new(n)),
+            interval: cfg.heartbeat_interval,
+            hb_deadline: None,
+            pending_joins: Vec::new(),
+        }
+    }
+
+    /// Is dynamic membership on?
+    pub(crate) fn enabled(&self) -> bool {
+        self.detector.is_some()
+    }
+
+    /// The current epoch (`0` when membership is disabled).
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Is receiver index `idx` out of the proof obligations?
+    pub(crate) fn is_evicted(&self, idx: usize) -> bool {
+        self.evicted[idx]
+    }
+
+    /// Does receiver index `idx` report as a detached tree root?
+    pub(crate) fn is_detached(&self, idx: usize) -> bool {
+        self.detached[idx]
+    }
+
+    /// Multicast a heartbeat announce carrying the current epoch.
+    fn announce(&self, io: &mut Io<'_>) {
+        io.stats.heartbeats_sent += 1;
+        io.out.push_back(Transmit {
+            dest: Dest::Receivers,
+            payload: packet::encode_heartbeat(Rank::SENDER, self.epoch),
+            copied: 0,
+        });
+    }
+
+    /// Move to the next epoch.
+    fn next_epoch(&mut self, now: Time, io: &mut Io<'_>) {
+        self.epoch += 1;
+        io.tracer.emit(
+            now.as_nanos(),
+            TraceEvent::EpochChange { epoch: self.epoch },
+        );
+    }
+
+    /// After a batch of evictions: with membership on, move the epoch once
+    /// and announce it.
+    pub(crate) fn announce_change(&mut self, now: Time, io: &mut Io<'_>) {
+        if self.enabled() {
+            self.next_epoch(now, io);
+            self.announce(io);
+        }
+    }
+
+    /// Going busy: start the heartbeat schedule with an immediate announce
+    /// so receivers can prove liveness before the first detector tick.
+    pub(crate) fn start_heartbeats(&mut self, now: Time, io: &mut Io<'_>) {
+        if self.enabled() && self.hb_deadline.is_none() {
+            self.announce(io);
+            self.hb_deadline = Some(now + self.interval);
+        }
+    }
+
+    /// The next heartbeat tick, while armed.
+    pub(crate) fn deadline(&self) -> Option<Time> {
+        self.hb_deadline
+    }
+
+    /// One heartbeat period elapsed: announce, charge every member one
+    /// miss, and return those past the eviction threshold. An idle sender
+    /// (`busy == false`) disarms the schedule instead, so drivers reach
+    /// quiescence.
+    pub(crate) fn tick(&mut self, now: Time, busy: bool, io: &mut Io<'_>) -> Vec<Rank> {
+        if !busy {
+            self.hb_deadline = None;
+            return Vec::new();
+        }
+        self.announce(io);
+        let mut silent = Vec::new();
+        if let Some(d) = self.detector.as_mut() {
+            for idx in (0..self.evicted.len()).filter(|&i| !self.evicted[i]) {
+                match d.record_miss(idx) {
+                    LivenessVerdict::Alive => {}
+                    LivenessVerdict::NewlySuspected => io.stats.suspects += 1,
+                    LivenessVerdict::Evict => silent.push(Rank::from_receiver_index(idx)),
+                }
+            }
+        }
+        // Never evict the last live member: with nobody left there is no
+        // one to deliver to, and the bounded-retry path reports that
+        // failure with a typed error instead. With no live member at all
+        // (every receiver left, or restarted and awaits readmission) there
+        // is nobody to evict.
+        let live = self.evicted.iter().filter(|&&e| !e).count();
+        if silent.len() >= live {
+            silent.truncate(live.saturating_sub(1));
+        }
+        self.hb_deadline = Some(now + self.interval);
+        silent
+    }
+
+    /// Membership gate for incoming ACK/NAK/heartbeat traffic. Returns
+    /// `false` when the packet must not touch window state: it carried a
+    /// stale epoch, or it came from an evicted member. Either way the
+    /// member's reappearance is treated as an implicit rejoin request —
+    /// the partition-heal path, where a member dropped by the failure
+    /// detector never learned it was evicted and just keeps talking — and
+    /// the caller should try to admit it.
+    pub(crate) fn accept(&mut self, rank: Rank, epoch: Option<u32>, stats: &mut Stats) -> bool {
+        let Some(d) = self.detector.as_mut() else {
+            return true;
+        };
+        let idx = rank.receiver_index();
+        if epoch.is_some_and(|e| e != self.epoch) {
+            stats.stale_epoch_discarded += 1;
+        } else if !self.evicted[idx] {
+            d.note_alive(idx);
+            return true;
+        }
+        // Traffic from a non-member, stale or in the current epoch (it
+        // adopted the epoch from a heartbeat announce), asks to rejoin.
+        if self.evicted[idx] {
+            self.queue_join(rank);
+        }
+        false
+    }
+
+    fn queue_join(&mut self, rank: Rank) {
+        if !self.pending_joins.contains(&rank) {
+            self.pending_joins.push(rank);
+        }
+    }
+
+    /// Take receiver index `idx` out of the group: out of every proof
+    /// obligation, no longer a detached root, detector score cleared.
+    pub(crate) fn mark_out(&mut self, idx: usize) {
+        self.evicted[idx] = true;
+        self.detached[idx] = false;
+        if let Some(d) = self.detector.as_mut() {
+            d.reset(idx);
+        }
+    }
+
+    /// Admission request (first join, or rejoin after eviction/restart):
+    /// answer with an immediate WELCOME so the joiner stops re-sending
+    /// JOINs (the binding SYNC follows at the next message boundary) and
+    /// queue it. Returns `true` when `rank` was a member believed active:
+    /// it restarted, so its old acknowledgment state is gone and the caller
+    /// must stop waiting for it. That is pending admission, not a failure:
+    /// no `ReceiverEvicted` event, no epoch change yet.
+    pub(crate) fn join(&mut self, rank: Rank, io: &mut Io<'_>) -> bool {
+        io.out.push_back(Transmit {
+            dest: Dest::Rank(rank),
+            payload: packet::encode_welcome(Rank::SENDER, self.epoch),
+            copied: 0,
+        });
+        let idx = rank.receiver_index();
+        let restarted = !self.evicted[idx];
+        self.mark_out(idx);
+        self.queue_join(rank);
+        restarted
+    }
+
+    /// Voluntary departure: forget any pending join. Returns `true` when
+    /// `rank` is a member the caller must evict.
+    pub(crate) fn leave(&mut self, rank: Rank) -> bool {
+        self.pending_joins.retain(|&r| r != rank);
+        !self.evicted[rank.receiver_index()]
+    }
+
+    /// At a message boundary: admit every pending joiner. Clear their
+    /// evicted bits, move the epoch once for the batch, and hand each a
+    /// SYNC naming `next_msg`, the first message it is responsible for.
+    /// In a tree, a joiner that is not a root re-enters as a detached
+    /// root: its old chain position is gone (its parent may have routed
+    /// around it).
+    pub(crate) fn admit(
+        &mut self,
+        now: Time,
+        next_msg: u64,
+        tree: Option<&TreeTopology>,
+        io: &mut Io<'_>,
+    ) {
+        if self.pending_joins.is_empty() {
+            return;
+        }
+        let joiners = std::mem::take(&mut self.pending_joins);
+        let next_transfer = Sender::alloc_transfer_id(next_msg);
+        self.next_epoch(now, io);
+        for rank in joiners {
+            let idx = rank.receiver_index();
+            self.evicted[idx] = false;
+            if let Some(d) = self.detector.as_mut() {
+                d.reset(idx);
+            }
+            let mut flags = 0;
+            if let Some(tree) = tree {
+                if !tree.roots().contains(&rank) {
+                    self.detached[idx] = true;
+                }
+                if self.detached[idx] {
+                    flags |= SyncBody::DETACHED_ROOT;
+                }
+            }
+            io.stats.joins += 1;
+            io.out.push_back(Transmit {
+                dest: Dest::Rank(rank),
+                payload: packet::encode_sync(
+                    Rank::SENDER,
+                    SyncBody {
+                        epoch: self.epoch,
+                        next_msg,
+                        next_transfer,
+                        flags,
+                    },
+                ),
+                copied: 0,
+            });
+            io.events.push_back(AppEvent::ReceiverJoined {
+                rank,
+                epoch: self.epoch,
+            });
+        }
+        self.announce(io);
+    }
+
+    /// Fold the protocol-logical state into a digest (the heartbeat
+    /// schedule only as armed or not).
+    pub(crate) fn hash_into(&self, h: &mut dyn std::hash::Hasher) {
+        for &e in &self.evicted {
+            h.write_u8(e as u8);
+        }
+        for &d in &self.detached {
+            h.write_u8(d as u8);
+        }
+        h.write_u32(self.epoch);
+        h.write_usize(self.pending_joins.len());
+        for r in &self.pending_joins {
+            h.write_u16(r.0);
+        }
+        h.write_u8(self.hb_deadline.is_some() as u8);
     }
 }
 

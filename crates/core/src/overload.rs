@@ -25,7 +25,17 @@
 //! `rmcheck` state-space explorer. [`OverloadConfig::OFF`] (the default)
 //! disables every mechanism and reproduces the static-window engines
 //! byte-identically.
+//!
+//! The sender composes them in one component, `Overload`: it admits
+//! feedback (load note, shedding, duplicate-NAK collapse), holds the AIMD
+//! cap, scales the suppression interval, and owns the two edge detectors
+//! (the `StormSuppressed` trace and the `Backpressure` event). The sender
+//! keeps the windows and applies the cap it is handed.
 
+use crate::config::{ProtocolConfig, ProtocolKind};
+use crate::endpoint::AppEvent;
+use crate::sender::Io;
+use rmtrace::{TraceEvent, Tracer};
 use rmwire::{Duration, Time};
 use std::collections::VecDeque;
 
@@ -338,6 +348,233 @@ impl LoadScaler {
     /// Scale a configured suppression interval by the current load level.
     pub fn scale(&mut self, base: Duration, now: Time) -> Duration {
         base.saturating_mul(self.level(now) as u64)
+    }
+}
+
+/// Feedback-storm hardening, present exactly when
+/// `overload.feedback_rate > 0`.
+#[derive(Debug, Clone)]
+struct FeedbackGuard {
+    /// Token-bucket pacing of ACK/NAK processing.
+    bucket: TokenBucket,
+    /// Duplicate-NAK collapse within one `retx_suppress`.
+    dup_naks: DupNakFilter,
+    /// Load-aware suppression scaling.
+    load: LoadScaler,
+}
+
+/// The sender's overload control. With every mechanism off each call is
+/// one branch on an empty `Option`.
+#[derive(Debug, Clone)]
+pub(crate) struct Overload {
+    /// AIMD window adaptation (present when `overload.aimd`).
+    aimd: Option<AimdWindow>,
+    /// Feedback pacing, duplicate-NAK collapse and load scaling.
+    feedback: Option<FeedbackGuard>,
+    /// The configured window: a stall on an AIMD cap below it is
+    /// backpressure.
+    window: usize,
+    /// Edge detector for [`AppEvent::Backpressure`].
+    backpressured: bool,
+    /// Edge detector for the `StormSuppressed` trace event.
+    storm_shedding: bool,
+}
+
+impl Overload {
+    /// The overload control `cfg` asks for, in a group of `n` receivers.
+    pub(crate) fn new(cfg: &ProtocolConfig, n: usize) -> Overload {
+        let o = &cfg.overload;
+        // Below one more than the group, the ring's rotating release rule
+        // (packet X is freed by the ACK for X + N) would deadlock.
+        let floor = match cfg.kind {
+            ProtocolKind::Ring => o.aimd_floor.max(n + 1),
+            _ => o.aimd_floor,
+        };
+        Overload {
+            aimd: o
+                .aimd
+                .then(|| AimdWindow::new(cfg.window, floor, o.aimd_ceiling)),
+            feedback: (o.feedback_rate > 0).then(|| FeedbackGuard {
+                bucket: TokenBucket::new(o.feedback_rate, o.feedback_burst),
+                dup_naks: DupNakFilter::new(cfg.retx_suppress),
+                load: LoadScaler::new(32),
+            }),
+            window: cfg.window,
+            backpressured: false,
+            storm_shedding: false,
+        }
+    }
+
+    /// The AIMD cap a data window is held to, when AIMD is on. It survives
+    /// across transfers: congestion memory is a property of the path, not
+    /// of one message.
+    pub(crate) fn cap(&self) -> Option<u32> {
+        self.aimd.as_ref().map(|a| a.cap().max(1) as u32)
+    }
+
+    /// Count one piece of feedback toward the observed load.
+    pub(crate) fn note_feedback(&mut self, now: Time) {
+        if let Some(f) = self.feedback.as_mut() {
+            f.load.note(now);
+        }
+    }
+
+    /// Feedback-pacing admission: `false` means shed this control packet.
+    /// Emits the `StormSuppressed` edge on entry into the shedding state.
+    fn paced(&mut self, now: Time, transfer: u32, tracer: &mut Tracer) -> bool {
+        let Some(f) = self.feedback.as_mut() else {
+            return true;
+        };
+        if f.bucket.take(now) {
+            self.storm_shedding = false;
+            return true;
+        }
+        if !self.storm_shedding {
+            self.storm_shedding = true;
+            tracer.emit(now.as_nanos(), TraceEvent::StormSuppressed { transfer });
+        }
+        false
+    }
+
+    /// Admit an ACK that does not complete its transfer; `false` means it
+    /// was shed.
+    pub(crate) fn admit_ack(&mut self, now: Time, transfer: u32, io: &mut Io<'_>) -> bool {
+        let admitted = self.paced(now, transfer, io.tracer);
+        if !admitted {
+            io.stats.acks_shed += 1;
+        }
+        admitted
+    }
+
+    /// Admit a NAK for `(transfer, seq)`; `false` means it was shed, or
+    /// collapsed into one seen within the suppression interval — a storm
+    /// of NAKs for the same packet triggers one retransmission decision,
+    /// not hundreds.
+    pub(crate) fn admit_nak(
+        &mut self,
+        now: Time,
+        transfer: u32,
+        seq: u32,
+        io: &mut Io<'_>,
+    ) -> bool {
+        if !self.paced(now, transfer, io.tracer) {
+            io.stats.naks_shed += 1;
+            return false;
+        }
+        if let Some(f) = self.feedback.as_mut() {
+            if f.dup_naks.is_dup(transfer as u64, seq as u64, now) {
+                io.stats.naks_collapsed += 1;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `base` (the configured `retx_suppress`) scaled by observed feedback
+    /// load; `base` itself when feedback pacing is off.
+    pub(crate) fn suppress(&mut self, base: Duration, now: Time) -> Duration {
+        match self.feedback.as_mut() {
+            Some(f) => f.load.scale(base, now),
+            None => base,
+        }
+    }
+
+    /// Multiplicative decrease on a congestion signal (retransmission
+    /// timeout or fresh NAK). Returns the cap to hold the data window to.
+    pub(crate) fn on_congestion(
+        &mut self,
+        now: Time,
+        transfer: u32,
+        io: &mut Io<'_>,
+    ) -> Option<u32> {
+        let a = self.aimd.as_mut()?;
+        if a.on_congestion() {
+            io.stats.window_shrinks += 1;
+            let cap = a.cap() as u32;
+            io.tracer
+                .emit(now.as_nanos(), TraceEvent::WindowShrink { transfer, cap });
+        }
+        self.cap()
+    }
+
+    /// Additive increase on `acked` packets of progress on data transfer
+    /// `transfer` of message `msg_id`; clears the backpressure edge once
+    /// the cap is back to the configured window. Returns the cap to hold
+    /// the data window to.
+    pub(crate) fn on_progress(
+        &mut self,
+        now: Time,
+        (msg_id, transfer): (u64, u32),
+        acked: u32,
+        io: &mut Io<'_>,
+    ) -> Option<u32> {
+        let a = self.aimd.as_mut()?;
+        let changed = a.on_progress(acked as usize);
+        let cap = a.cap();
+        if changed {
+            io.stats.window_grows += 1;
+            io.tracer.emit(
+                now.as_nanos(),
+                TraceEvent::WindowGrow {
+                    transfer,
+                    cap: cap as u32,
+                },
+            );
+        }
+        if cap >= self.window {
+            // The window recovered its configured size: senders may resume.
+            self.clear_backpressure(now, (msg_id, transfer), io);
+        }
+        self.cap()
+    }
+
+    /// The data window stalled full with payload left to send: on an
+    /// AIMD-shrunk window that is backpressure the application should
+    /// hear about (edge-triggered).
+    pub(crate) fn on_stall(&mut self, now: Time, names: (u64, u32), io: &mut Io<'_>) {
+        if !self.backpressured && self.aimd.as_ref().is_some_and(|a| a.cap() < self.window) {
+            self.backpressure_edge(true, now, names, io);
+        }
+    }
+
+    /// Clear the backpressure edge, if set. At a message boundary the
+    /// message is named with transfer `0`: no transfer is in flight.
+    pub(crate) fn clear_backpressure(&mut self, now: Time, names: (u64, u32), io: &mut Io<'_>) {
+        if self.backpressured {
+            self.backpressure_edge(false, now, names, io);
+        }
+    }
+
+    fn backpressure_edge(
+        &mut self,
+        congested: bool,
+        now: Time,
+        (msg_id, transfer): (u64, u32),
+        io: &mut Io<'_>,
+    ) {
+        self.backpressured = congested;
+        io.stats.backpressure_signals += 1;
+        io.events
+            .push_back(AppEvent::Backpressure { msg_id, congested });
+        let congested = u32::from(congested);
+        io.tracer.emit(
+            now.as_nanos(),
+            TraceEvent::Backpressure {
+                transfer,
+                congested,
+            },
+        );
+    }
+
+    /// Fold the protocol-logical state (the AIMD cap) into a digest.
+    pub(crate) fn hash_into(&self, h: &mut dyn std::hash::Hasher) {
+        match &self.aimd {
+            None => h.write_u8(0),
+            Some(a) => {
+                h.write_u8(1);
+                a.digest_into(h);
+            }
+        }
     }
 }
 

@@ -7,24 +7,52 @@
 //! Go-Back-N retransmission, sender-driven timers, retransmission
 //! suppression, the allocation handshake — is shared, exactly as in the
 //! paper's implementation (§4).
+//!
+//! The layers added on top of that core are components the sender holds
+//! and calls, each owning its state and decisions: membership with
+//! failure detection ([`crate::membership`]), slow-receiver quarantine
+//! (`quarantine`) and overload control ([`crate::overload`]). The sender
+//! keeps the windows and carries their decisions out. Every eviction,
+//! whatever caused it, goes through one path: `Sender::evict`.
 
 use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
 use crate::coverage::{PerSourceCoverage, RingTracker};
 use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
 use crate::error::SessionError;
 use crate::fec::{self, FecState};
-use crate::membership::{FailureDetector, LivenessVerdict};
-use crate::overload::{AimdWindow, DupNakFilter, LoadScaler, TokenBucket};
+use crate::membership::Members;
+use crate::overload::Overload;
 use crate::packet::{self, Packet};
+use crate::quarantine::{Quarantine, Round};
 use crate::stats::Stats;
 use crate::tree::TreeTopology;
 use crate::window::SendWindow;
 use bytes::Bytes;
 use rmtrace::{TraceEvent, Tracer};
-use rmwire::{
-    AllocBody, Duration, GroupSpec, PacketFlags, Rank, RepairBody, SeqNo, SyncBody, Time,
-};
+use rmwire::{AllocBody, Duration, GroupSpec, PacketFlags, Rank, RepairBody, SeqNo, Time};
 use std::collections::VecDeque;
+
+/// The sender's outputs, lent to a layer for one call: its counters, its
+/// trace, and its datagram and application-event queues.
+pub(crate) struct Io<'a> {
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) tracer: &'a mut Tracer,
+    pub(crate) out: &'a mut VecDeque<Transmit>,
+    pub(crate) events: &'a mut VecDeque<AppEvent>,
+}
+
+/// Lend a sender's outputs to a layer call. The borrows are of single
+/// fields, so the layer itself can be borrowed alongside.
+macro_rules! io {
+    ($s:ident) => {
+        &mut Io {
+            stats: &mut $s.stats,
+            tracer: &mut $s.tracer,
+            out: &mut $s.out,
+            events: &mut $s.events,
+        }
+    };
+}
 
 /// Release-rule state, per transfer.
 #[derive(Clone)]
@@ -161,40 +189,6 @@ enum Which {
     Staged,
 }
 
-/// Per-receiver slow-receiver quarantine state: the rank no longer gates
-/// the window; it is served catch-up retransmissions from `horizon` at a
-/// bounded rate until it catches up (rejoin at the message boundary) or
-/// its budget runs out (liveness path).
-#[derive(Clone)]
-struct QuarState {
-    /// The quarantined transfer.
-    transfer: u32,
-    /// Highest next-expected sequence the rank has acknowledged.
-    horizon: u32,
-    /// When the next catch-up batch may go out.
-    next_catchup: Time,
-    /// Catch-up rounds already spent (bounded by `quarantine_budget`).
-    rounds: u32,
-}
-
-/// Packets unicast per catch-up round to one quarantined receiver.
-const CATCHUP_BATCH: u32 = 4;
-
-/// Spacing between catch-up rounds to one quarantined receiver.
-const CATCHUP_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Feedback-storm hardening, present exactly when
-/// `overload.feedback_rate > 0`.
-#[derive(Clone)]
-struct FeedbackGuard {
-    /// Token-bucket pacing of ACK/NAK processing.
-    bucket: TokenBucket,
-    /// Duplicate-NAK collapse within one `retx_suppress`.
-    dup_naks: DupNakFilter,
-    /// Load-aware suppression scaling.
-    load: LoadScaler,
-}
-
 /// The sender endpoint (rank 0) of a reliable multicast group.
 ///
 /// Cloning forks the entire protocol state (the `rmcheck explore` model
@@ -219,41 +213,19 @@ pub struct Sender {
     /// Rate pacing: the instant the next fresh data packet may enter the
     /// window (rate-based flow control option).
     pace_gate: Time,
-    /// Receivers evicted by the liveness bound, by receiver index. Sticky
-    /// across transfers: a dead receiver never gates a later message.
-    evicted: Vec<bool>,
-    /// Membership epoch. `0` while membership is disabled; starts at `1`
-    /// and bumps on every membership change (eviction, leave, admission)
-    /// otherwise.
-    epoch: u32,
-    /// Heartbeat-driven failure detector (present only with membership).
-    detector: Option<FailureDetector>,
-    /// Next heartbeat announce / detector tick. Armed only while the
-    /// sender is busy, so an idle group stays silent.
-    hb_deadline: Option<Time>,
-    /// Ranks awaiting admission at the next message boundary.
-    pending_joins: Vec<Rank>,
-    /// Tree mode, by receiver index: rejoined receivers acting as detached
-    /// roots (they report straight to the sender instead of re-entering
-    /// their original ack chain).
-    detached: Vec<bool>,
-    /// AIMD window adaptation (present when `overload.aimd`).
-    aimd: Option<AimdWindow>,
-    /// Feedback pacing, duplicate-NAK collapse and load scaling.
-    feedback: Option<FeedbackGuard>,
-    /// Slow-receiver quarantine state, by receiver index.
-    quar: Vec<Option<QuarState>>,
+    /// Who is in the group: evictions, epoch, failure detector, joins.
+    members: Members,
+    /// Slow receivers served catch-up off the critical path.
+    quarantine: Quarantine,
+    /// AIMD cap, feedback admission and load-scaled suppression.
+    overload: Overload,
     /// Coding buffer and parity accumulator (present only for the fec
     /// family).
     fec: Option<FecState>,
-    /// Edge detector for [`AppEvent::Backpressure`].
-    backpressured: bool,
-    /// Edge detector for the `StormSuppressed` trace event.
-    storm_shedding: bool,
     /// Trace sink + flight recorder handle (inert by default).
     tracer: Tracer,
     /// Timestamp of the most recent driver call, for trace emission from
-    /// paths that do not carry `now` (membership admissions, data emits).
+    /// paths that do not carry `now` (data emits).
     now_cache: Time,
 }
 
@@ -267,17 +239,6 @@ impl Sender {
             _ => None,
         };
         let n = group.n_receivers as usize;
-        let (epoch, detector) = if cfg.membership.enabled {
-            (1, Some(FailureDetector::new(n)))
-        } else {
-            (0, None)
-        };
-        // Below one more than the group, the ring's rotating release rule
-        // (packet X is freed by the ACK for X + N) would deadlock.
-        let aimd_floor = match cfg.kind {
-            ProtocolKind::Ring => cfg.overload.aimd_floor.max(n + 1),
-            _ => cfg.overload.aimd_floor,
-        };
         Sender {
             cfg,
             group,
@@ -290,25 +251,10 @@ impl Sender {
             transfer: None,
             staged: None,
             pace_gate: Time::ZERO,
-            evicted: vec![false; n],
-            epoch,
-            detector,
-            hb_deadline: None,
-            pending_joins: Vec::new(),
-            detached: vec![false; n],
-            aimd: cfg
-                .overload
-                .aimd
-                .then(|| AimdWindow::new(cfg.window, aimd_floor, cfg.overload.aimd_ceiling)),
-            feedback: (cfg.overload.feedback_rate > 0).then(|| FeedbackGuard {
-                bucket: TokenBucket::new(cfg.overload.feedback_rate, cfg.overload.feedback_burst),
-                dup_naks: DupNakFilter::new(cfg.retx_suppress),
-                load: LoadScaler::new(32),
-            }),
-            quar: vec![None; n],
+            members: Members::new(n, &cfg.membership),
+            quarantine: Quarantine::new(&cfg.overload, n),
+            overload: Overload::new(&cfg, n),
             fec: matches!(cfg.kind, ProtocolKind::Fec { .. }).then(FecState::new),
-            backpressured: false,
-            storm_shedding: false,
             tracer: Tracer::off(Rank::SENDER.0),
             now_cache: Time::ZERO,
         }
@@ -316,7 +262,7 @@ impl Sender {
 
     /// The current membership epoch (`0` when membership is disabled).
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.members.epoch()
     }
 
     /// The configuration this sender runs.
@@ -380,13 +326,7 @@ impl Sender {
             Phase::Data => Self::packet_count(data.len(), self.cfg.packet_size),
         };
         let release = self.make_release(k);
-        // The AIMD cap survives across transfers: congestion memory is a
-        // property of the path, not of one message.
-        let cap = self
-            .aimd
-            .as_ref()
-            .map_or(self.cfg.window, AimdWindow::cap)
-            .max(1) as u32;
+        let cap = self.overload.cap().unwrap_or(self.cfg.window.max(1) as u32);
         let win = SendWindow::new(k, cap);
         Transfer {
             msg_id,
@@ -411,13 +351,7 @@ impl Sender {
             }
         }
         self.transfer = Some(t);
-        if self.cfg.membership.enabled && self.hb_deadline.is_none() {
-            // Going busy: start the heartbeat schedule with an immediate
-            // announce so receivers can prove liveness before the first
-            // detector tick.
-            self.announce();
-            self.hb_deadline = Some(now + self.cfg.membership.heartbeat_interval);
-        }
+        self.members.start_heartbeats(now, io!(self));
         self.pump(now);
     }
 
@@ -487,7 +421,7 @@ impl Sender {
                 // Rejoined receivers act as detached roots: the sender
                 // hears their acknowledgments directly, since their old
                 // chain may have routed around them while they were gone.
-                for idx in (0..n).filter(|&i| self.detached[i]) {
+                for idx in (0..n).filter(|&i| self.members.is_detached(i)) {
                     if src_of_rank[idx].is_none() {
                         src_of_rank[idx] = Some(rank_of_src.len());
                         rank_of_src.push(Rank::from_receiver_index(idx));
@@ -502,7 +436,7 @@ impl Sender {
         };
         // Previously evicted receivers stay out of the proof obligation:
         // a dead peer must not stall every subsequent message anew.
-        for idx in (0..n).filter(|&i| self.evicted[i]) {
+        for idx in (0..n).filter(|&i| self.members.is_evicted(i)) {
             release.evict_rank(Rank::from_receiver_index(idx));
         }
         release
@@ -519,7 +453,7 @@ impl Sender {
                 // while payload remains unsent.
                 if t.win.next() < t.win.k() && !t.stalled {
                     t.stalled = true;
-                    stall = Some((t.id(), t.win.base()));
+                    stall = Some((t.msg_id, t.id(), t.win.base()));
                 }
                 break;
             }
@@ -545,32 +479,10 @@ impl Sender {
             let seq = t.win.mark_sent(now);
             self.emit_data(Which::Staged, seq, false, Dest::Receivers);
         }
-        if let Some((transfer, base)) = stall {
+        if let Some((msg_id, transfer, base)) = stall {
             self.tracer
                 .emit(now.as_nanos(), TraceEvent::WindowStall { transfer, base });
-            // Stalling on an AIMD-shrunk window is backpressure the
-            // application should hear about (edge-triggered).
-            if !self.backpressured
-                && self
-                    .aimd
-                    .as_ref()
-                    .is_some_and(|a| a.cap() < self.cfg.window)
-            {
-                self.backpressured = true;
-                self.stats.backpressure_signals += 1;
-                let msg_id = self.transfer.as_ref().map_or(0, |t| t.msg_id);
-                self.events.push_back(AppEvent::Backpressure {
-                    msg_id,
-                    congested: true,
-                });
-                self.tracer.emit(
-                    now.as_nanos(),
-                    TraceEvent::Backpressure {
-                        transfer,
-                        congested: 1,
-                    },
-                );
-            }
+            self.overload.on_stall(now, (msg_id, transfer), io!(self));
         }
         if let Some(t) = &self.transfer {
             self.stats
@@ -678,45 +590,15 @@ impl Sender {
         });
     }
 
-    /// Membership gate for incoming ACK/NAK/heartbeat traffic. Returns
-    /// `false` when the packet must not touch window state: it carried a
-    /// stale epoch, or it came from an evicted member. Either way the
-    /// member's reappearance is treated as an implicit rejoin request —
-    /// the partition-heal path, where a member dropped by the failure
-    /// detector never learned it was evicted and just keeps talking.
-    fn accept_member_traffic(&mut self, rank: Rank, epoch: Option<u32>) -> bool {
-        if !self.cfg.membership.enabled {
-            return true;
+    /// Membership gate for feedback from `rank`: `false` means it must not
+    /// touch window state. A refusal may have queued an implicit rejoin,
+    /// admitted on the spot if the sender sits at a message boundary.
+    fn accept_member_traffic(&mut self, now: Time, rank: Rank, epoch: Option<u32>) -> bool {
+        let accepted = self.members.accept(rank, epoch, &mut self.stats);
+        if !accepted {
+            self.try_admit(now);
         }
-        let idx = rank.receiver_index();
-        if let Some(e) = epoch {
-            if e != self.epoch {
-                self.stats.stale_epoch_discarded += 1;
-                if self.evicted[idx] {
-                    self.request_rejoin(rank);
-                }
-                return false;
-            }
-        }
-        if self.evicted[idx] {
-            // Current-epoch traffic from a non-member (it adopted the epoch
-            // from a heartbeat announce): still requires readmission.
-            self.request_rejoin(rank);
-            return false;
-        }
-        if let Some(d) = self.detector.as_mut() {
-            d.note_alive(idx);
-        }
-        true
-    }
-
-    /// Queue an evicted member for readmission; admit on the spot if the
-    /// sender sits at a message boundary.
-    fn request_rejoin(&mut self, rank: Rank) {
-        if !self.pending_joins.contains(&rank) {
-            self.pending_joins.push(rank);
-        }
-        self.try_admit();
+        accepted
     }
 
     fn on_ack(
@@ -732,27 +614,29 @@ impl Sender {
         if rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        if !self.accept_member_traffic(rank, epoch) {
+        if !self.accept_member_traffic(now, rank, epoch) {
             return;
         }
         let Some(which) = self.which_by_id(transfer_id) else {
             return;
         };
-        if let Some(f) = self.feedback.as_mut() {
-            f.load.note(now);
-        }
+        self.overload.note_feedback(now);
         // A quarantined peer's ACK only advances its catch-up horizon; it
         // is no longer part of the release obligation.
-        if self.quar_note_horizon(rank, transfer_id, next_expected) {
-            self.maybe_finish_quarantined(now);
+        if self
+            .quarantine
+            .note_horizon(rank, transfer_id, next_expected)
+        {
+            if self.current_complete() {
+                self.finish_transfer(now);
+            }
             return;
         }
         // Feedback-storm pacing: shed excess control traffic before it
         // reaches window bookkeeping. Completion-critical ACKs (those
         // covering a whole transfer) are always admitted.
         let completion = self.tref(which).is_some_and(|t| next_expected >= t.win.k());
-        if !completion && self.shed_feedback(now, transfer_id) {
-            self.stats.acks_shed += 1;
+        if !completion && !self.overload.admit_ack(now, transfer_id, io!(self)) {
             return;
         }
         self.tracer.emit(
@@ -768,7 +652,8 @@ impl Sender {
         if let Some(released) = t.release.update(rank, next_expected.min(t.win.k())) {
             let before = t.win.base();
             let progressed = t.release_to(released, base_rto);
-            let (tid, new_base, done) = (t.id(), t.win.base(), t.win.all_released());
+            let (msg_id, tid, new_base) = (t.msg_id, t.id(), t.win.base());
+            let done = t.win.all_released();
             if progressed {
                 self.tracer.emit(
                     now.as_nanos(),
@@ -779,7 +664,11 @@ impl Sender {
                 );
                 if which == Which::Cur {
                     // Acknowledged progress is the AIMD growth signal.
-                    self.aimd_progress(now, tid, new_base - before);
+                    let acked = new_base - before;
+                    let cap = self
+                        .overload
+                        .on_progress(now, (msg_id, tid), acked, io!(self));
+                    self.hold_window(cap);
                 }
             }
             if done {
@@ -787,7 +676,7 @@ impl Sender {
                 // catch-up (buffers hold the payload it is still owed). A
                 // completed staged allocation waits for the current message
                 // to end; its data transfer starts then.
-                if which == Which::Cur && !self.quarantine_blocks_completion() {
+                if which == Which::Cur && self.current_complete() {
                     self.finish_transfer(now);
                 }
             } else {
@@ -809,31 +698,23 @@ impl Sender {
         if rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        if !self.accept_member_traffic(rank, epoch) {
+        if !self.accept_member_traffic(now, rank, epoch) {
             return;
         }
         let Some(which) = self.which_by_id(transfer_id) else {
             return;
         };
-        if let Some(f) = self.feedback.as_mut() {
-            f.load.note(now);
-        }
+        self.overload.note_feedback(now);
         // A quarantined peer's NAK carries its catch-up horizon (it holds
         // everything below `expected`); the catch-up path serves it.
-        if self.quar_note_horizon(rank, transfer_id, expected) {
+        if self.quarantine.note_horizon(rank, transfer_id, expected) {
             return;
         }
-        if self.shed_feedback(now, transfer_id) {
-            self.stats.naks_shed += 1;
+        if !self
+            .overload
+            .admit_nak(now, transfer_id, expected, io!(self))
+        {
             return;
-        }
-        // Aggregated-duplicate collapse: a storm of NAKs for the same
-        // packet triggers one retransmission decision, not hundreds.
-        if let Some(f) = self.feedback.as_mut() {
-            if f.dup_naks.is_dup(transfer_id as u64, expected as u64, now) {
-                self.stats.naks_collapsed += 1;
-                return;
-            }
         }
         self.tracer.emit(
             now.as_nanos(),
@@ -845,7 +726,7 @@ impl Sender {
         );
         if which == Which::Cur {
             // A fresh (non-duplicate) NAK is a loss signal.
-            self.aimd_congestion(now, transfer_id);
+            self.congestion(now, transfer_id);
         }
         // The fec family aggregates NAKs into coded repairs instead of
         // answering each one; anything the coding buffer cannot take
@@ -870,7 +751,7 @@ impl Sender {
     /// Go-Back-N: retransmit everything outstanding from `from` toward
     /// `dest`, subject to per-packet suppression.
     fn retransmit_from(&mut self, which: Which, now: Time, from: u32, dest: Dest) {
-        let suppress = self.effective_retx_suppress(now);
+        let suppress = self.overload.suppress(self.cfg.retx_suppress, now);
         let mut to_send = Vec::new();
         let mut suppressed = 0u64;
         {
@@ -899,7 +780,7 @@ impl Sender {
     /// Selective repeat: retransmit packet `seq` toward `dest`, subject to
     /// its suppression clock.
     fn retransmit_one(&mut self, which: Which, now: Time, seq: u32, dest: Dest) {
-        let suppress = self.effective_retx_suppress(now);
+        let suppress = self.overload.suppress(self.cfg.retx_suppress, now);
         let send = {
             let Some(t) = self.tmut(which) else {
                 return;
@@ -1101,20 +982,21 @@ impl Sender {
             Phase::Data => {
                 self.stats.messages_completed += 1;
                 self.events.push_back(AppEvent::MessageSent { msg_id });
-                // Message boundary: quarantined receivers (all caught up,
-                // by the completion gate) rejoin the proof obligation, and
-                // any backpressure edge is cleared.
-                self.quarantine_boundary(now);
-                self.clear_backpressure(now, msg_id);
-                self.advance_after_current(now);
+                self.close_message(now, msg_id);
             }
         }
     }
 
-    /// The current message is done (completed or abandoned): promote the
-    /// pipelined next message, or start one from the queue.
-    fn advance_after_current(&mut self, now: Time) {
+    /// The current message `msg_id` ended, completed or abandoned: at the
+    /// boundary quarantined receivers (all caught up, by the completion
+    /// gate) rejoin the proof obligation and any backpressure edge clears.
+    /// Then promote the pipelined next message, or start one from the
+    /// queue.
+    fn close_message(&mut self, now: Time, msg_id: u64) {
         debug_assert!(self.transfer.is_none());
+        self.quarantine.rejoin_all(now, io!(self));
+        self.overload
+            .clear_backpressure(now, (msg_id, 0), io!(self));
         // The finished (or abandoned) message's coding state is moot; the
         // next data transfer re-binds in `begin_transfer`.
         if let Some(f) = self.fec.as_mut() {
@@ -1123,7 +1005,7 @@ impl Sender {
         // Message boundary: admit pending joiners before the next message's
         // proof obligation is built (no-op while a staged allocation is
         // still in flight — its release was built on the old membership).
-        self.try_admit();
+        self.try_admit(now);
         if let Some(st) = self.staged.take() {
             // Promote the pipelined next message.
             if st.win.all_released() {
@@ -1140,87 +1022,46 @@ impl Sender {
         self.maybe_stage_next(now);
     }
 
+    /// The current transfer is fully released and no quarantined receiver
+    /// is still owed any of it.
+    fn current_complete(&self) -> bool {
+        self.transfer.as_ref().is_some_and(|t| {
+            t.win.all_released() && !self.quarantine.blocks_completion(t.id(), t.win.k())
+        })
+    }
+
+    /// The message and transfer an eviction outside a stalled transfer is
+    /// reported against: the current one, or the next message before any
+    /// transfer.
+    fn current_names(&self) -> (u64, u32) {
+        self.transfer
+            .as_ref()
+            .map_or((self.next_msg_id, 0), |t| (t.msg_id, t.id()))
+    }
+
     /// The liveness bound tripped on a transfer: evict the stragglers
     /// gating it (when configured) or abandon the message with a typed
     /// error. Either way the sender keeps making progress.
     fn give_up(&mut self, which: Which, now: Time) {
-        let liveness = self.cfg.liveness;
-        let (tid, streak, msg_id) = {
-            let t = self.tref(which).expect("transfer exists");
-            (t.id(), t.streak, t.msg_id)
-        };
-        if !liveness.evict_stragglers {
-            self.fail_message(
-                which,
-                now,
-                SessionError::RetryLimitExceeded {
-                    transfer: tid,
-                    timeouts: streak,
-                },
-            );
-            return;
-        }
         let t = self.tref(which).expect("transfer exists");
-        let laggards = t.release.laggard_ranks();
-        if laggards.is_empty() || laggards.len() >= t.release.n_active() {
+        let tid = t.id();
+        let error = if self.cfg.liveness.evict_stragglers {
+            let laggards = t.release.laggard_ranks();
+            if !laggards.is_empty() && laggards.len() < t.release.n_active() {
+                let named = (t.msg_id, tid);
+                self.evict(now, &laggards, named);
+                return;
+            }
             // Nobody identifiable to blame, or eviction would empty the
             // group: nothing left to deliver to.
-            self.fail_message(
-                which,
-                now,
-                SessionError::AllReceiversEvicted { transfer: tid },
-            );
-            return;
-        }
-        for rank in laggards {
-            let idx = rank.receiver_index();
-            self.evicted[idx] = true;
-            self.detached[idx] = false;
-            if let Some(d) = self.detector.as_mut() {
-                d.reset(idx);
+            SessionError::AllReceiversEvicted { transfer: tid }
+        } else {
+            SessionError::RetryLimitExceeded {
+                transfer: tid,
+                timeouts: t.streak,
             }
-            self.stats.evictions += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::Evicted {
-                    peer: rank.0,
-                    transfer: tid,
-                },
-            );
-            self.events
-                .push_back(AppEvent::ReceiverEvicted { msg_id, rank });
-            // Both in-flight transfers wait on the same receiver set; the
-            // dead peer must gate neither.
-            for w in [Which::Cur, Which::Staged] {
-                if let Some(t) = self.tmut(w) {
-                    t.release.evict_rank(rank);
-                }
-            }
-        }
-        if self.cfg.membership.enabled {
-            self.epoch += 1;
-            self.emit_epoch_change();
-            self.announce();
-        }
-        self.settle(now);
-    }
-
-    /// Trace the membership epoch taking a new value.
-    fn emit_epoch_change(&mut self) {
-        self.tracer.emit(
-            self.now_cache.as_nanos(),
-            TraceEvent::EpochChange { epoch: self.epoch },
-        );
-    }
-
-    /// Multicast a heartbeat announce carrying the current epoch.
-    fn announce(&mut self) {
-        self.stats.heartbeats_sent += 1;
-        self.out.push_back(Transmit {
-            dest: Dest::Receivers,
-            payload: packet::encode_heartbeat(Rank::SENDER, self.epoch),
-            copied: 0,
-        });
+        };
+        self.fail_message(which, now, error);
     }
 
     /// Remove `rank` from in-flight proof obligations, unless it is the
@@ -1236,211 +1077,90 @@ impl Sender {
         }
     }
 
-    /// Sticky-evict `rank` (detector verdict or voluntary leave). The
-    /// caller bumps the epoch once per batch and settles afterwards.
-    fn remove_member(&mut self, rank: Rank) {
-        let idx = rank.receiver_index();
-        debug_assert!(!self.evicted[idx]);
-        self.evicted[idx] = true;
-        self.detached[idx] = false;
-        if let Some(d) = self.detector.as_mut() {
-            d.reset(idx);
-        }
-        if let Some(q) = self.quar[idx].take() {
-            // A quarantined peer resolved through the liveness path.
-            self.stats.quarantine_evicted += 1;
+    /// Sticky-evict `ranks`, reporting each against `(msg_id, transfer)`.
+    /// This is the one way a receiver leaves the group, whatever removed
+    /// it: the liveness bound, the failure detector, a voluntary leave or
+    /// a spent quarantine budget. Each rank is marked out, resolved from
+    /// quarantine, reported, and dropped from both in-flight proof
+    /// obligations (a dead peer must gate neither). Then the epoch moves
+    /// once for the batch, and both transfers settle against the
+    /// survivors.
+    fn evict(&mut self, now: Time, ranks: &[Rank], (msg_id, transfer): (u64, u32)) {
+        for &rank in ranks {
+            debug_assert!(!self.members.is_evicted(rank.receiver_index()));
+            self.members.mark_out(rank.receiver_index());
+            self.quarantine.resolve(rank, now, io!(self));
+            self.stats.evictions += 1;
             self.tracer.emit(
-                self.now_cache.as_nanos(),
-                TraceEvent::QuarantineExit {
+                now.as_nanos(),
+                TraceEvent::Evicted {
                     peer: rank.0,
-                    transfer: q.transfer,
-                    caught_up: 0,
+                    transfer,
                 },
             );
+            self.events
+                .push_back(AppEvent::ReceiverEvicted { msg_id, rank });
+            self.drop_from_releases(rank);
         }
-        self.stats.evictions += 1;
-        let (msg_id, tid) = self
-            .transfer
-            .as_ref()
-            .map_or((self.next_msg_id, 0), |t| (t.msg_id, t.id()));
-        self.tracer.emit(
-            self.now_cache.as_nanos(),
-            TraceEvent::Evicted {
-                peer: rank.0,
-                transfer: tid,
-            },
-        );
-        self.events
-            .push_back(AppEvent::ReceiverEvicted { msg_id, rank });
-        self.drop_from_releases(rank);
-    }
-
-    /// One heartbeat period elapsed: announce, charge every active member
-    /// one miss, and evict those past the threshold.
-    fn heartbeat_tick(&mut self, now: Time) {
-        let busy = self.transfer.is_some() || self.staged.is_some() || !self.queue.is_empty();
-        if !busy {
-            // An idle group stays silent so drivers reach quiescence.
-            self.hb_deadline = None;
-            return;
-        }
-        self.announce();
-        let n = self.group.n_receivers as usize;
-        let mut to_evict = Vec::new();
-        if let Some(d) = self.detector.as_mut() {
-            for idx in 0..n {
-                if self.evicted[idx] {
-                    continue;
-                }
-                match d.record_miss(idx) {
-                    LivenessVerdict::Alive => {}
-                    LivenessVerdict::NewlySuspected => self.stats.suspects += 1,
-                    LivenessVerdict::Evict => to_evict.push(idx),
-                }
-            }
-        }
-        // Never evict the last live member: with nobody left there is no
-        // one to deliver to, and the bounded-retry path reports that
-        // failure with a typed error instead.
-        let live = (0..n).filter(|&i| !self.evicted[i]).count();
-        if to_evict.len() >= live {
-            to_evict.truncate(live - 1);
-        }
-        if !to_evict.is_empty() {
-            for idx in to_evict {
-                self.remove_member(Rank::from_receiver_index(idx));
-            }
-            self.epoch += 1;
-            self.emit_epoch_change();
-            self.announce();
-            self.settle(now);
-        }
-        self.hb_deadline = Some(now + self.cfg.membership.heartbeat_interval);
+        self.members.announce_change(now, io!(self));
+        self.settle(now);
     }
 
     /// Admission request (first join or rejoin after eviction/restart).
     fn on_join(&mut self, now: Time, rank: Rank) {
-        if !self.cfg.membership.enabled || rank.is_sender() || !self.group.contains(rank) {
+        if !self.members.enabled() || rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        // Immediate WELCOME so the joiner stops re-sending JOINs; the
-        // binding SYNC follows at the next message boundary.
-        self.out.push_back(Transmit {
-            dest: Dest::Rank(rank),
-            payload: packet::encode_welcome(Rank::SENDER, self.epoch),
-            copied: 0,
-        });
-        let idx = rank.receiver_index();
-        if let Some(d) = self.detector.as_mut() {
-            d.reset(idx);
-        }
-        if !self.evicted[idx] {
-            // A member we believed active announces a (re)start: its old
-            // acknowledgment state is gone, so stop waiting for it on
-            // in-flight transfers. This is pending-admission state, not a
-            // failure — no ReceiverEvicted event, no epoch bump yet.
-            self.evicted[idx] = true;
-            self.detached[idx] = false;
-            // A restart wipes its receive state; any quarantine catch-up
-            // aimed at the old incarnation is moot.
-            self.quar[idx] = None;
+        if self.members.join(rank, io!(self)) {
+            // A member we believed active restarted: its receive state is
+            // gone, so any quarantine catch-up aimed at the old incarnation
+            // is moot, and the in-flight transfers stop waiting for it.
+            self.quarantine.forget(rank);
             self.drop_from_releases(rank);
-            if !self.pending_joins.contains(&rank) {
-                self.pending_joins.push(rank);
-            }
             self.settle(now);
-        } else if !self.pending_joins.contains(&rank) {
-            self.pending_joins.push(rank);
         }
-        self.try_admit();
+        self.try_admit(now);
     }
 
     /// Voluntary departure: sticky eviction with an immediate epoch bump.
     fn on_leave(&mut self, now: Time, rank: Rank) {
-        if !self.cfg.membership.enabled || rank.is_sender() || !self.group.contains(rank) {
+        if !self.members.enabled() || rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        self.pending_joins.retain(|&r| r != rank);
-        if self.evicted[rank.receiver_index()] {
-            return;
+        if self.members.leave(rank) {
+            self.evict(now, &[rank], self.current_names());
         }
-        self.remove_member(rank);
-        self.epoch += 1;
-        self.emit_epoch_change();
-        self.announce();
-        self.settle(now);
     }
 
     /// A receiver's heartbeat reply: proof of life (or an implicit rejoin
     /// request when it comes from a non-member).
-    fn on_heartbeat(&mut self, rank: Rank, epoch: u32) {
+    fn on_heartbeat(&mut self, now: Time, rank: Rank, epoch: u32) {
         self.stats.heartbeats_received += 1;
-        if !self.cfg.membership.enabled || rank.is_sender() || !self.group.contains(rank) {
+        if !self.members.enabled() || rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        let _ = self.accept_member_traffic(rank, Some(epoch));
+        self.accept_member_traffic(now, rank, Some(epoch));
     }
 
-    /// Admit every pending joiner, provided the sender sits at a message
-    /// boundary (nothing current, nothing staged): clear their evicted
-    /// bits, bump the epoch once for the batch, and hand each joiner a
-    /// SYNC naming the first message it is responsible for.
-    fn try_admit(&mut self) {
-        if self.pending_joins.is_empty() || self.transfer.is_some() || self.staged.is_some() {
+    /// One heartbeat period elapsed: announce, score every member, and
+    /// evict those the detector gave up on.
+    fn heartbeat_tick(&mut self, now: Time) {
+        let busy = self.transfer.is_some() || self.staged.is_some() || !self.queue.is_empty();
+        let silent = self.members.tick(now, busy, io!(self));
+        if !silent.is_empty() {
+            self.evict(now, &silent, self.current_names());
+        }
+    }
+
+    /// Admit pending joiners, provided the sender sits at a message
+    /// boundary (nothing current, nothing staged).
+    fn try_admit(&mut self, now: Time) {
+        if self.transfer.is_some() || self.staged.is_some() {
             return;
         }
-        let joiners = std::mem::take(&mut self.pending_joins);
-        let next_msg = self
-            .queue
-            .front()
-            .map(|&(id, _)| id)
-            .unwrap_or(self.next_msg_id);
-        let next_transfer = Self::alloc_transfer_id(next_msg);
-        let is_tree = matches!(self.cfg.kind, ProtocolKind::Tree { .. });
-        self.epoch += 1;
-        self.emit_epoch_change();
-        for rank in joiners {
-            let idx = rank.receiver_index();
-            self.evicted[idx] = false;
-            if let Some(d) = self.detector.as_mut() {
-                d.reset(idx);
-            }
-            let mut flags = 0;
-            if is_tree {
-                let already_root = self
-                    .tree
-                    .as_ref()
-                    .is_some_and(|t| t.roots().contains(&rank));
-                if !already_root {
-                    // The joiner's old chain position is gone (its parent
-                    // may have routed around it): it re-enters as a
-                    // detached root reporting straight to the sender.
-                    self.detached[idx] = true;
-                }
-                if self.detached[idx] {
-                    flags |= SyncBody::DETACHED_ROOT;
-                }
-            }
-            self.stats.joins += 1;
-            self.out.push_back(Transmit {
-                dest: Dest::Rank(rank),
-                payload: packet::encode_sync(
-                    Rank::SENDER,
-                    SyncBody {
-                        epoch: self.epoch,
-                        next_msg,
-                        next_transfer,
-                        flags,
-                    },
-                ),
-                copied: 0,
-            });
-            self.events.push_back(AppEvent::ReceiverJoined {
-                rank,
-                epoch: self.epoch,
-            });
-        }
-        self.announce();
+        let next_msg = self.queue.front().map_or(self.next_msg_id, |&(id, _)| id);
+        self.members
+            .admit(now, next_msg, self.tree.as_ref(), io!(self));
     }
 
     /// Re-evaluate both in-flight transfers against their (possibly just
@@ -1464,9 +1184,7 @@ impl Sender {
                     },
                 );
             }
-            if self.transfer.as_ref().is_some_and(|t| t.win.all_released())
-                && !self.quarantine_blocks_completion()
-            {
+            if self.current_complete() {
                 self.finish_transfer(now);
             } else {
                 self.pump(now);
@@ -1493,9 +1211,7 @@ impl Sender {
                     .msg_id;
                 self.events
                     .push_back(AppEvent::MessageFailed { msg_id, error });
-                self.quarantine_boundary(now);
-                self.clear_backpressure(now, msg_id);
-                self.advance_after_current(now);
+                self.close_message(now, msg_id);
             }
             Which::Staged => {
                 let st = self.staged.take().expect("staged exists");
@@ -1508,152 +1224,19 @@ impl Sender {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Overload robustness (AIMD, storm shedding, quarantine)
-    // ------------------------------------------------------------------
-
-    /// Feedback-pacing admission: `true` means shed this control packet.
-    /// Emits the `StormSuppressed` edge on entry into the shedding state.
-    fn shed_feedback(&mut self, now: Time, transfer_id: u32) -> bool {
-        let Some(f) = self.feedback.as_mut() else {
-            return false;
-        };
-        if f.bucket.take(now) {
-            self.storm_shedding = false;
-            return false;
-        }
-        if !self.storm_shedding {
-            self.storm_shedding = true;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::StormSuppressed {
-                    transfer: transfer_id,
-                },
-            );
-        }
-        true
+    /// A congestion signal (retransmission timeout or fresh NAK) on the
+    /// current transfer: the AIMD cap halves.
+    fn congestion(&mut self, now: Time, transfer_id: u32) {
+        let cap = self.overload.on_congestion(now, transfer_id, io!(self));
+        self.hold_window(cap);
     }
 
-    /// Multiplicative decrease on a congestion signal (retransmission
-    /// timeout or fresh NAK), re-applying the cap to the data window.
-    fn aimd_congestion(&mut self, now: Time, transfer_id: u32) {
-        let Some(a) = self.aimd.as_mut() else { return };
-        let changed = a.on_congestion();
-        let cap = a.cap() as u32;
-        if changed {
-            self.stats.window_shrinks += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::WindowShrink {
-                    transfer: transfer_id,
-                    cap,
-                },
-            );
-        }
-        self.apply_aimd_cap();
-    }
-
-    /// Additive increase on acknowledged progress, re-applying the cap.
-    fn aimd_progress(&mut self, now: Time, transfer_id: u32, acked: u32) {
-        let Some(a) = self.aimd.as_mut() else { return };
-        let changed = a.on_progress(acked as usize);
-        let cap = a.cap();
-        if changed {
-            self.stats.window_grows += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::WindowGrow {
-                    transfer: transfer_id,
-                    cap: cap as u32,
-                },
-            );
-        }
-        if self.backpressured && cap >= self.cfg.window {
-            // The window recovered its configured size: senders may resume.
-            let msg_id = self.transfer.as_ref().map_or(0, |t| t.msg_id);
-            self.clear_backpressure(now, msg_id);
-        }
-        self.apply_aimd_cap();
-    }
-
-    /// Push the current AIMD cap into the in-flight data window. The
-    /// window clamps to its occupancy, so a shrink takes full effect as
-    /// in-flight packets drain; calling this after releases re-tightens.
-    fn apply_aimd_cap(&mut self) {
-        let Some(cap) = self.aimd.as_ref().map(|a| a.cap().max(1) as u32) else {
-            return;
-        };
-        if let Some(t) = self.transfer.as_mut() {
+    /// Hold the current data window to an AIMD cap. The window clamps to
+    /// its occupancy, so a shrink takes full effect as in-flight packets
+    /// drain; applying it after releases re-tightens.
+    fn hold_window(&mut self, cap: Option<u32>) {
+        if let (Some(cap), Some(t)) = (cap, self.transfer.as_mut()) {
             t.win.set_cap(cap);
-        }
-    }
-
-    /// Clear the backpressure edge, if set (recovery or message boundary).
-    fn clear_backpressure(&mut self, now: Time, msg_id: u64) {
-        if !self.backpressured {
-            return;
-        }
-        self.backpressured = false;
-        self.stats.backpressure_signals += 1;
-        let tid = self.transfer.as_ref().map_or(0, Transfer::id);
-        self.events.push_back(AppEvent::Backpressure {
-            msg_id,
-            congested: false,
-        });
-        self.tracer.emit(
-            now.as_nanos(),
-            TraceEvent::Backpressure {
-                transfer: tid,
-                congested: 0,
-            },
-        );
-    }
-
-    /// `retx_suppress` scaled by observed feedback load (identity when
-    /// feedback pacing is off).
-    fn effective_retx_suppress(&mut self, now: Time) -> Duration {
-        match self.feedback.as_mut() {
-            Some(f) => f.load.scale(self.cfg.retx_suppress, now),
-            None => self.cfg.retx_suppress,
-        }
-    }
-
-    /// Note a quarantined peer's acknowledgment horizon (both its ACK
-    /// `next_expected` and its NAK `expected` mean "I hold everything
-    /// below this"). Returns `true` when the packet came from a
-    /// quarantined peer — callers stop there, since the peer is no longer
-    /// part of any release obligation.
-    fn quar_note_horizon(&mut self, rank: Rank, transfer_id: u32, below: u32) -> bool {
-        let Some(q) = self.quar[rank.receiver_index()].as_mut() else {
-            return false;
-        };
-        if q.transfer == transfer_id {
-            q.horizon = q.horizon.max(below);
-        }
-        true
-    }
-
-    /// True while the current transfer is fully released by the live set
-    /// but a quarantined receiver still lacks packets: completion (and
-    /// with it, buffer reuse) waits for its catch-up or budget exhaustion.
-    fn quarantine_blocks_completion(&self) -> bool {
-        let Some(t) = self.transfer.as_ref() else {
-            return false;
-        };
-        let (tid, k) = (t.id(), t.win.k());
-        self.quar
-            .iter()
-            .flatten()
-            .any(|q| q.transfer == tid && q.horizon < k)
-    }
-
-    /// Finish the current transfer if a quarantined peer's catch-up just
-    /// removed the last obstacle to completion.
-    fn maybe_finish_quarantined(&mut self, now: Time) {
-        if self.transfer.as_ref().is_some_and(|t| t.win.all_released())
-            && !self.quarantine_blocks_completion()
-        {
-            self.finish_transfer(now);
         }
     }
 
@@ -1663,52 +1246,31 @@ impl Sender {
     /// critical path instead. Returns `true` when anyone moved (the
     /// release was re-settled; skip this round's group retransmission).
     fn maybe_quarantine(&mut self, now: Time) -> bool {
-        let Some(after) = self.cfg.overload.quarantine_after else {
-            return false;
-        };
         // Only a data transfer has payload worth catching up on; an alloc
         // round trip resolves through the liveness path.
-        let Some(t) = self.transfer.as_ref().filter(|t| t.phase == Phase::Data) else {
+        let Some(t) = self
+            .transfer
+            .as_ref()
+            .filter(|t| self.quarantine.is_due(t.streak) && t.phase == Phase::Data)
+        else {
             return false;
         };
-        if t.streak < after {
-            return false;
-        }
-        let laggards = t.release.laggard_ranks();
+        let mut laggards = t.release.laggard_ranks();
         if laggards.is_empty() || laggards.len() >= t.release.n_active() {
             // Nobody identifiable, or quarantining would empty the proof
             // obligation: let the liveness path resolve the stall.
             return false;
         }
-        let tid = t.id();
-        let horizon = t.release.released().min(t.win.k());
-        let mut any = false;
-        for rank in laggards {
-            let idx = rank.receiver_index();
-            if self.quar[idx].is_some() {
-                continue;
-            }
-            self.quar[idx] = Some(QuarState {
-                transfer: tid,
-                horizon,
-                next_catchup: now + CATCHUP_INTERVAL,
-                rounds: 0,
-            });
-            any = true;
-            self.stats.quarantine_entered += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::QuarantineEnter {
-                    peer: rank.0,
-                    transfer: tid,
-                },
-            );
-            // Off the critical path: neither in-flight transfer waits on
-            // it any longer (non-sticky — it is still a member).
-            self.drop_from_releases(rank);
-        }
-        if !any {
+        let (tid, horizon) = (t.id(), t.release.released().min(t.win.k()));
+        self.quarantine
+            .enter(now, tid, horizon, &mut laggards, io!(self));
+        if laggards.is_empty() {
             return false;
+        }
+        // Off the critical path: neither in-flight transfer waits on them
+        // any longer (non-sticky — they are still members).
+        for &rank in &laggards {
+            self.drop_from_releases(rank);
         }
         if let Some(t) = self.transfer.as_mut() {
             t.streak = 0;
@@ -1718,109 +1280,42 @@ impl Sender {
         true
     }
 
-    /// Serve one due catch-up round per quarantined receiver: a small
-    /// unicast batch of retransmissions from its horizon, spaced
-    /// [`CATCHUP_INTERVAL`] apart, for at most `quarantine_budget` rounds
-    /// before the liveness path takes over.
+    /// Serve each quarantined receiver's due catch-up round: a small
+    /// unicast batch of retransmissions from its horizon. A receiver whose
+    /// budget is spent is resolved through the liveness path — eviction
+    /// when configured, otherwise the message fails with a typed error.
     fn quarantine_catchup(&mut self, now: Time) {
-        let budget = self.cfg.overload.quarantine_budget;
-        for idx in 0..self.quar.len() {
-            // Re-fetch per iteration: a budget-exhaustion resolution may
-            // fail the message and change the in-flight transfer.
+        for idx in 0..self.quarantine.len() {
+            // Re-fetch per receiver: a resolution may end the message.
             let Some((tid, next)) = self.transfer.as_ref().map(|t| (t.id(), t.win.next())) else {
                 return;
             };
-            let Some(q) = self.quar[idx].as_ref() else {
-                continue;
-            };
-            if q.transfer != tid || q.next_catchup > now {
-                continue;
-            }
-            if q.rounds >= budget {
-                self.quarantine_give_up(now, Rank::from_receiver_index(idx));
-                continue;
-            }
-            let from = q.horizon;
-            let to = from.saturating_add(CATCHUP_BATCH).min(next);
             let rank = Rank::from_receiver_index(idx);
-            for seq in from..to {
-                self.emit_data(Which::Cur, seq, true, Dest::Rank(rank));
-                self.stats.catchup_retx_sent += 1;
+            match self.quarantine.round(idx, tid, next, now) {
+                None => {}
+                Some(Round::Serve(seqs)) => {
+                    for seq in seqs {
+                        self.emit_data(Which::Cur, seq, true, Dest::Rank(rank));
+                        self.stats.catchup_retx_sent += 1;
+                    }
+                }
+                Some(Round::Spent) => {
+                    let Some((transfer, rounds)) = self.quarantine.resolve(rank, now, io!(self))
+                    else {
+                        continue;
+                    };
+                    if self.cfg.liveness.evict_stragglers {
+                        self.evict(now, &[rank], self.current_names());
+                    } else {
+                        let error = SessionError::RetryLimitExceeded {
+                            transfer,
+                            timeouts: rounds,
+                        };
+                        self.fail_message(Which::Cur, now, error);
+                    }
+                }
             }
-            let q = self.quar[idx].as_mut().expect("quarantine entry");
-            if to > from {
-                q.rounds += 1;
-            }
-            q.next_catchup = now + CATCHUP_INTERVAL;
         }
-    }
-
-    /// A quarantined receiver exhausted its catch-up budget: resolve it
-    /// through the liveness path — sticky eviction when configured,
-    /// otherwise the message fails with a typed error.
-    fn quarantine_give_up(&mut self, now: Time, rank: Rank) {
-        let idx = rank.receiver_index();
-        let Some(q) = self.quar[idx].take() else {
-            return;
-        };
-        self.stats.quarantine_evicted += 1;
-        self.tracer.emit(
-            now.as_nanos(),
-            TraceEvent::QuarantineExit {
-                peer: rank.0,
-                transfer: q.transfer,
-                caught_up: 0,
-            },
-        );
-        if self.cfg.liveness.evict_stragglers {
-            self.remove_member(rank);
-            if self.cfg.membership.enabled {
-                self.epoch += 1;
-                self.emit_epoch_change();
-                self.announce();
-            }
-            self.settle(now);
-        } else {
-            self.fail_message(
-                Which::Cur,
-                now,
-                SessionError::RetryLimitExceeded {
-                    transfer: q.transfer,
-                    timeouts: q.rounds,
-                },
-            );
-        }
-    }
-
-    /// Message boundary: every quarantined receiver has (by the
-    /// completion gate) caught up — clear the quarantine so the next
-    /// message's release obligation includes it again.
-    fn quarantine_boundary(&mut self, now: Time) {
-        for idx in 0..self.quar.len() {
-            let Some(q) = self.quar[idx].take() else {
-                continue;
-            };
-            self.stats.quarantine_rejoined += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::QuarantineExit {
-                    peer: Rank::from_receiver_index(idx).0,
-                    transfer: q.transfer,
-                    caught_up: 1,
-                },
-            );
-        }
-    }
-
-    /// Earliest due catch-up round across quarantined receivers.
-    fn quarantine_deadline(&self) -> Option<Time> {
-        let tid = self.transfer.as_ref()?.id();
-        self.quar
-            .iter()
-            .flatten()
-            .filter(|q| q.transfer == tid)
-            .map(|q| q.next_catchup)
-            .min()
     }
 }
 
@@ -1873,13 +1368,7 @@ impl Sender {
                 });
             }
         }
-        for (idx, q) in self.quar.iter().enumerate() {
-            if q.is_some() {
-                a.require("S7", !self.evicted[idx], || {
-                    format!("receiver index {idx} both quarantined and sticky-evicted")
-                });
-            }
-        }
+        self.quarantine.audit(&mut a, &self.members);
         a.require(
             "S8",
             self.fec.is_some() == matches!(self.cfg.kind, ProtocolKind::Fec { .. }),
@@ -1961,36 +1450,9 @@ impl Sender {
                 }
             }
         }
-        for &e in &self.evicted {
-            h.write_u8(e as u8);
-        }
-        for &d in &self.detached {
-            h.write_u8(d as u8);
-        }
-        match &self.aimd {
-            None => h.write_u8(0),
-            Some(a) => {
-                h.write_u8(1);
-                a.digest_into(h);
-            }
-        }
-        for q in &self.quar {
-            match q {
-                None => h.write_u8(0),
-                Some(q) => {
-                    h.write_u8(1);
-                    h.write_u32(q.transfer);
-                    h.write_u32(q.horizon);
-                    h.write_u32(q.rounds);
-                }
-            }
-        }
-        h.write_u32(self.epoch);
-        h.write_usize(self.pending_joins.len());
-        for r in &self.pending_joins {
-            h.write_u16(r.0);
-        }
-        h.write_u8(self.hb_deadline.is_some() as u8);
+        self.members.hash_into(h);
+        self.overload.hash_into(h);
+        self.quarantine.hash_into(h);
         match &self.fec {
             None => h.write_u8(0),
             Some(f) => {
@@ -2085,7 +1547,9 @@ impl Endpoint for Sender {
             ),
             Packet::Join { header, .. } => self.on_join(now, header.src_rank),
             Packet::Leave { header, .. } => self.on_leave(now, header.src_rank),
-            Packet::Heartbeat { header, body } => self.on_heartbeat(header.src_rank, body.epoch),
+            Packet::Heartbeat { header, body } => {
+                self.on_heartbeat(now, header.src_rank, body.epoch)
+            }
             Packet::Data { .. }
             | Packet::Alloc { .. }
             | Packet::Welcome { .. }
@@ -2108,7 +1572,7 @@ impl Endpoint for Sender {
             self.pump(now);
         }
         // Heartbeat schedule: announce, score misses, evict the silent.
-        if self.hb_deadline.is_some_and(|d| d <= now) {
+        if self.members.deadline().is_some_and(|d| d <= now) {
             self.heartbeat_tick(now);
         }
         // Quarantined receivers: serve any due catch-up rounds.
@@ -2138,7 +1602,7 @@ impl Endpoint for Sender {
             );
             if which == Which::Cur {
                 // A retransmission timeout is a congestion signal.
-                self.aimd_congestion(now, tid);
+                self.congestion(now, tid);
                 if self.maybe_quarantine(now) {
                     // The laggards gating the window moved to quarantine
                     // and the release re-settled; no group retransmission
@@ -2190,8 +1654,10 @@ impl Endpoint for Sender {
             self.tref(Which::Staged)
                 .and_then(|t| t.win.earliest_deadline(t.cur_rto)),
             self.pace_deadline(),
-            self.hb_deadline,
-            self.quarantine_deadline(),
+            self.members.deadline(),
+            self.transfer
+                .as_ref()
+                .and_then(|t| self.quarantine.deadline(t.id())),
             self.fec.as_ref().and_then(|f| f.deadline()),
         ]
         .into_iter()
@@ -2829,6 +2295,52 @@ mod tests {
         );
         assert_eq!(s.epoch(), 2);
         assert_eq!(s.stats().evictions, 1);
+    }
+
+    /// Drive `s` through `ticks` heartbeat ticks (its retransmission
+    /// timeouts fire in between): each tick must re-arm the next.
+    fn tick_through(s: &mut Sender, ticks: u64) {
+        let last = s.stats().heartbeats_sent + ticks;
+        for _ in 0..1_000 {
+            if s.stats().heartbeats_sent == last {
+                return;
+            }
+            let d = s
+                .poll_timeout()
+                .expect("the heartbeat schedule stays armed");
+            s.handle_timeout(d);
+            let _ = drain(s);
+        }
+        panic!("the heartbeat schedule stopped ticking");
+    }
+
+    #[test]
+    fn heartbeat_tick_after_the_only_receiver_restarts_evicts_nobody() {
+        let mut s = Sender::new(mcfg(ProtocolKind::Ack), GroupSpec::new(1));
+        s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
+        let _ = drain(&mut s);
+        // The only receiver restarts mid-transfer: it awaits readmission,
+        // so no member is live when the detector next ticks.
+        s.handle_datagram(Time::ZERO, &packet::encode_join(Rank(1), 0));
+        let _ = drain(&mut s);
+        tick_through(&mut s, 8);
+        assert_eq!(s.stats().evictions, 0, "nobody left to evict");
+        assert!(!s.is_idle(), "the message still waits for its receiver");
+    }
+
+    #[test]
+    fn heartbeat_tick_after_every_receiver_left_evicts_nobody() {
+        let mut s = Sender::new(mcfg(ProtocolKind::Ack), GroupSpec::new(2));
+        s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
+        let _ = drain(&mut s);
+        s.handle_datagram(Time::ZERO, &packet::encode_leave(Rank(1), 1));
+        s.handle_datagram(Time::ZERO, &packet::encode_leave(Rank(2), 2));
+        assert_eq!(s.stats().evictions, 2);
+        assert_eq!(s.epoch(), 3);
+        let _ = drain(&mut s);
+        tick_through(&mut s, 8);
+        assert_eq!(s.stats().evictions, 2, "the ticks evicted nobody more");
+        assert_eq!(s.epoch(), 3);
     }
 }
 

@@ -21,7 +21,9 @@
 //! prints the whole table as it should read, ready to paste over `ROWS`.
 
 use netsim::{FaultParams, FaultPlan, HostId};
-use rmcast::{ProtocolConfig, ProtocolKind};
+use rmcast::{
+    LivenessConfig, MembershipConfig, OverloadConfig, ProtocolConfig, ProtocolKind, Stats,
+};
 use rmwire::{crc32c, Duration, Time};
 use simrun::scenario::{Protocol, Scenario, TopologyKind};
 
@@ -162,5 +164,206 @@ fn the_table_covers_every_family_on_every_cluster_at_two_seeds() {
         }
     }
     let have: Vec<_> = ROWS.iter().map(|&(f, c, s, _, _)| (f, c, s)).collect();
+    assert_eq!(have, expect);
+}
+
+// ---------------------------------------------------------------------
+// The sender's layers: membership, quarantine, overload control, and the
+// liveness bound that evicts or fails.
+// ---------------------------------------------------------------------
+//
+// The clean and chaos rows above run every layer off. These rows turn
+// each one on under a plan modelled on the experiment that exercises it,
+// so a refactor that moves a layer must leave its events, counters and
+// trace exactly where they were. Each digest is the CRC-32C of
+// `format!("{:?}", ChaosOutcome)` followed by the JSONL trace, both from
+// one `run_chaos_traced(seed, 64)`.
+
+/// Receivers in the layered runs. More than 16 forces the two-switch
+/// split, so the `churn` plan's trunk outage isolates ranks 16..=18.
+const LAYER_N: u16 = 18;
+const LAYER_MSG: usize = 100_000;
+
+/// The five families with plan `plan`'s layers switched on.
+fn layered(fam: &str, plan: &str) -> Scenario {
+    let mut cfg = family(fam);
+    if cfg.kind == ProtocolKind::Ring {
+        cfg.window = LAYER_N as usize + 2;
+    }
+    let mut sc = Scenario::new(Protocol::Rm(cfg), LAYER_N, LAYER_MSG);
+    sc.time_cap = Duration::from_secs(60);
+    let Protocol::Rm(cfg) = &mut sc.protocol else {
+        unreachable!()
+    };
+    match plan {
+        // `churn_crash_rejoin` and `partition_heal` at once: heartbeat
+        // eviction, JOIN/SYNC readmission of the rebooted host, implicit
+        // rejoin and stale-epoch refusals from the healed island.
+        "churn" => {
+            cfg.liveness = LivenessConfig::evicting(6);
+            cfg.liveness.child_evict_timeout = Some(Duration::from_millis(400));
+            cfg.membership = MembershipConfig::enabled();
+            sc.n_messages = 4;
+            sc.fault_plan = FaultPlan::default()
+                .with_crash_restart(HostId(2), Time::from_millis(5), Time::from_millis(330))
+                .with_trunk_down(Time::from_millis(20), Time::from_millis(320));
+        }
+        // `overload_nak_storm` plus `overload_slow_receiver`: shedding,
+        // duplicate-NAK collapse, AIMD shrink and regrowth, backpressure
+        // edges and the quarantine lifecycle.
+        "overload" => {
+            cfg.liveness = LivenessConfig::evicting(30);
+            cfg.overload = OverloadConfig::adaptive(cfg.window);
+            cfg.rto = Duration::from_millis(20);
+            // Room for the saturated receiver to catch up and rejoin.
+            cfg.overload.quarantine_budget = 64;
+            // The default 20 000 packets/s is more than a simulated storm
+            // at this scale delivers; pace low enough that it is shed.
+            cfg.overload.feedback_rate = 2_000;
+            cfg.overload.feedback_burst = 16;
+            sc.msg_size = 500_000;
+            sc.fault_plan = FaultPlan::default()
+                .with_feedback_storm(HostId(0), Time::from_millis(2), Time::from_millis(2_000), 4)
+                .with_slow_host(HostId(1), 25.0)
+                .with_sockbuf_exhaust(HostId(1), Time::from_millis(10), Time::from_millis(250));
+        }
+        // `chaos_crash`: the liveness bound evicts the dead receiver and
+        // the survivors complete, with membership off.
+        "evict" => {
+            cfg.liveness = LivenessConfig::evicting(6);
+            sc.n_messages = 2;
+            sc.fault_plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
+        }
+        // The same crash under a bounded sender that may not evict: every
+        // message fails with a typed error.
+        "bounded" => {
+            cfg.liveness = LivenessConfig::bounded(6);
+            sc.n_messages = 2;
+            sc.fault_plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
+        }
+        other => panic!("unknown plan {other}"),
+    }
+    sc
+}
+
+fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats) {
+    let (outcome, records) = layered(fam, plan).run_chaos_traced(seed, 64);
+    assert!(outcome.bounded(), "{fam}/{plan} seed {seed} hung");
+    let mut text = format!("{outcome:?}\n");
+    for r in &records {
+        text.push_str(&r.to_json());
+        text.push('\n');
+    }
+    (crc32c(text.as_bytes()), outcome.sender_stats)
+}
+
+/// `(family, plan, seed, digest)`.
+type LayerRow = (&'static str, &'static str, u64, u32);
+
+#[rustfmt::skip]
+const LAYER_ROWS: &[LayerRow] = &[
+    ("ack", "churn", 1, 0xef0a4dd1),
+    ("ack", "churn", 2, 0xad4de3b5),
+    ("ack", "overload", 1, 0xf627b404),
+    ("ack", "overload", 2, 0xef8ff400),
+    ("ack", "evict", 1, 0x2143b09c),
+    ("ack", "evict", 2, 0x1d943617),
+    ("ack", "bounded", 1, 0x37df8e56),
+    ("ack", "bounded", 2, 0x95b7be85),
+    ("nak", "churn", 1, 0xe40bbe2c),
+    ("nak", "churn", 2, 0xc0394f56),
+    ("nak", "overload", 1, 0x3161a6cc),
+    ("nak", "overload", 2, 0x7923c6d6),
+    ("nak", "evict", 1, 0xecf22c95),
+    ("nak", "evict", 2, 0xa0c8fd30),
+    ("nak", "bounded", 1, 0x86c11bc5),
+    ("nak", "bounded", 2, 0xc188d93c),
+    ("ring", "churn", 1, 0xcd00685e),
+    ("ring", "churn", 2, 0x1997dffd),
+    ("ring", "overload", 1, 0x0a7cfe0f),
+    ("ring", "overload", 2, 0x0b9bc8d4),
+    ("ring", "evict", 1, 0xefa45596),
+    ("ring", "evict", 2, 0x65131f13),
+    ("ring", "bounded", 1, 0x8ca782a2),
+    ("ring", "bounded", 2, 0xcaa3b424),
+    ("tree", "churn", 1, 0x02e8d72d),
+    ("tree", "churn", 2, 0xd737d928),
+    ("tree", "overload", 1, 0xd1aa9471),
+    ("tree", "overload", 2, 0x2631fcd1),
+    ("tree", "evict", 1, 0xac18decc),
+    ("tree", "evict", 2, 0x370cf54f),
+    ("tree", "bounded", 1, 0x30ade46d),
+    ("tree", "bounded", 2, 0x6b75e03b),
+    ("fec", "churn", 1, 0x7e908151),
+    ("fec", "churn", 2, 0x34129f73),
+    ("fec", "overload", 1, 0x93cf3fe0),
+    ("fec", "overload", 2, 0xfd5e001b),
+    ("fec", "evict", 1, 0xd2001eb3),
+    ("fec", "evict", 2, 0x2d8742c2),
+    ("fec", "bounded", 1, 0x892b173b),
+    ("fec", "bounded", 2, 0x50ca1f5a),
+];
+
+#[test]
+fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
+    let mut total = Stats::default();
+    let actual: Vec<LayerRow> = LAYER_ROWS
+        .iter()
+        .map(|&(fam, plan, seed, _)| {
+            let (digest, stats) = layered_run(fam, plan, seed);
+            total.merge(&stats);
+            (fam, plan, seed, digest)
+        })
+        .collect();
+    if actual != LAYER_ROWS {
+        let table: String = actual
+            .iter()
+            .map(|(fam, plan, seed, d)| format!("    ({fam:?}, {plan:?}, {seed}, 0x{d:08x}),\n"))
+            .collect();
+        let moved = actual
+            .iter()
+            .zip(LAYER_ROWS)
+            .filter(|(a, b)| a != b)
+            .count();
+        panic!(
+            "{moved} of {} layered rows moved; the table as this build computes it:\n{table}",
+            LAYER_ROWS.len()
+        );
+    }
+    // Every sender-side layer counter fired somewhere in the table, so a
+    // digest that holds is a statement about that layer's behaviour.
+    let reached = [
+        ("evictions", total.evictions),
+        ("joins", total.joins),
+        ("suspects", total.suspects),
+        ("stale_epoch_discarded", total.stale_epoch_discarded),
+        ("quarantine_entered", total.quarantine_entered),
+        ("quarantine_rejoined", total.quarantine_rejoined),
+        ("window_shrinks", total.window_shrinks),
+        ("window_grows", total.window_grows),
+        ("acks_shed + naks_shed", total.acks_shed + total.naks_shed),
+        ("naks_collapsed", total.naks_collapsed),
+        ("backpressure_signals", total.backpressure_signals),
+        ("messages_failed", total.messages_failed),
+    ];
+    let unreached: Vec<&str> = reached
+        .iter()
+        .filter(|&&(_, n)| n == 0)
+        .map(|&(name, _)| name)
+        .collect();
+    assert!(unreached.is_empty(), "no layered row reached {unreached:?}");
+}
+
+#[test]
+fn the_layered_table_covers_every_family_under_every_plan_at_two_seeds() {
+    let mut expect = Vec::new();
+    for fam in ["ack", "nak", "ring", "tree", "fec"] {
+        for plan in ["churn", "overload", "evict", "bounded"] {
+            for seed in [1, 2] {
+                expect.push((fam, plan, seed));
+            }
+        }
+    }
+    let have: Vec<_> = LAYER_ROWS.iter().map(|&(f, p, s, _)| (f, p, s)).collect();
     assert_eq!(have, expect);
 }

@@ -28,7 +28,9 @@ pub struct ClusterConfig {
     pub timeout: StdDuration,
     /// Seed for receiver-side randomness.
     pub seed: u64,
-    /// Deterministic hub loss: drop every n-th forwarded multicast copy.
+    /// Injected hub loss: drop each forwarded multicast copy with
+    /// probability `1/n`, drawn from a fixed-seed generator
+    /// ([`crate::hub::Hub::spawn_with_loss`]).
     pub hub_drop_every: Option<u32>,
     /// Receiver indices whose sockets are bound but never driven: they
     /// look exactly like crashed nodes to the rest of the group. Requires

@@ -30,6 +30,18 @@ pub const MAX_DGRAM: usize = 65_507;
 /// before they are tail-dropped like on any switch port.
 const QUEUE_FRAMES: usize = 64;
 
+/// Seed of the hub's injected-loss draws.
+const LOSS_SEED: u64 = 0x6875_625f_6c6f_7373;
+
+/// One splitmix64 step: the hub's injected-loss draws.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The hub's finite output queue: FIFO, tail drop when full. A frame is
 /// received straight into the buffer it is queued in, and buffers are
 /// recycled through a free list, so a warmed-up queue neither allocates
@@ -126,9 +138,13 @@ impl Hub {
         Hub::spawn_with_loss(member_addrs, None)
     }
 
-    /// Spawn a relay that deterministically drops every `n`-th forwarded
-    /// copy (`drop_every = Some(n)`), for exercising loss recovery over
-    /// real sockets.
+    /// Spawn a relay that drops each forwarded copy with probability `1/n`
+    /// (`drop_every = Some(n)`), for exercising loss recovery over real
+    /// sockets. Every copy is an independent draw from a fixed-seed
+    /// generator. A counter that dropped every `n`-th copy would resonate
+    /// with the fan-out instead: with `m` members and `m` dividing `n`,
+    /// every drop lands on the same member, at the same positions of every
+    /// retransmission round (DESIGN.md §4).
     pub fn spawn_with_loss(
         member_addrs: Vec<SocketAddr>,
         drop_every: Option<u32>,
@@ -209,7 +225,7 @@ impl Hub {
                 let mut queue = FrameQueue::new(QUEUE_FRAMES, Arc::clone(&flow));
                 let mut outlet = Outlet::new(Arc::clone(&flow));
                 let mut pace = Pace::new(epoch.elapsed());
-                let mut counter = 0u32;
+                let mut draws = LOSS_SEED;
                 while !stop2.load(Ordering::Relaxed) {
                     // 1. Receive: everything the kernel holds while
                     // polling, one datagram (or the stop-check cap) while
@@ -282,8 +298,7 @@ impl Hub {
                                 continue;
                             }
                             if let Some(every) = drop_every {
-                                counter += 1;
-                                if counter.is_multiple_of(every) {
+                                if splitmix64(&mut draws).is_multiple_of(u64::from(every)) {
                                     continue; // injected loss
                                 }
                             }
@@ -503,6 +518,46 @@ mod tests {
         assert!(
             r1.recv_from(&mut buf).is_err(),
             "rank 1 must not hear its own multicast"
+        );
+    }
+
+    /// Injected loss reaches every member. A drop pattern that follows
+    /// the copy count can put every drop on one member: every 20th copy
+    /// of a four-way fan-out is always the fourth member's.
+    #[test]
+    fn hub_loss_reaches_every_member() {
+        let members: Vec<UdpSocket> = (0..4)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        for m in &members {
+            m.set_read_timeout(Some(StdDuration::from_millis(100)))
+                .unwrap();
+        }
+        let addrs = members.iter().map(|m| m.local_addr().unwrap()).collect();
+        let hub = Hub::spawn_with_loss(addrs, Some(20)).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (batches, per_batch) = (5, 40);
+        let mut heard = [0usize; 4];
+        let mut buf = [0u8; 64];
+        for b in 0..batches {
+            for i in 0..per_batch {
+                let seq = SeqNo(b * per_batch + i);
+                let pkt = encode_data(Rank(0), 1, seq, PacketFlags::EMPTY, b"x");
+                tx.send_to(&pkt, hub.addr).unwrap();
+            }
+            // Small batches: no member's socket buffer can overflow, so
+            // every missing copy is one the hub dropped.
+            for (m, count) in members.iter().zip(&mut heard) {
+                while m.recv_from(&mut buf).is_ok() {
+                    *count += 1;
+                }
+            }
+        }
+        let sent = (batches * per_batch) as usize;
+        assert!(heard.iter().all(|&n| n > 0), "{heard:?} of {sent}");
+        assert!(
+            heard.iter().all(|&n| n < sent),
+            "a member lost nothing: heard {heard:?} of {sent}"
         );
     }
 

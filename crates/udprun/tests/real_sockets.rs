@@ -55,9 +55,9 @@ fn fec_protocol_over_real_udp() {
 
 #[test]
 fn fec_loss_sweep_over_real_udp() {
-    // The CI fec-soak's real-socket leg: all five families at ~1%, ~5%
-    // and ~20% hub loss (drop every 100th / 20th / 5th forwarded copy),
-    // exactly-once byte-identical delivery at every rank. At the two
+    // The CI fec-soak's real-socket leg: all five families at 1%, 5% and
+    // 20% seeded hub loss (each forwarded copy dropped with probability
+    // 1/100, 1/20, 1/5), exactly-once byte-identical delivery at every rank. At the two
     // heavier rates the fec family must actually be coding: repair or
     // parity blocks on the wire and at least one receiver-side decode.
     let kinds: [(&str, ProtocolKind); 5] = [
@@ -136,8 +136,8 @@ fn larger_group_over_real_udp() {
 
 #[test]
 fn recovery_over_real_udp_with_injected_hub_loss() {
-    // Drop every 20th forwarded multicast copy at the hub: the protocol
-    // must still deliver byte-identical payloads to everyone.
+    // Drop each forwarded multicast copy at the hub with probability 1/20:
+    // the protocol must still deliver byte-identical payloads to everyone.
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
     cfg.rto = rmcast::Duration::from_millis(40);
     let msg = payload(200_000);
