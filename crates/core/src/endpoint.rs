@@ -17,7 +17,9 @@
 use crate::error::SessionError;
 use crate::stats::Stats;
 use bytes::Bytes;
+use rmtrace::Tracer;
 use rmwire::{Rank, Time};
+use std::collections::VecDeque;
 
 /// Where a produced datagram should go. The driver maps these onto real
 /// addresses (simulated host/port, UDP socket address, ...).
@@ -153,3 +155,26 @@ pub trait Endpoint {
         let _ = cap;
     }
 }
+
+/// An endpoint's outputs, lent to one of its layers for one call: its
+/// counters, its trace, and its datagram and application-event queues.
+pub(crate) struct Io<'a> {
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) tracer: &'a mut Tracer,
+    pub(crate) out: &'a mut VecDeque<Transmit>,
+    pub(crate) events: &'a mut VecDeque<AppEvent>,
+}
+
+/// Lend an endpoint's outputs to a layer call. The borrows are of single
+/// fields, so the layer itself can be borrowed alongside.
+macro_rules! io {
+    ($s:ident) => {
+        &mut $crate::endpoint::Io {
+            stats: &mut $s.stats,
+            tracer: &mut $s.tracer,
+            out: &mut $s.out,
+            events: &mut $s.events,
+        }
+    };
+}
+pub(crate) use io;

@@ -26,7 +26,7 @@
 //! | `R1` | receiver | per-transfer progress: `own_next ≤ k`, a delivered transfer is complete, the tracked prefix mirrors the assembly |
 //! | `R2` | receiver | ack-aggregation monotonicity: nothing acknowledged up the tree beyond what this node and its live children can prove (`sent_up ≤ aggregate`) |
 //! | `R3` | receiver | reassembly discipline: Go-Back-N buffers nothing out of order; selective repeat keeps a contiguous prefix and stays inside the receive window |
-//! | `R4` | receiver | child bookkeeping: per-child coverage, liveness and eviction arrays stay in lockstep with the aggregation links |
+//! | `R4` | receiver (`tree::Aggregator`) | child bookkeeping: every tracked transfer keeps one coverage slot per child of the aggregation links (a child's slot is its position in the links, and its liveness entry lives in one per-child vector built from them, so neither can fall out of step) |
 //!
 //! The audit is deliberately *redundant*: it recomputes what the engines
 //! maintain incrementally (release prefixes, ring token runs, aggregation

@@ -63,6 +63,7 @@ pub mod fec;
 pub mod invariants;
 pub mod loopback;
 pub mod membership;
+mod nak;
 pub mod overload;
 pub mod packet;
 mod quarantine;

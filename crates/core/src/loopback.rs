@@ -247,11 +247,6 @@ impl Loopback {
         self.dead[i] = false;
     }
 
-    /// Is receiver index `i` currently crashed?
-    pub fn is_dead(&self, i: usize) -> bool {
-        self.dead[i]
-    }
-
     /// The sender's counters.
     pub fn sender_stats(&self) -> &Stats {
         self.sender.stats()
@@ -494,11 +489,6 @@ impl Loopback {
                 }
             }
         }
-    }
-
-    /// The rank of receiver index `i` (convenience for assertions).
-    pub fn rank_of(&self, i: usize) -> Rank {
-        Rank::from_receiver_index(i)
     }
 }
 

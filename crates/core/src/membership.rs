@@ -17,17 +17,21 @@
 //! It gates incoming feedback, moves the epoch, and admits joiners; the
 //! sender removes an evicted rank from its windows.
 //!
+//! `Admission` is the receiver's side: its epoch, the first transfer it is
+//! obligated for, and the JOIN retries of a receiver not yet admitted.
+//!
 //! It is plain data: no clocks, no I/O, usable identically by the
 //! simulator-driven and the real-socket backends.
 
 use crate::config::MembershipConfig;
-use crate::endpoint::{AppEvent, Dest, Transmit};
+use crate::endpoint::{AppEvent, Dest, Io, Transmit};
 use crate::packet;
-use crate::sender::{Io, Sender};
+use crate::sender::Sender;
 use crate::stats::Stats;
 use crate::tree::TreeTopology;
 use rmtrace::TraceEvent;
 use rmwire::{Duration, Rank, SyncBody, Time};
+use std::iter;
 
 /// Consecutive missed heartbeats before a member is *suspected* (counted,
 /// not yet acted on).
@@ -374,6 +378,150 @@ impl Members {
             h.write_u16(r.0);
         }
         h.write_u8(self.hb_deadline.is_some() as u8);
+    }
+}
+
+/// A receiver's admission component.
+#[derive(Debug, Clone)]
+pub(crate) struct Admission {
+    /// Current membership epoch (0 with membership disabled).
+    epoch: u32,
+    /// Transfers below this id belong to messages that completed before
+    /// this receiver was admitted; their multicast packets are discarded.
+    /// `u32::MAX` while joining (everything is pre-admission until SYNC).
+    min_transfer: u32,
+    /// JOIN retry timer, armed exactly while joining: from
+    /// [`crate::Receiver::new_joining`] until the sender's SYNC handoff
+    /// admits this receiver at a message boundary.
+    join_deadline: Option<Time>,
+    /// `membership.join_retry`.
+    retry: Duration,
+}
+
+impl Admission {
+    /// A member from the start, under `cfg`.
+    pub(crate) fn new(cfg: &MembershipConfig) -> Admission {
+        Admission {
+            epoch: u32::from(cfg.enabled),
+            min_transfer: 0,
+            join_deadline: None,
+            retry: cfg.join_retry,
+        }
+    }
+
+    /// Not a member yet: discard everything until a SYNC, and ask the
+    /// sender to admit `rank`.
+    pub(crate) fn start_joining(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
+        self.epoch = 0;
+        self.min_transfer = u32::MAX;
+        self.send_join(now, rank, io);
+    }
+
+    fn send_join(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
+        io.out.push_back(Transmit {
+            dest: Dest::Sender,
+            payload: packet::encode_join(rank, self.epoch),
+            copied: 0,
+        });
+        self.join_deadline = Some(now + self.retry);
+    }
+
+    /// Announce `rank`'s voluntary departure.
+    pub(crate) fn leave(&self, rank: Rank, io: &mut Io<'_>) {
+        io.out.push_back(Transmit {
+            dest: Dest::Sender,
+            payload: packet::encode_leave(rank, self.epoch),
+            copied: 0,
+        });
+    }
+
+    /// The membership epoch this receiver stamps on its ACKs/NAKs.
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Is this receiver obligated for `transfer`?
+    pub(crate) fn admits(&self, transfer: u32) -> bool {
+        transfer >= self.min_transfer
+    }
+
+    /// Adopt a (possibly newer) epoch announced by the sender (in a
+    /// heartbeat, a WELCOME or a SYNC), tracing the transition.
+    pub(crate) fn adopt_epoch(&mut self, now: Time, epoch: u32, io: &mut Io<'_>) {
+        if epoch > self.epoch {
+            self.epoch = epoch;
+            io.tracer
+                .emit(now.as_nanos(), TraceEvent::EpochChange { epoch });
+        }
+    }
+
+    /// The sender's heartbeat announce, carrying the authoritative epoch.
+    /// A member answers with a unicast reply, plus a copy to its tree
+    /// `parent`, so ancestors can tell a *gated* child — alive but blocked
+    /// on its own dead subtree — from a silent one.
+    pub(crate) fn on_announce(
+        &mut self,
+        now: Time,
+        epoch: u32,
+        rank: Rank,
+        parent: Option<Rank>,
+        io: &mut Io<'_>,
+    ) {
+        self.adopt_epoch(now, epoch, io);
+        if self.join_deadline.is_some() {
+            // Not a member yet: the JOIN retry timer covers liveness.
+            return;
+        }
+        for dest in iter::once(Dest::Sender).chain(parent.map(Dest::Rank)) {
+            io.stats.heartbeats_sent += 1;
+            io.out.push_back(Transmit {
+                dest,
+                payload: packet::encode_heartbeat(rank, self.epoch),
+                copied: 0,
+            });
+        }
+    }
+
+    /// The SYNC handoff: a member from `body.epoch` on, obligated for
+    /// transfers from the returned cutoff. Anything older completes (or
+    /// fails) without us; [`Admission::admitted`] follows once the caller
+    /// has let it go.
+    pub(crate) fn on_sync(&mut self, now: Time, body: &SyncBody, io: &mut Io<'_>) -> u32 {
+        self.adopt_epoch(now, body.epoch, io);
+        self.min_transfer = if self.join_deadline.is_some() {
+            body.next_transfer
+        } else {
+            // Implicit rejoin after an eviction we never observed: the
+            // handoff point only ever moves forward.
+            self.min_transfer.max(body.next_transfer)
+        };
+        self.min_transfer
+    }
+
+    /// The SYNC handoff is carried out: a joining receiver is a member.
+    pub(crate) fn admitted(&mut self, stats: &mut Stats) {
+        if self.join_deadline.take().is_some() {
+            stats.joins += 1;
+        }
+    }
+
+    /// The JOIN retry timer, while joining.
+    pub(crate) fn deadline(&self) -> Option<Time> {
+        self.join_deadline
+    }
+
+    /// At `now`: re-send `rank`'s JOIN if the retry timer fired.
+    pub(crate) fn on_timeout(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
+        if self.join_deadline.is_some_and(|d| d <= now) {
+            self.send_join(now, rank, io); // re-arms the retry timer
+        }
+    }
+
+    /// Fold the protocol-logical state into a digest.
+    pub(crate) fn hash_into(&self, h: &mut dyn std::hash::Hasher) {
+        h.write_u8(self.join_deadline.is_some() as u8);
+        h.write_u32(self.epoch);
+        h.write_u32(self.min_transfer);
     }
 }
 

@@ -33,8 +33,7 @@
 //! keeps the windows and applies the cap it is handed.
 
 use crate::config::{ProtocolConfig, ProtocolKind};
-use crate::endpoint::AppEvent;
-use crate::sender::Io;
+use crate::endpoint::{AppEvent, Io};
 use rmtrace::{TraceEvent, Tracer};
 use rmwire::{Duration, Time};
 use std::collections::VecDeque;

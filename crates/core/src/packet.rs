@@ -411,7 +411,13 @@ pub fn encode_nak_epoch(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: u
     nak(src_rank, transfer, expected, Some(epoch))
 }
 
-fn ack(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: Option<u32>) -> Bytes {
+/// Encode a cumulative ACK, epoch-stamped when `epoch` is given.
+pub(crate) fn ack(
+    src_rank: Rank,
+    transfer: u32,
+    next_expected: SeqNo,
+    epoch: Option<u32>,
+) -> Bytes {
     let header = Header {
         ptype: PacketType::Ack,
         flags: PacketFlags::EMPTY,
@@ -424,7 +430,8 @@ fn ack(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: Option<u32>) 
     })
 }
 
-fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<u32>) -> Bytes {
+/// Encode a NAK, epoch-stamped when `epoch` is given.
+pub(crate) fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<u32>) -> Bytes {
     let header = Header {
         ptype: PacketType::Nak,
         flags: PacketFlags::EMPTY,

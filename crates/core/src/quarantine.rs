@@ -14,10 +14,10 @@
 //! the sender owns the windows and carries the decisions out. With
 //! quarantine off it holds no entries, and every call is one branch.
 
+use crate::endpoint::Io;
 use crate::invariants::Audit;
 use crate::membership::Members;
 use crate::overload::OverloadConfig;
-use crate::sender::Io;
 use rmtrace::TraceEvent;
 use rmwire::{Duration, Rank, Time};
 use std::ops::Range;

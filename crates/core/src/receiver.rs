@@ -13,24 +13,31 @@
 //! * **Tree**: a cumulative ACK to the *parent* carrying the minimum of
 //!   this node's own progress and its children's reported progress; chain
 //!   heads report to the sender.
+//!
+//! The layers added on top of that are components the receiver holds and
+//! calls, as the sender does: tree aggregation (`tree::Aggregator`), NAK
+//! scheduling (`nak`) and admission under dynamic membership
+//! (`membership::Admission`). Abandoning transfers, whether the sender
+//! went silent or a SYNC handed off past them, is one path:
+//! `Receiver::abandon`.
 
 use crate::assembler::{Assembly, Offer};
 use crate::config::{ProtocolConfig, ProtocolKind};
-use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
+use crate::endpoint::{io, AppEvent, Dest, Endpoint, Io, Transmit};
 use crate::error::SessionError;
-use crate::overload::LoadScaler;
+use crate::membership::Admission;
+use crate::nak::NakSchedule;
 use crate::packet::{self, Packet};
 use crate::stats::Stats;
-use crate::tree::{TreeLinks, TreeTopology};
+use crate::tree::{Aggregator, TreeTopology};
 
 use bytes::Bytes;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rmtrace::{TraceEvent, Tracer};
 use rmwire::{
     AllocBody, GroupSpec, Header, PacketFlags, PacketType, Rank, RepairBody, SeqNo, Time,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// How many finished transfers of acknowledgment state to retain for
 /// re-acknowledging retransmissions.
@@ -55,18 +62,18 @@ const MAX_ALLOC_PACKETS: u64 = 1 << 20;
 /// acknowledgment state survives so retransmissions of a finished transfer
 /// still get re-acknowledged.
 #[derive(Clone)]
-struct TransferState {
+pub(crate) struct TransferState {
     /// Own in-order progress (next expected sequence number).
-    own_next: u32,
+    pub(crate) own_next: u32,
     /// Total packets, once known.
     k: Option<u32>,
     /// Payload reassembly (data transfers, until delivered).
     assembly: Option<Assembly>,
     delivered: bool,
     /// Tree mode: per-child cumulative coverage.
-    child_cov: Vec<u32>,
+    pub(crate) child_cov: Vec<u32>,
     /// Last cumulative acknowledgment sent toward the sender/parent.
-    sent_up: Option<u32>,
+    pub(crate) sent_up: Option<u32>,
     /// Highest coded-block generation processed (fec replay gate: REPAIR
     /// and PARITY share a strictly-increasing per-transfer counter).
     repair_gen: Option<u32>,
@@ -88,27 +95,90 @@ impl TransferState {
     fn complete(&self) -> bool {
         matches!(self.k, Some(k) if self.own_next >= k)
     }
-
-    /// What this node can vouch for: own progress limited by its *live*
-    /// children (evicted children no longer gate the aggregate).
-    fn aggregate(&self, dead_children: &[bool]) -> u32 {
-        self.child_cov
-            .iter()
-            .zip(dead_children)
-            .filter(|&(_, &dead)| !dead)
-            .map(|(&c, _)| c)
-            .chain(std::iter::once(self.own_next))
-            .min()
-            .expect("iterator never empty")
-    }
 }
 
-/// A NAK waiting out its random delay (receiver-multicast suppression).
-#[derive(Clone)]
-struct PendingNak {
+/// The tracked state of `transfer`, created on first sight. Borrows only
+/// the map, so callers keep the receiver's other fields.
+pub(crate) fn ensure_state(
+    transfers: &mut BTreeMap<u32, TransferState>,
+    n_children: usize,
     transfer: u32,
-    expected: u32,
-    deadline: Time,
+    is_alloc: bool,
+) -> &mut TransferState {
+    transfers
+        .entry(transfer)
+        .or_insert_with(|| TransferState::new(is_alloc, n_children))
+}
+
+/// The oldest transfer a receiver is still waiting on, with the sequence
+/// number it needs next: either an incomplete transfer it has heard
+/// packets of, or a data transfer announced by a completed allocation
+/// round trip but not yet begun.
+fn stalled_target(
+    transfers: &BTreeMap<u32, TransferState>,
+    alloc_pending: &HashMap<u32, AllocBody>,
+) -> Option<(u32, u32)> {
+    let incomplete = transfers
+        .iter()
+        .find(|(_, st)| !st.complete())
+        .map(|(&t, st)| (t, st.own_next));
+    let announced = alloc_pending
+        .keys()
+        .copied()
+        .filter(|t| !transfers.contains_key(t))
+        .min()
+        .map(|t| (t, 0));
+    incomplete.into_iter().chain(announced).min()
+}
+
+/// Which feedback packet a receiver sends.
+#[derive(Clone, Copy)]
+pub(crate) enum Feedback {
+    /// A cumulative acknowledgment: the next sequence number expected.
+    Ack,
+    /// A gap report: the first sequence number missing.
+    Nak,
+}
+
+/// What every ACK and NAK a receiver sends carries: its rank, its epoch
+/// when membership is on, and the instant its trace record is stamped
+/// with. Copied out of the receiver before one of its layers is borrowed.
+#[derive(Clone, Copy)]
+pub(crate) struct Stamp {
+    rank: Rank,
+    epoch: Option<u32>,
+    now: Time,
+}
+
+impl Stamp {
+    /// Queue one ACK or NAK to `dest`: the one place a receiver's feedback
+    /// is counted, traced and encoded.
+    pub(crate) fn send(self, io: &mut Io<'_>, kind: Feedback, dest: Dest, transfer: u32, seq: u32) {
+        let (rank, s, t) = (self.rank, SeqNo(seq), self.now.as_nanos());
+        let payload = match kind {
+            Feedback::Ack => {
+                io.stats.acks_sent += 1;
+                io.tracer.emit(
+                    t,
+                    TraceEvent::AckSent {
+                        transfer,
+                        next: seq,
+                    },
+                );
+                packet::ack(rank, transfer, s, self.epoch)
+            }
+            Feedback::Nak => {
+                io.stats.naks_sent += 1;
+                io.tracer.emit(t, TraceEvent::NakSent { transfer, seq });
+                packet::nak(rank, transfer, s, self.epoch)
+            }
+        };
+        io.out.push_back(Transmit {
+            dest,
+            payload,
+            copied: 0,
+        });
+    }
 }
 
 /// The receiver endpoint (ranks `1..=N`) of a reliable multicast group.
@@ -121,9 +191,6 @@ pub struct Receiver {
     cfg: ProtocolConfig,
     group: GroupSpec,
     rank: Rank,
-    /// Tree mode: this node's aggregation links and child rank -> slot.
-    links: Option<TreeLinks>,
-    child_slot: HashMap<Rank, usize>,
     stats: Stats,
     out: VecDeque<Transmit>,
     events: VecDeque<AppEvent>,
@@ -138,46 +205,18 @@ pub struct Receiver {
     /// read, so not protocol state; a cloned receiver shares the handle,
     /// which only makes both sides see it as shared.
     spare: Option<Bytes>,
-    /// Global NAK rate limiting (sender-side-suppression variant).
-    last_nak: Option<Time>,
-    pending_nak: Option<PendingNak>,
-    /// Load-aware NAK-suppression scaling (on with feedback pacing), fed
-    /// by the retransmission traffic this receiver observes: heavy RETX
-    /// flow means the sender is overloaded, so our own NAK timers stretch.
-    load: Option<LoadScaler>,
-    /// Receiver-driven retransmission timer: when the config enables it,
-    /// this deadline fires a NAK for the oldest stalled transfer.
-    stall_deadline: Option<Time>,
-    /// Tree children dropped from the aggregate by the child-evict timer
-    /// (sticky: a dead subtree never gates a later transfer either).
-    dead_children: Vec<bool>,
-    /// Child-evict timer: armed while a live child's acknowledgment trails
-    /// this node's own progress; per-child signs of life push it out.
-    child_deadline: Option<Time>,
-    /// Last sign of life per child slot: acknowledgment progress, or (with
-    /// membership enabled) a heartbeat. A child is only evicted when it is
-    /// both *behind* and *silent* past the timeout — an alive child gated
-    /// by its own dead subtree must not be cascade-evicted.
-    child_alive: Vec<Time>,
+    /// Tree aggregation, present exactly in the tree family.
+    tree: Option<Aggregator>,
+    /// When to NAK a gap.
+    naks: NakSchedule,
+    /// Epoch, admission cutoff and JOIN retries (dynamic membership).
+    admission: Admission,
     /// Last instant any packet arrived (base of the receiver give-up
     /// timer).
     last_heard: Time,
-    /// Dynamic membership: true from construction via
-    /// [`Receiver::new_joining`] until the sender's SYNC handoff admits
-    /// this receiver at a message boundary.
-    joining: bool,
-    /// Current membership epoch (0 with membership disabled).
-    epoch: u32,
-    /// Transfers below this id belong to messages that completed before
-    /// this receiver was admitted; their multicast packets are discarded.
-    /// `u32::MAX` while joining (everything is pre-admission until SYNC).
-    min_transfer: u32,
-    /// JOIN retry timer, armed while `joining`.
-    join_deadline: Option<Time>,
-    rng: SmallRng,
     tracer: Tracer,
     /// Latest driver-provided time, for trace hooks on paths without a
-    /// `now` parameter (send_ack from the acknowledgment policies).
+    /// `now` parameter (feedback sent by the acknowledgment policies).
     now_cache: Time,
 }
 
@@ -188,31 +227,19 @@ impl Receiver {
         cfg.validate(group.n_receivers as usize);
         assert!(!rank.is_sender(), "rank 0 is the sender");
         assert!(group.contains(rank), "{rank} outside the group");
-        let links = match cfg.kind {
-            ProtocolKind::Tree { shape } => {
-                Some(TreeTopology::new(group, shape).links(rank).clone())
-            }
+        let tree = match cfg.kind {
+            ProtocolKind::Tree { shape } => Some(Aggregator::new(
+                TreeTopology::new(group, shape).links(rank).clone(),
+                cfg.liveness.child_evict_timeout,
+            )),
             _ => None,
         };
-        let child_slot = links
-            .as_ref()
-            .map(|l| {
-                l.children
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (c, i))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let n_children = links.as_ref().map_or(0, |l| l.children.len());
-        let epoch = if cfg.membership.enabled { 1 } else { 0 };
-        let load = (cfg.overload.feedback_rate > 0).then(|| LoadScaler::new(32));
         Receiver {
+            naks: NakSchedule::new(&cfg, rank, seed),
+            admission: Admission::new(&cfg.membership),
             cfg,
             group,
             rank,
-            links,
-            child_slot,
             stats: Stats::default(),
             out: VecDeque::new(),
             events: VecDeque::new(),
@@ -220,19 +247,8 @@ impl Receiver {
             max_seen: 0,
             alloc_pending: HashMap::new(),
             spare: None,
-            last_nak: None,
-            pending_nak: None,
-            load,
-            stall_deadline: None,
-            dead_children: vec![false; n_children],
-            child_deadline: None,
-            child_alive: vec![Time::ZERO; n_children],
+            tree,
             last_heard: Time::ZERO,
-            joining: false,
-            epoch,
-            min_transfer: 0,
-            join_deadline: None,
-            rng: SmallRng::seed_from_u64(seed ^ (rank.0 as u64) << 32),
             tracer: Tracer::off(rank.0),
             now_cache: Time::ZERO,
         }
@@ -254,67 +270,36 @@ impl Receiver {
             "joining requires dynamic membership"
         );
         let mut r = Receiver::new(cfg, group, rank, seed);
-        r.joining = true;
-        r.epoch = 0;
-        r.min_transfer = u32::MAX;
         r.last_heard = now;
-        r.send_join(now);
+        r.admission.start_joining(now, rank, io!(r));
         r
-    }
-
-    fn send_join(&mut self, now: Time) {
-        self.out.push_back(Transmit {
-            dest: Dest::Sender,
-            payload: packet::encode_join(self.rank, self.epoch),
-            copied: 0,
-        });
-        self.join_deadline = Some(now + self.cfg.membership.join_retry);
     }
 
     /// Announce a voluntary departure: the sender drops this receiver
     /// from the proof obligation immediately.
     pub fn leave(&mut self) {
-        self.out.push_back(Transmit {
-            dest: Dest::Sender,
-            payload: packet::encode_leave(self.rank, self.epoch),
-            copied: 0,
-        });
+        self.admission.leave(self.rank, io!(self));
     }
 
     /// The membership epoch this receiver stamps on its ACKs/NAKs.
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.admission.epoch()
     }
 
-    /// The oldest transfer this receiver is still waiting on, with the
-    /// sequence number it needs next: either an incomplete transfer it has
-    /// heard packets of, or a data transfer announced by a completed
-    /// allocation round trip but not yet begun.
-    fn stalled_target(&self) -> Option<(u32, u32)> {
-        let incomplete = self
-            .transfers
-            .iter()
-            .find(|(_, st)| !st.complete())
-            .map(|(&t, st)| (t, st.own_next));
-        let announced = self
-            .alloc_pending
-            .keys()
-            .copied()
-            .filter(|t| !self.transfers.contains_key(t))
-            .min()
-            .map(|t| (t, 0));
-        match (incomplete, announced) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (a, b) => a.or(b),
+    /// What this receiver's feedback carries right now.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            rank: self.rank,
+            epoch: self.cfg.membership.enabled.then(|| self.admission.epoch()),
+            now: self.now_cache,
         }
     }
 
     /// Re-arm (or disarm) the receiver-driven retransmission timer.
     fn rearm_stall_timer(&mut self, now: Time) {
-        let Some(d) = self.cfg.receiver_nak_timer else {
-            return;
-        };
-        self.stall_deadline = self.stalled_target().map(|_| now + d);
+        self.naks.rearm_stall_timer(now, &self.cfg, || {
+            stalled_target(&self.transfers, &self.alloc_pending).is_some()
+        });
     }
 
     /// This receiver's rank.
@@ -323,20 +308,7 @@ impl Receiver {
     }
 
     fn n_children(&self) -> usize {
-        self.links.as_ref().map_or(0, |l| l.children.len())
-    }
-
-    /// The tracked state of `transfer`, created on first sight. Borrows
-    /// only the map, so callers keep the receiver's other fields.
-    fn ensure_state(
-        transfers: &mut BTreeMap<u32, TransferState>,
-        n_children: usize,
-        transfer: u32,
-        is_alloc: bool,
-    ) -> &mut TransferState {
-        transfers
-            .entry(transfer)
-            .or_insert_with(|| TransferState::new(is_alloc, n_children))
+        self.tree.as_ref().map_or(0, Aggregator::n_children)
     }
 
     /// Advance the pruning horizon — but only along the protocol's
@@ -407,34 +379,32 @@ impl Receiver {
     // Data path
     // ------------------------------------------------------------------
 
+    /// Count and trace a data or repair packet dropped unprocessed.
+    fn discard(&mut self, now: Time, transfer: u32, seq: u32) {
+        self.stats.data_discarded += 1;
+        self.tracer
+            .emit(now.as_nanos(), TraceEvent::DataDiscarded { transfer, seq });
+    }
+
     fn on_data(&mut self, now: Time, header: Header, body: DataBody<'_>) {
         let _span = rmprof::span!(rmprof::Stage::RecvAssembly);
         self.stats.data_received += 1;
         // Any sender traffic proves the sender is alive (give-up timer).
         self.last_heard = now;
+        let transfer = header.transfer;
+        let seq = header.seq.0;
         // Pre-admission traffic (while joining: everything): the message it
         // belongs to completes without us, so tracking it would only grow
         // state the sender never resolves for this receiver.
-        if header.transfer < self.min_transfer {
-            self.stats.data_discarded += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::DataDiscarded {
-                    transfer: header.transfer,
-                    seq: header.seq.0,
-                },
-            );
+        if !self.admission.admits(transfer) {
+            self.discard(now, transfer, seq);
             return;
         }
-        let transfer = header.transfer;
         let is_alloc = matches!(body, DataBody::Alloc(_));
-        let seq = header.seq.0;
         let last = header.flags.contains(PacketFlags::LAST);
         // Retransmission traffic is the load signal scaling our NAK timers.
         if header.flags.contains(PacketFlags::RETX) {
-            if let Some(l) = self.load.as_mut() {
-                l.note(now);
-            }
+            self.naks.note_retx(now);
         }
 
         // Materialize the assembly lazily for data transfers.
@@ -453,14 +423,12 @@ impl Receiver {
                 .get(&transfer)
                 .is_none_or(|st| st.assembly.is_none() && !st.delivered)
         {
-            self.stats.data_discarded += 1;
-            self.tracer
-                .emit(now.as_nanos(), TraceEvent::DataDiscarded { transfer, seq });
+            self.discard(now, transfer, seq);
             return;
         }
 
         let n_children = self.n_children();
-        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, is_alloc);
+        let st = ensure_state(&mut self.transfers, n_children, transfer, is_alloc);
         if st.assembly.is_none() && !st.delivered && !is_alloc {
             st.assembly = Some(match alloc_body {
                 Some(b) => Self::sized_assembly(&mut self.spare, &self.cfg, b),
@@ -493,15 +461,14 @@ impl Receiver {
             o
         };
 
-        if matches!(offer, Offer::Duplicate) {
-            self.stats.data_discarded += 1;
-        }
-        if self.tracer.active() {
-            let ev = match offer {
-                Offer::InOrder | Offer::Buffered => TraceEvent::DataRecv { transfer, seq },
-                Offer::Duplicate | Offer::Rejected => TraceEvent::DataDiscarded { transfer, seq },
-            };
-            self.tracer.emit(now.as_nanos(), ev);
+        match offer {
+            Offer::Duplicate => self.discard(now, transfer, seq),
+            Offer::Rejected => self
+                .tracer
+                .emit(now.as_nanos(), TraceEvent::DataDiscarded { transfer, seq }),
+            Offer::InOrder | Offer::Buffered => self
+                .tracer
+                .emit(now.as_nanos(), TraceEvent::DataRecv { transfer, seq }),
         }
 
         // Sample buffer occupancy for Table 1.
@@ -564,13 +531,7 @@ impl Receiver {
                 .push_back(AppEvent::MessageDelivered { msg_id, data });
             // A newly delivered message obsoletes the pending NAK state for
             // this transfer.
-            if self
-                .pending_nak
-                .as_ref()
-                .is_some_and(|p| p.transfer == transfer)
-            {
-                self.pending_nak = None;
-            }
+            self.naks.forget(|t| t == transfer);
         }
         if became_complete && is_alloc {
             st.delivered = true;
@@ -583,12 +544,16 @@ impl Receiver {
         if matches!(offer, Offer::Rejected) || (matches!(offer, Offer::Buffered) && seq > prev_next)
         {
             let expected = self.transfers[&transfer].own_next;
-            self.consider_nak(now, transfer, expected);
+            let stamp = self.stamp();
+            self.naks
+                .consider(now, transfer, expected, &self.cfg, stamp, io!(self));
         }
 
         self.prune();
         self.rearm_stall_timer(now);
-        self.rearm_child_timer(now);
+        if let Some(tree) = self.tree.as_mut() {
+            tree.rearm(&self.transfers);
+        }
     }
 
     /// The per-protocol acknowledgment decision after processing a data
@@ -603,22 +568,18 @@ impl Receiver {
     ) {
         let st = &self.transfers[&transfer];
         let next = st.own_next;
-        match self.cfg.kind {
-            ProtocolKind::Ack => {
-                // Cumulative ACK for every packet heard.
-                self.send_ack(Dest::Sender, transfer, next);
-            }
+        let ack = match self.cfg.kind {
+            // Cumulative ACK for every packet heard.
+            ProtocolKind::Ack => true,
+            // Polled packets are acknowledged; so are retransmissions: a
+            // retransmission means the sender is stalled waiting for state
+            // it cannot otherwise observe (a gap filled under selective
+            // repeat, or a lost poll response). The fec family inherits
+            // this policy — decoded repairs carry RETX on their synthesized
+            // header, so a successful decode reports progress the same way
+            // a retransmission would.
             ProtocolKind::NakPolling { .. } | ProtocolKind::Fec { .. } => {
-                // Polled packets are acknowledged; so are retransmissions:
-                // a retransmission means the sender is stalled waiting for
-                // state it cannot otherwise observe (a gap filled under
-                // selective repeat, or a lost poll response). The fec
-                // family inherits this policy — decoded repairs carry RETX
-                // on their synthesized header, so a successful decode
-                // reports progress the same way a retransmission would.
-                if flags.contains(PacketFlags::POLL) || flags.contains(PacketFlags::RETX) {
-                    self.send_ack(Dest::Sender, transfer, next);
-                }
+                flags.contains(PacketFlags::POLL) || flags.contains(PacketFlags::RETX)
             }
             ProtocolKind::Ring => {
                 let n = self.group.n_receivers as u32;
@@ -640,119 +601,22 @@ impl Receiver {
                 let retx_advance = self.cfg.overload.any_enabled()
                     && advanced
                     && flags.contains(PacketFlags::RETX);
-                if newly_token || completed_now || dup_token || retx_advance {
-                    self.send_ack(Dest::Sender, transfer, next);
-                }
+                newly_token || completed_now || dup_token || retx_advance
             }
             ProtocolKind::Tree { .. } => {
                 let force = matches!(offer, Offer::Duplicate)
                     && (flags.contains(PacketFlags::LAST) || flags.contains(PacketFlags::RETX));
-                self.send_aggregate(transfer, force);
+                let stamp = self.stamp();
+                let tree = self.tree.as_ref().expect("the tree family aggregates");
+                let st = self.transfers.get_mut(&transfer).expect("state exists");
+                tree.send_aggregate(transfer, st, force, stamp, io!(self));
+                false
             }
-        }
-    }
-
-    /// Tree mode: send the aggregated cumulative ACK upward when it
-    /// advanced (or when `force`d by a retransmitted LAST packet).
-    fn send_aggregate(&mut self, transfer: u32, force: bool) {
-        let st = self.transfers.get_mut(&transfer).expect("state exists");
-        let agg = st.aggregate(&self.dead_children);
-        let advanced = st.sent_up.is_none_or(|s| agg > s);
-        let should_send = force || (advanced && agg > 0);
-        if !should_send {
-            return;
-        }
-        st.sent_up = Some(agg.max(st.sent_up.unwrap_or(0)));
-        let dest = match self.links.as_ref().and_then(|l| l.parent) {
-            Some(p) => Dest::Rank(p),
-            None => Dest::Sender,
         };
-        self.send_ack(dest, transfer, agg);
-    }
-
-    fn send_ack(&mut self, dest: Dest, transfer: u32, next_expected: u32) {
-        self.stats.acks_sent += 1;
-        self.tracer.emit(
-            self.now_cache.as_nanos(),
-            TraceEvent::AckSent {
-                transfer,
-                next: next_expected,
-            },
-        );
-        let payload = if self.cfg.membership.enabled {
-            packet::encode_ack_epoch(self.rank, transfer, SeqNo(next_expected), self.epoch)
-        } else {
-            packet::encode_ack(self.rank, transfer, SeqNo(next_expected))
-        };
-        self.out.push_back(Transmit {
-            dest,
-            payload,
-            copied: 0,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // NAKs
-    // ------------------------------------------------------------------
-
-    fn consider_nak(&mut self, now: Time, transfer: u32, expected: u32) {
-        // Load-aware scaling: the static suppression interval stretches
-        // with observed retransmission traffic (identity when disabled).
-        let suppress = match self.load.as_mut() {
-            Some(l) => l.scale(self.cfg.nak_suppress, now),
-            None => self.cfg.nak_suppress,
-        };
-        let receiver_multicast = matches!(
-            self.cfg.kind,
-            ProtocolKind::NakPolling {
-                receiver_multicast_nak: true,
-                ..
-            }
-        );
-        if receiver_multicast {
-            if self.pending_nak.is_none() {
-                let delay_ns = self.rng.gen_range(0..=suppress.as_nanos());
-                self.pending_nak = Some(PendingNak {
-                    transfer,
-                    expected,
-                    deadline: now + rmwire::Duration::from_nanos(delay_ns),
-                });
-            } else {
-                self.stats.naks_suppressed += 1;
-            }
-            return;
+        if ack {
+            let stamp = self.stamp();
+            stamp.send(io!(self), Feedback::Ack, Dest::Sender, transfer, next);
         }
-        // Sender-side suppression variant: rate-limit our own NAKs.
-        let ok = self
-            .last_nak
-            .is_none_or(|t| now.saturating_since(t).as_nanos() >= suppress.as_nanos());
-        if ok {
-            self.last_nak = Some(now);
-            self.emit_nak(Dest::Sender, transfer, expected);
-        } else {
-            self.stats.naks_suppressed += 1;
-        }
-    }
-
-    fn emit_nak(&mut self, dest: Dest, transfer: u32, expected: u32) {
-        self.stats.naks_sent += 1;
-        self.tracer.emit(
-            self.now_cache.as_nanos(),
-            TraceEvent::NakSent {
-                transfer,
-                seq: expected,
-            },
-        );
-        let payload = if self.cfg.membership.enabled {
-            packet::encode_nak_epoch(self.rank, transfer, SeqNo(expected), self.epoch)
-        } else {
-            packet::encode_nak(self.rank, transfer, SeqNo(expected))
-        };
-        self.out.push_back(Transmit {
-            dest,
-            payload,
-            copied: 0,
-        });
     }
 
     // ------------------------------------------------------------------
@@ -770,24 +634,15 @@ impl Receiver {
         self.stats.repairs_received += 1;
         self.last_heard = now;
         let transfer = header.transfer;
-        if transfer < self.min_transfer {
-            self.stats.data_discarded += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::DataDiscarded {
-                    transfer,
-                    seq: body.base_seq,
-                },
-            );
+        if !self.admission.admits(transfer) {
+            self.discard(now, transfer, body.base_seq);
             return;
         }
         // Reactive repair is retransmission traffic: feed the load signal
         // that stretches NAK suppression under overload. Proactive parity
         // is steady-state traffic and stays out of it.
         if header.ptype == PacketType::Repair {
-            if let Some(l) = self.load.as_mut() {
-                l.note(now);
-            }
+            self.naks.note_retx(now);
         }
         // Replay gate: generations are strictly increasing per transfer.
         // An equal-or-older generation is a replayed (or badly reordered)
@@ -807,14 +662,7 @@ impl Receiver {
             .get(&transfer)
             .is_some_and(|st| st.assembly.is_some() || st.delivered);
         if !have_state && !self.alloc_pending.contains_key(&transfer) {
-            self.stats.data_discarded += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::DataDiscarded {
-                    transfer,
-                    seq: body.base_seq,
-                },
-            );
+            self.discard(now, transfer, body.base_seq);
             return;
         }
         // Materialize the assembly exactly as the data path would, then
@@ -822,7 +670,7 @@ impl Receiver {
         // decode outcome.
         let alloc_body = self.alloc_pending.get(&transfer).copied();
         let n_children = self.n_children();
-        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, false);
+        let st = ensure_state(&mut self.transfers, n_children, transfer, false);
         if st.assembly.is_none() && !st.delivered {
             let b = alloc_body.expect("gated on alloc_pending above");
             let asm = Self::sized_assembly(&mut self.spare, &self.cfg, b);
@@ -939,138 +787,51 @@ impl Receiver {
     }
 
     // ------------------------------------------------------------------
-    // Control packets from peers
+    // Control packets and liveness
     // ------------------------------------------------------------------
 
-    fn on_peer_ack(&mut self, now: Time, rank: Rank, transfer: u32, next_expected: u32) {
+    fn on_peer_ack(&mut self, now: Time, header: &Header, next_expected: u32) {
         self.stats.acks_received += 1;
-        let Some(&slot) = self.child_slot.get(&rank) else {
-            return; // not one of our tree children; stray
-        };
-        self.tracer.emit(
-            now.as_nanos(),
-            TraceEvent::AckReceived {
-                from: rank.0,
-                transfer,
-                next: next_expected,
-            },
-        );
-        let n_children = self.n_children();
-        let st = Self::ensure_state(&mut self.transfers, n_children, transfer, false);
-        let advanced = next_expected > st.child_cov[slot];
-        st.child_cov[slot] = st.child_cov[slot].max(next_expected);
-        self.send_aggregate(transfer, false);
-        if advanced {
-            // Child progress: push that child's eviction out.
-            self.child_alive[slot] = self.child_alive[slot].max(now);
+        let stamp = self.stamp();
+        if let Some(tree) = self.tree.as_mut() {
+            let transfers = &mut self.transfers;
+            tree.on_ack(now, header, next_expected, transfers, stamp, io!(self));
         }
-        self.rearm_child_timer(now);
-    }
-
-    // ------------------------------------------------------------------
-    // Liveness: child eviction and sender give-up
-    // ------------------------------------------------------------------
-
-    /// Is slot's acknowledgment trailing this node's own progress on some
-    /// tracked transfer? Returns the oldest such transfer.
-    fn slot_behind(&self, slot: usize) -> Option<u32> {
-        self.transfers
-            .iter()
-            .find(|(_, st)| st.child_cov[slot] < st.own_next)
-            .map(|(&t, _)| t)
-    }
-
-    /// Arm the child-evict timer at the earliest per-child deadline (last
-    /// sign of life + timeout, over live children that are behind); disarm
-    /// it when no child gates anything.
-    fn rearm_child_timer(&mut self, _now: Time) {
-        let Some(d) = self.cfg.liveness.child_evict_timeout else {
-            return;
-        };
-        self.child_deadline = (0..self.dead_children.len())
-            .filter(|&s| !self.dead_children[s] && self.slot_behind(s).is_some())
-            .map(|s| self.child_alive[s] + d)
-            .min();
-    }
-
-    /// The child-evict timer fired: every live child that is behind *and*
-    /// silent past the timeout is presumed dead. Drop it from the
-    /// aggregate so the ack chain routes around the dead subtree, and
-    /// re-report everything that unblocked.
-    fn evict_stalled_children(&mut self, now: Time) {
-        self.child_deadline = None;
-        let d = self
-            .cfg
-            .liveness
-            .child_evict_timeout
-            .expect("timer only armed when configured");
-        let mut evicted = Vec::new();
-        for (slot, dead) in self.dead_children.clone().iter().enumerate() {
-            if *dead || self.child_alive[slot] + d > now {
-                continue;
-            }
-            if let Some(transfer) = self.slot_behind(slot) {
-                self.dead_children[slot] = true;
-                evicted.push((slot, transfer));
-            }
-        }
-        for &(slot, transfer) in &evicted {
-            let rank = self
-                .links
-                .as_ref()
-                .expect("children imply tree links")
-                .children[slot];
-            self.stats.evictions += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::Evicted {
-                    peer: rank.0,
-                    transfer,
-                },
-            );
-            self.events.push_back(AppEvent::ReceiverEvicted {
-                msg_id: (transfer / 2) as u64,
-                rank,
-            });
-        }
-        if !evicted.is_empty() {
-            // Aggregates may have jumped: re-report every tracked transfer
-            // (send_aggregate only emits when the aggregate advanced).
-            for t in self.transfers.keys().copied().collect::<Vec<_>>() {
-                self.send_aggregate(t, false);
-            }
-        }
-        self.rearm_child_timer(now);
     }
 
     /// The give-up deadline, when the config bounds how long a receiver
     /// waits on a silent sender with transfers incomplete.
     fn giveup_deadline(&self) -> Option<Time> {
         let g = self.cfg.liveness.receiver_giveup?;
-        self.stalled_target().map(|_| self.last_heard + g)
+        stalled_target(&self.transfers, &self.alloc_pending).map(|_| self.last_heard + g)
     }
 
-    /// The sender went silent past `receiver_giveup`: abandon every
-    /// incomplete (or announced-but-unstarted) message with a typed error
-    /// instead of waiting forever.
-    fn give_up_on_sender(&mut self, now: Time) {
+    /// Abandon every incomplete message whose transfer is below `cutoff`
+    /// (`u64::MAX`: all of them), announced-but-unstarted ones included:
+    /// drop their state and any NAK pending for them, fail each with a
+    /// typed error, and snapshot the flight recorder (when enabled) under
+    /// `reason`, so the driver can surface the last moments before it.
+    fn abandon(&mut self, now: Time, cutoff: u64, reason: &str) {
+        let gone = |t: u32| u64::from(t) < cutoff;
         // Oldest transfer per abandoned message id, for the error report.
         let mut failed: BTreeMap<u64, u32> = BTreeMap::new();
         for (&t, st) in &self.transfers {
-            if !st.complete() {
+            if gone(t) && !st.complete() {
                 failed.entry((t / 2) as u64).or_insert(t);
             }
         }
         for &t in self.alloc_pending.keys() {
-            if !self.transfers.contains_key(&t) {
+            if gone(t) && !self.transfers.contains_key(&t) {
                 failed.entry((t / 2) as u64).or_insert(t);
             }
         }
-        self.transfers.retain(|_, st| st.complete());
-        self.alloc_pending.clear();
-        self.pending_nak = None;
-        self.stall_deadline = None;
-        let any_failed = !failed.is_empty();
+        self.transfers.retain(|&t, st| !gone(t) || st.complete());
+        self.alloc_pending.retain(|&t, _| !gone(t));
+        self.naks.forget(gone);
+        self.rearm_stall_timer(now);
+        if failed.is_empty() {
+            return;
+        }
         for (msg_id, transfer) in failed {
             self.stats.messages_failed += 1;
             self.events.push_back(AppEvent::MessageFailed {
@@ -1078,95 +839,27 @@ impl Receiver {
                 error: SessionError::SenderStalled { transfer },
             });
         }
-        if any_failed {
-            self.push_flight_dump(now, "receiver gave up on silent sender");
-        }
-    }
-
-    /// Snapshot the flight recorder (when enabled) into an app event, so
-    /// the driver can surface the last moments before a failure.
-    fn push_flight_dump(&mut self, now: Time, reason: &str) {
-        if let Some(dump) = self
-            .tracer
-            .flight_dump(now.as_nanos(), reason, self.stats.snapshot())
-        {
+        let snapshot = self.stats.snapshot();
+        if let Some(dump) = self.tracer.flight_dump(now.as_nanos(), reason, snapshot) {
             self.events.push_back(AppEvent::FlightRecorderDump { dump });
         }
     }
 
-    /// Adopt a (possibly newer) epoch announced by the sender, tracing
-    /// the transition.
-    fn adopt_epoch(&mut self, now: Time, epoch: u32) {
-        if epoch > self.epoch {
-            self.epoch = epoch;
-            self.tracer
-                .emit(now.as_nanos(), TraceEvent::EpochChange { epoch });
-        }
-    }
-
-    fn on_peer_nak(&mut self, transfer: u32, expected: u32) {
-        self.stats.naks_received += 1;
-        // Multicast NAK overheard: suppress our own pending NAK for the
-        // same (or earlier) gap.
-        if let Some(p) = &self.pending_nak {
-            if p.transfer == transfer && expected <= p.expected {
-                self.pending_nak = None;
-                self.stats.naks_suppressed += 1;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Dynamic membership
-    // ------------------------------------------------------------------
-
-    /// A heartbeat arrived. The sender's multicast announce carries the
-    /// authoritative epoch and is answered with a unicast reply (plus a
-    /// copy to the tree parent, so ancestors can tell a *gated* child —
-    /// alive but blocked on its own dead subtree — from a silent one). A
-    /// heartbeat from one of our children re-bases its eviction timer.
+    /// A heartbeat arrived: from one of our tree children, it re-bases the
+    /// child's eviction timer; from the sender, admission answers it.
     fn on_heartbeat(&mut self, now: Time, src: Rank, epoch: u32) {
         self.stats.heartbeats_received += 1;
-        if let Some(&slot) = self.child_slot.get(&src) {
-            if !self.dead_children[slot] {
-                // The child is alive even if its aggregate is stuck:
-                // without this, a dead leaf cascade-evicts every live
-                // ancestor in its chain.
-                self.child_alive[slot] = self.child_alive[slot].max(now);
-                self.rearm_child_timer(now);
+        if let Some(tree) = self.tree.as_mut() {
+            if tree.on_heartbeat(now, src, &self.transfers) {
+                return;
             }
-            return;
         }
-        if !src.is_sender() {
-            return;
+        if src.is_sender() {
+            self.last_heard = now;
+            let parent = self.tree.as_ref().and_then(Aggregator::parent);
+            self.admission
+                .on_announce(now, epoch, self.rank, parent, io!(self));
         }
-        self.last_heard = now;
-        self.adopt_epoch(now, epoch);
-        if self.joining {
-            // Not a member yet: the JOIN retry timer covers liveness.
-            return;
-        }
-        self.stats.heartbeats_sent += 1;
-        self.out.push_back(Transmit {
-            dest: Dest::Sender,
-            payload: packet::encode_heartbeat(self.rank, self.epoch),
-            copied: 0,
-        });
-        if let Some(p) = self.links.as_ref().and_then(|l| l.parent) {
-            self.stats.heartbeats_sent += 1;
-            self.out.push_back(Transmit {
-                dest: Dest::Rank(p),
-                payload: packet::encode_heartbeat(self.rank, self.epoch),
-                copied: 0,
-            });
-        }
-    }
-
-    /// The sender acknowledged our JOIN. Admission itself still waits on
-    /// the SYNC handoff at the next message boundary.
-    fn on_welcome(&mut self, now: Time, epoch: u32) {
-        self.last_heard = now;
-        self.adopt_epoch(now, epoch);
     }
 
     /// The SYNC handoff: we are a member from `body.epoch` on, obligated
@@ -1174,64 +867,19 @@ impl Receiver {
     /// (or fails) without us.
     fn on_sync(&mut self, now: Time, body: rmwire::SyncBody) {
         self.last_heard = now;
-        self.adopt_epoch(now, body.epoch);
+        let cutoff = self.admission.on_sync(now, &body, io!(self));
         if body.detached_root() {
-            // Re-parented as a detached tree root: the old parent chain no
-            // longer waits on us; aggregates go straight to the sender.
-            if let Some(l) = self.links.as_mut() {
-                l.parent = None;
+            if let Some(tree) = self.tree.as_mut() {
+                tree.detach();
             }
         }
-        let cutoff = if self.joining {
-            body.next_transfer
-        } else {
-            // Implicit rejoin after an eviction we never observed: the
-            // handoff point only ever moves forward.
-            self.min_transfer.max(body.next_transfer)
-        };
-        self.min_transfer = cutoff;
         // SYNC is authoritative about where the transfer progression
         // stands: advance the pruning horizon so fresh state is tracked.
         self.max_seen = self.max_seen.max(cutoff);
         // Abandon incomplete pre-admission transfers: the sender fulfils
         // them toward the members of their epoch, not toward us.
-        let mut failed: BTreeMap<u64, u32> = BTreeMap::new();
-        for (&t, st) in &self.transfers {
-            if t < cutoff && !st.complete() {
-                failed.entry((t / 2) as u64).or_insert(t);
-            }
-        }
-        for &t in self.alloc_pending.keys() {
-            if t < cutoff && !self.transfers.contains_key(&t) {
-                failed.entry((t / 2) as u64).or_insert(t);
-            }
-        }
-        self.transfers.retain(|&t, st| t >= cutoff || st.complete());
-        self.alloc_pending.retain(|&t, _| t >= cutoff);
-        if self
-            .pending_nak
-            .as_ref()
-            .is_some_and(|p| p.transfer < cutoff)
-        {
-            self.pending_nak = None;
-        }
-        let any_failed = !failed.is_empty();
-        for (msg_id, transfer) in failed {
-            self.stats.messages_failed += 1;
-            self.events.push_back(AppEvent::MessageFailed {
-                msg_id,
-                error: SessionError::SenderStalled { transfer },
-            });
-        }
-        if any_failed {
-            self.push_flight_dump(now, "SYNC abandoned pre-admission transfers");
-        }
-        if self.joining {
-            self.joining = false;
-            self.join_deadline = None;
-            self.stats.joins += 1;
-        }
-        self.rearm_stall_timer(now);
+        self.abandon(now, cutoff.into(), "SYNC abandoned pre-admission transfers");
+        self.admission.admitted(&mut self.stats);
     }
 }
 
@@ -1247,25 +895,6 @@ impl Receiver {
     pub fn audit(&self) -> Result<(), Vec<crate::invariants::Violation>> {
         use crate::invariants::Audit;
         let mut a = Audit::new();
-        let n_children = self.n_children();
-        a.require("R4", self.dead_children.len() == n_children, || {
-            format!(
-                "{} eviction flags for {n_children} children",
-                self.dead_children.len()
-            )
-        });
-        a.require("R4", self.child_alive.len() == n_children, || {
-            format!(
-                "{} liveness stamps for {n_children} children",
-                self.child_alive.len()
-            )
-        });
-        a.require(
-            "R4",
-            self.child_slot.len() == n_children
-                && self.child_slot.values().all(|&s| s < n_children),
-            || "child rank → slot map out of lockstep with the aggregation links".into(),
-        );
         for (&id, st) in &self.transfers {
             if let Some(k) = st.k {
                 a.require("R1", st.own_next <= k, || {
@@ -1299,24 +928,9 @@ impl Receiver {
                 );
                 a.check("R3", asm.check().map_err(|e| format!("transfer {id}: {e}")));
             }
-            a.require("R4", st.child_cov.len() == n_children, || {
-                format!(
-                    "transfer {id}: {} child coverage slots for {n_children} children",
-                    st.child_cov.len()
-                )
-            });
-            if st.child_cov.len() == n_children && self.dead_children.len() == n_children {
-                let agg = st.aggregate(&self.dead_children);
-                if let Some(sent) = st.sent_up {
-                    a.require("R2", sent <= agg, || {
-                        format!(
-                            "transfer {id}: acknowledged {sent} up the tree but can \
-                             only vouch for {agg} (own {} / children {:?})",
-                            st.own_next, st.child_cov
-                        )
-                    });
-                }
-            }
+        }
+        if let Some(tree) = &self.tree {
+            tree.audit(&self.transfers, &mut a);
         }
         a.finish()
     }
@@ -1324,36 +938,18 @@ impl Receiver {
     /// Hash the protocol-logical state into `h`: everything that shapes
     /// future behavior except clocks and counters (see
     /// [`crate::Sender::hash_protocol_state`] for the soundness argument).
-    pub fn hash_protocol_state(&self, h: &mut dyn std::hash::Hasher) {
+    pub fn hash_protocol_state(&self, mut h: &mut dyn Hasher) {
         h.write_u16(self.rank.0);
         for (&id, st) in &self.transfers {
             h.write_u32(id);
             h.write_u32(st.own_next);
-            match st.k {
-                None => h.write_u8(0),
-                Some(k) => {
-                    h.write_u8(1);
-                    h.write_u32(k);
-                }
-            }
+            st.k.hash(&mut h);
             h.write_u8(st.delivered as u8);
             for &c in &st.child_cov {
                 h.write_u32(c);
             }
-            match st.sent_up {
-                None => h.write_u8(0),
-                Some(s) => {
-                    h.write_u8(1);
-                    h.write_u32(s);
-                }
-            }
-            match st.repair_gen {
-                None => h.write_u8(0),
-                Some(g) => {
-                    h.write_u8(1);
-                    h.write_u32(g);
-                }
-            }
+            st.sent_up.hash(&mut h);
+            st.repair_gen.hash(&mut h);
             match &st.assembly {
                 None => h.write_u8(0),
                 Some(asm) => {
@@ -1377,20 +973,11 @@ impl Receiver {
             h.write_u32(b.data_transfer);
             h.write_u32(b.packet_size);
         }
-        match &self.pending_nak {
-            None => h.write_u8(0),
-            Some(p) => {
-                h.write_u8(1);
-                h.write_u32(p.transfer);
-                h.write_u32(p.expected);
-            }
+        self.naks.hash_into(h);
+        if let Some(tree) = &self.tree {
+            tree.hash_into(h);
         }
-        for &d in &self.dead_children {
-            h.write_u8(d as u8);
-        }
-        h.write_u8(self.joining as u8);
-        h.write_u32(self.epoch);
-        h.write_u32(self.min_transfer);
+        self.admission.hash_into(h);
         h.write_usize(self.out.len());
         h.write_usize(self.events.len());
     }
@@ -1435,13 +1022,21 @@ impl Endpoint for Receiver {
             Packet::Data { header, body } => self.on_data(now, header, DataBody::Chunk(body)),
             Packet::Alloc { header, body } => self.on_data(now, header, DataBody::Alloc(body)),
             Packet::Ack { header, body, .. } => {
-                self.on_peer_ack(now, header.src_rank, header.transfer, body.next_expected.0)
+                self.on_peer_ack(now, &header, body.next_expected.0)
             }
-            Packet::Nak { header, body, .. } => self.on_peer_nak(header.transfer, body.expected.0),
+            Packet::Nak { header, body, .. } => {
+                self.naks
+                    .on_peer_nak(header.transfer, body.expected.0, &mut self.stats)
+            }
             Packet::Heartbeat { header, body } => {
                 self.on_heartbeat(now, header.src_rank, body.epoch)
             }
-            Packet::Welcome { body, .. } => self.on_welcome(now, body.epoch),
+            // The sender acknowledged our JOIN. Admission itself still
+            // waits on the SYNC handoff at the next message boundary.
+            Packet::Welcome { body, .. } => {
+                self.last_heard = now;
+                self.admission.adopt_epoch(now, body.epoch, io!(self));
+            }
             Packet::Sync { body, .. } => self.on_sync(now, body),
             Packet::Repair {
                 header,
@@ -1462,35 +1057,16 @@ impl Endpoint for Receiver {
 
     fn handle_timeout(&mut self, now: Time) {
         self.now_cache = self.now_cache.max(now);
-        if let Some(p) = self.pending_nak.take() {
-            if p.deadline <= now {
-                // Multicast to the group and unicast to the sender (the
-                // sender is not a group member).
-                self.emit_nak(Dest::Receivers, p.transfer, p.expected);
-                self.emit_nak(Dest::Sender, p.transfer, p.expected);
-            } else {
-                self.pending_nak = Some(p);
-            }
+        let stamp = self.stamp();
+        let stalled = || stalled_target(&self.transfers, &self.alloc_pending);
+        self.naks
+            .on_timeout(now, &self.cfg, stamp, stalled, io!(self));
+        if let Some(tree) = self.tree.as_mut() {
+            tree.on_timeout(now, &mut self.transfers, stamp, io!(self));
         }
-        if self.stall_deadline.is_some_and(|d| d <= now) {
-            self.stall_deadline = None;
-            if let Some((transfer, expected)) = self.stalled_target() {
-                self.emit_nak(Dest::Sender, transfer, expected);
-                self.rearm_stall_timer(now);
-            }
-        }
-        if self.child_deadline.is_some_and(|d| d <= now) {
-            self.evict_stalled_children(now);
-        }
-        if self.join_deadline.is_some_and(|d| d <= now) {
-            if self.joining {
-                self.send_join(now); // re-arms the retry timer
-            } else {
-                self.join_deadline = None;
-            }
-        }
+        self.admission.on_timeout(now, self.rank, io!(self));
         if self.giveup_deadline().is_some_and(|d| d <= now) {
-            self.give_up_on_sender(now);
+            self.abandon(now, u64::MAX, "receiver gave up on silent sender");
         }
         #[cfg(debug_assertions)]
         self.debug_audit();
@@ -1498,10 +1074,9 @@ impl Endpoint for Receiver {
 
     fn poll_timeout(&self) -> Option<Time> {
         [
-            self.pending_nak.as_ref().map(|p| p.deadline),
-            self.stall_deadline,
-            self.child_deadline,
-            self.join_deadline,
+            self.naks.deadline(),
+            self.tree.as_ref().and_then(Aggregator::deadline),
+            self.admission.deadline(),
             self.giveup_deadline(),
         ]
         .into_iter()
@@ -1534,12 +1109,7 @@ impl Endpoint for Receiver {
     }
 
     fn is_idle(&self) -> bool {
-        self.out.is_empty()
-            && self.pending_nak.is_none()
-            && self.stall_deadline.is_none()
-            && self.child_deadline.is_none()
-            && self.join_deadline.is_none()
-            && self.giveup_deadline().is_none()
+        self.out.is_empty() && self.poll_timeout().is_none()
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
 use crate::coverage::{PerSourceCoverage, RingTracker};
-use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
+use crate::endpoint::{io, AppEvent, Dest, Endpoint, Transmit};
 use crate::error::SessionError;
 use crate::fec::{self, FecState};
 use crate::membership::Members;
@@ -31,28 +31,6 @@ use bytes::Bytes;
 use rmtrace::{TraceEvent, Tracer};
 use rmwire::{AllocBody, Duration, GroupSpec, PacketFlags, Rank, RepairBody, SeqNo, Time};
 use std::collections::VecDeque;
-
-/// The sender's outputs, lent to a layer for one call: its counters, its
-/// trace, and its datagram and application-event queues.
-pub(crate) struct Io<'a> {
-    pub(crate) stats: &'a mut Stats,
-    pub(crate) tracer: &'a mut Tracer,
-    pub(crate) out: &'a mut VecDeque<Transmit>,
-    pub(crate) events: &'a mut VecDeque<AppEvent>,
-}
-
-/// Lend a sender's outputs to a layer call. The borrows are of single
-/// fields, so the layer itself can be borrowed alongside.
-macro_rules! io {
-    ($s:ident) => {
-        &mut Io {
-            stats: &mut $s.stats,
-            tracer: &mut $s.tracer,
-            out: &mut $s.out,
-            events: &mut $s.events,
-        }
-    };
-}
 
 /// Release-rule state, per transfer.
 #[derive(Clone)]

@@ -651,17 +651,3 @@ pub fn explore(scope: &ExploreConfig) -> ExploreReport {
     }
     report
 }
-
-/// Explore every family of [`ExploreConfig::all_families`] at the given
-/// scope template (the `family` field of `template` is replaced).
-pub fn explore_all(template: &ExploreConfig) -> Vec<ExploreReport> {
-    ExploreConfig::all_families(template.receivers)
-        .into_iter()
-        .map(|family| {
-            explore(&ExploreConfig {
-                family,
-                ..template.clone()
-            })
-        })
-        .collect()
-}

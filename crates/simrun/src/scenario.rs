@@ -547,11 +547,6 @@ impl ChaosOutcome {
     pub fn bounded(&self) -> bool {
         self.completed
     }
-
-    /// True if some sender-side abort carried `err`.
-    pub fn failed_with(&self, err: SessionError) -> bool {
-        self.failures.iter().any(|&(_, e)| e == err)
-    }
 }
 
 /// Outcome of a scenario run.

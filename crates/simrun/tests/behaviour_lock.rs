@@ -241,12 +241,30 @@ fn layered(fam: &str, plan: &str) -> Scenario {
             sc.n_messages = 2;
             sc.fault_plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
         }
+        // `ablate_nak_variants` and `ablate_recv_driven_timer` at once,
+        // under frame loss: the receiver stall timer on every family, and
+        // on the nak family the random-delay multicast NAK that receivers
+        // suppress each other with.
+        "naks" => {
+            cfg.receiver_nak_timer = Some(Duration::from_millis(15));
+            if let ProtocolKind::NakPolling {
+                receiver_multicast_nak,
+                ..
+            } = &mut cfg.kind
+            {
+                *receiver_multicast_nak = true;
+            }
+            sc.n_messages = 4;
+            sc.sim.faults.frame_loss = 0.01;
+        }
         other => panic!("unknown plan {other}"),
     }
     sc
 }
 
-fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats) {
+/// One layered run: its digest, the sender's counters and the sum of the
+/// receivers' counters.
+fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats) {
     let (outcome, records) = layered(fam, plan).run_chaos_traced(seed, 64);
     assert!(outcome.bounded(), "{fam}/{plan} seed {seed} hung");
     let mut text = format!("{outcome:?}\n");
@@ -254,7 +272,11 @@ fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats) {
         text.push_str(&r.to_json());
         text.push('\n');
     }
-    (crc32c(text.as_bytes()), outcome.sender_stats)
+    let mut receivers = Stats::default();
+    for s in &outcome.receiver_stats {
+        receivers.merge(s);
+    }
+    (crc32c(text.as_bytes()), outcome.sender_stats, receivers)
 }
 
 /// `(family, plan, seed, digest)`.
@@ -270,6 +292,8 @@ const LAYER_ROWS: &[LayerRow] = &[
     ("ack", "evict", 2, 0x1d943617),
     ("ack", "bounded", 1, 0x37df8e56),
     ("ack", "bounded", 2, 0x95b7be85),
+    ("ack", "naks", 1, 0x30ac7e1a),
+    ("ack", "naks", 2, 0x44dcb3b2),
     ("nak", "churn", 1, 0xe40bbe2c),
     ("nak", "churn", 2, 0xc0394f56),
     ("nak", "overload", 1, 0x3161a6cc),
@@ -278,6 +302,8 @@ const LAYER_ROWS: &[LayerRow] = &[
     ("nak", "evict", 2, 0xa0c8fd30),
     ("nak", "bounded", 1, 0x86c11bc5),
     ("nak", "bounded", 2, 0xc188d93c),
+    ("nak", "naks", 1, 0x19ca565a),
+    ("nak", "naks", 2, 0x87217100),
     ("ring", "churn", 1, 0xcd00685e),
     ("ring", "churn", 2, 0x1997dffd),
     ("ring", "overload", 1, 0x0a7cfe0f),
@@ -286,6 +312,8 @@ const LAYER_ROWS: &[LayerRow] = &[
     ("ring", "evict", 2, 0x65131f13),
     ("ring", "bounded", 1, 0x8ca782a2),
     ("ring", "bounded", 2, 0xcaa3b424),
+    ("ring", "naks", 1, 0x9fec3365),
+    ("ring", "naks", 2, 0xd598f5c5),
     ("tree", "churn", 1, 0x02e8d72d),
     ("tree", "churn", 2, 0xd737d928),
     ("tree", "overload", 1, 0xd1aa9471),
@@ -294,6 +322,8 @@ const LAYER_ROWS: &[LayerRow] = &[
     ("tree", "evict", 2, 0x370cf54f),
     ("tree", "bounded", 1, 0x30ade46d),
     ("tree", "bounded", 2, 0x6b75e03b),
+    ("tree", "naks", 1, 0x794e8560),
+    ("tree", "naks", 2, 0x2ec454e8),
     ("fec", "churn", 1, 0x7e908151),
     ("fec", "churn", 2, 0x34129f73),
     ("fec", "overload", 1, 0x93cf3fe0),
@@ -302,16 +332,20 @@ const LAYER_ROWS: &[LayerRow] = &[
     ("fec", "evict", 2, 0x2d8742c2),
     ("fec", "bounded", 1, 0x892b173b),
     ("fec", "bounded", 2, 0x50ca1f5a),
+    ("fec", "naks", 1, 0x19bf9091),
+    ("fec", "naks", 2, 0xb84cd5f1),
 ];
 
 #[test]
 fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
     let mut total = Stats::default();
+    let mut rx = Stats::default();
     let actual: Vec<LayerRow> = LAYER_ROWS
         .iter()
         .map(|&(fam, plan, seed, _)| {
-            let (digest, stats) = layered_run(fam, plan, seed);
-            total.merge(&stats);
+            let (digest, sender, receivers) = layered_run(fam, plan, seed);
+            total.merge(&sender);
+            rx.merge(&receivers);
             (fam, plan, seed, digest)
         })
         .collect();
@@ -345,6 +379,21 @@ fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
         ("naks_collapsed", total.naks_collapsed),
         ("backpressure_signals", total.backpressure_signals),
         ("messages_failed", total.messages_failed),
+        // The receivers' layers: NAK scheduling, tree child eviction,
+        // admission, heartbeat replies, and coded repair. The receiver's
+        // `messages_failed` is not here: `run_chaos` cannot reach it. Its
+        // give-up needs a sender that never resolves, and the simulated
+        // sender always evicts or fails first; a SYNC that abandons
+        // pre-admission transfers needs a joiner that heard part of one.
+        // The receiver unit tests `receiver_gives_up_on_silent_sender`,
+        // `giveup_covers_announced_but_unstarted_transfers` and
+        // `sync_abandons_preadmission_transfers` pin both instead.
+        ("receiver naks_sent", rx.naks_sent),
+        ("receiver naks_suppressed", rx.naks_suppressed),
+        ("receiver evictions", rx.evictions),
+        ("receiver joins", rx.joins),
+        ("receiver heartbeats_sent", rx.heartbeats_sent),
+        ("receiver repairs_decoded", rx.repairs_decoded),
     ];
     let unreached: Vec<&str> = reached
         .iter()
@@ -358,7 +407,7 @@ fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
 fn the_layered_table_covers_every_family_under_every_plan_at_two_seeds() {
     let mut expect = Vec::new();
     for fam in ["ack", "nak", "ring", "tree", "fec"] {
-        for plan in ["churn", "overload", "evict", "bounded"] {
+        for plan in ["churn", "overload", "evict", "bounded", "naks"] {
             for seed in [1, 2] {
                 expect.push((fam, plan, seed));
             }

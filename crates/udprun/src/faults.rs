@@ -36,13 +36,6 @@ pub struct NodeFaults {
     pub blackout: Option<(StdDuration, StdDuration)>,
 }
 
-impl NodeFaults {
-    /// `true` when the wrapper would be a pure passthrough.
-    pub fn is_off(&self) -> bool {
-        self.storm_amplify == 0 && self.per_datagram_delay.is_none() && self.blackout.is_none()
-    }
-}
-
 /// An endpoint with [`NodeFaults`] applied at its datagram boundary;
 /// every other `Endpoint` operation delegates untouched.
 pub struct FaultedEndpoint<E> {
