@@ -10,6 +10,11 @@
 
 use crate::config::WindowDiscipline;
 use bytes::Bytes;
+use rmwire::RepairBody;
+
+/// What [`Assembly::decode`] makes of a coded block: useless, decoded into
+/// one packet's chunk, or undecodable.
+pub(crate) type DecodeResult = Result<Option<(u32, Vec<u8>)>, ()>;
 
 /// Result of offering one data packet to the assembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,18 +236,47 @@ impl Assembly {
         Some(&self.buf[off..off + len])
     }
 
-    /// The nominal per-packet payload size this assembly was built with.
-    pub fn packet_size(&self) -> usize {
-        self.packet_size
+    /// Decode a coded block, `payload` being the XOR of the packets `body`
+    /// names, against the packets held here. `Ok(None)`: none of them is
+    /// missing, so the block is useless. `Ok(Some((seq, chunk)))`: exactly
+    /// `seq` is, and `chunk` is its payload. `Err(())`: the block cannot
+    /// be decoded. Shorter chunks count as zero-padded to `packet_size`.
+    pub(crate) fn decode(&self, body: &RepairBody, payload: &[u8]) -> DecodeResult {
+        // The XOR of chunks no longer than packet_size cannot be longer
+        // than packet_size: hostile or corrupt.
+        if payload.len() > self.packet_size {
+            return Err(());
+        }
+        let mut missing = body.seqs().filter(|&s| !self.holds(s));
+        let seq = match (missing.next(), missing.next()) {
+            (None, _) => return Ok(None),
+            (Some(seq), None) => seq,
+            (Some(_), Some(_)) => return Err(()),
+        };
+        // A bitmap naming a packet beyond the transfer: hostile or corrupt.
+        let want = self.chunk_len(seq).ok_or(())?;
+        // rmlint: allow(hot-alloc): once per decoded repair
+        let mut acc = vec![0u8; self.packet_size];
+        acc[..payload.len()].copy_from_slice(payload);
+        for s in body.seqs().filter(|&s| s != seq) {
+            // A packet named but not readable (beyond the transfer, which
+            // `fits` keeps from ever being held) fails the decode, never
+            // the process.
+            let held = self.chunk(s).ok_or(())?;
+            for (a, &b) in acc.iter_mut().zip(held) {
+                *a ^= b;
+            }
+        }
+        acc.truncate(want);
+        Ok(Some((seq, acc)))
     }
 
     /// Offer packet `seq` with payload `chunk`; `last` is the LAST flag.
+    /// Once `k` is known a LAST flag that contradicts it is ignored: it is
+    /// network input, and a replayed or forged copy can carry one.
     pub fn offer(&mut self, seq: u32, chunk: &[u8], last: bool) -> Offer {
-        if last {
-            match self.k {
-                None => self.k = Some(seq + 1),
-                Some(k) => debug_assert_eq!(k, seq + 1, "inconsistent LAST flag"),
-            }
+        if last && self.k.is_none() {
+            self.k = Some(seq + 1);
         }
         if seq < self.next {
             return Offer::Duplicate;
@@ -277,18 +311,16 @@ impl Assembly {
         }
     }
 
-    /// Does packet `seq` with this payload fit the allocation? A mismatch
-    /// means a corrupt or forged packet (or allocation announcement):
-    /// network input, so it must be rejectable, never a panic.
+    /// Does packet `seq` with this payload fit its slot of the allocation?
+    /// A mismatch means a corrupt or forged packet (or allocation
+    /// announcement): network input, so it must be rejectable, never a
+    /// panic. A packet at or beyond `k` has no slot, even an empty one
+    /// that would fit the buffer: held, it would carry the prefix past `k`.
     fn fits(&self, seq: u32, chunk: &[u8]) -> bool {
         if !self.preallocated {
             return true; // dynamic assembly grows
         }
-        let Some(off) = (seq as usize).checked_mul(self.packet_size) else {
-            return false;
-        };
-        off.checked_add(chunk.len())
-            .is_some_and(|end| end <= self.buf.len())
+        self.chunk_len(seq).is_some_and(|len| chunk.len() <= len)
     }
 
     fn store(&mut self, seq: u32, chunk: &[u8]) {
@@ -398,7 +430,6 @@ mod tests {
         assert_eq!(a.chunk_len(0), Some(4));
         assert_eq!(a.chunk_len(2), Some(2), "tail packet is short");
         assert_eq!(a.chunk_len(3), None, "beyond the transfer");
-        assert_eq!(a.packet_size(), 4);
         // GBN: the contiguous prefix is held.
         let mut g = Assembly::preallocated(8, 4, WindowDiscipline::GoBackN, 8);
         assert_eq!(g.offer(0, b"aaaa", false), Offer::InOrder);
@@ -428,6 +459,22 @@ mod tests {
         let a = Assembly::recycling(vec![0xee; 4], 10, 4, WindowDiscipline::GoBackN, 8);
         assert_eq!(a.buffered_bytes(), 10);
         assert_eq!(a.chunk(0), None);
+    }
+
+    #[test]
+    fn packets_outside_their_slot_rejected() {
+        let mut a = Assembly::preallocated(12, 4, WindowDiscipline::SelectiveRepeat, 8);
+        // Empty, it would fit the buffer at offset 12, but there is no
+        // packet 3: held, it would carry the prefix to 4 and the transfer
+        // could never complete.
+        assert_eq!(a.offer(3, b"", false), Offer::Rejected);
+        // A chunk longer than its slot would spill into the next one.
+        assert_eq!(a.offer(1, b"bbbb", false), Offer::Buffered);
+        assert_eq!(a.offer(0, b"aaaaXXXX", false), Offer::Rejected);
+        assert_eq!(a.offer(0, b"aaaa", false), Offer::InOrder);
+        assert_eq!(a.offer(2, b"cccc", false), Offer::InOrder);
+        assert_eq!(a.next_expected(), 3);
+        assert_eq!(&a.into_bytes()[..], b"aaaabbbbcccc");
     }
 
     #[test]

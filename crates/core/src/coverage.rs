@@ -11,8 +11,184 @@
 //!   in-order prefix of `A` token acknowledgments releases packets below
 //!   `A − N`; the final packet is acknowledged by everyone, which releases
 //!   the rest (the paper's second LAN modification).
+//!
+//! `Release` picks the rule for a transfer and is all the sender sees of
+//! it: it records acknowledgments, answers the releasable prefix and the
+//! laggards, audits itself (`S2`–`S4`) and digests itself.
 
+use crate::config::ProtocolKind;
+use crate::invariants::Audit;
+use crate::membership::Members;
+use crate::tree::TreeTopology;
 use rmwire::Rank;
+
+/// One transfer's release rule.
+#[derive(Clone)]
+pub(crate) enum Release {
+    /// Minimum over per-source cumulative acknowledgments (ACK, NAK, fec,
+    /// tree). `src_of_rank[receiver_index]` maps an acknowledging rank to
+    /// its source slot; `None` for ranks whose ACKs the sender never sees
+    /// (non-root tree nodes).
+    PerSource {
+        cov: PerSourceCoverage,
+        src_of_rank: Vec<Option<usize>>,
+        /// Inverse of `src_of_rank`: the rank behind each source slot
+        /// (needed to name evicted peers).
+        rank_of_src: Vec<Rank>,
+    },
+    /// The ring rule.
+    Ring(RingTracker),
+}
+
+impl Release {
+    /// The rule for a `k`-packet transfer of a `kind` sender to `n`
+    /// receivers; `tree` is the topology of the tree family.
+    pub(crate) fn new(
+        kind: ProtocolKind,
+        k: u32,
+        n: usize,
+        tree: Option<&TreeTopology>,
+        members: &Members,
+    ) -> Release {
+        let mut release = match (kind, tree) {
+            (ProtocolKind::Ring, _) => Release::Ring(RingTracker::new(k, n as u32)),
+            (_, Some(tree)) => {
+                let mut src_of_rank = vec![None; n];
+                let mut rank_of_src = Vec::with_capacity(tree.roots().len());
+                for &root in tree.roots() {
+                    src_of_rank[root.receiver_index()] = Some(rank_of_src.len());
+                    rank_of_src.push(root);
+                }
+                // Rejoined receivers act as detached roots: the sender
+                // hears their acknowledgments directly, since their old
+                // chain may have routed around them while they were gone.
+                for idx in (0..n).filter(|&i| members.is_detached(i)) {
+                    if src_of_rank[idx].is_none() {
+                        src_of_rank[idx] = Some(rank_of_src.len());
+                        rank_of_src.push(Rank::from_receiver_index(idx));
+                    }
+                }
+                Release::PerSource {
+                    cov: PerSourceCoverage::new(rank_of_src.len()),
+                    src_of_rank,
+                    rank_of_src,
+                }
+            }
+            (_, None) => Release::PerSource {
+                cov: PerSourceCoverage::new(n),
+                src_of_rank: (0..n).map(Some).collect(),
+                rank_of_src: (0..n).map(Rank::from_receiver_index).collect(),
+            },
+        };
+        // Previously evicted receivers stay out of the proof obligation:
+        // a dead peer must not stall every subsequent message anew.
+        for idx in (0..n).filter(|&i| members.is_evicted(i)) {
+            release.evict_rank(Rank::from_receiver_index(idx));
+        }
+        release
+    }
+
+    /// Record `rank`'s cumulative acknowledgment; the new releasable
+    /// prefix, or `None` when `rank` is no acknowledgment source.
+    pub(crate) fn update(&mut self, rank: Rank, next_expected: u32) -> Option<u32> {
+        match self {
+            Release::PerSource {
+                cov, src_of_rank, ..
+            } => src_of_rank[rank.receiver_index()].map(|idx| cov.update(idx, next_expected)),
+            Release::Ring(r) => Some(r.update(rank, next_expected)),
+        }
+    }
+
+    /// Current releasable prefix without recording anything.
+    pub(crate) fn released(&self) -> u32 {
+        match self {
+            Release::PerSource { cov, .. } => cov.released(),
+            Release::Ring(r) => r.released(),
+        }
+    }
+
+    /// Acknowledgment sources still part of the proof obligation.
+    pub(crate) fn n_active(&self) -> usize {
+        match self {
+            Release::PerSource { cov, .. } => cov.n_active(),
+            Release::Ring(r) => r.n_active(),
+        }
+    }
+
+    /// The ranks currently gating the release — eviction candidates when
+    /// the transfer stalls.
+    pub(crate) fn laggard_ranks(&self) -> Vec<Rank> {
+        match self {
+            Release::PerSource {
+                cov, rank_of_src, ..
+            } => cov.laggards().into_iter().map(|i| rank_of_src[i]).collect(),
+            Release::Ring(r) => r
+                .laggards()
+                .into_iter()
+                .map(Rank::from_receiver_index)
+                .collect(),
+        }
+    }
+
+    /// Remove `rank` from the proof obligation (no-op for ranks that were
+    /// never acknowledgment sources, e.g. non-root tree nodes).
+    pub(crate) fn evict_rank(&mut self, rank: Rank) {
+        match self {
+            Release::PerSource {
+                cov, src_of_rank, ..
+            } => {
+                if let Some(idx) = src_of_rank[rank.receiver_index()] {
+                    cov.evict(idx);
+                }
+            }
+            Release::Ring(r) => r.evict(rank.receiver_index()),
+        }
+    }
+
+    /// `S2`–`S4` for the `label` transfer `id`, whose window base is
+    /// `base`: nothing freed beyond coverage, the tracker consistent, and
+    /// somebody left to prove it.
+    pub(crate) fn audit(&self, a: &mut Audit, base: u32, label: &str, id: u32) {
+        let released = self.released();
+        a.require("S2", base <= released, || {
+            format!(
+                "{label} transfer {id}: window base {base} outruns acknowledgment \
+                 coverage {released} — a buffer was freed before every receiver \
+                 provably held it"
+            )
+        });
+        let tracker = match self {
+            Release::PerSource { cov, .. } => cov.check(),
+            Release::Ring(r) => r.check(),
+        };
+        a.check(
+            "S3",
+            tracker.map_err(|e| format!("{label} transfer {id}: {e}")),
+        );
+        a.require("S4", self.n_active() >= 1, || {
+            format!("{label} transfer {id}: every acknowledgment source evicted")
+        });
+    }
+
+    /// Fold the acknowledgments recorded, the ring's token prefix and the
+    /// evictions into a digest.
+    pub(crate) fn hash_into(&self, h: &mut dyn std::hash::Hasher) {
+        let (tag, cov, prefix, evicted) = match self {
+            Release::PerSource { cov, .. } => (1, &cov.cov, None, &cov.evicted),
+            Release::Ring(r) => (2, &r.cov, Some(r.token_prefix), &r.evicted),
+        };
+        h.write_u8(tag);
+        for &c in cov {
+            h.write_u32(c);
+        }
+        if let Some(prefix) = prefix {
+            h.write_u32(prefix);
+        }
+        for &e in evicted {
+            h.write_u8(e as u8);
+        }
+    }
+}
 
 /// Minimum-of-cumulative-acknowledgments tracker (ACK, NAK, tree).
 ///
@@ -81,12 +257,6 @@ impl PerSourceCoverage {
             .map(|(&c, _)| c)
             .min()
             .expect("at least one active source")
-    }
-
-    /// The per-source cumulative acknowledgments and eviction flags, for
-    /// state digesting (`rmcheck explore`).
-    pub fn state(&self) -> (&[u32], &[bool]) {
-        (&self.cov, &self.evicted)
     }
 
     /// Structural self-check: the released prefix must be the minimum over
@@ -227,12 +397,6 @@ impl RingTracker {
             return self.k;
         }
         self.token_prefix.saturating_sub(self.n_receivers)
-    }
-
-    /// The per-receiver cumulative acknowledgments, token prefix and
-    /// eviction flags, for state digesting (`rmcheck explore`).
-    pub fn state(&self) -> (&[u32], u32, &[bool]) {
-        (&self.cov, self.token_prefix, &self.evicted)
     }
 
     /// Structural self-check of the paper's ring release rule: the token

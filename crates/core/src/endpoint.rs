@@ -17,8 +17,8 @@
 use crate::error::SessionError;
 use crate::stats::Stats;
 use bytes::Bytes;
-use rmtrace::Tracer;
-use rmwire::{Rank, Time};
+use rmtrace::{TraceEvent, Tracer};
+use rmwire::{Rank, Time, WireError};
 use std::collections::VecDeque;
 
 /// Where a produced datagram should go. The driver maps these onto real
@@ -178,3 +178,19 @@ macro_rules! io {
     };
 }
 pub(crate) use io;
+
+/// Count and trace, as a drop at `now`, a datagram that did not parse.
+pub(crate) fn undecodable(now: Time, e: WireError, io: &mut Io<'_>) {
+    io.stats.decode_errors += 1;
+    let cause = match e {
+        WireError::ChecksumMismatch { .. } | WireError::ChecksumMissing => {
+            io.stats.integrity_fail += 1;
+            "IntegrityFail"
+        }
+        _ => {
+            io.stats.malformed_rx += 1;
+            "MalformedRx"
+        }
+    };
+    io.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
+}

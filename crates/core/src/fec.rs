@@ -16,10 +16,12 @@
 //! every `parity_every` consecutive fresh packets — rides the same
 //! machinery so single losses heal with no feedback round trip at all.
 //!
-//! Everything here is pure bookkeeping: the [`crate::Sender`] owns the
-//! packet encoding, slot accounting and trace emission.
+//! Everything here is pure bookkeeping: each fec data transfer of the
+//! [`crate::Sender`] owns one [`FecState`], and the sender does the packet
+//! encoding, slot accounting and trace emission.
 
-use rmwire::Time;
+use crate::invariants::Audit;
+use rmwire::{RepairBody, Time};
 use std::collections::BTreeMap;
 
 /// Per-receiver loss sets a coded block must keep disjoint. Receiver
@@ -96,20 +98,17 @@ pub fn xor_chunks(msg: &[u8], packet_size: usize, seqs: impl Iterator<Item = u32
     acc
 }
 
-/// The sender's coding state: the NAK aggregation buffer, the proactive
-/// parity accumulator and the shared generation counter, all bound to one
-/// data transfer at a time.
+/// The coding state of one fec data transfer: the NAK aggregation buffer,
+/// the proactive parity accumulator and the generation counter. The
+/// transfer owns it, so it starts empty with the transfer and ends with it.
 #[derive(Debug, Clone, Default)]
 pub struct FecState {
-    /// The data transfer the state is bound to; everything resets when a
-    /// new transfer begins.
-    transfer: Option<u32>,
     /// Pending losses: sequence number → bitmask of receiver indices.
     pending: BTreeMap<u32, u64>,
     /// Flush deadline, armed when the first loss lands in an empty buffer.
     deadline: Option<Time>,
-    /// Generation counter shared by REPAIR and PARITY blocks of the bound
-    /// transfer (receivers enforce strict increase as their replay gate).
+    /// Generation counter shared by the transfer's REPAIR and PARITY
+    /// blocks (receivers enforce strict increase as their replay gate).
     generation: u32,
     /// Proactive parity accumulator: first sequence of the current run of
     /// consecutive fresh packets, if one is open.
@@ -119,61 +118,19 @@ pub struct FecState {
 }
 
 impl FecState {
-    /// Fresh, unbound coding state.
-    pub fn new() -> Self {
-        FecState::default()
-    }
-
-    /// Bind to data transfer `id`, discarding every piece of state that
-    /// belonged to the previous one (pending losses for a finished
-    /// transfer can never be flushed; generations restart because
-    /// receivers track them per transfer).
-    pub fn bind(&mut self, id: u32) {
-        *self = FecState {
-            transfer: Some(id),
-            ..FecState::default()
-        };
-    }
-
-    /// Drop the binding (an allocation round trip or no transfer at all
-    /// is active; nothing is codable).
-    pub fn unbind(&mut self) {
-        *self = FecState::default();
-    }
-
-    /// The bound data transfer, if any.
-    pub fn transfer(&self) -> Option<u32> {
-        self.transfer
-    }
-
     /// The armed flush deadline, if any (drives the sender's
     /// `poll_timeout`).
     pub fn deadline(&self) -> Option<Time> {
         self.deadline
     }
 
-    /// Pending distinct sequence numbers (audit bookkeeping).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Snapshot of the pending losses (state digesting).
-    pub fn pending(&self) -> &BTreeMap<u32, u64> {
-        &self.pending
-    }
-
-    /// The last generation handed out (state digesting).
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    /// Buffer a NAK: receiver index `idx` reported sequence `seq` of
-    /// transfer `id` lost. Returns `false` — caller falls back to a plain
-    /// retransmission — when the state is bound to a different transfer,
-    /// the index does not fit the loser bitmask, or the buffer is full.
-    /// Arms the flush deadline at `deadline` on the first buffered loss.
-    pub fn buffer_nak(&mut self, id: u32, seq: u32, idx: usize, deadline: Time) -> bool {
-        if self.transfer != Some(id) || idx >= MAX_TRACKED_RECEIVERS {
+    /// Buffer a NAK: receiver index `idx` reported sequence `seq` lost.
+    /// Returns `false` — caller falls back to a plain retransmission —
+    /// when the index does not fit the loser bitmask or the buffer is
+    /// full. Arms the flush deadline at `deadline` on the first buffered
+    /// loss.
+    pub fn buffer_nak(&mut self, seq: u32, idx: usize, deadline: Time) -> bool {
+        if idx >= MAX_TRACKED_RECEIVERS {
             return false;
         }
         if !self.pending.contains_key(&seq) && self.pending.len() >= MAX_PENDING {
@@ -186,45 +143,38 @@ impl FecState {
         true
     }
 
-    /// Flush the aggregation buffer for transfer `id`: returns the coded
-    /// blocks with their assigned generations, disarming the deadline.
-    /// A state bound elsewhere just clears (stale losses are not
-    /// flushable).
-    pub fn flush(&mut self, id: u32, max_coded: usize) -> Vec<(u32, u64, u32)> {
+    /// Flush the aggregation buffer, disarming the deadline: drop the
+    /// losses that no longer satisfy `keep` (their window slots were
+    /// released while the flush timer ran, so no receiver is still owed
+    /// them) and return the rest as coded blocks with their generations.
+    pub fn flush(
+        &mut self,
+        max_coded: usize,
+        mut keep: impl FnMut(u32) -> bool,
+    ) -> Vec<RepairBody> {
         self.deadline = None;
-        let pending = std::mem::take(&mut self.pending);
-        if self.transfer != Some(id) {
-            return Vec::new();
-        }
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|&s, _| keep(s));
         greedy_blocks(&pending, max_coded)
             .into_iter()
-            .map(|(base, bitmap)| {
-                self.generation = self.generation.saturating_add(1);
-                (base, bitmap, self.generation)
+            .map(|(base_seq, bitmap)| RepairBody {
+                base_seq,
+                generation: self.next_generation(),
+                bitmap,
             })
             .collect()
     }
 
-    /// Drop pending losses that no longer satisfy `keep` — their window
-    /// slots were released while the flush timer ran, so no receiver is
-    /// still owed them.
-    pub fn prune_pending(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        self.pending.retain(|&s, _| keep(s));
+    fn next_generation(&mut self) -> u32 {
+        self.generation = self.generation.saturating_add(1);
+        self.generation
     }
 
-    /// The open proactive-parity run as `(base_seq, count)` (state
-    /// digesting).
-    pub fn parity_run(&self) -> Option<(u32, u32)> {
-        self.parity_base.map(|b| (b, self.parity_count))
-    }
-
-    /// Note a fresh (first-transmission) data packet of transfer `id`
-    /// entering the wire. Returns `Some((base_seq, generation))` when the
-    /// packet completes a run of `parity_every` consecutive sequences —
-    /// the caller emits a PARITY block over `[base_seq, base_seq +
-    /// parity_every)`.
-    pub fn note_fresh(&mut self, id: u32, seq: u32, parity_every: u32) -> Option<(u32, u32)> {
-        if self.transfer != Some(id) || parity_every < 2 {
+    /// Note a fresh (first-transmission) data packet entering the wire.
+    /// Returns the PARITY block owed when the packet completes a run of
+    /// `parity_every` consecutive sequences.
+    pub fn note_fresh(&mut self, seq: u32, parity_every: u32) -> Option<RepairBody> {
+        if parity_every < 2 {
             return None;
         }
         match self.parity_base {
@@ -234,13 +184,47 @@ impl FecState {
                 self.parity_count = 1;
             }
         }
-        if self.parity_count == parity_every {
-            let base = self.parity_base.take().expect("open run");
-            self.parity_count = 0;
-            self.generation = self.generation.saturating_add(1);
-            return Some((base, self.generation));
+        if self.parity_count < parity_every {
+            return None;
         }
-        None
+        self.parity_count = 0;
+        Some(RepairBody {
+            base_seq: self.parity_base.take().expect("open run"),
+            generation: self.next_generation(),
+            bitmap: u64::MAX >> (64 - parity_every.min(64)),
+        })
+    }
+
+    /// `S8`: buffered losses always have a flush deadline armed.
+    pub(crate) fn audit(&self, a: &mut Audit) {
+        a.require(
+            "S8",
+            self.pending.is_empty() || self.deadline.is_some(),
+            || {
+                let n = self.pending.len();
+                format!("{n} buffered losses with no flush deadline armed")
+            },
+        );
+    }
+
+    /// Fold the protocol-logical state (everything but the deadline's
+    /// instant) into a digest.
+    pub(crate) fn hash_into(&self, h: &mut dyn std::hash::Hasher) {
+        h.write_u32(self.generation);
+        h.write_u8(self.deadline.is_some() as u8);
+        h.write_usize(self.pending.len());
+        for (&s, &losers) in &self.pending {
+            h.write_u32(s);
+            h.write_u64(losers);
+        }
+        match self.parity_base {
+            None => h.write_u8(0),
+            Some(base) => {
+                h.write_u8(1);
+                h.write_u32(base);
+                h.write_u32(self.parity_count);
+            }
+        }
     }
 }
 
@@ -276,49 +260,56 @@ mod tests {
         assert_eq!(greedy_blocks(&p, 2), vec![(0, 0b11), (2, 0b1)]);
     }
 
+    fn block(base_seq: u32, bitmap: u64, generation: u32) -> RepairBody {
+        RepairBody {
+            base_seq,
+            generation,
+            bitmap,
+        }
+    }
+
     #[test]
-    fn state_binds_per_transfer() {
-        let mut f = FecState::new();
-        assert!(
-            !f.buffer_nak(3, 0, 0, Time::ZERO),
-            "unbound buffers nothing"
-        );
-        f.bind(3);
-        assert!(f.buffer_nak(3, 0, 0, Time::from_nanos(5)));
-        assert!(f.buffer_nak(3, 1, 1, Time::from_nanos(9)));
+    fn losses_flush_into_generations() {
+        let mut f = FecState::default();
+        assert!(f.buffer_nak(0, 0, Time::from_nanos(5)));
+        assert!(f.buffer_nak(1, 1, Time::from_nanos(9)));
+        assert!(f.buffer_nak(2, 1, Time::from_nanos(9)));
         assert_eq!(f.deadline(), Some(Time::from_nanos(5)), "first arm wins");
-        assert!(!f.buffer_nak(4, 2, 0, Time::ZERO), "wrong transfer");
-        assert!(!f.buffer_nak(3, 2, 64, Time::ZERO), "index beyond bitmask");
-        let blocks = f.flush(3, 16);
-        assert_eq!(blocks, vec![(0, 0b11, 1)]);
+        assert!(!f.buffer_nak(2, 64, Time::ZERO), "index beyond bitmask");
+        // Sequence 2's slot was released while the timer ran.
+        let blocks = f.flush(16, |s| s != 2);
+        assert_eq!(blocks, vec![block(0, 0b11, 1)]);
         assert_eq!(f.deadline(), None);
-        assert_eq!(f.pending_len(), 0);
+        assert!(f.pending.is_empty());
         // Generations keep rising across flushes of the same transfer.
-        assert!(f.buffer_nak(3, 5, 0, Time::from_nanos(20)));
-        assert_eq!(f.flush(3, 16), vec![(5, 1, 2)]);
-        // Rebinding restarts them.
-        f.bind(5);
-        assert!(f.buffer_nak(5, 0, 0, Time::from_nanos(30)));
-        assert_eq!(f.flush(5, 16), vec![(0, 1, 1)]);
+        assert!(f.buffer_nak(5, 0, Time::from_nanos(20)));
+        assert_eq!(f.flush(16, |_| true), vec![block(5, 1, 2)]);
+        // The next transfer's state starts over.
+        let mut g = FecState::default();
+        assert!(g.buffer_nak(0, 0, Time::from_nanos(30)));
+        assert_eq!(g.flush(16, |_| true), vec![block(0, 1, 1)]);
     }
 
     #[test]
     fn parity_runs_need_consecutive_sequences() {
-        let mut f = FecState::new();
-        f.bind(1);
-        assert_eq!(f.note_fresh(1, 0, 4), None);
-        assert_eq!(f.note_fresh(1, 1, 4), None);
-        assert_eq!(f.note_fresh(1, 2, 4), None);
-        assert_eq!(f.note_fresh(1, 3, 4), Some((0, 1)));
+        let mut f = FecState::default();
+        assert_eq!(f.note_fresh(0, 4), None);
+        assert_eq!(f.note_fresh(1, 4), None);
+        assert_eq!(f.note_fresh(2, 4), None);
+        assert_eq!(f.note_fresh(3, 4), Some(block(0, 0b1111, 1)));
         // A gap restarts the run.
-        assert_eq!(f.note_fresh(1, 5, 4), None);
-        assert_eq!(f.note_fresh(1, 6, 4), None);
-        assert_eq!(f.note_fresh(1, 7, 4), None);
-        assert_eq!(f.note_fresh(1, 8, 4), Some((5, 2)));
+        assert_eq!(f.note_fresh(5, 4), None);
+        assert_eq!(f.note_fresh(6, 4), None);
+        assert_eq!(f.note_fresh(7, 4), None);
+        assert_eq!(f.note_fresh(8, 4), Some(block(5, 0b1111, 2)));
         // parity_every < 2 disables proactive parity.
-        assert_eq!(f.note_fresh(1, 9, 0), None);
+        assert_eq!(f.note_fresh(9, 0), None);
         // Repair generations interleave with parity generations.
-        assert!(f.buffer_nak(1, 2, 0, Time::from_nanos(1)));
-        assert_eq!(f.flush(1, 16), vec![(2, 1, 3)]);
+        assert!(f.buffer_nak(2, 0, Time::from_nanos(1)));
+        assert_eq!(f.flush(16, |_| true), vec![block(2, 1, 3)]);
+        // A 64-packet run codes the whole bitmap.
+        let mut w = FecState::default();
+        let runs: Vec<_> = (0..64).filter_map(|s| w.note_fresh(s, 64)).collect();
+        assert_eq!(runs, vec![block(0, u64::MAX, 1)]);
     }
 }

@@ -16,13 +16,13 @@
 //! | id | holder | invariant |
 //! |------|----------|-----------|
 //! | `S1` | sender | window structure: `base ≤ next ≤ k`, occupancy ≤ capacity, one slot per outstanding packet |
-//! | `S2` | sender | buffers released only after ACK coverage: `win.base ≤ release.released()` |
-//! | `S3` | sender | release-tracker consistency: the released prefix is the minimum over active sources (ACK/NAK/tree), or obeys the ring `X − N` rule with the all-acked fast path |
-//! | `S4` | sender | at least one acknowledgment source stays in the proof obligation |
+//! | `S2` | sender (`coverage::Release`) | buffers released only after ACK coverage: `win.base ≤ release.released()` |
+//! | `S3` | sender (`coverage::Release`) | release-tracker consistency: the released prefix is the minimum over active sources (ACK/NAK/tree), or obeys the ring `X − N` rule with the all-acked fast path |
+//! | `S4` | sender (`coverage::Release`) | at least one acknowledgment source stays in the proof obligation |
 //! | `S5` | sender | tree topology: symmetric parent/child links, roots cover the group exactly once |
 //! | `S6` | sender | transfer bookkeeping: an allocation transfer, current or staged, spans exactly one packet (transfer ids are derived from message and phase, even for allocation, odd for data) |
 //! | `S7` | sender (`Quarantine`) | overload bookkeeping: a quarantined receiver is never sticky-evicted at the same time; every eviction takes the rank's quarantine entry |
-//! | `S8` | sender | fec coding state: present iff the fec family is configured, bound only to (odd-id) data transfers, buffered losses always have a flush deadline armed |
+//! | `S8` | sender (`fec::FecState`) | fec coding state: a transfer carries it iff it is a data transfer of the fec family, and buffered losses always have a flush deadline armed (the transfer owns its state, created with it and dropped with it, so state bound to no transfer or to an allocation transfer cannot be expressed) |
 //! | `R1` | receiver | per-transfer progress: `own_next ≤ k`, a delivered transfer is complete, the tracked prefix mirrors the assembly |
 //! | `R2` | receiver | ack-aggregation monotonicity: nothing acknowledged up the tree beyond what this node and its live children can prove (`sent_up ≤ aggregate`) |
 //! | `R3` | receiver | reassembly discipline: Go-Back-N buffers nothing out of order; selective repeat keeps a contiguous prefix and stays inside the receive window |

@@ -489,7 +489,8 @@ pub fn encode_parity(src_rank: Rank, transfer: u32, body: RepairBody, payload: &
     encode_coded(PacketType::Parity, src_rank, transfer, body, payload)
 }
 
-fn encode_coded(
+/// Encode a coded block of either kind, REPAIR or PARITY.
+pub(crate) fn encode_coded(
     ptype: PacketType,
     src_rank: Rank,
     transfer: u32,

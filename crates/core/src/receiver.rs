@@ -23,7 +23,7 @@
 
 use crate::assembler::{Assembly, Offer};
 use crate::config::{ProtocolConfig, ProtocolKind};
-use crate::endpoint::{io, AppEvent, Dest, Endpoint, Io, Transmit};
+use crate::endpoint::{self, io, AppEvent, Dest, Endpoint, Io, Transmit};
 use crate::error::SessionError;
 use crate::membership::Admission;
 use crate::nak::NakSchedule;
@@ -681,102 +681,25 @@ impl Receiver {
             st.assembly = Some(asm);
         }
         st.repair_gen = Some(body.generation);
-
-        enum Outcome {
-            Useless,
-            Undecodable,
-            Decoded {
-                seq: u32,
-                chunk: Vec<u8>,
-                last: bool,
-            },
-        }
-        let outcome = {
-            let st = &self.transfers[&transfer];
-            match &st.assembly {
-                // Delivered: everything the block names is already held.
-                None => Outcome::Useless,
-                Some(asm) => {
-                    let packet_size = asm.packet_size();
-                    if payload.len() > packet_size {
-                        // The XOR of ≤ packet_size chunks cannot be longer
-                        // than packet_size: hostile or corrupt.
-                        Outcome::Undecodable
-                    } else {
-                        let mut missing = None;
-                        let mut n_missing = 0u32;
-                        for seq in body.seqs() {
-                            if !asm.holds(seq) {
-                                n_missing += 1;
-                                missing = Some(seq);
-                            }
-                        }
-                        match (n_missing, missing) {
-                            (0, _) => Outcome::Useless,
-                            (1, Some(seq)) => match asm.chunk_len(seq) {
-                                // The bitmap names a packet beyond the
-                                // transfer: hostile or corrupt.
-                                None => Outcome::Undecodable,
-                                Some(want) => {
-                                    // rmlint: allow(hot-alloc): once per decoded repair
-                                    let mut acc = vec![0u8; packet_size];
-                                    acc[..payload.len()].copy_from_slice(payload);
-                                    let mut readable = true;
-                                    for s in body.seqs().filter(|&s| s != seq) {
-                                        match asm.chunk(s) {
-                                            Some(held) => {
-                                                for (a, &b) in acc.iter_mut().zip(held) {
-                                                    *a ^= b;
-                                                }
-                                            }
-                                            // A "held" bit just outside the
-                                            // sized transfer (forged empty
-                                            // data can plant one) is not
-                                            // readable — fail the decode,
-                                            // never the process.
-                                            None => {
-                                                readable = false;
-                                                break;
-                                            }
-                                        }
-                                    }
-                                    if readable {
-                                        acc.truncate(want);
-                                        let last = asm.k().is_some_and(|k| seq + 1 == k);
-                                        Outcome::Decoded {
-                                            seq,
-                                            chunk: acc,
-                                            last,
-                                        }
-                                    } else {
-                                        Outcome::Undecodable
-                                    }
-                                }
-                            },
-                            _ => Outcome::Undecodable,
-                        }
-                    }
-                }
-            }
-        };
-        match outcome {
-            Outcome::Useless => self.stats.repairs_useless += 1,
-            Outcome::Undecodable => self.stats.repairs_undecodable += 1,
-            Outcome::Decoded { seq, chunk, last } => {
+        // Delivered: everything the block names is already held.
+        let decoded = st
+            .assembly
+            .as_ref()
+            .map_or(Ok(None), |asm| asm.decode(&body, payload));
+        match decoded {
+            Ok(None) => self.stats.repairs_useless += 1,
+            Err(()) => self.stats.repairs_undecodable += 1,
+            Ok(Some((seq, chunk))) => {
                 self.stats.repairs_decoded += 1;
                 self.tracer
                     .emit(now.as_nanos(), TraceEvent::RepairDecoded { transfer, seq });
                 // Feed the reconstruction through the ordinary data path
                 // under a synthesized header. RETX makes the NakPolling-
-                // style acknowledgment policy report the progress; LAST
-                // restates what the geometry already pinned.
-                let mut flags = PacketFlags::RETX;
-                if last {
-                    flags |= PacketFlags::LAST;
-                }
+                // style acknowledgment policy report the progress. It
+                // carries no LAST: the sized assembly already knows `k`.
                 let synth = Header {
                     ptype: PacketType::Data,
-                    flags,
+                    flags: PacketFlags::RETX,
                     src_rank: header.src_rank,
                     transfer,
                     seq: SeqNo(seq),
@@ -1001,22 +924,7 @@ impl Endpoint for Receiver {
         self.now_cache = self.now_cache.max(now);
         let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
             Ok(p) => p,
-            Err(e) => {
-                self.stats.decode_errors += 1;
-                let cause = match e {
-                    rmwire::WireError::ChecksumMismatch { .. }
-                    | rmwire::WireError::ChecksumMissing => {
-                        self.stats.integrity_fail += 1;
-                        "IntegrityFail"
-                    }
-                    _ => {
-                        self.stats.malformed_rx += 1;
-                        "MalformedRx"
-                    }
-                };
-                self.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
-                return;
-            }
+            Err(e) => return endpoint::undecodable(now, e, io!(self)),
         };
         match pkt {
             Packet::Data { header, body } => self.on_data(now, header, DataBody::Chunk(body)),

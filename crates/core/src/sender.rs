@@ -16,8 +16,8 @@
 //! whatever caused it, goes through one path: `Sender::evict`.
 
 use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
-use crate::coverage::{PerSourceCoverage, RingTracker};
-use crate::endpoint::{io, AppEvent, Dest, Endpoint, Transmit};
+use crate::coverage::Release;
+use crate::endpoint::{self, io, AppEvent, Dest, Endpoint, Transmit};
 use crate::error::SessionError;
 use crate::fec::{self, FecState};
 use crate::membership::Members;
@@ -29,83 +29,10 @@ use crate::tree::TreeTopology;
 use crate::window::SendWindow;
 use bytes::Bytes;
 use rmtrace::{TraceEvent, Tracer};
-use rmwire::{AllocBody, Duration, GroupSpec, PacketFlags, Rank, RepairBody, SeqNo, Time};
+use rmwire::{
+    AllocBody, Duration, GroupSpec, PacketFlags, PacketType, Rank, RepairBody, SeqNo, Time,
+};
 use std::collections::VecDeque;
-
-/// Release-rule state, per transfer.
-#[derive(Clone)]
-enum Release {
-    /// Minimum over per-source cumulative acknowledgments (ACK, NAK,
-    /// tree). `src_of_rank[receiver_index]` maps an acknowledging rank to
-    /// its source slot; `None` for ranks whose ACKs the sender never sees
-    /// (non-root tree nodes).
-    PerSource {
-        cov: PerSourceCoverage,
-        src_of_rank: Vec<Option<usize>>,
-        /// Inverse of `src_of_rank`: the rank behind each source slot
-        /// (needed to name evicted peers).
-        rank_of_src: Vec<Rank>,
-    },
-    /// The ring rule.
-    Ring(RingTracker),
-}
-
-impl Release {
-    fn update(&mut self, rank: Rank, next_expected: u32) -> Option<u32> {
-        match self {
-            Release::PerSource {
-                cov, src_of_rank, ..
-            } => src_of_rank[rank.receiver_index()].map(|idx| cov.update(idx, next_expected)),
-            Release::Ring(r) => Some(r.update(rank, next_expected)),
-        }
-    }
-
-    /// Current releasable prefix without recording anything.
-    fn released(&self) -> u32 {
-        match self {
-            Release::PerSource { cov, .. } => cov.released(),
-            Release::Ring(r) => r.released(),
-        }
-    }
-
-    /// Acknowledgment sources still part of the proof obligation.
-    fn n_active(&self) -> usize {
-        match self {
-            Release::PerSource { cov, .. } => cov.n_active(),
-            Release::Ring(r) => r.n_active(),
-        }
-    }
-
-    /// The ranks currently gating the release — eviction candidates when
-    /// the transfer stalls.
-    fn laggard_ranks(&self) -> Vec<Rank> {
-        match self {
-            Release::PerSource {
-                cov, rank_of_src, ..
-            } => cov.laggards().into_iter().map(|i| rank_of_src[i]).collect(),
-            Release::Ring(r) => r
-                .laggards()
-                .into_iter()
-                .map(Rank::from_receiver_index)
-                .collect(),
-        }
-    }
-
-    /// Remove `rank` from the proof obligation (no-op for ranks that were
-    /// never acknowledgment sources, e.g. non-root tree nodes).
-    fn evict_rank(&mut self, rank: Rank) {
-        match self {
-            Release::PerSource {
-                cov, src_of_rank, ..
-            } => {
-                if let Some(idx) = src_of_rank[rank.receiver_index()] {
-                    cov.evict(idx);
-                }
-            }
-            Release::Ring(r) => r.evict(rank.receiver_index()),
-        }
-    }
-}
 
 /// One in-flight transfer: a message's allocation round trip or its data.
 #[derive(Clone)]
@@ -126,6 +53,8 @@ struct Transfer {
     /// `true` while the window is full with payload remaining — edge
     /// detector so `WindowStall` traces once per stall, not per attempt.
     stalled: bool,
+    /// The coding state, which only a data transfer of the fec family has.
+    fec: Option<FecState>,
 }
 
 impl Transfer {
@@ -197,9 +126,6 @@ pub struct Sender {
     quarantine: Quarantine,
     /// AIMD cap, feedback admission and load-scaled suppression.
     overload: Overload,
-    /// Coding buffer and parity accumulator (present only for the fec
-    /// family).
-    fec: Option<FecState>,
     /// Trace sink + flight recorder handle (inert by default).
     tracer: Tracer,
     /// Timestamp of the most recent driver call, for trace emission from
@@ -232,7 +158,6 @@ impl Sender {
             members: Members::new(n, &cfg.membership),
             quarantine: Quarantine::new(&cfg.overload, n),
             overload: Overload::new(&cfg, n),
-            fec: matches!(cfg.kind, ProtocolKind::Fec { .. }).then(FecState::new),
             tracer: Tracer::off(Rank::SENDER.0),
             now_cache: Time::ZERO,
         }
@@ -303,32 +228,25 @@ impl Sender {
             Phase::Alloc => 1,
             Phase::Data => Self::packet_count(data.len(), self.cfg.packet_size),
         };
-        let release = self.make_release(k);
+        let (n, tree) = (self.group.n_receivers as usize, self.tree.as_ref());
+        let release = Release::new(self.cfg.kind, k, n, tree, &self.members);
         let cap = self.overload.cap().unwrap_or(self.cfg.window.max(1) as u32);
-        let win = SendWindow::new(k, cap);
+        let fec_family = matches!(self.cfg.kind, ProtocolKind::Fec { .. });
         Transfer {
             msg_id,
             data,
             phase,
-            win,
+            win: SendWindow::new(k, cap),
             release,
             streak: 0,
             cur_rto: self.cfg.rto,
             stalled: false,
+            fec: (fec_family && phase == Phase::Data).then(FecState::default),
         }
     }
 
     fn begin_transfer(&mut self, now: Time, msg_id: u64, data: Bytes, phase: Phase) {
-        let t = self.make_transfer(msg_id, data, phase);
-        if let Some(f) = self.fec.as_mut() {
-            // Only a data transfer is codable; stale losses and parity
-            // runs from the previous transfer can never flush.
-            match phase {
-                Phase::Data => f.bind(t.id()),
-                Phase::Alloc => f.unbind(),
-            }
-        }
-        self.transfer = Some(t);
+        self.transfer = Some(self.make_transfer(msg_id, data, phase));
         self.members.start_heartbeats(now, io!(self));
         self.pump(now);
     }
@@ -375,49 +293,6 @@ impl Sender {
         [Which::Cur, Which::Staged]
             .into_iter()
             .find(|&w| self.tref(w).is_some_and(|t| t.id() == id))
-    }
-
-    fn make_release(&self, k: u32) -> Release {
-        let n = self.group.n_receivers as usize;
-        let mut release = match self.cfg.kind {
-            ProtocolKind::Ack | ProtocolKind::NakPolling { .. } | ProtocolKind::Fec { .. } => {
-                Release::PerSource {
-                    cov: PerSourceCoverage::new(n),
-                    src_of_rank: (0..n).map(Some).collect(),
-                    rank_of_src: (0..n).map(Rank::from_receiver_index).collect(),
-                }
-            }
-            ProtocolKind::Ring => Release::Ring(RingTracker::new(k, n as u32)),
-            ProtocolKind::Tree { .. } => {
-                let tree = self.tree.as_ref().expect("tree topology built in new()");
-                let mut src_of_rank = vec![None; n];
-                let mut rank_of_src = Vec::with_capacity(tree.roots().len());
-                for &root in tree.roots() {
-                    src_of_rank[root.receiver_index()] = Some(rank_of_src.len());
-                    rank_of_src.push(root);
-                }
-                // Rejoined receivers act as detached roots: the sender
-                // hears their acknowledgments directly, since their old
-                // chain may have routed around them while they were gone.
-                for idx in (0..n).filter(|&i| self.members.is_detached(i)) {
-                    if src_of_rank[idx].is_none() {
-                        src_of_rank[idx] = Some(rank_of_src.len());
-                        rank_of_src.push(Rank::from_receiver_index(idx));
-                    }
-                }
-                Release::PerSource {
-                    cov: PerSourceCoverage::new(rank_of_src.len()),
-                    src_of_rank,
-                    rank_of_src,
-                }
-            }
-        };
-        // Previously evicted receivers stay out of the proof obligation:
-        // a dead peer must not stall every subsequent message anew.
-        for idx in (0..n).filter(|&i| self.members.is_evicted(i)) {
-            release.evict_rank(Rank::from_receiver_index(idx));
-        }
-        release
     }
 
     /// Fill the window with fresh packets (respecting the rate pacer when
@@ -710,9 +585,7 @@ impl Sender {
         // answering each one; anything the coding buffer cannot take
         // (allocation round trip, receiver index beyond the loser bitmask,
         // buffer full) falls through to a plain retransmission.
-        if matches!(self.cfg.kind, ProtocolKind::Fec { .. })
-            && self.fec_buffer_nak(now, rank, which, transfer_id, expected)
-        {
+        if self.fec_buffer_nak(now, rank, which, expected) {
             return;
         }
         let dest = if self.cfg.unicast_retx_on_nak {
@@ -781,116 +654,50 @@ impl Sender {
         }
     }
 
-    /// Try to absorb a NAK into the fec coding buffer. Returns `true`
-    /// when buffered — the flush timer will answer it (and every other
-    /// loss gathered in the aggregation window) with coded repairs.
-    /// Returns `false` for anything the buffer cannot take: an
-    /// allocation round trip, a receiver index beyond the 64-bit loser
-    /// bitmask, a sequence with no live window slot, or a full buffer —
-    /// the caller then falls back to plain retransmission, which is
-    /// always correct.
-    fn fec_buffer_nak(
-        &mut self,
-        now: Time,
-        rank: Rank,
-        which: Which,
-        transfer_id: u32,
-        seq: u32,
-    ) -> bool {
-        if which != Which::Cur {
-            return false;
-        }
-        let codable = self.transfer.as_ref().is_some_and(|t| {
-            t.id() == transfer_id && t.phase == Phase::Data && t.win.slot(seq).is_some()
-        });
-        if !codable {
-            return false;
-        }
+    /// Try to absorb a NAK into the coding buffer of the transfer it names,
+    /// which only a fec data transfer has. Returns `true` when buffered —
+    /// the flush timer will answer it (and every other loss gathered in
+    /// the aggregation window) with coded repairs. Returns `false` for
+    /// anything the buffer cannot take: a transfer without one, a receiver
+    /// index beyond the 64-bit loser bitmask, a sequence with no live
+    /// window slot, or a full buffer — the caller then falls back to plain
+    /// retransmission, which is always correct.
+    fn fec_buffer_nak(&mut self, now: Time, rank: Rank, which: Which, seq: u32) -> bool {
         let deadline = now + self.cfg.retx_suppress;
         let idx = rank.receiver_index();
-        let buffered = self
-            .fec
-            .as_mut()
-            .is_some_and(|f| f.buffer_nak(transfer_id, seq, idx, deadline));
+        let buffered = self.tmut(which).is_some_and(|t| match &mut t.fec {
+            Some(f) if t.win.slot(seq).is_some() => f.buffer_nak(seq, idx, deadline),
+            _ => false,
+        });
         if buffered {
             self.stats.naks_coded += 1;
         }
         buffered
     }
 
-    /// Flush the fec aggregation buffer when its deadline is due: prune
-    /// losses whose window slots have since been released, partition the
-    /// rest into decodable blocks ([`fec::greedy_blocks`]) and multicast
-    /// one coded REPAIR per block.
+    /// Flush the current transfer's aggregation buffer when its deadline is
+    /// due: prune losses whose window slots have since been released,
+    /// partition the rest into decodable blocks ([`fec::greedy_blocks`])
+    /// and multicast one coded REPAIR per block.
     fn fec_flush(&mut self, now: Time) {
         let ProtocolKind::Fec { max_coded, .. } = self.cfg.kind else {
             return;
         };
-        let due = self
-            .fec
-            .as_ref()
-            .and_then(|f| f.deadline())
-            .is_some_and(|d| d <= now);
-        if !due {
+        let Some(t) = self.transfer.as_mut() else {
             return;
-        }
-        // Coding state binds only data transfers (odd ids), so an id match
-        // is a data transfer.
-        let bound = match (self.fec.as_ref().and_then(|f| f.transfer()), &self.transfer) {
-            // rmlint: allow(hot-alloc): a second handle, no bytes copied
-            (Some(fid), Some(t)) if t.id() == fid => Some((fid, t.data.clone())),
-            _ => None,
         };
-        let Some((tid, msg)) = bound else {
-            // The bound transfer ended while the timer ran; nothing owed.
-            if let Some(f) = self.fec.as_mut() {
-                f.unbind();
-            }
+        let Some(f) = t
+            .fec
+            .as_mut()
+            .filter(|f| f.deadline().is_some_and(|d| d <= now))
+        else {
             return;
         };
         // Span opens once the flush is real work (past the cheap gates),
         // so idle timer polls do not flood the fec.encode histogram.
         let _span = rmprof::span!(rmprof::Stage::FecEncode);
-        if let (Some(f), Some(t)) = (self.fec.as_mut(), self.transfer.as_ref()) {
-            f.prune_pending(|s| t.win.slot(s).is_some());
-        }
-        let blocks = match self.fec.as_mut() {
-            Some(f) => f.flush(tid, max_coded),
-            None => return,
-        };
-        for (base, bitmap, generation) in blocks {
-            let body = RepairBody {
-                base_seq: base,
-                generation,
-                bitmap,
-            };
-            let xor = fec::xor_chunks(&msg, self.cfg.packet_size, body.seqs());
-            // Coded slots count as retransmitted: the shared suppression
-            // clock keeps a straggler NAK from triggering a plain retx of
-            // a packet the repair just healed.
-            if let Some(t) = self.transfer.as_mut() {
-                for s in body.seqs() {
-                    if let Some(slot) = t.win.slot_mut(s) {
-                        slot.last_tx = now;
-                        slot.retx += 1;
-                    }
-                }
-            }
-            self.stats.repairs_sent += 1;
-            self.tracer.emit(
-                now.as_nanos(),
-                TraceEvent::RepairSent {
-                    transfer: tid,
-                    base,
-                    coded: body.coded_count(),
-                    generation,
-                },
-            );
-            self.out.push_back(Transmit {
-                dest: Dest::Receivers,
-                payload: packet::encode_repair(Rank::SENDER, tid, body, &xor),
-                copied: 0,
-            });
+        for body in f.flush(max_coded, |s| t.win.slot(s).is_some()) {
+            self.emit_coded(now, PacketType::Repair, body);
         }
     }
 
@@ -902,43 +709,51 @@ impl Sender {
         let ProtocolKind::Fec { parity_every, .. } = self.cfg.kind else {
             return;
         };
-        let Some(t) = self.transfer.as_ref().filter(|t| t.phase == Phase::Data) else {
-            return;
-        };
-        let tid = t.id();
-        let Some((base, generation)) = self
-            .fec
-            .as_mut()
-            .and_then(|f| f.note_fresh(tid, seq, parity_every as u32))
-        else {
-            return;
-        };
-        // Past the gates: a parity run is complete and the XOR is owed.
-        let _prof = rmprof::span!(rmprof::Stage::FecEncode);
-        let span = parity_every as u32;
-        let bitmap = if span >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << span) - 1
-        };
-        let body = RepairBody {
-            base_seq: base,
-            generation,
-            bitmap,
-        };
+        let f = self.transfer.as_mut().and_then(|t| t.fec.as_mut());
+        if let Some(body) = f.and_then(|f| f.note_fresh(seq, parity_every as u32)) {
+            // Past the gates: a parity run is complete and the XOR is owed.
+            let _prof = rmprof::span!(rmprof::Stage::FecEncode);
+            self.emit_coded(now, PacketType::Parity, body);
+        }
+    }
+
+    /// XOR the packets `body` names out of the current message and
+    /// multicast the coded block: a REPAIR answering NAKs, or a proactive
+    /// PARITY.
+    fn emit_coded(&mut self, now: Time, ptype: PacketType, body: RepairBody) {
+        let t = self.transfer.as_mut().expect("coding the current transfer");
+        let (transfer, base, coded) = (t.id(), body.base_seq, body.coded_count());
         let xor = fec::xor_chunks(&t.data, self.cfg.packet_size, body.seqs());
-        self.stats.parity_sent += 1;
-        self.tracer.emit(
-            now.as_nanos(),
-            TraceEvent::ParitySent {
-                transfer: tid,
+        let event = if ptype == PacketType::Repair {
+            // Coded slots count as retransmitted: the shared suppression
+            // clock keeps a straggler NAK from triggering a plain retx of
+            // a packet the repair just healed.
+            for s in body.seqs() {
+                if let Some(slot) = t.win.slot_mut(s) {
+                    slot.last_tx = now;
+                    slot.retx += 1;
+                }
+            }
+            self.stats.repairs_sent += 1;
+            let generation = body.generation;
+            TraceEvent::RepairSent {
+                transfer,
                 base,
-                coded: body.coded_count(),
-            },
-        );
+                coded,
+                generation,
+            }
+        } else {
+            self.stats.parity_sent += 1;
+            TraceEvent::ParitySent {
+                transfer,
+                base,
+                coded,
+            }
+        };
+        self.tracer.emit(now.as_nanos(), event);
         self.out.push_back(Transmit {
             dest: Dest::Receivers,
-            payload: packet::encode_parity(Rank::SENDER, tid, body, &xor),
+            payload: packet::encode_coded(ptype, Rank::SENDER, transfer, body, &xor),
             copied: 0,
         });
     }
@@ -975,11 +790,6 @@ impl Sender {
         self.quarantine.rejoin_all(now, io!(self));
         self.overload
             .clear_backpressure(now, (msg_id, 0), io!(self));
-        // The finished (or abandoned) message's coding state is moot; the
-        // next data transfer re-binds in `begin_transfer`.
-        if let Some(f) = self.fec.as_mut() {
-            f.unbind();
-        }
         // Message boundary: admit pending joiners before the next message's
         // proof obligation is built (no-op while a staged allocation is
         // still in flight — its release was built on the old membership).
@@ -1308,6 +1118,7 @@ impl Sender {
         if let Some(tree) = &self.tree {
             a.check("S5", tree.check());
         }
+        let fec_family = matches!(self.cfg.kind, ProtocolKind::Fec { .. });
         for (which, label) in [(Which::Cur, "current"), (Which::Staged, "staged")] {
             let Some(t) = self.tref(which) else { continue };
             let id = t.id();
@@ -1317,26 +1128,14 @@ impl Sender {
                     .check()
                     .map_err(|e| format!("{label} transfer {id}: {e}")),
             );
-            let released = t.release.released();
-            a.require("S2", t.win.base() <= released, || {
-                format!(
-                    "{label} transfer {id}: window base {} outruns acknowledgment \
-                     coverage {released} — a buffer was freed before every receiver \
-                     provably held it",
-                    t.win.base()
-                )
+            t.release.audit(&mut a, t.win.base(), label, id);
+            let fec_data = fec_family && t.phase == Phase::Data;
+            a.require("S8", t.fec.is_some() == fec_data, || {
+                format!("{label} transfer {id}: coding state present iff a fec data transfer")
             });
-            let tracker = match &t.release {
-                Release::PerSource { cov, .. } => cov.check(),
-                Release::Ring(r) => r.check(),
-            };
-            a.check(
-                "S3",
-                tracker.map_err(|e| format!("{label} transfer {id}: {e}")),
-            );
-            a.require("S4", t.release.n_active() >= 1, || {
-                format!("{label} transfer {id}: every acknowledgment source evicted")
-            });
+            if let Some(f) = &t.fec {
+                f.audit(&mut a);
+            }
             if t.phase == Phase::Alloc {
                 a.require("S6", t.win.k() == 1, || {
                     format!(
@@ -1347,29 +1146,6 @@ impl Sender {
             }
         }
         self.quarantine.audit(&mut a, &self.members);
-        a.require(
-            "S8",
-            self.fec.is_some() == matches!(self.cfg.kind, ProtocolKind::Fec { .. }),
-            || "coding state present iff the fec family is configured".into(),
-        );
-        if let Some(f) = &self.fec {
-            a.require("S8", f.pending_len() == 0 || f.deadline().is_some(), || {
-                format!(
-                    "{} buffered losses with no flush deadline armed",
-                    f.pending_len()
-                )
-            });
-            a.require(
-                "S8",
-                f.transfer().is_some() || (f.pending_len() == 0 && f.parity_run().is_none()),
-                || "unbound coding state holds losses or an open parity run".into(),
-            );
-            if let Some(fid) = f.transfer() {
-                a.require("S8", fid % 2 == 1, || {
-                    format!("coding state bound to transfer {fid}, which is not a data transfer")
-                });
-            }
-        }
         a.finish()
     }
 
@@ -1379,31 +1155,6 @@ impl Sender {
     /// is sound exactly because the model configurations zero the
     /// time-sensitive knobs (suppression windows, backoff).
     pub fn hash_protocol_state(&self, h: &mut dyn std::hash::Hasher) {
-        fn hash_release(h: &mut dyn std::hash::Hasher, r: &Release) {
-            match r {
-                Release::PerSource { cov, .. } => {
-                    h.write_u8(1);
-                    let (cov, evicted) = cov.state();
-                    for &c in cov {
-                        h.write_u32(c);
-                    }
-                    for &e in evicted {
-                        h.write_u8(e as u8);
-                    }
-                }
-                Release::Ring(r) => {
-                    h.write_u8(2);
-                    let (cov, prefix, evicted) = r.state();
-                    for &c in cov {
-                        h.write_u32(c);
-                    }
-                    h.write_u32(prefix);
-                    for &e in evicted {
-                        h.write_u8(e as u8);
-                    }
-                }
-            }
-        }
         h.write_u64(self.next_msg_id);
         h.write_usize(self.queue.len());
         for (which, held) in [(Which::Cur, &self.transfer), (Which::Staged, &self.staged)] {
@@ -1424,41 +1175,16 @@ impl Sender {
                     h.write_u32(t.win.k());
                     h.write_u32(t.win.base());
                     h.write_u32(t.win.next());
-                    hash_release(h, &t.release);
+                    t.release.hash_into(h);
+                    if let Some(f) = &t.fec {
+                        f.hash_into(h);
+                    }
                 }
             }
         }
         self.members.hash_into(h);
         self.overload.hash_into(h);
         self.quarantine.hash_into(h);
-        match &self.fec {
-            None => h.write_u8(0),
-            Some(f) => {
-                h.write_u8(1);
-                match f.transfer() {
-                    None => h.write_u8(0),
-                    Some(id) => {
-                        h.write_u8(1);
-                        h.write_u32(id);
-                    }
-                }
-                h.write_u32(f.generation());
-                h.write_u8(f.deadline().is_some() as u8);
-                h.write_usize(f.pending_len());
-                for (&s, &losers) in f.pending() {
-                    h.write_u32(s);
-                    h.write_u64(losers);
-                }
-                match f.parity_run() {
-                    None => h.write_u8(0),
-                    Some((base, count)) => {
-                        h.write_u8(1);
-                        h.write_u32(base);
-                        h.write_u32(count);
-                    }
-                }
-            }
-        }
         h.write_usize(self.out.len());
         h.write_usize(self.events.len());
     }
@@ -1483,22 +1209,7 @@ impl Endpoint for Sender {
         self.now_cache = self.now_cache.max(now);
         let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
             Ok(p) => p,
-            Err(e) => {
-                self.stats.decode_errors += 1;
-                let cause = match e {
-                    rmwire::WireError::ChecksumMismatch { .. }
-                    | rmwire::WireError::ChecksumMissing => {
-                        self.stats.integrity_fail += 1;
-                        "IntegrityFail"
-                    }
-                    _ => {
-                        self.stats.malformed_rx += 1;
-                        "MalformedRx"
-                    }
-                };
-                self.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
-                return;
-            }
+            Err(e) => return endpoint::undecodable(now, e, io!(self)),
         };
         match pkt {
             Packet::Ack {
@@ -1636,7 +1347,9 @@ impl Endpoint for Sender {
             self.transfer
                 .as_ref()
                 .and_then(|t| self.quarantine.deadline(t.id())),
-            self.fec.as_ref().and_then(|f| f.deadline()),
+            self.transfer
+                .as_ref()
+                .and_then(|t| t.fec.as_ref()?.deadline()),
         ]
         .into_iter()
         .flatten()

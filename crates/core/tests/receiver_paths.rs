@@ -242,3 +242,158 @@ fn foreign_transfer_ids_do_not_confuse_state() {
     assert_eq!(&got[0].1[..], b"aabb");
     assert_eq!(&got[1].1[..], b"ccdd");
 }
+
+/// One decode case: a message announced by ALLOC, the datagrams that
+/// reach the receiver after it, and what the coded blocks among them must
+/// count and deliver.
+struct DecodeRow {
+    name: &'static str,
+    msg: &'static [u8],
+    datagrams: Vec<Bytes>,
+    /// `(useless, undecodable, decoded, replayed)`.
+    counts: (u64, u64, u64, u64),
+    delivered: Option<&'static [u8]>,
+}
+
+fn repair(base_seq: u32, bitmap: u64, generation: u32, payload: &[u8]) -> Bytes {
+    let body = rmwire::RepairBody {
+        base_seq,
+        generation,
+        bitmap,
+    };
+    packet::encode_repair(Rank::SENDER, 1, body, payload)
+}
+
+fn xor(chunks: &[&[u8]]) -> Vec<u8> {
+    let mut acc = vec![0u8; chunks.iter().map(|c| c.len()).max().unwrap_or(0)];
+    for c in chunks {
+        for (a, b) in acc.iter_mut().zip(*c) {
+            *a ^= b;
+        }
+    }
+    acc
+}
+
+/// Every outcome of a coded block at a fec receiver, through
+/// `handle_datagram`: the counters it bumps and the bytes that come out.
+#[test]
+fn coded_block_outcomes() {
+    let d = |seq: u32, chunk: &[u8]| data(1, seq, PacketFlags::EMPTY, chunk);
+    let rows = vec![
+        DecodeRow {
+            name: "nothing missing is useless",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![
+                d(0, b"aaaa"),
+                d(1, b"bbbb"),
+                repair(0, 0b11, 1, &xor(&[b"aaaa", b"bbbb"])),
+            ],
+            counts: (1, 0, 0, 0),
+            delivered: None,
+        },
+        DecodeRow {
+            name: "a payload longer than packet_size is undecodable",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![d(0, b"aaaa"), repair(0, 0b11, 1, b"xxxxx")],
+            counts: (0, 1, 0, 0),
+            delivered: None,
+        },
+        DecodeRow {
+            name: "two packets missing is undecodable",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![
+                d(0, b"aaaa"),
+                repair(0, 0b111, 1, &xor(&[b"aaaa", b"bbbb", b"cc"])),
+            ],
+            counts: (0, 1, 0, 0),
+            delivered: None,
+        },
+        DecodeRow {
+            name: "a bitmap naming a packet beyond k is undecodable",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![d(0, b"aaaa"), d(1, b"bbbb"), repair(1, 0b101, 1, b"bbbb")],
+            counts: (0, 1, 0, 0),
+            delivered: None,
+        },
+        DecodeRow {
+            name: "forged empty data past the transfer leaves the block undecodable",
+            msg: b"aaaabbbbcccc",
+            datagrams: vec![d(3, b""), repair(1, 0b101, 1, b"bbbb")],
+            counts: (0, 1, 0, 0),
+            delivered: None,
+        },
+        DecodeRow {
+            name: "the short tail decodes, zero-padded",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![
+                d(0, b"aaaa"),
+                d(1, b"bbbb"),
+                repair(1, 0b11, 1, &xor(&[b"bbbb", b"cc"])),
+            ],
+            counts: (0, 0, 1, 0),
+            delivered: Some(b"aaaabbbbcc"),
+        },
+        DecodeRow {
+            name: "a full packet decodes against the short tail",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![
+                d(0, b"aaaa"),
+                d(2, b"cc"),
+                repair(1, 0b11, 1, &xor(&[b"bbbb", b"cc"])),
+            ],
+            counts: (0, 0, 1, 0),
+            delivered: Some(b"aaaabbbbcc"),
+        },
+        DecodeRow {
+            name: "generations must rise: equal and older ones are replays",
+            msg: b"aaaabbbbcc",
+            datagrams: vec![
+                d(0, b"aaaa"),
+                repair(0, 0b1, 5, b"aaaa"),
+                repair(0, 0b11, 5, &xor(&[b"aaaa", b"bbbb"])),
+                repair(0, 0b11, 4, &xor(&[b"aaaa", b"bbbb"])),
+                repair(0, 0b11, 6, &xor(&[b"aaaa", b"bbbb"])),
+                d(2, b"cc"),
+            ],
+            counts: (1, 0, 1, 2),
+            delivered: Some(b"aaaabbbbcc"),
+        },
+    ];
+    for row in rows {
+        let cfg = ProtocolConfig::new(ProtocolKind::fec(4), 4, 8);
+        let mut r = Receiver::new(cfg, GroupSpec::new(1), Rank(1), 1);
+        let alloc = rmwire::AllocBody {
+            msg_len: row.msg.len() as u64,
+            data_transfer: 1,
+            packet_size: 4,
+        };
+        r.handle_datagram(
+            Time::ZERO,
+            &packet::encode_alloc(Rank::SENDER, 0, PacketFlags::LAST, alloc),
+        );
+        for dg in &row.datagrams {
+            r.handle_datagram(Time::ZERO, dg);
+        }
+        let s = r.stats();
+        let counts = (
+            s.repairs_useless,
+            s.repairs_undecodable,
+            s.repairs_decoded,
+            s.repairs_replayed,
+        );
+        assert_eq!(counts, row.counts, "{}", row.name);
+        let delivered: Vec<Bytes> = std::iter::from_fn(|| r.poll_event())
+            .filter_map(|e| match e {
+                rmcast::AppEvent::MessageDelivered { data, .. } => Some(data),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            delivered.first().map(|b| &b[..]),
+            row.delivered,
+            "{}",
+            row.name
+        );
+        assert!(delivered.len() <= 1, "{}", row.name);
+    }
+}

@@ -10,7 +10,7 @@ use rmcast::{
 use rmfuzz::{
     fuzz_decode, CodedAbuseGen, CodedAbuseKind, MutationKind, Mutator, StormGen, StormKind,
 };
-use rmwire::{Duration, GroupSpec, PacketFlags, Rank, Time};
+use rmwire::{Duration, GroupSpec, PacketFlags, Rank, SeqNo, Time};
 
 /// The decode-layer workhorse: over a million mutated packets through both
 /// parse modes, zero panics, every packet accounted for.
@@ -291,6 +291,15 @@ fn live_fec_receiver_survives_mutated_stream() {
     }
 }
 
+/// The 1 250-byte message every [`drive_fec_under_abuse`] run transfers.
+fn fec_abuse_message() -> Bytes {
+    Bytes::from(
+        (0..1250u32)
+            .map(|i| (i.wrapping_mul(37) >> 3) as u8)
+            .collect::<Vec<u8>>(),
+    )
+}
+
 /// Drive one complete fec transfer (sender ↔ one receiver, every third
 /// fresh data packet dropped) while `inject` lobs adversarial packets at
 /// the receiver each round. Returns `(message, deliveries, sender stats,
@@ -305,11 +314,7 @@ fn drive_fec_under_abuse(
     let spec = GroupSpec::new(1);
     let mut tx = Sender::new(cfg, spec);
     let mut rx = Receiver::new(cfg, spec, Rank(1), 0xC0DE);
-    let msg = Bytes::from(
-        (0..1250u32)
-            .map(|i| (i.wrapping_mul(37) >> 3) as u8)
-            .collect::<Vec<u8>>(),
-    );
+    let msg = fec_abuse_message();
     let mut now = Time::ZERO;
     tx.send_message(now, msg.clone());
     let mut delivered = Vec::new();
@@ -437,6 +442,30 @@ fn generation_griefing_cannot_corrupt_or_wedge() {
         tx.retx_sent > 0,
         "recovery had to ride plain retransmission"
     );
+}
+
+/// A copy of a packet the receiver already holds, replayed with LAST set
+/// on it: once the transfer's size is known, an inconsistent LAST is
+/// ignored — never a panic, never a short delivery. A CRC is not
+/// authentication, so the sealed copy reaches the assembly too.
+#[test]
+fn forged_last_flag_on_a_held_packet_is_ignored() {
+    for integrity in [false, true] {
+        let chunk = fec_abuse_message().slice(..64);
+        let (msg, delivered, _tx, _rx) =
+            drive_fec_under_abuse(integrity, |rx, now, saw_seq0, _| {
+                if saw_seq0 {
+                    let mut forged =
+                        packet::encode_data(Rank::SENDER, 1, SeqNo(0), PacketFlags::LAST, &chunk);
+                    if integrity {
+                        forged = packet::seal(&forged);
+                    }
+                    rx.handle_datagram(now, &forged);
+                }
+            });
+        assert_eq!(delivered.len(), 1, "integrity={integrity}");
+        assert_eq!(delivered[0], msg, "integrity={integrity}");
+    }
 }
 
 /// Mutated packets must not fool a receiver into delivering: a delivery
