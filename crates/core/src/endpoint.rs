@@ -107,15 +107,6 @@ pub enum AppEvent {
     },
 }
 
-/// Whether an endpoint is the group's sender or one of its receivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Rank 0.
-    Sender,
-    /// Ranks `1..=N`.
-    Receiver(Rank),
-}
-
 /// The driver-facing face of every protocol engine.
 pub trait Endpoint {
     /// Feed one received datagram (UDP payload) at local time `now`.

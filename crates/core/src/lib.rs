@@ -76,7 +76,7 @@ pub mod window;
 pub use config::{
     LivenessConfig, MembershipConfig, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline,
 };
-pub use endpoint::{AppEvent, Dest, Endpoint, Role, Transmit};
+pub use endpoint::{AppEvent, Dest, Endpoint, Transmit};
 pub use error::SessionError;
 pub use membership::{FailureDetector, LivenessVerdict};
 pub use overload::{AimdWindow, DupNakFilter, LoadScaler, OverloadConfig, TokenBucket};

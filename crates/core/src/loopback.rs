@@ -575,7 +575,10 @@ impl Drop for Helper {
 /// The next value from `rx`, polling for up to [`POLL`] before blocking;
 /// `None` once the other side hung up.
 fn poll<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
-    // rmlint: allow(wall-clock): time decides how long this thread polls, never what it computes
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "time decides how long this thread polls, never what it computes"
+    )]
     let since = std::time::Instant::now();
     loop {
         match rx.try_recv() {

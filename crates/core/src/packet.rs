@@ -1,4 +1,14 @@
 //! Building and parsing complete protocol datagrams (header + body).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use bytes::{Buf, Bytes, BytesMut};
 use rmwire::{

@@ -20,6 +20,7 @@
 //! (`membership::Admission`). Abandoning transfers, whether the sender
 //! went silent or a SYNC handed off past them, is one path:
 //! `Receiver::abandon`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use crate::assembler::{Assembly, Offer};
 use crate::config::{ProtocolConfig, ProtocolKind};
@@ -227,12 +228,13 @@ impl Receiver {
         cfg.validate(group.n_receivers as usize);
         assert!(!rank.is_sender(), "rank 0 is the sender");
         assert!(group.contains(rank), "{rank} outside the group");
-        let tree = match cfg.kind {
-            ProtocolKind::Tree { shape } => Some(Aggregator::new(
+        let tree = if let ProtocolKind::Tree { shape } = cfg.kind {
+            Some(Aggregator::new(
                 TreeTopology::new(group, shape).links(rank).clone(),
                 cfg.liveness.child_evict_timeout,
-            )),
-            _ => None,
+            ))
+        } else {
+            None
         };
         Receiver {
             naks: NakSchedule::new(&cfg, rank, seed),

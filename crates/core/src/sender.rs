@@ -14,6 +14,7 @@
 //! (`quarantine`) and overload control ([`crate::overload`]). The sender
 //! keeps the windows and carries their decisions out. Every eviction,
 //! whatever caused it, goes through one path: `Sender::evict`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
 use crate::coverage::Release;
@@ -138,9 +139,10 @@ impl Sender {
     /// (validated here).
     pub fn new(cfg: ProtocolConfig, group: GroupSpec) -> Self {
         cfg.validate(group.n_receivers as usize);
-        let tree = match cfg.kind {
-            ProtocolKind::Tree { shape } => Some(TreeTopology::new(group, shape)),
-            _ => None,
+        let tree = if let ProtocolKind::Tree { shape } = cfg.kind {
+            Some(TreeTopology::new(group, shape))
+        } else {
+            None
         };
         let n = group.n_receivers as usize;
         Sender {

@@ -21,6 +21,10 @@
 //!
 //! The registry and the enabled flag are process-global, so everything
 //! runs inside one test serialized by a lock.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "an overhead budget is measured in wall time"
+)]
 
 use bytes::Bytes;
 use rmcast::loopback::Loopback;

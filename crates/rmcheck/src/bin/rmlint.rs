@@ -2,7 +2,7 @@
 //! rule fired (CI gates on it).
 //!
 //! ```text
-//! rmlint [--root <dir>] [--json | --github]
+//! rmlint [--root <dir>] [--github]
 //! ```
 //!
 //! Exit codes are stable for CI:
@@ -18,91 +18,45 @@ use std::process::ExitCode;
 use rmcheck::lint::Finding;
 
 const USAGE: &str = "\
-rmlint [--root <dir>] [--json | --github]
+rmlint [--root <dir>] [--github]
 Source-level lint for the reliable multicast workspace;
 rules and scopes are documented in docs/CORRECTNESS.md.
 
   --root <dir>        workspace root (default: walk up from cwd)
-  --json              emit findings as a JSON array
   --github            emit findings as GitHub Actions annotations
   -h, --help          show this help
 
 exit codes: 0 clean, 1 findings, 2 config error
 ";
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn emit(findings: &[Finding], github: bool) {
+    if github {
+        for f in findings {
+            // Annotation lines are 1-based; file-level findings use 1.
+            println!(
+                "::error file={},line={},title=rmlint {}::{}",
+                f.file,
+                f.line.max(1),
+                f.rule,
+                f.message
+            );
         }
+        return;
     }
-    out
-}
-
-fn emit(findings: &[Finding], format: Format) {
-    match format {
-        Format::Text => {
-            for f in findings {
-                println!("{f}");
-            }
-            if findings.is_empty() {
-                println!("rmlint: clean");
-            } else {
-                eprintln!("rmlint: {} finding(s)", findings.len());
-            }
-        }
-        Format::Json => {
-            let rows: Vec<String> = findings
-                .iter()
-                .map(|f| {
-                    format!(
-                        "  {{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-                        json_escape(f.rule),
-                        json_escape(&f.file),
-                        f.line,
-                        json_escape(&f.message)
-                    )
-                })
-                .collect();
-            if rows.is_empty() {
-                println!("[]");
-            } else {
-                println!("[\n{}\n]", rows.join(",\n"));
-            }
-        }
-        Format::Github => {
-            for f in findings {
-                // Annotation lines are 1-based; file-level findings use 1.
-                println!(
-                    "::error file={},line={},title=rmlint {}::{}",
-                    f.file,
-                    f.line.max(1),
-                    f.rule,
-                    f.message
-                );
-            }
-        }
+    for f in findings {
+        println!("{f}");
+    }
+    if findings.is_empty() {
+        println!("rmlint: clean");
+    } else {
+        eprintln!("rmlint: {} finding(s)", findings.len());
     }
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut format = Format::Text;
+    let mut github = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
@@ -112,8 +66,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => format = Format::Json,
-            "--github" => format = Format::Github,
+            "--github" => github = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -133,7 +86,7 @@ fn main() -> ExitCode {
     };
 
     let findings = rmcheck::lint::run_workspace(&root);
-    emit(&findings, format);
+    emit(&findings, github);
     if findings.iter().any(|f| f.rule == "lint-config") {
         ExitCode::from(2)
     } else if findings.is_empty() {

@@ -2,12 +2,12 @@
 //!
 //! `rmlint` v1 scanned stripped source line by line with `contains()`,
 //! which had two structural weaknesses: a rule token split across
-//! constructs it could not see (`Instant :: now`), and a test-module skip
+//! constructs it could not see (`Vec :: new`), and a test-module skip
 //! that ran from the first `#[cfg(test)]` to end of file — any non-test
 //! code after a test module was silently unscanned. This module replaces
 //! both with a real token stream:
 //!
-//! - every token carries its **line**, **byte span**, and **brace depth**,
+//! - every token carries its **line** and **brace depth**,
 //! - comments and literals are tokenized (never confused with code),
 //! - `#[cfg(test)]` / `#[test]` items are marked **brace-aware**: the test
 //!   flag covers exactly the attributed item, so code after a test module
@@ -46,10 +46,6 @@ pub struct Token {
     pub text: String,
     /// 1-based source line of the token's first byte.
     pub line: usize,
-    /// Byte offset of the token's first byte.
-    pub start: usize,
-    /// Byte offset one past the token's last byte.
-    pub end: usize,
     /// Brace depth: the number of unclosed `{` before this token. An
     /// opening `{` and its matching `}` carry the same depth; the tokens
     /// between them carry `depth + 1`.
@@ -138,17 +134,16 @@ fn raw_lex(src: &str) -> Vec<Token> {
                 // Char literal or lifetime.
                 if b.get(i + 1) == Some(&b'\\') {
                     // Escaped char literal '\x41' / '\n'.
-                    let start = i;
                     i += 2;
                     while i < b.len() && b[i] != b'\'' {
                         i += 1;
                     }
                     i = (i + 1).min(b.len());
-                    out.push(tok(TokKind::Str, String::new(), line, start, i, depth));
+                    out.push(tok(TokKind::Str, String::new(), line, depth));
                 } else if i + 2 < b.len() && b[i + 2] == b'\'' && b[i + 1] != b'\'' {
                     // Plain char literal 'z'.
                     let text = (b[i + 1] as char).to_string();
-                    out.push(tok(TokKind::Str, text, line, i, i + 3, depth));
+                    out.push(tok(TokKind::Str, text, line, depth));
                     i += 3;
                 } else if b.get(i + 1).copied().is_some_and(is_ident_start) {
                     // Lifetime 'a / 'static.
@@ -158,9 +153,9 @@ fn raw_lex(src: &str) -> Vec<Token> {
                         i += 1;
                     }
                     let text = String::from_utf8_lossy(&b[start..i]).into_owned();
-                    out.push(tok(TokKind::Lifetime, text, line, start, i, depth));
+                    out.push(tok(TokKind::Lifetime, text, line, depth));
                 } else {
-                    out.push(tok(TokKind::Punct, "'".to_string(), line, i, i + 1, depth));
+                    out.push(tok(TokKind::Punct, "'".to_string(), line, depth));
                     i += 1;
                 }
             }
@@ -170,7 +165,7 @@ fn raw_lex(src: &str) -> Vec<Token> {
                     i += 1;
                 }
                 let text = String::from_utf8_lossy(&b[start..i]).into_owned();
-                out.push(tok(TokKind::Ident, text, line, start, i, depth));
+                out.push(tok(TokKind::Ident, text, line, depth));
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -178,27 +173,27 @@ fn raw_lex(src: &str) -> Vec<Token> {
                     i += 1;
                 }
                 let text = String::from_utf8_lossy(&b[start..i]).into_owned();
-                out.push(tok(TokKind::Num, text, line, start, i, depth));
+                out.push(tok(TokKind::Num, text, line, depth));
             }
             b'{' => {
-                out.push(tok(TokKind::Punct, "{".to_string(), line, i, i + 1, depth));
+                out.push(tok(TokKind::Punct, "{".to_string(), line, depth));
                 depth += 1;
                 i += 1;
             }
             b'}' => {
                 depth = depth.saturating_sub(1);
-                out.push(tok(TokKind::Punct, "}".to_string(), line, i, i + 1, depth));
+                out.push(tok(TokKind::Punct, "}".to_string(), line, depth));
                 i += 1;
             }
             _ => {
                 // Punctuation, fusing the common two-character operators.
                 let two = if i + 1 < b.len() { &src[i..i + 2] } else { "" };
                 if FUSED.contains(&two) {
-                    out.push(tok(TokKind::Punct, two.to_string(), line, i, i + 2, depth));
+                    out.push(tok(TokKind::Punct, two.to_string(), line, depth));
                     i += 2;
                 } else {
                     let text = (c as char).to_string();
-                    out.push(tok(TokKind::Punct, text, line, i, i + 1, depth));
+                    out.push(tok(TokKind::Punct, text, line, depth));
                     i += 1;
                 }
             }
@@ -207,13 +202,11 @@ fn raw_lex(src: &str) -> Vec<Token> {
     out
 }
 
-fn tok(kind: TokKind, text: String, line: usize, start: usize, end: usize, depth: u32) -> Token {
+fn tok(kind: TokKind, text: String, line: usize, depth: u32) -> Token {
     Token {
         kind,
         text,
         line,
-        start,
-        end,
         depth,
         in_test: false,
     }
@@ -245,7 +238,6 @@ fn starts_raw_or_byte_string(b: &[u8], i: usize) -> bool {
 /// Lex a plain `"..."` string starting at `i`. Returns the token and the
 /// index one past the closing quote.
 fn lex_string(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize) {
-    let start = i;
     let mut j = i + 1;
     let mut text = Vec::new();
     while j < b.len() && b[j] != b'"' {
@@ -262,12 +254,11 @@ fn lex_string(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize) {
     }
     j = (j + 1).min(b.len());
     let text = String::from_utf8_lossy(&text).into_owned();
-    (tok(TokKind::Str, text, line, start, j, depth), j)
+    (tok(TokKind::Str, text, line, depth), j)
 }
 
 /// Lex `r"..."`, `r#"..."#`, `b"..."`, `b'x'`, `br#"..."#` starting at `i`.
 fn lex_raw_or_byte(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize) {
-    let start = i;
     let mut j = i;
     if b[j] == b'b' {
         j += 1;
@@ -282,7 +273,7 @@ fn lex_raw_or_byte(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize
             j += 1;
         }
         j = (j + 1).min(b.len());
-        return (tok(TokKind::Str, String::new(), line, start, j, depth), j);
+        return (tok(TokKind::Str, String::new(), line, depth), j);
     }
     if b.get(j) == Some(&b'r') {
         j += 1;
@@ -294,9 +285,7 @@ fn lex_raw_or_byte(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize
     }
     if b.get(j) != Some(&b'"') {
         // Plain byte string b"...".
-        let (mut t, next) = lex_string(b, j.saturating_sub(1), line, depth);
-        t.start = start;
-        return (t, next);
+        return lex_string(b, j.saturating_sub(1), line, depth);
     }
     j += 1;
     let content_start = j;
@@ -316,7 +305,7 @@ fn lex_raw_or_byte(b: &[u8], i: usize, line: usize, depth: u32) -> (Token, usize
         j += 1;
     }
     let text = String::from_utf8_lossy(&b[content_start..content_end.min(b.len())]).into_owned();
-    (tok(TokKind::Str, text, line, start, j, depth), j)
+    (tok(TokKind::Str, text, line, depth), j)
 }
 
 /// Mark every token belonging to a `#[cfg(test)]` / `#[test]` item with

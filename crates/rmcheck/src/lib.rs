@@ -4,11 +4,10 @@
 //! suites (loopback fuzzing, chaos campaigns, simulator sweeps) can miss:
 //!
 //! - [`lint`] — a zero-dependency source-level lint (`rmlint` binary)
-//!   enforcing repo-specific rules the compiler cannot: no wall-clock or
-//!   OS randomness inside the deterministic crates, no panic-capable
-//!   calls or unguarded indexing in wire-decode paths, every counter and
-//!   trace event documented, every config field accounted for by
-//!   `ProtocolConfig::validate`.
+//!   enforcing repo-specific rules neither the compiler nor clippy can:
+//!   no unannotated allocation in a span-instrumented hot function, every
+//!   counter and trace event updated, asserted and documented, every
+//!   config field accounted for by `ProtocolConfig::validate`.
 //! - [`explore`] — an exhaustive small-scope model checker (`rmcheck
 //!   explore`) that drives the *real* [`rmcast::Sender`] /
 //!   [`rmcast::Receiver`] engines through **every** interleaving of

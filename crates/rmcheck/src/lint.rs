@@ -1,20 +1,20 @@
 //! `rmlint`: a zero-dependency source-level lint pass.
 //!
-//! The rules are repo-specific invariants the Rust compiler and clippy
-//! cannot express:
+//! It keeps only the repo-specific rules that rustc and clippy cannot
+//! express: each one ties a span, a counter, a trace event or a config
+//! field to other code or to the docs.
 //!
 //! | rule | scope | what it forbids / requires |
 //! |------|-------|----------------------------|
-//! | `wall-clock` | deterministic crates (`rmwire`, `rmcast`, `netsim`, `rmtrace`) | `SystemTime`, `Instant::now`, `thread_rng`, `from_entropy`, `OsRng` — anything that would make a sim run irreproducible |
-//! | `panic-path` | wire-decode and packet-handling files | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` — network input must be rejectable, never a crash |
-//! | `index-unguarded` | wire-decode and packet-handling files | `expr[...]` indexing/slicing, which panics out of range; use `get()` / `split_at` or justify with an allow comment |
-//! | `raw-instant` | timed engine crates (`udprun`, `simrun`) | ad-hoc `Instant::now` timing; hot-path measurements go through `rmprof::span!` so they land in the shared registry — genuine wall-clock needs (epochs, deadlines) carry an allow comment |
 //! | `hot-alloc` | hot-path crates (`core`, `rmwire`, `netsim`, `udprun`) | allocation/copy tokens (`Vec::new`, `vec!`, `.clone()`, `format!`, `.collect`, map inserts, ...) inside functions that open an `rmprof::span!` |
-//! | `packet-exhaustive` | packet dispatch files + `rmfuzz` | every `PacketType` variant matched in the wire dispatch, every `Packet` variant handled by both engine dispatches, every `PacketType` exercised by the fuzzer corpus, and no `_ =>` wildcard arm in a packet match |
 //! | `counter-drift` | `Stats` counters + `TraceEvent` variants vs the whole tree | every counter must be updated in non-test source and asserted in at least one test; every trace event must be emitted outside `rmtrace` and asserted in at least one test |
 //! | `stats-doc` | `crates/core/src/stats.rs` vs `docs/OBSERVABILITY.md` | every `Stats` counter must appear in the observability docs |
 //! | `trace-doc` | `crates/rmtrace/src/event.rs` vs `docs/OBSERVABILITY.md` | every `TraceEvent` variant must appear in the observability docs |
 //! | `config-validate` | `crates/core/src/config.rs` | every `ProtocolConfig` field must be referenced by `validate()` (or carry an allow comment stating why it is unconstrained) |
+//!
+//! The clock, decode-path and packet-match rules are clippy's and rustc's
+//! (per-crate `clippy.toml`, file-level `#![deny(clippy::…)]`);
+//! `docs/CORRECTNESS.md` §1 says where every rule is enforced.
 //!
 //! Any finding can be suppressed with a justification comment on the same
 //! line or the line above: `// rmlint: allow(<rule>): <reason>`.
@@ -35,7 +35,7 @@ use crate::lex::{self, TokKind, Token};
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (e.g. `wall-clock`).
+    /// Rule identifier (e.g. `hot-alloc`).
     pub rule: &'static str,
     /// File the finding is in, relative to the workspace root.
     pub file: String,
@@ -55,57 +55,16 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Files each source-scanning rule applies to, relative to the workspace
-/// root. The doc-coverage rules (`stats-doc`, `trace-doc`,
-/// `config-validate`) have their scopes hardcoded in [`run_workspace`].
-pub mod scope {
-    /// Crates whose behavior must be a pure function of inputs + seed:
-    /// the `wall-clock` rule scans every non-test line of their sources.
-    pub const DETERMINISTIC_CRATE_DIRS: &[&str] = &[
-        "crates/rmwire/src",
-        "crates/core/src",
-        "crates/netsim/src",
-        "crates/rmtrace/src",
-    ];
-
-    /// Engine crates that run on real time (so `wall-clock` cannot apply)
-    /// but where ad-hoc `Instant::now` timing belongs in `rmprof` spans:
-    /// the `raw-instant` rule scans these. `rmprof`/`rmtrace` own the
-    /// clocks, so they are exempt.
-    pub const TIMED_ENGINE_DIRS: &[&str] = &["crates/udprun/src", "crates/simrun/src"];
-
-    /// Wire-decode and packet-handling paths: parse hostile bytes, so the
-    /// `panic-path` and `index-unguarded` rules apply.
-    pub const DECODE_PATH_FILES: &[&str] = &[
-        "crates/rmwire/src/header.rs",
-        "crates/rmwire/src/payload.rs",
-        "crates/rmwire/src/checksum.rs",
-        "crates/rmwire/src/seq.rs",
-        "crates/core/src/packet.rs",
-        "crates/udprun/src/hub.rs",
-    ];
-
-    /// Crates holding the hot paths the paper measures (wire
-    /// encode/decode/CRC, sender window, receiver assembly, FEC XOR,
-    /// netsim dispatch, udprun tx/rx): the `hot-alloc` rule scans every
-    /// span-instrumented function in their sources.
-    pub const HOT_PATH_DIRS: &[&str] = &[
-        "crates/core/src",
-        "crates/rmwire/src",
-        "crates/netsim/src",
-        "crates/udprun/src",
-    ];
-
-    /// Files whose packet dispatches `packet-exhaustive` audits: the wire
-    /// dispatch, both engine dispatches, and the fuzzer corpus.
-    pub const PACKET_DISPATCH_FILES: &[&str] = &[
-        "crates/rmwire/src/header.rs",
-        "crates/core/src/packet.rs",
-        "crates/core/src/receiver.rs",
-        "crates/core/src/sender.rs",
-        "crates/rmfuzz/src/lib.rs",
-    ];
-}
+/// Crates holding the hot paths the paper measures (wire encode/decode/CRC,
+/// sender window, receiver assembly, FEC XOR, netsim dispatch, udprun
+/// tx/rx): the `hot-alloc` rule scans every span-instrumented function in
+/// their sources.
+pub const HOT_PATH_DIRS: &[&str] = &[
+    "crates/core/src",
+    "crates/rmwire/src",
+    "crates/netsim/src",
+    "crates/udprun/src",
+];
 
 /// Is a finding of `rule` on 0-based line `idx` suppressed by an
 /// `rmlint: allow(<rule>)` comment on the same or the previous line of
@@ -114,136 +73,6 @@ fn allowed(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
     let marker = format!("rmlint: allow({rule})");
     raw_lines.get(idx).is_some_and(|l| l.contains(&marker))
         || idx > 0 && raw_lines.get(idx - 1).is_some_and(|l| l.contains(&marker))
-}
-
-/// Token-sequence scan shared by `wall-clock`, `raw-instant` and
-/// `panic-path`: flag every non-test occurrence of any pattern.
-fn scan_seqs(
-    rule: &'static str,
-    file: &str,
-    src: &str,
-    pats: &[(&[&str], &str)],
-    findings: &mut Vec<Finding>,
-) {
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let tokens = lex::lex(src);
-    for i in 0..tokens.len() {
-        if tokens[i].in_test {
-            continue;
-        }
-        for (pat, why) in pats {
-            if lex::seq_at(&tokens, i, pat) && !allowed(&raw_lines, tokens[i].line - 1, rule) {
-                findings.push(Finding {
-                    rule,
-                    file: file.to_string(),
-                    line: tokens[i].line,
-                    message: format!("`{}` {why}", pat.concat()),
-                });
-            }
-        }
-    }
-}
-
-/// `wall-clock`: no wall-clock time or OS randomness in deterministic
-/// crates — their behavior must be a pure function of inputs and seed,
-/// or golden traces and the model checker are meaningless.
-pub fn lint_wall_clock(file: &str, src: &str, findings: &mut Vec<Finding>) {
-    scan_seqs(
-        "wall-clock",
-        file,
-        src,
-        &[
-            (
-                &["SystemTime"],
-                "reads the wall clock in a deterministic crate",
-            ),
-            (
-                &["Instant", "::", "now"],
-                "reads the wall clock in a deterministic crate",
-            ),
-            (
-                &["thread_rng"],
-                "draws OS randomness in a deterministic crate",
-            ),
-            (
-                &["from_entropy"],
-                "draws OS randomness in a deterministic crate",
-            ),
-            (&["OsRng"], "draws OS randomness in a deterministic crate"),
-        ],
-        findings,
-    );
-}
-
-/// `raw-instant`: no ad-hoc `Instant::now` timing in engine crates that
-/// already have `rmprof` coverage — a measurement that bypasses the span
-/// registry is invisible to the stats endpoint, the profile artifact and
-/// `rmreport --profile`. Genuine wall-clock uses (a cluster epoch, a
-/// settle deadline) are fine with an allow comment saying so.
-pub fn lint_raw_instant(file: &str, src: &str, findings: &mut Vec<Finding>) {
-    scan_seqs(
-        "raw-instant",
-        file,
-        src,
-        &[(
-            &["Instant", "::", "now"],
-            "times outside the rmprof registry; use `rmprof::span!` (or justify \
-             a genuine wall-clock need with an allow comment)",
-        )],
-        findings,
-    );
-}
-
-/// `panic-path`: no panic-capable call in wire-decode / packet-handling
-/// code — malformed network input must map to a typed error and a
-/// counter (`Stats::malformed_rx`), never a crash.
-pub fn lint_panic_path(file: &str, src: &str, findings: &mut Vec<Finding>) {
-    scan_seqs(
-        "panic-path",
-        file,
-        src,
-        &[
-            (&[".", "unwrap", "(", ")"], "can panic on network input"),
-            (&[".", "expect", "("], "can panic on network input"),
-            (&["panic", "!"], "panics in a decode path"),
-            (&["unreachable", "!"], "panics in a decode path"),
-            (&["todo", "!"], "panics in a decode path"),
-            (&["unimplemented", "!"], "panics in a decode path"),
-        ],
-        findings,
-    );
-}
-
-/// `index-unguarded`: `expr[...]` indexing or slicing in decode paths
-/// panics when out of range. An index expression is a `[` token directly
-/// adjacent to a preceding identifier, literal, `)`, or `]` — which
-/// excludes attributes (`#[...]`), array types/literals (`: [u8; 4]`)
-/// and macro brackets (`vec![...]`).
-pub fn lint_index_unguarded(file: &str, src: &str, findings: &mut Vec<Finding>) {
-    let rule = "index-unguarded";
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let tokens = lex::lex(src);
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
-        if t.in_test || t.text != "[" {
-            continue;
-        }
-        let prev = &tokens[i - 1];
-        let adjacent = prev.end == t.start;
-        let indexable = matches!(prev.kind, TokKind::Ident | TokKind::Num)
-            || prev.text == ")"
-            || prev.text == "]";
-        if adjacent && indexable && !allowed(&raw_lines, t.line - 1, rule) {
-            findings.push(Finding {
-                rule,
-                file: file.to_string(),
-                line: t.line,
-                message: "indexing/slicing panics out of range; use `get()`/`split_at` \
-                          or justify with an allow comment"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 /// Allocation/copy token sequences the `hot-alloc` rule flags inside
@@ -303,143 +132,6 @@ pub fn lint_hot_alloc(file: &str, src: &str, findings: &mut Vec<Finding>) {
                     });
                     break;
                 }
-            }
-        }
-    }
-}
-
-/// Part of `packet-exhaustive`: flag `_ =>` wildcard arms in any `match`
-/// that mentions `Packet::` / `PacketType::` — a wildcard there means a
-/// future packet type gets silently swallowed instead of handled.
-pub fn lint_wildcard_arm(file: &str, src: &str, findings: &mut Vec<Finding>) {
-    let rule = "packet-exhaustive";
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let tokens = lex::lex(src);
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokKind::Ident || t.text != "match" || t.in_test {
-            i += 1;
-            continue;
-        }
-        // Body opens at the first `{` back at the match keyword's depth.
-        let mut k = i + 1;
-        while k < tokens.len() && !(tokens[k].text == "{" && tokens[k].depth == t.depth) {
-            k += 1;
-        }
-        let Some(close) = (k < tokens.len())
-            .then(|| lex::brace_end(&tokens, k))
-            .flatten()
-        else {
-            break;
-        };
-        let is_packet_match = (k..close).any(|j| {
-            matches!(tokens[j].text.as_str(), "Packet" | "PacketType")
-                && tokens.get(j + 1).is_some_and(|n| n.text == "::")
-        });
-        if is_packet_match {
-            let arm_depth = tokens[k].depth + 1;
-            for j in k + 1..close {
-                if tokens[j].text == "_"
-                    && tokens[j].depth == arm_depth
-                    && tokens.get(j + 1).is_some_and(|n| n.text == "=>")
-                    && !allowed(&raw_lines, tokens[j].line - 1, rule)
-                {
-                    findings.push(Finding {
-                        rule,
-                        file: file.to_string(),
-                        line: tokens[j].line,
-                        message: "`_ =>` wildcard arm in a packet match would silently \
-                                  swallow a future packet type; list every variant"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-        i = k + 1;
-    }
-}
-
-/// Does any non-test token position start `pat`?
-fn mentions(tokens: &[Token], pat: &[&str]) -> bool {
-    (0..tokens.len()).any(|i| !tokens[i].in_test && lex::seq_at(tokens, i, pat))
-}
-
-/// `packet-exhaustive` coverage half: every `PacketType` variant must be
-/// matched in the wire dispatch (`packet.rs`) and exercised by the fuzzer
-/// corpus, and every `Packet` variant must be handled by both engine
-/// dispatches (`receiver.rs`, `sender.rs`). Missing enums are
-/// `lint-config` findings — a renamed enum must move the lint with it.
-pub fn lint_packet_exhaustive(
-    header_src: &str,
-    packet_src: &str,
-    receiver_src: &str,
-    sender_src: &str,
-    fuzz_src: &str,
-    findings: &mut Vec<Finding>,
-) {
-    let rule = "packet-exhaustive";
-    let header_toks = lex::lex(header_src);
-    let packet_toks = lex::lex(packet_src);
-    let receiver_toks = lex::lex(receiver_src);
-    let sender_toks = lex::lex(sender_src);
-    let fuzz_toks = lex::lex(fuzz_src);
-
-    let ptype = lex::enum_variants(&header_toks, "PacketType");
-    if ptype.is_empty() {
-        findings.push(Finding {
-            rule: "lint-config",
-            file: "crates/rmwire/src/header.rs".to_string(),
-            line: 0,
-            message: "enum PacketType not found; packet-exhaustive scope is stale".to_string(),
-        });
-    }
-    let pvars = lex::enum_variants(&packet_toks, "Packet");
-    if pvars.is_empty() {
-        findings.push(Finding {
-            rule: "lint-config",
-            file: "crates/core/src/packet.rs".to_string(),
-            line: 0,
-            message: "enum Packet not found; packet-exhaustive scope is stale".to_string(),
-        });
-    }
-
-    for v in &ptype {
-        if !mentions(&packet_toks, &["PacketType", "::", v]) {
-            findings.push(Finding {
-                rule,
-                file: "crates/core/src/packet.rs".to_string(),
-                line: 1,
-                message: format!("`PacketType::{v}` is never matched in the wire dispatch"),
-            });
-        }
-        let encoder = format!("encode_{}", v.to_ascii_lowercase());
-        let covered = mentions(&fuzz_toks, &["PacketType", "::", v])
-            || mentions(&fuzz_toks, &[encoder.as_str()]);
-        if !covered {
-            findings.push(Finding {
-                rule,
-                file: "crates/rmfuzz/src/lib.rs".to_string(),
-                line: 1,
-                message: format!(
-                    "`PacketType::{v}` is not exercised by the fuzzer (no \
-                     `PacketType::{v}` or `{encoder}` in the corpus/mutator)"
-                ),
-            });
-        }
-    }
-    for (file, toks) in [
-        ("crates/core/src/receiver.rs", &receiver_toks),
-        ("crates/core/src/sender.rs", &sender_toks),
-    ] {
-        for v in &pvars {
-            if !mentions(toks, &["Packet", "::", v]) {
-                findings.push(Finding {
-                    rule,
-                    file: file.to_string(),
-                    line: 1,
-                    message: format!("`Packet::{v}` is not handled in the engine dispatch"),
-                });
             }
         }
     }
@@ -703,19 +395,6 @@ pub fn lint_config_validate(config_src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Run the source-scanning rules against one in-memory file (fixture
-/// tests use this; [`run_workspace`] feeds it real files).
-pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    lint_wall_clock(file, src, &mut findings);
-    lint_raw_instant(file, src, &mut findings);
-    lint_panic_path(file, src, &mut findings);
-    lint_index_unguarded(file, src, &mut findings);
-    lint_hot_alloc(file, src, &mut findings);
-    lint_wildcard_arm(file, src, &mut findings);
-    findings
-}
-
 fn rs_files_under(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -791,68 +470,10 @@ pub fn run_workspace(root: &Path) -> Vec<Finding> {
         }
     };
 
-    for dir in scope::DETERMINISTIC_CRATE_DIRS {
-        let abs = root.join(dir);
-        let files = rs_files_under(&abs);
-        if files.is_empty() {
-            findings.push(Finding {
-                rule: "lint-config",
-                file: dir.to_string(),
-                line: 0,
-                message: "deterministic-crate scope matches no files".to_string(),
-            });
-        }
-        for f in files {
-            if let Ok(src) = std::fs::read_to_string(&f) {
-                lint_wall_clock(&rel(root, &f), &src, &mut findings);
-            }
-        }
-    }
-
-    for dir in scope::TIMED_ENGINE_DIRS {
-        let abs = root.join(dir);
-        let files = rs_files_under(&abs);
-        if files.is_empty() {
-            findings.push(Finding {
-                rule: "lint-config",
-                file: dir.to_string(),
-                line: 0,
-                message: "timed-engine scope matches no files".to_string(),
-            });
-        }
-        for f in files {
-            if let Ok(src) = std::fs::read_to_string(&f) {
-                lint_raw_instant(&rel(root, &f), &src, &mut findings);
-            }
-        }
-    }
-
-    for file in scope::DECODE_PATH_FILES {
-        if let Some(src) = read(file, &mut findings) {
-            lint_panic_path(file, &src, &mut findings);
-            lint_index_unguarded(file, &src, &mut findings);
-        }
-    }
-
-    for dir in scope::HOT_PATH_DIRS {
+    for dir in HOT_PATH_DIRS {
         for f in rs_files_under(&root.join(dir)) {
             if let Ok(src) = std::fs::read_to_string(&f) {
                 lint_hot_alloc(&rel(root, &f), &src, &mut findings);
-            }
-        }
-    }
-
-    {
-        let srcs: Vec<Option<String>> = scope::PACKET_DISPATCH_FILES
-            .iter()
-            .map(|f| read(f, &mut findings))
-            .collect();
-        if let [Some(header), Some(packet), Some(receiver), Some(sender), Some(fuzz)] = &srcs[..] {
-            lint_packet_exhaustive(header, packet, receiver, sender, fuzz, &mut findings);
-            for (file, src) in scope::PACKET_DISPATCH_FILES.iter().zip(&srcs) {
-                if let Some(src) = src {
-                    lint_wildcard_arm(file, src, &mut findings);
-                }
             }
         }
     }
@@ -876,16 +497,23 @@ pub fn run_workspace(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Locate the workspace root from the current directory (walk up to the
-/// directory containing a `Cargo.toml` with `[workspace]`).
+/// Locate the workspace root from the current directory: walk up to the
+/// first `Cargo.toml` whose `[workspace]` table lists `members`. A nested
+/// package may declare an empty `[workspace]` to stand outside the
+/// enclosing one (`benchmark/` does); that is not the root.
 pub fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(s) = std::fs::read_to_string(&manifest) {
-            if s.contains("[workspace]") {
-                return Some(dir);
-            }
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        let has_members = manifest
+            .lines()
+            .map(str::trim)
+            .skip_while(|l| *l != "[workspace]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .any(|l| l.split('=').next().is_some_and(|k| k.trim() == "members"));
+        if has_members {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;

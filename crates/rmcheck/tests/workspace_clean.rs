@@ -1,7 +1,7 @@
 //! Regression gate: the real workspace must stay rmlint-clean. Any new
-//! wall-clock call in a deterministic crate, panic path in a decoder,
-//! undocumented counter, or unvalidated config field fails this test —
-//! the same signal CI's dedicated `rmlint` step gives, but local.
+//! unannotated hot-path allocation, unasserted or undocumented counter,
+//! or unvalidated config field fails this test — the same signal CI's
+//! dedicated `rmlint` step gives, but local.
 
 use std::path::PathBuf;
 
@@ -31,15 +31,10 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn lint_scopes_match_the_tree() {
-    // The scope lists are hardcoded paths; if a file moves, the lint must
-    // move with it. `run_workspace` reports missing files as
-    // `lint-config` findings, which the clean test above would catch —
-    // this test just pins the message shape so a rename is diagnosable.
+    // The hot-path scope is a list of hardcoded paths; if a crate moves,
+    // the lint must move with it.
     let root = workspace_root();
-    for dir in rmcheck::lint::scope::DETERMINISTIC_CRATE_DIRS {
+    for dir in rmcheck::lint::HOT_PATH_DIRS {
         assert!(root.join(dir).is_dir(), "scope dir `{dir}` vanished");
-    }
-    for file in rmcheck::lint::scope::DECODE_PATH_FILES {
-        assert!(root.join(file).is_file(), "scope file `{file}` vanished");
     }
 }

@@ -20,6 +20,7 @@
 //! reported as a table for EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

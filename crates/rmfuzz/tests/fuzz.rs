@@ -8,9 +8,11 @@ use rmcast::{
     packet, Endpoint, OverloadConfig, ProtocolConfig, ProtocolKind, Receiver, Sender, Stats,
 };
 use rmfuzz::{
-    fuzz_decode, CodedAbuseGen, CodedAbuseKind, MutationKind, Mutator, StormGen, StormKind,
+    build_corpus, fuzz_decode, CodedAbuseGen, CodedAbuseKind, MutationKind, Mutator, StormGen,
+    StormKind,
 };
-use rmwire::{Duration, GroupSpec, PacketFlags, Rank, SeqNo, Time};
+use rmwire::{Duration, GroupSpec, Header, PacketFlags, Rank, SeqNo, Time, HEADER_LEN};
+use std::collections::HashSet;
 
 /// The decode-layer workhorse: over a million mutated packets through both
 /// parse modes, zero panics, every packet accounted for.
@@ -45,6 +47,34 @@ fn million_mutated_packets_never_panic_decode() {
             _ => {}
         }
     }
+}
+
+/// Every packet type the decoder accepts is in the seed corpus. The set
+/// comes from `Header::decode` itself — every type byte it takes — so a
+/// new wire type fails here until the corpus encodes one.
+#[test]
+fn corpus_covers_every_decodable_packet_type() {
+    let decodable: Vec<u8> = (0..=u8::MAX)
+        .filter(|&ptype| {
+            let mut header = [0u8; HEADER_LEN];
+            header[0] = ptype;
+            Header::decode(&mut &header[..]).is_ok()
+        })
+        .collect();
+    assert!(!decodable.is_empty(), "the decoder accepts no type byte");
+    let in_corpus: HashSet<u8> = build_corpus()
+        .iter()
+        .filter_map(|p| Header::decode(&mut &p[..]).ok())
+        .map(|h| h.ptype as u8)
+        .collect();
+    let missing: Vec<u8> = decodable
+        .into_iter()
+        .filter(|t| !in_corpus.contains(t))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "packet types {missing:?} are not in the corpus"
+    );
 }
 
 /// The same seed reproduces the identical mutation stream, byte for byte,

@@ -34,14 +34,14 @@
 //!
 //! # Determinism
 //!
-//! The engines this crate instruments are seed-deterministic and the
-//! workspace lint (`rmlint`'s `wall-clock` rule) bans raw clock reads in
-//! them. Spans do read the monotonic clock — *inside this crate* — but
-//! the measurements flow one way, into the registry; nothing feeds back
-//! into protocol decisions, timer schedules, or trace output, so golden
-//! traces and the model checker are unaffected. The companion
-//! `raw-instant` lint rule keeps ad-hoc `Instant::now()` timing out of
-//! the backends so every timer goes through this registry.
+//! The engines this crate instruments are seed-deterministic and their
+//! `clippy.toml` bans raw clock reads in them. Spans do read the
+//! monotonic clock — *inside this crate* — but the measurements flow one
+//! way, into the registry; nothing feeds back into protocol decisions,
+//! timer schedules, or trace output, so golden traces and the model
+//! checker are unaffected. The backends' `clippy.toml` keeps ad-hoc
+//! `Instant::now()` timing out of them so every timer goes through this
+//! registry.
 //!
 //! ```
 //! use rmprof::{span, Stage};

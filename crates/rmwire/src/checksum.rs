@@ -24,11 +24,21 @@
 //! flag bit was reserved in the original layout, so checksummed and
 //! legacy packets coexist: an old decoder rejects the unknown bit (fails
 //! closed), a new decoder accepts legacy packets unchanged.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 /// The reflected CRC-32C polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
 /// 256-entry lookup table, one byte of input per step.
+#[allow(clippy::indexing_slicing, reason = "i < 256 by the loop bound")]
 const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -43,7 +53,7 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc; // rmlint: allow(index-unguarded): i < 256 by the loop bound
+        table[i] = crc;
         i += 1;
     }
     table
@@ -52,14 +62,18 @@ const TABLE: [u32; 256] = {
 /// Slicing-by-8 tables: `SLICES[k][b]` is the CRC of byte `b` followed by
 /// `k` zero bytes, so eight table reads advance the state by eight input
 /// bytes. `SLICES[0]` is [`TABLE`].
+#[allow(
+    clippy::indexing_slicing,
+    reason = "1 <= k < 8 and i < 256 by the loop bounds; the & 0xff mask keeps the TABLE index below 256"
+)]
 static SLICES: [[u32; 256]; 8] = {
     let mut t = [TABLE; 8];
     let mut k = 1;
     while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let prev = t[k - 1][i]; // rmlint: allow(index-unguarded): 1 <= k < 8 and i < 256 by the loop bounds
-            t[k][i] = (prev >> 8) ^ TABLE[(prev & 0xff) as usize]; // rmlint: allow(index-unguarded): same bounds; the & 0xff mask keeps the TABLE index below 256
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ TABLE[(prev & 0xff) as usize];
             i += 1;
         }
         k += 1;
@@ -82,12 +96,13 @@ const NARROWEST_BLOCK: usize = LANES * 16;
 /// state bit `j`.
 type Matrix = [u32; 32];
 
+#[allow(clippy::indexing_slicing, reason = "j < 32 by the loop bound")]
 const fn apply(m: &Matrix, state: u32) -> u32 {
     let mut out = 0;
     let mut j = 0;
     while j < 32 {
         if (state >> j) & 1 != 0 {
-            out ^= m[j]; // rmlint: allow(index-unguarded): j < 32 by the loop bound
+            out ^= m[j];
         }
         j += 1;
     }
@@ -101,6 +116,10 @@ type Shift = [[u32; 256]; 4];
 /// The shift table for lanes of `lane` bytes (a power of two): the
 /// one-zero-byte map squared `log2(lane)` times, each squaring doubling
 /// the distance.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "j < 32, k < 4 and b < 256 by the loop bounds; the & 0xff mask keeps the TABLE index below 256"
+)]
 const fn shift_table(lane: usize) -> Shift {
     assert!(lane.is_power_of_two());
     let mut m: Matrix = [0; 32];
@@ -108,7 +127,7 @@ const fn shift_table(lane: usize) -> Shift {
     while j < 32 {
         // What `bytewise` does to state bit `j` when the input byte is 0.
         let s = 1u32 << j;
-        m[j] = (s >> 8) ^ TABLE[(s & 0xff) as usize]; // rmlint: allow(index-unguarded): j < 32 by the loop bound; the & 0xff mask keeps the TABLE index below 256
+        m[j] = (s >> 8) ^ TABLE[(s & 0xff) as usize];
         j += 1;
     }
     let mut covered = 1;
@@ -116,7 +135,7 @@ const fn shift_table(lane: usize) -> Shift {
         let half = m;
         let mut j = 0;
         while j < 32 {
-            m[j] = apply(&half, half[j]); // rmlint: allow(index-unguarded): j < 32 by the loop bound
+            m[j] = apply(&half, half[j]);
             j += 1;
         }
         covered *= 2;
@@ -126,7 +145,7 @@ const fn shift_table(lane: usize) -> Shift {
     while k < 4 {
         let mut b = 0;
         while b < 256 {
-            table[k][b] = apply(&m, (b as u32) << (8 * k)); // rmlint: allow(index-unguarded): k < 4 and b < 256 by the loop bounds
+            table[k][b] = apply(&m, (b as u32) << (8 * k));
             b += 1;
         }
         k += 1;
@@ -140,8 +159,8 @@ static SHIFT_64: Shift = shift_table(64);
 static SHIFT_16: Shift = shift_table(16);
 
 /// One table read: every lookup below goes through here.
+#[allow(clippy::indexing_slicing, reason = "a `u8` index into 256 entries")]
 fn lookup(table: &[u32; 256], byte: u8) -> u32 {
-    // rmlint: allow(index-unguarded): a `u8` index into 256 entries
     table[usize::from(byte)]
 }
 

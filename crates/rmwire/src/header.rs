@@ -15,6 +15,16 @@
 //! | ptype  | flags  | src_rank   | transfer   | seq        |
 //! +--------+--------+------------+------------+------------+
 //! ```
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use crate::{Rank, SeqNo, WireError};
 use bytes::{Buf, BufMut};

@@ -2,6 +2,15 @@
 //!
 //! Data packets carry raw application bytes after the header; control
 //! packets carry one of the small fixed-size bodies below.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::{SeqNo, WireError};
 use bytes::{Buf, BufMut};

@@ -5,6 +5,15 @@
 //! serial-number arithmetic TCP uses (RFC 1982 style), and it is what the
 //! paper's four-byte sequence-number field requires once a long transfer
 //! wraps.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 /// A wrapping 32-bit sequence number.
 ///

@@ -56,7 +56,10 @@ fn main() {
     }
 
     for id in &ids {
-        // rmlint: allow(raw-instant): coarse per-experiment progress timer printed to the user
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "coarse per-experiment progress timer printed to the user"
+        )]
         let start = std::time::Instant::now();
         let table = run_experiment(id, effort);
         let text = table.render_text();

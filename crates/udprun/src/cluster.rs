@@ -190,7 +190,10 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     let mut handles = Vec::new();
     // One wall-clock origin for every node thread: protocol times (and
     // trace timestamps) across the whole cluster share this epoch.
-    // rmlint: allow(raw-instant): cluster-wide trace-timestamp epoch, not a measurement
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "cluster-wide trace-timestamp epoch, not a measurement"
+    )]
     let epoch = Instant::now();
     let instrument = |ep: &mut dyn Endpoint| {
         if let Some(s) = &cfg.trace_sink {
@@ -300,7 +303,11 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
 
     // Coordinate: wait until the sender resolves every message — by
     // completing it or by abandoning it (liveness bound).
-    let start = Instant::now(); // rmlint: allow(raw-instant): liveness deadline, not a measurement
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "liveness deadline, not a measurement"
+    )]
+    let start = Instant::now();
     let mut tally = Tally {
         n_msgs,
         ..Tally::default()
@@ -337,7 +344,11 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         .filter(|i| !cfg.dead_receivers.contains(i))
         .map(Rank::from_receiver_index)
         .collect();
-    let settle = Instant::now(); // rmlint: allow(raw-instant): settle deadline, not a measurement
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "settle deadline, not a measurement"
+    )]
+    let settle = Instant::now();
     while !tally.settled(&live) && settle.elapsed() < StdDuration::from_millis(200) {
         match rx.recv_timeout(StdDuration::from_millis(50)) {
             Ok(report) => tally.absorb(report),

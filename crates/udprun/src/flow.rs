@@ -210,6 +210,7 @@ pub(crate) fn probe_depth(dgram: usize) -> io::Result<usize> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the tests time real waits")]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;

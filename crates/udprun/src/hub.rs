@@ -5,6 +5,15 @@
 //! the protocol header's source rank and forwards a copy to every group
 //! member except the originator — the same semantics a switch flooding a
 //! multicast frame gives the paper's testbed.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::flow::{Flow, Gauge, Outlet};
 use crate::node::{no_datagram, Pace, RX_BATCH, STOP_CHECK_CAP};
@@ -217,7 +226,10 @@ impl Hub {
                 if let Some(sink) = trace {
                     tracer.set_sink(sink);
                 }
-                // rmlint: allow(raw-instant): per-thread trace-timestamp epoch, not a measurement
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "per-thread trace-timestamp epoch, not a measurement"
+                )]
                 let epoch = Instant::now();
                 let ctr_io_err = rmprof::counter("udprun.io_errors");
                 let ctr_drops = rmprof::counter("udprun.hub_queue_drops");
