@@ -206,13 +206,6 @@ impl LivenessConfig {
 pub struct MembershipConfig {
     /// Master switch. Off reproduces the paper exactly.
     pub enabled: bool,
-    /// Interval between the sender's multicast heartbeat announces (and
-    /// failure-detector ticks). Heartbeats run only while messages are in
-    /// flight, so an idle group stays silent.
-    pub heartbeat_interval: Duration,
-    /// How long a joining receiver waits for a SYNC before re-sending its
-    /// JOIN.
-    pub join_retry: Duration,
 }
 
 impl Default for MembershipConfig {
@@ -223,20 +216,13 @@ impl Default for MembershipConfig {
 
 impl MembershipConfig {
     /// No membership machinery at all (the paper's fixed-group model).
-    pub const DISABLED: MembershipConfig = MembershipConfig {
-        enabled: false,
-        heartbeat_interval: Duration::from_millis(50),
-        join_retry: Duration::from_millis(100),
-    };
+    pub const DISABLED: MembershipConfig = MembershipConfig { enabled: false };
 
-    /// Membership on with LAN-scale defaults: 50 ms heartbeats; the
+    /// Membership on with LAN-scale timing: 50 ms heartbeats; the
     /// failure detector suspects a member after 3 misses and evicts it
     /// after 6.
     pub fn enabled() -> MembershipConfig {
-        MembershipConfig {
-            enabled: true,
-            ..MembershipConfig::DISABLED
-        }
+        MembershipConfig { enabled: true }
     }
 }
 
@@ -368,21 +354,13 @@ impl ProtocolConfig {
             self.retx_suppress,
             self.rto
         );
-        if self.membership.enabled {
-            let m = &self.membership;
+        if self.membership.enabled && matches!(self.kind, ProtocolKind::Tree { .. }) {
             assert!(
-                m.heartbeat_interval > Duration::ZERO,
-                "heartbeat_interval must be positive"
+                self.liveness.child_evict_timeout.is_some(),
+                "tree protocols with membership enabled need \
+                 liveness.child_evict_timeout: a rejoined child re-parents \
+                 to the sender, and its old parent must be able to drop it"
             );
-            assert!(m.join_retry > Duration::ZERO, "join_retry must be positive");
-            if matches!(self.kind, ProtocolKind::Tree { .. }) {
-                assert!(
-                    self.liveness.child_evict_timeout.is_some(),
-                    "tree protocols with membership enabled need \
-                     liveness.child_evict_timeout: a rejoined child re-parents \
-                     to the sender, and its old parent must be able to drop it"
-                );
-            }
         }
         if let Some(r) = self.rate_limit_bytes_per_sec {
             assert!(r > 0, "rate limit must be positive");

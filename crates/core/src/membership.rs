@@ -41,6 +41,15 @@ const SUSPECT_MISSES: u32 = 3;
 /// (epoch bump + re-release of its window obligations).
 const EVICT_MISSES: u32 = 6;
 
+/// Interval between the sender's multicast heartbeat announces (and
+/// failure-detector ticks). Heartbeats run only while messages are in
+/// flight, so an idle group stays silent.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long a joining receiver waits for a SYNC before re-sending its
+/// JOIN.
+pub(crate) const JOIN_RETRY: Duration = Duration::from_millis(100);
+
 /// What the failure detector concluded about one member after a missed
 /// heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,8 +129,6 @@ pub(crate) struct Members {
     /// Heartbeat-driven failure detector, present exactly when membership
     /// is enabled.
     detector: Option<FailureDetector>,
-    /// Heartbeat period.
-    interval: Duration,
     /// Next heartbeat announce / detector tick. Armed only while the
     /// sender is busy, so an idle group stays silent.
     hb_deadline: Option<Time>,
@@ -137,7 +144,6 @@ impl Members {
             detached: vec![false; n],
             epoch: u32::from(cfg.enabled),
             detector: cfg.enabled.then(|| FailureDetector::new(n)),
-            interval: cfg.heartbeat_interval,
             hb_deadline: None,
             pending_joins: Vec::new(),
         }
@@ -196,7 +202,7 @@ impl Members {
     pub(crate) fn start_heartbeats(&mut self, now: Time, io: &mut Io<'_>) {
         if self.enabled() && self.hb_deadline.is_none() {
             self.announce(io);
-            self.hb_deadline = Some(now + self.interval);
+            self.hb_deadline = Some(now + HEARTBEAT_INTERVAL);
         }
     }
 
@@ -234,7 +240,7 @@ impl Members {
         if silent.len() >= live {
             silent.truncate(live.saturating_sub(1));
         }
-        self.hb_deadline = Some(now + self.interval);
+        self.hb_deadline = Some(now + HEARTBEAT_INTERVAL);
         silent
     }
 
@@ -394,8 +400,6 @@ pub(crate) struct Admission {
     /// [`crate::Receiver::new_joining`] until the sender's SYNC handoff
     /// admits this receiver at a message boundary.
     join_deadline: Option<Time>,
-    /// `membership.join_retry`.
-    retry: Duration,
 }
 
 impl Admission {
@@ -405,7 +409,6 @@ impl Admission {
             epoch: u32::from(cfg.enabled),
             min_transfer: 0,
             join_deadline: None,
-            retry: cfg.join_retry,
         }
     }
 
@@ -423,7 +426,7 @@ impl Admission {
             payload: packet::encode_join(rank, self.epoch),
             copied: 0,
         });
-        self.join_deadline = Some(now + self.retry);
+        self.join_deadline = Some(now + JOIN_RETRY);
     }
 
     /// Announce `rank`'s voluntary departure.

@@ -257,7 +257,7 @@ impl Receiver {
     }
 
     /// Build a receiver that is *not* yet a group member: it unicasts a
-    /// JOIN to the sender (retried every `membership.join_retry`) and
+    /// JOIN to the sender (retried every `membership::JOIN_RETRY`) and
     /// discards all data until the sender's SYNC handoff admits it at a
     /// message boundary. Requires [`crate::MembershipConfig::enabled`].
     pub fn new_joining(
@@ -1469,7 +1469,7 @@ mod tests {
         );
         let _ = drain(&mut r);
         let d = r.poll_timeout().expect("JOIN retry armed");
-        assert_eq!(d, Time::ZERO + MembershipConfig::enabled().join_retry);
+        assert_eq!(d, Time::ZERO + crate::membership::JOIN_RETRY);
         r.handle_timeout(d);
         let out = drain(&mut r);
         assert_eq!(out.len(), 1, "JOIN retransmitted");

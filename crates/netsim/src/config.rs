@@ -119,58 +119,6 @@ impl Default for HostParams {
     }
 }
 
-/// Fault injection knobs. All default to a perfectly clean network, the
-/// paper's observation for wired LANs ("the transmission error rate is very
-/// low ... errors almost never happen").
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultParams {
-    /// Probability that any individual frame is lost on the wire.
-    pub frame_loss: f64,
-    /// Probability that a reassembled datagram is dropped at the receiving
-    /// host (models NIC/driver drops beyond socket-buffer overflow).
-    pub datagram_loss: f64,
-    /// Probability that a frame is duplicated on the wire (switch or
-    /// driver retransmit artifacts; protocols must tolerate duplicates).
-    pub frame_dup: f64,
-}
-
-impl FaultParams {
-    /// Clean-network preset (no injected loss).
-    pub const NONE: FaultParams = FaultParams {
-        frame_loss: 0.0,
-        datagram_loss: 0.0,
-        frame_dup: 0.0,
-    };
-
-    /// Uniform frame-loss preset.
-    pub fn frame_loss(p: f64) -> Self {
-        FaultParams::new(p, 0.0, 0.0)
-    }
-
-    /// Uniform datagram-loss preset (drops at the receiving host after
-    /// reassembly).
-    pub fn datagram_loss(p: f64) -> Self {
-        FaultParams::new(0.0, p, 0.0)
-    }
-
-    /// Uniform frame-duplication preset.
-    pub fn frame_dup(p: f64) -> Self {
-        FaultParams::new(0.0, 0.0, p)
-    }
-
-    /// Combined preset; every probability is validated to `[0, 1]`.
-    pub fn new(frame_loss: f64, datagram_loss: f64, frame_dup: f64) -> Self {
-        assert_prob(frame_loss);
-        assert_prob(datagram_loss);
-        assert_prob(frame_dup);
-        FaultParams {
-            frame_loss,
-            datagram_loss,
-            frame_dup,
-        }
-    }
-}
-
 /// A two-state Gilbert–Elliott burst-loss channel: the link alternates
 /// between a good state (no loss) and a bad state (every frame lost), with
 /// geometric sojourn times chosen so the long-run loss rate is `avg_loss`
@@ -308,16 +256,26 @@ pub struct ForgeFrame {
     pub payload: Vec<u8>,
 }
 
-/// A deterministic, seeded chaos schedule layered over [`FaultParams`]:
-/// per-link loss, burst loss, reordering, corruption, link outages and
-/// host crash/pause faults. Installed on a simulation with
-/// [`crate::Sim::set_fault_plan`]; the default (empty) plan injects
-/// nothing and consumes no randomness, so runs stay bit-identical to a
-/// plan-free simulator.
+/// Every fault netsim injects, as one deterministic, seeded schedule:
+/// uniform wire and datagram loss and duplication, per-link loss, burst
+/// loss, reordering, corruption, link outages, host crash/pause faults
+/// and the byzantine modes. Installed on a simulation with
+/// [`crate::Sim::set_fault_plan`]. The default (empty) plan is the
+/// paper's wired LAN ("the transmission error rate is very low ...
+/// errors almost never happen"): it injects nothing and consumes no
+/// randomness, so runs stay bit-identical to a plan-free simulator.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
+    /// Probability that any individual frame is lost on the wire.
+    pub frame_loss: f64,
+    /// Probability that a reassembled datagram is dropped at the receiving
+    /// host (models NIC/driver drops beyond socket-buffer overflow).
+    pub datagram_loss: f64,
+    /// Probability that a frame is duplicated on the wire (switch or
+    /// driver retransmit artifacts; protocols must tolerate duplicates).
+    pub frame_dup: f64,
     /// `(host, p)`: uniform frame loss on that host's access link (both
-    /// directions), on top of the global `FaultParams::frame_loss`.
+    /// directions), on top of [`FaultPlan::frame_loss`].
     pub link_loss: Vec<(HostId, f64)>,
     /// Burst-loss channel applied on every host access link.
     pub burst: Option<GilbertElliott>,
@@ -367,7 +325,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// `true` when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.link_loss.is_empty()
+        self.frame_loss == 0.0
+            && self.datagram_loss == 0.0
+            && self.frame_dup == 0.0
+            && self.link_loss.is_empty()
             && self.burst.is_none()
             && self.reorder == 0.0
             && self.corrupt == 0.0
@@ -381,6 +342,28 @@ impl FaultPlan {
             && self.feedback_storm.is_empty()
             && self.cpu_load.is_empty()
             && self.sockbuf_exhaust.is_empty()
+    }
+
+    /// Lose each frame on the wire with probability `p`.
+    pub fn with_frame_loss(mut self, p: f64) -> Self {
+        assert_prob(p);
+        self.frame_loss = p;
+        self
+    }
+
+    /// Drop each reassembled datagram at the receiving host with
+    /// probability `p`.
+    pub fn with_datagram_loss(mut self, p: f64) -> Self {
+        assert_prob(p);
+        self.datagram_loss = p;
+        self
+    }
+
+    /// Duplicate each frame on the wire with probability `p`.
+    pub fn with_frame_dup(mut self, p: f64) -> Self {
+        assert_prob(p);
+        self.frame_dup = p;
+        self
     }
 
     /// Add uniform loss on `host`'s access link.
@@ -662,8 +645,6 @@ pub struct SimConfig {
     pub switch: SwitchParams,
     /// Host parameters applied to every host.
     pub host: HostParams,
-    /// Fault injection.
-    pub faults: FaultParams,
     /// Fabric selection.
     pub fabric: FabricKind,
 }
@@ -678,42 +659,43 @@ mod tests {
         assert_eq!(c.link.rate_bps, 100_000_000);
         assert_eq!(c.fabric, FabricKind::Switched);
         assert!(!c.switch.igmp_snooping);
-        assert_eq!(c.faults, FaultParams::NONE);
     }
 
     #[test]
-    fn fault_presets() {
-        let f = FaultParams::frame_loss(0.01);
-        assert_eq!(f.frame_loss, 0.01);
-        assert_eq!(f.datagram_loss, 0.0);
+    fn uniform_rates_make_the_plan_non_empty() {
+        let plan = FaultPlan::default()
+            .with_frame_loss(0.01)
+            .with_datagram_loss(0.02)
+            .with_frame_dup(0.03);
+        assert_eq!(
+            (plan.frame_loss, plan.datagram_loss, plan.frame_dup),
+            (0.01, 0.02, 0.03)
+        );
+        for plan in [
+            FaultPlan::default().with_frame_loss(0.1),
+            FaultPlan::default().with_datagram_loss(0.1),
+            FaultPlan::default().with_frame_dup(0.1),
+        ] {
+            assert!(!plan.is_empty());
+        }
     }
 
     #[test]
     #[should_panic(expected = "probability out of range")]
-    fn fault_probability_validated() {
-        let _ = FaultParams::frame_loss(1.5);
-    }
-
-    #[test]
-    fn fault_combined_builder() {
-        let f = FaultParams::new(0.01, 0.02, 0.03);
-        assert_eq!(f.frame_loss, 0.01);
-        assert_eq!(f.datagram_loss, 0.02);
-        assert_eq!(f.frame_dup, 0.03);
-        assert_eq!(FaultParams::datagram_loss(0.1).datagram_loss, 0.1);
-        assert_eq!(FaultParams::frame_dup(0.1).frame_dup, 0.1);
+    fn frame_loss_probability_validated() {
+        let _ = FaultPlan::default().with_frame_loss(1.5);
     }
 
     #[test]
     #[should_panic(expected = "probability out of range")]
     fn dup_probability_validated() {
-        let _ = FaultParams::frame_dup(-0.1);
+        let _ = FaultPlan::default().with_frame_dup(-0.1);
     }
 
     #[test]
     #[should_panic(expected = "probability out of range")]
     fn datagram_probability_validated() {
-        let _ = FaultParams::datagram_loss(2.0);
+        let _ = FaultPlan::default().with_datagram_loss(2.0);
     }
 
     #[test]

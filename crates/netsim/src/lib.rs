@@ -82,8 +82,8 @@ pub mod topology;
 pub mod trace;
 
 pub use config::{
-    CpuLoadWindow, FabricKind, FaultParams, FaultPlan, ForgeFrame, GilbertElliott, HostFault,
-    HostFaultKind, HostParams, LinkDownWindow, LinkParams, SimConfig, StormWindow, SwitchParams,
+    CpuLoadWindow, FabricKind, FaultPlan, ForgeFrame, GilbertElliott, HostFault, HostFaultKind,
+    HostParams, LinkDownWindow, LinkParams, SimConfig, StormWindow, SwitchParams,
 };
 pub use frame::{Datagram, UdpDest, MTU};
 pub use ids::{GroupId, HostId, SwitchId};

@@ -8,7 +8,7 @@ use crate::ids::{GroupId, HostId, PortRef, SwitchId};
 use crate::process::{Ctx, DatagramIn, Process};
 use crate::queue::{Event, EventQueue};
 use crate::switch::SwitchState;
-use crate::trace::{DropCause, EventLog, LogEvent, TraceCounters};
+use crate::trace::{DropCause, TraceCounters};
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,6 @@ pub struct Sim {
     groups: Vec<Vec<HostId>>,
     rng: SmallRng,
     trace: TraceCounters,
-    log: EventLog,
     trace_sink: Option<Box<dyn rmtrace::TraceSink>>,
     next_ip_id: u64,
     stop: bool,
@@ -75,7 +74,6 @@ impl Sim {
             groups: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             trace: TraceCounters::default(),
-            log: EventLog::default(),
             trace_sink: None,
             next_ip_id: 0,
             stop: false,
@@ -102,38 +100,13 @@ impl Sim {
         &self.trace
     }
 
-    /// Enable the packet-level event log, keeping at most `capacity`
-    /// entries (zero disables it; disabled by default). Keeps the *first*
-    /// `capacity` events; see [`Sim::set_log_keep_last`] for the ring
-    /// variant.
-    pub fn set_log_capacity(&mut self, capacity: usize) {
-        self.log = EventLog::with_capacity(capacity);
-    }
-
-    /// Enable the packet-level event log in ring mode: at most `capacity`
-    /// entries, evicting the oldest, so the *end* of a long run survives.
-    pub fn set_log_keep_last(&mut self, capacity: usize) {
-        self.log = EventLog::with_ring_capacity(capacity);
-    }
-
-    /// The packet-level event log.
-    pub fn event_log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Stream network drop events into a structured trace sink. Endpoints
-    /// writing to the same sink through their own tracers interleave a
-    /// packet's full journey (sent → dropped/delivered → acked) in one
-    /// stream.
+    /// Stream network drop events into a structured trace sink, the
+    /// simulator's one event channel beside [`Sim::trace`]'s counters.
+    /// Endpoints writing to the same sink through their own tracers
+    /// interleave a packet's full journey (sent → dropped/delivered →
+    /// acked) in one stream.
     pub fn set_trace_sink(&mut self, sink: Box<dyn rmtrace::TraceSink>) {
         self.trace_sink = Some(sink);
-    }
-
-    fn log_event(&mut self, ev: LogEvent) {
-        if self.log.enabled() {
-            let now = self.now.as_nanos();
-            self.log.record(now, ev);
-        }
     }
 
     /// Count a drop and, when a trace sink is attached, emit it there
@@ -158,7 +131,7 @@ impl Sim {
         &mut self.rng
     }
 
-    /// Install a chaos schedule (see [`FaultPlan`]). Call after the
+    /// Install the fault schedule (see [`FaultPlan`]). Call after the
     /// topology is built so host references can be validated. The empty
     /// plan is a strict no-op: it draws no randomness and changes no
     /// event ordering.
@@ -199,7 +172,7 @@ impl Sim {
         }
     }
 
-    /// The active chaos schedule.
+    /// The active fault schedule.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
     }
@@ -443,9 +416,6 @@ impl Sim {
                     .is_some()
                 {
                     self.note_drop(DropCause::ReassemblyTimeout, Some(host));
-                    self.log_event(LogEvent::Drop {
-                        cause: DropCause::ReassemblyTimeout,
-                    });
                 }
             }
             Event::BusAttempt { host } => self.bus_attempt(host_id(host)),
@@ -512,14 +482,6 @@ impl Sim {
 
         self.trace.datagrams_sent += 1;
         self.trace.payload_bytes_sent += payload.len() as u64;
-        self.log_event(LogEvent::DatagramSent {
-            src: src.0,
-            dst: match dest {
-                UdpDest::Host(h, _) => Some(h.0),
-                UdpDest::Group(..) => None,
-            },
-            len: payload.len(),
-        });
 
         let ip_id = self.next_ip_id;
         self.next_ip_id += 1;
@@ -564,8 +526,8 @@ impl Sim {
     }
 
     /// Schedule the arrival of a frame whose last bit leaves the
-    /// transmitter at `done`, applying wire faults (loss, duplication) and
-    /// the chaos plan's link faults. `edge` names the host whose access
+    /// transmitter at `done`, applying the fault plan's wire faults (loss,
+    /// duplication) and link faults. `edge` names the host whose access
     /// link this hop traverses (`None` on switch-to-switch trunks).
     ///
     /// Every chaos-plan check is gated on its knob being enabled, so an
@@ -578,12 +540,12 @@ impl Sim {
         prop_delay: Duration,
         edge: Option<HostId>,
     ) {
-        let p = self.cfg.faults.frame_loss;
+        let p = self.fault_plan.frame_loss;
         if p > 0.0 && self.rng.gen::<f64>() < p {
             self.note_drop(DropCause::WireFault, edge);
             return;
         }
-        let dup = self.cfg.faults.frame_dup;
+        let dup = self.fault_plan.frame_dup;
         let duplicated = dup > 0.0 && self.rng.gen::<f64>() < dup;
         if let Some(h) = edge {
             if !self.fault_plan.link_down.is_empty() && self.fault_plan.link_is_down(h, done) {
@@ -666,9 +628,6 @@ impl Sim {
             && self.fault_plan.trunk_is_down(self.now)
         {
             self.note_drop(DropCause::TrunkDown, None);
-            self.log_event(LogEvent::Drop {
-                cause: DropCause::TrunkDown,
-            });
             return;
         }
         let bytes = frame.frame_bytes();
@@ -756,7 +715,7 @@ impl Sim {
             return;
         }
 
-        let p = self.cfg.faults.datagram_loss;
+        let p = self.fault_plan.datagram_loss;
         if p > 0.0 && self.rng.gen::<f64>() < p {
             self.note_drop(DropCause::DatagramFault, Some(host));
             return;
@@ -848,9 +807,6 @@ impl Sim {
         };
         if exhausted || *buffered + len > sockbuf {
             self.note_drop(DropCause::SockBufFull, Some(host));
-            self.log_event(LogEvent::Drop {
-                cause: DropCause::SockBufFull,
-            });
             return;
         }
         *buffered += len;
@@ -940,7 +896,6 @@ impl Sim {
                 cost += Duration::from_nanos(hp.recv_per_byte_ns * len as u64);
                 let start = start + self.jitter_for(host, cost);
                 self.trace.datagrams_delivered += 1;
-                self.log_event(LogEvent::DatagramDelivered { host: host.0, len });
                 let in_dg = DatagramIn {
                     src_host: dg.src_host,
                     src_port: dg.src_port,
@@ -1058,8 +1013,8 @@ impl Sim {
                 self.bus.busy_until = done;
                 self.trace.wire_bytes_sent += frame.wire_bytes() as u64;
 
-                let lost = self.cfg.faults.frame_loss > 0.0
-                    && self.rng.gen::<f64>() < self.cfg.faults.frame_loss;
+                let p = self.fault_plan.frame_loss;
+                let lost = p > 0.0 && self.rng.gen::<f64>() < p;
                 if lost {
                     self.note_drop(DropCause::WireFault, Some(host));
                 } else {

@@ -162,161 +162,3 @@ mod tests {
         assert!(!t.clean());
     }
 }
-
-/// One entry of the optional packet-level event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogEvent {
-    /// A process handed a datagram to the network.
-    DatagramSent {
-        /// Sending host index.
-        src: usize,
-        /// `None` for multicast, `Some(host)` for unicast.
-        dst: Option<usize>,
-        /// Payload length.
-        len: usize,
-    },
-    /// A datagram reached a process.
-    DatagramDelivered {
-        /// Receiving host index.
-        host: usize,
-        /// Payload length.
-        len: usize,
-    },
-    /// Something was dropped.
-    Drop {
-        /// Why.
-        cause: DropCause,
-    },
-}
-
-/// A bounded in-order log of network events with their timestamps, off by
-/// default (zero capacity). Enable with [`crate::Sim::set_log_capacity`]
-/// (keeps the *first* `capacity` events) or
-/// [`crate::Sim::set_log_keep_last`] (ring mode: keeps the *last*
-/// `capacity` events, so the end of a long run survives).
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    capacity: usize,
-    /// Ring mode: evict the oldest entry instead of dropping new ones.
-    keep_last: bool,
-    /// `(nanoseconds, event)` in occurrence order; recording stops at
-    /// capacity (the `truncated` flag is then set) unless `keep_last`
-    /// evicts from the front instead.
-    pub entries: Vec<(u64, LogEvent)>,
-    /// `true` when events were discarded after hitting capacity (either
-    /// new events in first-N mode, or old events in ring mode).
-    pub truncated: bool,
-}
-
-impl EventLog {
-    /// Create with a maximum entry count, keeping the first `capacity`
-    /// events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog {
-            capacity,
-            keep_last: false,
-            entries: Vec::new(),
-            truncated: false,
-        }
-    }
-
-    /// Create in ring mode: at most `capacity` entries, evicting the
-    /// oldest so the log always holds the *last* events of the run.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
-        EventLog {
-            capacity,
-            keep_last: true,
-            entries: Vec::new(),
-            truncated: false,
-        }
-    }
-
-    /// Record one event at `now_ns`. At capacity, first-N mode drops the
-    /// new event; ring mode evicts the oldest (an `O(capacity)` shift —
-    /// this is a debugging facility, not a hot path).
-    pub fn record(&mut self, now_ns: u64, ev: LogEvent) {
-        if self.entries.len() < self.capacity {
-            self.entries.push((now_ns, ev));
-        } else if self.capacity > 0 {
-            self.truncated = true;
-            if self.keep_last {
-                self.entries.remove(0);
-                self.entries.push((now_ns, ev));
-            }
-        }
-    }
-
-    /// `true` when logging is enabled.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// `true` when the log evicts oldest entries instead of dropping new
-    /// ones.
-    pub fn is_ring(&self) -> bool {
-        self.keep_last
-    }
-}
-
-#[cfg(test)]
-mod log_tests {
-    use super::*;
-
-    #[test]
-    fn log_respects_capacity() {
-        let mut l = EventLog::with_capacity(2);
-        assert!(l.enabled());
-        l.record(
-            1,
-            LogEvent::Drop {
-                cause: DropCause::WireFault,
-            },
-        );
-        l.record(
-            2,
-            LogEvent::Drop {
-                cause: DropCause::WireFault,
-            },
-        );
-        l.record(
-            3,
-            LogEvent::Drop {
-                cause: DropCause::WireFault,
-            },
-        );
-        assert_eq!(l.entries.len(), 2);
-        assert!(l.truncated);
-    }
-
-    #[test]
-    fn ring_mode_keeps_the_last_entries() {
-        let mut l = EventLog::with_ring_capacity(2);
-        assert!(l.enabled());
-        assert!(l.is_ring());
-        for t in 1..=5 {
-            l.record(
-                t,
-                LogEvent::Drop {
-                    cause: DropCause::WireFault,
-                },
-            );
-        }
-        assert!(l.truncated);
-        let times: Vec<u64> = l.entries.iter().map(|&(t, _)| t).collect();
-        assert_eq!(times, vec![4, 5], "ring retains the end of the run");
-    }
-
-    #[test]
-    fn zero_capacity_is_disabled() {
-        let mut l = EventLog::default();
-        assert!(!l.enabled());
-        l.record(
-            1,
-            LogEvent::Drop {
-                cause: DropCause::WireFault,
-            },
-        );
-        assert!(l.entries.is_empty());
-        assert!(!l.truncated);
-    }
-}

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{topology, FaultParams, FaultPlan, HostId, Sim, SimConfig, UdpDest};
+use netsim::{topology, FaultPlan, HostId, Sim, SimConfig, UdpDest};
 use rmwire::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -70,15 +70,12 @@ fn blast_run(plan: FaultPlan, cfg: SimConfig, n: usize, seed: u64) -> (Log, Sim)
 
 #[test]
 fn empty_plan_changes_nothing() {
-    // A seeded run with random faults must be bit-identical whether the
-    // (empty) fault plan was installed or not: the plan may not draw
-    // randomness or perturb event ordering unless a knob is enabled.
-    let cfg = SimConfig {
-        faults: FaultParams::new(0.05, 0.02, 0.05),
-        ..SimConfig::default()
-    };
-    let run = |install_plan: bool| {
-        let mut sim = Sim::new(cfg, 99);
+    // A seeded run whose CPU jitter draws randomness must be
+    // bit-identical whether the (empty) fault plan was installed or not:
+    // the plan may not draw randomness or perturb event ordering unless a
+    // knob is enabled.
+    let run = |install_plan: bool, seed: u64| {
+        let mut sim = Sim::new(SimConfig::default(), seed);
         let hosts = topology::single_switch(&mut sim, 2);
         if install_plan {
             sim.set_fault_plan(FaultPlan::default());
@@ -103,10 +100,11 @@ fn empty_plan_changes_nothing() {
         let deliveries = log.borrow().clone();
         (deliveries, sim.trace().clone())
     };
-    let (log_a, trace_a) = run(false);
-    let (log_b, trace_b) = run(true);
+    let (log_a, trace_a) = run(false, 99);
+    let (log_b, trace_b) = run(true, 99);
     assert_eq!(log_a, log_b, "empty plan perturbed deliveries");
     assert_eq!(trace_a, trace_b, "empty plan perturbed counters");
+    assert_ne!(run(true, 98).0, log_a, "the run draws no randomness");
 }
 
 #[test]
@@ -604,4 +602,72 @@ fn overload_knobs_make_the_plan_non_empty() {
 #[should_panic(expected = "cpu-load factor must be >= 1")]
 fn cpu_load_factor_validated() {
     let _ = FaultPlan::default().with_cpu_load(HostId(0), Time::ZERO, Time::from_millis(1), 0.5);
+}
+
+/// Two blasters multicast multi-fragment datagrams to the other hosts
+/// under `plan`; the run's counters and end instant, as one string.
+fn uniform_fault_run(fabric: netsim::FabricKind, plan: FaultPlan, seed: u64) -> String {
+    let cfg = SimConfig {
+        fabric,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(cfg, seed);
+    let hosts = match fabric {
+        netsim::FabricKind::Switched => topology::two_switch_cluster(&mut sim, 8),
+        netsim::FabricKind::SharedBus => topology::shared_bus(&mut sim, 5),
+    };
+    sim.set_fault_plan(plan);
+    let group = sim.create_group(&hosts[2..]);
+    for (i, &h) in hosts.iter().enumerate() {
+        if i < 2 {
+            let dest = UdpDest::group(group, PORT);
+            let sizes = vec![2_000 + 1_000 * i; 40];
+            sim.spawn(h, PORT, Box::new(Blaster { dest, sizes }));
+        } else {
+            sim.spawn(h, PORT, Box::new(Sink { log: new_log() }));
+        }
+    }
+    sim.run();
+    format!("{:?} {:?}", sim.trace(), sim.now())
+}
+
+const SWITCHED: &str = "TraceCounters { datagrams_sent: 80, datagrams_delivered: 426, \
+    frames_sent: 200, frames_received: 1416, frames_filtered: 200, \
+    payload_bytes_sent: 200000, wire_bytes_sent: 1722232, \
+    drops_wire_fault: 39, drops_switch_queue: 0, drops_sockbuf: 0, \
+    drops_reassembly: 80, drops_datagram_fault: 4, \
+    drops_collisions: 0, collisions: 0, drops_link_down: 0, \
+    drops_burst: 0, drops_corrupt: 0, drops_host_down: 0, \
+    drops_trunk_down: 0, frames_reordered: 0, \
+    byz_corrupt_delivered: 0, byz_duplicates: 0, byz_replays: 0, \
+    byz_forged: 0, storm_amplified: 0 } Time(517416651)";
+const BUS: &str = "TraceCounters { datagrams_sent: 80, datagrams_delivered: 222, \
+    frames_sent: 200, frames_received: 776, frames_filtered: 194, \
+    payload_bytes_sent: 200000, wire_bytes_sent: 213200, \
+    drops_wire_fault: 6, drops_switch_queue: 0, drops_sockbuf: 0, \
+    drops_reassembly: 18, drops_datagram_fault: 0, \
+    drops_collisions: 0, collisions: 12, drops_link_down: 0, \
+    drops_burst: 0, drops_corrupt: 0, drops_host_down: 0, \
+    drops_trunk_down: 0, frames_reordered: 0, \
+    byz_corrupt_delivered: 0, byz_duplicates: 0, byz_replays: 0, \
+    byz_forged: 0, storm_amplified: 0 } Time(518269471)";
+
+/// Every uniform draw keeps its site and its order: these strings were
+/// recorded when the three rates were still a `SimConfig` field of their
+/// own, before they moved into `FaultPlan`.
+#[test]
+fn uniform_faults_are_pinned_draw_for_draw() {
+    let plan = FaultPlan::default()
+        .with_frame_loss(0.02)
+        .with_datagram_loss(0.01)
+        .with_frame_dup(0.02);
+    assert_eq!(
+        uniform_fault_run(netsim::FabricKind::Switched, plan, 17),
+        SWITCHED
+    );
+    let plan = FaultPlan::default().with_frame_loss(0.03);
+    assert_eq!(
+        uniform_fault_run(netsim::FabricKind::SharedBus, plan, 23),
+        BUS
+    );
 }

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{topology, FabricKind, FaultParams, HostId, Sim, SimConfig, UdpDest};
+use netsim::{topology, DropCause, FabricKind, FaultPlan, HostId, Sim, SimConfig, UdpDest};
 use rmwire::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -221,10 +221,9 @@ fn multicast_spans_cascaded_switches() {
 fn frame_loss_kills_whole_datagram() {
     // With 100% frame loss nothing arrives; with loss of any fragment the
     // datagram never completes reassembly.
-    let mut cfg = no_jitter();
-    cfg.faults = FaultParams::frame_loss(1.0);
-    let mut sim = Sim::new(cfg, 5);
+    let mut sim = Sim::new(no_jitter(), 5);
     let hosts = topology::single_switch(&mut sim, 2);
+    sim.set_fault_plan(FaultPlan::default().with_frame_loss(1.0));
     let log = new_log();
     sim.spawn(
         hosts[0],
@@ -244,10 +243,9 @@ fn frame_loss_kills_whole_datagram() {
 
 #[test]
 fn partial_fragment_loss_drops_datagram_via_reassembly_timeout() {
-    let mut cfg = no_jitter();
-    cfg.faults = FaultParams::frame_loss(0.3);
-    let mut sim = Sim::new(cfg, 11);
+    let mut sim = Sim::new(no_jitter(), 11);
     let hosts = topology::single_switch(&mut sim, 2);
+    sim.set_fault_plan(FaultPlan::default().with_frame_loss(0.3));
     let log = new_log();
     // 40 datagrams of 10 KB = 7 fragments each; with 30% frame loss almost
     // every datagram loses at least one fragment.
@@ -532,63 +530,67 @@ fn run_until_respects_deadline() {
 }
 
 #[test]
-fn event_log_records_sends_deliveries_and_drops() {
+fn every_counted_drop_reaches_the_trace_sink() {
+    // Two senders on sw0 multicast across the trunk to hosts on both
+    // switches, under a plan that reaches every drop cause a switched
+    // fabric has (CSMA/CD collisions need the bus).
     let mut cfg = no_jitter();
-    cfg.faults = FaultParams::frame_loss(0.5);
-    let mut sim = Sim::new(cfg, 13);
-    sim.set_log_capacity(1024);
-    let hosts = topology::single_switch(&mut sim, 2);
-    let log = new_log();
-    sim.spawn(
-        hosts[0],
-        PORT,
-        Box::new(Blaster {
-            dest: UdpDest::host(hosts[1], PORT),
-            sizes: vec![5_000; 20],
-        }),
+    cfg.switch.queue_bytes = 6_000;
+    let mut sim = Sim::new(cfg, 21);
+    let hosts = topology::switch_chain(&mut sim, 6, 2);
+    let ms = Time::from_millis;
+    sim.set_fault_plan(
+        FaultPlan::default()
+            .with_frame_loss(0.02)
+            .with_datagram_loss(0.02)
+            .with_burst(0.02, 3.0)
+            .with_corrupt(0.01)
+            .with_link_down(hosts[3], ms(2), ms(3))
+            .with_trunk_down(ms(4), ms(5))
+            .with_sockbuf_exhaust(hosts[4], ms(1), ms(6))
+            .with_crash(hosts[5], ms(7)),
     );
-    sim.spawn(hosts[1], PORT, Box::new(Sink { log: log.clone() }));
+    let sink = rmtrace::MemorySink::new();
+    sim.set_trace_sink(Box::new(sink.clone()));
+    let group = sim.create_group(&[hosts[1], hosts[3], hosts[4], hosts[5]]);
+    for s in [0, 2] {
+        let dest = UdpDest::group(group, PORT);
+        let sizes = vec![4_000; 30];
+        sim.spawn(hosts[s], PORT, Box::new(Blaster { dest, sizes }));
+    }
+    let log = new_log();
+    for r in [1, 3, 4, 5] {
+        sim.spawn(hosts[r], PORT, Box::new(Sink { log: log.clone() }));
+    }
     sim.run();
 
-    use netsim::trace::LogEvent;
-    let entries = &sim.event_log().entries;
-    let sends = entries
+    let records = sink.take();
+    assert!(records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    let drops: Vec<&str> = records
         .iter()
-        .filter(|(_, e)| matches!(e, LogEvent::DatagramSent { .. }))
-        .count();
-    let delivers = entries
-        .iter()
-        .filter(|(_, e)| matches!(e, LogEvent::DatagramDelivered { .. }))
-        .count();
-    let drops = entries
-        .iter()
-        .filter(|(_, e)| matches!(e, LogEvent::Drop { .. }))
-        .count();
-    assert_eq!(sends, 20);
-    assert_eq!(delivers, log.borrow().len());
-    // Datagrams that lost *some* fragments show up as reassembly-timeout
-    // drops; datagrams whose every fragment died on the wire leave no
-    // receiver-side record at all, so the sum is bounded, not exact.
-    assert!(delivers + drops <= 20);
-    assert!(drops > 0, "50% frame loss must produce datagram drops");
-    // Timestamps are monotone.
-    assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
-}
-
-#[test]
-fn event_log_disabled_by_default() {
-    let mut sim = Sim::new(no_jitter(), 1);
-    let hosts = topology::single_switch(&mut sim, 2);
-    let log = new_log();
-    sim.spawn(
-        hosts[0],
-        PORT,
-        Box::new(Blaster {
-            dest: UdpDest::host(hosts[1], PORT),
-            sizes: vec![100],
-        }),
-    );
-    sim.spawn(hosts[1], PORT, Box::new(Sink { log }));
-    sim.run();
-    assert!(sim.event_log().entries.is_empty());
+        .filter_map(|r| match r.ev {
+            rmtrace::TraceEvent::Drop { cause } => Some(cause),
+            _ => None,
+        })
+        .collect();
+    let t = sim.trace();
+    assert_eq!(drops.len() as u64, t.total_drops());
+    for (cause, counted) in [
+        (DropCause::WireFault, t.drops_wire_fault),
+        (DropCause::SwitchQueueFull, t.drops_switch_queue),
+        (DropCause::SockBufFull, t.drops_sockbuf),
+        (DropCause::ReassemblyTimeout, t.drops_reassembly),
+        (DropCause::DatagramFault, t.drops_datagram_fault),
+        (DropCause::LinkDown, t.drops_link_down),
+        (DropCause::BurstLoss, t.drops_burst),
+        (DropCause::Corrupt, t.drops_corrupt),
+        (DropCause::HostDown, t.drops_host_down),
+        (DropCause::TrunkDown, t.drops_trunk_down),
+    ] {
+        let bridged = drops.iter().filter(|&&c| c == cause.name()).count() as u64;
+        assert_eq!(bridged, counted, "{cause:?}");
+        assert!(counted > 0, "the plan never reached {cause:?}");
+    }
+    assert_eq!(t.datagrams_sent, 60);
+    assert_eq!(t.datagrams_delivered, log.borrow().len() as u64);
 }

@@ -229,10 +229,9 @@ fn multicast_on_two_switch_cluster_costs_one_wire_per_segment() {
 #[test]
 fn unicast_conservation_under_random_loss() {
     // sent == delivered + wire-drops + reassembly-timeouts (eventually).
-    let mut cfg = no_jitter();
-    cfg.faults.frame_loss = 0.05;
-    let mut sim = Sim::new(cfg, 9);
+    let mut sim = Sim::new(no_jitter(), 9);
     let hosts = topology::single_switch(&mut sim, 2);
+    sim.set_fault_plan(netsim::FaultPlan::default().with_frame_loss(0.05));
     let log = Rc::new(RefCell::new(Vec::new()));
     sim.spawn(
         hosts[0],
@@ -339,10 +338,9 @@ fn frame_duplication_produces_duplicate_datagrams() {
     // it treats as a fresh (complete) datagram with the same IP id and
     // delivers again. Protocols de-duplicate at the transfer layer; the
     // fabric's job is only to not lose anything.
-    let mut cfg = no_jitter();
-    cfg.faults.frame_dup = 1.0;
-    let mut sim = Sim::new(cfg, 1);
+    let mut sim = Sim::new(no_jitter(), 1);
     let hosts = topology::single_switch(&mut sim, 2);
+    sim.set_fault_plan(netsim::FaultPlan::default().with_frame_dup(1.0));
     let log = Rc::new(RefCell::new(Vec::new()));
     sim.spawn(
         hosts[0],
@@ -722,7 +720,8 @@ fn wide_datagram_missing_fragments_expires_when_it_always_did() {
         Time::from_micros(2_000),
         Time::from_micros(2_200),
     ));
-    sim.set_log_capacity(16);
+    let sink = rmtrace::MemorySink::new();
+    sim.set_trace_sink(Box::new(sink.clone()));
     let log = Rc::new(RefCell::new(Vec::new()));
     sim.spawn(
         hosts[0],
@@ -740,19 +739,18 @@ fn wide_datagram_missing_fragments_expires_when_it_always_did() {
     );
     assert!(sim.trace().drops_link_down > 0 && sim.trace().drops_link_down < 10);
     assert_eq!(sim.trace().drops_reassembly, 1);
-    let expiries: Vec<u64> = sim
-        .event_log()
-        .entries
+    let expiries: Vec<u64> = sink
+        .take()
         .iter()
-        .filter(|(_, ev)| {
+        .filter(|r| {
             matches!(
-                ev,
-                netsim::trace::LogEvent::Drop {
-                    cause: netsim::DropCause::ReassemblyTimeout
+                r.ev,
+                rmtrace::TraceEvent::Drop {
+                    cause: "ReassemblyTimeout"
                 }
             )
         })
-        .map(|&(t, _)| t)
+        .map(|r| r.t_ns)
         .collect();
     // First fragment's arrival plus the reassembly timeout: the instant
     // recorded before the bitmap and the context table changed type.
@@ -824,10 +822,9 @@ fn fan_out_meeting_a_busy_downlink_is_late_at_exactly_that_host() {
 
 #[test]
 fn duplicated_fan_out_copies_each_arrive_at_their_own_instant() {
-    let mut cfg = no_jitter();
-    cfg.faults.frame_dup = 1.0;
+    let plan = netsim::FaultPlan::default().with_frame_dup(1.0);
     // One fragment each, so every copy is a delivery of its own.
-    let log = fan_out_past_a_busy_downlink(cfg, netsim::FaultPlan::default(), (1_100, 1_000));
+    let log = fan_out_past_a_busy_downlink(no_jitter(), plan, (1_100, 1_000));
     // Two copies per hop, two hops: four deliveries of each datagram per
     // host, a microsecond apart on the wire and a frame time apart once
     // the downlink has serialized them.

@@ -28,9 +28,7 @@
 //! loopback workload to ≤ 2%.
 //! Enabled, each span costs two `Instant::now` reads plus a thread-local
 //! histogram record (tens of nanoseconds; bounded and measured by the
-//! same test). Building with the `noop` feature deletes span sites
-//! entirely — `Span::enter` is an empty inlineable function — for
-//! environments where even the atomic load is unwanted.
+//! same test).
 //!
 //! # Determinism
 //!
@@ -55,9 +53,7 @@
 //! rmprof::flush();
 //! let snap = rmprof::snapshot();
 //! assert_eq!(snap.counter("example.packets"), Some(1));
-//! // (Under the `noop` feature the span is compiled away and records
-//! // nothing; counters remain live either way.)
-//! assert!(cfg!(feature = "noop") || snap.stage("wire.encode").is_some_and(|h| h.count() >= 1));
+//! assert!(snap.stage("wire.encode").is_some_and(|h| h.count() >= 1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -92,7 +88,7 @@ pub fn set_enabled(on: bool) {
 /// Is span timing currently enabled?
 #[inline]
 pub fn enabled() -> bool {
-    !cfg!(feature = "noop") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Open a profiling span for a [`Stage`]; the returned guard records the

@@ -7,8 +7,7 @@ use std::time::Instant;
 /// elapsed monotonic nanoseconds for its [`Stage`] when dropped.
 ///
 /// Disabled (the default), construction is one relaxed atomic load and
-/// the drop is a no-op branch. Under the `noop` feature the guard is
-/// always inert and the optimizer deletes the site entirely.
+/// the drop is a no-op branch.
 #[must_use = "a span measures nothing unless it lives across the timed section"]
 pub struct Span(Option<(Stage, Instant)>);
 
@@ -61,9 +60,6 @@ mod tests {
         // test records into with enabled=true.
     }
 
-    // Under the `noop` feature spans are inert by design, so there is
-    // nothing to assert here.
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn enabled_span_lands_in_the_stage_histogram() {
         crate::set_enabled(true);

@@ -20,7 +20,7 @@ pub fn ablate_gbn_vs_sr(effort: Effort) -> Table {
             let mut cfg = ack_cfg(8_000, 16);
             cfg.discipline = d;
             let mut sc = rm_scenario(effort, cfg, 8, 500_000);
-            sc.sim.faults.frame_loss = loss;
+            sc.fault_plan.frame_loss = loss;
             let r = sc.run_avg();
             row.push(secs(r.comm_time));
             row.push(r.sender_stats.retx_sent.to_string());
@@ -77,7 +77,7 @@ pub fn ablate_suppression(effort: Effort) -> Table {
         let mut cfg = ack_cfg(8_000, 4);
         cfg.retx_suppress = suppress;
         let mut sc = rm_scenario(effort, cfg, N_RECEIVERS, 500_000);
-        sc.sim.faults.frame_loss = 1e-3;
+        sc.fault_plan.frame_loss = 1e-3;
         let r = sc.run_avg();
         t.push_row(vec![
             name.to_string(),
@@ -135,7 +135,7 @@ pub fn ablate_nak_variants(effort: Effort) -> Table {
             *receiver_multicast_nak = receiver_multicast;
         }
         let mut sc = rm_scenario(effort, cfg, N_RECEIVERS, 500_000);
-        sc.sim.faults.frame_loss = 1e-3;
+        sc.fault_plan.frame_loss = 1e-3;
         let r = sc.run_avg();
         let naks_suppressed: u64 = r.receiver_stats.iter().map(|s| s.naks_suppressed).sum();
         t.push_row(vec![
@@ -163,7 +163,7 @@ pub fn ablate_unicast_retx(effort: Effort) -> Table {
         let mut cfg = ack_cfg(8_000, 4);
         cfg.unicast_retx_on_nak = unicast;
         let mut sc = rm_scenario(effort, cfg, N_RECEIVERS, 500_000);
-        sc.sim.faults.frame_loss = 1e-3;
+        sc.fault_plan.frame_loss = 1e-3;
         let r = sc.run_avg();
         let dups: u64 = r.receiver_stats.iter().map(|s| s.data_discarded).sum();
         t.push_row(vec![
@@ -220,7 +220,7 @@ pub fn ablate_recv_driven_timer(effort: Effort) -> Table {
         let mut cfg = nak_cfg(8_000, 20, 16);
         cfg.receiver_nak_timer = timer;
         let mut sc = rm_scenario(effort, cfg, N_RECEIVERS, 500_000);
-        sc.sim.faults.frame_loss = 1e-3;
+        sc.fault_plan.frame_loss = 1e-3;
         let r = sc.run_avg();
         let rnaks: u64 = r.receiver_stats.iter().map(|s| s.naks_sent).sum();
         t.push_row(vec![

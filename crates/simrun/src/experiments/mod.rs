@@ -124,112 +124,71 @@ pub(crate) fn fec_cfg(packet_size: usize, window: usize, poll: usize) -> Protoco
     ProtocolConfig::new(ProtocolKind::fec(poll), packet_size, window)
 }
 
+/// What builds one experiment's table.
+type Experiment = fn(Effort) -> Table;
+
+/// Every experiment by id with the function that runs it, in paper order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig07", fig07),
+    ("fig08", fig08),
+    ("fig09", fig09),
+    ("fig10", fig10),
+    ("fig11a", fig11a),
+    ("fig11b", fig11b),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("fig21", fig21),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("ablate_gbn_vs_sr", ablate_gbn_vs_sr),
+    ("ablate_shared_vs_switched", ablate_shared_vs_switched),
+    ("ablate_suppression", ablate_suppression),
+    ("ablate_snooping", ablate_snooping),
+    ("ablate_nak_variants", ablate_nak_variants),
+    ("ablate_unicast_retx", ablate_unicast_retx),
+    ("ablate_rate_vs_window", ablate_rate_vs_window),
+    ("ablate_recv_driven_timer", ablate_recv_driven_timer),
+    ("ablate_slow_receiver", ablate_slow_receiver),
+    ("ablate_mtu", ablate_mtu),
+    ("ablate_two_groups", ablate_two_groups),
+    ("ablate_pipeline_handshake", ablate_pipeline_handshake),
+    ("crossover", crossover),
+    ("calibration_report", calibration_report),
+    ("chaos_burst_loss", chaos_burst_loss),
+    ("chaos_crash", chaos_crash),
+    ("chaos_link_down", chaos_link_down),
+    ("chaos_campaign", chaos_campaign),
+    ("overload_nak_storm", overload_nak_storm),
+    ("overload_slow_receiver", overload_slow_receiver),
+    ("overload_sockbuf", overload_sockbuf),
+    ("overload_campaign", overload_campaign),
+    ("byzantine_storm", byzantine_storm),
+    ("fuzz_decode", byzantine::fuzz_decode),
+    ("fec_loss_sweep", fec_loss_sweep),
+    ("fec_repair_economy", fec_repair_economy),
+    ("churn_crash_rejoin", churn_crash_rejoin),
+    ("partition_heal", partition_heal),
+    ("trace_deep_dive", trace_deep_dive),
+];
+
 /// Every experiment by id, in paper order.
 pub fn all_experiment_ids() -> Vec<&'static str> {
-    vec![
-        "fig07",
-        "fig08",
-        "fig09",
-        "fig10",
-        "fig11a",
-        "fig11b",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "fig20",
-        "fig21",
-        "table1",
-        "table2",
-        "table3",
-        "ablate_gbn_vs_sr",
-        "ablate_shared_vs_switched",
-        "ablate_suppression",
-        "ablate_snooping",
-        "ablate_nak_variants",
-        "ablate_unicast_retx",
-        "ablate_rate_vs_window",
-        "ablate_recv_driven_timer",
-        "ablate_slow_receiver",
-        "ablate_mtu",
-        "ablate_two_groups",
-        "ablate_pipeline_handshake",
-        "crossover",
-        "calibration_report",
-        "chaos_burst_loss",
-        "chaos_crash",
-        "chaos_link_down",
-        "chaos_campaign",
-        "overload_nak_storm",
-        "overload_slow_receiver",
-        "overload_sockbuf",
-        "overload_campaign",
-        "byzantine_storm",
-        "fuzz_decode",
-        "fec_loss_sweep",
-        "fec_repair_economy",
-        "churn_crash_rejoin",
-        "partition_heal",
-        "trace_deep_dive",
-    ]
+    EXPERIMENTS.iter().map(|&(id, _)| id).collect()
 }
 
 /// Run one experiment by id.
 pub fn run_experiment(id: &str, effort: Effort) -> Table {
-    match id {
-        "fig07" => fig07(effort),
-        "fig08" => fig08(effort),
-        "fig09" => fig09(effort),
-        "fig10" => fig10(effort),
-        "fig11a" => fig11a(effort),
-        "fig11b" => fig11b(effort),
-        "fig12" => fig12(effort),
-        "fig13" => fig13(effort),
-        "fig14" => fig14(effort),
-        "fig15" => fig15(effort),
-        "fig16" => fig16(effort),
-        "fig17" => fig17(effort),
-        "fig18" => fig18(effort),
-        "fig19" => fig19(effort),
-        "fig20" => fig20(effort),
-        "fig21" => fig21(effort),
-        "table1" => table1(effort),
-        "table2" => table2(effort),
-        "table3" => table3(effort),
-        "ablate_gbn_vs_sr" => ablate_gbn_vs_sr(effort),
-        "ablate_shared_vs_switched" => ablate_shared_vs_switched(effort),
-        "ablate_suppression" => ablate_suppression(effort),
-        "ablate_snooping" => ablate_snooping(effort),
-        "ablate_nak_variants" => ablate_nak_variants(effort),
-        "ablate_unicast_retx" => ablate_unicast_retx(effort),
-        "ablate_rate_vs_window" => ablate_rate_vs_window(effort),
-        "ablate_recv_driven_timer" => ablate_recv_driven_timer(effort),
-        "ablate_slow_receiver" => ablate_slow_receiver(effort),
-        "ablate_mtu" => ablate_mtu(effort),
-        "crossover" => crossover(effort),
-        "calibration_report" => calibration_report(effort),
-        "ablate_two_groups" => ablate_two_groups(effort),
-        "ablate_pipeline_handshake" => ablate_pipeline_handshake(effort),
-        "chaos_burst_loss" => chaos_burst_loss(effort),
-        "chaos_crash" => chaos_crash(effort),
-        "chaos_link_down" => chaos_link_down(effort),
-        "chaos_campaign" => chaos_campaign(effort),
-        "overload_nak_storm" => overload_nak_storm(effort),
-        "overload_slow_receiver" => overload_slow_receiver(effort),
-        "overload_sockbuf" => overload_sockbuf(effort),
-        "overload_campaign" => overload_campaign(effort),
-        "byzantine_storm" => byzantine_storm(effort),
-        "fuzz_decode" => byzantine::fuzz_decode(effort),
-        "fec_loss_sweep" => fec_loss_sweep(effort),
-        "fec_repair_economy" => fec_repair_economy(effort),
-        "churn_crash_rejoin" => churn_crash_rejoin(effort),
-        "partition_heal" => partition_heal(effort),
-        "trace_deep_dive" => trace_deep_dive(effort),
-        other => panic!("unknown experiment id {other:?}; see all_experiment_ids()"),
+    match EXPERIMENTS.iter().find(|&&(known, _)| known == id) {
+        Some((_, run)) => run(effort),
+        None => panic!("unknown experiment id {id:?}; see all_experiment_ids()"),
     }
 }
 
@@ -252,9 +211,14 @@ mod tests {
 
     #[test]
     fn registry_is_complete() {
-        // Every id resolves (cheaply check the panic branch only).
+        // Every id resolves (cheaply check the panic branch only), and no
+        // id shadows another.
         let ids = all_experiment_ids();
-        assert!(ids.len() >= 20);
+        assert_eq!(ids.len(), 48);
         assert!(ids.contains(&"table3"));
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len());
     }
 }

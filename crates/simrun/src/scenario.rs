@@ -95,8 +95,8 @@ pub struct Scenario {
     pub seeds: Vec<u64>,
     /// Abort if a run exceeds this much simulated time.
     pub time_cap: Duration,
-    /// Chaos schedule injected into the fabric (empty = clean network,
-    /// bit-identical to a plan-free simulation).
+    /// Every fault injected into the fabric, uniform loss included (empty =
+    /// clean network, bit-identical to a plan-free simulation).
     pub fault_plan: FaultPlan,
 }
 

@@ -13,14 +13,14 @@
 //!   trace, both from one `run_traced`;
 //! * **chaos** — `format!("{:?}", ChaosOutcome)` from `run_chaos` under a
 //!   plan that turns on every knob whose effect depends on event order:
-//!   frame loss, datagram loss and frame duplication (`FaultParams`),
-//!   reordering, Gilbert–Elliott bursts, byzantine duplicate delivery and
-//!   a link-down window on one receiver.
+//!   frame loss, datagram loss and frame duplication, reordering,
+//!   Gilbert–Elliott bursts, byzantine duplicate delivery and a link-down
+//!   window on one receiver.
 //!
 //! To re-record after an *intended* behaviour change, run the test: it
 //! prints the whole table as it should read, ready to paste over `ROWS`.
 
-use netsim::{FaultParams, FaultPlan, HostId};
+use netsim::{FaultPlan, HostId};
 use rmcast::{
     LivenessConfig, MembershipConfig, OverloadConfig, ProtocolConfig, ProtocolKind, Stats,
 };
@@ -61,8 +61,10 @@ fn scenario(fam: &str, cluster: &str) -> Scenario {
 
 /// Every ordering-sensitive fault at once, at rates a transfer survives.
 fn chaotic(mut sc: Scenario) -> Scenario {
-    sc.sim.faults = FaultParams::new(0.01, 0.005, 0.01);
     sc.fault_plan = FaultPlan::default()
+        .with_frame_loss(0.01)
+        .with_datagram_loss(0.005)
+        .with_frame_dup(0.01)
         .with_reorder(0.02, Duration::from_micros(300))
         .with_burst(0.01, 3.0)
         .with_duplicate(0.01)
@@ -255,7 +257,7 @@ fn layered(fam: &str, plan: &str) -> Scenario {
                 *receiver_multicast_nak = true;
             }
             sc.n_messages = 4;
-            sc.sim.faults.frame_loss = 0.01;
+            sc.fault_plan = FaultPlan::default().with_frame_loss(0.01);
         }
         other => panic!("unknown plan {other}"),
     }

@@ -214,7 +214,6 @@ fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::PAPER; // retry forever
     cfg.membership = rmcast::MembershipConfig::enabled();
-    cfg.membership.heartbeat_interval = rmcast::Duration::from_millis(20);
     let msg = payload(60_000);
     let mut cc = ClusterConfig::new(cfg, 4);
     cc.dead_receivers = vec![1];
@@ -245,21 +244,19 @@ fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
 
 #[test]
 fn restarted_receiver_rejoins_over_real_sockets() {
-    // Receiver index 1 is down from the start; 300ms in — after the
-    // heartbeat detector has evicted it — a fresh endpoint reboots on the
-    // same socket and must rejoin through JOIN/WELCOME/SYNC and catch the
-    // tail of the stream. Hub loss plus a 40ms RTO paces the stream so it
-    // is still flowing when the reboot lands.
+    // Receiver index 1 is down from the start; 600ms in — after six
+    // missed 50ms heartbeats have evicted it — a fresh endpoint reboots on
+    // the same socket and must rejoin through JOIN/WELCOME/SYNC and catch
+    // the tail of the stream. Hub loss plus a 40ms RTO paces the stream so
+    // it is still flowing when the reboot lands.
     let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::evicting(6);
     cfg.membership = rmcast::MembershipConfig::enabled();
-    cfg.membership.heartbeat_interval = rmcast::Duration::from_millis(20);
-    cfg.membership.join_retry = rmcast::Duration::from_millis(20);
-    let msgs: Vec<Bytes> = (0..14).map(|i| payload(24_000 + i * 100)).collect();
+    let msgs: Vec<Bytes> = (0..40).map(|i| payload(24_000 + i * 100)).collect();
     let mut cc = ClusterConfig::new(cfg, 4);
     cc.hub_drop_every = Some(20);
-    cc.restart_receivers = vec![(1, std::time::Duration::from_millis(300))];
+    cc.restart_receivers = vec![(1, std::time::Duration::from_millis(600))];
     cc.timeout = std::time::Duration::from_secs(30);
     let out = run_cluster(cc, msgs.clone()).expect("cluster");
 

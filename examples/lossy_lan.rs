@@ -31,7 +31,7 @@ fn main() {
         ] {
             let cfg = ProtocolConfig::new(kind, 8_000, window);
             let mut sc = Scenario::new(Protocol::Rm(cfg), RECEIVERS, MSG);
-            sc.sim.faults.frame_loss = loss;
+            sc.fault_plan.frame_loss = loss;
             let r = sc.run_avg();
             println!(
                 "{:<10}{:<24}{:>12}{:>8}{:>8}{:>8}{:>10}",

@@ -1,130 +1,41 @@
-//! Packet-level timeline of one reliable multicast transfer, using the
-//! simulator's event log: watch the allocation handshake, the windowed
-//! data flow, and (under loss) the NAK/retransmission machinery.
+//! Packet-level timeline of one reliable multicast transfer, read from
+//! the trace stream of `Scenario::run_traced`: the allocation handshake,
+//! the windowed data flow and, under loss, the network's drops and the
+//! NAK/retransmission machinery that repairs them.
 //!
 //! ```text
 //! cargo run --release --example packet_timeline
 //! ```
 
-use bytes::Bytes;
-use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::trace::LogEvent;
-use netsim::{topology, FaultParams, Sim, SimConfig, UdpDest};
-use rmcast::{
-    AppEvent, Dest, Endpoint, GroupSpec, ProtocolConfig, ProtocolKind, Rank, Receiver, Sender,
-};
-
-/// Minimal inline adapter (the production one lives in `simrun`): drives
-/// an endpoint with no extra cost model, just to watch packets move.
-struct Node<E: Endpoint> {
-    ep: E,
-    group: netsim::GroupId,
-    sender_host: netsim::HostId,
-    receiver_hosts: Vec<netsim::HostId>,
-}
-
-impl<E: Endpoint> Node<E> {
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(t) = self.ep.poll_transmit() {
-            let dest = match t.dest {
-                Dest::Sender => UdpDest::host(self.sender_host, 9),
-                Dest::Rank(r) => UdpDest::host(self.receiver_hosts[r.receiver_index()], 9),
-                Dest::Receivers => UdpDest::group(self.group, 9),
-            };
-            ctx.send(dest, t.payload);
-        }
-        while let Some(ev) = self.ep.poll_event() {
-            if let AppEvent::MessageSent { .. } = ev {
-                ctx.stop_sim();
-            }
-        }
-        match self.ep.poll_timeout() {
-            Some(t) => ctx.set_timer(t),
-            None => ctx.clear_timer(),
-        }
-    }
-}
-
-impl<E: Endpoint> Process for Node<E> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.pump(ctx);
-    }
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dg: DatagramIn) {
-        let now = ctx.now();
-        self.ep.handle_datagram(now, &dg.payload);
-        self.pump(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        self.ep.handle_timeout(now);
-        self.pump(ctx);
-    }
-}
+use netsim::FaultPlan;
+use rmcast::{ProtocolConfig, ProtocolKind};
+use simrun::scenario::{Protocol, Scenario};
 
 fn main() {
-    let sim_cfg = SimConfig {
-        faults: FaultParams::frame_loss(0.02), // make recovery visible
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(sim_cfg, 7);
-    sim.set_log_capacity(10_000);
-
     let n: u16 = 3;
-    let hosts = topology::single_switch(&mut sim, n as usize + 1);
-    let group = sim.create_group(&hosts[1..]);
-    let gspec = GroupSpec::new(n);
     let cfg = ProtocolConfig::new(ProtocolKind::nak_polling(4), 2_000, 8);
-
-    let mut sender = Sender::new(cfg, gspec);
-    sender.send_message(rmwire::Time::ZERO, Bytes::from(vec![7u8; 20_000]));
-    sim.spawn(
-        hosts[0],
-        9,
-        Box::new(Node {
-            ep: sender,
-            group,
-            sender_host: hosts[0],
-            receiver_hosts: hosts[1..].to_vec(),
-        }),
-    );
-    for (i, &h) in hosts[1..].iter().enumerate() {
-        let r = Receiver::new(cfg, gspec, Rank::from_receiver_index(i), 1);
-        sim.spawn(
-            h,
-            9,
-            Box::new(Node {
-                ep: r,
-                group,
-                sender_host: hosts[0],
-                receiver_hosts: hosts[1..].to_vec(),
-            }),
-        );
-    }
-    sim.run();
+    let mut sc = Scenario::new(Protocol::Rm(cfg), n, 20_000);
+    sc.fault_plan = FaultPlan::default().with_frame_loss(0.02); // make recovery visible
+    let (result, records) = sc.run_traced(7);
 
     println!("timeline of a 20 KB NAK-with-polling transfer to {n} receivers");
     println!("(2% injected frame loss; 2 KB packets, window 8, poll every 4th)\n");
-    for (ns, ev) in &sim.event_log().entries {
-        let t = *ns as f64 / 1e6;
-        match ev {
-            LogEvent::DatagramSent { src, dst, len } => {
-                let to = match dst {
-                    None => "multicast".to_string(),
-                    Some(h) => format!("h{h}"),
-                };
-                println!("{t:10.3} ms  h{src} -> {to:<10} {len:>6} B");
-            }
-            LogEvent::DatagramDelivered { host, len } => {
-                println!("{t:10.3} ms  deliver @ h{host}      {len:>6} B");
-            }
-            LogEvent::Drop { cause } => {
-                println!("{t:10.3} ms  DROP ({cause:?})");
-            }
-        }
+    for r in &records {
+        let who = match r.ev.name() {
+            "Drop" if r.rank == u16::MAX => "network".to_string(),
+            "Drop" => format!("net @ h{}", r.rank),
+            _ => format!("rank {}", r.rank),
+        };
+        println!("{:10.3} ms  {who:<9} {:?}", r.t_ns as f64 / 1e6, r.ev);
     }
+    let count = |name: &str| records.iter().filter(|r| r.ev.name() == name).count();
     println!(
-        "\ntotal: {} logged events, finished at {}",
-        sim.event_log().entries.len(),
-        sim.now()
+        "\ntotal: {} records ({} drops, {} retransmissions), finished at {}",
+        records.len(),
+        count("Drop"),
+        count("Retransmit"),
+        result.comm_time
     );
+    assert!(count("Drop") > 0, "the injected loss dropped nothing");
+    assert!(count("Retransmit") > 0, "nothing was repaired");
 }

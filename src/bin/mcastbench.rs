@@ -162,7 +162,7 @@ fn main() {
     };
     // Validated constructor: rejects out-of-range probabilities up front
     // instead of letting an impossible loss rate spin until the time cap.
-    sc.sim.faults = netsim::FaultParams::frame_loss(a.loss);
+    sc.fault_plan = netsim::FaultPlan::default().with_frame_loss(a.loss);
 
     let r = sc.run_avg();
     if a.quiet {

@@ -229,7 +229,7 @@ fn reliable_under_loss_full_stack() {
             200_000,
         );
         sc.seeds = vec![5];
-        sc.sim.faults.frame_loss = 0.03;
+        sc.fault_plan.frame_loss = 0.03;
         let r = sc.run_avg();
         assert_eq!(r.deliveries, 6, "{kind:?} under loss");
         assert!(
