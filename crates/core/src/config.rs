@@ -196,36 +196,6 @@ impl LivenessConfig {
     }
 }
 
-/// Dynamic membership: heartbeat failure detection, late join/rejoin with
-/// SYNC handoff, and epoch-stamped acknowledgments.
-///
-/// Disabled by default: the paper's protocols negotiate a fixed receiver
-/// set once, and with `enabled == false` no membership packet is ever
-/// emitted and ACK/NAK stay byte-identical to the paper's wire format.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipConfig {
-    /// Master switch. Off reproduces the paper exactly.
-    pub enabled: bool,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        MembershipConfig::DISABLED
-    }
-}
-
-impl MembershipConfig {
-    /// No membership machinery at all (the paper's fixed-group model).
-    pub const DISABLED: MembershipConfig = MembershipConfig { enabled: false };
-
-    /// Membership on with LAN-scale timing: 50 ms heartbeats; the
-    /// failure detector suspects a member after 3 misses and evicts it
-    /// after 6.
-    pub fn enabled() -> MembershipConfig {
-        MembershipConfig { enabled: true }
-    }
-}
-
 /// Full configuration of one protocol run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
@@ -246,23 +216,19 @@ pub struct ProtocolConfig {
     /// Minimum spacing between NAKs sent by one receiver for one transfer.
     pub nak_suppress: Duration,
     /// Go-Back-N or selective repeat.
-    // rmlint: allow(config-validate): any discipline is valid
     pub discipline: WindowDiscipline,
     /// Perform the two-round-trip buffer-allocation handshake before data
     /// (paper §4 *Buffer management*). Baselines switch it off.
-    // rmlint: allow(config-validate): both settings are valid
     pub handshake: bool,
     /// Model the user-space copy of payload into the protocol buffer.
     /// Figure 9's "ACK-based without copy" (an *incorrect* protocol kept
     /// for comparison) sets this to `false`.
-    // rmlint: allow(config-validate): both settings are valid
     pub charge_copy: bool,
     /// Retransmissions triggered by a NAK go unicast to the NAKing
     /// receiver instead of multicast to the group (paper §3, first bullet:
     /// multicast retransmission "may introduce extra CPU overhead for
     /// unintended receivers"). Timeout-driven retransmissions stay
     /// multicast (the sender does not know who is missing what).
-    // rmlint: allow(config-validate): both settings are valid
     pub unicast_retx_on_nak: bool,
     /// Rate-based flow control (paper §3: "flow control can either be
     /// rate-based or window-based"): when set, fresh data packets are
@@ -278,14 +244,17 @@ pub struct ProtocolConfig {
     /// allocation round trip concurrently with the current message's data
     /// transfer, hiding one of the paper's "at least two round trips"
     /// behind useful work. Off reproduces the paper exactly.
-    // rmlint: allow(config-validate): both settings are valid
     pub pipeline_handshake: bool,
     /// Liveness bounds (bounded retries, RTO backoff, straggler eviction,
     /// receiver give-up). [`LivenessConfig::PAPER`] retries forever.
     pub liveness: LivenessConfig,
-    /// Dynamic membership (heartbeats, join/rejoin, epochs). Disabled by
-    /// default.
-    pub membership: MembershipConfig,
+    /// Dynamic membership: heartbeat failure detection (50 ms heartbeats;
+    /// a member is suspected after 3 misses and evicted after 6), late
+    /// join/rejoin with SYNC handoff, and epoch-stamped acknowledgments.
+    /// Off (the default) is the paper's fixed group, negotiated once: no
+    /// membership packet is ever emitted and ACK/NAK stay byte-identical
+    /// to the paper's wire format.
+    pub membership: bool,
     /// Payload integrity: when `true`, every packet this endpoint sends is
     /// sealed with a CRC-32C trailer ([`rmwire::PacketFlags::CKSUM`]) and
     /// every received packet *must* carry a valid trailer — unsealed or
@@ -293,7 +262,6 @@ pub struct ProtocolConfig {
     /// dropped. When `false` (default) the wire format is byte-identical
     /// to the paper's, though trailers on incoming packets are still
     /// verified opportunistically. All endpoints of a group must agree.
-    // rmlint: allow(config-validate): both settings are valid
     pub integrity: bool,
     /// Graceful degradation under overload: AIMD window adaptation,
     /// feedback-storm pacing, duplicate-NAK collapse, load-scaled
@@ -330,7 +298,7 @@ impl ProtocolConfig {
             receiver_nak_timer: None,
             pipeline_handshake: false,
             liveness: LivenessConfig::PAPER,
-            membership: MembershipConfig::DISABLED,
+            membership: false,
             integrity: false,
             overload: OverloadConfig::OFF,
         }
@@ -339,60 +307,82 @@ impl ProtocolConfig {
     /// Validate against a group of `n_receivers`, panicking with a precise
     /// message on any inconsistency. Call once before building endpoints.
     pub fn validate(&self, n_receivers: usize) {
+        // Every field is named, with no `..`: a new field left out is
+        // error E0027, and one bound but never checked is an unused
+        // variable, which `clippy -D warnings` refuses.
+        let ProtocolConfig {
+            kind,
+            packet_size,
+            window,
+            rto,
+            retx_suppress,
+            nak_suppress,
+            discipline,
+            handshake,
+            rate_limit_bytes_per_sec,
+            receiver_nak_timer,
+            liveness,
+            membership,
+            overload: o,
+            // Both settings of each of these switches are valid.
+            charge_copy: _,
+            unicast_retx_on_nak: _,
+            pipeline_handshake: _,
+            integrity: _,
+        } = *self;
         assert!(n_receivers >= 1, "need at least one receiver");
-        assert!(self.packet_size >= 1, "packet size must be >= 1 byte");
+        assert!(packet_size >= 1, "packet size must be >= 1 byte");
         assert!(
-            self.packet_size <= 65_000,
+            packet_size <= 65_000,
             "packet size {} exceeds what a UDP datagram can carry",
-            self.packet_size
+            packet_size
         );
-        assert!(self.window >= 1, "window must hold at least one packet");
+        assert!(window >= 1, "window must hold at least one packet");
         assert!(
-            self.retx_suppress < self.rto,
+            retx_suppress < rto,
             "retransmission suppression ({}) must be shorter than the RTO ({}): \
              otherwise every timeout is suppressed and the transfer stalls",
-            self.retx_suppress,
-            self.rto
+            retx_suppress,
+            rto
         );
-        if self.membership.enabled && matches!(self.kind, ProtocolKind::Tree { .. }) {
+        if membership && matches!(kind, ProtocolKind::Tree { .. }) {
             assert!(
-                self.liveness.child_evict_timeout.is_some(),
+                liveness.child_evict_timeout.is_some(),
                 "tree protocols with membership enabled need \
                  liveness.child_evict_timeout: a rejoined child re-parents \
                  to the sender, and its old parent must be able to drop it"
             );
         }
-        if let Some(r) = self.rate_limit_bytes_per_sec {
+        if let Some(r) = rate_limit_bytes_per_sec {
             assert!(r > 0, "rate limit must be positive");
         }
-        if let Some(t) = self.receiver_nak_timer {
+        if let Some(t) = receiver_nak_timer {
             assert!(
-                t > Duration::ZERO && t.as_nanos() >= self.nak_suppress.as_nanos(),
+                t > Duration::ZERO && t.as_nanos() >= nak_suppress.as_nanos(),
                 "receiver NAK timer must be positive and no shorter than NAK suppression"
             );
         }
-        if let Some(m) = self.liveness.max_retx {
+        if let Some(m) = liveness.max_retx {
             assert!(m >= 1, "max_retx must allow at least one retry");
         }
-        if let Some(g) = self.liveness.receiver_giveup {
+        if let Some(g) = liveness.receiver_giveup {
             assert!(g > Duration::ZERO, "receiver_giveup must be positive");
         }
-        if let Some(c) = self.liveness.child_evict_timeout {
+        if let Some(c) = liveness.child_evict_timeout {
             assert!(c > Duration::ZERO, "child_evict_timeout must be positive");
         }
-        let o = &self.overload;
         if o.aimd {
             assert!(
                 o.aimd_floor >= 1,
                 "AIMD floor must hold at least one packet"
             );
             assert!(
-                o.aimd_floor <= self.window && self.window <= o.aimd_ceiling,
+                o.aimd_floor <= window && window <= o.aimd_ceiling,
                 "AIMD bounds must bracket the initial window \
                  (floor {} <= window {} <= ceiling {}): the adaptive cap \
                  starts at the configured window and moves within them",
                 o.aimd_floor,
-                self.window,
+                window,
                 o.aimd_ceiling
             );
         }
@@ -405,7 +395,7 @@ impl ProtocolConfig {
         }
         if let Some(q) = o.quarantine_after {
             assert!(q >= 1, "quarantine_after must allow at least one timeout");
-            if let Some(m) = self.liveness.max_retx {
+            if let Some(m) = liveness.max_retx {
                 assert!(
                     q < m,
                     "quarantine_after ({q}) must be below liveness.max_retx ({m}): \
@@ -418,23 +408,23 @@ impl ProtocolConfig {
                 "quarantine_budget must allow at least one catch-up round"
             );
         }
-        match self.kind {
+        match kind {
             ProtocolKind::NakPolling { poll_interval, .. } => {
                 assert!(poll_interval >= 1, "poll interval must be >= 1");
                 assert!(
-                    poll_interval <= self.window,
+                    poll_interval <= window,
                     "poll interval {} beyond the window {} would deadlock: \
                      the window fills before any packet is polled",
                     poll_interval,
-                    self.window
+                    window
                 );
             }
             ProtocolKind::Ring => {
                 assert!(
-                    self.window > n_receivers,
+                    window > n_receivers,
                     "ring protocol needs window > n_receivers ({} <= {}): an ACK \
                      for packet X only releases packet X - N",
-                    self.window,
+                    window,
                     n_receivers
                 );
             }
@@ -458,11 +448,11 @@ impl ProtocolConfig {
             } => {
                 assert!(poll_interval >= 1, "poll interval must be >= 1");
                 assert!(
-                    poll_interval <= self.window,
+                    poll_interval <= window,
                     "poll interval {} beyond the window {} would deadlock: \
                      the window fills before any packet is polled",
                     poll_interval,
-                    self.window
+                    window
                 );
                 assert!(
                     parity_every == 0 || (2..=64).contains(&parity_every),
@@ -478,14 +468,14 @@ impl ProtocolConfig {
                     max_coded
                 );
                 assert_eq!(
-                    self.discipline,
+                    discipline,
                     WindowDiscipline::SelectiveRepeat,
                     "fec requires selective repeat: Go-Back-N receivers \
                      drop out-of-order packets, leaving nothing to decode \
                      a repair block against"
                 );
                 assert!(
-                    self.handshake,
+                    handshake,
                     "fec requires the allocation handshake: the receiver \
                      must know packet_size and message length to XOR held \
                      chunks back out of its preallocated assembly"
@@ -639,9 +629,9 @@ mod tests {
     #[test]
     fn membership_defaults_off_and_enabled_validates() {
         let c = ProtocolConfig::new(ProtocolKind::Ack, 8000, 2);
-        assert!(!c.membership.enabled);
+        assert!(!c.membership);
         let mut m = c;
-        m.membership = MembershipConfig::enabled();
+        m.membership = true;
         m.validate(30);
     }
 
@@ -649,7 +639,7 @@ mod tests {
     #[should_panic(expected = "child_evict_timeout")]
     fn tree_membership_needs_child_eviction() {
         let mut c = ProtocolConfig::new(ProtocolKind::flat_tree(4), 8000, 8);
-        c.membership = MembershipConfig::enabled();
+        c.membership = true;
         c.validate(30);
     }
 

@@ -73,9 +73,7 @@ pub mod stats;
 pub mod tree;
 pub mod window;
 
-pub use config::{
-    LivenessConfig, MembershipConfig, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline,
-};
+pub use config::{LivenessConfig, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
 pub use endpoint::{AppEvent, Dest, Endpoint, Transmit};
 pub use error::SessionError;
 pub use membership::{FailureDetector, LivenessVerdict};

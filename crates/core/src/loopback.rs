@@ -614,9 +614,8 @@ mod tests {
 
     #[test]
     fn crash_evict_rejoin_cycle() {
-        use crate::config::MembershipConfig;
         let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 500, 4);
-        cfg.membership = MembershipConfig::enabled();
+        cfg.membership = true;
         let mut net = Loopback::new(cfg, 3, 5);
         // Message 0: everyone delivers.
         net.send_message(Bytes::from(vec![1u8; 2000]));

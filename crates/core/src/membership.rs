@@ -23,7 +23,6 @@
 //! It is plain data: no clocks, no I/O, usable identically by the
 //! simulator-driven and the real-socket backends.
 
-use crate::config::MembershipConfig;
 use crate::endpoint::{AppEvent, Dest, Io, Transmit};
 use crate::packet;
 use crate::sender::Sender;
@@ -137,13 +136,13 @@ pub(crate) struct Members {
 }
 
 impl Members {
-    /// All `n` receivers in, under `cfg`.
-    pub(crate) fn new(n: usize, cfg: &MembershipConfig) -> Members {
+    /// All `n` receivers in, with membership `enabled` or not.
+    pub(crate) fn new(n: usize, enabled: bool) -> Members {
         Members {
             evicted: vec![false; n],
             detached: vec![false; n],
-            epoch: u32::from(cfg.enabled),
-            detector: cfg.enabled.then(|| FailureDetector::new(n)),
+            epoch: u32::from(enabled),
+            detector: enabled.then(|| FailureDetector::new(n)),
             hb_deadline: None,
             pending_joins: Vec::new(),
         }
@@ -403,10 +402,10 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
-    /// A member from the start, under `cfg`.
-    pub(crate) fn new(cfg: &MembershipConfig) -> Admission {
+    /// A member from the start, with membership `enabled` or not.
+    pub(crate) fn new(enabled: bool) -> Admission {
         Admission {
-            epoch: u32::from(cfg.enabled),
+            epoch: u32::from(enabled),
             min_transfer: 0,
             join_deadline: None,
         }

@@ -238,7 +238,7 @@ impl Receiver {
         };
         Receiver {
             naks: NakSchedule::new(&cfg, rank, seed),
-            admission: Admission::new(&cfg.membership),
+            admission: Admission::new(cfg.membership),
             cfg,
             group,
             rank,
@@ -259,7 +259,7 @@ impl Receiver {
     /// Build a receiver that is *not* yet a group member: it unicasts a
     /// JOIN to the sender (retried every `membership::JOIN_RETRY`) and
     /// discards all data until the sender's SYNC handoff admits it at a
-    /// message boundary. Requires [`crate::MembershipConfig::enabled`].
+    /// message boundary. Requires [`ProtocolConfig::membership`].
     pub fn new_joining(
         cfg: ProtocolConfig,
         group: GroupSpec,
@@ -267,10 +267,7 @@ impl Receiver {
         seed: u64,
         now: Time,
     ) -> Self {
-        assert!(
-            cfg.membership.enabled,
-            "joining requires dynamic membership"
-        );
+        assert!(cfg.membership, "joining requires dynamic membership");
         let mut r = Receiver::new(cfg, group, rank, seed);
         r.last_heard = now;
         r.admission.start_joining(now, rank, io!(r));
@@ -292,7 +289,7 @@ impl Receiver {
     fn stamp(&self) -> Stamp {
         Stamp {
             rank: self.rank,
-            epoch: self.cfg.membership.enabled.then(|| self.admission.epoch()),
+            epoch: self.cfg.membership.then(|| self.admission.epoch()),
             now: self.now_cache,
         }
     }
@@ -1391,12 +1388,11 @@ mod tests {
     // Dynamic membership
     // ------------------------------------------------------------------
 
-    use crate::config::MembershipConfig;
     use rmwire::SyncBody;
 
     fn mcfg(kind: ProtocolKind) -> ProtocolConfig {
         let mut c = cfg(kind);
-        c.membership = MembershipConfig::enabled();
+        c.membership = true;
         if matches!(kind, ProtocolKind::Tree { .. }) {
             c.liveness.child_evict_timeout = Some(rmwire::Duration::from_millis(50));
         }

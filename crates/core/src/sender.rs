@@ -157,7 +157,7 @@ impl Sender {
             transfer: None,
             staged: None,
             pace_gate: Time::ZERO,
-            members: Members::new(n, &cfg.membership),
+            members: Members::new(n, cfg.membership),
             quarantine: Quarantine::new(&cfg.overload, n),
             overload: Overload::new(&cfg, n),
             tracer: Tracer::off(Rank::SENDER.0),
@@ -1828,10 +1828,9 @@ mod tests {
     }
 
     fn mcfg(kind: ProtocolKind) -> ProtocolConfig {
-        use crate::config::MembershipConfig;
         let mut c = cfg(kind);
         c.handshake = false;
-        c.membership = MembershipConfig::enabled();
+        c.membership = true;
         c
     }
 

@@ -162,9 +162,8 @@ fn hostile_alloc_claims_are_capped() {
 
 #[test]
 fn membership_with_integrity_survives_corruption() {
-    use rmcast::MembershipConfig;
     let mut cfg = integrity_cfg(ProtocolKind::Ack, 3);
-    cfg.membership = MembershipConfig::enabled();
+    cfg.membership = true;
     let mut net = Loopback::new(cfg, 3, 99).with_corrupt(0.05);
     for round in 0u8..3 {
         let msg = payload(5_000, round);

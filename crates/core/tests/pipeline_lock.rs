@@ -23,8 +23,8 @@ use bytes::Bytes;
 use rmcast::loopback::Loopback;
 use rmcast::packet::{encode_ack, Packet};
 use rmcast::{
-    AppEvent, Dest, Duration, Endpoint, GroupSpec, LivenessConfig, MembershipConfig, MemorySink,
-    ProtocolConfig, ProtocolKind, Rank, Receiver, Sender, SeqNo, Stats, Time, Transmit,
+    AppEvent, Dest, Duration, Endpoint, GroupSpec, LivenessConfig, MemorySink, ProtocolConfig,
+    ProtocolKind, Rank, Receiver, Sender, SeqNo, Stats, Time, Transmit,
 };
 use rmwire::crc32c;
 use std::hash::Hasher;
@@ -254,7 +254,7 @@ fn killed_row(fam: &str, plan: &str, seed: u64) -> u32 {
     match plan {
         "evicting" => cfg.liveness = LivenessConfig::evicting(1),
         "bounded" => cfg.liveness = LivenessConfig::bounded(1),
-        "membership" => cfg.membership = MembershipConfig::enabled(),
+        "membership" => cfg.membership = true,
         other => panic!("unknown plan {other}"),
     }
     let g = Group::run(cfg, seed);

@@ -228,7 +228,6 @@ proptest! {
 
 mod membership_churn {
     use super::*;
-    use rmcast::MembershipConfig;
 
     /// All four families (plus the multicast-NAK ablation), membership on.
     fn arb_family() -> impl Strategy<Value = ProtocolKind> {
@@ -263,7 +262,7 @@ mod membership_churn {
             seed in 0u64..u64::MAX,
         ) {
             let mut cfg = build_config(kind, n, 512, 8, false);
-            cfg.membership = MembershipConfig::enabled();
+            cfg.membership = true;
             if matches!(kind, ProtocolKind::Tree { .. }) {
                 // Far above the RTO so lossy-but-alive children are never
                 // spuriously evicted by their chain parent.

@@ -1,5 +1,5 @@
-//! Workspace lint runner: prints every finding and exits nonzero if any
-//! rule fired (CI gates on it).
+//! Workspace lint runner for the `hot-alloc` rule: prints every finding
+//! and exits nonzero if any fired (CI gates on it).
 //!
 //! ```text
 //! rmlint [--root <dir>] [--github]
@@ -8,7 +8,7 @@
 //! Exit codes are stable for CI:
 //! - `0` — clean (no findings),
 //! - `1` — findings,
-//! - `2` — configuration error (bad arguments, unreadable scope files).
+//! - `2` — configuration error (bad arguments, a missing hot-path dir).
 
 #![forbid(unsafe_code)]
 
@@ -19,8 +19,9 @@ use rmcheck::lint::Finding;
 
 const USAGE: &str = "\
 rmlint [--root <dir>] [--github]
-Source-level lint for the reliable multicast workspace;
-rules and scopes are documented in docs/CORRECTNESS.md.
+Source-level lint for the reliable multicast workspace: no unannotated
+allocation in a span-instrumented hot function (`hot-alloc`); its scope
+and every other source rule are documented in docs/CORRECTNESS.md.
 
   --root <dir>        workspace root (default: walk up from cwd)
   --github            emit findings as GitHub Actions annotations

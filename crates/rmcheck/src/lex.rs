@@ -394,7 +394,7 @@ fn bracket_end(tokens: &[Token], open: usize) -> Option<usize> {
 }
 
 /// Index of the `}` matching the `{` at `open` (they share a depth value).
-pub fn brace_end(tokens: &[Token], open: usize) -> Option<usize> {
+fn brace_end(tokens: &[Token], open: usize) -> Option<usize> {
     let d = tokens[open].depth;
     tokens
         .iter()
@@ -467,54 +467,6 @@ pub fn seq_at(tokens: &[Token], i: usize, pat: &[&str]) -> bool {
             .iter()
             .enumerate()
             .all(|(k, p)| tokens[i + k].text == *p)
-}
-
-/// Variant names of `enum <name>` (or `pub enum <name>`).
-pub fn enum_variants(tokens: &[Token], name: &str) -> Vec<String> {
-    enum_variants_with_lines(tokens, name)
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect()
-}
-
-/// Variant names and 1-based declaration lines of `enum <name>`:
-/// uppercase-led identifiers at the enum body's arm depth, each directly
-/// after the body's `{`, a `,`, or an attribute's `]`.
-pub fn enum_variants_with_lines(tokens: &[Token], name: &str) -> Vec<(String, usize)> {
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].text == "enum" && tokens.get(i + 1).is_some_and(|t| t.text == name) {
-            // Body opens at the next `{` at this depth.
-            let mut k = i + 2;
-            while k < tokens.len() && tokens[k].text != "{" {
-                k += 1;
-            }
-            if k >= tokens.len() {
-                return Vec::new();
-            }
-            let close = brace_end(tokens, k).unwrap_or(tokens.len() - 1);
-            let arm_depth = tokens[k].depth + 1;
-            let mut variants = Vec::new();
-            for j in k + 1..close {
-                let t = &tokens[j];
-                if t.depth == arm_depth
-                    && t.kind == TokKind::Ident
-                    && t.text
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_uppercase())
-                {
-                    let prev = &tokens[j - 1].text;
-                    if prev == "{" || prev == "," || prev == "]" {
-                        variants.push((t.text.clone(), t.line));
-                    }
-                }
-            }
-            return variants;
-        }
-        i += 1;
-    }
-    Vec::new()
 }
 
 #[cfg(test)]
@@ -606,18 +558,5 @@ mod tests {
             assert_eq!(toks[f.body_close].text, "}");
             assert_eq!(toks[f.body_open].depth, toks[f.body_close].depth);
         }
-    }
-
-    #[test]
-    fn enum_variants_extracted() {
-        let src = "pub enum PacketType {\n    /// doc\n    Data,\n    Ack = 2,\n    #[allow(dead_code)]\n    Nak,\n}\n\
-                   pub enum Other { X, Y }";
-        let toks = lex(src);
-        assert_eq!(
-            enum_variants(&toks, "PacketType"),
-            vec!["Data", "Ack", "Nak"]
-        );
-        assert_eq!(enum_variants(&toks, "Other"), vec!["X", "Y"]);
-        assert!(enum_variants(&toks, "Missing").is_empty());
     }
 }

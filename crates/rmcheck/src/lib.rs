@@ -4,10 +4,9 @@
 //! suites (loopback fuzzing, chaos campaigns, simulator sweeps) can miss:
 //!
 //! - [`lint`] — a zero-dependency source-level lint (`rmlint` binary)
-//!   enforcing repo-specific rules neither the compiler nor clippy can:
-//!   no unannotated allocation in a span-instrumented hot function, every
-//!   counter and trace event updated, asserted and documented, every
-//!   config field accounted for by `ProtocolConfig::validate`.
+//!   enforcing the one repo-specific rule neither the compiler, clippy
+//!   nor a test can: no unannotated allocation in a span-instrumented hot
+//!   function.
 //! - [`explore`] — an exhaustive small-scope model checker (`rmcheck
 //!   explore`) that drives the *real* [`rmcast::Sender`] /
 //!   [`rmcast::Receiver`] engines through **every** interleaving of

@@ -1,8 +1,7 @@
 //! A minimal on-disk fake workspace that `rmlint` runs *clean* against:
-//! every file the rules read exists, and every counter and trace event
-//! they audit is consistently declared, updated, asserted and documented.
-//! Tests start from this known-clean tree and inject one violation at a
-//! time.
+//! the workspace manifest and one span-instrumented hot function that
+//! allocates nothing. Tests start from this known-clean tree and inject
+//! one violation at a time.
 
 use std::path::{Path, PathBuf};
 
@@ -27,21 +26,6 @@ pub fn create(tag: &str) -> PathBuf {
         "Cargo.toml",
         "[workspace]\nmembers = [\"crates/*\"]\n",
     );
-
-    // Core: an emitter of the one trace event, one span-instrumented hot
-    // function, the counters and the config.
-    write(
-        &root,
-        "crates/core/src/receiver.rs",
-        "pub fn dispatch() {\n\
-         \x20   emit(TraceEvent::DataSent);\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-         \x20   #[test]\n\
-         \x20   fn events_fire() { let _ = TraceEvent::DataSent; }\n\
-         }\n",
-    );
     write(
         &root,
         "crates/core/src/hot.rs",
@@ -50,42 +34,10 @@ pub fn create(tag: &str) -> PathBuf {
          \x20   buf.push(1);\n\
          }\n",
     );
-    write(
-        &root,
-        "crates/core/src/stats.rs",
-        "define_stats! {\n\
-         \x20   data_sent: sum,\n\
-         }\n\
-         pub fn bump(s: &mut Stats) { s.data_sent += 1; }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-         \x20   #[test]\n\
-         \x20   fn counts() { assert!(Stats::default().data_sent == 0); }\n\
-         }\n",
-    );
-    write(
-        &root,
-        "crates/core/src/config.rs",
-        "pub struct ProtocolConfig {\n\
-         \x20   pub window: usize,\n\
-         }\n\
-         impl ProtocolConfig {\n\
-         \x20   pub fn validate(&self) -> Result<(), Error> {\n\
-         \x20       if self.window == 0 { return Err(Error::Window); }\n\
-         \x20       Ok(())\n\
-         \x20   }\n\
-         }\n",
-    );
-    write(
-        &root,
-        "crates/rmtrace/src/event.rs",
-        "pub enum TraceEvent {\n    DataSent,\n}\n",
-    );
-    write(
-        &root,
-        "docs/OBSERVABILITY.md",
-        "| data_sent | packets sent |\n| DataSent | a send |\n",
-    );
+    // The other hot-path dirs exist, with nothing in them to flag.
+    for dir in rmcheck::lint::HOT_PATH_DIRS {
+        std::fs::create_dir_all(root.join(dir)).expect("create hot-path dir");
+    }
 
     root
 }

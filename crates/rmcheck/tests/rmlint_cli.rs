@@ -71,12 +71,21 @@ fn missing_scope_files_exit_two() {
     // A bare [workspace] with none of the linted tree is a configuration
     // error, not "clean": the lint must never silently scan nothing.
     let root = fake_ws::create("cli-bare");
-    for dir in ["crates", "docs"] {
-        std::fs::remove_dir_all(root.join(dir)).expect("strip fixture");
-    }
+    std::fs::remove_dir_all(root.join("crates")).expect("strip fixture");
     let out = rmlint(&root, &[]);
     assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
     assert!(stdout(&out).contains("[lint-config]"));
+
+    // One hot-path dir gone is enough.
+    let root = fake_ws::create("cli-one-missing");
+    std::fs::remove_dir_all(root.join("crates/netsim")).expect("strip fixture");
+    let out = rmlint(&root, &[]);
+    assert_eq!(code(&out), 2, "stdout: {}", stdout(&out));
+    assert!(
+        stdout(&out).contains("crates/netsim/src:0: [lint-config]"),
+        "stdout: {}",
+        stdout(&out)
+    );
 }
 
 #[test]

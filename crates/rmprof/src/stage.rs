@@ -53,21 +53,11 @@ impl Stage {
         Stage::UdpRx,
     ];
 
-    /// The registry table index of this stage.
+    /// The registry table index of this stage: its declaration
+    /// position, which is also its position in [`Stage::ALL`].
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            Stage::WireEncode => 0,
-            Stage::WireDecode => 1,
-            Stage::WireCrc => 2,
-            Stage::SenderWindow => 3,
-            Stage::RecvAssembly => 4,
-            Stage::FecEncode => 5,
-            Stage::FecDecode => 6,
-            Stage::NetsimDispatch => 7,
-            Stage::UdpTx => 8,
-            Stage::UdpRx => 9,
-        }
+        self as usize
     }
 
     /// The stable wire name (`"wire.encode"`, `"udprun.rx"`, ...).

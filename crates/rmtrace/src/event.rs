@@ -4,14 +4,71 @@
 //! Events are deliberately small and integer-only (the one exception is
 //! the network drop cause, a `&'static str` bridged from the simulator's
 //! `DropCause` names) so emitting one never allocates.
+//!
+//! The variants are declared once through [`define_events!`], which
+//! derives the enum, [`TraceEvent::name`], [`TraceEvent::NAMES`] and the
+//! JSON field writer from the same list — so a new event can never be
+//! missing from the trace encoding or from the docs test that reads
+//! `NAMES`.
 
 use std::fmt::Write as _;
 
-/// A typed protocol event. Sequence-carrying variants identify a packet
-/// by `(transfer, seq)`; `transfer` is the engine's transfer id (even =
-/// allocation handshake, odd = data phase; message id = `transfer / 2`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+/// How one event field is written as a JSON value: integers bare, the
+/// drop cause between quotes (cause names are identifiers, so there is
+/// nothing to escape).
+trait JsonValue: std::fmt::Display {
+    const QUOTE: &'static str = "";
+}
+
+impl JsonValue for u16 {}
+impl JsonValue for u32 {}
+impl JsonValue for u64 {}
+impl JsonValue for &'static str {
+    const QUOTE: &'static str = "\"";
+}
+
+macro_rules! define_events {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident { $( $(#[$fdoc:meta])* $field:ident : $ty:ty, )* },
+    )*) => {
+        /// A typed protocol event. Sequence-carrying variants identify a
+        /// packet by `(transfer, seq)`; `transfer` is the engine's transfer
+        /// id (even = allocation handshake, odd = data phase; message id =
+        /// `transfer / 2`).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$doc])* $name { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        impl TraceEvent {
+            /// Every event's name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Stable event-type name used as the JSON `ev` field.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$name { .. } => stringify!($name), )*
+                }
+            }
+
+            /// Append `,"field":value` for every field, in declaration
+            /// order.
+            fn write_json_fields(&self, s: &mut String) {
+                match self {
+                    $( TraceEvent::$name { $($field),* } => {
+                        $(
+                            let q = <$ty as JsonValue>::QUOTE;
+                            let _ = write!(s, concat!(",\"", stringify!($field), "\":{}{}{}"), q, $field, q);
+                        )*
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+define_events! {
     /// Sender put a fresh data packet on the wire.
     DataSent {
         /// Transfer id.
@@ -206,38 +263,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Stable event-type name used as the JSON `ev` field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::DataSent { .. } => "DataSent",
-            TraceEvent::Retransmit { .. } => "Retransmit",
-            TraceEvent::DataRecv { .. } => "DataRecv",
-            TraceEvent::DataDiscarded { .. } => "DataDiscarded",
-            TraceEvent::Delivered { .. } => "Delivered",
-            TraceEvent::AckSent { .. } => "AckSent",
-            TraceEvent::AckReceived { .. } => "AckReceived",
-            TraceEvent::NakSent { .. } => "NakSent",
-            TraceEvent::NakReceived { .. } => "NakReceived",
-            TraceEvent::TimeoutFired { .. } => "TimeoutFired",
-            TraceEvent::WindowStall { .. } => "WindowStall",
-            TraceEvent::WindowRelease { .. } => "WindowRelease",
-            TraceEvent::Evicted { .. } => "Evicted",
-            TraceEvent::EpochChange { .. } => "EpochChange",
-            TraceEvent::WindowShrink { .. } => "WindowShrink",
-            TraceEvent::WindowGrow { .. } => "WindowGrow",
-            TraceEvent::StormSuppressed { .. } => "StormSuppressed",
-            TraceEvent::QuarantineEnter { .. } => "QuarantineEnter",
-            TraceEvent::QuarantineExit { .. } => "QuarantineExit",
-            TraceEvent::Backpressure { .. } => "Backpressure",
-            TraceEvent::RepairSent { .. } => "RepairSent",
-            TraceEvent::ParitySent { .. } => "ParitySent",
-            TraceEvent::RepairDecoded { .. } => "RepairDecoded",
-            TraceEvent::Drop { .. } => "Drop",
-        }
-    }
-}
-
 /// One trace record: an event stamped with time and endpoint rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -262,117 +287,7 @@ impl TraceRecord {
             self.rank,
             self.ev.name()
         );
-        match &self.ev {
-            TraceEvent::DataSent { transfer, seq } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"seq\":{seq}");
-            }
-            TraceEvent::Retransmit { transfer, seq, nth } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"seq\":{seq},\"nth\":{nth}");
-            }
-            TraceEvent::DataRecv { transfer, seq }
-            | TraceEvent::DataDiscarded { transfer, seq } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"seq\":{seq}");
-            }
-            TraceEvent::Delivered { transfer, msg_id } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"msg_id\":{msg_id}");
-            }
-            TraceEvent::AckSent { transfer, next } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"next\":{next}");
-            }
-            TraceEvent::AckReceived {
-                from,
-                transfer,
-                next,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"from\":{from},\"transfer\":{transfer},\"next\":{next}"
-                );
-            }
-            TraceEvent::NakSent { transfer, seq } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"seq\":{seq}");
-            }
-            TraceEvent::NakReceived {
-                from,
-                transfer,
-                seq,
-            } => {
-                let _ = write!(s, ",\"from\":{from},\"transfer\":{transfer},\"seq\":{seq}");
-            }
-            TraceEvent::TimeoutFired {
-                transfer,
-                streak,
-                rto_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"transfer\":{transfer},\"streak\":{streak},\"rto_ns\":{rto_ns}"
-                );
-            }
-            TraceEvent::WindowStall { transfer, base }
-            | TraceEvent::WindowRelease { transfer, base } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"base\":{base}");
-            }
-            TraceEvent::Evicted { peer, transfer } => {
-                let _ = write!(s, ",\"peer\":{peer},\"transfer\":{transfer}");
-            }
-            TraceEvent::EpochChange { epoch } => {
-                let _ = write!(s, ",\"epoch\":{epoch}");
-            }
-            TraceEvent::WindowShrink { transfer, cap }
-            | TraceEvent::WindowGrow { transfer, cap } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"cap\":{cap}");
-            }
-            TraceEvent::StormSuppressed { transfer } => {
-                let _ = write!(s, ",\"transfer\":{transfer}");
-            }
-            TraceEvent::QuarantineEnter { peer, transfer } => {
-                let _ = write!(s, ",\"peer\":{peer},\"transfer\":{transfer}");
-            }
-            TraceEvent::QuarantineExit {
-                peer,
-                transfer,
-                caught_up,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"peer\":{peer},\"transfer\":{transfer},\"caught_up\":{caught_up}"
-                );
-            }
-            TraceEvent::Backpressure {
-                transfer,
-                congested,
-            } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"congested\":{congested}");
-            }
-            TraceEvent::RepairSent {
-                transfer,
-                base,
-                coded,
-                generation,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"transfer\":{transfer},\"base\":{base},\"coded\":{coded},\"generation\":{generation}"
-                );
-            }
-            TraceEvent::ParitySent {
-                transfer,
-                base,
-                coded,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"transfer\":{transfer},\"base\":{base},\"coded\":{coded}"
-                );
-            }
-            TraceEvent::RepairDecoded { transfer, seq } => {
-                let _ = write!(s, ",\"transfer\":{transfer},\"seq\":{seq}");
-            }
-            TraceEvent::Drop { cause } => {
-                let _ = write!(s, ",\"cause\":\"{cause}\"");
-            }
-        }
+        self.ev.write_json_fields(&mut s);
         s.push('}');
         s
     }

@@ -13,7 +13,7 @@ use super::{ack_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort};
 use crate::scenario::{ChaosOutcome, Scenario};
 use crate::table::Table;
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, MembershipConfig, ProtocolConfig};
+use rmcast::{LivenessConfig, ProtocolConfig};
 use rmwire::{Duration, Time};
 
 /// Receivers in the churn runs (the sender is host 0, receivers are
@@ -41,7 +41,7 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         // Tree parents need their own deadline for silent children; keep
         // it past the RTO so lossy-but-alive children are never culled.
         cfg.liveness.child_evict_timeout = Some(Duration::from_millis(400));
-        cfg.membership = MembershipConfig::enabled();
+        cfg.membership = true;
     }
     v
 }

@@ -231,7 +231,7 @@ impl Scenario {
                         self.cost,
                         Rc::clone(&rec),
                     );
-                    if cfg.membership.enabled {
+                    if cfg.membership {
                         // A crash-restarted host reboots with no protocol
                         // state and must rejoin through JOIN/SYNC.
                         let respawn_trace = trace.map(|t| (t.sink.clone(), t.flight_cap));

@@ -21,9 +21,9 @@
 //! prints the whole table as it should read, ready to paste over `ROWS`.
 
 use netsim::{FaultPlan, HostId};
-use rmcast::{
-    LivenessConfig, MembershipConfig, OverloadConfig, ProtocolConfig, ProtocolKind, Stats,
-};
+use std::collections::BTreeSet;
+
+use rmcast::{LivenessConfig, OverloadConfig, ProtocolConfig, ProtocolKind, Stats, TraceEvent};
 use rmwire::{crc32c, Duration, Time};
 use simrun::scenario::{Protocol, Scenario, TopologyKind};
 
@@ -204,7 +204,7 @@ fn layered(fam: &str, plan: &str) -> Scenario {
         "churn" => {
             cfg.liveness = LivenessConfig::evicting(6);
             cfg.liveness.child_evict_timeout = Some(Duration::from_millis(400));
-            cfg.membership = MembershipConfig::enabled();
+            cfg.membership = true;
             sc.n_messages = 4;
             sc.fault_plan = FaultPlan::default()
                 .with_crash_restart(HostId(2), Time::from_millis(5), Time::from_millis(330))
@@ -264,9 +264,9 @@ fn layered(fam: &str, plan: &str) -> Scenario {
     sc
 }
 
-/// One layered run: its digest, the sender's counters and the sum of the
-/// receivers' counters.
-fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats) {
+/// One layered run: its digest, the sender's counters, the sum of the
+/// receivers' counters and the names of the events it traced.
+fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats, BTreeSet<&'static str>) {
     let (outcome, records) = layered(fam, plan).run_chaos_traced(seed, 64);
     assert!(outcome.bounded(), "{fam}/{plan} seed {seed} hung");
     let mut text = format!("{outcome:?}\n");
@@ -278,7 +278,13 @@ fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats) {
     for s in &outcome.receiver_stats {
         receivers.merge(s);
     }
-    (crc32c(text.as_bytes()), outcome.sender_stats, receivers)
+    let names = records.iter().map(|r| r.ev.name()).collect();
+    (
+        crc32c(text.as_bytes()),
+        outcome.sender_stats,
+        receivers,
+        names,
+    )
 }
 
 /// `(family, plan, seed, digest)`.
@@ -342,30 +348,17 @@ const LAYER_ROWS: &[LayerRow] = &[
 fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
     let mut total = Stats::default();
     let mut rx = Stats::default();
+    let mut traced = BTreeSet::new();
     let actual: Vec<LayerRow> = LAYER_ROWS
         .iter()
         .map(|&(fam, plan, seed, _)| {
-            let (digest, sender, receivers) = layered_run(fam, plan, seed);
+            let (digest, sender, receivers, names) = layered_run(fam, plan, seed);
             total.merge(&sender);
             rx.merge(&receivers);
+            traced.extend(names);
             (fam, plan, seed, digest)
         })
         .collect();
-    if actual != LAYER_ROWS {
-        let table: String = actual
-            .iter()
-            .map(|(fam, plan, seed, d)| format!("    ({fam:?}, {plan:?}, {seed}, 0x{d:08x}),\n"))
-            .collect();
-        let moved = actual
-            .iter()
-            .zip(LAYER_ROWS)
-            .filter(|(a, b)| a != b)
-            .count();
-        panic!(
-            "{moved} of {} layered rows moved; the table as this build computes it:\n{table}",
-            LAYER_ROWS.len()
-        );
-    }
     // Every sender-side layer counter fired somewhere in the table, so a
     // digest that holds is a statement about that layer's behaviour.
     let reached = [
@@ -403,7 +396,59 @@ fn every_layered_row_matches_its_recorded_digest_and_reaches_every_layer() {
         .map(|&(name, _)| name)
         .collect();
     assert!(unreached.is_empty(), "no layered row reached {unreached:?}");
+
+    // Every trace event and every counter is emitted or moved by some
+    // row, so each one is pinned by a digest. An event or counter that
+    // nothing produces any more fails here by name.
+    let untraced: Vec<&str> = TraceEvent::NAMES
+        .iter()
+        .copied()
+        .filter(|name| !traced.contains(name))
+        .collect();
+    assert!(untraced.is_empty(), "no layered row traced {untraced:?}");
+    let mut all = total;
+    all.merge(&rx);
+    let exempt = |name: &str| UNREACHED_COUNTERS.iter().any(|&(n, _)| n == name);
+    let still: Vec<&str> = all
+        .fields()
+        .into_iter()
+        .filter(|&(name, value)| (value == 0) != exempt(name))
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        still.is_empty(),
+        "counters no layered row moved, or exemptions a row now moves: {still:?}"
+    );
+
+    // Checked last: a new counter or event moves every digest too, and
+    // the name of what no row reaches is the more useful message.
+    if actual != LAYER_ROWS {
+        let table: String = actual
+            .iter()
+            .map(|(fam, plan, seed, d)| format!("    ({fam:?}, {plan:?}, {seed}, 0x{d:08x}),\n"))
+            .collect();
+        let moved = actual
+            .iter()
+            .zip(LAYER_ROWS)
+            .filter(|(a, b)| a != b)
+            .count();
+        panic!(
+            "{moved} of {} layered rows moved; the table as this build computes it:\n{table}",
+            LAYER_ROWS.len()
+        );
+    }
 }
+
+/// Counters no layered row moves, each with the tests that pin it
+/// instead: they count corrupted datagrams and replayed coded blocks,
+/// and no layered plan corrupts a datagram or replays a block.
+#[rustfmt::skip]
+const UNREACHED_COUNTERS: &[(&str, &str)] = &[
+    ("decode_errors", "core/tests/integrity.rs, rmfuzz/tests/fuzz.rs"),
+    ("malformed_rx", "core/tests/integrity.rs, rmfuzz/tests/fuzz.rs"),
+    ("integrity_fail", "core/tests/integrity.rs, rmfuzz/tests/fuzz.rs"),
+    ("repairs_replayed", "rmfuzz/tests/fuzz.rs, core/tests/receiver_paths.rs"),
+];
 
 #[test]
 fn the_layered_table_covers_every_family_under_every_plan_at_two_seeds() {

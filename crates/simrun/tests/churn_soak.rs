@@ -7,7 +7,7 @@
 //! at every receiver that is live at the end.
 
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, MembershipConfig, ProtocolConfig, ProtocolKind};
+use rmcast::{LivenessConfig, ProtocolConfig, ProtocolKind};
 use rmwire::{Duration, Rank, Time};
 use simrun::scenario::{ChaosOutcome, Protocol, Scenario};
 use std::collections::BTreeMap;
@@ -44,7 +44,7 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
         // Tree parents need their own deadline for silent children; keep
         // it past the RTO so lossy-but-alive children are never culled.
         cfg.liveness.child_evict_timeout = Some(Duration::from_millis(400));
-        cfg.membership = MembershipConfig::enabled();
+        cfg.membership = true;
     }
     v
 }

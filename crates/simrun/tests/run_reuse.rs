@@ -4,7 +4,7 @@
 //! and the seed, never on what ran before it on the thread.
 
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, MembershipConfig, ProtocolConfig, ProtocolKind};
+use rmcast::{LivenessConfig, ProtocolConfig, ProtocolKind};
 use rmwire::{Rank, Time};
 use simrun::scenario::{ChaosOutcome, Protocol, RunResult, Scenario};
 
@@ -77,7 +77,7 @@ fn a_run_does_not_depend_on_the_runs_before_it() {
 fn churn_scenario() -> Scenario {
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16);
     cfg.liveness = LivenessConfig::evicting(6);
-    cfg.membership = MembershipConfig::enabled();
+    cfg.membership = true;
     let mut sc = Scenario::new(Protocol::Rm(cfg), N, MSG);
     sc.n_messages = 4;
     sc.fault_plan = FaultPlan::default().with_crash_restart(

@@ -1,8 +1,8 @@
 //! Trace-event coverage: every observability signal the engines emit is
 //! pinned by at least one end-to-end assertion, so a refactor cannot
-//! silently stop emitting it (`rmlint`'s `counter-drift` rule enforces
-//! the same contract statically — each `TraceEvent` variant must be
-//! asserted in some test).
+//! silently stop emitting it (`behaviour_lock.rs`'s layered rows hold the
+//! same contract for the whole vocabulary: between them they must trace
+//! every `TraceEvent::NAMES` entry).
 //!
 //! Three adversarial scenarios between them light up the loss-recovery,
 //! eviction, and overload event families:

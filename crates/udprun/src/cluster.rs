@@ -39,7 +39,7 @@ pub struct ClusterConfig {
     /// Receiver indices that start dead and come back after the given
     /// wall-clock delay as fresh joining endpoints on the same socket —
     /// a kill-and-restart of the receiver process. Requires
-    /// `protocol.membership.enabled` so the reboot can rejoin.
+    /// `protocol.membership` so the reboot can rejoin.
     pub restart_receivers: Vec<(usize, StdDuration)>,
     /// Shared trace sink: every endpoint streams its protocol events here,
     /// stamped with wall-clock nanoseconds since one run-wide epoch so

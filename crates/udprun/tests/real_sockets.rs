@@ -213,7 +213,7 @@ fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::PAPER; // retry forever
-    cfg.membership = rmcast::MembershipConfig::enabled();
+    cfg.membership = true;
     let msg = payload(60_000);
     let mut cc = ClusterConfig::new(cfg, 4);
     cc.dead_receivers = vec![1];
@@ -252,7 +252,7 @@ fn restarted_receiver_rejoins_over_real_sockets() {
     let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::evicting(6);
-    cfg.membership = rmcast::MembershipConfig::enabled();
+    cfg.membership = true;
     let msgs: Vec<Bytes> = (0..40).map(|i| payload(24_000 + i * 100)).collect();
     let mut cc = ClusterConfig::new(cfg, 4);
     cc.hub_drop_every = Some(20);
