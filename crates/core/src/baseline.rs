@@ -11,7 +11,7 @@
 //!   here.
 
 use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
-use crate::packet::{self, Packet};
+use crate::packet::{self, Body, Packet};
 use crate::sender::Sender;
 use crate::stats::Stats;
 use bytes::Bytes;
@@ -113,7 +113,11 @@ impl RawUdpSender {
 
 impl Endpoint for RawUdpSender {
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]) {
-        let Ok(Packet::Ack { header, body, .. }) = Packet::parse(datagram) else {
+        let Ok(Packet {
+            header,
+            body: Body::Ack { next_expected, .. },
+        }) = Packet::parse(datagram)
+        else {
             self.stats.decode_errors += 1;
             return;
         };
@@ -122,7 +126,7 @@ impl Endpoint for RawUdpSender {
             return;
         };
         if header.transfer != Sender::data_transfer_id(a.msg_id)
-            || body.next_expected.0 < a.k
+            || next_expected.0 < a.k
             || header.src_rank.is_sender()
             || !self.group.contains(header.src_rank)
         {
@@ -212,7 +216,11 @@ impl RawUdpReceiver {
 
 impl Endpoint for RawUdpReceiver {
     fn handle_datagram(&mut self, _now: Time, datagram: &[u8]) {
-        let Ok(Packet::Data { header, body }) = Packet::parse(datagram) else {
+        let Ok(Packet {
+            header,
+            body: Body::Data(body),
+        }) = Packet::parse(datagram)
+        else {
             self.stats.decode_errors += 1;
             return;
         };

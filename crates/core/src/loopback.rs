@@ -12,7 +12,7 @@
 //! On the testbed every receiver is its own workstation and verifies its
 //! copy while the others verify theirs. A group with
 //! `ProtocolConfig::integrity` does the same on two threads in rounds
-//! whose transmits address at least [`FANOUT_MIN`] bytes to the upper half
+//! whose transmits address at least `FANOUT_MIN` bytes to the upper half
 //! of the receivers. Such a round is *split*: its arrivals are gathered
 //! into two lists (the sender's and the lower half's; the upper half's),
 //! then the upper half's `Receiver`s and their list are moved to one

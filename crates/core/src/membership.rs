@@ -29,7 +29,7 @@ use crate::sender::Sender;
 use crate::stats::Stats;
 use crate::tree::TreeTopology;
 use rmtrace::TraceEvent;
-use rmwire::{Duration, Rank, SyncBody, Time};
+use rmwire::{Duration, PacketType, Rank, SyncBody, Time};
 use std::iter;
 
 /// Consecutive missed heartbeats before a member is *suspected* (counted,
@@ -173,7 +173,7 @@ impl Members {
         io.stats.heartbeats_sent += 1;
         io.out.push_back(Transmit {
             dest: Dest::Receivers,
-            payload: packet::encode_heartbeat(Rank::SENDER, self.epoch),
+            payload: packet::encode_membership(PacketType::Heartbeat, Rank::SENDER, self.epoch),
             copied: 0,
         });
     }
@@ -295,7 +295,7 @@ impl Members {
     pub(crate) fn join(&mut self, rank: Rank, io: &mut Io<'_>) -> bool {
         io.out.push_back(Transmit {
             dest: Dest::Rank(rank),
-            payload: packet::encode_welcome(Rank::SENDER, self.epoch),
+            payload: packet::encode_membership(PacketType::Welcome, Rank::SENDER, self.epoch),
             copied: 0,
         });
         let idx = rank.receiver_index();
@@ -422,7 +422,7 @@ impl Admission {
     fn send_join(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
         io.out.push_back(Transmit {
             dest: Dest::Sender,
-            payload: packet::encode_join(rank, self.epoch),
+            payload: packet::encode_membership(PacketType::Join, rank, self.epoch),
             copied: 0,
         });
         self.join_deadline = Some(now + JOIN_RETRY);
@@ -432,7 +432,7 @@ impl Admission {
     pub(crate) fn leave(&self, rank: Rank, io: &mut Io<'_>) {
         io.out.push_back(Transmit {
             dest: Dest::Sender,
-            payload: packet::encode_leave(rank, self.epoch),
+            payload: packet::encode_membership(PacketType::Leave, rank, self.epoch),
             copied: 0,
         });
     }
@@ -478,7 +478,7 @@ impl Admission {
             io.stats.heartbeats_sent += 1;
             io.out.push_back(Transmit {
                 dest,
-                payload: packet::encode_heartbeat(rank, self.epoch),
+                payload: packet::encode_membership(PacketType::Heartbeat, rank, self.epoch),
                 copied: 0,
             });
         }

@@ -10,106 +10,88 @@
 )]
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rmwire::{
-    AckBody, AllocBody, Header, HeartbeatBody, JoinBody, LeaveBody, NakBody, PacketFlags,
-    PacketType, Rank, RepairBody, SeqNo, SyncBody, WelcomeBody, WireError, HEADER_LEN,
+    AllocBody, Header, PacketFlags, PacketType, Rank, RepairBody, SeqNo, SyncBody, WireError,
+    HEADER_LEN,
 };
 
-/// A fully parsed incoming packet. Variable-length bytes (`Data.body`,
-/// `Repair`/`Parity.payload`) are views into the datagram it was parsed
-/// from, not copies.
-#[derive(Debug, Clone)]
-pub enum Packet<'a> {
-    /// Application data chunk.
-    Data {
-        /// Parsed header.
-        header: Header,
-        /// The data bytes, borrowed from the receive buffer: whoever keeps
-        /// them past the datagram's lifetime copies them (the receiver's
-        /// assembly does, once, into the message buffer).
-        body: &'a [u8],
-    },
+/// A fully parsed incoming packet: the header every packet starts with,
+/// then the body its type selects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Packet<'a> {
+    /// Parsed header.
+    pub header: Header,
+    /// Parsed body.
+    pub body: Body<'a>,
+}
+
+/// The body of a [`Packet`]. Variable-length bytes (`Data`, `Coded`'s
+/// payload) are views into the datagram it was parsed from, not copies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Body<'a> {
+    /// Application data chunk, borrowed from the receive buffer: whoever
+    /// keeps it past the datagram's lifetime copies it (the receiver's
+    /// assembly does, once, into the message buffer).
+    Data(&'a [u8]),
     /// Buffer-allocation request (a `Data` packet flagged `ALLOC`).
-    Alloc {
-        /// Parsed header.
-        header: Header,
-        /// Allocation body.
-        body: AllocBody,
-    },
-    /// Cumulative acknowledgment.
+    Alloc(AllocBody),
+    /// Cumulative acknowledgment. The ring protocol sends these from the
+    /// rotating token site; the ACK protocol from every receiver; the NAK
+    /// protocol only in response to polled packets.
     Ack {
-        /// Parsed header.
-        header: Header,
-        /// Acknowledgment body.
-        body: AckBody,
+        /// "I (and, in the tree protocol, every receiver in my subtree)
+        /// have received every data packet with `seq < next_expected`."
+        next_expected: SeqNo,
         /// Membership epoch the acknowledging receiver believed in, present
         /// only when the group runs with membership enabled.
         epoch: Option<u32>,
     },
-    /// Negative acknowledgment.
+    /// Negative acknowledgment. Under Go-Back-N the sender rewinds to
+    /// `expected`.
     Nak {
-        /// Parsed header.
-        header: Header,
-        /// NAK body.
-        body: NakBody,
-        /// Membership epoch, as for [`Packet::Ack`].
+        /// The receiver's next expected sequence number: the first packet
+        /// of the detected gap.
+        expected: SeqNo,
+        /// Membership epoch, as for [`Body::Ack`].
         epoch: Option<u32>,
     },
-    /// Admission request from a (re)joining receiver.
+    /// Admission request from a first-time or previously evicted receiver.
     Join {
-        /// Parsed header.
-        header: Header,
-        /// Join body.
-        body: JoinBody,
+        /// The last epoch the joiner observed, or 0 if it has never been a
+        /// member. Lets the sender tell a fresh join from a rejoin after a
+        /// partition whose epoch may still be current.
+        last_epoch: u32,
     },
-    /// The sender's immediate acknowledgment of a `Join`.
+    /// The sender's immediate response to a `Join`, confirming the request
+    /// is registered; the admission itself (a `Sync`) follows at the next
+    /// message boundary.
     Welcome {
-        /// Parsed header.
-        header: Header,
-        /// Welcome body.
-        body: WelcomeBody,
+        /// The group's current membership epoch.
+        epoch: u32,
     },
-    /// Voluntary departure announcement.
+    /// A receiver announces its voluntary departure.
     Leave {
-        /// Parsed header.
-        header: Header,
-        /// Leave body.
-        body: LeaveBody,
+        /// The epoch in which the receiver is leaving.
+        epoch: u32,
     },
-    /// Liveness beacon (sender announce when `src_rank == 0`, receiver
-    /// reply otherwise).
+    /// Liveness beacon. The sender multicasts them (`src_rank == 0`);
+    /// receivers echo them back unicast, so the failure detector observes
+    /// liveness even between data transfers.
     Heartbeat {
-        /// Parsed header.
-        header: Header,
-        /// Heartbeat body.
-        body: HeartbeatBody,
+        /// The group's current membership epoch.
+        epoch: u32,
     },
     /// Admission handoff to a joiner.
-    Sync {
-        /// Parsed header.
-        header: Header,
-        /// Sync body.
-        body: SyncBody,
-    },
-    /// Reactive coded repair: XOR of the packets named by `body`.
-    Repair {
-        /// Parsed header.
-        header: Header,
+    Sync(SyncBody),
+    /// A coded block: the XOR of the packets `block` names. The header's
+    /// type tells a reactive REPAIR from a proactive PARITY over the last
+    /// *k* data packets; the layout is the same.
+    Coded {
         /// Coded-block header (seq set + generation).
-        body: RepairBody,
-        /// The XOR of the named chunks, each zero-padded to the
-        /// transfer's packet size.
-        payload: &'a [u8],
-    },
-    /// Proactive parity over the last *k* data packets (same layout as
-    /// [`Packet::Repair`], different emission policy).
-    Parity {
-        /// Parsed header.
-        header: Header,
-        /// Coded-block header (seq set + generation).
-        body: RepairBody,
-        /// The XOR of the named chunks, zero-padded to packet size.
+        block: RepairBody,
+        /// The XOR of the named chunks, each zero-padded to the transfer's
+        /// packet size.
         payload: &'a [u8],
     },
 }
@@ -173,76 +155,42 @@ impl<'a> Packet<'a> {
 
         let mut buf = datagram;
         let header = Header::decode(&mut buf)?;
-        let packet = match header.ptype {
-            PacketType::Data => {
-                if header.flags.contains(PacketFlags::ALLOC) {
-                    let body = AllocBody::decode(&mut buf)?;
-                    Packet::Alloc { header, body }
-                } else {
-                    // Arbitrary application bytes: consume everything.
-                    let body = std::mem::take(&mut buf);
-                    Packet::Data { header, body }
-                }
+        let body = match header.ptype {
+            PacketType::Data if header.flags.contains(PacketFlags::ALLOC) => {
+                Body::Alloc(AllocBody::decode(&mut buf)?)
             }
-            PacketType::Ack => {
-                let body = AckBody::decode(&mut buf)?;
-                let epoch = decode_epoch_tail(&mut buf)?;
-                Packet::Ack {
-                    header,
-                    body,
-                    epoch,
-                }
-            }
-            PacketType::Nak => {
-                let body = NakBody::decode(&mut buf)?;
-                let epoch = decode_epoch_tail(&mut buf)?;
-                Packet::Nak {
-                    header,
-                    body,
-                    epoch,
-                }
-            }
-            PacketType::Join => {
-                let body = JoinBody::decode(&mut buf)?;
-                Packet::Join { header, body }
-            }
-            PacketType::Welcome => {
-                let body = WelcomeBody::decode(&mut buf)?;
-                Packet::Welcome { header, body }
-            }
-            PacketType::Leave => {
-                let body = LeaveBody::decode(&mut buf)?;
-                Packet::Leave { header, body }
-            }
-            PacketType::Heartbeat => {
-                let body = HeartbeatBody::decode(&mut buf)?;
-                Packet::Heartbeat { header, body }
-            }
-            PacketType::Sync => {
-                let body = SyncBody::decode(&mut buf)?;
-                Packet::Sync { header, body }
-            }
+            // Arbitrary application bytes: consume everything.
+            PacketType::Data => Body::Data(std::mem::take(&mut buf)),
+            PacketType::Ack => Body::Ack {
+                next_expected: SeqNo(word(&mut buf)?),
+                epoch: epoch_tail(&mut buf)?,
+            },
+            PacketType::Nak => Body::Nak {
+                expected: SeqNo(word(&mut buf)?),
+                epoch: epoch_tail(&mut buf)?,
+            },
+            PacketType::Join => Body::Join {
+                last_epoch: word(&mut buf)?,
+            },
+            PacketType::Welcome => Body::Welcome {
+                epoch: word(&mut buf)?,
+            },
+            PacketType::Leave => Body::Leave {
+                epoch: word(&mut buf)?,
+            },
+            PacketType::Heartbeat => Body::Heartbeat {
+                epoch: word(&mut buf)?,
+            },
+            PacketType::Sync => Body::Sync(SyncBody::decode(&mut buf)?),
             PacketType::Repair | PacketType::Parity => {
-                let body = RepairBody::decode(&mut buf)?;
+                let block = RepairBody::decode(&mut buf)?;
                 // An XOR block with no coded bytes is unencodable: even a
                 // zero-length tail chunk pads to the packet size.
                 if buf.is_empty() {
                     return Err(WireError::Truncated { need: 1, have: 0 });
                 }
                 let payload = std::mem::take(&mut buf);
-                if header.ptype == PacketType::Repair {
-                    Packet::Repair {
-                        header,
-                        body,
-                        payload,
-                    }
-                } else {
-                    Packet::Parity {
-                        header,
-                        body,
-                        payload,
-                    }
-                }
+                Body::Coded { block, payload }
             }
         };
         // Strict decode: a well-formed body leaves nothing behind. (Data
@@ -250,35 +198,29 @@ impl<'a> Packet<'a> {
         if !buf.is_empty() {
             return Err(WireError::TrailingGarbage { extra: buf.len() });
         }
-        Ok(packet)
+        Ok(Packet { header, body })
     }
+}
 
-    /// The parsed header, whichever variant.
-    pub fn header(&self) -> &Header {
-        match self {
-            Packet::Data { header, .. }
-            | Packet::Alloc { header, .. }
-            | Packet::Ack { header, .. }
-            | Packet::Nak { header, .. }
-            | Packet::Join { header, .. }
-            | Packet::Welcome { header, .. }
-            | Packet::Leave { header, .. }
-            | Packet::Heartbeat { header, .. }
-            | Packet::Sync { header, .. }
-            | Packet::Repair { header, .. }
-            | Packet::Parity { header, .. } => header,
-        }
+/// Read one big-endian `u32` body word, refusing a buffer too short for it.
+fn word(buf: &mut &[u8]) -> Result<u32, WireError> {
+    if buf.len() < 4 {
+        return Err(WireError::Truncated {
+            need: 4,
+            have: buf.len(),
+        });
     }
+    Ok(buf.get_u32())
 }
 
 /// Decode the optional 4-byte epoch trailer on ACK/NAK packets. A group
 /// running without membership emits no trailer, so the disabled wire format
 /// is byte-identical to the paper's.
-fn decode_epoch_tail<B: Buf>(buf: &mut B) -> Result<Option<u32>, WireError> {
-    match buf.remaining() {
-        0 => Ok(None),
-        n if n >= 4 => Ok(Some(buf.get_u32())),
-        have => Err(WireError::Truncated { need: 4, have }),
+fn epoch_tail(buf: &mut &[u8]) -> Result<Option<u32>, WireError> {
+    if buf.is_empty() {
+        Ok(None)
+    } else {
+        word(buf).map(Some)
     }
 }
 
@@ -325,7 +267,7 @@ fn seal_owned(mut buf: BytesMut) -> Bytes {
     let crc_span = rmprof::span!(rmprof::Stage::WireCrc);
     let crc = rmwire::crc32c(&buf);
     drop(crc_span);
-    bytes::BufMut::put_u32(&mut buf, crc);
+    buf.put_u32(crc);
     buf.freeze()
 }
 
@@ -349,7 +291,7 @@ fn encode(
     header.encode(&mut buf);
     body(&mut buf);
     if let Some(epoch) = epoch {
-        bytes::BufMut::put_u32(&mut buf, epoch);
+        buf.put_u32(epoch);
     }
     buf.freeze()
 }
@@ -398,36 +340,15 @@ pub fn encode_alloc(src_rank: Rank, transfer: u32, flags: PacketFlags, body: All
     encode(header, AllocBody::LEN, None, |buf| body.encode(buf))
 }
 
-/// Encode a cumulative ACK.
+/// Encode a cumulative ACK without the epoch trailer.
 pub fn encode_ack(src_rank: Rank, transfer: u32, next_expected: SeqNo) -> Bytes {
     ack(src_rank, transfer, next_expected, None)
 }
 
-/// Encode a NAK for the first missing sequence number.
-pub fn encode_nak(src_rank: Rank, transfer: u32, expected: SeqNo) -> Bytes {
-    nak(src_rank, transfer, expected, None)
-}
-
-/// Encode a cumulative ACK stamped with the membership epoch (used only
-/// when membership is enabled; the trailer makes stale-epoch ACKs
-/// detectable).
-pub fn encode_ack_epoch(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: u32) -> Bytes {
-    ack(src_rank, transfer, next_expected, Some(epoch))
-}
-
-/// Encode an epoch-stamped NAK (membership-enabled counterpart of
-/// [`encode_nak`]).
-pub fn encode_nak_epoch(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: u32) -> Bytes {
-    nak(src_rank, transfer, expected, Some(epoch))
-}
-
-/// Encode a cumulative ACK, epoch-stamped when `epoch` is given.
-pub(crate) fn ack(
-    src_rank: Rank,
-    transfer: u32,
-    next_expected: SeqNo,
-    epoch: Option<u32>,
-) -> Bytes {
+/// Encode a cumulative ACK, epoch-stamped when `epoch` is given (only when
+/// membership is enabled: the trailer makes stale-epoch ACKs detectable).
+/// The header's sequence number repeats `next_expected`.
+pub fn ack(src_rank: Rank, transfer: u32, next_expected: SeqNo, epoch: Option<u32>) -> Bytes {
     let header = Header {
         ptype: PacketType::Ack,
         flags: PacketFlags::EMPTY,
@@ -435,13 +356,12 @@ pub(crate) fn ack(
         transfer,
         seq: next_expected,
     };
-    encode(header, AckBody::LEN, epoch, |buf| {
-        AckBody { next_expected }.encode(buf)
-    })
+    encode(header, 4, epoch, |buf| buf.put_u32(next_expected.0))
 }
 
-/// Encode a NAK, epoch-stamped when `epoch` is given.
-pub(crate) fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<u32>) -> Bytes {
+/// Encode a NAK for the first missing sequence number, epoch-stamped when
+/// `epoch` is given (as for [`ack`]).
+pub fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<u32>) -> Bytes {
     let header = Header {
         ptype: PacketType::Nak,
         flags: PacketFlags::EMPTY,
@@ -449,75 +369,48 @@ pub(crate) fn nak(src_rank: Rank, transfer: u32, expected: SeqNo, epoch: Option<
         transfer,
         seq: expected,
     };
-    encode(header, NakBody::LEN, epoch, |buf| {
-        NakBody { expected }.encode(buf)
-    })
+    encode(header, 4, epoch, |buf| buf.put_u32(expected.0))
 }
 
-/// Encode an admission request. `last_epoch` is the epoch the joiner last
-/// belonged to (zero for a fresh join).
-pub fn encode_join(src_rank: Rank, last_epoch: u32) -> Bytes {
-    let header = control(PacketType::Join, src_rank);
-    encode(header, JoinBody::LEN, None, |buf| {
-        JoinBody { last_epoch }.encode(buf)
-    })
+/// Encode one of the four membership packets: JOIN carries the epoch the
+/// joiner last belonged to (zero for a fresh join); WELCOME, LEAVE and
+/// HEARTBEAT the epoch the sender believes in. The sender's multicast
+/// heartbeat carries `Rank::SENDER`; receiver replies carry their own rank.
+pub fn encode_membership(ptype: PacketType, src_rank: Rank, epoch: u32) -> Bytes {
+    debug_assert!(
+        matches!(
+            ptype,
+            PacketType::Join | PacketType::Welcome | PacketType::Leave | PacketType::Heartbeat
+        ),
+        "{ptype:?} is not a membership packet"
+    );
+    encode(control(ptype, src_rank), 4, None, |buf| buf.put_u32(epoch))
 }
 
-/// Encode the sender's immediate response to a join request.
-pub fn encode_welcome(src_rank: Rank, epoch: u32) -> Bytes {
-    let header = control(PacketType::Welcome, src_rank);
-    encode(header, WelcomeBody::LEN, None, |buf| {
-        WelcomeBody { epoch }.encode(buf)
-    })
-}
-
-/// Encode a voluntary departure announcement.
-pub fn encode_leave(src_rank: Rank, epoch: u32) -> Bytes {
-    let header = control(PacketType::Leave, src_rank);
-    encode(header, LeaveBody::LEN, None, |buf| {
-        LeaveBody { epoch }.encode(buf)
-    })
-}
-
-/// Encode a liveness beacon. The sender's multicast announce carries
-/// `Rank::SENDER`; receiver replies carry their own rank.
-pub fn encode_heartbeat(src_rank: Rank, epoch: u32) -> Bytes {
-    let header = control(PacketType::Heartbeat, src_rank);
-    encode(header, HeartbeatBody::LEN, None, |buf| {
-        HeartbeatBody { epoch }.encode(buf)
-    })
-}
-
-/// Encode a reactive coded-repair packet: `payload` is the XOR of the
-/// chunks named by `body`, each zero-padded to the transfer's packet size.
-pub fn encode_repair(src_rank: Rank, transfer: u32, body: RepairBody, payload: &[u8]) -> Bytes {
-    encode_coded(PacketType::Repair, src_rank, transfer, body, payload)
-}
-
-/// Encode a proactive parity packet (same body layout as a repair).
-pub fn encode_parity(src_rank: Rank, transfer: u32, body: RepairBody, payload: &[u8]) -> Bytes {
-    encode_coded(PacketType::Parity, src_rank, transfer, body, payload)
-}
-
-/// Encode a coded block of either kind, REPAIR or PARITY.
-pub(crate) fn encode_coded(
+/// Encode a coded block, REPAIR or PARITY: `payload` is the XOR of the
+/// chunks named by `block`, each zero-padded to the transfer's packet size.
+pub fn encode_coded(
     ptype: PacketType,
     src_rank: Rank,
     transfer: u32,
-    body: RepairBody,
+    block: RepairBody,
     payload: &[u8],
 ) -> Bytes {
-    debug_assert!(body.bitmap & 1 == 1, "coded bitmap must be canonical");
+    debug_assert!(
+        matches!(ptype, PacketType::Repair | PacketType::Parity),
+        "{ptype:?} is not a coded block"
+    );
+    debug_assert!(block.bitmap & 1 == 1, "coded bitmap must be canonical");
     debug_assert!(!payload.is_empty(), "coded payload cannot be empty");
     let header = Header {
         ptype,
         flags: PacketFlags::EMPTY,
         src_rank,
         transfer,
-        seq: SeqNo(body.base_seq),
+        seq: SeqNo(block.base_seq),
     };
     encode(header, RepairBody::LEN + payload.len(), None, |buf| {
-        body.encode(buf);
+        block.encode(buf);
         buf.extend_from_slice(payload);
     })
 }
@@ -535,6 +428,9 @@ pub fn encode_sync(src_rank: Rank, body: SyncBody) -> Bytes {
 mod tests {
     use super::*;
 
+    // Every fixed-layout packet's round trip and truncation is a property
+    // in `tests/packet_props.rs`; these pin the rest.
+
     #[test]
     fn data_round_trip() {
         let b = encode_data(
@@ -544,178 +440,18 @@ mod tests {
             PacketFlags::POLL | PacketFlags::LAST,
             b"hello",
         );
-        match Packet::parse(&b).unwrap() {
-            Packet::Data { header, body } => {
-                assert_eq!(header.transfer, 5);
-                assert_eq!(header.seq, SeqNo(9));
-                assert!(header.flags.contains(PacketFlags::POLL));
-                assert!(header.flags.contains(PacketFlags::LAST));
-                assert_eq!(body, b"hello");
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn alloc_round_trip() {
-        let body = AllocBody {
-            msg_len: 123,
-            data_transfer: 6,
-            packet_size: 500,
-        };
-        let b = encode_alloc(Rank(0), 5, PacketFlags::LAST, body);
-        match Packet::parse(&b).unwrap() {
-            Packet::Alloc { header, body } => {
-                assert!(header.flags.contains(PacketFlags::ALLOC));
-                assert!(header.flags.contains(PacketFlags::LAST));
-                assert_eq!(body.msg_len, 123);
-                assert_eq!(body.data_transfer, 6);
-                assert_eq!(body.packet_size, 500);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ack_and_nak_round_trip() {
-        let a = encode_ack(Rank(3), 7, SeqNo(100));
-        match Packet::parse(&a).unwrap() {
-            Packet::Ack {
-                header,
-                body,
-                epoch,
-            } => {
-                assert_eq!(header.src_rank, Rank(3));
-                assert_eq!(body.next_expected, SeqNo(100));
-                assert_eq!(epoch, None, "plain ACKs carry no epoch trailer");
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let n = encode_nak(Rank(4), 7, SeqNo(55));
-        match Packet::parse(&n).unwrap() {
-            Packet::Nak {
-                header,
-                body,
-                epoch,
-            } => {
-                assert_eq!(header.src_rank, Rank(4));
-                assert_eq!(body.expected, SeqNo(55));
-                assert_eq!(epoch, None);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn epoch_stamped_ack_and_nak_round_trip() {
-        let a = encode_ack_epoch(Rank(3), 7, SeqNo(100), 9);
-        assert_eq!(
-            a.len(),
-            encode_ack(Rank(3), 7, SeqNo(100)).len() + 4,
-            "epoch trailer adds exactly four bytes"
-        );
-        match Packet::parse(&a).unwrap() {
-            Packet::Ack { body, epoch, .. } => {
-                assert_eq!(body.next_expected, SeqNo(100));
-                assert_eq!(epoch, Some(9));
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let n = encode_nak_epoch(Rank(4), 7, SeqNo(55), 2);
-        match Packet::parse(&n).unwrap() {
-            Packet::Nak { body, epoch, .. } => {
-                assert_eq!(body.expected, SeqNo(55));
-                assert_eq!(epoch, Some(2));
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        // A ragged trailer (neither absent nor 4 bytes) is rejected.
-        let ragged = &a[..a.len() - 2];
-        assert!(Packet::parse(ragged).is_err());
-    }
-
-    #[test]
-    fn membership_packets_round_trip() {
-        match Packet::parse(&encode_join(Rank(5), 3)).unwrap() {
-            Packet::Join { header, body } => {
-                assert_eq!(header.src_rank, Rank(5));
-                assert_eq!(body.last_epoch, 3);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        match Packet::parse(&encode_welcome(Rank(0), 4)).unwrap() {
-            Packet::Welcome { body, .. } => assert_eq!(body.epoch, 4),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        match Packet::parse(&encode_leave(Rank(2), 4)).unwrap() {
-            Packet::Leave { header, body } => {
-                assert_eq!(header.src_rank, Rank(2));
-                assert_eq!(body.epoch, 4);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        match Packet::parse(&encode_heartbeat(Rank(0), 7)).unwrap() {
-            Packet::Heartbeat { header, body } => {
-                assert_eq!(header.src_rank, Rank::SENDER);
-                assert_eq!(body.epoch, 7);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let sync = SyncBody {
-            epoch: 8,
-            next_msg: 12,
-            next_transfer: 24,
-            flags: SyncBody::DETACHED_ROOT,
-        };
-        match Packet::parse(&encode_sync(Rank(0), sync)).unwrap() {
-            Packet::Sync { header, body } => {
-                assert_eq!(header.transfer, 24);
-                assert_eq!(body.next_msg, 12);
-                assert!(body.detached_root());
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repair_and_parity_round_trip() {
-        let body = RepairBody {
-            base_seq: 4,
-            generation: 2,
-            bitmap: 0b101,
-        };
-        let r = encode_repair(Rank(0), 3, body, b"\x12\x34");
-        match Packet::parse(&r).unwrap() {
-            Packet::Repair {
-                header,
-                body: b,
-                payload,
-            } => {
-                assert_eq!(header.transfer, 3);
-                assert_eq!(header.seq, SeqNo(4));
-                assert_eq!(b, body);
-                assert_eq!(payload, b"\x12\x34");
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let p = encode_parity(Rank(0), 3, body, b"\x56");
-        match Packet::parse(&p).unwrap() {
-            Packet::Parity { payload, .. } => assert_eq!(payload, b"\x56"),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        // Sealed round trip too: the CRC covers the coded payload.
-        assert!(Packet::parse_checked(&seal(&r), true).is_ok());
-        // Empty coded payload is rejected, not delivered.
-        assert!(Packet::parse(&r[..HEADER_LEN + RepairBody::LEN]).is_err());
+        let Packet { header, body } = Packet::parse(&b).unwrap();
+        assert_eq!(header.transfer, 5);
+        assert_eq!(header.seq, SeqNo(9));
+        assert!(header.flags.contains(PacketFlags::POLL));
+        assert!(header.flags.contains(PacketFlags::LAST));
+        assert_eq!(body, Body::Data(b"hello"));
     }
 
     #[test]
     fn garbage_rejected() {
         assert!(Packet::parse(&[]).is_err());
         assert!(Packet::parse(&[0xff; 20]).is_err());
-        // Valid header but truncated ACK body.
-        let full = encode_ack(Rank(1), 1, SeqNo(1));
-        assert!(Packet::parse(&full[..HEADER_LEN + 1]).is_err());
     }
 
     #[test]
@@ -727,7 +463,7 @@ mod tests {
             Packet::parse(&a),
             Err(WireError::TrailingGarbage { extra: 1 })
         ));
-        let mut j = encode_join(Rank(5), 3).to_vec();
+        let mut j = encode_membership(PacketType::Join, Rank(5), 3).to_vec();
         j.extend_from_slice(b"xx");
         assert!(matches!(
             Packet::parse(&j),
@@ -744,13 +480,9 @@ mod tests {
             assert_eq!(sealed.len(), plain.len() + 4);
             // Verifies in both lenient and strict modes.
             for strict in [false, true] {
-                match Packet::parse_checked(&sealed, strict).unwrap() {
-                    Packet::Data { header, body } => {
-                        assert!(header.flags.contains(PacketFlags::CKSUM));
-                        assert_eq!(body, b"payload");
-                    }
-                    other => panic!("wrong variant: {other:?}"),
-                }
+                let Packet { header, body } = Packet::parse_checked(&sealed, strict).unwrap();
+                assert!(header.flags.contains(PacketFlags::CKSUM));
+                assert_eq!(body, Body::Data(b"payload"));
             }
             // Every single-bit flip anywhere in the sealed packet is caught
             // in strict mode (flips in the CKSUM bit itself downgrade to
@@ -778,9 +510,21 @@ mod tests {
     #[test]
     fn sealed_control_packets_round_trip() {
         for pkt in [
-            encode_ack_epoch(Rank(3), 7, SeqNo(100), 9),
-            encode_nak(Rank(4), 7, SeqNo(55)),
-            encode_heartbeat(Rank(0), 7),
+            ack(Rank(3), 7, SeqNo(100), Some(9)),
+            nak(Rank(4), 7, SeqNo(55), None),
+            encode_membership(PacketType::Heartbeat, Rank(0), 7),
+            // The CRC covers the coded payload too.
+            encode_coded(
+                PacketType::Parity,
+                Rank(0),
+                3,
+                RepairBody {
+                    base_seq: 4,
+                    generation: 2,
+                    bitmap: 0b101,
+                },
+                b"\x12\x34",
+            ),
             encode_sync(
                 Rank(0),
                 SyncBody {
@@ -792,7 +536,10 @@ mod tests {
             ),
         ] {
             let sealed = seal(&pkt);
-            assert!(Packet::parse_checked(&sealed, true).is_ok());
+            assert_eq!(
+                Packet::parse_checked(&sealed, true).map(|p| p.body),
+                Packet::parse(&pkt).map(|p| p.body)
+            );
             // Corrupt the trailer itself: mismatch.
             let mut bad = sealed.to_vec();
             let n = bad.len();
@@ -807,9 +554,6 @@ mod tests {
     #[test]
     fn empty_data_packet_allowed() {
         let b = encode_data(Rank(0), 0, SeqNo(0), PacketFlags::LAST, b"");
-        match Packet::parse(&b).unwrap() {
-            Packet::Data { body, .. } => assert!(body.is_empty()),
-            other => panic!("wrong variant: {other:?}"),
-        }
+        assert_eq!(Packet::parse(&b).unwrap().body, Body::Data(b""));
     }
 }

@@ -28,7 +28,7 @@ use crate::endpoint::{self, io, AppEvent, Dest, Endpoint, Io, Transmit};
 use crate::error::SessionError;
 use crate::membership::Admission;
 use crate::nak::NakSchedule;
-use crate::packet::{self, Packet};
+use crate::packet::{self, Body, Packet};
 use crate::stats::Stats;
 use crate::tree::{Aggregator, TreeTopology};
 
@@ -346,7 +346,7 @@ impl Receiver {
 
     /// Offer `buf` as the storage of the next sized assembly, as if this
     /// receiver had delivered it: reused only if `buf` is by then the sole
-    /// handle and its capacity covers the message ([`Self::sized_assembly`]
+    /// handle and its capacity covers the message (`Self::sized_assembly`
     /// decides, exactly as between two messages). Its bytes are never read.
     pub fn seed_spare(&mut self, buf: Bytes) {
         self.spare = Some(buf);
@@ -925,38 +925,26 @@ impl Endpoint for Receiver {
             Ok(p) => p,
             Err(e) => return endpoint::undecodable(now, e, io!(self)),
         };
-        match pkt {
-            Packet::Data { header, body } => self.on_data(now, header, DataBody::Chunk(body)),
-            Packet::Alloc { header, body } => self.on_data(now, header, DataBody::Alloc(body)),
-            Packet::Ack { header, body, .. } => {
-                self.on_peer_ack(now, &header, body.next_expected.0)
-            }
-            Packet::Nak { header, body, .. } => {
+        let Packet { header, body } = pkt;
+        match body {
+            Body::Data(chunk) => self.on_data(now, header, DataBody::Chunk(chunk)),
+            Body::Alloc(alloc) => self.on_data(now, header, DataBody::Alloc(alloc)),
+            Body::Ack { next_expected, .. } => self.on_peer_ack(now, &header, next_expected.0),
+            Body::Nak { expected, .. } => {
                 self.naks
-                    .on_peer_nak(header.transfer, body.expected.0, &mut self.stats)
+                    .on_peer_nak(header.transfer, expected.0, &mut self.stats)
             }
-            Packet::Heartbeat { header, body } => {
-                self.on_heartbeat(now, header.src_rank, body.epoch)
-            }
+            Body::Heartbeat { epoch } => self.on_heartbeat(now, header.src_rank, epoch),
             // The sender acknowledged our JOIN. Admission itself still
             // waits on the SYNC handoff at the next message boundary.
-            Packet::Welcome { body, .. } => {
+            Body::Welcome { epoch } => {
                 self.last_heard = now;
-                self.admission.adopt_epoch(now, body.epoch, io!(self));
+                self.admission.adopt_epoch(now, epoch, io!(self));
             }
-            Packet::Sync { body, .. } => self.on_sync(now, body),
-            Packet::Repair {
-                header,
-                body,
-                payload,
-            }
-            | Packet::Parity {
-                header,
-                body,
-                payload,
-            } => self.on_repair(now, header, body, payload),
+            Body::Sync(sync) => self.on_sync(now, sync),
+            Body::Coded { block, payload } => self.on_repair(now, header, block, payload),
             // Sender-bound admission control that strayed to a receiver.
-            Packet::Join { .. } | Packet::Leave { .. } => self.stats.data_discarded += 1,
+            Body::Join { .. } | Body::Leave { .. } => self.stats.data_discarded += 1,
         }
         #[cfg(debug_assertions)]
         self.debug_audit();
@@ -1047,9 +1035,10 @@ mod tests {
     fn parse_acks(ts: &[Transmit]) -> Vec<(Dest, u32, u32)> {
         ts.iter()
             .filter_map(|t| match Packet::parse(&t.payload).unwrap() {
-                Packet::Ack { header, body, .. } => {
-                    Some((t.dest, header.transfer, body.next_expected.0))
-                }
+                Packet {
+                    header,
+                    body: Body::Ack { next_expected, .. },
+                } => Some((t.dest, header.transfer, next_expected.0)),
                 _ => None,
             })
             .collect()
@@ -1084,7 +1073,10 @@ mod tests {
         let naks: Vec<_> = out
             .iter()
             .filter_map(|t| match Packet::parse(&t.payload).unwrap() {
-                Packet::Nak { body, .. } => Some(body.expected.0),
+                Packet {
+                    body: Body::Nak { expected, .. },
+                    ..
+                } => Some(expected.0),
                 _ => None,
             })
             .collect();
@@ -1235,7 +1227,7 @@ mod tests {
         assert!(drain(&mut r).is_empty());
         let deadline = r.poll_timeout().expect("NAK scheduled");
         // Overhearing another receiver's NAK for the same gap cancels ours.
-        let nak = packet::encode_nak(Rank(2), 1, SeqNo(0));
+        let nak = packet::nak(Rank(2), 1, SeqNo(0), None);
         r.handle_datagram(Time::ZERO, &nak);
         assert!(r.poll_timeout().is_none());
         assert_eq!(r.stats().naks_suppressed, 1);
@@ -1422,7 +1414,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(
             Packet::parse(&out[0].payload).unwrap(),
-            Packet::Join { header, body } if header.src_rank == Rank(2) && body.last_epoch == 0
+            Packet { header, body: Body::Join { last_epoch: 0 } } if header.src_rank == Rank(2)
         ));
         // Data from the in-flight message is not ours: discarded, no ACK.
         r.handle_datagram(Time::ZERO, &data(1, 0, PacketFlags::LAST, b"aa"));
@@ -1430,7 +1422,10 @@ mod tests {
         assert_eq!(r.stats().data_discarded, 1);
         // WELCOME brings the epoch; SYNC at the boundary of message 1
         // admits us for transfers >= 2.
-        r.handle_datagram(Time::ZERO, &packet::encode_welcome(Rank::SENDER, 2));
+        r.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Welcome, Rank::SENDER, 2),
+        );
         assert_eq!(r.epoch(), 2);
         r.handle_datagram(
             Time::ZERO,
@@ -1442,9 +1437,16 @@ mod tests {
         r.handle_datagram(Time::ZERO, &data(3, 0, PacketFlags::LAST, b"bb"));
         let out = drain(&mut r);
         match Packet::parse(&out[0].payload).unwrap() {
-            Packet::Ack { epoch, body, .. } => {
+            Packet {
+                body:
+                    Body::Ack {
+                        next_expected,
+                        epoch,
+                    },
+                ..
+            } => {
                 assert_eq!(epoch, Some(2));
-                assert_eq!(body.next_expected.0, 1);
+                assert_eq!(next_expected.0, 1);
             }
             other => panic!("wrong variant: {other:?}"),
         }
@@ -1471,7 +1473,10 @@ mod tests {
         assert_eq!(out.len(), 1, "JOIN retransmitted");
         assert!(matches!(
             Packet::parse(&out[0].payload).unwrap(),
-            Packet::Join { .. }
+            Packet {
+                body: Body::Join { .. },
+                ..
+            }
         ));
         r.handle_datagram(d, &packet::encode_sync(Rank::SENDER, sync_body(2, 0, 0)));
         assert!(r.poll_timeout().is_none(), "retry disarmed after SYNC");
@@ -1480,15 +1485,21 @@ mod tests {
     #[test]
     fn heartbeat_reply_carries_epoch() {
         let mut r = recv(mcfg(ProtocolKind::Ack), 2, 1);
-        r.handle_datagram(Time::ZERO, &packet::encode_heartbeat(Rank::SENDER, 3));
+        r.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Heartbeat, Rank::SENDER, 3),
+        );
         assert_eq!(r.epoch(), 3, "announce fast-forwards the epoch");
         let out = drain(&mut r);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dest, Dest::Sender);
         match Packet::parse(&out[0].payload).unwrap() {
-            Packet::Heartbeat { header, body } => {
+            Packet {
+                header,
+                body: Body::Heartbeat { epoch },
+            } => {
                 assert_eq!(header.src_rank, Rank(1));
-                assert_eq!(body.epoch, 3);
+                assert_eq!(epoch, 3);
             }
             other => panic!("wrong variant: {other:?}"),
         }
@@ -1559,7 +1570,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(
             Packet::parse(&out[0].payload).unwrap(),
-            Packet::Leave { header, body } if header.src_rank == Rank(1) && body.epoch == 1
+            Packet { header, body: Body::Leave { epoch: 1 } } if header.src_rank == Rank(1)
         ));
     }
 }

@@ -23,7 +23,7 @@ use crate::error::SessionError;
 use crate::fec::{self, FecState};
 use crate::membership::Members;
 use crate::overload::Overload;
-use crate::packet::{self, Packet};
+use crate::packet::{self, Body, Packet};
 use crate::quarantine::{Quarantine, Round};
 use crate::stats::Stats;
 use crate::tree::TreeTopology;
@@ -595,64 +595,41 @@ impl Sender {
         } else {
             Dest::Receivers
         };
-        match self.cfg.discipline {
-            WindowDiscipline::GoBackN => self.retransmit_from(which, now, expected, dest),
-            WindowDiscipline::SelectiveRepeat => self.retransmit_one(which, now, expected, dest),
-        }
+        // Go-Back-N resends everything outstanding from the gap on;
+        // selective repeat only the packet named.
+        let Some(t) = self.tref(which) else {
+            return;
+        };
+        let seqs = match self.cfg.discipline {
+            WindowDiscipline::GoBackN => expected.max(t.win.base())..t.win.next(),
+            WindowDiscipline::SelectiveRepeat => expected..expected.saturating_add(1),
+        };
+        self.retransmit(which, now, seqs, dest);
     }
 
-    /// Go-Back-N: retransmit everything outstanding from `from` toward
-    /// `dest`, subject to per-packet suppression.
-    fn retransmit_from(&mut self, which: Which, now: Time, from: u32, dest: Dest) {
+    /// Retransmit each of `seqs` that still has a live window slot toward
+    /// `dest`, unless its suppression clock says it went out too recently.
+    /// Every retransmission comes through here: a NAK under either
+    /// discipline and a timeout under either.
+    fn retransmit(
+        &mut self,
+        which: Which,
+        now: Time,
+        seqs: impl IntoIterator<Item = u32>,
+        dest: Dest,
+    ) {
         let suppress = self.overload.suppress(self.cfg.retx_suppress, now);
-        let mut to_send = Vec::new();
-        let mut suppressed = 0u64;
-        {
-            let Some(t) = self.tmut(which) else {
-                return;
-            };
-            let lo = from.max(t.win.base());
-            let hi = t.win.next();
-            for seq in lo..hi {
-                let slot = t.win.slot_mut(seq).expect("outstanding slot");
-                if now.saturating_since(slot.last_tx).as_nanos() >= suppress.as_nanos() {
-                    slot.last_tx = now;
-                    slot.retx += 1;
-                    to_send.push(seq);
-                } else {
-                    suppressed += 1;
-                }
-            }
-        }
-        self.stats.retx_suppressed += suppressed;
-        for seq in to_send {
-            self.emit_data(which, seq, true, dest);
-        }
-    }
-
-    /// Selective repeat: retransmit packet `seq` toward `dest`, subject to
-    /// its suppression clock.
-    fn retransmit_one(&mut self, which: Which, now: Time, seq: u32, dest: Dest) {
-        let suppress = self.overload.suppress(self.cfg.retx_suppress, now);
-        let send = {
-            let Some(t) = self.tmut(which) else {
-                return;
-            };
-            let Some(slot) = t.win.slot_mut(seq) else {
-                return;
+        for seq in seqs {
+            let Some(slot) = self.tmut(which).and_then(|t| t.win.slot_mut(seq)) else {
+                continue;
             };
             if now.saturating_since(slot.last_tx).as_nanos() >= suppress.as_nanos() {
                 slot.last_tx = now;
                 slot.retx += 1;
-                true
+                self.emit_data(which, seq, true, dest);
             } else {
-                false
+                self.stats.retx_suppressed += 1;
             }
-        };
-        if send {
-            self.emit_data(which, seq, true, dest);
-        } else {
-            self.stats.retx_suppressed += 1;
         }
     }
 
@@ -1213,40 +1190,24 @@ impl Endpoint for Sender {
             Ok(p) => p,
             Err(e) => return endpoint::undecodable(now, e, io!(self)),
         };
-        match pkt {
-            Packet::Ack {
-                header,
-                body,
+        let Packet { header, body } = pkt;
+        let from = header.src_rank;
+        match body {
+            Body::Ack {
+                next_expected,
                 epoch,
-            } => self.on_ack(
-                now,
-                header.src_rank,
-                header.transfer,
-                body.next_expected.0,
-                epoch,
-            ),
-            Packet::Nak {
-                header,
-                body,
-                epoch,
-            } => self.on_nak(
-                now,
-                header.src_rank,
-                header.transfer,
-                body.expected.0,
-                epoch,
-            ),
-            Packet::Join { header, .. } => self.on_join(now, header.src_rank),
-            Packet::Leave { header, .. } => self.on_leave(now, header.src_rank),
-            Packet::Heartbeat { header, body } => {
-                self.on_heartbeat(now, header.src_rank, body.epoch)
+            } => self.on_ack(now, from, header.transfer, next_expected.0, epoch),
+            Body::Nak { expected, epoch } => {
+                self.on_nak(now, from, header.transfer, expected.0, epoch)
             }
-            Packet::Data { .. }
-            | Packet::Alloc { .. }
-            | Packet::Welcome { .. }
-            | Packet::Sync { .. }
-            | Packet::Repair { .. }
-            | Packet::Parity { .. } => {
+            Body::Join { .. } => self.on_join(now, from),
+            Body::Leave { .. } => self.on_leave(now, from),
+            Body::Heartbeat { epoch } => self.on_heartbeat(now, from, epoch),
+            Body::Data(_)
+            | Body::Alloc(_)
+            | Body::Welcome { .. }
+            | Body::Sync(_)
+            | Body::Coded { .. } => {
                 // Data (or echoed sender-side control) flowing toward the
                 // sender is not expected; ignore.
                 self.stats.data_discarded += 1;
@@ -1307,19 +1268,17 @@ impl Endpoint for Sender {
                 self.give_up(which, now);
                 continue;
             }
+            // Go-Back-N resends the whole window; selective repeat, with
+            // per-packet timers, every expired outstanding packet.
+            let t = self.tref(which).expect("transfer exists");
             match self.cfg.discipline {
                 WindowDiscipline::GoBackN => {
-                    let t = self.tref(which).expect("transfer exists");
-                    let base = t.win.base();
-                    self.retransmit_from(which, now, base, Dest::Receivers);
+                    let seqs = t.win.base()..t.win.next();
+                    self.retransmit(which, now, seqs, Dest::Receivers);
                 }
                 WindowDiscipline::SelectiveRepeat => {
-                    // Per-packet timers: every expired outstanding packet
-                    // is retransmitted individually.
-                    let t = self.tref(which).expect("transfer exists");
-                    for seq in t.win.expired(now, rto) {
-                        self.retransmit_one(which, now, seq, Dest::Receivers);
-                    }
+                    let seqs = t.win.expired(now, rto);
+                    self.retransmit(which, now, seqs, Dest::Receivers);
                 }
             }
             // Exponential backoff for a bounded sender: each consecutive
@@ -1415,7 +1374,10 @@ mod tests {
         let out = drain(&mut s);
         assert_eq!(out.len(), 1, "only the alloc request until it is acked");
         match Packet::parse(&out[0].payload).unwrap() {
-            Packet::Alloc { header, body } => {
+            Packet {
+                header,
+                body: Body::Alloc(body),
+            } => {
                 assert_eq!(header.transfer, 0);
                 assert_eq!(body.msg_len, 350);
                 assert_eq!(body.data_transfer, 1);
@@ -1445,7 +1407,10 @@ mod tests {
         // 350 bytes / 100 = 4 packets, window 4: all in flight.
         assert_eq!(out.len(), 4);
         match Packet::parse(&out[3].payload).unwrap() {
-            Packet::Data { header, body } => {
+            Packet {
+                header,
+                body: Body::Data(body),
+            } => {
                 assert_eq!(header.transfer, 1);
                 assert_eq!(header.seq, SeqNo(3));
                 assert!(header.flags.contains(PacketFlags::LAST));
@@ -1500,7 +1465,7 @@ mod tests {
             .map(|t| {
                 Packet::parse(&t.payload)
                     .unwrap()
-                    .header()
+                    .header
                     .flags
                     .contains(PacketFlags::POLL)
             })
@@ -1525,7 +1490,7 @@ mod tests {
         assert!(retx.iter().all(|t| {
             Packet::parse(&t.payload)
                 .unwrap()
-                .header()
+                .header
                 .flags
                 .contains(PacketFlags::RETX)
         }));
@@ -1541,7 +1506,7 @@ mod tests {
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
         // Two NAKs in quick succession: only one retransmission.
-        let nak = packet::encode_nak(Rank(1), 1, SeqNo(0));
+        let nak = packet::nak(Rank(1), 1, SeqNo(0), None);
         s.handle_datagram(Time::from_millis(100), &nak);
         s.handle_datagram(Time::from_millis(100), &nak);
         assert_eq!(drain(&mut s).len(), 1);
@@ -1620,7 +1585,7 @@ mod tests {
         assert_eq!(s.poll_event(), Some(AppEvent::MessageSent { msg_id: 0 }));
         let out = drain(&mut s);
         assert_eq!(out.len(), 1);
-        assert_eq!(Packet::parse(&out[0].payload).unwrap().header().transfer, 3);
+        assert_eq!(Packet::parse(&out[0].payload).unwrap().header.transfer, 3);
         ack(&mut s, Time::ZERO, Rank(1), 3, 1);
         assert_eq!(s.poll_event(), Some(AppEvent::MessageSent { msg_id: 1 }));
         assert!(s.is_idle());
@@ -1819,7 +1784,10 @@ mod tests {
         let out = drain(&mut s);
         assert_eq!(out.len(), 1);
         match Packet::parse(&out[0].payload).unwrap() {
-            Packet::Data { header, body } => {
+            Packet {
+                header,
+                body: Body::Data(body),
+            } => {
                 assert!(body.is_empty());
                 assert!(header.flags.contains(PacketFlags::LAST));
             }
@@ -1839,14 +1807,14 @@ mod tests {
         let mut s = Sender::new(mcfg(ProtocolKind::Ack), GroupSpec::new(1));
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
-        let stale = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 7);
+        let stale = packet::ack(Rank(1), 1, SeqNo(1), Some(7));
         s.handle_datagram(Time::ZERO, &stale);
         assert_eq!(s.stats().stale_epoch_discarded, 1);
         assert!(
             s.poll_event().is_none(),
             "a stale-epoch ack must not complete the message"
         );
-        let fresh = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 1);
+        let fresh = packet::ack(Rank(1), 1, SeqNo(1), Some(1));
         s.handle_datagram(Time::ZERO, &fresh);
         assert_eq!(s.poll_event(), Some(AppEvent::MessageSent { msg_id: 0 }));
     }
@@ -1857,17 +1825,19 @@ mod tests {
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let out = drain(&mut s);
         assert!(
-            out.iter()
-                .any(|t| matches!(Packet::parse(&t.payload).unwrap(), Packet::Heartbeat { .. })),
+            out.iter().any(|t| matches!(
+                Packet::parse(&t.payload).unwrap().body,
+                Body::Heartbeat { .. }
+            )),
             "going busy announces a heartbeat"
         );
         // Receiver 1 acknowledges and keeps replying to heartbeats;
         // receiver 2 is silent forever.
-        let ack1 = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 1);
+        let ack1 = packet::ack(Rank(1), 1, SeqNo(1), Some(1));
         s.handle_datagram(Time::ZERO, &ack1);
         for _ in 0..40 {
             let Some(d) = s.poll_timeout() else { break };
-            let reply = packet::encode_heartbeat(Rank(1), s.epoch());
+            let reply = packet::encode_membership(PacketType::Heartbeat, Rank(1), s.epoch());
             s.handle_datagram(d, &reply);
             s.handle_timeout(d);
             let _ = drain(&mut s);
@@ -1890,15 +1860,20 @@ mod tests {
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
         // Receiver 2 restarts and JOINs mid-message.
-        s.handle_datagram(Time::ZERO, &packet::encode_join(Rank(2), 0));
+        s.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Join, Rank(2), 0),
+        );
         let out = drain(&mut s);
         assert!(
-            out.iter()
-                .any(|t| matches!(Packet::parse(&t.payload).unwrap(), Packet::Welcome { .. })),
+            out.iter().any(|t| matches!(
+                Packet::parse(&t.payload).unwrap().body,
+                Body::Welcome { .. }
+            )),
             "a JOIN is answered immediately"
         );
         // Rank 1 alone completes the message (rank 2 is pending, excluded).
-        let ack1 = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 1);
+        let ack1 = packet::ack(Rank(1), 1, SeqNo(1), Some(1));
         s.handle_datagram(Time::ZERO, &ack1);
         let events: Vec<_> = std::iter::from_fn(|| s.poll_event()).collect();
         assert!(events.contains(&AppEvent::MessageSent { msg_id: 0 }));
@@ -1909,8 +1884,8 @@ mod tests {
         let out = drain(&mut s);
         let sync = out
             .iter()
-            .find_map(|t| match Packet::parse(&t.payload).unwrap() {
-                Packet::Sync { body, .. } => Some(body),
+            .find_map(|t| match Packet::parse(&t.payload).unwrap().body {
+                Body::Sync(sync) => Some(sync),
                 _ => None,
             })
             .expect("SYNC handed off at the boundary");
@@ -1920,13 +1895,13 @@ mod tests {
         // The next message waits for both receivers again.
         s.send_message(Time::from_millis(1), Bytes::from(vec![2u8; 100]));
         let _ = drain(&mut s);
-        let a1 = packet::encode_ack_epoch(Rank(1), 3, SeqNo(1), 2);
+        let a1 = packet::ack(Rank(1), 3, SeqNo(1), Some(2));
         s.handle_datagram(Time::from_millis(1), &a1);
         assert!(
             s.poll_event().is_none(),
             "the rejoined receiver gates the release again"
         );
-        let a2 = packet::encode_ack_epoch(Rank(2), 3, SeqNo(1), 2);
+        let a2 = packet::ack(Rank(2), 3, SeqNo(1), Some(2));
         s.handle_datagram(Time::from_millis(1), &a2);
         assert_eq!(s.poll_event(), Some(AppEvent::MessageSent { msg_id: 1 }));
     }
@@ -1939,11 +1914,11 @@ mod tests {
         let mut s = Sender::new(c, GroupSpec::new(2));
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
-        let ack1 = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 1);
+        let ack1 = packet::ack(Rank(1), 1, SeqNo(1), Some(1));
         s.handle_datagram(Time::ZERO, &ack1);
         for _ in 0..12 {
             let Some(d) = s.poll_timeout() else { break };
-            let reply = packet::encode_heartbeat(Rank(1), s.epoch());
+            let reply = packet::encode_membership(PacketType::Heartbeat, Rank(1), s.epoch());
             s.handle_datagram(d, &reply);
             s.handle_timeout(d);
             let _ = drain(&mut s);
@@ -1957,7 +1932,7 @@ mod tests {
         // The evicted receiver reappears, echoing the epoch it overheard:
         // that is an implicit rejoin request, admitted on the spot (the
         // sender is at a message boundary).
-        let reply = packet::encode_heartbeat(Rank(2), epoch);
+        let reply = packet::encode_membership(PacketType::Heartbeat, Rank(2), epoch);
         s.handle_datagram(Time::from_millis(500), &reply);
         assert_eq!(
             s.poll_event(),
@@ -1973,9 +1948,12 @@ mod tests {
         let mut s = Sender::new(mcfg(ProtocolKind::Ack), GroupSpec::new(2));
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
-        let ack1 = packet::encode_ack_epoch(Rank(1), 1, SeqNo(1), 1);
+        let ack1 = packet::ack(Rank(1), 1, SeqNo(1), Some(1));
         s.handle_datagram(Time::ZERO, &ack1);
-        s.handle_datagram(Time::ZERO, &packet::encode_leave(Rank(2), 1));
+        s.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Leave, Rank(2), 1),
+        );
         let events: Vec<_> = std::iter::from_fn(|| s.poll_event()).collect();
         assert!(events.contains(&AppEvent::ReceiverEvicted {
             msg_id: 0,
@@ -2013,7 +1991,10 @@ mod tests {
         let _ = drain(&mut s);
         // The only receiver restarts mid-transfer: it awaits readmission,
         // so no member is live when the detector next ticks.
-        s.handle_datagram(Time::ZERO, &packet::encode_join(Rank(1), 0));
+        s.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Join, Rank(1), 0),
+        );
         let _ = drain(&mut s);
         tick_through(&mut s, 8);
         assert_eq!(s.stats().evictions, 0, "nobody left to evict");
@@ -2025,8 +2006,14 @@ mod tests {
         let mut s = Sender::new(mcfg(ProtocolKind::Ack), GroupSpec::new(2));
         s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let _ = drain(&mut s);
-        s.handle_datagram(Time::ZERO, &packet::encode_leave(Rank(1), 1));
-        s.handle_datagram(Time::ZERO, &packet::encode_leave(Rank(2), 2));
+        s.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Leave, Rank(1), 1),
+        );
+        s.handle_datagram(
+            Time::ZERO,
+            &packet::encode_membership(PacketType::Leave, Rank(2), 2),
+        );
         assert_eq!(s.stats().evictions, 2);
         assert_eq!(s.epoch(), 3);
         let _ = drain(&mut s);
@@ -2041,7 +2028,7 @@ mod overload_tests {
     use super::*;
     use crate::config::LivenessConfig;
     use crate::overload::OverloadConfig;
-    use crate::packet::{encode_ack, encode_nak};
+    use crate::packet::{encode_ack, nak};
 
     fn ocfg(kind: ProtocolKind) -> ProtocolConfig {
         let mut c = ProtocolConfig::new(kind, 100, 4);
@@ -2093,7 +2080,7 @@ mod overload_tests {
         let _ = drain(&mut s);
         let now = Time::from_millis(1);
         for _ in 0..3 {
-            s.handle_datagram(now, &encode_nak(Rank(2), 1, SeqNo(1)));
+            s.handle_datagram(now, &nak(Rank(2), 1, SeqNo(1), None));
         }
         assert_eq!(s.stats().naks_received, 3);
         assert_eq!(s.stats().naks_collapsed, 2, "storm collapsed");

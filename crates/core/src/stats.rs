@@ -4,7 +4,7 @@
 //! packet) and Table 1 (memory requirement) reproductions, and every
 //! experiment's sanity checks.
 //!
-//! The fields are declared once through [`define_stats!`], which derives
+//! The fields are declared once through `define_stats!`, which derives
 //! the struct, [`Stats::merge`] and the `(name, value)` field enumeration
 //! from the same list — so a newly added counter can never be silently
 //! dropped from aggregation or from flight-recorder snapshots (a guard

@@ -65,10 +65,11 @@ fn arb_packet() -> impl Strategy<Value = Bytes> {
             t,
             SeqNo(ne)
         )),
-        (any::<u16>(), any::<u32>(), any::<u32>()).prop_map(|(r, t, e)| packet::encode_nak(
+        (any::<u16>(), any::<u32>(), any::<u32>()).prop_map(|(r, t, e)| packet::nak(
             Rank(r),
             t,
-            SeqNo(e)
+            SeqNo(e),
+            None
         )),
         // Raw garbage.
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(Bytes::from),
@@ -160,7 +161,7 @@ proptest! {
         for (p, t) in noise.iter().zip(targets.iter()) {
             // Steer clear of the live transfer ids 0 and 1 (see above).
             if let Ok(pkt) = rmcast::packet::Packet::parse(p) {
-                if pkt.header().transfer < 100 {
+                if pkt.header.transfer < 100 {
                     continue;
                 }
             }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rmcast::loopback::Loopback;
 use rmcast::packet;
 use rmcast::{AppEvent, Endpoint, GroupSpec, ProtocolConfig, ProtocolKind, Receiver, SeqNo, Time};
-use rmwire::{AllocBody, PacketFlags, Rank, RepairBody};
+use rmwire::{AllocBody, PacketFlags, PacketType, Rank, RepairBody};
 
 /// A payload no two messages share a byte run of.
 fn payload(len: usize, salt: u8) -> Bytes {
@@ -118,7 +118,7 @@ fn repair_in_a_reused_buffer_ignores_stale_bytes() {
         generation: 1,
         bitmap: 0b111,
     };
-    let repair = packet::encode_repair(Rank::SENDER, 3, body, &xor);
+    let repair = packet::encode_coded(PacketType::Repair, Rank::SENDER, 3, body, &xor);
     r.handle_datagram(Time::ZERO, &repair);
     assert_eq!(r.stats().repairs_decoded, 1);
     let out = delivered(&mut r);
@@ -273,7 +273,7 @@ fn repair_first_materializes_the_assembly_in_the_seed() {
             generation,
             bitmap: 0b111,
         };
-        packet::encode_repair(Rank::SENDER, 1, body, &xor)
+        packet::encode_coded(PacketType::Repair, Rank::SENDER, 1, body, &xor)
     };
     announce(&mut r, 0, 300, 100);
     // A block before any data: the repair path builds the assembly (over

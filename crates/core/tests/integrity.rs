@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rmcast::loopback::Loopback;
 use rmcast::packet::{self, Packet};
 use rmcast::{ProtocolConfig, ProtocolKind};
-use rmwire::{AllocBody, PacketFlags, Rank, RepairBody, SeqNo, SyncBody};
+use rmwire::{AllocBody, PacketFlags, PacketType, Rank, RepairBody, SeqNo, SyncBody};
 
 fn payload(len: usize, tag: u8) -> Bytes {
     Bytes::from(
@@ -98,7 +98,7 @@ fn garbage_counted_as_malformed() {
     let mut net = Loopback::new(cfg, 1, 7);
     net.inject(Some(0), &[0x0bu8; 40]); // bad packet type, no CKSUM bit
     net.inject(Some(0), &[1u8, 2, 3]); // runt
-    let mut trailing = packet::encode_join(Rank(1), 0).to_vec();
+    let mut trailing = packet::encode_membership(PacketType::Join, Rank(1), 0).to_vec();
     trailing.push(0xee); // trailing garbage
     net.inject(Some(0), &trailing);
     assert_eq!(net.receiver_stats(0).malformed_rx, 3);
@@ -197,15 +197,15 @@ fn one_of_each_encoder() -> Vec<Bytes> {
         packet::encode_data(Rank(0), 5, SeqNo(9), PacketFlags::POLL, &payload(700, 3)),
         packet::encode_alloc(Rank(0), 5, PacketFlags::LAST, alloc),
         packet::encode_ack(Rank(3), 7, SeqNo(100)),
-        packet::encode_nak(Rank(4), 7, SeqNo(55)),
-        packet::encode_ack_epoch(Rank(3), 7, SeqNo(100), 9),
-        packet::encode_nak_epoch(Rank(4), 7, SeqNo(55), 2),
-        packet::encode_join(Rank(5), 3),
-        packet::encode_welcome(Rank(0), 4),
-        packet::encode_leave(Rank(2), 4),
-        packet::encode_heartbeat(Rank(0), 7),
-        packet::encode_repair(Rank(0), 3, coded, &payload(700, 5)),
-        packet::encode_parity(Rank(0), 3, coded, &payload(700, 6)),
+        packet::nak(Rank(4), 7, SeqNo(55), None),
+        packet::ack(Rank(3), 7, SeqNo(100), Some(9)),
+        packet::nak(Rank(4), 7, SeqNo(55), Some(2)),
+        packet::encode_membership(PacketType::Join, Rank(5), 3),
+        packet::encode_membership(PacketType::Welcome, Rank(0), 4),
+        packet::encode_membership(PacketType::Leave, Rank(2), 4),
+        packet::encode_membership(PacketType::Heartbeat, Rank(0), 7),
+        packet::encode_coded(PacketType::Repair, Rank(0), 3, coded, &payload(700, 5)),
+        packet::encode_coded(PacketType::Parity, Rank(0), 3, coded, &payload(700, 6)),
         packet::encode_sync(Rank(0), sync),
     ]
 }

@@ -21,7 +21,7 @@
 
 use bytes::Bytes;
 use rmcast::loopback::Loopback;
-use rmcast::packet::{encode_ack, Packet};
+use rmcast::packet::{encode_ack, Body, Packet};
 use rmcast::{
     AppEvent, Dest, Duration, Endpoint, GroupSpec, LivenessConfig, MemorySink, ProtocolConfig,
     ProtocolKind, Rank, Receiver, Sender, SeqNo, Stats, Time, Transmit,
@@ -210,7 +210,8 @@ impl Group {
     }
 
     fn arrive(&mut self, i: usize, datagram: &[u8]) {
-        let kills = |p| matches!(p, Ok(Packet::Alloc { header, .. }) if header.transfer == 2);
+        let kills =
+            |p| matches!(p, Ok(Packet { header, body: Body::Alloc(_) }) if header.transfer == 2);
         if i == VICTIM && kills(Packet::parse(datagram)) {
             self.dead = true;
         }

@@ -29,7 +29,7 @@ fn pipelined_sender_interleaves_alloc_with_data() {
     let mut seen_transfers = Vec::new();
     let mut drain = |s: &mut Sender| {
         while let Some(t) = s.poll_transmit() {
-            seen_transfers.push(Packet::parse(&t.payload).unwrap().header().transfer);
+            seen_transfers.push(Packet::parse(&t.payload).unwrap().header.transfer);
         }
     };
     drain(&mut s);
@@ -60,7 +60,7 @@ fn unpipelined_sender_strictly_serializes() {
         &rmcast::packet::encode_ack(rmwire::Rank(1), 0, rmwire::SeqNo(1)),
     );
     while let Some(t) = s.poll_transmit() {
-        seen.push(Packet::parse(&t.payload).unwrap().header().transfer);
+        seen.push(Packet::parse(&t.payload).unwrap().header.transfer);
     }
     assert!(
         !seen.contains(&2),

@@ -2,12 +2,12 @@
 //! aggregation, ring transfers shorter than the group, and accounting.
 
 use bytes::Bytes;
-use rmcast::packet::{self, Packet};
+use rmcast::packet::{self, Body, Packet};
 use rmcast::{
     Dest, Endpoint, GroupSpec, ProtocolConfig, ProtocolKind, Receiver, SeqNo, Time, TreeShape,
     WindowDiscipline,
 };
-use rmwire::{PacketFlags, Rank};
+use rmwire::{PacketFlags, PacketType, Rank};
 
 fn data(transfer: u32, seq: u32, flags: PacketFlags, chunk: &[u8]) -> Bytes {
     packet::encode_data(Rank::SENDER, transfer, SeqNo(seq), flags, chunk)
@@ -16,9 +16,10 @@ fn data(transfer: u32, seq: u32, flags: PacketFlags, chunk: &[u8]) -> Bytes {
 fn drain_acks(r: &mut Receiver) -> Vec<(Dest, u32, u32)> {
     std::iter::from_fn(|| r.poll_transmit())
         .filter_map(|t| match Packet::parse(&t.payload).unwrap() {
-            Packet::Ack { header, body, .. } => {
-                Some((t.dest, header.transfer, body.next_expected.0))
-            }
+            Packet {
+                header,
+                body: Body::Ack { next_expected, .. },
+            } => Some((t.dest, header.transfer, next_expected.0)),
             _ => None,
         })
         .collect()
@@ -27,7 +28,10 @@ fn drain_acks(r: &mut Receiver) -> Vec<(Dest, u32, u32)> {
 fn drain_naks(r: &mut Receiver) -> Vec<u32> {
     std::iter::from_fn(|| r.poll_transmit())
         .filter_map(|t| match Packet::parse(&t.payload).unwrap() {
-            Packet::Nak { body, .. } => Some(body.expected.0),
+            Packet {
+                body: Body::Nak { expected, .. },
+                ..
+            } => Some(expected.0),
             _ => None,
         })
         .collect()
@@ -261,7 +265,7 @@ fn repair(base_seq: u32, bitmap: u64, generation: u32, payload: &[u8]) -> Bytes 
         generation,
         bitmap,
     };
-    packet::encode_repair(Rank::SENDER, 1, body, payload)
+    packet::encode_coded(PacketType::Repair, Rank::SENDER, 1, body, payload)
 }
 
 fn xor(chunks: &[&[u8]]) -> Vec<u8> {

@@ -2,7 +2,7 @@
 //! retransmission, destination selection, and timer interactions.
 
 use bytes::Bytes;
-use rmcast::packet::{self, Packet};
+use rmcast::packet::{self, Body, Packet};
 use rmcast::{
     Dest, Endpoint, GroupSpec, ProtocolConfig, ProtocolKind, Sender, SeqNo, Time, WindowDiscipline,
 };
@@ -67,12 +67,15 @@ fn sr_nak_retransmits_exactly_one_packet() {
     let mut s = Sender::new(c, GroupSpec::new(1));
     s.send_message(Time::ZERO, Bytes::from(vec![1u8; 400]));
     assert_eq!(drain(&mut s).len(), 4);
-    let nak = packet::encode_nak(Rank(1), 1, SeqNo(2));
+    let nak = packet::nak(Rank(1), 1, SeqNo(2), None);
     s.handle_datagram(Time::from_millis(20), &nak);
     let retx = drain(&mut s);
     assert_eq!(retx.len(), 1, "selective repeat resends only the NAKed seq");
     match Packet::parse(&retx[0].payload).unwrap() {
-        Packet::Data { header, .. } => {
+        Packet {
+            header,
+            body: Body::Data(_),
+        } => {
             assert_eq!(header.seq, SeqNo(2));
             assert!(header.flags.contains(PacketFlags::RETX));
         }
@@ -95,7 +98,7 @@ fn sr_timeout_retransmits_every_expired_packet() {
     let retx = drain(&mut s);
     let seqs: Vec<u32> = retx
         .iter()
-        .map(|t| Packet::parse(&t.payload).unwrap().header().seq.0)
+        .map(|t| Packet::parse(&t.payload).unwrap().header.seq.0)
         .collect();
     assert_eq!(seqs, vec![2, 3], "all expired outstanding packets resent");
 }
@@ -108,7 +111,7 @@ fn unicast_retx_goes_to_the_naker_only() {
     s.send_message(Time::ZERO, Bytes::from(vec![1u8; 200]));
     let fresh = drain(&mut s);
     assert!(fresh.iter().all(|t| t.dest == Dest::Receivers));
-    let nak = packet::encode_nak(Rank(2), 1, SeqNo(0));
+    let nak = packet::nak(Rank(2), 1, SeqNo(0), None);
     s.handle_datagram(Time::from_millis(20), &nak);
     let retx = drain(&mut s);
     assert!(!retx.is_empty());
@@ -179,7 +182,7 @@ fn sender_idles_between_queued_messages_never() {
     for _ in 0..3 {
         let out = drain(&mut s);
         assert_eq!(out.len(), 1);
-        let t = Packet::parse(&out[0].payload).unwrap().header().transfer;
+        let t = Packet::parse(&out[0].payload).unwrap().header.transfer;
         transfers_seen.push(t);
         ack(&mut s, Time::ZERO, 1, t, 1);
     }

@@ -25,7 +25,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmcast::packet;
-use rmwire::{AllocBody, PacketFlags, Rank, RepairBody, SeqNo, SyncBody};
+use rmwire::{AllocBody, PacketFlags, PacketType, Rank, RepairBody, SeqNo, SyncBody};
 
 /// What one mutation did to its corpus input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,13 +104,13 @@ pub fn build_corpus() -> Vec<Vec<u8>> {
         )
         .to_vec(),
         packet::encode_ack(Rank(3), 5, SeqNo(17)).to_vec(),
-        packet::encode_ack_epoch(Rank(3), 5, SeqNo(17), 2).to_vec(),
-        packet::encode_nak(Rank(2), 5, SeqNo(9)).to_vec(),
-        packet::encode_nak_epoch(Rank(2), 5, SeqNo(9), 2).to_vec(),
-        packet::encode_join(Rank(4), 1).to_vec(),
-        packet::encode_welcome(Rank(0), 2).to_vec(),
-        packet::encode_leave(Rank(4), 2).to_vec(),
-        packet::encode_heartbeat(Rank(1), 2).to_vec(),
+        packet::ack(Rank(3), 5, SeqNo(17), Some(2)).to_vec(),
+        packet::nak(Rank(2), 5, SeqNo(9), None).to_vec(),
+        packet::nak(Rank(2), 5, SeqNo(9), Some(2)).to_vec(),
+        packet::encode_membership(PacketType::Join, Rank(4), 1).to_vec(),
+        packet::encode_membership(PacketType::Welcome, Rank(0), 2).to_vec(),
+        packet::encode_membership(PacketType::Leave, Rank(4), 2).to_vec(),
+        packet::encode_membership(PacketType::Heartbeat, Rank(1), 2).to_vec(),
         packet::encode_sync(
             Rank(0),
             SyncBody {
@@ -125,7 +125,8 @@ pub fn build_corpus() -> Vec<Vec<u8>> {
         // seq set and a proactive parity over a dense run, so truncation
         // lands inside the 16-byte coded header and bit flips land on the
         // bitmap, the generation and the XOR payload alike.
-        packet::encode_repair(
+        packet::encode_coded(
+            PacketType::Repair,
             Rank(0),
             7,
             RepairBody {
@@ -136,7 +137,8 @@ pub fn build_corpus() -> Vec<Vec<u8>> {
             &data_short,
         )
         .to_vec(),
-        packet::encode_parity(
+        packet::encode_coded(
+            PacketType::Parity,
             Rank(0),
             7,
             RepairBody {
@@ -289,15 +291,15 @@ impl StormGen {
         match roll {
             0..=59 => (
                 StormKind::DupNak,
-                packet::encode_nak(rank, transfer, seq).to_vec(),
+                packet::nak(rank, transfer, seq, None).to_vec(),
             ),
             60..=79 => (
                 StormKind::StaleEpochAck,
-                packet::encode_ack_epoch(rank, transfer, seq, stale_epoch).to_vec(),
+                packet::ack(rank, transfer, seq, Some(stale_epoch)).to_vec(),
             ),
             _ => (
                 StormKind::StaleEpochNak,
-                packet::encode_nak_epoch(rank, transfer, seq, stale_epoch).to_vec(),
+                packet::nak(rank, transfer, seq, Some(stale_epoch)).to_vec(),
             ),
         }
     }
@@ -357,7 +359,7 @@ impl CodedAbuseKind {
 /// reaches the decode path carrying a lie the receiver must classify as
 /// useless/undecodable/replayed, never decode into the assembly.
 ///
-/// Several kinds bypass `packet::encode_repair` (its debug assertions
+/// Several kinds bypass `packet::encode_coded` (its debug assertions
 /// enforce exactly the invariants being attacked) and hand-roll the bytes.
 pub struct CodedAbuseGen {
     rng: SmallRng,

@@ -352,7 +352,11 @@ fn drive_fec_under_abuse(
     for round in 0..50_000u64 {
         while let Some(t) = tx.poll_transmit() {
             let mut drop = false;
-            if let Ok(packet::Packet::Data { header, .. }) = packet::Packet::parse(&t.payload) {
+            if let Ok(packet::Packet {
+                header,
+                body: packet::Body::Data(_),
+            }) = packet::Packet::parse(&t.payload)
+            {
                 if header.transfer % 2 == 1 {
                     if header.seq.0 == 0 {
                         saw_seq0 = true;

@@ -1,6 +1,6 @@
 //! Exposition: rendering a [`Snapshot`] for machines and humans.
 //!
-//! Two text formats, both deterministic (stages in [`Stage::ALL`] order,
+//! Two text formats, both deterministic (stages in [`Stage::ALL`](crate::Stage::ALL) order,
 //! counters/gauges sorted by name — covered by a golden-snapshot test):
 //!
 //! * [`prometheus`] — the classic pull-scrape text page: each stage as a

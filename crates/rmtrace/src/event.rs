@@ -5,7 +5,7 @@
 //! the network drop cause, a `&'static str` bridged from the simulator's
 //! `DropCause` names) so emitting one never allocates.
 //!
-//! The variants are declared once through [`define_events!`], which
+//! The variants are declared once through `define_events!`, which
 //! derives the enum, [`TraceEvent::name`], [`TraceEvent::NAMES`] and the
 //! JSON field writer from the same list — so a new event can never be
 //! missing from the trace encoding or from the docs test that reads

@@ -8,7 +8,7 @@
 //!
 //! One slicing-by-8 loop is a single dependency chain (xor, eight table
 //! loads, xor tree, next word) and waits on load latency, not on load
-//! bandwidth. So an input is cut into blocks of [`LANES`] contiguous
+//! bandwidth. So an input is cut into blocks of `LANES` contiguous
 //! *lanes* whose slicing-by-8 states advance in one loop body, their table
 //! loads overlapping, and the lanes are joined with
 //! `crc(A‖B) = shift(crc(A)) ^ crc(B)`, where `shift` advances a raw state

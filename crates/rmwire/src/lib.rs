@@ -14,8 +14,9 @@
 //!   (§4 *Packet Header*): a one-byte packet type plus a four-byte sequence
 //!   number, extended with the transfer id and sender rank that the paper
 //!   carries implicitly in the UDP/IP headers.
-//! * [`payload`] — typed encodings for the non-data packet bodies
-//!   (buffer-allocation requests, cumulative ACKs, NAKs).
+//! * [`payload`] — typed encodings for the bodies whose fields are
+//!   validated (buffer-allocation requests, admission handoffs, coded
+//!   blocks).
 //! * [`rank`] — participant identity within a static multicast group.
 //!
 //! All encodings are explicit big-endian byte layouts over [`bytes`]
@@ -38,10 +39,7 @@ pub mod time;
 
 pub use checksum::crc32c;
 pub use header::{Header, PacketFlags, PacketType, HEADER_LEN};
-pub use payload::{
-    AckBody, AllocBody, HeartbeatBody, JoinBody, LeaveBody, NakBody, RepairBody, SyncBody,
-    WelcomeBody,
-};
+pub use payload::{AllocBody, RepairBody, SyncBody};
 pub use rank::{GroupSpec, Rank};
 pub use seq::SeqNo;
 pub use time::{Duration, Time};

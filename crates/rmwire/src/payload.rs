@@ -1,7 +1,10 @@
-//! Typed bodies of the non-data packets.
+//! Typed bodies of the packets whose fields the decoder validates.
 //!
-//! Data packets carry raw application bytes after the header; control
-//! packets carry one of the small fixed-size bodies below.
+//! Data packets carry raw application bytes after the header, and the
+//! one-word packets (ACK, NAK and the four membership packets) a single
+//! big-endian `u32` that `rmcast::packet` reads itself; the three bodies
+//! below carry fields with values no legitimate sender produces, and
+//! their decoders refuse them.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -12,7 +15,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::{SeqNo, WireError};
+use crate::WireError;
 use bytes::{Buf, BufMut};
 
 /// Body of a buffer-allocation request (a `Data` packet with the `ALLOC`
@@ -62,201 +65,6 @@ impl AllocBody {
             });
         }
         Ok(body)
-    }
-}
-
-/// Body of an `Ack` packet: a *cumulative* acknowledgment.
-///
-/// `next_expected` means "I (and, in the tree protocol, every receiver in my
-/// subtree) have received every data packet with `seq < next_expected`".
-/// The ring protocol sends these from the rotating token site; the ACK
-/// protocol from every receiver; the NAK protocol only in response to
-/// polled packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckBody {
-    /// All sequence numbers strictly before this one are acknowledged.
-    pub next_expected: SeqNo,
-}
-
-impl AckBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.next_expected.0);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(AckBody {
-            next_expected: SeqNo(buf.get_u32()),
-        })
-    }
-}
-
-/// Body of a `Nak` packet: the receiver's next expected sequence number,
-/// i.e. the first packet of the detected gap. Under Go-Back-N the sender
-/// rewinds to this point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NakBody {
-    /// First missing sequence number.
-    pub expected: SeqNo,
-}
-
-impl NakBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.expected.0);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(NakBody {
-            expected: SeqNo(buf.get_u32()),
-        })
-    }
-}
-
-/// Body of a `Join` packet: a receiver (first-time or previously evicted)
-/// asks the sender for admission to the group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinBody {
-    /// The last epoch the joiner observed, or 0 if it has never been a
-    /// member. Lets the sender distinguish a fresh join from a rejoin after
-    /// a partition whose epoch may still be current.
-    pub last_epoch: u32,
-}
-
-impl JoinBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.last_epoch);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(JoinBody {
-            last_epoch: buf.get_u32(),
-        })
-    }
-}
-
-/// Body of a `Welcome` packet: the sender's immediate response to a `Join`,
-/// confirming the request is registered; the actual admission (a `Sync`)
-/// follows at the next message boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WelcomeBody {
-    /// The group's current membership epoch.
-    pub epoch: u32,
-}
-
-impl WelcomeBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.epoch);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(WelcomeBody {
-            epoch: buf.get_u32(),
-        })
-    }
-}
-
-/// Body of a `Leave` packet: a receiver announces its voluntary departure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaveBody {
-    /// The epoch in which the receiver is leaving.
-    pub epoch: u32,
-}
-
-impl LeaveBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.epoch);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(LeaveBody {
-            epoch: buf.get_u32(),
-        })
-    }
-}
-
-/// Body of a `Heartbeat` packet. The sender multicasts heartbeats carrying
-/// the current epoch; receivers echo them back unicast so the failure
-/// detector observes liveness even between data transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatBody {
-    /// The group's current membership epoch.
-    pub epoch: u32,
-}
-
-impl HeartbeatBody {
-    /// Encoded size in bytes.
-    pub const LEN: usize = 4;
-
-    /// Append the encoded body to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32(self.epoch);
-    }
-
-    /// Decode from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < Self::LEN {
-            return Err(WireError::Truncated {
-                need: Self::LEN,
-                have: buf.remaining(),
-            });
-        }
-        Ok(HeartbeatBody {
-            epoch: buf.get_u32(),
-        })
     }
 }
 
@@ -425,63 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn ack_round_trip() {
-        let a = AckBody {
-            next_expected: SeqNo(u32::MAX),
-        };
-        let mut buf = BytesMut::new();
-        a.encode(&mut buf);
-        let mut b = buf.freeze();
-        assert_eq!(AckBody::decode(&mut b).unwrap(), a);
-    }
-
-    #[test]
-    fn nak_round_trip() {
-        let n = NakBody {
-            expected: SeqNo(123),
-        };
-        let mut buf = BytesMut::new();
-        n.encode(&mut buf);
-        let mut b = buf.freeze();
-        assert_eq!(NakBody::decode(&mut b).unwrap(), n);
-    }
-
-    #[test]
     fn truncated_bodies_rejected() {
         let mut b: &[u8] = &[0, 1, 2];
         assert!(AllocBody::decode(&mut b).is_err());
-        let mut b: &[u8] = &[0];
-        assert!(AckBody::decode(&mut b).is_err());
-        let mut b: &[u8] = &[];
-        assert!(NakBody::decode(&mut b).is_err());
-        let mut b: &[u8] = &[0, 1];
-        assert!(JoinBody::decode(&mut b).is_err());
         let mut b: &[u8] = &[0, 1, 2];
         assert!(SyncBody::decode(&mut b).is_err());
-    }
-
-    #[test]
-    fn membership_bodies_round_trip() {
-        let mut buf = BytesMut::new();
-        let j = JoinBody { last_epoch: 3 };
-        j.encode(&mut buf);
-        assert_eq!(buf.len(), JoinBody::LEN);
-        assert_eq!(JoinBody::decode(&mut buf.freeze()).unwrap(), j);
-
-        let w = WelcomeBody { epoch: 9 };
-        let mut buf = BytesMut::new();
-        w.encode(&mut buf);
-        assert_eq!(WelcomeBody::decode(&mut buf.freeze()).unwrap(), w);
-
-        let l = LeaveBody { epoch: 2 };
-        let mut buf = BytesMut::new();
-        l.encode(&mut buf);
-        assert_eq!(LeaveBody::decode(&mut buf.freeze()).unwrap(), l);
-
-        let h = HeartbeatBody { epoch: 7 };
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        assert_eq!(HeartbeatBody::decode(&mut buf.freeze()).unwrap(), h);
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Property tests over every control-packet body: arbitrary field values
-//! round-trip exactly, truncation at *every* byte boundary is rejected
-//! with a typed error, and random garbage never panics a decoder.
+//! Property tests over the validated bodies (ALLOC, SYNC): arbitrary field
+//! values round-trip exactly, truncation at *every* byte boundary is
+//! rejected with a typed error, and random garbage never panics a decoder.
+//! The one-word packets are checked whole, in `rmcast`'s `packet_props`.
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use rmwire::{
-    AckBody, AllocBody, HeartbeatBody, JoinBody, LeaveBody, NakBody, SeqNo, SyncBody, WelcomeBody,
-    WireError,
-};
+use rmwire::{AllocBody, SyncBody, WireError};
 
 /// Encode a body into a standalone byte vector.
 macro_rules! enc {
@@ -42,42 +40,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn ack_body_round_trip_and_truncation(next in any::<u32>()) {
-        check_body!(AckBody, AckBody { next_expected: SeqNo(next) });
-    }
-
-    #[test]
-    fn nak_body_round_trip_and_truncation(expected in any::<u32>()) {
-        check_body!(NakBody, NakBody { expected: SeqNo(expected) });
-    }
-
-    #[test]
     fn alloc_body_round_trip_and_truncation(
         msg_len in any::<u64>(),
         data_transfer in any::<u32>(),
         packet_size in 1u32..u32::MAX,
     ) {
         check_body!(AllocBody, AllocBody { msg_len, data_transfer, packet_size });
-    }
-
-    #[test]
-    fn join_body_round_trip_and_truncation(last_epoch in any::<u32>()) {
-        check_body!(JoinBody, JoinBody { last_epoch });
-    }
-
-    #[test]
-    fn welcome_body_round_trip_and_truncation(epoch in any::<u32>()) {
-        check_body!(WelcomeBody, WelcomeBody { epoch });
-    }
-
-    #[test]
-    fn leave_body_round_trip_and_truncation(epoch in any::<u32>()) {
-        check_body!(LeaveBody, LeaveBody { epoch });
-    }
-
-    #[test]
-    fn heartbeat_body_round_trip_and_truncation(epoch in any::<u32>()) {
-        check_body!(HeartbeatBody, HeartbeatBody { epoch });
     }
 
     #[test]
@@ -145,13 +113,7 @@ proptest! {
                 }
             }};
         }
-        try_decode!(AckBody);
-        try_decode!(NakBody);
         try_decode!(AllocBody);
-        try_decode!(JoinBody);
-        try_decode!(WelcomeBody);
-        try_decode!(LeaveBody);
-        try_decode!(HeartbeatBody);
         try_decode!(SyncBody);
     }
 }

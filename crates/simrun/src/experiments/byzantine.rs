@@ -8,7 +8,7 @@
 //! when the network actively lies?" — the threat model of
 //! docs/THREAT_MODEL.md.
 
-use super::{ack_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort};
+use super::{families, rm_scenario, Effort};
 use crate::table::Table;
 use netsim::FaultPlan;
 use rmcast::{LivenessConfig, ProtocolConfig};
@@ -22,12 +22,8 @@ const MSG: usize = 200_000;
 /// byzantine traffic must neither corrupt a delivery nor hang a retry
 /// loop.
 fn hardened_families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ack_cfg(8_000, 4)),
-        ("nak", nak_cfg(8_000, 16, 8)),
-        ("ring", ring_cfg(8_000, N as usize + 2)),
-        ("tree", tree_cfg(8_000, 8, 3)),
-    ];
+    let mut v = families(N);
+    v.truncate(4);
     for (_, cfg) in &mut v {
         cfg.integrity = true;
         cfg.liveness = LivenessConfig::bounded(40);

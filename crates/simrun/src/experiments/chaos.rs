@@ -7,11 +7,11 @@
 //! the network or a member actually misbehaves?" The scenarios reuse the
 //! calibrated testbed, so the numbers are comparable with fig08–fig21.
 
-use super::{ack_cfg, fec_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort};
-use crate::scenario::{ChaosOutcome, Scenario};
+use super::{families, rm_scenario, Effort};
+use crate::scenario::ChaosOutcome;
 use crate::table::Table;
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, ProtocolConfig};
+use rmcast::LivenessConfig;
 use rmwire::{Duration, Time};
 
 /// Receivers in the chaos runs: small enough to keep soak tests quick,
@@ -21,27 +21,58 @@ const N: u16 = 8;
 /// Message size: ~25 data packets per protocol, several RTTs of work.
 const MSG: usize = 200_000;
 
-/// The five protocol families with `liveness` applied. Window/packet
-/// settings are mid-range (not per-family tuned): chaos measures
-/// robustness, not peak throughput.
-fn families(liveness: LivenessConfig) -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ack_cfg(8_000, 4)),
-        ("nak", nak_cfg(8_000, 16, 8)),
-        ("ring", ring_cfg(8_000, N as usize + 2)),
-        ("tree", tree_cfg(8_000, 8, 3)),
-        ("fec", fec_cfg(8_000, 16, 8)),
-    ];
-    for (_, cfg) in &mut v {
-        cfg.liveness = liveness;
-    }
-    v
+/// One fault of the campaign grid: its label, its plan, and the liveness
+/// settings every family runs it with.
+type Fault = (&'static str, FaultPlan, LivenessConfig);
+
+/// The campaign's faults. Window/packet settings stay the campaign-scale
+/// [`families`]: chaos measures robustness, not peak throughput.
+fn grid() -> [Fault; 4] {
+    [
+        (
+            "burst-5%",
+            FaultPlan::default().with_burst(0.05, 8.0),
+            LivenessConfig::bounded(20),
+        ),
+        (
+            "crash@4ms",
+            FaultPlan::default().with_crash(HostId(1), Time::from_millis(4)),
+            LivenessConfig::evicting(6),
+        ),
+        (
+            "down-200ms",
+            FaultPlan::default().with_link_down(
+                HostId(2),
+                Time::from_millis(3),
+                Time::from_millis(203),
+            ),
+            LivenessConfig::PAPER,
+        ),
+        (
+            "pause-150ms",
+            FaultPlan::default().with_pause(
+                HostId(3),
+                Time::from_millis(2),
+                Time::from_millis(152),
+            ),
+            LivenessConfig::bounded(20),
+        ),
+    ]
 }
 
-fn chaos_scenario(effort: Effort, cfg: ProtocolConfig, plan: FaultPlan) -> Scenario {
-    let mut sc = rm_scenario(effort, cfg, N, MSG);
-    sc.fault_plan = plan;
-    sc
+/// One row per family under `fault`, each run capped at `time_cap` where
+/// one is given (the scenario's default otherwise).
+fn push_fault(t: &mut Table, effort: Effort, fault: Fault, time_cap: Option<Duration>) {
+    let (label, plan, liveness) = fault;
+    for (name, mut cfg) in families(N) {
+        cfg.liveness = liveness;
+        let mut sc = rm_scenario(effort, cfg, N, MSG);
+        sc.fault_plan = plan.clone();
+        if let Some(cap) = time_cap {
+            sc.time_cap = cap;
+        }
+        push_outcome(t, name, label, &sc.run_chaos(1));
+    }
 }
 
 fn push_outcome(t: &mut Table, name: &str, fault: &str, out: &ChaosOutcome) {
@@ -78,11 +109,8 @@ pub fn chaos_burst_loss(effort: Effort) -> Table {
         "Chaos: 5% bursty loss (Gilbert-Elliott, mean burst 8 frames)",
         &COLS,
     );
-    let plan = FaultPlan::default().with_burst(0.05, 8.0);
-    for (name, cfg) in families(LivenessConfig::bounded(20)) {
-        let out = chaos_scenario(effort, cfg, plan.clone()).run_chaos(1);
-        push_outcome(&mut t, name, "burst-5%", &out);
-    }
+    let [burst, ..] = grid();
+    push_fault(&mut t, effort, burst, None);
     t.note("bursty loss stresses go-back-n hardest: one bad burst loses a whole window");
     t.note("all families must report bounded=true: loss is recoverable, so runs complete");
     t
@@ -98,11 +126,8 @@ pub fn chaos_crash(effort: Effort) -> Table {
         "Chaos: receiver crash mid-transfer (rank 1 = token site / interior node)",
         &COLS,
     );
-    let plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
-    for (name, cfg) in families(LivenessConfig::evicting(6)) {
-        let out = chaos_scenario(effort, cfg, plan.clone()).run_chaos(1);
-        push_outcome(&mut t, name, "crash@4ms", &out);
-    }
+    let [_, crash, ..] = grid();
+    push_fault(&mut t, effort, crash, None);
     t.note("with eviction on, the sender completes to the 7 survivors and reports the eviction");
     t.note("ring must skip the dead token site; tree must reroute the ack chain around the dead interior node");
     t
@@ -117,15 +142,8 @@ pub fn chaos_link_down(effort: Effort) -> Table {
         "Chaos: 200ms link outage on one receiver edge, paper-faithful retries",
         &COLS,
     );
-    let plan = FaultPlan::default().with_link_down(
-        HostId(2),
-        Time::from_millis(3),
-        Time::from_millis(203),
-    );
-    for (name, cfg) in families(LivenessConfig::PAPER) {
-        let out = chaos_scenario(effort, cfg, plan.clone()).run_chaos(1);
-        push_outcome(&mut t, name, "down-200ms", &out);
-    }
+    let [_, _, down, _] = grid();
+    push_fault(&mut t, effort, down, None);
     t.note("paper-faithful retries ride out a transient outage: bounded=true with zero evictions");
     t.note(
         "comm_s lower-bounds at ~0.2s: nothing completes before the partitioned receiver returns",
@@ -141,45 +159,10 @@ pub fn chaos_campaign(effort: Effort) -> Table {
         "Chaos campaign summary: protocol x fault grid, liveness knobs on",
         &COLS,
     );
-    let grid: Vec<(&str, FaultPlan, LivenessConfig)> = vec![
-        (
-            "burst-5%",
-            FaultPlan::default().with_burst(0.05, 8.0),
-            LivenessConfig::bounded(20),
-        ),
-        (
-            "crash@4ms",
-            FaultPlan::default().with_crash(HostId(1), Time::from_millis(4)),
-            LivenessConfig::evicting(6),
-        ),
-        (
-            "down-200ms",
-            FaultPlan::default().with_link_down(
-                HostId(2),
-                Time::from_millis(3),
-                Time::from_millis(203),
-            ),
-            LivenessConfig::PAPER,
-        ),
-        (
-            "pause-150ms",
-            FaultPlan::default().with_pause(
-                HostId(3),
-                Time::from_millis(2),
-                Time::from_millis(152),
-            ),
-            LivenessConfig::bounded(20),
-        ),
-    ];
-    for (fault, plan, liveness) in &grid {
-        for (name, cfg) in families(*liveness) {
-            let mut sc = chaos_scenario(effort, cfg, plan.clone());
-            // Faulted runs can legitimately need longer than a clean run,
-            // but the cap is the watchdog: a hang surfaces as bounded=false.
-            sc.time_cap = Duration::from_secs(60);
-            let out = sc.run_chaos(1);
-            push_outcome(&mut t, name, fault, &out);
-        }
+    for fault in grid() {
+        // Faulted runs can legitimately need longer than a clean run, but
+        // the cap is the watchdog: a hang surfaces as bounded=false.
+        push_fault(&mut t, effort, fault, Some(Duration::from_secs(60)));
     }
     t.note("every row must show bounded=true: the liveness contract holds across the grid");
     t

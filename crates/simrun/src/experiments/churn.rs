@@ -9,7 +9,7 @@
 //! evicted and rejoins; `partition_*` severs the trunk between the two
 //! cascaded switches and lets it heal.
 
-use super::{ack_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort};
+use super::{families, rm_scenario, Effort};
 use crate::scenario::{ChaosOutcome, Scenario};
 use crate::table::Table;
 use netsim::{FaultPlan, HostId};
@@ -29,13 +29,9 @@ const MSG: usize = 200_000;
 const MSGS: usize = 6;
 
 /// The four families with membership and bounded-retry liveness on.
-fn families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ack_cfg(8_000, 4)),
-        ("nak", nak_cfg(8_000, 16, 8)),
-        ("ring", ring_cfg(8_000, N as usize + 2)),
-        ("tree", tree_cfg(8_000, 8, 3)),
-    ];
+fn member_families() -> Vec<(&'static str, ProtocolConfig)> {
+    let mut v = families(N);
+    v.truncate(4);
     for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::evicting(6);
         // Tree parents need their own deadline for silent children; keep
@@ -99,7 +95,7 @@ pub fn churn_crash_rejoin(effort: Effort) -> Table {
         Time::from_millis(5),
         Time::from_millis(330),
     );
-    for (name, cfg) in families() {
+    for (name, cfg) in member_families() {
         let out = churn_scenario(effort, cfg, plan.clone()).run_chaos(1);
         push_outcome(&mut t, name, "crash@5ms,reboot@330ms", &out);
     }
@@ -117,7 +113,7 @@ pub fn partition_heal(effort: Effort) -> Table {
         &COLS,
     );
     let plan = FaultPlan::default().with_trunk_down(Time::from_millis(5), Time::from_millis(305));
-    for (name, cfg) in families() {
+    for (name, cfg) in member_families() {
         let mut sc = churn_scenario(effort, cfg, plan.clone());
         // > 16 hosts forces the two-switch split so the trunk matters.
         sc.n_receivers = 18;

@@ -10,7 +10,7 @@
 //! make that trade visible: repair transmissions and completion time as
 //! loss climbs.
 
-use super::{ack_cfg, fec_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort, N_RECEIVERS};
+use super::{families, fec_cfg, nak_cfg, rm_scenario, Effort, N_RECEIVERS};
 use crate::scenario::ChaosOutcome;
 use crate::table::Table;
 use netsim::FaultPlan;
@@ -26,14 +26,8 @@ const MSG: usize = 200_000;
 /// All five families, liveness bounded so lossy runs abort typed rather
 /// than hang. Mid-range windows, untuned — the sweep measures loss
 /// resilience, not peak throughput.
-fn families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ack_cfg(8_000, 4)),
-        ("nak", nak_cfg(8_000, 16, 8)),
-        ("ring", ring_cfg(8_000, N as usize + 2)),
-        ("tree", tree_cfg(8_000, 8, 3)),
-        ("fec", fec_cfg(8_000, 16, 8)),
-    ];
+fn bounded_families() -> Vec<(&'static str, ProtocolConfig)> {
+    let mut v = families(N);
     for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::bounded(40);
     }
@@ -75,7 +69,7 @@ pub fn fec_loss_sweep(effort: Effort) -> Table {
     let rates = effort.thin(&[0.01, 0.05, 0.10, 0.20]);
     for &loss in &rates {
         let plan = FaultPlan::default().with_burst(loss, 2.0);
-        for (name, cfg) in families() {
+        for (name, cfg) in bounded_families() {
             let mut sc = rm_scenario(effort, cfg, N, MSG);
             sc.fault_plan = plan.clone();
             sc.time_cap = Duration::from_secs(60);

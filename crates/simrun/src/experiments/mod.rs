@@ -124,6 +124,22 @@ pub(crate) fn fec_cfg(packet_size: usize, window: usize, poll: usize) -> Protoco
     ProtocolConfig::new(ProtocolKind::fec(poll), packet_size, window)
 }
 
+/// The five families at campaign scale, for a group of `n` receivers:
+/// mid-range windows and packet sizes, not tuned per family, because the
+/// chaos, overload, byzantine, churn and fec campaigns (and their soak
+/// tests) measure robustness, not peak throughput. Each caller adds its
+/// own liveness, overload or membership settings; those that leave fec
+/// out take the first four.
+pub fn families(n: u16) -> Vec<(&'static str, ProtocolConfig)> {
+    vec![
+        ("ack", ack_cfg(8_000, 4)),
+        ("nak", nak_cfg(8_000, 16, 8)),
+        ("ring", ring_cfg(8_000, n as usize + 2)),
+        ("tree", tree_cfg(8_000, 8, 3)),
+        ("fec", fec_cfg(8_000, 16, 8)),
+    ]
+}
+
 /// What builds one experiment's table.
 type Experiment = fn(Effort) -> Table;
 

@@ -9,7 +9,7 @@
 //! the liveness outcome, so shrink/recover and quarantine activity are
 //! visible in the table, not just in traces.
 
-use super::{ack_cfg, fec_cfg, nak_cfg, ring_cfg, rm_scenario, tree_cfg, Effort};
+use super::{families, rm_scenario, Effort};
 use crate::scenario::{ChaosOutcome, Scenario};
 use crate::table::Table;
 use netsim::{FaultPlan, HostId};
@@ -26,14 +26,8 @@ const MSG: usize = 200_000;
 /// The five families with the adaptive overload profile on. The ring
 /// sender keeps its AIMD floor above the group size itself, so the token
 /// rotation always has a full circuit of outstanding packets to ride on.
-fn families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ack_cfg(8_000, 4)),
-        ("nak", nak_cfg(8_000, 16, 8)),
-        ("ring", ring_cfg(8_000, N as usize + 2)),
-        ("tree", tree_cfg(8_000, 8, 3)),
-        ("fec", fec_cfg(8_000, 16, 8)),
-    ];
+fn adaptive_families() -> Vec<(&'static str, ProtocolConfig)> {
+    let mut v = families(N);
     for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::evicting(30);
         cfg.overload = OverloadConfig::adaptive(cfg.window);
@@ -86,7 +80,7 @@ pub fn overload_nak_storm(effort: Effort) -> Table {
         &COLS,
     );
     let plan = storm_plan();
-    for (name, cfg) in families() {
+    for (name, cfg) in adaptive_families() {
         let out = overload_scenario(effort, cfg, plan.clone()).run_chaos(1);
         push_outcome(&mut t, name, "storm-4x", &out);
     }
@@ -108,7 +102,7 @@ pub fn overload_slow_receiver(effort: Effort) -> Table {
         &COLS,
     );
     let plan = slow_plan();
-    for (name, cfg) in families() {
+    for (name, cfg) in adaptive_families() {
         let out = overload_scenario(effort, cfg, plan.clone()).run_chaos(1);
         push_outcome(&mut t, name, "cpu-25x", &out);
     }
@@ -127,7 +121,7 @@ pub fn overload_sockbuf(effort: Effort) -> Table {
         &COLS,
     );
     let plan = sockbuf_plan();
-    for (name, cfg) in families() {
+    for (name, cfg) in adaptive_families() {
         let out = overload_scenario(effort, cfg, plan.clone()).run_chaos(1);
         push_outcome(&mut t, name, "sockbuf-40ms", &out);
     }
@@ -149,7 +143,7 @@ pub fn overload_campaign(effort: Effort) -> Table {
         ("sockbuf-40ms", sockbuf_plan()),
     ];
     for (fault, plan) in &grid {
-        for (name, cfg) in families() {
+        for (name, cfg) in adaptive_families() {
             let out = overload_scenario(effort, cfg, plan.clone()).run_chaos(1);
             push_outcome(&mut t, name, fault, &out);
         }

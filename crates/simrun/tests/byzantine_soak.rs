@@ -6,30 +6,16 @@
 //! sender queued, with the corruption catches visible in the counters.
 
 use netsim::FaultPlan;
-use rmcast::{LivenessConfig, ProtocolConfig, ProtocolKind};
+use rmcast::{LivenessConfig, ProtocolConfig};
 use rmwire::{Duration, Rank};
+use simrun::experiments;
 use simrun::scenario::{ChaosOutcome, Protocol, Scenario};
 
 const N: u16 = 8;
 const MSG: usize = 200_000;
 
 fn hardened_families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ProtocolConfig::new(ProtocolKind::Ack, 8_000, 4)),
-        (
-            "nak",
-            ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16),
-        ),
-        (
-            "ring",
-            ProtocolConfig::new(ProtocolKind::Ring, 8_000, N as usize + 2),
-        ),
-        (
-            "tree",
-            ProtocolConfig::new(ProtocolKind::flat_tree(3), 8_000, 8),
-        ),
-        ("fec", ProtocolConfig::new(ProtocolKind::fec(8), 8_000, 16)),
-    ];
+    let mut v = experiments::families(N);
     for (_, cfg) in &mut v {
         cfg.integrity = true;
         cfg.liveness = LivenessConfig::bounded(40);

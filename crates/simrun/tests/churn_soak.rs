@@ -7,8 +7,9 @@
 //! at every receiver that is live at the end.
 
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, ProtocolConfig, ProtocolKind};
+use rmcast::{LivenessConfig, ProtocolConfig};
 use rmwire::{Duration, Rank, Time};
+use simrun::experiments;
 use simrun::scenario::{ChaosOutcome, Protocol, Scenario};
 use std::collections::BTreeMap;
 
@@ -24,21 +25,8 @@ const VICTIM: Rank = Rank(2);
 const ISLAND: [u16; 3] = [16, 17, 18];
 
 fn families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ProtocolConfig::new(ProtocolKind::Ack, 8_000, 4)),
-        (
-            "nak",
-            ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16),
-        ),
-        (
-            "ring",
-            ProtocolConfig::new(ProtocolKind::Ring, 8_000, N as usize + 2),
-        ),
-        (
-            "tree",
-            ProtocolConfig::new(ProtocolKind::flat_tree(3), 8_000, 8),
-        ),
-    ];
+    let mut v = experiments::families(N);
+    v.truncate(4);
     for (_, cfg) in &mut v {
         cfg.liveness = LivenessConfig::evicting(6);
         // Tree parents need their own deadline for silent children; keep

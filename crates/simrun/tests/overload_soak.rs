@@ -6,36 +6,25 @@
 //! pass through the quarantine lifecycle (enter, then rejoin or evict).
 
 use netsim::{FaultPlan, HostId};
-use rmcast::{LivenessConfig, OverloadConfig, ProtocolConfig, ProtocolKind};
+use rmcast::{LivenessConfig, OverloadConfig, ProtocolConfig};
 use rmtrace::TraceEvent;
 use rmwire::{Duration, Rank, Time};
+use simrun::experiments;
 use simrun::scenario::{ChaosOutcome, Protocol, Scenario};
 
 const N: u16 = 30;
 const MSG: usize = 500_000;
 
 fn families() -> Vec<(&'static str, ProtocolConfig)> {
-    let mut v = vec![
-        ("ack", ProtocolConfig::new(ProtocolKind::Ack, 8_000, 4)),
-        (
-            "nak",
-            ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16),
-        ),
-        (
-            "ring",
+    let mut v = experiments::families(N);
+    for (name, cfg) in &mut v {
+        if *name == "ring" {
             // Double-size window: the sender keeps the AIMD floor above
             // the group size (the rotating release frees packet X on the
             // ACK for X+N), so a 2(N+1) window halves to N+1 under load
             // and has room to visibly grow back.
-            ProtocolConfig::new(ProtocolKind::Ring, 8_000, 2 * (N as usize + 1)),
-        ),
-        (
-            "tree",
-            ProtocolConfig::new(ProtocolKind::flat_tree(3), 8_000, 8),
-        ),
-        ("fec", ProtocolConfig::new(ProtocolKind::fec(8), 8_000, 16)),
-    ];
-    for (_, cfg) in &mut v {
+            cfg.window = 2 * (N as usize + 1);
+        }
         cfg.liveness = LivenessConfig::evicting(40);
         cfg.overload = OverloadConfig::adaptive(cfg.window);
         // The saturated receiver needs a while to chew through 500 KB;

@@ -6,29 +6,11 @@
 use netsim::{FaultPlan, HostId};
 use rmcast::{LivenessConfig, ProtocolConfig, ProtocolKind};
 use rmwire::{Rank, Time};
+use simrun::experiments;
 use simrun::scenario::{ChaosOutcome, Protocol, RunResult, Scenario};
 
 const N: u16 = 8;
 const MSG: usize = 200_000;
-
-fn families() -> [(&'static str, ProtocolConfig); 5] {
-    [
-        ("ack", ProtocolConfig::new(ProtocolKind::Ack, 8_000, 4)),
-        (
-            "nak",
-            ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16),
-        ),
-        (
-            "ring",
-            ProtocolConfig::new(ProtocolKind::Ring, 8_000, N as usize + 2),
-        ),
-        (
-            "tree",
-            ProtocolConfig::new(ProtocolKind::flat_tree(3), 8_000, 8),
-        ),
-        ("fec", ProtocolConfig::new(ProtocolKind::fec(8), 8_000, 16)),
-    ]
-}
 
 /// Run `f` on a thread that has never run a simulation.
 fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -59,7 +41,7 @@ fn assert_same_outcome(what: &str, a: &ChaosOutcome, b: &ChaosOutcome) {
 
 #[test]
 fn a_run_does_not_depend_on_the_runs_before_it() {
-    for (name, cfg) in families() {
+    for (name, cfg) in experiments::families(N) {
         let sc = Scenario::new(Protocol::Rm(cfg), N, MSG);
         // The first allocates, the second and third assemble in the
         // buffers the one before handed back.
@@ -90,7 +72,7 @@ fn churn_scenario() -> Scenario {
 
 #[test]
 fn churn_run_and_clean_run_do_not_disturb_each_other() {
-    let clean = Scenario::new(Protocol::Rm(families()[1].1), N, MSG);
+    let clean = Scenario::new(Protocol::Rm(experiments::families(N)[1].1), N, MSG);
     let (clean_alone, churn_alone) = {
         let clean = clean.clone();
         (
@@ -115,7 +97,7 @@ const CORRUPT_SEED: u64 = 3;
 /// Bit flips delivered past the NIC with no integrity trailer to catch
 /// them: with this seed exactly one receiver's payload arrives changed.
 fn corrupting_scenario() -> Scenario {
-    let mut sc = Scenario::new(Protocol::Rm(families()[1].1), N, MSG);
+    let mut sc = Scenario::new(Protocol::Rm(experiments::families(N)[1].1), N, MSG);
     sc.fault_plan = FaultPlan::default().with_corrupt_deliver(0.01);
     sc
 }

@@ -165,10 +165,10 @@ pub(crate) fn no_datagram(e: &io::Error) -> bool {
 /// Each pass drains the socket first (non-blocking, at most `RX_BATCH`
 /// datagrams, each one taken off the socket's gauge), then fires due
 /// timers, then transmits — waiting, bounded, for room in a destination
-/// whose gauge is at the depth ([`Outlet::admit`]) — then reports events.
-/// A pass that moved nothing polls again for [`LINGER`] and then waits in
+/// whose gauge is at the depth (`Outlet::admit`) — then reports events.
+/// A pass that moved nothing polls again for `LINGER` and then waits in
 /// a blocking `recv_from` until the endpoint's next deadline or the
-/// stop-check cap ([`Pace`]).
+/// stop-check cap (`Pace`).
 ///
 /// Socket errors (receive or send) never terminate the thread: a peer
 /// that died mid-run surfaces as transient `ECONNREFUSED`-style errors on
