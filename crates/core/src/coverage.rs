@@ -353,11 +353,6 @@ impl RingTracker {
         }
     }
 
-    /// The receiver responsible for acknowledging packet `seq`.
-    pub fn token_receiver(seq: u32, n_receivers: u32) -> Rank {
-        Rank::from_receiver_index((seq % n_receivers) as usize)
-    }
-
     /// Record a cumulative acknowledgment from `rank`; returns the new
     /// releasable prefix.
     pub fn update(&mut self, rank: Rank, next_expected: u32) -> u32 {
@@ -461,13 +456,6 @@ mod tests {
         // Stale update ignored.
         assert_eq!(c.update(0, 1), 3);
         assert_eq!(c.update(1, 9), 4);
-    }
-
-    #[test]
-    fn token_receiver_rotation() {
-        assert_eq!(RingTracker::token_receiver(0, 5), Rank(1));
-        assert_eq!(RingTracker::token_receiver(4, 5), Rank(5));
-        assert_eq!(RingTracker::token_receiver(5, 5), Rank(1));
     }
 
     #[test]

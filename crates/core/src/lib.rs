@@ -76,7 +76,6 @@ pub mod window;
 pub use config::{LivenessConfig, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
 pub use endpoint::{AppEvent, Dest, Endpoint, Transmit};
 pub use error::SessionError;
-pub use membership::{FailureDetector, LivenessVerdict};
 pub use overload::{AimdWindow, DupNakFilter, LoadScaler, OverloadConfig, TokenBucket};
 pub use receiver::Receiver;
 pub use sender::Sender;

@@ -3,19 +3,18 @@
 //! The paper's protocols fix the receiver set before each message; this
 //! module lets the set change at message boundaries.
 //!
-//! [`FailureDetector`] is per-receiver liveness scoring driven by the
-//! sender's heartbeat schedule. A member that misses three consecutive
-//! heartbeats is *suspected* (counted in stats, no action); at six it is
-//! reported for eviction. Any current-epoch traffic from the member resets
-//! its score. This replaces raw consecutive-retry counters as the eviction
-//! trigger when membership is enabled.
-//!
 //! `Members` is the sender's membership component. It holds the sticky
 //! evictions (kept with membership off too: the liveness bound evicts
-//! stragglers), the tree's detached rejoiners, the epoch, the detector and
-//! its heartbeat schedule, and the joins waiting for a message boundary.
-//! It gates incoming feedback, moves the epoch, and admits joiners; the
-//! sender removes an evicted rank from its windows.
+//! stragglers), the tree's detached rejoiners, the epoch, each member's
+//! missed-heartbeat count and the heartbeat schedule, and the joins waiting
+//! for a message boundary. It gates incoming feedback, moves the epoch, and
+//! admits joiners; the sender removes an evicted rank from its windows.
+//!
+//! With membership on, liveness is scored by heartbeat: a member that
+//! misses three consecutive heartbeats is *suspected* (counted in stats, no
+//! action); at six it is reported for eviction. Any current-epoch traffic
+//! from the member resets its count. This replaces raw consecutive-retry
+//! counters as the eviction trigger.
 //!
 //! `Admission` is the receiver's side: its epoch, the first transfer it is
 //! obligated for, and the JOIN retries of a receiver not yet admitted.
@@ -41,74 +40,13 @@ const SUSPECT_MISSES: u32 = 3;
 const EVICT_MISSES: u32 = 6;
 
 /// Interval between the sender's multicast heartbeat announces (and
-/// failure-detector ticks). Heartbeats run only while messages are in
+/// missed-heartbeat counts). Heartbeats run only while messages are in
 /// flight, so an idle group stays silent.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How long a joining receiver waits for a SYNC before re-sending its
 /// JOIN.
 pub(crate) const JOIN_RETRY: Duration = Duration::from_millis(100);
-
-/// What the failure detector concluded about one member after a missed
-/// heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LivenessVerdict {
-    /// Still within the suspect threshold.
-    Alive,
-    /// Crossed three misses (first time only; later misses inside the
-    /// suspect band report `Alive` so stats count each suspicion once).
-    NewlySuspected,
-    /// Crossed six misses: the caller should evict the member.
-    Evict,
-}
-
-/// Per-member heartbeat-miss scoring.
-#[derive(Debug, Clone)]
-pub struct FailureDetector {
-    misses: Vec<u32>,
-    suspected: Vec<bool>,
-}
-
-impl FailureDetector {
-    /// A detector over `n` members.
-    pub fn new(n: usize) -> Self {
-        FailureDetector {
-            misses: vec![0; n],
-            suspected: vec![false; n],
-        }
-    }
-
-    /// Record proof of life for member `idx` (current-epoch ACK/NAK,
-    /// heartbeat reply, or join).
-    pub fn note_alive(&mut self, idx: usize) {
-        self.misses[idx] = 0;
-        self.suspected[idx] = false;
-    }
-
-    /// Record one missed heartbeat for member `idx` and report the
-    /// resulting verdict.
-    pub fn record_miss(&mut self, idx: usize) -> LivenessVerdict {
-        self.misses[idx] = self.misses[idx].saturating_add(1);
-        if self.misses[idx] >= EVICT_MISSES {
-            LivenessVerdict::Evict
-        } else if self.misses[idx] >= SUSPECT_MISSES && !self.suspected[idx] {
-            self.suspected[idx] = true;
-            LivenessVerdict::NewlySuspected
-        } else {
-            LivenessVerdict::Alive
-        }
-    }
-
-    /// Is `idx` currently in the suspect band?
-    pub fn is_suspected(&self, idx: usize) -> bool {
-        self.suspected[idx]
-    }
-
-    /// Forget all state for `idx` (after eviction or readmission).
-    pub fn reset(&mut self, idx: usize) {
-        self.note_alive(idx);
-    }
-}
 
 /// The sender's membership component.
 #[derive(Debug, Clone)]
@@ -125,10 +63,10 @@ pub(crate) struct Members {
     /// and bumps on every membership change (eviction, leave, admission)
     /// otherwise.
     epoch: u32,
-    /// Heartbeat-driven failure detector, present exactly when membership
-    /// is enabled.
-    detector: Option<FailureDetector>,
-    /// Next heartbeat announce / detector tick. Armed only while the
+    /// By receiver index: consecutive heartbeats missed. Present exactly
+    /// when membership is enabled.
+    misses: Option<Vec<u32>>,
+    /// Next heartbeat announce and miss count. Armed only while the
     /// sender is busy, so an idle group stays silent.
     hb_deadline: Option<Time>,
     /// Ranks awaiting admission at the next message boundary.
@@ -142,7 +80,7 @@ impl Members {
             evicted: vec![false; n],
             detached: vec![false; n],
             epoch: u32::from(enabled),
-            detector: enabled.then(|| FailureDetector::new(n)),
+            misses: enabled.then(|| vec![0; n]),
             hb_deadline: None,
             pending_joins: Vec::new(),
         }
@@ -150,7 +88,7 @@ impl Members {
 
     /// Is dynamic membership on?
     pub(crate) fn enabled(&self) -> bool {
-        self.detector.is_some()
+        self.misses.is_some()
     }
 
     /// The current epoch (`0` when membership is disabled).
@@ -197,7 +135,7 @@ impl Members {
     }
 
     /// Going busy: start the heartbeat schedule with an immediate announce
-    /// so receivers can prove liveness before the first detector tick.
+    /// so receivers can prove liveness before the first miss is counted.
     pub(crate) fn start_heartbeats(&mut self, now: Time, io: &mut Io<'_>) {
         if self.enabled() && self.hb_deadline.is_none() {
             self.announce(io);
@@ -221,12 +159,13 @@ impl Members {
         }
         self.announce(io);
         let mut silent = Vec::new();
-        if let Some(d) = self.detector.as_mut() {
+        if let Some(misses) = self.misses.as_mut() {
             for idx in (0..self.evicted.len()).filter(|&i| !self.evicted[i]) {
-                match d.record_miss(idx) {
-                    LivenessVerdict::Alive => {}
-                    LivenessVerdict::NewlySuspected => io.stats.suspects += 1,
-                    LivenessVerdict::Evict => silent.push(Rank::from_receiver_index(idx)),
+                misses[idx] = misses[idx].saturating_add(1);
+                if misses[idx] >= EVICT_MISSES {
+                    silent.push(Rank::from_receiver_index(idx));
+                } else if misses[idx] == SUSPECT_MISSES {
+                    io.stats.suspects += 1;
                 }
             }
         }
@@ -251,14 +190,14 @@ impl Members {
     /// detector never learned it was evicted and just keeps talking — and
     /// the caller should try to admit it.
     pub(crate) fn accept(&mut self, rank: Rank, epoch: Option<u32>, stats: &mut Stats) -> bool {
-        let Some(d) = self.detector.as_mut() else {
+        let Some(misses) = self.misses.as_mut() else {
             return true;
         };
         let idx = rank.receiver_index();
         if epoch.is_some_and(|e| e != self.epoch) {
             stats.stale_epoch_discarded += 1;
         } else if !self.evicted[idx] {
-            d.note_alive(idx);
+            misses[idx] = 0;
             return true;
         }
         // Traffic from a non-member, stale or in the current epoch (it
@@ -276,12 +215,16 @@ impl Members {
     }
 
     /// Take receiver index `idx` out of the group: out of every proof
-    /// obligation, no longer a detached root, detector score cleared.
+    /// obligation, no longer a detached root, miss count cleared.
     pub(crate) fn mark_out(&mut self, idx: usize) {
         self.evicted[idx] = true;
         self.detached[idx] = false;
-        if let Some(d) = self.detector.as_mut() {
-            d.reset(idx);
+        self.clear_misses(idx);
+    }
+
+    fn clear_misses(&mut self, idx: usize) {
+        if let Some(misses) = self.misses.as_mut() {
+            misses[idx] = 0;
         }
     }
 
@@ -334,9 +277,7 @@ impl Members {
         for rank in joiners {
             let idx = rank.receiver_index();
             self.evicted[idx] = false;
-            if let Some(d) = self.detector.as_mut() {
-                d.reset(idx);
-            }
+            self.clear_misses(idx);
             let mut flags = 0;
             if let Some(tree) = tree {
                 if !tree.roots().contains(&rank) {
@@ -530,33 +471,48 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::io;
+    use rmtrace::Tracer;
+    use std::collections::VecDeque;
 
-    #[test]
-    fn detector_suspects_then_evicts() {
-        let mut d = FailureDetector::new(2);
-        for _ in 1..SUSPECT_MISSES {
-            assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
-        }
-        assert_eq!(d.record_miss(0), LivenessVerdict::NewlySuspected);
-        assert!(d.is_suspected(0));
-        // Later misses inside the suspect band are not re-reported.
-        for _ in SUSPECT_MISSES + 1..EVICT_MISSES {
-            assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
-        }
-        assert_eq!(d.record_miss(0), LivenessVerdict::Evict);
-        // The other member is untouched.
-        assert!(!d.is_suspected(1));
+    /// The outputs a `Members` call is lent.
+    struct Outputs {
+        stats: Stats,
+        tracer: Tracer,
+        out: VecDeque<Transmit>,
+        events: VecDeque<AppEvent>,
+    }
+
+    /// One heartbeat period, after which rank 1 proves it is alive.
+    fn tick(m: &mut Members, o: &mut Outputs) -> Vec<Rank> {
+        let silent = m.tick(Time::ZERO, true, io!(o));
+        assert!(m.accept(Rank(1), Some(m.epoch()), &mut o.stats));
+        silent
     }
 
     #[test]
-    fn proof_of_life_resets_score() {
-        let mut d = FailureDetector::new(1);
-        for _ in 0..SUSPECT_MISSES {
-            d.record_miss(0);
+    fn silent_member_is_suspected_once_then_reported() {
+        let mut m = Members::new(2, true);
+        let mut o = Outputs {
+            stats: Stats::default(),
+            tracer: Tracer::off(0),
+            out: VecDeque::new(),
+            events: VecDeque::new(),
+        };
+        // Rank 2 is silent: suspected at its third miss, counted once.
+        for miss in 1..EVICT_MISSES {
+            assert!(tick(&mut m, &mut o).is_empty(), "miss {miss}");
+            let suspected = u64::from(miss >= SUSPECT_MISSES);
+            assert_eq!(o.stats.suspects, suspected, "miss {miss}");
         }
-        assert!(d.is_suspected(0));
-        d.note_alive(0);
-        assert!(!d.is_suspected(0));
-        assert_eq!(d.record_miss(0), LivenessVerdict::Alive);
+        assert_eq!(tick(&mut m, &mut o), [Rank(2)]);
+        // Proof of life clears its score: a second suspicion takes three
+        // fresh misses.
+        assert!(m.accept(Rank(2), Some(m.epoch()), &mut o.stats));
+        for miss in 1..=SUSPECT_MISSES {
+            assert!(tick(&mut m, &mut o).is_empty(), "miss {miss}");
+            let suspected = 1 + u64::from(miss == SUSPECT_MISSES);
+            assert_eq!(o.stats.suspects, suspected, "miss {miss}");
+        }
     }
 }

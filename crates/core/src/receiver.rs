@@ -216,9 +216,6 @@ pub struct Receiver {
     /// timer).
     last_heard: Time,
     tracer: Tracer,
-    /// Latest driver-provided time, for trace hooks on paths without a
-    /// `now` parameter (feedback sent by the acknowledgment policies).
-    now_cache: Time,
 }
 
 impl Receiver {
@@ -252,7 +249,6 @@ impl Receiver {
             tree,
             last_heard: Time::ZERO,
             tracer: Tracer::off(rank.0),
-            now_cache: Time::ZERO,
         }
     }
 
@@ -285,12 +281,12 @@ impl Receiver {
         self.admission.epoch()
     }
 
-    /// What this receiver's feedback carries right now.
-    fn stamp(&self) -> Stamp {
+    /// What this receiver's feedback carries at `now`.
+    fn stamp(&self, now: Time) -> Stamp {
         Stamp {
             rank: self.rank,
             epoch: self.cfg.membership.then(|| self.admission.epoch()),
-            now: self.now_cache,
+            now,
         }
     }
 
@@ -537,13 +533,13 @@ impl Receiver {
         }
 
         // Acknowledge per protocol policy.
-        self.acknowledge(transfer, header.flags, seq, prev_next, offer);
+        self.acknowledge(now, transfer, header.flags, seq, prev_next, offer);
 
         // NAK on detected gaps.
         if matches!(offer, Offer::Rejected) || (matches!(offer, Offer::Buffered) && seq > prev_next)
         {
             let expected = self.transfers[&transfer].own_next;
-            let stamp = self.stamp();
+            let stamp = self.stamp(now);
             self.naks
                 .consider(now, transfer, expected, &self.cfg, stamp, io!(self));
         }
@@ -559,6 +555,7 @@ impl Receiver {
     /// packet.
     fn acknowledge(
         &mut self,
+        now: Time,
         transfer: u32,
         flags: PacketFlags,
         seq: u32,
@@ -605,7 +602,7 @@ impl Receiver {
             ProtocolKind::Tree { .. } => {
                 let force = matches!(offer, Offer::Duplicate)
                     && (flags.contains(PacketFlags::LAST) || flags.contains(PacketFlags::RETX));
-                let stamp = self.stamp();
+                let stamp = self.stamp(now);
                 let tree = self.tree.as_ref().expect("the tree family aggregates");
                 let st = self.transfers.get_mut(&transfer).expect("state exists");
                 tree.send_aggregate(transfer, st, force, stamp, io!(self));
@@ -613,7 +610,7 @@ impl Receiver {
             }
         };
         if ack {
-            let stamp = self.stamp();
+            let stamp = self.stamp(now);
             stamp.send(io!(self), Feedback::Ack, Dest::Sender, transfer, next);
         }
     }
@@ -714,7 +711,7 @@ impl Receiver {
 
     fn on_peer_ack(&mut self, now: Time, header: &Header, next_expected: u32) {
         self.stats.acks_received += 1;
-        let stamp = self.stamp();
+        let stamp = self.stamp(now);
         if let Some(tree) = self.tree.as_mut() {
             let transfers = &mut self.transfers;
             tree.on_ack(now, header, next_expected, transfers, stamp, io!(self));
@@ -920,7 +917,6 @@ impl Receiver {
 
 impl Endpoint for Receiver {
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]) {
-        self.now_cache = self.now_cache.max(now);
         let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
             Ok(p) => p,
             Err(e) => return endpoint::undecodable(now, e, io!(self)),
@@ -951,8 +947,7 @@ impl Endpoint for Receiver {
     }
 
     fn handle_timeout(&mut self, now: Time) {
-        self.now_cache = self.now_cache.max(now);
-        let stamp = self.stamp();
+        let stamp = self.stamp(now);
         let stalled = || stalled_target(&self.transfers, &self.alloc_pending);
         self.naks
             .on_timeout(now, &self.cfg, stamp, stalled, io!(self));

@@ -129,9 +129,6 @@ pub struct Sender {
     overload: Overload,
     /// Trace sink + flight recorder handle (inert by default).
     tracer: Tracer,
-    /// Timestamp of the most recent driver call, for trace emission from
-    /// paths that do not carry `now` (data emits).
-    now_cache: Time,
 }
 
 impl Sender {
@@ -161,7 +158,6 @@ impl Sender {
             quarantine: Quarantine::new(&cfg.overload, n),
             overload: Overload::new(&cfg, n),
             tracer: Tracer::off(Rank::SENDER.0),
-            now_cache: Time::ZERO,
         }
     }
 
@@ -170,15 +166,9 @@ impl Sender {
         self.members.epoch()
     }
 
-    /// The configuration this sender runs.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.cfg
-    }
-
     /// Queue a message for reliable multicast; transfers run strictly in
     /// submission order. Returns the message id.
     pub fn send_message(&mut self, now: Time, data: Bytes) -> u64 {
-        self.now_cache = self.now_cache.max(now);
         let id = self.next_msg_id;
         self.next_msg_id += 1;
         self.queue.push_back((id, data));
@@ -187,11 +177,6 @@ impl Sender {
         #[cfg(debug_assertions)]
         self.debug_audit();
         id
-    }
-
-    /// Messages accepted but not yet fully acknowledged.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len() + usize::from(self.transfer.is_some()) + usize::from(self.staged.is_some())
     }
 
     fn start_next(&mut self, now: Time) {
@@ -322,7 +307,7 @@ impl Sender {
                 let base = self.pace_gate.max(now);
                 self.pace_gate = base + Duration::from_nanos(ns);
             }
-            self.emit_data(Which::Cur, seq, false, Dest::Receivers);
+            self.emit_data(now, Which::Cur, seq, false, Dest::Receivers);
             self.fec_fresh(now, seq);
         }
         // The staged allocation round trip is one tiny packet: exempt from
@@ -332,7 +317,7 @@ impl Sender {
                 break;
             }
             let seq = t.win.mark_sent(now);
-            self.emit_data(Which::Staged, seq, false, Dest::Receivers);
+            self.emit_data(now, Which::Staged, seq, false, Dest::Receivers);
         }
         if let Some((msg_id, transfer, base)) = stall {
             self.tracer
@@ -359,7 +344,7 @@ impl Sender {
 
     /// Encode and queue packet `seq` of a transfer toward `dest` (the
     /// group, or one receiver for unicast retransmission).
-    fn emit_data(&mut self, which: Which, seq: u32, retx: bool, dest: Dest) {
+    fn emit_data(&mut self, now: Time, which: Which, seq: u32, retx: bool, dest: Dest) {
         let t = self.tref(which).expect("active transfer");
         let (tid, k, phase) = (t.id(), t.win.k(), t.phase);
         let mut flags = PacketFlags::EMPTY;
@@ -419,7 +404,7 @@ impl Sender {
                     .and_then(|t| t.win.slot(seq))
                     .map_or(0, |s| s.retx);
                 self.tracer.emit(
-                    self.now_cache.as_nanos(),
+                    now.as_nanos(),
                     TraceEvent::Retransmit {
                         transfer: tid,
                         seq,
@@ -433,10 +418,8 @@ impl Sender {
                 self.stats.payload_bytes_sent += (payload.len() - rmwire::HEADER_LEN) as u64;
                 self.stats.user_copy_bytes += copied as u64;
             }
-            self.tracer.emit(
-                self.now_cache.as_nanos(),
-                TraceEvent::DataSent { transfer: tid, seq },
-            );
+            self.tracer
+                .emit(now.as_nanos(), TraceEvent::DataSent { transfer: tid, seq });
         }
         self.out.push_back(Transmit {
             dest,
@@ -626,7 +609,7 @@ impl Sender {
             if now.saturating_since(slot.last_tx).as_nanos() >= suppress.as_nanos() {
                 slot.last_tx = now;
                 slot.retx += 1;
-                self.emit_data(which, seq, true, dest);
+                self.emit_data(now, which, seq, true, dest);
             } else {
                 self.stats.retx_suppressed += 1;
             }
@@ -1062,7 +1045,7 @@ impl Sender {
                 None => {}
                 Some(Round::Serve(seqs)) => {
                     for seq in seqs {
-                        self.emit_data(Which::Cur, seq, true, Dest::Rank(rank));
+                        self.emit_data(now, Which::Cur, seq, true, Dest::Rank(rank));
                         self.stats.catchup_retx_sent += 1;
                     }
                 }
@@ -1185,7 +1168,6 @@ impl Sender {
 
 impl Endpoint for Sender {
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]) {
-        self.now_cache = self.now_cache.max(now);
         let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
             Ok(p) => p,
             Err(e) => return endpoint::undecodable(now, e, io!(self)),
@@ -1218,7 +1200,6 @@ impl Endpoint for Sender {
     }
 
     fn handle_timeout(&mut self, now: Time) {
-        self.now_cache = self.now_cache.max(now);
         // Pacing wake-up: just refill the window.
         if self.pace_deadline().is_some_and(|d| d <= now) {
             self.pump(now);
@@ -1578,7 +1559,6 @@ mod tests {
         let a = s.send_message(Time::ZERO, Bytes::from(vec![1u8; 100]));
         let b = s.send_message(Time::ZERO, Bytes::from(vec![2u8; 100]));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(s.in_flight(), 2);
         let out = drain(&mut s);
         assert_eq!(out.len(), 1, "second message waits");
         ack(&mut s, Time::ZERO, Rank(1), 1, 1);

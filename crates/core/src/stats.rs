@@ -173,11 +173,6 @@ impl Stats {
         self.peak_buffer_bytes = self.peak_buffer_bytes.max(bytes as u64);
     }
 
-    /// Control packets sent (ACKs + NAKs).
-    pub fn control_sent(&self) -> u64 {
-        self.acks_sent + self.naks_sent
-    }
-
     /// Control packets received.
     pub fn control_received(&self) -> u64 {
         self.acks_received + self.naks_received
@@ -294,7 +289,6 @@ mod tests {
         s.data_sent = 10;
         s.acks_received = 25;
         s.naks_received = 5;
-        assert_eq!(s.control_sent(), 0);
         assert_eq!(s.control_received(), 30);
         assert_eq!(s.control_per_data_packet(), 3.0);
     }

@@ -122,11 +122,6 @@ impl SendWindow {
         }
     }
 
-    /// Deadline at which the oldest outstanding packet times out.
-    pub fn oldest_deadline(&self, rto: Duration) -> Option<Time> {
-        self.slots.front().map(|s| s.last_tx + rto)
-    }
-
     /// Earliest deadline across *all* outstanding packets. Under selective
     /// repeat each packet effectively has its own timer; retransmissions
     /// push individual `last_tx` values forward, so the front slot is not
@@ -254,13 +249,9 @@ mod tests {
         let mut w = SendWindow::new(5, 5);
         w.mark_sent(t(10));
         w.mark_sent(t(20));
-        assert_eq!(w.oldest_deadline(Duration::from_micros(100)), Some(t(110)));
-        w.slot_mut(0).unwrap().last_tx = t(50);
-        assert_eq!(w.oldest_deadline(Duration::from_micros(100)), Some(t(150)));
         assert!(w.slot_mut(4).is_none(), "unsent seq has no slot");
         w.release(1);
         assert!(w.slot_mut(0).is_none(), "released seq has no slot");
-        assert_eq!(w.oldest_deadline(Duration::from_micros(100)), Some(t(120)));
     }
 
     #[test]

@@ -288,16 +288,6 @@ impl<E: Launch> NodeProcess<E> {
                     }
                 }
             }
-            match &self.role {
-                NodeRole::Sender { .. } => rec.sender_stats = self.ep.stats().clone(),
-                NodeRole::Receiver { index } => {
-                    let i = *index;
-                    if rec.receiver_stats.len() <= i {
-                        rec.receiver_stats.resize(i + 1, Stats::default());
-                    }
-                    rec.receiver_stats[i] = self.ep.stats().clone();
-                }
-            }
         }
         if stop {
             ctx.stop_sim();
@@ -310,10 +300,27 @@ impl<E: Launch> NodeProcess<E> {
     }
 }
 
-/// When the simulation is torn down the endpoint's assembly buffer goes to
-/// this thread's next run instead of back to the allocator.
+/// When the simulation is torn down the endpoint's counters go to the
+/// recorder, once: every handler pumps, and the simulator keeps every
+/// process until it is dropped, so these are the run's final counters. The
+/// endpoint's assembly buffer goes to this thread's next run instead of
+/// back to the allocator.
 impl<E: Launch> Drop for NodeProcess<E> {
     fn drop(&mut self) {
+        // Nothing holds the recorder while the simulator drops, so the
+        // borrow cannot fail; should it, drop must still not panic.
+        if let Ok(mut rec) = self.rec.try_borrow_mut() {
+            match &self.role {
+                NodeRole::Sender { .. } => rec.sender_stats = self.ep.stats().clone(),
+                NodeRole::Receiver { index } => {
+                    let i = *index;
+                    if rec.receiver_stats.len() <= i {
+                        rec.receiver_stats.resize(i + 1, Stats::default());
+                    }
+                    rec.receiver_stats[i] = self.ep.stats().clone();
+                }
+            }
+        }
         if let Some(buf) = self.ep.take_spare() {
             // During thread teardown the list may be gone: let the buffer go.
             let _ = SPARES.try_with(|s| s.borrow_mut().push(buf));

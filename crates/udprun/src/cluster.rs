@@ -29,8 +29,8 @@ pub struct ClusterConfig {
     /// Seed for receiver-side randomness.
     pub seed: u64,
     /// Injected hub loss: drop each forwarded multicast copy with
-    /// probability `1/n`, drawn from a fixed-seed generator
-    /// ([`crate::hub::Hub::spawn_with_loss`]).
+    /// probability `1/n`, drawn from a fixed-seed generator (the hub's
+    /// `spawn_on`).
     pub hub_drop_every: Option<u32>,
     /// Receiver indices whose sockets are bound but never driven: they
     /// look exactly like crashed nodes to the rest of the group. Requires

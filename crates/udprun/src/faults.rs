@@ -41,22 +41,12 @@ pub struct NodeFaults {
 pub struct FaultedEndpoint<E> {
     inner: E,
     faults: NodeFaults,
-    dropped: u64,
 }
 
 impl<E: Endpoint> FaultedEndpoint<E> {
     /// Wrap `inner` with `faults`.
     pub fn new(inner: E, faults: NodeFaults) -> Self {
-        FaultedEndpoint {
-            inner,
-            faults,
-            dropped: 0,
-        }
-    }
-
-    /// Inbound datagrams the blackout window discarded.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        FaultedEndpoint { inner, faults }
     }
 }
 
@@ -66,7 +56,6 @@ impl<E: Endpoint> Endpoint for FaultedEndpoint<E> {
             let from = Time::from_nanos(from.as_nanos() as u64);
             let until = Time::from_nanos(until.as_nanos() as u64);
             if now >= from && now < until {
-                self.dropped += 1;
                 return;
             }
         }

@@ -109,9 +109,10 @@ impl Flow {
         Flow::with_depth(n_receivers, (holds - holds / 3).max(1) as u64)
     }
 
-    /// Gauges that never make a producer wait: a hub spawned on its own
-    /// relays between sockets whose owners know nothing of gauges, so
-    /// nothing would ever take a datagram off them.
+    /// Gauges that never make a producer wait, for a hub relaying between
+    /// sockets whose owners know nothing of gauges: nothing would ever
+    /// take a datagram off them.
+    #[cfg(test)]
     pub(crate) fn unmetered(n_receivers: usize) -> Arc<Flow> {
         Flow::with_depth(n_receivers, u64::MAX)
     }

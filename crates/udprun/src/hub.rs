@@ -141,26 +141,6 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// Spawn the relay. `member_addrs[i]` is the socket address of the
-    /// receiver with rank `i + 1`.
-    pub fn spawn(member_addrs: Vec<SocketAddr>) -> io::Result<Hub> {
-        Hub::spawn_with_loss(member_addrs, None)
-    }
-
-    /// Spawn a relay that drops each forwarded copy with probability `1/n`
-    /// (`drop_every = Some(n)`), for exercising loss recovery over real
-    /// sockets. Every copy is an independent draw from a fixed-seed
-    /// generator. A counter that dropped every `n`-th copy would resonate
-    /// with the fan-out instead: with `m` members and `m` dividing `n`,
-    /// every drop lands on the same member, at the same positions of every
-    /// retransmission round (DESIGN.md §4).
-    pub fn spawn_with_loss(
-        member_addrs: Vec<SocketAddr>,
-        drop_every: Option<u32>,
-    ) -> io::Result<Hub> {
-        Hub::spawn_observed(member_addrs, drop_every, None)
-    }
-
     /// Datagrams seen so far whose protocol header did not parse
     /// (including runts dropped before the rank demux).
     pub fn malformed_datagrams(&self) -> u64 {
@@ -172,24 +152,18 @@ impl Hub {
         self.queue_drops.load(Ordering::Relaxed)
     }
 
-    /// Full-control constructor: injected loss plus an optional trace
-    /// sink that hears a `Drop` record for every runt the hub discards
-    /// and every frame its full queue tail-drops.
-    ///
-    /// A hub spawned through the public constructors relays between
-    /// sockets it knows only by address and never waits for room in one;
-    /// `run_cluster` spawns its hub on the cluster's gauges.
-    pub fn spawn_observed(
-        member_addrs: Vec<SocketAddr>,
-        drop_every: Option<u32>,
-        trace: Option<Box<dyn TraceSink>>,
-    ) -> io::Result<Hub> {
-        let flow = Flow::unmetered(member_addrs.len());
-        Hub::spawn_on(member_addrs, drop_every, trace, flow)
-    }
-
     /// The relay on the gauges in `flow`: index `i + 1` is the socket of
-    /// `member_addrs[i]`, the last one the hub's own.
+    /// `member_addrs[i]`, the receiver with rank `i + 1`, and the last one
+    /// the hub's own. `trace` hears a `Drop` record for every runt the hub
+    /// discards and every frame its full queue tail-drops.
+    ///
+    /// `drop_every = Some(n)` drops each forwarded copy with probability
+    /// `1/n`, for exercising loss recovery over real sockets. Every copy is
+    /// an independent draw from a fixed-seed generator. A counter that
+    /// dropped every `n`-th copy would resonate with the fan-out instead:
+    /// with `m` members and `m` dividing `n`, every drop lands on the same
+    /// member, at the same positions of every retransmission round
+    /// (DESIGN.md §4).
     ///
     /// The relay is a finite-queue switch. Each pass drains its socket
     /// into the frame queue (non-blocking, a bounded batch), then forwards
@@ -443,10 +417,11 @@ mod tests {
         // visibly. The member never reads; its own buffer may overflow too.
         let r1 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let mem = MemorySink::new();
-        let hub = Hub::spawn_observed(
+        let hub = Hub::spawn_on(
             vec![r1.local_addr().unwrap()],
             None,
             Some(Box::new(mem.clone())),
+            Flow::unmetered(1),
         )
         .unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -492,7 +467,8 @@ mod tests {
         let r2 = UdpSocket::bind("127.0.0.1:0").unwrap();
         r2.set_read_timeout(Some(StdDuration::from_millis(500)))
             .unwrap();
-        let hub = Hub::spawn(vec![r1_addr, r2.local_addr().unwrap()]).unwrap();
+        let members = vec![r1_addr, r2.local_addr().unwrap()];
+        let hub = Hub::spawn_on(members, None, None, Flow::unmetered(2)).unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let mut buf = [0u8; 64];
         for seq in 0..3 {
@@ -512,7 +488,8 @@ mod tests {
             .unwrap();
         r2.set_read_timeout(Some(StdDuration::from_millis(500)))
             .unwrap();
-        let hub = Hub::spawn(vec![r1.local_addr().unwrap(), r2.local_addr().unwrap()]).unwrap();
+        let members = vec![r1.local_addr().unwrap(), r2.local_addr().unwrap()];
+        let hub = Hub::spawn_on(members, None, None, Flow::unmetered(2)).unwrap();
 
         // Datagram from the sender (rank 0): both receivers get it.
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -546,7 +523,7 @@ mod tests {
                 .unwrap();
         }
         let addrs = members.iter().map(|m| m.local_addr().unwrap()).collect();
-        let hub = Hub::spawn_with_loss(addrs, Some(20)).unwrap();
+        let hub = Hub::spawn_on(addrs, Some(20), None, Flow::unmetered(4)).unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let (batches, per_batch) = (5, 40);
         let mut heard = [0usize; 4];
@@ -580,10 +557,11 @@ mod tests {
         r1.set_read_timeout(Some(StdDuration::from_millis(300)))
             .unwrap();
         let mem = MemorySink::new();
-        let hub = Hub::spawn_observed(
+        let hub = Hub::spawn_on(
             vec![r1.local_addr().unwrap()],
             None,
             Some(Box::new(mem.clone())),
+            Flow::unmetered(1),
         )
         .unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
