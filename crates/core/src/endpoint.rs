@@ -17,7 +17,7 @@
 use crate::error::SessionError;
 use crate::stats::Stats;
 use bytes::Bytes;
-use rmtrace::{TraceEvent, Tracer};
+use rmtrace::{DropCause, TraceEvent, Tracer};
 use rmwire::{Rank, Time, WireError};
 use std::collections::VecDeque;
 
@@ -176,11 +176,11 @@ pub(crate) fn undecodable(now: Time, e: WireError, io: &mut Io<'_>) {
     let cause = match e {
         WireError::ChecksumMismatch { .. } | WireError::ChecksumMissing => {
             io.stats.integrity_fail += 1;
-            "IntegrityFail"
+            DropCause::IntegrityFail
         }
         _ => {
             io.stats.malformed_rx += 1;
-            "MalformedRx"
+            DropCause::MalformedRx
         }
     };
     io.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });

@@ -2,13 +2,15 @@
 //!
 //! The docs tables keep their hand-written meanings; this test keeps their
 //! names in step with the code. Every `Stats` counter has a row naming its
-//! merge kind, every `TraceEvent` is in the event table, and every
-//! `rmprof::Stage` is in the stage taxonomy. Each list comes from its one
-//! declaration (`define_stats!`, `define_events!`, `Stage::ALL`), so a
-//! signal added to the code without a docs row fails here.
+//! merge kind, every `TraceEvent` is in the event table, every `DropCause`
+//! in the cause table, and every `rmprof::Stage` is in the stage taxonomy.
+//! Each list comes from its one declaration (`define_stats!`,
+//! `define_events!`, `define_causes!`, `Stage::ALL`), so a signal added to
+//! the code without a docs row fails here.
 
 use rmcast::{Stats, TraceEvent};
 use rmprof::Stage;
+use rmtrace::DropCause;
 
 const DOC: &str = include_str!("../../../docs/OBSERVABILITY.md");
 
@@ -62,6 +64,21 @@ fn every_trace_event_is_in_the_event_table() {
     assert!(
         missing.is_empty(),
         "trace events missing from the event table: {missing:?}"
+    );
+}
+
+#[test]
+fn every_drop_cause_is_in_the_cause_table() {
+    let rows = table_under("## Drop causes");
+    let missing = undocumented(
+        DropCause::NAMES
+            .iter()
+            .map(|&name| (name, format!("| `{name}` |"))),
+        &rows,
+    );
+    assert!(
+        missing.is_empty(),
+        "drop causes missing from the cause table: {missing:?}"
     );
 }
 

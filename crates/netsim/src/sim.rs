@@ -119,9 +119,7 @@ impl Sim {
             sink.emit(&rmtrace::TraceRecord {
                 t_ns: self.now.as_nanos(),
                 rank: host.map_or(u16::MAX, |h| h.0 as u16),
-                ev: rmtrace::TraceEvent::Drop {
-                    cause: cause.name(),
-                },
+                ev: rmtrace::TraceEvent::Drop { cause },
             });
         }
     }

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{topology, FaultPlan, HostId, Sim, SimConfig, UdpDest};
+use netsim::{topology, DropCause, FaultPlan, HostId, Sim, SimConfig, UdpDest};
 use rmwire::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -114,7 +114,7 @@ fn link_down_window_blackholes_the_edge() {
         FaultPlan::default().with_link_down(HostId(1), Time::ZERO, Time::from_millis(100_000));
     let (log, sim) = blast_run(plan, SimConfig::default(), 20, 1);
     assert_eq!(log.borrow().len(), 0);
-    assert_eq!(sim.trace().drops_link_down, 20);
+    assert_eq!(sim.trace().drops(DropCause::LinkDown), 20);
 
     // The same outage scheduled after the run is a no-op.
     let plan = FaultPlan::default().with_link_down(
@@ -124,7 +124,7 @@ fn link_down_window_blackholes_the_edge() {
     );
     let (log, sim) = blast_run(plan, SimConfig::default(), 20, 1);
     assert_eq!(log.borrow().len(), 20);
-    assert_eq!(sim.trace().drops_link_down, 0);
+    assert_eq!(sim.trace().drops(DropCause::LinkDown), 0);
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn per_link_loss_targets_only_its_edge() {
     let plan = FaultPlan::default().with_link_loss(HostId(0), 1.0);
     let (log, sim) = blast_run(plan, SimConfig::default(), 15, 2);
     assert_eq!(log.borrow().len(), 0, "sender edge loss kills everything");
-    assert!(sim.trace().drops_wire_fault >= 15);
+    assert!(sim.trace().drops(DropCause::WireFault) >= 15);
 
     let plan = FaultPlan::default().with_link_loss(HostId(1), 0.0);
     let (log, _) = blast_run(plan, SimConfig::default(), 15, 2);
@@ -145,7 +145,10 @@ fn burst_loss_drops_frames_in_bursts() {
     let plan = FaultPlan::default().with_burst(0.3, 8.0);
     let (log, sim) = blast_run(plan, SimConfig::default(), 300, 3);
     let delivered = log.borrow().len();
-    assert!(sim.trace().drops_burst > 0, "burst channel never went bad");
+    assert!(
+        sim.trace().drops(DropCause::BurstLoss) > 0,
+        "burst channel never went bad"
+    );
     assert!(
         delivered < 300 && delivered > 0,
         "expected partial delivery, got {delivered}"
@@ -157,7 +160,7 @@ fn corrupt_frames_are_discarded_at_the_nic() {
     let plan = FaultPlan::default().with_corrupt(1.0);
     let (log, sim) = blast_run(plan, SimConfig::default(), 10, 4);
     assert_eq!(log.borrow().len(), 0);
-    assert!(sim.trace().drops_corrupt >= 10);
+    assert!(sim.trace().drops(DropCause::Corrupt) >= 10);
 }
 
 #[test]
@@ -174,7 +177,7 @@ fn crashed_host_goes_silent() {
     let plan = FaultPlan::default().with_crash(HostId(1), Time::ZERO);
     let (log, sim) = blast_run(plan, SimConfig::default(), 12, 6);
     assert_eq!(log.borrow().len(), 0, "a crashed host delivers nothing");
-    assert!(sim.trace().drops_host_down > 0);
+    assert!(sim.trace().drops(DropCause::HostDown) > 0);
 }
 
 #[test]
@@ -284,7 +287,7 @@ fn trunk_down_partitions_but_leaves_local_traffic() {
     let log = log.borrow();
     assert_eq!(log.len(), 10, "local member must keep receiving");
     assert!(log.iter().all(|&(_, h, _)| h == hosts[1]));
-    assert_eq!(sim.trace().drops_trunk_down, 10);
+    assert_eq!(sim.trace().drops(DropCause::TrunkDown), 10);
 }
 
 #[test]
@@ -320,7 +323,7 @@ fn trunk_heals_after_the_window() {
     );
     sim.run_until(Time::from_millis(5_000));
     let log = log.borrow();
-    let dropped = sim.trace().drops_trunk_down;
+    let dropped = sim.trace().drops(DropCause::TrunkDown);
     assert!(dropped > 0, "no frame hit the outage window");
     assert_eq!(log.len() as u64 + dropped, 20);
     assert!(
@@ -362,7 +365,10 @@ fn crash_restart_reboots_the_host() {
     sim.run_until(Time::from_millis(5_000));
     let log = log.borrow();
     assert_eq!(*restarts.borrow(), 1, "on_restart must fire exactly once");
-    assert!(sim.trace().drops_host_down > 0, "no frame hit the outage");
+    assert!(
+        sim.trace().drops(DropCause::HostDown) > 0,
+        "no frame hit the outage"
+    );
     assert!(
         log.iter().any(|&(t, _, _)| t < crash),
         "no delivery before the crash"
@@ -565,7 +571,7 @@ fn sockbuf_exhaustion_drops_every_arrival_in_window() {
         FaultPlan::default().with_sockbuf_exhaust(HostId(1), Time::ZERO, Time::from_millis(5_000));
     let (log, sim) = blast_run(plan, SimConfig::default(), 10, 43);
     assert_eq!(log.borrow().len(), 0, "window swallows everything");
-    assert_eq!(sim.trace().drops_sockbuf, 10);
+    assert_eq!(sim.trace().drops(DropCause::SockBufFull), 10);
 }
 
 #[test]

@@ -237,7 +237,7 @@ fn frame_loss_kills_whole_datagram() {
     sim.run();
 
     assert!(log.borrow().is_empty());
-    assert!(sim.trace().drops_wire_fault > 0);
+    assert!(sim.trace().drops(DropCause::WireFault) > 0);
     assert_eq!(sim.trace().datagrams_delivered, 0);
 }
 
@@ -262,11 +262,11 @@ fn partial_fragment_loss_drops_datagram_via_reassembly_timeout() {
 
     let delivered = log.borrow().len() as u64;
     assert_eq!(
-        delivered + sim.trace().drops_reassembly,
+        delivered + sim.trace().drops(DropCause::ReassemblyTimeout),
         40,
         "every datagram either completes or times out"
     );
-    assert!(sim.trace().drops_reassembly > 0);
+    assert!(sim.trace().drops(DropCause::ReassemblyTimeout) > 0);
 }
 
 #[test]
@@ -290,9 +290,12 @@ fn socket_buffer_overflow_drops_datagrams() {
     sim.spawn(hosts[1], PORT, Box::new(Sink { log: log.clone() }));
     sim.run();
 
-    assert!(sim.trace().drops_sockbuf > 0, "expected sockbuf drops");
+    assert!(
+        sim.trace().drops(DropCause::SockBufFull) > 0,
+        "expected sockbuf drops"
+    );
     assert_eq!(
-        log.borrow().len() as u64 + sim.trace().drops_sockbuf,
+        log.borrow().len() as u64 + sim.trace().drops(DropCause::SockBufFull),
         100,
         "each datagram is either delivered or dropped at the socket"
     );
@@ -566,7 +569,7 @@ fn every_counted_drop_reaches_the_trace_sink() {
 
     let records = sink.take();
     assert!(records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
-    let drops: Vec<&str> = records
+    let drops: Vec<DropCause> = records
         .iter()
         .filter_map(|r| match r.ev {
             rmtrace::TraceEvent::Drop { cause } => Some(cause),
@@ -575,21 +578,21 @@ fn every_counted_drop_reaches_the_trace_sink() {
         .collect();
     let t = sim.trace();
     assert_eq!(drops.len() as u64, t.total_drops());
-    for (cause, counted) in [
-        (DropCause::WireFault, t.drops_wire_fault),
-        (DropCause::SwitchQueueFull, t.drops_switch_queue),
-        (DropCause::SockBufFull, t.drops_sockbuf),
-        (DropCause::ReassemblyTimeout, t.drops_reassembly),
-        (DropCause::DatagramFault, t.drops_datagram_fault),
-        (DropCause::LinkDown, t.drops_link_down),
-        (DropCause::BurstLoss, t.drops_burst),
-        (DropCause::Corrupt, t.drops_corrupt),
-        (DropCause::HostDown, t.drops_host_down),
-        (DropCause::TrunkDown, t.drops_trunk_down),
+    for cause in [
+        DropCause::WireFault,
+        DropCause::SwitchQueueFull,
+        DropCause::SockBufFull,
+        DropCause::ReassemblyTimeout,
+        DropCause::DatagramFault,
+        DropCause::LinkDown,
+        DropCause::BurstLoss,
+        DropCause::Corrupt,
+        DropCause::HostDown,
+        DropCause::TrunkDown,
     ] {
-        let bridged = drops.iter().filter(|&&c| c == cause.name()).count() as u64;
-        assert_eq!(bridged, counted, "{cause:?}");
-        assert!(counted > 0, "the plan never reached {cause:?}");
+        let bridged = drops.iter().filter(|&&c| c == cause).count() as u64;
+        assert_eq!(bridged, t.drops(cause), "{cause:?}");
+        assert!(bridged > 0, "the plan never reached {cause:?}");
     }
     assert_eq!(t.datagrams_sent, 60);
     assert_eq!(t.datagrams_delivered, log.borrow().len() as u64);

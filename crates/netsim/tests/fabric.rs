@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{topology, FabricKind, HostId, Sim, SimConfig, UdpDest};
+use netsim::{topology, DropCause, FabricKind, HostId, Sim, SimConfig, UdpDest};
 use rmwire::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,7 +62,7 @@ fn switch_output_queue_tail_drops_under_incast() {
     sim.run();
 
     assert!(
-        sim.trace().drops_switch_queue > 0,
+        sim.trace().drops(DropCause::SwitchQueueFull) > 0,
         "8-to-1 incast through a 4 KB queue must drop"
     );
     // Conservation: every datagram is delivered or accounted lost.
@@ -163,7 +163,7 @@ fn csma_cd_backoff_resolves_heavy_contention() {
     // under heavy contention; everything else must arrive.
     let delivered = log.borrow().len() as u64;
     assert_eq!(
-        delivered + sim.trace().drops_collisions,
+        delivered + sim.trace().drops(DropCause::ExcessiveCollisions),
         300,
         "every frame is delivered or dropped after 16 collisions"
     );
@@ -247,12 +247,12 @@ fn unicast_conservation_under_random_loss() {
     let t = sim.trace();
     let delivered = log.borrow().len() as u64;
     assert_eq!(
-        delivered + t.drops_reassembly,
+        delivered + t.drops(DropCause::ReassemblyTimeout),
         100,
         "every datagram is delivered or timed out in reassembly \
          (frame drops only ever kill whole datagrams through reassembly)"
     );
-    assert!(t.drops_wire_fault > 0);
+    assert!(t.drops(DropCause::WireFault) > 0);
 }
 
 #[test]
@@ -737,8 +737,10 @@ fn wide_datagram_missing_fragments_expires_when_it_always_did() {
         log.borrow().is_empty(),
         "an incomplete datagram is not delivered"
     );
-    assert!(sim.trace().drops_link_down > 0 && sim.trace().drops_link_down < 10);
-    assert_eq!(sim.trace().drops_reassembly, 1);
+    assert!(
+        sim.trace().drops(DropCause::LinkDown) > 0 && sim.trace().drops(DropCause::LinkDown) < 10
+    );
+    assert_eq!(sim.trace().drops(DropCause::ReassemblyTimeout), 1);
     let expiries: Vec<u64> = sink
         .take()
         .iter()
@@ -746,7 +748,7 @@ fn wide_datagram_missing_fragments_expires_when_it_always_did() {
             matches!(
                 r.ev,
                 rmtrace::TraceEvent::Drop {
-                    cause: "ReassemblyTimeout"
+                    cause: DropCause::ReassemblyTimeout
                 }
             )
         })

@@ -2,29 +2,135 @@
 //! tell the trace about one packet's journey.
 //!
 //! Events are deliberately small and integer-only (the one exception is
-//! the network drop cause, a `&'static str` bridged from the simulator's
-//! `DropCause` names) so emitting one never allocates.
+//! a drop's [`DropCause`], itself a one-byte enum) so emitting one never
+//! allocates.
 //!
 //! The variants are declared once through `define_events!`, which
-//! derives the enum, [`TraceEvent::name`], [`TraceEvent::NAMES`] and the
-//! JSON field writer from the same list — so a new event can never be
-//! missing from the trace encoding or from the docs test that reads
-//! `NAMES`.
+//! derives the enum, [`TraceEvent::name`], [`TraceEvent::NAMES`], the
+//! JSON field writer and its reader from the same list — so a new event
+//! can never be missing from the trace encoding, from what
+//! [`crate::parse_jsonl`] reads back, or from the docs test that reads
+//! `NAMES`. The drop causes are declared once the same way, through
+//! `define_causes!`.
 
-use std::fmt::Write as _;
+use crate::json::{Fields, Scalar};
+use std::fmt::{self, Write as _};
 
-/// How one event field is written as a JSON value: integers bare, the
-/// drop cause between quotes (cause names are identifiers, so there is
-/// nothing to escape).
-trait JsonValue: std::fmt::Display {
+/// How one event field is written as a JSON value and read back:
+/// integers bare, and refused outside the field's type; the drop cause by
+/// name between quotes (names are identifiers, so there is nothing to
+/// escape).
+pub(crate) trait Field: Sized {
     const QUOTE: &'static str = "";
+    fn read(v: Scalar) -> Result<Self, String>;
 }
 
-impl JsonValue for u16 {}
-impl JsonValue for u32 {}
-impl JsonValue for u64 {}
-impl JsonValue for &'static str {
+macro_rules! integer_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn read(v: Scalar) -> Result<Self, String> {
+                match v {
+                    Scalar::Num(n) => <$ty>::try_from(n)
+                        .map_err(|_| format!("{n} is out of range for {}", stringify!($ty))),
+                    Scalar::Str(s) => Err(format!("expected an integer, found {s:?}")),
+                }
+            }
+        }
+    )*};
+}
+integer_fields!(u16, u32, u64);
+
+impl Field for String {
     const QUOTE: &'static str = "\"";
+    fn read(v: Scalar) -> Result<Self, String> {
+        match v {
+            Scalar::Str(s) => Ok(s),
+            Scalar::Num(n) => Err(format!("expected a string, found {n}")),
+        }
+    }
+}
+
+impl Field for DropCause {
+    const QUOTE: &'static str = "\"";
+    fn read(v: Scalar) -> Result<Self, String> {
+        let name = String::read(v)?;
+        let known = DropCause::ALL.iter().find(|c| c.name() == name);
+        known
+            .copied()
+            .ok_or_else(|| format!("unknown drop cause {name:?}"))
+    }
+}
+
+macro_rules! define_causes {
+    ($( $(#[$doc:meta])* $name:ident, )*) => {
+        /// Why a frame or datagram was lost, wherever it was lost: in the
+        /// simulated fabric, in an endpoint's decoder or in `udprun`'s hub.
+        /// `cause as usize` indexes [`DropCause::ALL`] and
+        /// [`DropCause::NAMES`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum DropCause {
+            $( $(#[$doc])* $name, )*
+        }
+
+        impl DropCause {
+            /// Every cause, in declaration order.
+            pub const ALL: &'static [DropCause] = &[$(DropCause::$name),*];
+
+            /// Every cause's name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Stable name, written as the `cause` field of `Drop` records.
+            pub fn name(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+        }
+    };
+}
+
+define_causes! {
+    /// Injected wire fault lost a frame.
+    WireFault,
+    /// A switch output queue overflowed (tail drop).
+    SwitchQueueFull,
+    /// The receiving socket buffer had no room for the reassembled
+    /// datagram (the paper's dominant loss mode).
+    SockBufFull,
+    /// An IP reassembly never completed and timed out.
+    ReassemblyTimeout,
+    /// Injected datagram fault at the receiving host.
+    DatagramFault,
+    /// CSMA/CD gave up after 16 collisions on one frame.
+    ExcessiveCollisions,
+    /// The frame traversed an access link inside a scheduled outage
+    /// window.
+    LinkDown,
+    /// The Gilbert–Elliott burst-loss channel was in its bad state.
+    BurstLoss,
+    /// The frame was corrupted in flight and failed the NIC's FCS check.
+    Corrupt,
+    /// The destination host had crashed.
+    HostDown,
+    /// The frame needed an inter-switch trunk inside a scheduled
+    /// partition window.
+    TrunkDown,
+    /// An endpoint discarded a datagram whose checksum was wrong or
+    /// missing.
+    IntegrityFail,
+    /// An endpoint discarded a datagram that did not parse.
+    MalformedRx,
+    /// The hub discarded a datagram too short to carry a header.
+    HubRunt,
+    /// The hub's full frame queue tail-dropped a datagram.
+    HubQueueFull,
+    /// The hub's injected loss dropped the copy addressed to the
+    /// record's rank.
+    HubLoss,
+}
+
+impl fmt::Display for DropCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 macro_rules! define_events {
@@ -58,10 +164,21 @@ macro_rules! define_events {
                 match self {
                     $( TraceEvent::$name { $($field),* } => {
                         $(
-                            let q = <$ty as JsonValue>::QUOTE;
+                            let q = <$ty as Field>::QUOTE;
                             let _ = write!(s, concat!(",\"", stringify!($field), "\":{}{}{}"), q, $field, q);
                         )*
                     } )*
+                }
+            }
+
+            /// Take the event `name`'s fields out of `fields`, each read
+            /// as its declared type.
+            pub(crate) fn read_json_fields(name: &str, fields: &mut Fields) -> Result<Self, String> {
+                match name {
+                    $( stringify!($name) => Ok(TraceEvent::$name {
+                        $( $field: fields.take(stringify!($field))?, )*
+                    }), )*
+                    _ => Err(format!("unknown event {name:?}")),
                 }
             }
         }
@@ -255,11 +372,12 @@ define_events! {
         /// The sequence number decoded back into existence.
         seq: u32,
     },
-    /// The network dropped a datagram (bridged from the simulator's
-    /// `DropCause`; rank is the host where the drop happened).
+    /// A frame or datagram was lost. The rank is the simulator host or
+    /// the endpoint where it happened, or the member a hub copy was
+    /// addressed to.
     Drop {
-        /// Stable drop-cause name (e.g. `"BurstLoss"`).
-        cause: &'static str,
+        /// Why it was lost.
+        cause: DropCause,
     },
 }
 
@@ -296,114 +414,35 @@ impl TraceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_jsonl;
 
+    /// The bytes each event is written as, and read back from.
     #[test]
-    fn json_shape_is_stable() {
-        let r = TraceRecord {
-            t_ns: 1500,
-            rank: 2,
-            ev: TraceEvent::Retransmit {
-                transfer: 3,
-                seq: 7,
-                nth: 1,
-            },
-        };
-        assert_eq!(
-            r.to_json(),
-            "{\"t\":1500,\"rank\":2,\"ev\":\"Retransmit\",\"transfer\":3,\"seq\":7,\"nth\":1}"
-        );
-        let d = TraceRecord {
-            t_ns: 0,
-            rank: 5,
-            ev: TraceEvent::Drop { cause: "BurstLoss" },
-        };
-        assert_eq!(
-            d.to_json(),
-            "{\"t\":0,\"rank\":5,\"ev\":\"Drop\",\"cause\":\"BurstLoss\"}"
-        );
-    }
-
-    #[test]
-    fn fec_event_json_shape_is_stable() {
-        let r = TraceRecord {
-            t_ns: 7,
-            rank: 0,
-            ev: TraceEvent::RepairSent {
-                transfer: 1,
-                base: 4,
-                coded: 3,
-                generation: 2,
-            },
-        };
-        assert_eq!(
-            r.to_json(),
-            "{\"t\":7,\"rank\":0,\"ev\":\"RepairSent\",\"transfer\":1,\"base\":4,\"coded\":3,\"generation\":2}"
-        );
-        let p = TraceRecord {
-            t_ns: 8,
-            rank: 0,
-            ev: TraceEvent::ParitySent {
-                transfer: 1,
-                base: 0,
-                coded: 8,
-            },
-        };
-        assert_eq!(
-            p.to_json(),
-            "{\"t\":8,\"rank\":0,\"ev\":\"ParitySent\",\"transfer\":1,\"base\":0,\"coded\":8}"
-        );
-        let d = TraceRecord {
-            t_ns: 9,
-            rank: 3,
-            ev: TraceEvent::RepairDecoded {
-                transfer: 1,
-                seq: 5,
-            },
-        };
-        assert_eq!(
-            d.to_json(),
-            "{\"t\":9,\"rank\":3,\"ev\":\"RepairDecoded\",\"transfer\":1,\"seq\":5}"
-        );
-    }
-
-    #[test]
-    fn overload_event_json_shape_is_stable() {
-        let w = TraceRecord {
-            t_ns: 9,
-            rank: 0,
-            ev: TraceEvent::WindowShrink {
-                transfer: 1,
-                cap: 4,
-            },
-        };
-        assert_eq!(
-            w.to_json(),
-            "{\"t\":9,\"rank\":0,\"ev\":\"WindowShrink\",\"transfer\":1,\"cap\":4}"
-        );
-        let q = TraceRecord {
-            t_ns: 10,
-            rank: 0,
-            ev: TraceEvent::QuarantineExit {
-                peer: 3,
-                transfer: 1,
-                caught_up: 1,
-            },
-        };
-        assert_eq!(
-            q.to_json(),
-            "{\"t\":10,\"rank\":0,\"ev\":\"QuarantineExit\",\"peer\":3,\"transfer\":1,\"caught_up\":1}"
-        );
-        let b = TraceRecord {
-            t_ns: 11,
-            rank: 0,
-            ev: TraceEvent::Backpressure {
-                transfer: 1,
-                congested: 1,
-            },
-        };
-        assert_eq!(
-            b.to_json(),
-            "{\"t\":11,\"rank\":0,\"ev\":\"Backpressure\",\"transfer\":1,\"congested\":1}"
-        );
+    fn json_shape_is_stable_and_reads_back() {
+        use TraceEvent::*;
+        let rec = |t_ns, rank, ev| TraceRecord { t_ns, rank, ev };
+        #[rustfmt::skip]
+        let cases = [
+            (rec(1500, 2, Retransmit { transfer: 3, seq: 7, nth: 1 }),
+             r#"{"t":1500,"rank":2,"ev":"Retransmit","transfer":3,"seq":7,"nth":1}"#),
+            (rec(0, 5, Drop { cause: DropCause::BurstLoss }),
+             r#"{"t":0,"rank":5,"ev":"Drop","cause":"BurstLoss"}"#),
+            (rec(7, 0, RepairSent { transfer: 1, base: 4, coded: 3, generation: 2 }),
+             r#"{"t":7,"rank":0,"ev":"RepairSent","transfer":1,"base":4,"coded":3,"generation":2}"#),
+            (rec(8, 0, ParitySent { transfer: 1, base: 0, coded: 8 }),
+             r#"{"t":8,"rank":0,"ev":"ParitySent","transfer":1,"base":0,"coded":8}"#),
+            (rec(9, 3, RepairDecoded { transfer: 1, seq: 5 }),
+             r#"{"t":9,"rank":3,"ev":"RepairDecoded","transfer":1,"seq":5}"#),
+            (rec(9, 0, WindowShrink { transfer: 1, cap: 4 }),
+             r#"{"t":9,"rank":0,"ev":"WindowShrink","transfer":1,"cap":4}"#),
+            (rec(10, 0, QuarantineExit { peer: 3, transfer: 1, caught_up: 1 }),
+             r#"{"t":10,"rank":0,"ev":"QuarantineExit","peer":3,"transfer":1,"caught_up":1}"#),
+            (rec(11, 0, Backpressure { transfer: 1, congested: 1 }),
+             r#"{"t":11,"rank":0,"ev":"Backpressure","transfer":1,"congested":1}"#),
+        ];
+        for (r, line) in cases {
+            assert_eq!(r.to_json(), line);
+            assert_eq!(parse_jsonl(line).unwrap(), [r]);
+        }
     }
 }

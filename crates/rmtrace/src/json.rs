@@ -8,12 +8,15 @@
 //!   booleans, null), enough for every document this workspace emits:
 //!   `rmprof-v1` snapshots, the stats endpoint, `rmbench` run files.
 //! * [`parse_jsonl`] — the strict layer for the traces this crate writes:
-//!   one flat object per line whose values are unsigned integers, strings
-//!   or booleans. Anything else (nested values, floats, negatives, null)
-//!   is rejected loudly rather than guessed at, and integers are read from
-//!   their lexeme, so the full `u64` range is exact.
+//!   one flat object per line, read back into the [`TraceRecord`] that
+//!   wrote it by the reader `define_events!` derives beside the writer.
+//!   Anything else (nested values, floats, negatives, booleans, null, an
+//!   unknown event, a missing or extra field, an integer outside its
+//!   field's type) is rejected loudly rather than guessed at, and
+//!   integers are read from their lexeme, so the full `u64` range is
+//!   exact.
 
-use std::collections::HashMap;
+use crate::event::{Field, TraceEvent, TraceRecord};
 
 /// A parsed JSON value. Numbers are kept as `f64` (every document this
 /// workspace writes stays inside the 2⁵³ exact-integer range; trace lines,
@@ -92,113 +95,88 @@ impl Json {
     }
 }
 
-/// A scalar field of a trace line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// An unsigned integer (all numbers the emitter writes).
+/// A scalar member of a trace line, before its field's type is known.
+pub(crate) enum Scalar {
+    /// An unsigned integer, read from its lexeme.
     Num(u64),
     /// A string.
     Str(String),
-    /// A boolean.
-    Bool(bool),
 }
 
-/// One parsed trace line: the common stamps plus every other field.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedRecord {
-    /// Nanosecond timestamp (`t`).
-    pub t_ns: u64,
-    /// Endpoint rank (`rank`).
-    pub rank: u16,
-    /// Event-type name (`ev`).
-    pub ev: String,
-    /// Remaining event-specific fields.
-    pub fields: HashMap<String, JsonValue>,
-}
+/// The members of one trace line, taken out one at a time by name.
+pub(crate) struct Fields(Vec<(String, Scalar)>);
 
-impl ParsedRecord {
-    /// Integer field accessor (0 when absent — callers check `ev` first).
-    pub fn num(&self, key: &str) -> u64 {
-        match self.fields.get(key) {
-            Some(JsonValue::Num(n)) => *n,
-            _ => 0,
-        }
-    }
-
-    /// String field accessor (empty when absent).
-    pub fn str(&self, key: &str) -> &str {
-        match self.fields.get(key) {
-            Some(JsonValue::Str(s)) => s,
-            _ => "",
-        }
+impl Fields {
+    /// Remove member `key` and read it as the field type `T`.
+    pub(crate) fn take<T: Field>(&mut self, key: &str) -> Result<T, String> {
+        let i = self
+            .0
+            .iter()
+            .position(|(k, _)| k == key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        T::read(self.0.swap_remove(i).1).map_err(|e| format!("field {key:?}: {e}"))
     }
 }
 
-/// Parse a whole JSONL document, skipping blank lines. Returns
-/// `Err(line_number, message)` on the first malformed line (1-based).
-pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedRecord>, (usize, String)> {
+/// Parse a whole JSONL trace back into the records that wrote it,
+/// skipping blank lines. Returns `Err(line_number, message)` on the first
+/// line (1-based) that is not exactly one record: an unknown event, a
+/// missing or extra field, or an integer outside its field's type.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, (usize, String)> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let rec = flat_object(line).and_then(to_record);
-        out.push(rec.map_err(|e| (i + 1, e))?);
+        out.push(record(line).map_err(|e| (i + 1, e))?);
     }
     Ok(out)
 }
 
-fn to_record(mut obj: HashMap<String, JsonValue>) -> Result<ParsedRecord, String> {
-    let t_ns = match obj.remove("t") {
-        Some(JsonValue::Num(n)) => n,
-        _ => return Err("missing numeric \"t\"".into()),
-    };
-    let rank = match obj.remove("rank") {
-        Some(JsonValue::Num(n)) => n as u16,
-        _ => return Err("missing numeric \"rank\"".into()),
-    };
-    let ev = match obj.remove("ev") {
-        Some(JsonValue::Str(s)) => s,
-        _ => return Err("missing string \"ev\"".into()),
-    };
-    Ok(ParsedRecord {
-        t_ns,
-        rank,
-        ev,
-        fields: obj,
-    })
+fn record(line: &str) -> Result<TraceRecord, String> {
+    let mut fields = flat_object(line)?;
+    let t_ns = fields.take("t")?;
+    let rank = fields.take("rank")?;
+    let name: String = fields.take("ev")?;
+    let ev = TraceEvent::read_json_fields(&name, &mut fields)?;
+    match fields.0.first() {
+        Some((key, _)) => Err(format!("{name} has no field {key:?}")),
+        None => Ok(TraceRecord { t_ns, rank, ev }),
+    }
 }
 
-/// One trace line: an object whose every member is a [`JsonValue`].
-fn flat_object(line: &str) -> Result<HashMap<String, JsonValue>, String> {
+/// One trace line: an object whose every member is a [`Scalar`], each
+/// key once.
+fn flat_object(line: &str) -> Result<Fields, String> {
     let mut p = Parser::new(line);
-    let mut map = HashMap::new();
+    let mut members: Vec<(String, Scalar)> = Vec::new();
     p.seq(b'{', b'}', |p| {
         let key = p.key()?;
         let val = match p.peek() {
-            Some(b'"') => JsonValue::Str(p.string()?),
-            Some(b't') => p.keyword("true", JsonValue::Bool(true))?,
-            Some(b'f') => p.keyword("false", JsonValue::Bool(false))?,
+            Some(b'"') => Scalar::Str(p.string()?),
             Some(c) if c.is_ascii_digit() => {
                 let txt = p.number();
                 let n = txt
                     .parse()
                     .map_err(|e| format!("bad integer {txt:?}: {e}"))?;
-                JsonValue::Num(n)
+                Scalar::Num(n)
             }
             other => {
                 return Err(format!(
                     "unexpected {other:?} at byte {}: trace values are unsigned \
-                     integers, strings or booleans",
+                     integers or strings",
                     p.i
                 ))
             }
         };
-        map.insert(key, val);
+        if members.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate field {key:?}"));
+        }
+        members.push((key, val));
         Ok(())
     })?;
     p.end()?;
-    Ok(map)
+    Ok(Fields(members))
 }
 
 struct Parser<'a> {
@@ -385,11 +363,11 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceEvent, TraceRecord};
+    use crate::event::DropCause;
 
     #[test]
     fn round_trips_emitted_records() {
-        let recs = [
+        let recs = vec![
             TraceRecord {
                 t_ns: 10,
                 rank: 0,
@@ -401,7 +379,9 @@ mod tests {
             TraceRecord {
                 t_ns: 20,
                 rank: 2,
-                ev: TraceEvent::Drop { cause: "WireFault" },
+                ev: TraceEvent::Drop {
+                    cause: DropCause::WireFault,
+                },
             },
             TraceRecord {
                 t_ns: 30,
@@ -414,24 +394,31 @@ mod tests {
             },
         ];
         let text: String = recs.iter().map(|r| r.to_json() + "\n").collect();
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0].ev, "DataSent");
-        assert_eq!(parsed[0].num("transfer"), 3);
-        assert_eq!(parsed[1].str("cause"), "WireFault");
-        assert_eq!(parsed[2].rank, 0);
-        assert_eq!(parsed[2].num("from"), 2);
+        assert_eq!(parse_jsonl(&text).unwrap(), recs);
+        for &cause in DropCause::ALL {
+            let r = TraceRecord {
+                t_ns: 1,
+                rank: 1,
+                ev: TraceEvent::Drop { cause },
+            };
+            assert_eq!(parse_jsonl(&r.to_json()).unwrap(), [r]);
+        }
+    }
+
+    /// A `Delivered` line whose `u64` field `msg_id` reads `v`.
+    fn line(v: &str) -> String {
+        format!("{{\"t\":1,\"rank\":0,\"ev\":\"Delivered\",\"transfer\":1,\"msg_id\":{v}}}")
     }
 
     #[test]
     fn rejects_garbage_with_line_number() {
-        let err = parse_jsonl("{\"t\":1,\"rank\":0,\"ev\":\"X\"}\nnot json\n").unwrap_err();
+        let err = parse_jsonl(&(line("1") + "\nnot json\n")).unwrap_err();
         assert_eq!(err.0, 2);
     }
 
     #[test]
     fn skips_blank_lines() {
-        let parsed = parse_jsonl("\n{\"t\":1,\"rank\":0,\"ev\":\"X\"}\n\n").unwrap();
+        let parsed = parse_jsonl(&format!("\n{}\n\n", line("1"))).unwrap();
         assert_eq!(parsed.len(), 1);
     }
 
@@ -467,28 +454,29 @@ mod tests {
         }
     }
 
-    /// A trace line with one extra field `v`.
-    fn line(v: &str) -> String {
-        format!("{{\"t\":1,\"rank\":0,\"ev\":\"X\",\"v\":{v}}}")
-    }
-
     #[test]
     fn jsonl_integers_are_exact_over_the_whole_u64_range() {
         let max = u64::MAX;
-        let text = format!("{{\"t\":{max},\"rank\":0,\"ev\":\"X\",\"v\":{max}}}");
+        let text = format!(
+            "{{\"t\":{max},\"rank\":0,\"ev\":\"Delivered\",\"transfer\":1,\"msg_id\":{max}}}"
+        );
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed[0].t_ns, max);
-        assert_eq!(parsed[0].num("v"), max);
+        let msg_id = |recs: &[TraceRecord]| match recs[0].ev {
+            TraceEvent::Delivered { msg_id, .. } => msg_id,
+            _ => unreachable!("a Delivered line"),
+        };
+        assert_eq!(msg_id(&parsed), max);
         // 2^53 + 1 is where an f64 detour would start rounding.
         let parsed = parse_jsonl(&line("9007199254740993")).unwrap();
-        assert_eq!(parsed[0].num("v"), 9_007_199_254_740_993);
+        assert_eq!(msg_id(&parsed), 9_007_199_254_740_993);
         assert!(parse_jsonl(&line("18446744073709551616")).is_err());
     }
 
     #[test]
     fn jsonl_rejects_what_the_emitter_never_writes() {
         // Every one of these is a JSON value, and none is a trace value.
-        for v in ["1e3", "1.5", "-1", "{\"a\":1}", "[1]", "null"] {
+        for v in ["1e3", "1.5", "-1", "{\"a\":1}", "[1]", "null", "true"] {
             assert!(Json::parse(&line(v)).is_ok(), "{v} is valid JSON");
             let err = parse_jsonl(&line(v)).unwrap_err();
             assert_eq!(err.0, 1, "{v}: {}", err.1);
@@ -497,13 +485,65 @@ mod tests {
             parse_jsonl(&(line("1") + " x")).is_err(),
             "trailing garbage"
         );
-        assert!(parse_jsonl("{\"rank\":0,\"ev\":\"X\"}").is_err(), "no t");
-        assert!(parse_jsonl("{\"t\":\"1\",\"rank\":0,\"ev\":\"X\"}").is_err());
+        assert!(
+            parse_jsonl("{\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":1}").is_err(),
+            "no t"
+        );
+        assert!(
+            parse_jsonl("{\"t\":\"1\",\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":1}").is_err()
+        );
         assert!(parse_jsonl("{\"t\":1,\"rank\":0,\"ev\":7}").is_err());
-        // What it does write: integers, strings, booleans, any spacing.
-        let ok = parse_jsonl(" { \"t\" : 1 , \"rank\":0,\"ev\":\"X\",\"b\":true,\"c\":false } ")
-            .unwrap();
-        assert_eq!(ok[0].fields.get("b"), Some(&JsonValue::Bool(true)));
-        assert_eq!(ok[0].fields.get("c"), Some(&JsonValue::Bool(false)));
+        // Lines that are flat objects of integers and strings, and still no
+        // record the emitter writes.
+        let accepted: Vec<&str> = [
+            (
+                "unknown event",
+                "{\"t\":1,\"rank\":0,\"ev\":\"NoSuchEvent\"}",
+            ),
+            (
+                "unknown field",
+                "{\"t\":1,\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":1,\"extra\":2}",
+            ),
+            (
+                "missing field",
+                "{\"t\":1,\"rank\":0,\"ev\":\"DataSent\",\"transfer\":1}",
+            ),
+            (
+                "rank 70000",
+                "{\"t\":1,\"rank\":70000,\"ev\":\"EpochChange\",\"epoch\":1}",
+            ),
+            (
+                "u32 at 2^32",
+                "{\"t\":1,\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":4294967296}",
+            ),
+            (
+                "duplicate field",
+                "{\"t\":1,\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":1,\"epoch\":1}",
+            ),
+            (
+                "unknown cause",
+                "{\"t\":1,\"rank\":0,\"ev\":\"Drop\",\"cause\":\"Gremlins\"}",
+            ),
+            (
+                "quoted integer",
+                "{\"t\":1,\"rank\":0,\"ev\":\"EpochChange\",\"epoch\":\"1\"}",
+            ),
+        ]
+        .into_iter()
+        .filter(|(_, l)| parse_jsonl(l).map_err(|e| e.0) != Err(1))
+        .map(|(what, _)| what)
+        .collect();
+        assert!(accepted.is_empty(), "accepted: {accepted:?}");
+        // What it does write, with any spacing and member order.
+        let ok =
+            parse_jsonl(" { \"rank\" : 3 , \"ev\":\"EpochChange\",\"t\":1,\"epoch\":2 } ").unwrap();
+        assert_eq!(
+            ok,
+            [TraceRecord {
+                t_ns: 1,
+                rank: 3,
+                ev: TraceEvent::EpochChange { epoch: 2 },
+            }]
+        );
     }
 }

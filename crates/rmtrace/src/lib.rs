@@ -25,10 +25,10 @@ pub mod hist;
 pub mod json;
 pub mod sink;
 
-pub use event::{TraceEvent, TraceRecord};
+pub use event::{DropCause, TraceEvent, TraceRecord};
 pub use flight::{FlightDump, FlightRecorder};
 pub use hist::Histogram;
-pub use json::{parse_jsonl, Json, JsonValue, ParsedRecord};
+pub use json::{parse_jsonl, Json};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 
 use std::fmt;
@@ -90,13 +90,22 @@ impl Tracer {
         self.emit_slow(t_ns, ev);
     }
 
+    /// Record `ev` at `t_ns` as rank `rank`'s, for a relay reporting on
+    /// behalf of the member a packet was addressed to. No-op when
+    /// inactive.
+    pub fn emit_for(&mut self, rank: u16, t_ns: u64, ev: TraceEvent) {
+        if self.active() {
+            self.record(TraceRecord { t_ns, rank, ev });
+        }
+    }
+
     #[cold]
     fn emit_slow(&mut self, t_ns: u64, ev: TraceEvent) {
-        let rec = TraceRecord {
-            t_ns,
-            rank: self.rank,
-            ev,
-        };
+        let rank = self.rank;
+        self.record(TraceRecord { t_ns, rank, ev });
+    }
+
+    fn record(&mut self, rec: TraceRecord) {
         if let Some(f) = &mut self.flight {
             f.record(rec.clone());
         }

@@ -143,7 +143,9 @@ mod tests {
         s.emit(&TraceRecord {
             t_ns: 3,
             rank: 1,
-            ev: TraceEvent::Drop { cause: "Corrupt" },
+            ev: TraceEvent::Drop {
+                cause: crate::DropCause::Corrupt,
+            },
         });
         s.flush();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();

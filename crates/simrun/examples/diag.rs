@@ -6,6 +6,7 @@
 //! cargo run --release -p simrun --example diag
 //! ```
 
+use netsim::DropCause;
 use rmcast::{ProtocolConfig, ProtocolKind};
 use simrun::scenario::{Protocol, Scenario};
 
@@ -29,6 +30,6 @@ fn main() {
             r.comm_time, r.throughput_mbps,
             r.sender_stats.retx_sent, r.sender_stats.timeouts,
             r.sender_stats.naks_received, r.sender_stats.acks_received,
-            r.trace.drops_sockbuf, r.trace.drops_switch_queue, r.sender_stats.retx_suppressed);
+            r.trace.drops(DropCause::SockBufFull), r.trace.drops(DropCause::SwitchQueueFull), r.sender_stats.retx_suppressed);
     }
 }

@@ -3,10 +3,9 @@
 use crate::cost::CostModel;
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{GroupId, HostId, UdpDest};
-use rmcast::baseline::{RawUdpReceiver, RawUdpSender, SerialUnicastSender};
-use rmcast::{AppEvent, Dest, Endpoint, Receiver, Sender, SessionError, Stats};
-use rmwire::{Rank, Time};
+use netsim::{GroupId, HostId, Sim, TraceCounters, UdpDest};
+use rmcast::{AppEvent, Dest, Endpoint, SessionError, Stats};
+use rmwire::{Duration, Rank, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -51,7 +50,7 @@ impl AddrMap {
 }
 
 /// Shared run measurements, filled in by the adapters as the simulation
-/// progresses.
+/// progresses and completed from the simulator when the run ends.
 #[derive(Debug, Default)]
 pub struct Recorder {
     /// When the sender completed its final message.
@@ -90,6 +89,10 @@ pub struct Recorder {
     pub expect_msgs: u64,
     /// What each delivered payload is held against.
     pub check: DeliveryCheck,
+    /// The network's counters at the end of the run.
+    pub trace: TraceCounters,
+    /// CPU time the sender's host spent over the run.
+    pub sender_cpu_busy: Duration,
 }
 
 /// How the recorder vouches for the bytes of a delivery.
@@ -109,62 +112,12 @@ pub enum DeliveryCheck {
 /// A shared handle to the run recorder.
 pub type SharedRecorder = Rc<RefCell<Recorder>>;
 
-/// Launchable endpoints: what to do at simulation start.
-pub trait Launch: Endpoint {
-    /// Queue the run's messages (senders) or do nothing (receivers).
-    fn launch(&mut self, now: Time, msgs: &[Bytes]);
-
-    /// Give up the buffer the endpoint would assemble its next message in,
-    /// if it keeps one.
-    fn take_spare(&mut self) -> Option<Bytes> {
-        None
-    }
-}
-
-impl Launch for Sender {
-    fn launch(&mut self, now: Time, msgs: &[Bytes]) {
-        for m in msgs {
-            self.send_message(now, m.clone());
-        }
-    }
-}
-
-impl Launch for RawUdpSender {
-    fn launch(&mut self, now: Time, msgs: &[Bytes]) {
-        for m in msgs {
-            self.send_message(now, m.clone());
-        }
-    }
-}
-
-impl Launch for SerialUnicastSender {
-    fn launch(&mut self, now: Time, msgs: &[Bytes]) {
-        assert_eq!(msgs.len(), 1, "serial unicast carries one message");
-        self.send_message(now, msgs[0].clone());
-    }
-}
-
-impl Launch for Receiver {
-    fn launch(&mut self, _now: Time, _msgs: &[Bytes]) {}
-
-    fn take_spare(&mut self) -> Option<Bytes> {
-        Receiver::take_spare(self)
-    }
-}
-
-impl Launch for RawUdpReceiver {
-    fn launch(&mut self, _now: Time, _msgs: &[Bytes]) {}
-}
-
 /// Whether this node records as the sender or as receiver `index`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum NodeRole {
-    /// The sending endpoint; carries the messages to transmit and stops
-    /// the simulation once all complete.
-    Sender {
-        /// Messages queued at start.
-        msgs: Vec<Bytes>,
-    },
+    /// The sending endpoint; stops the simulation once every message
+    /// resolves.
+    Sender,
     /// A receiving endpoint with its 0-based index.
     Receiver {
         /// Receiver index (rank − 1).
@@ -172,61 +125,77 @@ pub enum NodeRole {
     },
 }
 
+/// What the nodes of one multicast group share: where each rank lives,
+/// the cost model they charge and the recorder they report to.
+#[derive(Debug, Clone)]
+pub struct Nodes {
+    /// Hosts and port of every rank.
+    pub addr: Rc<AddrMap>,
+    /// User-level protocol cost model.
+    pub cost: CostModel,
+    /// The run's recorder.
+    pub rec: SharedRecorder,
+}
+
+impl Nodes {
+    /// Spawn `ep` as `role` on that role's host. A sender has its messages
+    /// queued already. `take_spare` gives up the buffer the endpoint would
+    /// assemble its next message in, which goes to this thread's next run
+    /// when the simulator drops; `rebuild`, if any, replaces the endpoint
+    /// after a simulated crash-restart — typically
+    /// `Receiver::new_joining`, so the reborn node re-enters the group
+    /// through the membership handshake instead of resuming with
+    /// pre-crash state a real reboot would have lost.
+    pub fn spawn<E: Endpoint + 'static>(
+        &self,
+        sim: &mut Sim,
+        role: NodeRole,
+        ep: E,
+        take_spare: fn(&mut E) -> Option<Bytes>,
+        rebuild: Option<Box<dyn FnMut(Time) -> E>>,
+    ) {
+        let host = match role {
+            NodeRole::Sender => self.addr.sender_host,
+            NodeRole::Receiver { index } => self.addr.receiver_hosts[index],
+        };
+        let node = NodeProcess {
+            ep,
+            role,
+            nodes: self.clone(),
+            take_spare,
+            rebuild,
+        };
+        sim.spawn(host, self.addr.port, Box::new(node));
+    }
+}
+
 /// The netsim process wrapping one endpoint.
-pub struct NodeProcess<E: Launch> {
+struct NodeProcess<E: Endpoint> {
     ep: E,
     role: NodeRole,
-    addr: Rc<AddrMap>,
-    cost: CostModel,
-    rec: SharedRecorder,
+    nodes: Nodes,
+    take_spare: fn(&mut E) -> Option<Bytes>,
     rebuild: Option<Box<dyn FnMut(Time) -> E>>,
 }
 
-impl<E: Launch> NodeProcess<E> {
-    /// Wrap `ep` for simulation.
-    pub fn new(
-        ep: E,
-        role: NodeRole,
-        addr: Rc<AddrMap>,
-        cost: CostModel,
-        rec: SharedRecorder,
-    ) -> Self {
-        NodeProcess {
-            ep,
-            role,
-            addr,
-            cost,
-            rec,
-            rebuild: None,
-        }
-    }
-
-    /// Install a factory that rebuilds the endpoint after a simulated
-    /// crash-restart — typically `Receiver::new_joining`, so the reborn
-    /// node re-enters the group through the membership handshake instead
-    /// of resuming with pre-crash state a real reboot would have lost.
-    pub fn with_rebuild(mut self, f: impl FnMut(Time) -> E + 'static) -> Self {
-        self.rebuild = Some(Box::new(f));
-        self
-    }
-
+impl<E: Endpoint> NodeProcess<E> {
     /// Drain transmits/events and re-arm the timer after any endpoint
     /// activity.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(t) = self.ep.poll_transmit() {
             if t.copied > 0 {
-                ctx.charge(self.cost.copy_cost(t.copied));
+                ctx.charge(self.nodes.cost.copy_cost(t.copied));
             }
-            ctx.charge(self.cost.per_datagram_send);
+            ctx.charge(self.nodes.cost.per_datagram_send);
             ctx.charge_clock_read();
-            let dest = self.addr.resolve(t.dest);
+            let dest = self.nodes.addr.resolve(t.dest);
             ctx.send(dest, t.payload);
         }
 
         let now = ctx.now();
         let mut stop = false;
         {
-            let rec = &mut *self.rec.borrow_mut();
+            let rec = &mut *self.nodes.rec.borrow_mut();
             while let Some(ev) = self.ep.poll_event() {
                 match ev {
                     AppEvent::MessageSent { msg_id } => {
@@ -257,7 +226,7 @@ impl<E: Launch> NodeProcess<E> {
                     AppEvent::MessageFailed { msg_id, error } => match self.role {
                         // A sender-side failure still resolves the message:
                         // it counts toward run completion.
-                        NodeRole::Sender { .. } => {
+                        NodeRole::Sender => {
                             rec.failures.push((msg_id, error, now));
                             if (rec.messages_sent.len() + rec.failures.len()) as u64
                                 >= rec.expect_msgs
@@ -305,15 +274,14 @@ impl<E: Launch> NodeProcess<E> {
 /// process until it is dropped, so these are the run's final counters. The
 /// endpoint's assembly buffer goes to this thread's next run instead of
 /// back to the allocator.
-impl<E: Launch> Drop for NodeProcess<E> {
+impl<E: Endpoint> Drop for NodeProcess<E> {
     fn drop(&mut self) {
         // Nothing holds the recorder while the simulator drops, so the
         // borrow cannot fail; should it, drop must still not panic.
-        if let Ok(mut rec) = self.rec.try_borrow_mut() {
-            match &self.role {
-                NodeRole::Sender { .. } => rec.sender_stats = self.ep.stats().clone(),
-                NodeRole::Receiver { index } => {
-                    let i = *index;
+        if let Ok(mut rec) = self.nodes.rec.try_borrow_mut() {
+            match self.role {
+                NodeRole::Sender => rec.sender_stats = self.ep.stats().clone(),
+                NodeRole::Receiver { index: i } => {
                     if rec.receiver_stats.len() <= i {
                         rec.receiver_stats.resize(i + 1, Stats::default());
                     }
@@ -321,25 +289,20 @@ impl<E: Launch> Drop for NodeProcess<E> {
                 }
             }
         }
-        if let Some(buf) = self.ep.take_spare() {
+        if let Some(buf) = (self.take_spare)(&mut self.ep) {
             // During thread teardown the list may be gone: let the buffer go.
             let _ = SPARES.try_with(|s| s.borrow_mut().push(buf));
         }
     }
 }
 
-impl<E: Launch> Process for NodeProcess<E> {
+impl<E: Endpoint> Process for NodeProcess<E> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let msgs = match &self.role {
-            NodeRole::Sender { msgs } => msgs.clone(),
-            NodeRole::Receiver { .. } => Vec::new(),
-        };
-        self.ep.launch(ctx.now(), &msgs);
         self.pump(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dg: DatagramIn) {
-        ctx.charge(self.cost.per_datagram_handle);
+        ctx.charge(self.nodes.cost.per_datagram_handle);
         ctx.charge_clock_read();
         let now = ctx.now();
         self.ep.handle_datagram(now, &dg.payload);
@@ -356,7 +319,7 @@ impl<E: Launch> Process for NodeProcess<E> {
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(f) = &mut self.rebuild {
             self.ep = f(ctx.now());
-            self.rec.borrow_mut().restarts += 1;
+            self.nodes.rec.borrow_mut().restarts += 1;
         }
         // Without a rebuild factory the endpoint keeps its pre-crash
         // state (the pre-membership behavior); either way the timer must

@@ -16,6 +16,7 @@
 //! error (clear message, nonzero exit), never a silent empty report.
 
 use simrun::report::{lifecycle, pick_packet, render_lifecycle, render_profile, Report};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -56,8 +57,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    print!("{}", Report::digest(&records).render());
-
     let packet = match (args.get(1), args.get(2)) {
         (Some(t), Some(s)) => match (t.parse(), s.parse()) {
             (Ok(t), Ok(s)) => Some((t, s)),
@@ -68,14 +67,26 @@ fn main() -> ExitCode {
         },
         _ => pick_packet(&records),
     };
+    let mut text = Report::digest(&records).render();
     if let Some((transfer, seq)) = packet {
-        println!();
-        print!(
-            "{}",
-            render_lifecycle(transfer, seq, &lifecycle(&records, transfer, seq))
-        );
+        text.push('\n');
+        text += &render_lifecycle(transfer, seq, &lifecycle(&records, transfer, seq));
     }
-    ExitCode::SUCCESS
+    emit(&text)
+}
+
+/// Write `text` to stdout. A reader that went away (`rmreport … | head`)
+/// ends the output, not the program.
+fn emit(text: &str) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("rmreport: cannot write the report: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// `rmreport --profile <stats.json>`: the per-stage latency breakdown
@@ -93,10 +104,7 @@ fn profile_main(path: Option<&str>) -> ExitCode {
         }
     };
     match rmprof::expo::parse_snapshot(&text) {
-        Ok(doc) => {
-            print!("{}", render_profile(&doc));
-            ExitCode::SUCCESS
-        }
+        Ok(doc) => emit(&render_profile(&doc)),
         Err(e) => {
             eprintln!("rmreport: {path}: {e}");
             ExitCode::FAILURE

@@ -293,7 +293,7 @@ pub fn ablate_mtu(effort: Effort) -> Table {
 /// concurrent transfers interfere? (The paper runs one group at a time;
 /// real clusters run many.)
 pub fn ablate_two_groups(effort: Effort) -> Table {
-    use crate::adapter::{AddrMap, DeliveryCheck, NodeProcess, NodeRole, Recorder, SharedRecorder};
+    use crate::adapter::{AddrMap, DeliveryCheck, NodeRole, Nodes, Recorder, SharedRecorder};
     use crate::calibration;
     use netsim::{topology, Sim};
     use rmcast::{GroupSpec, Receiver, Sender};
@@ -325,47 +325,30 @@ pub fn ablate_two_groups(effort: Effort) -> Table {
             let sender_host = hosts[base];
             let receiver_hosts: Vec<_> = hosts[base + 1..base + 1 + N].to_vec();
             let group = sim.create_group(&receiver_hosts);
-            let addr = Rc::new(AddrMap {
-                sender_host,
-                receiver_hosts: receiver_hosts.clone(),
-                group,
-                port: PORT,
-            });
             let payload = bytes::Bytes::from(vec![0x42u8; MSG]);
-            let rec: SharedRecorder = Rc::new(RefCell::new(Recorder {
-                expect_msgs: u64::MAX, // never stop the sim from one group
-                check: DeliveryCheck::Sent(vec![payload.clone()]),
-                ..Recorder::default()
-            }));
-            recs.push(Rc::clone(&rec));
+            let nodes = Nodes {
+                addr: Rc::new(AddrMap {
+                    sender_host,
+                    receiver_hosts,
+                    group,
+                    port: PORT,
+                }),
+                cost,
+                rec: Rc::new(RefCell::new(Recorder {
+                    expect_msgs: u64::MAX, // never stop the sim from one group
+                    check: DeliveryCheck::Sent(vec![payload.clone()]),
+                    ..Recorder::default()
+                })),
+            };
+            recs.push(Rc::clone(&nodes.rec));
             let gspec = GroupSpec::new(N as u16);
-            let sender = Sender::new(cfg, gspec);
-            sim.spawn(
-                sender_host,
-                PORT,
-                Box::new(NodeProcess::new(
-                    sender,
-                    NodeRole::Sender {
-                        msgs: vec![payload],
-                    },
-                    Rc::clone(&addr),
-                    cost,
-                    Rc::clone(&rec),
-                )),
-            );
-            for (i, &h) in receiver_hosts.iter().enumerate() {
+            let mut sender = Sender::new(cfg, gspec);
+            sender.send_message(Time::ZERO, payload);
+            nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
+            for i in 0..N {
                 let r = Receiver::new(cfg, gspec, Rank::from_receiver_index(i), seed);
-                sim.spawn(
-                    h,
-                    PORT,
-                    Box::new(NodeProcess::new(
-                        r,
-                        NodeRole::Receiver { index: i },
-                        Rc::clone(&addr),
-                        cost,
-                        Rc::clone(&rec),
-                    )),
-                );
+                let role = NodeRole::Receiver { index: i };
+                nodes.spawn(&mut sim, role, r, Receiver::take_spare, None);
             }
         }
         sim.run_until(Time::from_millis(30_000));

@@ -9,7 +9,7 @@
 //! loss to make the recovery machinery actually fire.
 
 use super::{nak_cfg, rm_scenario, Effort};
-use crate::report::{lifecycle, lifecycle_complete, parse_records, pick_packet, Report};
+use crate::report::{lifecycle, lifecycle_complete, pick_packet, Report};
 use crate::table::Table;
 use netsim::FaultPlan;
 
@@ -50,8 +50,7 @@ pub fn trace_deep_dive(effort: Effort) -> Table {
         .and_then(|()| std::fs::write(TRACE_ARTIFACT, &jsonl))
         .is_ok();
 
-    let parsed = parse_records(&records);
-    let report = Report::digest(&parsed);
+    let report = Report::digest(&records);
     for (rank, hist) in &report.latency_by_rank {
         t.push_row(vec![
             rank.to_string(),
@@ -92,8 +91,8 @@ pub fn trace_deep_dive(effort: Effort) -> Table {
         report.data_phase.acks,
         report.data_phase.naks,
     ));
-    if let Some((transfer, seq)) = pick_packet(&parsed) {
-        let events = lifecycle(&parsed, transfer, seq);
+    if let Some((transfer, seq)) = pick_packet(&records) {
+        let events = lifecycle(&records, transfer, seq);
         t.note(format!(
             "lifecycle of transfer {transfer} seq {seq} ({}): {}",
             if lifecycle_complete(&events) {
@@ -103,7 +102,7 @@ pub fn trace_deep_dive(effort: Effort) -> Table {
             },
             events
                 .iter()
-                .map(|r| format!("{}@rank{}@{}ns", r.ev, r.rank, r.t_ns))
+                .map(|r| format!("{}@rank{}@{}ns", r.ev.name(), r.rank, r.t_ns))
                 .collect::<Vec<_>>()
                 .join(" -> "),
         ));

@@ -1,23 +1,15 @@
 //! Trace analysis: digest a packet-lifecycle trace into a run report.
 //!
-//! Consumed two ways: the `rmreport` binary parses a JSONL trace file,
-//! and the `trace_deep_dive` experiment feeds records straight from a
-//! traced scenario run. Both paths go through [`ParsedRecord`] so the
-//! report logic is written once against the wire representation.
+//! Consumed two ways: the `rmreport` binary reads a JSONL trace file back
+//! into [`TraceRecord`]s with [`rmtrace::parse_jsonl`], and the
+//! `trace_deep_dive` experiment hands over the records of a traced
+//! scenario run as they are. Both paths match on [`TraceEvent`] variants,
+//! so the report is written once, against the types that wrote the trace.
 
 use rmtrace::hist::fmt_ns;
-use rmtrace::{parse_jsonl, Histogram, ParsedRecord, TraceRecord};
+use rmtrace::{Histogram, TraceEvent, TraceRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-
-/// Convert in-memory trace records into the parsed wire form the report
-/// engine consumes. The JSONL round trip is the canonical representation
-/// (covered by `rmtrace`'s tests), so serializing and reparsing keeps the
-/// two input paths byte-equivalent.
-pub fn parse_records(records: &[TraceRecord]) -> Vec<ParsedRecord> {
-    let text: String = records.iter().map(|r| r.to_json() + "\n").collect();
-    parse_jsonl(&text).expect("emitter-produced records always reparse")
-}
 
 /// Packet counts for one protocol phase (allocation handshake vs data).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +45,9 @@ pub struct Report {
     /// First and last timestamp in the trace, nanoseconds.
     pub span_ns: (u64, u64),
     /// Event counts by type name.
-    pub event_counts: BTreeMap<String, u64>,
-    /// Network drops by cause name.
-    pub drops_by_cause: BTreeMap<String, u64>,
+    pub event_counts: BTreeMap<&'static str, u64>,
+    /// Drops by cause name.
+    pub drops_by_cause: BTreeMap<&'static str, u64>,
     /// Retransmissions in trace order: `(t_ns, rank, transfer, seq, nth)`.
     pub retransmits: Vec<(u64, u16, u32, u32, u32)>,
     /// Per-receiver delivery latency (first wire send of a transfer to
@@ -68,8 +60,8 @@ pub struct Report {
 }
 
 impl Report {
-    /// Digest a parsed trace.
-    pub fn digest(records: &[ParsedRecord]) -> Report {
+    /// Digest a trace.
+    pub fn digest(records: &[TraceRecord]) -> Report {
         let mut r = Report {
             records: records.len(),
             ..Report::default()
@@ -78,33 +70,21 @@ impl Report {
             r.span_ns = (first.t_ns, last.t_ns);
         }
         // First time each transfer hit the wire, for latency matching.
-        let mut first_sent: HashMap<u64, u64> = HashMap::new();
+        let mut first_sent: HashMap<u32, u64> = HashMap::new();
         for rec in records {
-            *r.event_counts.entry(rec.ev.clone()).or_insert(0) += 1;
-            let transfer = rec.num("transfer");
-            let phase = if transfer % 2 == 0 {
-                &mut r.handshake
-            } else {
-                &mut r.data_phase
-            };
-            match rec.ev.as_str() {
-                "DataSent" => {
-                    phase.data_sent += 1;
+            *r.event_counts.entry(rec.ev.name()).or_insert(0) += 1;
+            match rec.ev {
+                TraceEvent::DataSent { transfer, .. } => {
+                    r.phase(transfer).data_sent += 1;
                     first_sent.entry(transfer).or_insert(rec.t_ns);
                 }
-                "Retransmit" => {
-                    phase.retransmits += 1;
-                    r.retransmits.push((
-                        rec.t_ns,
-                        rec.rank,
-                        transfer as u32,
-                        rec.num("seq") as u32,
-                        rec.num("nth") as u32,
-                    ));
+                TraceEvent::Retransmit { transfer, seq, nth } => {
+                    r.phase(transfer).retransmits += 1;
+                    r.retransmits.push((rec.t_ns, rec.rank, transfer, seq, nth));
                 }
-                "AckSent" => phase.acks += 1,
-                "NakSent" => phase.naks += 1,
-                "Delivered" => {
+                TraceEvent::AckSent { transfer, .. } => r.phase(transfer).acks += 1,
+                TraceEvent::NakSent { transfer, .. } => r.phase(transfer).naks += 1,
+                TraceEvent::Delivered { transfer, .. } => {
                     if let Some(&t0) = first_sent.get(&transfer) {
                         r.latency_by_rank
                             .entry(rec.rank)
@@ -112,15 +92,23 @@ impl Report {
                             .record(rec.t_ns.saturating_sub(t0));
                     }
                 }
-                "Drop" => {
-                    *r.drops_by_cause
-                        .entry(rec.str("cause").to_string())
-                        .or_insert(0) += 1;
+                TraceEvent::Drop { cause } => {
+                    *r.drops_by_cause.entry(cause.name()).or_insert(0) += 1;
                 }
                 _ => {}
             }
         }
         r
+    }
+
+    /// The counts of `transfer`'s phase: even ids are allocation
+    /// handshakes, odd ones data.
+    fn phase(&mut self, transfer: u32) -> &mut PhaseCounts {
+        if transfer.is_multiple_of(2) {
+            &mut self.handshake
+        } else {
+            &mut self.data_phase
+        }
     }
 
     /// Render the report as aligned text.
@@ -196,14 +184,17 @@ impl Report {
 /// Pick the most interesting data packet in the trace to narrate: the
 /// `(transfer, seq)` with the most retransmissions, falling back to the
 /// first packet sent. `None` on an empty trace.
-pub fn pick_packet(records: &[ParsedRecord]) -> Option<(u32, u32)> {
+pub fn pick_packet(records: &[TraceRecord]) -> Option<(u32, u32)> {
     let mut retx: HashMap<(u32, u32), u32> = HashMap::new();
     let mut first: Option<(u32, u32)> = None;
     for rec in records {
-        let key = (rec.num("transfer") as u32, rec.num("seq") as u32);
-        match rec.ev.as_str() {
-            "Retransmit" => *retx.entry(key).or_insert(0) += 1,
-            "DataSent" if first.is_none() => first = Some(key),
+        match rec.ev {
+            TraceEvent::Retransmit { transfer, seq, .. } => {
+                *retx.entry((transfer, seq)).or_insert(0) += 1;
+            }
+            TraceEvent::DataSent { transfer, seq } if first.is_none() => {
+                first = Some((transfer, seq));
+            }
             _ => {}
         }
     }
@@ -219,18 +210,29 @@ pub fn pick_packet(records: &[ParsedRecord]) -> Option<(u32, u32)> {
 /// retransmissions, per-receiver arrivals and discards, plus the
 /// `Delivered` events that closed its transfer. Trace order (which is
 /// time order within an endpoint) is preserved.
-pub fn lifecycle(records: &[ParsedRecord], transfer: u32, seq: u32) -> Vec<&ParsedRecord> {
+pub fn lifecycle(records: &[TraceRecord], transfer: u32, seq: u32) -> Vec<&TraceRecord> {
     records
         .iter()
-        .filter(|rec| {
-            let t = rec.num("transfer") as u32;
-            match rec.ev.as_str() {
-                "DataSent" | "Retransmit" | "DataRecv" | "DataDiscarded" => {
-                    t == transfer && rec.num("seq") as u32 == seq
-                }
-                "Delivered" => t == transfer,
-                _ => false,
+        .filter(|rec| match rec.ev {
+            TraceEvent::DataSent {
+                transfer: t,
+                seq: s,
             }
+            | TraceEvent::Retransmit {
+                transfer: t,
+                seq: s,
+                ..
+            }
+            | TraceEvent::DataRecv {
+                transfer: t,
+                seq: s,
+            }
+            | TraceEvent::DataDiscarded {
+                transfer: t,
+                seq: s,
+            } => t == transfer && s == seq,
+            TraceEvent::Delivered { transfer: t, .. } => t == transfer,
+            _ => false,
         })
         .collect()
 }
@@ -238,13 +240,15 @@ pub fn lifecycle(records: &[ParsedRecord], transfer: u32, seq: u32) -> Vec<&Pars
 /// `true` when `events` (as returned by [`lifecycle`]) tells the whole
 /// story: the packet was sent, accepted by at least one receiver, and its
 /// transfer was delivered.
-pub fn lifecycle_complete(events: &[&ParsedRecord]) -> bool {
-    let has = |name: &str| events.iter().any(|r| r.ev == name);
-    has("DataSent") && has("DataRecv") && has("Delivered")
+pub fn lifecycle_complete(events: &[&TraceRecord]) -> bool {
+    let has = |f: fn(&TraceEvent) -> bool| events.iter().any(|r| f(&r.ev));
+    has(|e| matches!(e, TraceEvent::DataSent { .. }))
+        && has(|e| matches!(e, TraceEvent::DataRecv { .. }))
+        && has(|e| matches!(e, TraceEvent::Delivered { .. }))
 }
 
 /// Render a lifecycle as aligned text lines.
-pub fn render_lifecycle(transfer: u32, seq: u32, events: &[&ParsedRecord]) -> String {
+pub fn render_lifecycle(transfer: u32, seq: u32, events: &[&TraceRecord]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "== Packet lifecycle: transfer {transfer}, seq {seq} ==");
     if events.is_empty() {
@@ -252,9 +256,9 @@ pub fn render_lifecycle(transfer: u32, seq: u32, events: &[&ParsedRecord]) -> St
         return s;
     }
     for rec in events {
-        let detail = match rec.ev.as_str() {
-            "Retransmit" => format!("  nth={}", rec.num("nth")),
-            "Delivered" => format!("  msg_id={}", rec.num("msg_id")),
+        let detail = match rec.ev {
+            TraceEvent::Retransmit { nth, .. } => format!("  nth={nth}"),
+            TraceEvent::Delivered { msg_id, .. } => format!("  msg_id={msg_id}"),
             _ => String::new(),
         };
         let _ = writeln!(
@@ -262,7 +266,7 @@ pub fn render_lifecycle(transfer: u32, seq: u32, events: &[&ParsedRecord]) -> St
             "  {:>12}  rank {:<3} {}{}",
             fmt_ns(rec.t_ns),
             rec.rank,
-            rec.ev,
+            rec.ev.name(),
             detail
         );
     }
@@ -342,14 +346,14 @@ pub fn render_profile(doc: &rmprof::expo::ProfileDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmtrace::TraceEvent;
+    use rmtrace::DropCause;
 
     fn rec(t_ns: u64, rank: u16, ev: TraceEvent) -> TraceRecord {
         TraceRecord { t_ns, rank, ev }
     }
 
-    fn sample_trace() -> Vec<ParsedRecord> {
-        parse_records(&[
+    fn sample_trace() -> Vec<TraceRecord> {
+        vec![
             rec(
                 10,
                 0,
@@ -366,7 +370,13 @@ mod tests {
                     seq: 1,
                 },
             ),
-            rec(20, 5, TraceEvent::Drop { cause: "BurstLoss" }),
+            rec(
+                20,
+                5,
+                TraceEvent::Drop {
+                    cause: DropCause::BurstLoss,
+                },
+            ),
             rec(
                 30,
                 1,
@@ -408,7 +418,7 @@ mod tests {
                     msg_id: 0,
                 },
             ),
-        ])
+        ]
     }
 
     #[test]
@@ -434,7 +444,7 @@ mod tests {
         let (transfer, seq) = pick_packet(&trace).unwrap();
         assert_eq!((transfer, seq), (1, 1));
         let events = lifecycle(&trace, transfer, seq);
-        let names: Vec<&str> = events.iter().map(|r| r.ev.as_str()).collect();
+        let names: Vec<&str> = events.iter().map(|r| r.ev.name()).collect();
         assert_eq!(
             names,
             vec!["DataSent", "Retransmit", "DataRecv", "Delivered"]

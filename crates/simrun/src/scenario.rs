@@ -1,8 +1,6 @@
 //! One measurable run: protocol, workload, cluster, seeds.
 
-use crate::adapter::{
-    take_spares, AddrMap, DeliveryCheck, NodeProcess, NodeRole, Recorder, SharedRecorder,
-};
+use crate::adapter::{take_spares, AddrMap, DeliveryCheck, NodeRole, Nodes, Recorder};
 use crate::calibration;
 use crate::cost::CostModel;
 use bytes::Bytes;
@@ -130,13 +128,13 @@ impl Scenario {
     }
 
     /// Shared simulation body: build the cluster, install the fault plan,
-    /// spawn endpoints, run to the time cap, and hand back the raw record.
+    /// spawn endpoints, run to the time cap, and hand back the recorder.
     /// With `trace` set, every protocol endpoint and the network fabric
     /// stream structured events into the shared sink (and endpoints keep a
     /// flight recorder when `flight_cap > 0`). With `crc_witness` set the
     /// record carries a CRC-32C per delivery and judges none; without it
     /// every delivery is compared with the message sent.
-    fn execute(&self, seed: u64, trace: Option<&TraceSpec>, crc_witness: bool) -> RawRun {
+    fn execute(&self, seed: u64, trace: Option<&TraceSpec>, crc_witness: bool) -> Recorder {
         let mut sim_cfg = self.sim;
         if self.topology == TopologyKind::SharedBus {
             sim_cfg.fabric = FabricKind::SharedBus;
@@ -171,163 +169,105 @@ impl Scenario {
             sim.set_trace_sink(Box::new(t.sink.clone()));
         }
         let group = sim.create_group(&receiver_hosts);
-        let addr = Rc::new(AddrMap {
-            sender_host,
-            receiver_hosts: receiver_hosts.clone(),
-            group,
-            port: PORT,
-        });
-
         let msgs: Vec<Bytes> = vec![self.payload(); self.n_messages];
-        let rec: SharedRecorder = Rc::new(RefCell::new(Recorder {
-            expect_msgs: self.n_messages as u64,
-            check: if crc_witness {
-                DeliveryCheck::Crc
-            } else {
-                DeliveryCheck::Sent(msgs.clone())
-            },
-            ..Recorder::default()
-        }));
+        let nodes = Nodes {
+            addr: Rc::new(AddrMap {
+                sender_host,
+                receiver_hosts,
+                group,
+                port: PORT,
+            }),
+            cost: self.cost,
+            rec: Rc::new(RefCell::new(Recorder {
+                expect_msgs: self.n_messages as u64,
+                check: if crc_witness {
+                    DeliveryCheck::Crc
+                } else {
+                    DeliveryCheck::Sent(msgs.clone())
+                },
+                ..Recorder::default()
+            })),
+        };
         let gspec = GroupSpec::new(self.n_receivers);
         // The previous run's assemblies; whatever is left over when the
         // receivers are built is dropped with this vector.
         let mut spares = take_spares();
 
-        let wire = |ep: &mut dyn Endpoint| {
-            if let Some(t) = trace {
-                ep.set_trace_sink(Box::new(t.sink.clone()));
-                if t.flight_cap > 0 {
-                    ep.enable_flight_recorder(t.flight_cap);
-                }
-            }
-        };
+        let receivers = (0..n).map(|index| NodeRole::Receiver { index });
 
         match self.protocol {
             Protocol::Rm(cfg) => {
                 let mut sender = Sender::new(cfg, gspec);
-                wire(&mut sender);
-                sim.spawn(
-                    sender_host,
-                    PORT,
-                    Box::new(NodeProcess::new(
-                        sender,
-                        NodeRole::Sender { msgs },
-                        Rc::clone(&addr),
-                        self.cost,
-                        Rc::clone(&rec),
-                    )),
-                );
-                for (i, &h) in receiver_hosts.iter().enumerate() {
+                TraceSpec::attach(trace, &mut sender);
+                for m in &msgs {
+                    sender.send_message(Time::ZERO, m.clone());
+                }
+                nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
+                for (i, role) in receivers.enumerate() {
                     let rank = Rank::from_receiver_index(i);
                     let mut r = Receiver::new(cfg, gspec, rank, seed);
                     if let Some(buf) = spares.pop() {
                         r.seed_spare(buf);
                     }
-                    wire(&mut r);
-                    let mut node = NodeProcess::new(
-                        r,
-                        NodeRole::Receiver { index: i },
-                        Rc::clone(&addr),
-                        self.cost,
-                        Rc::clone(&rec),
-                    );
-                    if cfg.membership {
-                        // A crash-restarted host reboots with no protocol
-                        // state and must rejoin through JOIN/SYNC.
-                        let respawn_trace = trace.map(|t| (t.sink.clone(), t.flight_cap));
-                        node = node.with_rebuild(move |now| {
+                    TraceSpec::attach(trace, &mut r);
+                    // A crash-restarted host reboots with no protocol state
+                    // and must rejoin through JOIN/SYNC.
+                    let rebuild = cfg.membership.then(|| {
+                        let respawn_trace = trace.cloned();
+                        Box::new(move |now| {
                             let mut r = Receiver::new_joining(cfg, gspec, rank, seed, now);
-                            if let Some((sink, cap)) = &respawn_trace {
-                                r.set_trace_sink(Box::new(sink.clone()));
-                                if *cap > 0 {
-                                    r.enable_flight_recorder(*cap);
-                                }
-                            }
+                            TraceSpec::attach(respawn_trace.as_ref(), &mut r);
                             r
-                        });
-                    }
-                    sim.spawn(h, PORT, Box::new(node));
+                        }) as Box<dyn FnMut(Time) -> Receiver>
+                    });
+                    nodes.spawn(&mut sim, role, r, Receiver::take_spare, rebuild);
                 }
             }
             Protocol::RawUdp { packet_size } => {
-                let sender =
+                let mut sender =
                     RawUdpSender::new(gspec, packet_size, rmwire::Duration::from_millis(40));
-                sim.spawn(
-                    sender_host,
-                    PORT,
-                    Box::new(NodeProcess::new(
-                        sender,
-                        NodeRole::Sender { msgs },
-                        Rc::clone(&addr),
-                        self.cost,
-                        Rc::clone(&rec),
-                    )),
-                );
-                for (i, &h) in receiver_hosts.iter().enumerate() {
+                for m in &msgs {
+                    sender.send_message(Time::ZERO, m.clone());
+                }
+                nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
+                for (i, role) in receivers.enumerate() {
                     let r = RawUdpReceiver::new(Rank::from_receiver_index(i));
-                    sim.spawn(
-                        h,
-                        PORT,
-                        Box::new(NodeProcess::new(
-                            r,
-                            NodeRole::Receiver { index: i },
-                            Rc::clone(&addr),
-                            self.cost,
-                            Rc::clone(&rec),
-                        )),
-                    );
+                    nodes.spawn(&mut sim, role, r, |_| None, None);
                 }
             }
             Protocol::SerialUnicast {
                 segment_size,
                 window,
             } => {
-                let sender = SerialUnicastSender::new(gspec, segment_size, window);
-                sim.spawn(
-                    sender_host,
-                    PORT,
-                    Box::new(NodeProcess::new(
-                        sender,
-                        NodeRole::Sender { msgs },
-                        Rc::clone(&addr),
-                        self.cost,
-                        Rc::clone(&rec),
-                    )),
-                );
+                let mut sender = SerialUnicastSender::new(gspec, segment_size, window);
+                let [msg] = &msgs[..] else {
+                    panic!("serial unicast carries one message");
+                };
+                sender.send_message(Time::ZERO, msg.clone());
+                nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
                 let mut cfg = ProtocolConfig::new(rmcast::ProtocolKind::Ack, segment_size, window);
                 cfg.handshake = false;
-                for (i, &h) in receiver_hosts.iter().enumerate() {
+                for role in receivers {
                     // Each receiver is rank 1 of its own 1-receiver group.
                     let r = Receiver::new(cfg, GroupSpec::new(1), Rank(1), seed);
-                    sim.spawn(
-                        h,
-                        PORT,
-                        Box::new(NodeProcess::new(
-                            r,
-                            NodeRole::Receiver { index: i },
-                            Rc::clone(&addr),
-                            self.cost,
-                            Rc::clone(&rec),
-                        )),
-                    );
+                    nodes.spawn(&mut sim, role, r, Receiver::take_spare, None);
                 }
             }
         }
 
         sim.run_until(Time::ZERO + self.time_cap);
-        let sender_cpu_busy = sim.cpu_busy(sender_host);
-        let trace = sim.trace().clone();
-        // Dropping the simulator drops every process: each hands its
-        // assembly buffer back and lets go of its recorder handle.
-        drop(sim);
-        let rec = Rc::try_unwrap(rec)
-            .expect("the processes held every other recorder handle")
-            .into_inner();
-        RawRun {
-            rec,
-            trace,
-            sender_cpu_busy,
+        {
+            let mut rec = nodes.rec.borrow_mut();
+            rec.sender_cpu_busy = sim.cpu_busy(sender_host);
+            rec.trace = sim.trace().clone();
         }
+        // Dropping the simulator drops every process: each hands its
+        // assembly buffer back, its counters to the recorder, and lets go
+        // of its recorder handle.
+        drop(sim);
+        Rc::try_unwrap(nodes.rec)
+            .expect("the processes held every other recorder handle")
+            .into_inner()
     }
 
     /// Execute once with `seed`. Panics if the run does not complete
@@ -373,11 +313,7 @@ impl Scenario {
     }
 
     fn run_inner(&self, seed: u64, spec: Option<&TraceSpec>) -> RunResult {
-        let RawRun {
-            rec,
-            trace,
-            sender_cpu_busy,
-        } = self.execute(seed, spec, false);
+        let rec = self.execute(seed, spec, false);
 
         let comm_time = match rec.sender_done {
             Some(t) => t.saturating_since(Time::ZERO),
@@ -390,7 +326,7 @@ impl Scenario {
                 self.msg_size,
                 rec.messages_sent.len(),
                 rec.deliveries.len(),
-                trace.total_drops(),
+                rec.trace.total_drops(),
             ),
         };
         let delivery_times: Vec<(u16, f64)> = rec
@@ -403,12 +339,12 @@ impl Scenario {
             comm_time,
             delivery_times,
             throughput_mbps: total_bytes * 8.0 / comm_time.as_secs_f64() / 1e6,
-            sender_cpu_utilization: sender_cpu_busy.as_secs_f64()
+            sender_cpu_utilization: rec.sender_cpu_busy.as_secs_f64()
                 / comm_time.as_secs_f64().max(1e-12),
             sender_stats: rec.sender_stats,
             receiver_stats: rec.receiver_stats,
             deliveries: rec.deliveries.len(),
-            trace,
+            trace: rec.trace,
         }
     }
 
@@ -455,11 +391,7 @@ impl Scenario {
     }
 
     fn run_chaos_inner(&self, seed: u64, spec: Option<&TraceSpec>) -> ChaosOutcome {
-        let RawRun {
-            rec,
-            trace,
-            sender_cpu_busy: _,
-        } = self.execute(seed, spec, true);
+        let rec = self.execute(seed, spec, true);
         ChaosOutcome {
             completed: rec.sender_done.is_some(),
             comm_time: rec.sender_done.map(|t| t.saturating_since(Time::ZERO)),
@@ -476,12 +408,13 @@ impl Scenario {
             flight_dumps: rec.flight_dumps.clone(),
             sender_stats: rec.sender_stats.clone(),
             receiver_stats: rec.receiver_stats.clone(),
-            trace,
+            trace: rec.trace,
         }
     }
 }
 
 /// Observability wiring for one traced execution.
+#[derive(Clone)]
 struct TraceSpec {
     /// Shared sink: endpoints and the simulator interleave into it in
     /// deterministic simulation-event order.
@@ -490,12 +423,17 @@ struct TraceSpec {
     flight_cap: usize,
 }
 
-/// Raw output of one simulated run, before any completion policy is
-/// applied.
-struct RawRun {
-    rec: Recorder,
-    trace: TraceCounters,
-    sender_cpu_busy: Duration,
+impl TraceSpec {
+    /// When the run is traced, stream `ep`'s events into the shared sink
+    /// and keep its flight recorder if one is asked for.
+    fn attach(spec: Option<&TraceSpec>, ep: &mut dyn Endpoint) {
+        if let Some(t) = spec {
+            ep.set_trace_sink(Box::new(t.sink.clone()));
+            if t.flight_cap > 0 {
+                ep.enable_flight_recorder(t.flight_cap);
+            }
+        }
+    }
 }
 
 /// Outcome of a chaos run: either the sender resolved every message

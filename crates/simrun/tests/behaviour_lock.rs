@@ -265,15 +265,19 @@ fn layered(fam: &str, plan: &str) -> Scenario {
 }
 
 /// One layered run: its digest, the sender's counters, the sum of the
-/// receivers' counters and the names of the events it traced.
+/// receivers' counters and the names of the events it traced. Its trace
+/// must read back as the records that wrote it.
 fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats, BTreeSet<&'static str>) {
     let (outcome, records) = layered(fam, plan).run_chaos_traced(seed, 64);
     assert!(outcome.bounded(), "{fam}/{plan} seed {seed} hung");
-    let mut text = format!("{outcome:?}\n");
-    for r in &records {
-        text.push_str(&r.to_json());
-        text.push('\n');
-    }
+    let jsonl: String = records.iter().map(|r| r.to_json() + "\n").collect();
+    let back = rmtrace::parse_jsonl(&jsonl)
+        .unwrap_or_else(|(l, e)| panic!("{fam}/{plan} seed {seed}: trace line {l}: {e}"));
+    assert!(
+        back == records,
+        "{fam}/{plan} seed {seed}: the trace reads back as other records"
+    );
+    let text = format!("{outcome:?}\n{jsonl}");
     let mut receivers = Stats::default();
     for s in &outcome.receiver_stats {
         receivers.merge(s);

@@ -4,7 +4,7 @@
 //! virtual-time cap. A hang shows up as `bounded() == false` (the cap is
 //! the watchdog), a panic fails the test outright.
 
-use netsim::{FaultPlan, HostId};
+use netsim::{DropCause, FaultPlan, HostId};
 use rmcast::{LivenessConfig, ProtocolConfig, SessionError};
 use rmwire::{Duration, Time};
 use simrun::experiments;
@@ -39,7 +39,10 @@ fn every_family_survives_burst_loss() {
         assert_eq!(out.messages_sent, 1, "{name} failed a recoverable run");
         assert!(out.failures.is_empty(), "{name}: {:?}", out.failures);
         assert_eq!(out.deliveries, N as usize, "{name} lost a receiver");
-        assert!(out.trace.drops_burst > 0, "{name}: burst fault never fired");
+        assert!(
+            out.trace.drops(DropCause::BurstLoss) > 0,
+            "{name}: burst fault never fired"
+        );
     }
 }
 

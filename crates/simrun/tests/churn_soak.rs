@@ -6,7 +6,7 @@
 //! stale-epoch feedback packet — all with exactly-once in-order delivery
 //! at every receiver that is live at the end.
 
-use netsim::{FaultPlan, HostId};
+use netsim::{DropCause, FaultPlan, HostId};
 use rmcast::{LivenessConfig, ProtocolConfig};
 use rmwire::{Duration, Rank, Time};
 use simrun::experiments;
@@ -124,11 +124,11 @@ fn crash_partition_heal_rejoin_is_exactly_once_for_all_families() {
 
         // The fault plan actually fired both faults.
         assert!(
-            out.trace.drops_trunk_down > 0,
+            out.trace.drops(DropCause::TrunkDown) > 0,
             "{name}: the partition never dropped a frame"
         );
         assert!(
-            out.trace.drops_host_down > 0,
+            out.trace.drops(DropCause::HostDown) > 0,
             "{name}: the crash never dropped a frame"
         );
         // The island went silent together; the detector noticed.

@@ -68,6 +68,24 @@ fn valid_trace_still_reports() {
 }
 
 #[test]
+fn closed_stdout_ends_the_output_without_a_panic() {
+    // `rmreport trace.jsonl | head`: the reader leaves before the report
+    // is written. Enough records that the report outgrows any buffer.
+    let line = "{\"t\": 5, \"rank\": 0, \"ev\": \"Retransmit\", \"transfer\": 1, \"seq\": 0, \"nth\": 1}\n";
+    let path = write_tmp("closed.jsonl", &line.repeat(200));
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_rmreport"))
+        .arg(&path)
+        .stdout(writer)
+        .output()
+        .expect("run rmreport");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(out.status.success(), "stderr: {err}");
+}
+
+#[test]
 fn profile_mode_renders_breakdown_and_hotspots() {
     let path = write_tmp(
         "stats.json",

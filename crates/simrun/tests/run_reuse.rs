@@ -55,7 +55,7 @@ fn a_run_does_not_depend_on_the_runs_before_it() {
 }
 
 /// Crash-restart of rank 2's host with dynamic membership: the reborn
-/// endpoint comes from `NodeProcess::with_rebuild`, with no buffer.
+/// endpoint comes from `Nodes::spawn`'s `rebuild`, with no buffer.
 fn churn_scenario() -> Scenario {
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(8), 8_000, 16);
     cfg.liveness = LivenessConfig::evicting(6);

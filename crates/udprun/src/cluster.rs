@@ -43,7 +43,9 @@ pub struct ClusterConfig {
     pub restart_receivers: Vec<(usize, StdDuration)>,
     /// Shared trace sink: every endpoint streams its protocol events here,
     /// stamped with wall-clock nanoseconds since one run-wide epoch so
-    /// records from different node threads are comparable.
+    /// records from different node threads are comparable, and the hub its
+    /// drops (stamped from its own start, about one thread start away from
+    /// that epoch).
     pub trace_sink: Option<JsonlSink>,
     /// Per-endpoint flight recorder capacity (0 = disabled): the last N
     /// events are dumped as a [`FlightDump`] when a liveness failure trips.
@@ -175,7 +177,9 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     let hub = Hub::spawn_on(
         receiver_addrs.clone(),
         cfg.hub_drop_every,
-        None,
+        cfg.trace_sink
+            .clone()
+            .map(|s| Box::new(s) as Box<dyn rmtrace::TraceSink>),
         Arc::clone(&flow),
     )?;
     let addrs = Addresses {
@@ -362,8 +366,10 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         let _ = h.join();
     }
     rx.try_iter().for_each(|r| tally.absorb(r));
+    drop(hub);
 
-    // The sink's writer is shared by every clone: one flush drains it.
+    // The sink's writer is shared by every clone, the stopped hub's too:
+    // one flush drains it.
     if let Some(mut s) = cfg.trace_sink.clone() {
         s.flush();
     }

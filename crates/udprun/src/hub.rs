@@ -17,7 +17,7 @@
 
 use crate::flow::{Flow, Gauge, Outlet};
 use crate::node::{no_datagram, Pace, RX_BATCH, STOP_CHECK_CAP};
-use rmtrace::{TraceEvent, TraceSink, Tracer};
+use rmtrace::{DropCause, TraceEvent, TraceSink, Tracer};
 use rmwire::{Header, Rank, HEADER_LEN};
 use std::collections::VecDeque;
 use std::io;
@@ -155,7 +155,11 @@ impl Hub {
     /// The relay on the gauges in `flow`: index `i + 1` is the socket of
     /// `member_addrs[i]`, the receiver with rank `i + 1`, and the last one
     /// the hub's own. `trace` hears a `Drop` record for every runt the hub
-    /// discards and every frame its full queue tail-drops.
+    /// discards and every frame its full queue tail-drops (rank `u16::MAX`,
+    /// the hub's), and for every copy its injected loss drops (the rank the
+    /// copy was addressed to). Records are stamped from the hub thread's
+    /// own start, not the cluster's epoch: the two are about one thread
+    /// start apart.
     ///
     /// `drop_every = Some(n)` drops each forwarded copy with probability
     /// `1/n`, for exercising loss recovery over real sockets. Every copy is
@@ -246,7 +250,9 @@ impl Hub {
                             malformed2.fetch_add(1, Ordering::Relaxed);
                             tracer.emit(
                                 epoch.elapsed().as_nanos() as u64,
-                                TraceEvent::Drop { cause: "HubRunt" },
+                                TraceEvent::Drop {
+                                    cause: DropCause::HubRunt,
+                                },
                             );
                             continue;
                         }
@@ -256,7 +262,7 @@ impl Hub {
                             tracer.emit(
                                 epoch.elapsed().as_nanos() as u64,
                                 TraceEvent::Drop {
-                                    cause: "HubQueueFull",
+                                    cause: DropCause::HubQueueFull,
                                 },
                             );
                         }
@@ -285,6 +291,13 @@ impl Hub {
                             }
                             if let Some(every) = drop_every {
                                 if splitmix64(&mut draws).is_multiple_of(u64::from(every)) {
+                                    tracer.emit_for(
+                                        Rank::from_receiver_index(i).0,
+                                        epoch.elapsed().as_nanos() as u64,
+                                        TraceEvent::Drop {
+                                            cause: DropCause::HubLoss,
+                                        },
+                                    );
                                     continue; // injected loss
                                 }
                             }
@@ -448,7 +461,7 @@ mod tests {
                 matches!(
                     r.ev,
                     rmtrace::TraceEvent::Drop {
-                        cause: "HubQueueFull"
+                        cause: DropCause::HubQueueFull
                     }
                 )
             })
@@ -586,7 +599,14 @@ mod tests {
         let drops: Vec<_> = mem
             .records()
             .into_iter()
-            .filter(|r| matches!(r.ev, rmtrace::TraceEvent::Drop { cause: "HubRunt" }))
+            .filter(|r| {
+                matches!(
+                    r.ev,
+                    TraceEvent::Drop {
+                        cause: DropCause::HubRunt
+                    }
+                )
+            })
             .collect();
         assert_eq!(drops.len(), 1, "exactly the runt produced a Drop record");
     }

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use rmcast::{ProtocolConfig, ProtocolKind, Rank};
+use rmtrace::{DropCause, TraceEvent};
 use udprun::cluster::{run_cluster, ClusterConfig};
 
 fn payload(len: usize) -> Bytes {
@@ -295,14 +296,16 @@ fn restarted_receiver_rejoins_over_real_sockets() {
 
 #[test]
 fn trace_sink_captures_the_run_over_real_udp() {
-    // Every endpoint streams into one shared JSONL sink; after the run
-    // the file must reconstruct the message's journey: sent by rank 0,
-    // accepted and delivered at every receiver.
+    // Every endpoint and the hub stream into one shared JSONL sink; after
+    // the run the file must reconstruct the message's journey: sent by
+    // rank 0, lost by the hub on its way to some receivers, accepted and
+    // delivered at every receiver.
     let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
     cfg.rto = rmcast::Duration::from_millis(50);
     let path = std::env::temp_dir().join(format!("rmtrace_udp_{}.jsonl", std::process::id()));
     let mut cc = ClusterConfig::new(cfg, 3);
     cc.trace_sink = Some(rmcast::JsonlSink::create(&path).expect("trace file"));
+    cc.hub_drop_every = Some(10);
     let msg = payload(50_000);
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
     assert_eq!(out.deliveries.len(), 3);
@@ -311,20 +314,44 @@ fn trace_sink_captures_the_run_over_real_udp() {
     let _ = std::fs::remove_file(&path);
     let records = rmtrace::parse_jsonl(&text).unwrap_or_else(|(l, e)| panic!("line {l}: {e}"));
     assert!(
-        records.iter().any(|r| r.ev == "DataSent" && r.rank == 0),
+        records
+            .iter()
+            .any(|r| matches!(r.ev, TraceEvent::DataSent { .. }) && r.rank == 0),
         "sender must trace its sends"
     );
     for rank in 1..=3u16 {
         assert!(
             records
                 .iter()
-                .any(|r| r.ev == "Delivered" && r.rank == rank),
+                .any(|r| matches!(r.ev, TraceEvent::Delivered { .. }) && r.rank == rank),
             "rank {rank} must trace its delivery"
         );
     }
     assert!(
-        records.iter().any(|r| r.ev == "AckSent"),
+        records
+            .iter()
+            .any(|r| matches!(r.ev, TraceEvent::AckSent { .. })),
         "the ACK protocol must trace acknowledgments"
+    );
+    let hub_losses: Vec<u16> = records
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.ev,
+                TraceEvent::Drop {
+                    cause: DropCause::HubLoss
+                }
+            )
+        })
+        .map(|r| r.rank)
+        .collect();
+    assert!(
+        !hub_losses.is_empty(),
+        "the hub's injected loss left no record"
+    );
+    assert!(
+        hub_losses.iter().all(|r| (1..=3).contains(r)),
+        "a hub loss is stamped with the receiver it was addressed to: {hub_losses:?}"
     );
 }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use netsim::FaultPlan;
-use rmcast::{ProtocolConfig, ProtocolKind};
+use rmcast::{ProtocolConfig, ProtocolKind, TraceEvent};
 use simrun::scenario::{Protocol, Scenario};
 
 fn main() {
@@ -21,21 +21,21 @@ fn main() {
     println!("timeline of a 20 KB NAK-with-polling transfer to {n} receivers");
     println!("(2% injected frame loss; 2 KB packets, window 8, poll every 4th)\n");
     for r in &records {
-        let who = match r.ev.name() {
-            "Drop" if r.rank == u16::MAX => "network".to_string(),
-            "Drop" => format!("net @ h{}", r.rank),
+        let who = match r.ev {
+            TraceEvent::Drop { .. } if r.rank == u16::MAX => "network".to_string(),
+            TraceEvent::Drop { .. } => format!("net @ h{}", r.rank),
             _ => format!("rank {}", r.rank),
         };
         println!("{:10.3} ms  {who:<9} {:?}", r.t_ns as f64 / 1e6, r.ev);
     }
-    let count = |name: &str| records.iter().filter(|r| r.ev.name() == name).count();
+    let count = |f: fn(&TraceEvent) -> bool| records.iter().filter(|r| f(&r.ev)).count();
+    let drops = count(|e| matches!(e, TraceEvent::Drop { .. }));
+    let retransmits = count(|e| matches!(e, TraceEvent::Retransmit { .. }));
     println!(
-        "\ntotal: {} records ({} drops, {} retransmissions), finished at {}",
+        "\ntotal: {} records ({drops} drops, {retransmits} retransmissions), finished at {}",
         records.len(),
-        count("Drop"),
-        count("Retransmit"),
         result.comm_time
     );
-    assert!(count("Drop") > 0, "the injected loss dropped nothing");
-    assert!(count("Retransmit") > 0, "nothing was repaired");
+    assert!(drops > 0, "the injected loss dropped nothing");
+    assert!(retransmits > 0, "nothing was repaired");
 }
