@@ -59,6 +59,7 @@ pub mod config;
 pub mod coverage;
 pub mod endpoint;
 pub mod error;
+pub mod faults;
 pub mod fec;
 pub mod invariants;
 pub mod loopback;
@@ -76,6 +77,7 @@ pub mod window;
 pub use config::{LivenessConfig, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
 pub use endpoint::{AppEvent, Dest, Endpoint, Transmit};
 pub use error::SessionError;
+pub use faults::Faults;
 pub use overload::{AimdWindow, DupNakFilter, LoadScaler, OverloadConfig, TokenBucket};
 pub use receiver::Receiver;
 pub use sender::Sender;

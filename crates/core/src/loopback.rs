@@ -1,5 +1,5 @@
 //! An in-process test harness: one sender and `N` receivers wired through
-//! an idealized, zero-latency network with optional per-datagram loss.
+//! an idealized, zero-latency network that applies one [`Faults`] plan.
 //!
 //! The loopback exists to test *protocol logic* (reliability, ordering,
 //! release rules) independently of any timing model — the timing studies
@@ -40,6 +40,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
+use crate::faults::Faults;
 use crate::receiver::Receiver;
 use crate::sender::Sender;
 use crate::stats::Stats;
@@ -88,17 +89,10 @@ pub struct Loopback {
     /// by [`Loopback::rejoin_receiver`].
     dead: Vec<bool>,
     now: Time,
-    loss: f64,
-    /// Probability that a delivered datagram is held back one round and
-    /// delivered late (out of order), per copy.
-    reorder: f64,
-    /// Probability that a delivered datagram copy arrives twice
-    /// back-to-back (duplication fault).
-    dup: f64,
-    /// Probability that a delivered datagram copy has a random byte
-    /// flipped before delivery (byzantine corruption reaching the decode
-    /// path, unlike `loss` which models FCS-dropped frames).
-    corrupt: f64,
+    /// The per-copy rates `deliver` draws, and in `down` the receivers
+    /// still waiting to come back (an entry leaves when its receiver
+    /// rejoins).
+    faults: Faults,
     /// Datagrams held back by the reorder fault, by target (a receiver
     /// index, or [`SENDER`]).
     held: Vec<(usize, Bytes)>,
@@ -152,10 +146,7 @@ impl Loopback {
             receivers,
             dead,
             now: Time::ZERO,
-            loss: 0.0,
-            reorder: 0.0,
-            dup: 0.0,
-            corrupt: 0.0,
+            faults: Faults::default(),
             held: Vec::new(),
             flights: Vec::with_capacity(cfg.window + n_receivers as usize),
             arrivals: [Vec::with_capacity(half), Vec::with_capacity(half)],
@@ -166,39 +157,30 @@ impl Loopback {
         }
     }
 
-    /// Drop each delivered datagram copy independently with probability
-    /// `p` (multicast loss is per-receiver, like real IP multicast).
-    pub fn with_loss(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "loss probability out of range");
-        self.loss = p;
+    /// Run under `faults`, in place of any plan set before. Each copy is
+    /// lost, held back one round (and so delivered out of order), doubled
+    /// or has one bit flipped with the plan's probabilities; the `down`
+    /// receivers are killed now and rejoined at their `back` instant
+    /// through [`Loopback::rejoin_receiver`]. Panics on a plan
+    /// [`Faults::validate`] refuses.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        if let Err(e) = faults.validate(self.receivers.len()) {
+            panic!("{e}");
+        }
+        for &(i, _) in &faults.down {
+            self.kill_receiver(i);
+        }
+        self.faults = faults;
         self
     }
 
-    /// Hold back each delivered datagram copy with probability `p`,
-    /// delivering it one round later — i.e. out of order relative to its
-    /// successors (real multicast retransmission can reorder like this).
-    pub fn with_reorder(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "probability out of range");
-        self.reorder = p;
-        self
-    }
-
-    /// Duplicate each delivered datagram copy with probability `p`
-    /// (delivered twice back-to-back; protocols must stay exactly-once).
-    pub fn with_dup(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "probability out of range");
-        self.dup = p;
-        self
-    }
-
-    /// Flip one random byte of each delivered datagram copy with
-    /// probability `p`. The corrupted bytes *reach the endpoint* (unlike
-    /// [`Loopback::with_loss`], which models FCS-dropped frames), so
-    /// configs with `integrity` enabled must detect and drop them.
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "probability out of range");
-        self.corrupt = p;
-        self
+    /// Run under `loss` alone: [`Loopback::with_faults`] with only
+    /// [`Faults::loss`] set.
+    pub fn with_loss(self, loss: f64) -> Self {
+        self.with_faults(Faults {
+            loss,
+            ..Faults::default()
+        })
     }
 
     /// Queue a message on the sender.
@@ -283,6 +265,7 @@ impl Loopback {
                     );
                     self.now = self.now.max(t);
                     let now = self.now;
+                    self.rejoin_due();
                     if self.sender.poll_timeout().is_some_and(|d| d <= now) {
                         self.sender.handle_timeout(now);
                     }
@@ -309,12 +292,27 @@ impl Loopback {
             .collect()
     }
 
-    /// The earliest pending timeout of any live endpoint.
+    /// The earliest pending timeout of any live endpoint, or rejoin of a
+    /// `down` receiver.
     fn next_timeout(&self) -> Option<Time> {
         let live = self.receivers.iter().zip(&self.dead).filter(|(_, &d)| !d);
+        let rejoins = self.faults.down.iter().filter_map(|&(_, back)| back);
         live.filter_map(|(r, _)| r.poll_timeout())
             .chain(self.sender.poll_timeout())
+            .chain(rejoins.map(|back| Time::ZERO + back))
             .min()
+    }
+
+    /// Rejoin every `down` receiver whose `back` instant has come.
+    fn rejoin_due(&mut self) {
+        let now = self.now;
+        let due = |&(_, back): &(usize, Option<Duration>)| {
+            back.is_some_and(|back| Time::ZERO + back <= now)
+        };
+        while let Some(k) = self.faults.down.iter().position(due) {
+            let (i, _) = self.faults.down.remove(k);
+            self.rejoin_receiver(i);
+        }
     }
 
     /// Drain one round of transmits from every endpoint and deliver them.
@@ -397,14 +395,17 @@ impl Loopback {
         if target != SENDER && self.dead[target] {
             return;
         }
-        if self.loss > 0.0 && self.rng.gen::<f64>() < self.loss {
+        let Faults {
+            loss, reorder, dup, ..
+        } = self.faults;
+        if loss > 0.0 && self.rng.gen::<f64>() < loss {
             return;
         }
-        if self.reorder > 0.0 && self.rng.gen::<f64>() < self.reorder {
+        if reorder > 0.0 && self.rng.gen::<f64>() < reorder {
             self.held.push((target, payload.clone()));
             return;
         }
-        let copies = if self.dup > 0.0 && self.rng.gen::<f64>() < self.dup {
+        let copies = if dup > 0.0 && self.rng.gen::<f64>() < dup {
             2
         } else {
             1
@@ -462,7 +463,8 @@ impl Loopback {
     /// random byte XOR-flipped under the corruption fault. Draws
     /// randomness only when the fault is on.
     fn maybe_corrupt(&mut self, payload: &Bytes) -> Bytes {
-        if self.corrupt > 0.0 && !payload.is_empty() && self.rng.gen::<f64>() < self.corrupt {
+        let corrupt = self.faults.corrupt;
+        if corrupt > 0.0 && !payload.is_empty() && self.rng.gen::<f64>() < corrupt {
             let mut v = payload.to_vec();
             let at = self.rng.gen_range(0..v.len());
             let bit = self.rng.gen_range(0u8..8);
@@ -675,11 +677,13 @@ mod tests {
     fn faulted_run_is_pinned_draw_for_draw() {
         let mut cfg = ProtocolConfig::new(ProtocolKind::flat_tree(2), 1_000, 8);
         cfg.integrity = true;
-        let mut net = Loopback::new(cfg, 4, 2001)
-            .with_loss(0.05)
-            .with_reorder(0.1)
-            .with_dup(0.05)
-            .with_corrupt(0.02);
+        let mut net = Loopback::new(cfg, 4, 2001).with_faults(Faults {
+            loss: 0.05,
+            reorder: 0.1,
+            dup: 0.05,
+            corrupt: 0.02,
+            down: Vec::new(),
+        });
         for (i, len) in [20_000usize, 7_000, 12_345].into_iter().enumerate() {
             net.send_message(Bytes::from(vec![i as u8 + 1; len]));
             assert_eq!(net.run().len(), 4);
@@ -711,6 +715,17 @@ mod tests {
         for (i, want) in receivers.into_iter().enumerate() {
             assert_eq!(nonzero(net.receiver_stats(i)), want, "receiver {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "down receiver 9 is not one of 4 receivers")]
+    fn a_plan_naming_no_receiver_is_refused() {
+        let cfg = ProtocolConfig::new(ProtocolKind::Ack, 500, 2);
+        let down = vec![(9, None)];
+        let _ = Loopback::new(cfg, 4, 1).with_faults(Faults {
+            down,
+            ..Faults::default()
+        });
     }
 
     /// A panic on the helper thread (a receiver's debug audit, or here an

@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use rmcast::loopback::Loopback;
-use rmcast::{ProtocolConfig, ProtocolKind};
+use rmcast::{Faults, ProtocolConfig, ProtocolKind};
 use rmwire::crc32c;
 use std::sync::{Mutex, MutexGuard};
 
@@ -52,11 +52,13 @@ fn group(fam: &str, plan: &str, seed: u64) -> Loopback {
     let net = Loopback::new(family(fam), N, seed);
     match plan {
         "clean" => net,
-        "faulted" => net
-            .with_loss(0.02)
-            .with_reorder(0.05)
-            .with_dup(0.02)
-            .with_corrupt(0.01),
+        "faulted" => net.with_faults(Faults {
+            loss: 0.02,
+            reorder: 0.05,
+            dup: 0.02,
+            corrupt: 0.01,
+            down: Vec::new(),
+        }),
         other => panic!("unknown fault plan {other}"),
     }
 }

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rmcast::loopback::Loopback;
 use rmcast::packet::{self, Packet};
-use rmcast::{ProtocolConfig, ProtocolKind};
+use rmcast::{Faults, ProtocolConfig, ProtocolKind};
 use rmwire::{AllocBody, PacketFlags, PacketType, Rank, RepairBody, SeqNo, SyncBody};
 
 fn payload(len: usize, tag: u8) -> Bytes {
@@ -42,9 +42,11 @@ fn all_families_bit_intact_under_corruption() {
     let n = 4u16;
     for kind in families(n) {
         let cfg = integrity_cfg(kind, n);
-        let mut net = Loopback::new(cfg, n, 0xC0FFEE)
-            .with_loss(0.05)
-            .with_corrupt(0.10);
+        let mut net = Loopback::new(cfg, n, 0xC0FFEE).with_faults(Faults {
+            loss: 0.05,
+            corrupt: 0.10,
+            ..Faults::default()
+        });
         let msg = payload(20_000, 7);
         net.send_message(msg.clone());
         let out = net.run();
@@ -164,7 +166,10 @@ fn hostile_alloc_claims_are_capped() {
 fn membership_with_integrity_survives_corruption() {
     let mut cfg = integrity_cfg(ProtocolKind::Ack, 3);
     cfg.membership = true;
-    let mut net = Loopback::new(cfg, 3, 99).with_corrupt(0.05);
+    let mut net = Loopback::new(cfg, 3, 99).with_faults(Faults {
+        corrupt: 0.05,
+        ..Faults::default()
+    });
     for round in 0u8..3 {
         let msg = payload(5_000, round);
         net.send_message(msg.clone());

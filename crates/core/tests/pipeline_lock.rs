@@ -23,8 +23,8 @@ use bytes::Bytes;
 use rmcast::loopback::Loopback;
 use rmcast::packet::{encode_ack, Body, Packet};
 use rmcast::{
-    AppEvent, Dest, Duration, Endpoint, GroupSpec, LivenessConfig, MemorySink, ProtocolConfig,
-    ProtocolKind, Rank, Receiver, Sender, SeqNo, Stats, Time, Transmit,
+    AppEvent, Dest, Duration, Endpoint, Faults, GroupSpec, LivenessConfig, MemorySink,
+    ProtocolConfig, ProtocolKind, Rank, Receiver, Sender, SeqNo, Stats, Time, Transmit,
 };
 use rmwire::crc32c;
 use std::hash::Hasher;
@@ -95,11 +95,13 @@ fn loopback_row(fam: &str, faulted: bool, seed: u64) -> u32 {
     cfg.integrity = faulted;
     let mut net = Loopback::new(cfg, N, seed);
     if faulted {
-        net = net
-            .with_loss(0.03)
-            .with_reorder(0.05)
-            .with_dup(0.02)
-            .with_corrupt(0.01);
+        net = net.with_faults(Faults {
+            loss: 0.03,
+            reorder: 0.05,
+            dup: 0.02,
+            corrupt: 0.01,
+            down: Vec::new(),
+        });
     }
     for m in messages() {
         net.send_message(m);

@@ -4,7 +4,7 @@
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use rmcast::loopback::Loopback;
-use rmcast::{ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
+use rmcast::{Faults, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
 use rmwire::{Header, PacketFlags, PacketType, Rank, SeqNo};
 
 fn arb_kind() -> impl Strategy<Value = ProtocolKind> {
@@ -121,7 +121,10 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let cfg = build_config(kind, n, 512, 8, false);
-        let mut net = Loopback::new(cfg, n, seed).with_dup(dup);
+        let mut net = Loopback::new(cfg, n, seed).with_faults(Faults {
+            dup,
+            ..Faults::default()
+        });
         let msg = Bytes::from((0..msg_len).map(|i| (i * 13) as u8).collect::<Vec<_>>());
         net.send_message(msg.clone());
         let out = net.run();
@@ -148,7 +151,11 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let cfg = build_config(kind, n, 512, 8, false);
-        let mut net = Loopback::new(cfg, n, seed).with_dup(dup).with_loss(loss);
+        let mut net = Loopback::new(cfg, n, seed).with_faults(Faults {
+            loss,
+            dup,
+            ..Faults::default()
+        });
         let msg = Bytes::from((0..msg_len).map(|i| (i * 31) as u8).collect::<Vec<_>>());
         net.send_message(msg.clone());
         let out = net.run();

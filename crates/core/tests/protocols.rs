@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use rmcast::loopback::Loopback;
-use rmcast::{ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
+use rmcast::{Faults, ProtocolConfig, ProtocolKind, TreeShape, WindowDiscipline};
 
 /// A deterministic, content-checkable payload.
 fn payload(len: usize, tag: u8) -> Bytes {
@@ -395,7 +395,11 @@ fn fec_exactly_once_when_repair_races_native_delivery() {
     // A decoded packet and its late native copy must not double-deliver:
     // duplicates collapse in the assembler, deliveries stay exactly N.
     let cfg = config_for(ProtocolKind::fec(4), 6, 700, 8);
-    let mut net = Loopback::new(cfg, 6, 31).with_loss(0.15).with_reorder(0.2);
+    let mut net = Loopback::new(cfg, 6, 31).with_faults(Faults {
+        loss: 0.15,
+        reorder: 0.2,
+        ..Faults::default()
+    });
     let msg = payload(40_000, 7);
     net.send_message(msg.clone());
     let out = net.run();
@@ -408,7 +412,10 @@ fn all_protocols_survive_reordering() {
     for kind in protocols_for(4) {
         let cfg = config_for(kind, 4, 700, 8);
         let msg = payload(15_000, 3);
-        let mut net = Loopback::new(cfg, 4, 321).with_reorder(0.15);
+        let mut net = Loopback::new(cfg, 4, 321).with_faults(Faults {
+            reorder: 0.15,
+            ..Faults::default()
+        });
         net.send_message(msg.clone());
         let out = net.run();
         assert_eq!(out.len(), 4, "{kind:?} under reordering");
@@ -421,7 +428,11 @@ fn all_protocols_survive_loss_plus_reordering() {
     for kind in protocols_for(3) {
         let cfg = config_for(kind, 3, 700, 8);
         let msg = payload(10_000, 4);
-        let mut net = Loopback::new(cfg, 3, 99).with_loss(0.1).with_reorder(0.1);
+        let mut net = Loopback::new(cfg, 3, 99).with_faults(Faults {
+            loss: 0.1,
+            reorder: 0.1,
+            ..Faults::default()
+        });
         net.send_message(msg.clone());
         let out = net.run();
         assert_eq!(out.len(), 3, "{kind:?} under loss + reordering");

@@ -64,7 +64,8 @@ impl Field for DropCause {
 macro_rules! define_causes {
     ($( $(#[$doc:meta])* $name:ident, )*) => {
         /// Why a frame or datagram was lost, wherever it was lost: in the
-        /// simulated fabric, in an endpoint's decoder or in `udprun`'s hub.
+        /// simulated fabric, in an endpoint's decoder, or in `udprun`'s hub
+        /// or a node's inbound path.
         /// `cause as usize` indexes [`DropCause::ALL`] and
         /// [`DropCause::NAMES`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,7 +98,8 @@ define_causes! {
     SockBufFull,
     /// An IP reassembly never completed and timed out.
     ReassemblyTimeout,
-    /// Injected datagram fault at the receiving host.
+    /// Injected datagram fault at the receiving host (netsim) or node
+    /// (udprun's per-copy loss).
     DatagramFault,
     /// CSMA/CD gave up after 16 collisions on one frame.
     ExcessiveCollisions,
@@ -122,9 +124,6 @@ define_causes! {
     HubRunt,
     /// The hub's full frame queue tail-dropped a datagram.
     HubQueueFull,
-    /// The hub's injected loss dropped the copy addressed to the
-    /// record's rank.
-    HubLoss,
 }
 
 impl fmt::Display for DropCause {

@@ -90,22 +90,10 @@ impl Tracer {
         self.emit_slow(t_ns, ev);
     }
 
-    /// Record `ev` at `t_ns` as rank `rank`'s, for a relay reporting on
-    /// behalf of the member a packet was addressed to. No-op when
-    /// inactive.
-    pub fn emit_for(&mut self, rank: u16, t_ns: u64, ev: TraceEvent) {
-        if self.active() {
-            self.record(TraceRecord { t_ns, rank, ev });
-        }
-    }
-
     #[cold]
     fn emit_slow(&mut self, t_ns: u64, ev: TraceEvent) {
         let rank = self.rank;
-        self.record(TraceRecord { t_ns, rank, ev });
-    }
-
-    fn record(&mut self, rec: TraceRecord) {
+        let rec = TraceRecord { t_ns, rank, ev };
         if let Some(f) = &mut self.flight {
             f.record(rec.clone());
         }

@@ -4,11 +4,11 @@ use crate::adapter::{take_spares, AddrMap, DeliveryCheck, NodeRole, Nodes, Recor
 use crate::calibration;
 use crate::cost::CostModel;
 use bytes::Bytes;
-use netsim::{topology, FabricKind, FaultPlan, Sim, SimConfig, TraceCounters};
+use netsim::{topology, FabricKind, FaultPlan, HostId, Sim, SimConfig, TraceCounters};
 use rmcast::baseline::{RawUdpReceiver, RawUdpSender, SerialUnicastSender};
 use rmcast::{
-    Endpoint, FlightDump, GroupSpec, MemorySink, ProtocolConfig, Receiver, Sender, SessionError,
-    Stats,
+    Endpoint, Faults, FlightDump, GroupSpec, MemorySink, ProtocolConfig, Receiver, Sender,
+    SessionError, Stats,
 };
 use rmtrace::TraceRecord;
 use rmwire::{Duration, Rank, Time};
@@ -17,6 +17,11 @@ use std::rc::Rc;
 
 /// UDP port all endpoints bind.
 const PORT: u16 = 5000;
+
+/// How long [`Scenario::with_faults`] holds a reordered frame past its
+/// normal arrival: about two and a half full-size frame times on the
+/// 100 Mbit/s testbed, so it lands behind frames sent after it.
+const REORDER_DELAY: Duration = Duration::from_micros(300);
 
 /// Which sender/receiver pair a scenario runs.
 // `ProtocolConfig` is a plain-data knob bag that experiments build by
@@ -116,6 +121,33 @@ impl Scenario {
             time_cap: Duration::from_secs(120),
             fault_plan: FaultPlan::default(),
         }
+    }
+
+    /// Run under `faults`, written into [`Scenario::fault_plan`]: `loss`
+    /// is its `datagram_loss`, `dup` its `duplicate`, `corrupt` its
+    /// `corrupt_deliver`, `reorder` its `reorder` with a 300 µs delay,
+    /// and receiver `i` `down` crashes host `i + 1` at time zero, rebooting
+    /// it at `back` if set. Panics on a plan [`Faults::validate`] refuses.
+    pub fn with_faults(mut self, faults: &Faults) -> Self {
+        if let Err(e) = faults.validate(usize::from(self.n_receivers)) {
+            panic!("{e}");
+        }
+        let mut plan = std::mem::take(&mut self.fault_plan)
+            .with_datagram_loss(faults.loss)
+            .with_duplicate(faults.dup)
+            .with_corrupt_deliver(faults.corrupt);
+        if faults.reorder > 0.0 {
+            plan = plan.with_reorder(faults.reorder, REORDER_DELAY);
+        }
+        for &(i, back) in &faults.down {
+            let host = HostId(i + 1);
+            plan = match back {
+                None => plan.with_crash(host, Time::ZERO),
+                Some(back) => plan.with_crash_restart(host, Time::ZERO, Time::ZERO + back),
+            };
+        }
+        self.fault_plan = plan;
+        self
     }
 
     /// The deterministic message payload used in runs.
@@ -529,6 +561,43 @@ mod tests {
         assert_eq!(a.deliveries, 4);
         assert!(a.trace.clean(), "clean network must not drop");
         assert_eq!(a.sender_stats.retx_sent, 0);
+    }
+
+    #[test]
+    fn a_plan_no_group_can_run_is_refused_when_the_run_is_built() {
+        let sc = || {
+            let cfg = ProtocolConfig::new(ProtocolKind::Ack, 1000, 2);
+            Scenario::new(Protocol::Rm(cfg), 4, 10_000)
+        };
+        let refusal = |faults: Faults| {
+            let built = std::panic::catch_unwind(|| sc().with_faults(&faults));
+            let payload = built.expect_err("refused");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a message")
+        };
+        // A certain loss never converges: it would spin to the time cap.
+        let certain = Faults {
+            loss: 1.0,
+            ..Faults::default()
+        };
+        assert!(refusal(certain).contains("loss probability out of range"));
+        let nobody = Faults {
+            down: vec![(9, None)],
+            ..Faults::default()
+        };
+        assert!(refusal(nobody).contains("down receiver 9 is not one of 4"));
+        let faults = Faults {
+            loss: 0.05,
+            down: vec![(2, Some(Duration::from_millis(3)))],
+            ..Faults::default()
+        };
+        let plan = sc().with_faults(&faults).fault_plan;
+        let expect = FaultPlan::default()
+            .with_datagram_loss(0.05)
+            .with_crash_restart(HostId(3), Time::ZERO, Time::from_millis(3));
+        assert_eq!(plan, expect);
     }
 
     #[test]

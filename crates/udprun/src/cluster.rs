@@ -1,12 +1,11 @@
 //! Running a whole multicast group over real sockets.
 
-use crate::faults::{FaultedEndpoint, NodeFaults};
 use crate::flow::{probe_depth, Flow};
-use crate::hub::Hub;
-use crate::node::{drive, Addresses, Report};
+use crate::hub::{Hub, MAX_DGRAM};
+use crate::node::{drive, Addresses, Inbound, NodeFaults, Report, STOP_CHECK_CAP};
 use bytes::Bytes;
 use rmcast::{
-    AppEvent, Endpoint, FlightDump, GroupSpec, JsonlSink, ProtocolConfig, Receiver, Sender,
+    AppEvent, Endpoint, Faults, FlightDump, GroupSpec, JsonlSink, ProtocolConfig, Receiver, Sender,
     SessionError, Stats, TraceSink,
 };
 use rmwire::{Rank, Time, HEADER_LEN};
@@ -26,36 +25,28 @@ pub struct ClusterConfig {
     pub n_receivers: u16,
     /// Give up after this much wall time.
     pub timeout: StdDuration,
-    /// Seed for receiver-side randomness.
+    /// Seed for receiver-side randomness and the injected-loss draws.
     pub seed: u64,
-    /// Injected hub loss: drop each forwarded multicast copy with
-    /// probability `1/n`, drawn from a fixed-seed generator (the hub's
-    /// `spawn_on`).
-    pub hub_drop_every: Option<u32>,
-    /// Receiver indices whose sockets are bound but never driven: they
-    /// look exactly like crashed nodes to the rest of the group. Requires
-    /// liveness knobs (bounded retries / eviction) for the run to finish.
-    pub dead_receivers: Vec<usize>,
-    /// Receiver indices that start dead and come back after the given
-    /// wall-clock delay as fresh joining endpoints on the same socket —
-    /// a kill-and-restart of the receiver process. Requires
-    /// `protocol.membership` so the reboot can rejoin.
-    pub restart_receivers: Vec<(usize, StdDuration)>,
+    /// The run's faults. Each node draws `loss` for every datagram it
+    /// receives. A `down` receiver's socket is bound but not driven, like a
+    /// crashed node's (the run needs liveness knobs to finish), until its
+    /// `back` delay (wall clock). `dup`, `reorder` and `corrupt` are
+    /// refused.
+    pub faults: Faults,
+    /// Overload faults by node, [`Rank::SENDER`] for the sender —
+    /// typically a feedback storm at the sender (ACK/NAK implosion), or a
+    /// saturated CPU and/or a socket-buffer blackout at a slow receiver.
+    pub overload: Vec<(Rank, NodeFaults)>,
     /// Shared trace sink: every endpoint streams its protocol events here,
-    /// stamped with wall-clock nanoseconds since one run-wide epoch so
-    /// records from different node threads are comparable, and the hub its
-    /// drops (stamped from its own start, about one thread start away from
-    /// that epoch).
+    /// and every node a `Drop { cause: DatagramFault }` per copy its
+    /// injected loss takes, stamped with wall-clock nanoseconds since one
+    /// run-wide epoch so records from different node threads are
+    /// comparable; the hub its own drops (stamped from its own start,
+    /// about one thread start away from that epoch).
     pub trace_sink: Option<JsonlSink>,
     /// Per-endpoint flight recorder capacity (0 = disabled): the last N
     /// events are dumped as a [`FlightDump`] when a liveness failure trips.
     pub flight_recorder: usize,
-    /// Overload faults at the sender's datagram boundary — typically a
-    /// feedback-storm amplification (ACK/NAK implosion).
-    pub sender_faults: NodeFaults,
-    /// Overload faults per receiver index — typically a saturated CPU
-    /// and/or a socket-buffer blackout on one slow receiver.
-    pub receiver_faults: Vec<(usize, NodeFaults)>,
     /// Enable `rmprof` span timing for the duration of this run (the
     /// previous enable state is restored afterwards). Counters and
     /// gauges are always live; this gates only the clock-reading spans.
@@ -79,13 +70,10 @@ impl ClusterConfig {
             n_receivers,
             timeout: StdDuration::from_secs(30),
             seed: 42,
-            hub_drop_every: None,
-            dead_receivers: Vec::new(),
-            restart_receivers: Vec::new(),
+            faults: Faults::default(),
+            overload: Vec::new(),
             trace_sink: None,
             flight_recorder: 0,
-            sender_faults: NodeFaults::default(),
-            receiver_faults: Vec::new(),
             profile: false,
             stats_addr: None,
             stats_bound: None,
@@ -131,9 +119,42 @@ impl Drop for ProfileGuard {
     }
 }
 
+/// Refuse, before anything is bound, a run that cannot go as asked: a
+/// fault plan or overload list that names no node or names one twice, or
+/// a receiver that comes back to a group without membership
+/// (`InvalidInput`); a fault that sockets on one host do not inject
+/// (`Unsupported`).
+fn check(cfg: &ClusterConfig) -> io::Result<()> {
+    let invalid = |e| io::Error::new(io::ErrorKind::InvalidInput, e);
+    cfg.faults
+        .validate(usize::from(cfg.n_receivers))
+        .map_err(invalid)?;
+    if !cfg.protocol.membership && cfg.faults.down.iter().any(|(_, back)| back.is_some()) {
+        let e = "a down receiver that comes back needs protocol.membership to rejoin";
+        return Err(invalid(e.to_string()));
+    }
+    for (k, (rank, _)) in cfg.overload.iter().enumerate() {
+        if rank.0 > cfg.n_receivers || cfg.overload[..k].iter().any(|(r, _)| r == rank) {
+            let e = format!(
+                "overload rank {} is no node of the group, or is listed twice",
+                rank.0
+            );
+            return Err(invalid(e));
+        }
+    }
+    let rates = cfg.faults.rates().into_iter();
+    if let Some((name, _)) = rates.skip(1).find(|&(_, p)| p > 0.0) {
+        let e = format!("udprun cannot inject `{name}` faults");
+        return Err(io::Error::new(io::ErrorKind::Unsupported, e));
+    }
+    Ok(())
+}
+
 /// Run one sender and `n` receivers over real UDP sockets until every
-/// message completes (or the timeout expires).
+/// message completes (or the timeout expires). Refuses a run `check`
+/// refuses before it binds a socket.
 pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterResult> {
+    check(&cfg)?;
     let group = GroupSpec::new(cfg.n_receivers);
     let n = cfg.n_receivers as usize;
 
@@ -176,7 +197,6 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     let flow = Flow::new(n, holds);
     let hub = Hub::spawn_on(
         receiver_addrs.clone(),
-        cfg.hub_drop_every,
         cfg.trace_sink
             .clone()
             .map(|s| Box::new(s) as Box<dyn rmtrace::TraceSink>),
@@ -208,32 +228,36 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         }
     };
 
-    // Receivers. "Dead" ones keep their bound socket (so nothing is
-    // rewired) but never run: every datagram sent to them vanishes.
-    // Restarting ones start the same way, then come back below.
+    // Receivers. A `down` one keeps its bound socket (so nothing is
+    // rewired) but is not driven: every datagram sent to it vanishes. One
+    // with a `back` delay boots on that socket once the delay is over, a
+    // fresh endpoint with no memory of the old incarnation that works its
+    // way back in through JOIN/SYNC.
     for (i, rsock) in receiver_socks.iter().enumerate() {
-        if cfg.dead_receivers.contains(&i) || cfg.restart_receivers.iter().any(|&(r, _)| r == i) {
-            continue;
-        }
-        let faults = cfg
-            .receiver_faults
-            .iter()
-            .find(|&&(r, _)| r == i)
-            .map(|(_, f)| f.clone())
-            .unwrap_or_default();
         let rank = Rank::from_receiver_index(i);
         let seed = cfg.seed.wrapping_add(i as u64);
-        let mut receiver = Receiver::new(cfg.protocol, group, rank, seed);
-        // The first message's assembly is allocated here, by the calling
-        // thread, not by the receiver's: node threads that run in parallel
-        // exit in varying order, their malloc arenas are handed on permuted
-        // from call to call, and each arena would end up retaining a freed
-        // buffer of this size.
-        if let Some(first) = msgs.first() {
-            receiver.seed_spare(Bytes::from(Vec::with_capacity(first.len())));
-        }
-        let mut ep = FaultedEndpoint::new(receiver, faults);
-        instrument(&mut ep);
+        let (mut receiver, back) = match cfg.faults.down.iter().find(|&&(r, _)| r == i) {
+            Some((_, None)) => continue,
+            Some(&(_, Some(back))) => {
+                let boot = Time::ZERO + back;
+                let receiver = Receiver::new_joining(cfg.protocol, group, rank, seed, boot);
+                (receiver, StdDuration::from_nanos(back.as_nanos()))
+            }
+            None => {
+                let mut receiver = Receiver::new(cfg.protocol, group, rank, seed);
+                // The first message's assembly is allocated here, by the
+                // calling thread, not by the receiver's: node threads that
+                // run in parallel exit in varying order, their malloc arenas
+                // are handed on permuted from call to call, and each arena
+                // would end up retaining a freed buffer of this size.
+                if let Some(first) = msgs.first() {
+                    receiver.seed_spare(Bytes::from(Vec::with_capacity(first.len())));
+                }
+                (receiver, StdDuration::ZERO)
+            }
+        };
+        instrument(&mut receiver);
+        let inbound = Inbound::new(&cfg, rank);
         let sock = rsock.try_clone()?;
         let addrs = addrs.clone();
         let tx = tx.clone();
@@ -241,58 +265,35 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         handles.push(
             std::thread::Builder::new()
                 .name(format!("udprun-recv{}", i + 1))
-                .spawn(move || drive(ep, sock, addrs, rank, epoch, tx, stop))?,
-        );
-    }
-
-    // Restarting receivers: the socket stays bound (and silent) for the
-    // delay, then a fresh endpoint with no memory of the old incarnation
-    // boots on it and works its way back in through JOIN/SYNC.
-    for &(i, delay) in &cfg.restart_receivers {
-        let protocol = cfg.protocol;
-        let sock = receiver_socks[i].try_clone()?;
-        let addrs = addrs.clone();
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        let seed = cfg.seed.wrapping_add(i as u64);
-        let trace_sink = cfg.trace_sink.clone();
-        let flight = cfg.flight_recorder;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("udprun-reboot{}", i + 1))
                 .spawn(move || {
-                    std::thread::sleep(delay);
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(());
+                    if !back.is_zero() {
+                        // Wait until `back` into the run, or until it ends.
+                        while let Some(left) = back.checked_sub(epoch.elapsed()) {
+                            if stop.load(Ordering::Relaxed) {
+                                return Ok(());
+                            }
+                            std::thread::sleep(left.min(STOP_CHECK_CAP));
+                        }
+                        // Drain datagrams that piled up while "down": the
+                        // old incarnation would have lost them too.
+                        let mut scratch = vec![0u8; MAX_DGRAM];
+                        sock.set_read_timeout(Some(StdDuration::from_micros(100)))?;
+                        while sock.recv_from(&mut scratch).is_ok() {}
                     }
-                    // Drain datagrams that piled up while "down": the old
-                    // incarnation would have lost them too.
-                    let mut scratch = [0u8; 65_536];
-                    sock.set_read_timeout(Some(StdDuration::from_micros(100)))?;
-                    while sock.recv_from(&mut scratch).is_ok() {}
-                    let rank = Rank::from_receiver_index(i);
-                    let boot = Time::from_nanos(epoch.elapsed().as_nanos() as u64);
-                    let mut ep = Receiver::new_joining(protocol, group, rank, seed, boot);
-                    if let Some(s) = trace_sink {
-                        ep.set_trace_sink(Box::new(s));
-                    }
-                    if flight > 0 {
-                        ep.enable_flight_recorder(flight);
-                    }
-                    drive(ep, sock, addrs, rank, epoch, tx, stop)
+                    drive(receiver, sock, addrs, inbound, epoch, tx, stop)
                 })?,
         );
     }
 
     // Sender (messages queued before the thread starts looping).
     let n_msgs = msgs.len() as u64;
-    let mut sender_ep = Sender::new(cfg.protocol, group);
+    let mut sender = Sender::new(cfg.protocol, group);
     for m in &msgs {
-        sender_ep.send_message(Time::ZERO, m.clone());
+        sender.send_message(Time::ZERO, m.clone());
     }
-    let mut sender = FaultedEndpoint::new(sender_ep, cfg.sender_faults.clone());
     instrument(&mut sender);
     {
+        let inbound = Inbound::new(&cfg, Rank::SENDER);
         let sock = sender_sock.try_clone()?;
         let addrs = addrs.clone();
         let tx = tx.clone();
@@ -300,7 +301,7 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         handles.push(
             std::thread::Builder::new()
                 .name("udprun-sender".into())
-                .spawn(move || drive(sender, sock, addrs, Rank::SENDER, epoch, tx, stop))?,
+                .spawn(move || drive(sender, sock, addrs, inbound, epoch, tx, stop))?,
         );
     }
     drop(tx);
@@ -345,7 +346,7 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
     // at once when every live receiver has already delivered everything
     // the sender completed, otherwise after 50 ms of silence (200 ms cap).
     let live: Vec<Rank> = (0..n)
-        .filter(|i| !cfg.dead_receivers.contains(i))
+        .filter(|&i| !cfg.faults.down.contains(&(i, None)))
         .map(Rank::from_receiver_index)
         .collect();
     #[allow(

@@ -39,18 +39,6 @@ pub const MAX_DGRAM: usize = 65_507;
 /// before they are tail-dropped like on any switch port.
 const QUEUE_FRAMES: usize = 64;
 
-/// Seed of the hub's injected-loss draws.
-const LOSS_SEED: u64 = 0x6875_625f_6c6f_7373;
-
-/// One splitmix64 step: the hub's injected-loss draws.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The hub's finite output queue: FIFO, tail drop when full. A frame is
 /// received straight into the buffer it is queued in, and buffers are
 /// recycled through a free list, so a warmed-up queue neither allocates
@@ -154,20 +142,12 @@ impl Hub {
 
     /// The relay on the gauges in `flow`: index `i + 1` is the socket of
     /// `member_addrs[i]`, the receiver with rank `i + 1`, and the last one
-    /// the hub's own. `trace` hears a `Drop` record for every runt the hub
-    /// discards and every frame its full queue tail-drops (rank `u16::MAX`,
-    /// the hub's), and for every copy its injected loss drops (the rank the
-    /// copy was addressed to). Records are stamped from the hub thread's
-    /// own start, not the cluster's epoch: the two are about one thread
-    /// start apart.
-    ///
-    /// `drop_every = Some(n)` drops each forwarded copy with probability
-    /// `1/n`, for exercising loss recovery over real sockets. Every copy is
-    /// an independent draw from a fixed-seed generator. A counter that
-    /// dropped every `n`-th copy would resonate with the fan-out instead:
-    /// with `m` members and `m` dividing `n`, every drop lands on the same
-    /// member, at the same positions of every retransmission round
-    /// (DESIGN.md §4).
+    /// the hub's own. `trace` hears a `Drop` record, rank `u16::MAX` (the
+    /// hub's), for every runt the hub discards and every frame its full
+    /// queue tail-drops. Records are stamped from the hub thread's own
+    /// start, not the cluster's epoch: the two are about one thread start
+    /// apart. The hub injects no faults: the run's loss is drawn where
+    /// each node receives (`node::drive`).
     ///
     /// The relay is a finite-queue switch. Each pass drains its socket
     /// into the frame queue (non-blocking, a bounded batch), then forwards
@@ -181,11 +161,9 @@ impl Hub {
     /// absorbed, as in [`crate::node::drive`].
     pub(crate) fn spawn_on(
         member_addrs: Vec<SocketAddr>,
-        drop_every: Option<u32>,
         trace: Option<Box<dyn TraceSink>>,
         flow: Arc<Flow>,
     ) -> io::Result<Hub> {
-        assert!(drop_every != Some(0), "drop_every must be >= 1");
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         // The hub has no timers: a blocking read waits the stop-check cap.
         socket.set_read_timeout(Some(STOP_CHECK_CAP))?;
@@ -215,7 +193,6 @@ impl Hub {
                 let mut queue = FrameQueue::new(QUEUE_FRAMES, Arc::clone(&flow));
                 let mut outlet = Outlet::new(Arc::clone(&flow));
                 let mut pace = Pace::new(epoch.elapsed());
-                let mut draws = LOSS_SEED;
                 while !stop2.load(Ordering::Relaxed) {
                     // 1. Receive: everything the kernel holds while
                     // polling, one datagram (or the stop-check cap) while
@@ -288,18 +265,6 @@ impl Hub {
                         for (i, dest) in member_addrs.iter().enumerate() {
                             if src == Some(Rank::from_receiver_index(i)) {
                                 continue;
-                            }
-                            if let Some(every) = drop_every {
-                                if splitmix64(&mut draws).is_multiple_of(u64::from(every)) {
-                                    tracer.emit_for(
-                                        Rank::from_receiver_index(i).0,
-                                        epoch.elapsed().as_nanos() as u64,
-                                        TraceEvent::Drop {
-                                            cause: DropCause::HubLoss,
-                                        },
-                                    );
-                                    continue; // injected loss
-                                }
                             }
                             outlet.admit(i + 1, epoch);
                             // Best effort, like the wire.
@@ -432,7 +397,6 @@ mod tests {
         let mem = MemorySink::new();
         let hub = Hub::spawn_on(
             vec![r1.local_addr().unwrap()],
-            None,
             Some(Box::new(mem.clone())),
             Flow::unmetered(1),
         )
@@ -481,7 +445,7 @@ mod tests {
         r2.set_read_timeout(Some(StdDuration::from_millis(500)))
             .unwrap();
         let members = vec![r1_addr, r2.local_addr().unwrap()];
-        let hub = Hub::spawn_on(members, None, None, Flow::unmetered(2)).unwrap();
+        let hub = Hub::spawn_on(members, None, Flow::unmetered(2)).unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
         let mut buf = [0u8; 64];
         for seq in 0..3 {
@@ -502,7 +466,7 @@ mod tests {
         r2.set_read_timeout(Some(StdDuration::from_millis(500)))
             .unwrap();
         let members = vec![r1.local_addr().unwrap(), r2.local_addr().unwrap()];
-        let hub = Hub::spawn_on(members, None, None, Flow::unmetered(2)).unwrap();
+        let hub = Hub::spawn_on(members, None, Flow::unmetered(2)).unwrap();
 
         // Datagram from the sender (rank 0): both receivers get it.
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -523,46 +487,6 @@ mod tests {
         );
     }
 
-    /// Injected loss reaches every member. A drop pattern that follows
-    /// the copy count can put every drop on one member: every 20th copy
-    /// of a four-way fan-out is always the fourth member's.
-    #[test]
-    fn hub_loss_reaches_every_member() {
-        let members: Vec<UdpSocket> = (0..4)
-            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
-            .collect();
-        for m in &members {
-            m.set_read_timeout(Some(StdDuration::from_millis(100)))
-                .unwrap();
-        }
-        let addrs = members.iter().map(|m| m.local_addr().unwrap()).collect();
-        let hub = Hub::spawn_on(addrs, Some(20), None, Flow::unmetered(4)).unwrap();
-        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let (batches, per_batch) = (5, 40);
-        let mut heard = [0usize; 4];
-        let mut buf = [0u8; 64];
-        for b in 0..batches {
-            for i in 0..per_batch {
-                let seq = SeqNo(b * per_batch + i);
-                let pkt = encode_data(Rank(0), 1, seq, PacketFlags::EMPTY, b"x");
-                tx.send_to(&pkt, hub.addr).unwrap();
-            }
-            // Small batches: no member's socket buffer can overflow, so
-            // every missing copy is one the hub dropped.
-            for (m, count) in members.iter().zip(&mut heard) {
-                while m.recv_from(&mut buf).is_ok() {
-                    *count += 1;
-                }
-            }
-        }
-        let sent = (batches * per_batch) as usize;
-        assert!(heard.iter().all(|&n| n > 0), "{heard:?} of {sent}");
-        assert!(
-            heard.iter().all(|&n| n < sent),
-            "a member lost nothing: heard {heard:?} of {sent}"
-        );
-    }
-
     #[test]
     fn hub_counts_malformed_and_drops_runts() {
         use rmtrace::MemorySink;
@@ -572,7 +496,6 @@ mod tests {
         let mem = MemorySink::new();
         let hub = Hub::spawn_on(
             vec![r1.local_addr().unwrap()],
-            None,
             Some(Box::new(mem.clone())),
             Flow::unmetered(1),
         )

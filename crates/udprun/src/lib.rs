@@ -36,7 +36,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod faults;
 mod flow;
 pub mod hub;
 pub mod multicast;

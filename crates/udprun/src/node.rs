@@ -1,8 +1,10 @@
 //! One endpoint on one real UDP socket, driven by a thread.
 
+use crate::cluster::ClusterConfig;
 use crate::flow::{Flow, Outlet};
 use crate::hub::MAX_DGRAM;
 use rmcast::{AppEvent, Dest, Endpoint};
+use rmtrace::{DropCause, TraceEvent, Tracer};
 use rmwire::{Rank, Time};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -33,6 +35,94 @@ impl Addresses {
             Dest::Sender => (self.sender, 0),
             Dest::Rank(r) => (self.receivers[r.receiver_index()], r.0 as usize),
             Dest::Receivers => (self.hub, self.flow.hub()),
+        }
+    }
+}
+
+/// Overload faults at one node's datagram boundary, the counterpart of
+/// netsim's feedback-storm, CPU-load and socket-buffer windows. The
+/// default injects nothing.
+#[derive(Debug, Clone, Default)]
+pub struct NodeFaults {
+    /// Hand every inbound datagram to the endpoint this many *extra*
+    /// times: at the sender, an ACK/NAK implosion with no extra traffic on
+    /// the wire.
+    pub storm_amplify: u32,
+    /// Sleep this long before processing each inbound datagram (one not
+    /// discarded by `blackout`): a saturated CPU.
+    pub per_datagram_delay: Option<StdDuration>,
+    /// Discard every inbound datagram arriving in `[from, until)` since
+    /// the run's epoch: an exhausted socket buffer.
+    pub blackout: Option<(StdDuration, StdDuration)>,
+}
+
+/// Seed of the injected-loss draws, mixed with the run's seed and the
+/// node's rank.
+const LOSS_SEED: u64 = 0x6875_625f_6c6f_7373;
+
+/// One splitmix64 step: the injected-loss draws.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// What happens to a datagram between a node's socket and its endpoint:
+/// the run's per-copy loss, then the node's [`NodeFaults`] — at the
+/// datagram boundary, never inside an engine, as in the simulator.
+pub(crate) struct Inbound {
+    /// A draw below this drops the copy; 0 draws nothing.
+    loss: u64,
+    draws: u64,
+    overload: NodeFaults,
+    /// Hears a `Drop { cause: DatagramFault }` per lost copy.
+    tracer: Tracer,
+}
+
+impl Inbound {
+    /// The inbound path of node `rank` in the run `cfg`: each copy is lost
+    /// with probability `cfg.faults.loss`, an independent draw from a
+    /// generator seeded from `cfg.seed` and the rank.
+    pub(crate) fn new(cfg: &ClusterConfig, rank: Rank) -> Self {
+        let mut tracer = Tracer::off(rank.0);
+        if let Some(sink) = &cfg.trace_sink {
+            tracer.set_sink(Box::new(sink.clone()));
+        }
+        let overload = cfg.overload.iter().find(|(r, _)| *r == rank);
+        Inbound {
+            loss: (cfg.faults.loss * 2f64.powi(64)) as u64,
+            draws: LOSS_SEED ^ cfg.seed ^ (u64::from(rank.0) << 48),
+            overload: overload.map(|(_, f)| f.clone()).unwrap_or_default(),
+            tracer,
+        }
+    }
+
+    /// Draw whether the next copy is lost.
+    fn lost(&mut self) -> bool {
+        self.loss > 0 && splitmix64(&mut self.draws) < self.loss
+    }
+
+    /// Hand `datagram`, received `now`, to `ep` unless a fault takes it.
+    fn handle<E: Endpoint>(&mut self, ep: &mut E, now: Time, datagram: &[u8]) {
+        if self.lost() {
+            let cause = DropCause::DatagramFault;
+            self.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
+            return;
+        }
+        let faults = &self.overload;
+        if let Some((from, until)) = faults.blackout {
+            let since_epoch = StdDuration::from_nanos(now.as_nanos());
+            if from <= since_epoch && since_epoch < until {
+                return;
+            }
+        }
+        if let Some(d) = faults.per_datagram_delay {
+            std::thread::sleep(d);
+        }
+        for _ in 0..=faults.storm_amplify {
+            ep.handle_datagram(now, datagram);
         }
     }
 }
@@ -156,8 +246,9 @@ pub(crate) fn no_datagram(e: &io::Error) -> bool {
     )
 }
 
-/// Drive `ep` over `socket` until `stop` is raised. `rank` identifies the
-/// node in its [`Report`]s. `epoch` is the run's shared wall-clock origin:
+/// Drive `ep` over `socket` until `stop` is raised, each datagram it
+/// receives going through `inbound`, whose rank identifies the node in its
+/// [`Report`]s. `epoch` is the run's shared wall-clock origin:
 /// every node derives its protocol `Time` (and therefore its trace
 /// timestamps) from the same instant, so records from different threads
 /// are comparable.
@@ -176,16 +267,17 @@ pub(crate) fn no_datagram(e: &io::Error) -> bool {
 /// absorbed. Peer death is the protocol's problem (its liveness bounds and
 /// the membership failure detector, the same policy the simulator backend
 /// uses); a run that cannot finish ends at the coordinator's timeout.
-pub fn drive<E: Endpoint>(
+pub(crate) fn drive<E: Endpoint>(
     mut ep: E,
     socket: UdpSocket,
     addrs: Addresses,
-    rank: Rank,
+    mut inbound: Inbound,
     epoch: Instant,
     events: ChanSender<Report>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
     let now = |epoch: Instant| Time::from_nanos(epoch.elapsed().as_nanos() as u64);
+    let rank = Rank(inbound.tracer.rank());
     // rmlint: allow(hot-alloc): once per thread, before the loop
     let mut buf = vec![0u8; MAX_DGRAM];
     // Counter handles are resolved once (registration takes a mutex);
@@ -223,7 +315,7 @@ pub fn drive<E: Endpoint>(
                     drop(rx_span);
                     own.took_one();
                     ctr_rx.inc();
-                    ep.handle_datagram(now(epoch), &buf[..n]);
+                    inbound.handle(&mut ep, now(epoch), &buf[..n]);
                     moved = true;
                 }
                 Err(e) => {
@@ -316,6 +408,33 @@ mod tests {
         // Due now or overdue: do not block at all.
         assert_eq!(idle_wait(Some(now), now, CAP), None);
         assert_eq!(idle_wait(Some(Time::from_millis(9)), now, CAP), None);
+    }
+
+    /// Every copy is its own draw: a drop pattern that followed the copy
+    /// count would put every drop of a four-way fan-out on one member.
+    /// Each rank loses its share, in a pattern of its own that the seed
+    /// repeats.
+    #[test]
+    fn injected_loss_is_an_independent_draw_per_copy_and_rank() {
+        let cfg = rmcast::ProtocolConfig::new(rmcast::ProtocolKind::Ack, 1_000, 2);
+        let mut run = ClusterConfig::new(cfg, 4);
+        let mut clean = Inbound::new(&run, Rank(1));
+        assert!((0..1_000).all(|_| !clean.lost()));
+        run.faults.loss = 0.05;
+        let pattern = |rank| {
+            let mut node = Inbound::new(&run, Rank(rank));
+            (0..10_000).map(|_| node.lost()).collect::<Vec<bool>>()
+        };
+        let patterns: Vec<_> = (0..=4).map(pattern).collect();
+        for (rank, p) in patterns.iter().enumerate() {
+            let lost = p.iter().filter(|&&l| l).count();
+            assert!(
+                (400..600).contains(&lost),
+                "rank {rank} lost {lost} of 10 000"
+            );
+        }
+        assert!(patterns.windows(2).all(|w| w[0] != w[1]));
+        assert_eq!(patterns[3], pattern(3));
     }
 
     #[test]

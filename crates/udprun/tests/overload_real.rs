@@ -12,7 +12,7 @@ use bytes::Bytes;
 use rmcast::{LivenessConfig, OverloadConfig, ProtocolConfig, ProtocolKind, Rank};
 use std::time::Duration as StdDuration;
 use udprun::cluster::{run_cluster, ClusterConfig};
-use udprun::faults::NodeFaults;
+use udprun::node::NodeFaults;
 
 const N: u16 = 4;
 const MSG: usize = 400_000;
@@ -61,18 +61,16 @@ fn families() -> Vec<(&'static str, ProtocolConfig)> {
 fn overload_cluster(cfg: ProtocolConfig) -> ClusterConfig {
     let mut cc = ClusterConfig::new(cfg, N);
     cc.timeout = StdDuration::from_secs(60);
-    cc.sender_faults = NodeFaults {
+    let storm = NodeFaults {
         storm_amplify: 3,
         ..NodeFaults::default()
     };
-    cc.receiver_faults = vec![(
-        0,
-        NodeFaults {
-            per_datagram_delay: Some(StdDuration::from_millis(2)),
-            blackout: Some((StdDuration::from_millis(40), StdDuration::from_millis(290))),
-            ..NodeFaults::default()
-        },
-    )];
+    let slow = NodeFaults {
+        per_datagram_delay: Some(StdDuration::from_millis(2)),
+        blackout: Some((StdDuration::from_millis(40), StdDuration::from_millis(290))),
+        ..NodeFaults::default()
+    };
+    cc.overload = vec![(Rank::SENDER, storm), (Rank::from_receiver_index(0), slow)];
     cc
 }
 

@@ -1,7 +1,7 @@
 //! The protocol engines over real kernel UDP sockets on localhost.
 
 use bytes::Bytes;
-use rmcast::{ProtocolConfig, ProtocolKind, Rank};
+use rmcast::{Faults, ProtocolConfig, ProtocolKind, Rank};
 use rmtrace::{DropCause, TraceEvent};
 use udprun::cluster::{run_cluster, ClusterConfig};
 
@@ -57,10 +57,11 @@ fn fec_protocol_over_real_udp() {
 #[test]
 fn fec_loss_sweep_over_real_udp() {
     // The CI fec-soak's real-socket leg: all five families at 1%, 5% and
-    // 20% seeded hub loss (each forwarded copy dropped with probability
-    // 1/100, 1/20, 1/5), exactly-once byte-identical delivery at every rank. At the two
-    // heavier rates the fec family must actually be coding: repair or
-    // parity blocks on the wire and at least one receiver-side decode.
+    // 20% seeded loss (each copy a node receives dropped with probability
+    // 1/100, 1/20, 1/5), exactly-once byte-identical delivery at every
+    // rank. At the two heavier rates the fec family must actually be
+    // coding: repair or parity blocks on the wire and at least one
+    // receiver-side decode.
     let kinds: [(&str, ProtocolKind); 5] = [
         ("ack", ProtocolKind::Ack),
         ("nak", ProtocolKind::nak_polling(6)),
@@ -77,7 +78,7 @@ fn fec_loss_sweep_over_real_udp() {
             cfg.liveness = rmcast::LivenessConfig::bounded(200);
             let msg = payload(150_000);
             let mut cc = ClusterConfig::new(cfg, 4);
-            cc.hub_drop_every = Some(drop_every);
+            cc.faults.loss = 1.0 / f64::from(drop_every);
             cc.timeout = std::time::Duration::from_secs(30);
             let out = run_cluster(cc, vec![msg.clone()])
                 .unwrap_or_else(|e| panic!("{name} @ 1/{drop_every} loss: {e}"));
@@ -136,14 +137,14 @@ fn larger_group_over_real_udp() {
 }
 
 #[test]
-fn recovery_over_real_udp_with_injected_hub_loss() {
-    // Drop each forwarded multicast copy at the hub with probability 1/20:
-    // the protocol must still deliver byte-identical payloads to everyone.
+fn recovery_over_real_udp_with_injected_loss() {
+    // Drop each copy a node receives with probability 1/20: the protocol
+    // must still deliver byte-identical payloads to everyone.
     let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
     cfg.rto = rmcast::Duration::from_millis(40);
     let msg = payload(200_000);
     let mut cc = ClusterConfig::new(cfg, 4);
-    cc.hub_drop_every = Some(20);
+    cc.faults.loss = 1.0 / 20.0;
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
     assert_eq!(out.deliveries.len(), 4);
     for (_, _, data) in &out.deliveries {
@@ -165,7 +166,7 @@ fn killed_receiver_does_not_wedge_the_cluster() {
     cfg.liveness = rmcast::LivenessConfig::evicting(6);
     let msg = payload(60_000);
     let mut cc = ClusterConfig::new(cfg, 4);
-    cc.dead_receivers = vec![1];
+    cc.faults.down = vec![(1, None)];
     cc.timeout = std::time::Duration::from_secs(20);
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
 
@@ -195,7 +196,7 @@ fn killed_receiver_without_eviction_fails_with_typed_error() {
     cfg.rto = rmcast::Duration::from_millis(30);
     cfg.liveness = rmcast::LivenessConfig::bounded(4);
     let mut cc = ClusterConfig::new(cfg, 3);
-    cc.dead_receivers = vec![0];
+    cc.faults.down = vec![(0, None)];
     cc.timeout = std::time::Duration::from_secs(20);
     let out = run_cluster(cc, vec![payload(20_000)]).expect("cluster resolves");
     assert!(
@@ -217,7 +218,7 @@ fn heartbeat_detector_evicts_dead_receiver_over_real_sockets() {
     cfg.membership = true;
     let msg = payload(60_000);
     let mut cc = ClusterConfig::new(cfg, 4);
-    cc.dead_receivers = vec![1];
+    cc.faults.down = vec![(1, None)];
     cc.timeout = std::time::Duration::from_secs(20);
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
 
@@ -248,16 +249,19 @@ fn restarted_receiver_rejoins_over_real_sockets() {
     // Receiver index 1 is down from the start; 600ms in — after six
     // missed 50ms heartbeats have evicted it — a fresh endpoint reboots on
     // the same socket and must rejoin through JOIN/WELCOME/SYNC and catch
-    // the tail of the stream. Hub loss plus a 40ms RTO paces the stream so
-    // it is still flowing when the reboot lands.
+    // the tail of the stream. Injected loss plus a 40ms RTO paces the
+    // stream so it is still flowing when the reboot lands.
     let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
     cfg.rto = rmcast::Duration::from_millis(40);
     cfg.liveness = rmcast::LivenessConfig::evicting(6);
     cfg.membership = true;
     let msgs: Vec<Bytes> = (0..40).map(|i| payload(24_000 + i * 100)).collect();
     let mut cc = ClusterConfig::new(cfg, 4);
-    cc.hub_drop_every = Some(20);
-    cc.restart_receivers = vec![(1, std::time::Duration::from_millis(600))];
+    cc.faults = Faults {
+        loss: 1.0 / 20.0,
+        down: vec![(1, Some(rmcast::Duration::from_millis(600)))],
+        ..Faults::default()
+    };
     cc.timeout = std::time::Duration::from_secs(30);
     let out = run_cluster(cc, msgs.clone()).expect("cluster");
 
@@ -298,14 +302,14 @@ fn restarted_receiver_rejoins_over_real_sockets() {
 fn trace_sink_captures_the_run_over_real_udp() {
     // Every endpoint and the hub stream into one shared JSONL sink; after
     // the run the file must reconstruct the message's journey: sent by
-    // rank 0, lost by the hub on its way to some receivers, accepted and
-    // delivered at every receiver.
+    // rank 0, some copies lost on their way in, accepted and delivered at
+    // every receiver.
     let mut cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
     cfg.rto = rmcast::Duration::from_millis(50);
     let path = std::env::temp_dir().join(format!("rmtrace_udp_{}.jsonl", std::process::id()));
     let mut cc = ClusterConfig::new(cfg, 3);
     cc.trace_sink = Some(rmcast::JsonlSink::create(&path).expect("trace file"));
-    cc.hub_drop_every = Some(10);
+    cc.faults.loss = 1.0 / 10.0;
     let msg = payload(50_000);
     let out = run_cluster(cc, vec![msg.clone()]).expect("cluster");
     assert_eq!(out.deliveries.len(), 3);
@@ -333,25 +337,22 @@ fn trace_sink_captures_the_run_over_real_udp() {
             .any(|r| matches!(r.ev, TraceEvent::AckSent { .. })),
         "the ACK protocol must trace acknowledgments"
     );
-    let hub_losses: Vec<u16> = records
+    let losses: Vec<u16> = records
         .iter()
         .filter(|r| {
             matches!(
                 r.ev,
                 TraceEvent::Drop {
-                    cause: DropCause::HubLoss
+                    cause: DropCause::DatagramFault
                 }
             )
         })
         .map(|r| r.rank)
         .collect();
+    assert!(!losses.is_empty(), "the injected loss left no record");
     assert!(
-        !hub_losses.is_empty(),
-        "the hub's injected loss left no record"
-    );
-    assert!(
-        hub_losses.iter().all(|r| (1..=3).contains(r)),
-        "a hub loss is stamped with the receiver it was addressed to: {hub_losses:?}"
+        losses.iter().all(|r| (0..=3).contains(r)),
+        "a loss is stamped with the node that lost the copy: {losses:?}"
     );
 }
 
@@ -364,7 +365,7 @@ fn liveness_abort_dumps_the_flight_recorder_over_real_udp() {
     cfg.rto = rmcast::Duration::from_millis(30);
     cfg.liveness = rmcast::LivenessConfig::bounded(4);
     let mut cc = ClusterConfig::new(cfg, 3);
-    cc.dead_receivers = vec![0];
+    cc.faults.down = vec![(0, None)];
     cc.flight_recorder = 64;
     cc.timeout = std::time::Duration::from_secs(20);
     let out = run_cluster(cc, vec![payload(20_000)]).expect("cluster resolves");
@@ -445,13 +446,11 @@ fn slow_receiver_blocks_the_head_of_the_line_for_a_bounded_time_only() {
     cfg.rto = rmcast::Duration::from_millis(40);
     let msg = payload(120_000);
     let mut cc = ClusterConfig::new(cfg, 2);
-    cc.receiver_faults = vec![(
-        0,
-        udprun::faults::NodeFaults {
-            per_datagram_delay: Some(std::time::Duration::from_millis(25)),
-            ..Default::default()
-        },
-    )];
+    let slow = udprun::node::NodeFaults {
+        per_datagram_delay: Some(std::time::Duration::from_millis(25)),
+        ..Default::default()
+    };
+    cc.overload = vec![(Rank::from_receiver_index(0), slow)];
     cc.timeout = std::time::Duration::from_secs(30);
     let giveups = || {
         rmprof::snapshot()
@@ -470,4 +469,102 @@ fn slow_receiver_blocks_the_head_of_the_line_for_a_bounded_time_only() {
         giveups() > before,
         "30 datagrams at 25 ms each never outlasted one 10 ms wait"
     );
+}
+
+#[test]
+fn a_run_that_cannot_go_as_asked_is_refused_before_a_socket_is_bound() {
+    let cfg = ProtocolConfig::new(ProtocolKind::Ack, 4_000, 8);
+    let refusal = |faults: Faults, overload| {
+        let mut cc = ClusterConfig::new(cfg, 4);
+        cc.faults = faults;
+        cc.overload = overload;
+        let e = run_cluster(cc, vec![payload(1_000)]).expect_err("refused");
+        (e.kind(), e.to_string())
+    };
+    let down = |down| Faults {
+        down,
+        ..Faults::default()
+    };
+    let later = Some(rmcast::Duration::from_millis(10));
+    let slow = udprun::node::NodeFaults {
+        storm_amplify: 1,
+        ..Default::default()
+    };
+    // Entries that name no node of four receivers, a certain loss, and a
+    // receiver that comes back to a group without membership.
+    let invalid = [
+        (down(vec![(9, later)]), vec![], "down receiver 9"),
+        (down(vec![(2, later)]), vec![], "needs protocol.membership"),
+        (down(vec![(9, None)]), vec![], "down receiver 9"),
+        (
+            Faults::default(),
+            vec![(Rank(5), slow.clone())],
+            "overload rank 5",
+        ),
+        (
+            Faults::default(),
+            vec![(Rank(1), slow.clone()), (Rank(1), slow)],
+            "overload rank 1 is no node of the group, or is listed twice",
+        ),
+        (
+            Faults {
+                loss: 1.0,
+                ..Faults::default()
+            },
+            vec![],
+            "loss probability",
+        ),
+    ];
+    for (faults, overload, what) in invalid {
+        let (kind, e) = refusal(faults, overload);
+        assert_eq!(kind, std::io::ErrorKind::InvalidInput, "{e}");
+        assert!(e.contains(what), "{e}");
+    }
+    // Faults kernel sockets on one host do not inject.
+    let p = 0.01;
+    let unsupported = [
+        (
+            "dup",
+            Faults {
+                dup: p,
+                ..Faults::default()
+            },
+        ),
+        (
+            "reorder",
+            Faults {
+                reorder: p,
+                ..Faults::default()
+            },
+        ),
+        (
+            "corrupt",
+            Faults {
+                corrupt: p,
+                ..Faults::default()
+            },
+        ),
+    ];
+    for (name, faults) in unsupported {
+        let (kind, e) = refusal(faults, vec![]);
+        assert_eq!(kind, std::io::ErrorKind::Unsupported, "{e}");
+        assert!(e.contains(&format!("`{name}`")), "{e}");
+    }
+}
+
+#[test]
+fn a_receiver_still_down_when_the_run_ends_does_not_hold_it_up() {
+    // The receiver would come back 10 s in; the other two finish the
+    // message long before. `run_cluster` returns with them, instead of
+    // joining a thread that sleeps out the rest of the delay.
+    let mut cfg = ProtocolConfig::new(ProtocolKind::nak_polling(6), 4_000, 12);
+    cfg.rto = rmcast::Duration::from_millis(40);
+    cfg.membership = true;
+    let mut cc = ClusterConfig::new(cfg, 3);
+    cc.faults.down = vec![(1, Some(rmcast::Duration::from_millis(10_000)))];
+    #[allow(clippy::disallowed_methods, reason = "the wall time is what is tested")]
+    let called = std::time::Instant::now();
+    let out = run_cluster(cc, vec![payload(20_000)]).expect("cluster");
+    assert_eq!(out.deliveries.len(), 2, "the two live receivers deliver");
+    assert!(called.elapsed() < std::time::Duration::from_secs(5));
 }

@@ -22,9 +22,10 @@ struct Args {
     window: Option<usize>,
     poll: Option<usize>,
     height: usize,
-    loss: f64,
-    seeds: usize,
-    topology: String,
+    /// The three simulator-only options, `None` where not given.
+    loss: Option<f64>,
+    seeds: Option<usize>,
+    topology: Option<String>,
     quiet: bool,
 }
 
@@ -39,9 +40,9 @@ impl Default for Args {
             window: None,
             poll: None,
             height: 6,
-            loss: 0.0,
-            seeds: 3,
-            topology: "two-switch".into(),
+            loss: None,
+            seeds: None,
+            topology: None,
             quiet: false,
         }
     }
@@ -61,7 +62,7 @@ fn usage() -> ! {
          --height H             tree height              (default 6)\n\
          --loss P               injected frame loss      (default 0, sim only)\n\
          --seeds N              runs to average          (default 3, sim only)\n\
-         --topology two-switch|single-switch|bus         (default two-switch)\n\
+         --topology two-switch|single-switch|bus   (default two-switch, sim only)\n\
          --quiet                print only the one-line summary"
     );
     std::process::exit(2)
@@ -86,9 +87,9 @@ fn parse_args() -> Args {
             "--window" => a.window = Some(val("--window").parse().unwrap_or_else(|_| usage())),
             "--poll" => a.poll = Some(val("--poll").parse().unwrap_or_else(|_| usage())),
             "--height" => a.height = val("--height").parse().unwrap_or_else(|_| usage()),
-            "--loss" => a.loss = val("--loss").parse().unwrap_or_else(|_| usage()),
-            "--seeds" => a.seeds = val("--seeds").parse().unwrap_or_else(|_| usage()),
-            "--topology" => a.topology = val("--topology"),
+            "--loss" => a.loss = Some(val("--loss").parse().unwrap_or_else(|_| usage())),
+            "--seeds" => a.seeds = Some(val("--seeds").parse().unwrap_or_else(|_| usage())),
+            "--topology" => a.topology = Some(val("--topology")),
             "--quiet" => a.quiet = true,
             "--help" | "-h" => usage(),
             other => {
@@ -149,9 +150,10 @@ fn main() {
         _ => Protocol::Rm(build_config(&a)),
     };
 
+    let topology = a.topology.as_deref().unwrap_or("two-switch");
     let mut sc = Scenario::new(protocol, a.receivers, a.size);
-    sc.seeds = (1..=a.seeds as u64).collect();
-    sc.topology = match a.topology.as_str() {
+    sc.seeds = (1..=a.seeds.unwrap_or(3) as u64).collect();
+    sc.topology = match topology {
         "two-switch" => TopologyKind::TwoSwitch,
         "single-switch" => TopologyKind::SingleSwitch,
         "bus" => TopologyKind::SharedBus,
@@ -162,7 +164,7 @@ fn main() {
     };
     // Validated constructor: rejects out-of-range probabilities up front
     // instead of letting an impossible loss rate spin until the time cap.
-    sc.fault_plan = netsim::FaultPlan::default().with_frame_loss(a.loss);
+    sc.fault_plan = netsim::FaultPlan::default().with_frame_loss(a.loss.unwrap_or(0.0));
 
     let r = sc.run_avg();
     if a.quiet {
@@ -176,7 +178,7 @@ fn main() {
         );
         return;
     }
-    println!("backend          : calibrated simulator ({})", a.topology);
+    println!("backend          : calibrated simulator ({topology})");
     println!("protocol         : {}", a.protocol);
     println!("receivers        : {}", a.receivers);
     println!("message          : {} bytes", a.size);
@@ -201,6 +203,15 @@ fn run_udp(a: &Args) {
     if matches!(a.protocol.as_str(), "raw-udp" | "tcp") {
         eprintln!("the udp backend runs the reliable multicast protocols only");
         usage()
+    }
+    let sim_only = [
+        ("--loss", a.loss.is_some()),
+        ("--seeds", a.seeds.is_some()),
+        ("--topology", a.topology.is_some()),
+    ];
+    if let Some((flag, _)) = sim_only.iter().find(|(_, set)| *set) {
+        eprintln!("{flag} is sim only: the udp backend cannot honour it");
+        std::process::exit(2)
     }
     let mut cfg = build_config(a);
     cfg.rto = rmcast::Duration::from_millis(50);
