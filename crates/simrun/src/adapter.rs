@@ -1,10 +1,11 @@
 //! Driving sans-io endpoints as simulated host processes.
 
 use crate::cost::CostModel;
+use crate::scenario::ChaosOutcome;
 use bytes::Bytes;
 use netsim::process::{Ctx, DatagramIn, Process};
-use netsim::{GroupId, HostId, Sim, TraceCounters, UdpDest};
-use rmcast::{AppEvent, Dest, Endpoint, SessionError, Stats};
+use netsim::{GroupId, HostId, Sim, UdpDest};
+use rmcast::{AppEvent, Dest, Endpoint, Stats};
 use rmwire::{Duration, Rank, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,49 +51,35 @@ impl AddrMap {
 }
 
 /// Shared run measurements, filled in by the adapters as the simulation
-/// progresses and completed from the simulator when the run ends.
+/// progresses and completed from the simulator when the run ends: the
+/// [`ChaosOutcome`] a run returns, plus what a run needs that the outcome
+/// does not report.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    /// When the sender completed its final message.
-    pub sender_done: Option<Time>,
-    /// `(msg_id, time)` sender completions.
-    pub messages_sent: Vec<(u64, Time)>,
-    /// `(rank, msg_id, time, bytes)` receiver deliveries.
-    pub deliveries: Vec<(Rank, u64, Time, usize)>,
-    /// `(rank, msg_id, crc32c)` of every delivered payload, parallel to
-    /// `deliveries`: the bit-intactness witness for byzantine runs. Filled
-    /// only under [`DeliveryCheck::Crc`].
-    pub delivery_crcs: Vec<(Rank, u64, u32)>,
-    /// `(msg_id, error, time)` sender-side abandoned messages (liveness
-    /// bound tripped).
-    pub failures: Vec<(u64, SessionError, Time)>,
-    /// `(rank, msg_id, error)` receiver-side give-ups.
-    pub receiver_failures: Vec<(Rank, u64, SessionError)>,
-    /// `(evicted_rank, msg_id)` straggler evictions, as observed by the
-    /// evicting endpoint (sender or tree aggregation node).
-    pub evictions: Vec<(Rank, u64)>,
-    /// `(rank, epoch)` membership admissions announced by the sender.
-    pub joins: Vec<(Rank, u32)>,
-    /// How many crash-restarted hosts respawned their endpoint.
-    pub restarts: usize,
-    /// `(msg_id, congested, time)` sender backpressure edges (AIMD
-    /// shrank the window below its configured size and the send path
-    /// stalled on it / recovered).
-    pub backpressure: Vec<(u64, bool, Time)>,
-    /// Flight-recorder dumps emitted on failure (when enabled).
-    pub flight_dumps: Vec<rmcast::FlightDump>,
-    /// Latest sender counters.
-    pub sender_stats: Stats,
-    /// Latest per-receiver counters (by receiver index).
-    pub receiver_stats: Vec<Stats>,
-    /// How many sender completions end the run.
+    /// What the run produced.
+    pub out: ChaosOutcome,
+    /// When the sender first completed a message, whether or not that ends
+    /// the run.
+    pub first_sent: Option<Time>,
+    /// How many sender resolutions end the run.
     pub expect_msgs: u64,
     /// What each delivered payload is held against.
     pub check: DeliveryCheck,
-    /// The network's counters at the end of the run.
-    pub trace: TraceCounters,
     /// CPU time the sender's host spent over the run.
     pub sender_cpu_busy: Duration,
+}
+
+impl Recorder {
+    /// Count one sender resolution, completed or abandoned; true if it is
+    /// the one that ends the run, which it stamps.
+    fn resolve(&mut self, now: Time) -> bool {
+        let done = (self.out.messages_sent + self.out.failures.len()) as u64 >= self.expect_msgs;
+        if done {
+            self.out.completed = true;
+            self.out.comm_time = Some(now.saturating_since(Time::ZERO));
+        }
+        done
+    }
 }
 
 /// How the recorder vouches for the bytes of a delivery.
@@ -102,15 +89,12 @@ pub enum DeliveryCheck {
     /// panic on any difference: in a run whose result carries no payload
     /// witness, a delivery that is not bit-intact is a bug, like a hang.
     Sent(Vec<Bytes>),
-    /// Fingerprint into [`Recorder::delivery_crcs`] and judge nothing:
+    /// Fingerprint into [`ChaosOutcome::delivered_crcs`] and judge nothing:
     /// under a byzantine fault plan a corrupted delivery is an outcome the
     /// caller reports.
     #[default]
     Crc,
 }
-
-/// A shared handle to the run recorder.
-pub type SharedRecorder = Rc<RefCell<Recorder>>;
 
 /// Whether this node records as the sender or as receiver `index`.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +118,7 @@ pub struct Nodes {
     /// User-level protocol cost model.
     pub cost: CostModel,
     /// The run's recorder.
-    pub rec: SharedRecorder,
+    pub rec: Rc<RefCell<Recorder>>,
 }
 
 impl Nodes {
@@ -198,18 +182,16 @@ impl<E: Endpoint> NodeProcess<E> {
             let rec = &mut *self.nodes.rec.borrow_mut();
             while let Some(ev) = self.ep.poll_event() {
                 match ev {
-                    AppEvent::MessageSent { msg_id } => {
-                        rec.messages_sent.push((msg_id, now));
-                        if (rec.messages_sent.len() + rec.failures.len()) as u64 >= rec.expect_msgs
-                        {
-                            rec.sender_done = Some(now);
-                            stop = true;
-                        }
+                    AppEvent::MessageSent { .. } => {
+                        rec.first_sent.get_or_insert(now);
+                        rec.out.messages_sent += 1;
+                        stop |= rec.resolve(now);
                     }
                     AppEvent::MessageDelivered { msg_id, data } => {
                         if let NodeRole::Receiver { index } = self.role {
                             let rank = Rank::from_receiver_index(index);
-                            rec.deliveries.push((rank, msg_id, now, data.len()));
+                            rec.out.deliveries += 1;
+                            rec.out.delivered_msgs.push((rank, msg_id, now, data.len()));
                             match &rec.check {
                                 DeliveryCheck::Sent(msgs) => assert!(
                                     msgs.get(msg_id as usize) == Some(&data),
@@ -218,7 +200,7 @@ impl<E: Endpoint> NodeProcess<E> {
                                 ),
                                 DeliveryCheck::Crc => {
                                     let crc = rmwire::crc32c(&data);
-                                    rec.delivery_crcs.push((rank, msg_id, crc));
+                                    rec.out.delivered_crcs.push((rank, msg_id, crc));
                                 }
                             }
                         }
@@ -227,33 +209,25 @@ impl<E: Endpoint> NodeProcess<E> {
                         // A sender-side failure still resolves the message:
                         // it counts toward run completion.
                         NodeRole::Sender => {
-                            rec.failures.push((msg_id, error, now));
-                            if (rec.messages_sent.len() + rec.failures.len()) as u64
-                                >= rec.expect_msgs
-                            {
-                                rec.sender_done = Some(now);
-                                stop = true;
-                            }
+                            rec.out.failures.push((msg_id, error));
+                            stop |= rec.resolve(now);
                         }
                         NodeRole::Receiver { index } => {
-                            rec.receiver_failures.push((
-                                Rank::from_receiver_index(index),
-                                msg_id,
-                                error,
-                            ));
+                            let rank = Rank::from_receiver_index(index);
+                            rec.out.receiver_failures.push((rank, msg_id, error));
                         }
                     },
                     AppEvent::ReceiverEvicted { msg_id, rank } => {
-                        rec.evictions.push((rank, msg_id));
+                        rec.out.evictions.push((rank, msg_id));
                     }
                     AppEvent::ReceiverJoined { rank, epoch } => {
-                        rec.joins.push((rank, epoch));
+                        rec.out.joins.push((rank, epoch));
                     }
                     AppEvent::Backpressure { msg_id, congested } => {
-                        rec.backpressure.push((msg_id, congested, now));
+                        rec.out.backpressure.push((msg_id, congested));
                     }
                     AppEvent::FlightRecorderDump { dump } => {
-                        rec.flight_dumps.push(dump);
+                        rec.out.flight_dumps.push(dump);
                     }
                 }
             }
@@ -280,12 +254,13 @@ impl<E: Endpoint> Drop for NodeProcess<E> {
         // borrow cannot fail; should it, drop must still not panic.
         if let Ok(mut rec) = self.nodes.rec.try_borrow_mut() {
             match self.role {
-                NodeRole::Sender => rec.sender_stats = self.ep.stats().clone(),
+                NodeRole::Sender => rec.out.sender_stats = self.ep.stats().clone(),
                 NodeRole::Receiver { index: i } => {
-                    if rec.receiver_stats.len() <= i {
-                        rec.receiver_stats.resize(i + 1, Stats::default());
+                    let all = &mut rec.out.receiver_stats;
+                    if all.len() <= i {
+                        all.resize(i + 1, Stats::default());
                     }
-                    rec.receiver_stats[i] = self.ep.stats().clone();
+                    all[i] = self.ep.stats().clone();
                 }
             }
         }
@@ -319,7 +294,7 @@ impl<E: Endpoint> Process for NodeProcess<E> {
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(f) = &mut self.rebuild {
             self.ep = f(ctx.now());
-            self.nodes.rec.borrow_mut().restarts += 1;
+            self.nodes.rec.borrow_mut().out.restarts += 1;
         }
         // Without a rebuild factory the endpoint keeps its pre-crash
         // state (the pre-membership behavior); either way the timer must

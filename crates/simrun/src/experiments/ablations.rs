@@ -293,11 +293,11 @@ pub fn ablate_mtu(effort: Effort) -> Table {
 /// concurrent transfers interfere? (The paper runs one group at a time;
 /// real clusters run many.)
 pub fn ablate_two_groups(effort: Effort) -> Table {
-    use crate::adapter::{AddrMap, DeliveryCheck, NodeRole, Nodes, Recorder, SharedRecorder};
+    use crate::adapter::{take_spares, AddrMap, DeliveryCheck, Nodes, Recorder};
     use crate::calibration;
+    use crate::scenario::spawn_group;
     use netsim::{topology, Sim};
-    use rmcast::{GroupSpec, Receiver, Sender};
-    use rmwire::{Rank, Time};
+    use rmwire::Time;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -310,7 +310,7 @@ pub fn ablate_two_groups(effort: Effort) -> Table {
 
     // Baseline: one group alone.
     let mut alone = rm_scenario(effort, cfg, N as u16, MSG);
-    alone.topology = crate::scenario::TopologyKind::SingleSwitch;
+    alone.topology = TopologyKind::SingleSwitch;
     let alone_r = alone.run_avg();
 
     // Two groups, same switch, started simultaneously.
@@ -318,14 +318,14 @@ pub fn ablate_two_groups(effort: Effort) -> Table {
         sim_cfg.switch.igmp_snooping = snooping;
         let mut sim = Sim::new(sim_cfg, seed);
         let hosts = topology::single_switch(&mut sim, 2 * (N + 1));
-        let mut times = Vec::new();
-        let mut recs: Vec<SharedRecorder> = Vec::new();
+        let mut spares = take_spares();
+        let mut groups = Vec::new();
         for g in 0..2usize {
             let base = g * (N + 1);
             let sender_host = hosts[base];
             let receiver_hosts: Vec<_> = hosts[base + 1..base + 1 + N].to_vec();
             let group = sim.create_group(&receiver_hosts);
-            let payload = bytes::Bytes::from(vec![0x42u8; MSG]);
+            let msgs = [bytes::Bytes::from(vec![0x42u8; MSG])];
             let nodes = Nodes {
                 addr: Rc::new(AddrMap {
                     sender_host,
@@ -336,32 +336,19 @@ pub fn ablate_two_groups(effort: Effort) -> Table {
                 cost,
                 rec: Rc::new(RefCell::new(Recorder {
                     expect_msgs: u64::MAX, // never stop the sim from one group
-                    check: DeliveryCheck::Sent(vec![payload.clone()]),
+                    check: DeliveryCheck::Sent(msgs.to_vec()),
                     ..Recorder::default()
                 })),
             };
-            recs.push(Rc::clone(&nodes.rec));
-            let gspec = GroupSpec::new(N as u16);
-            let mut sender = Sender::new(cfg, gspec);
-            sender.send_message(Time::ZERO, payload);
-            nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
-            for i in 0..N {
-                let r = Receiver::new(cfg, gspec, Rank::from_receiver_index(i), seed);
-                let role = NodeRole::Receiver { index: i };
-                nodes.spawn(&mut sim, role, r, Receiver::take_spare, None);
-            }
+            spawn_group(&mut sim, &nodes, cfg, &msgs, seed, None, &mut spares);
+            groups.push(nodes.rec);
         }
         sim.run_until(Time::from_millis(30_000));
-        for rec in &recs {
-            let done = rec
-                .borrow()
-                .messages_sent
-                .first()
-                .map(|&(_, t)| t.as_secs_f64())
-                .expect("group did not complete");
-            times.push(done);
-        }
-        (times[0], times[1])
+        let done = |g: usize| {
+            let sent = groups[g].borrow().first_sent;
+            sent.expect("group did not complete").as_secs_f64()
+        };
+        (done(0), done(1))
     };
     let (a, b) = run_pair(false, 1);
     let (sa, sb) = run_pair(true, 1);

@@ -80,7 +80,7 @@ pub fn byzantine_storm(effort: Effort) -> Table {
                 .sum::<u64>();
         t.push_row(vec![
             name.to_string(),
-            out.bounded().to_string(),
+            out.completed.to_string(),
             out.comm_time
                 .map(|d| format!("{:.4}", d.as_secs_f64()))
                 .unwrap_or_else(|| "-".into()),

@@ -79,7 +79,7 @@ fn push_outcome(t: &mut Table, name: &str, fault: &str, out: &ChaosOutcome) {
     t.push_row(vec![
         name.to_string(),
         fault.to_string(),
-        out.bounded().to_string(),
+        out.completed.to_string(),
         out.comm_time
             .map(|d| format!("{:.4}", d.as_secs_f64()))
             .unwrap_or_else(|| "-".into()),

@@ -44,7 +44,7 @@ fn push_outcome(t: &mut Table, name: &str, loss: f64, out: &ChaosOutcome) {
     t.push_row(vec![
         name.to_string(),
         format!("{:.0}%", loss * 100.0),
-        out.bounded().to_string(),
+        out.completed.to_string(),
         out.comm_time
             .map(|d| format!("{:.4}", d.as_secs_f64()))
             .unwrap_or_else(|| "-".into()),

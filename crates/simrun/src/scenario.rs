@@ -229,31 +229,7 @@ impl Scenario {
 
         match self.protocol {
             Protocol::Rm(cfg) => {
-                let mut sender = Sender::new(cfg, gspec);
-                TraceSpec::attach(trace, &mut sender);
-                for m in &msgs {
-                    sender.send_message(Time::ZERO, m.clone());
-                }
-                nodes.spawn(&mut sim, NodeRole::Sender, sender, |_| None, None);
-                for (i, role) in receivers.enumerate() {
-                    let rank = Rank::from_receiver_index(i);
-                    let mut r = Receiver::new(cfg, gspec, rank, seed);
-                    if let Some(buf) = spares.pop() {
-                        r.seed_spare(buf);
-                    }
-                    TraceSpec::attach(trace, &mut r);
-                    // A crash-restarted host reboots with no protocol state
-                    // and must rejoin through JOIN/SYNC.
-                    let rebuild = cfg.membership.then(|| {
-                        let respawn_trace = trace.cloned();
-                        Box::new(move |now| {
-                            let mut r = Receiver::new_joining(cfg, gspec, rank, seed, now);
-                            TraceSpec::attach(respawn_trace.as_ref(), &mut r);
-                            r
-                        }) as Box<dyn FnMut(Time) -> Receiver>
-                    });
-                    nodes.spawn(&mut sim, role, r, Receiver::take_spare, rebuild);
-                }
+                spawn_group(&mut sim, &nodes, cfg, &msgs, seed, trace, &mut spares)
             }
             Protocol::RawUdp { packet_size } => {
                 let mut sender =
@@ -291,7 +267,7 @@ impl Scenario {
         {
             let mut rec = nodes.rec.borrow_mut();
             rec.sender_cpu_busy = sim.cpu_busy(sender_host);
-            rec.trace = sim.trace().clone();
+            rec.out.trace = sim.trace().clone();
         }
         // Dropping the simulator drops every process: each hands its
         // assembly buffer back, its counters to the recorder, and lets go
@@ -345,24 +321,26 @@ impl Scenario {
     }
 
     fn run_inner(&self, seed: u64, spec: Option<&TraceSpec>) -> RunResult {
-        let rec = self.execute(seed, spec, false);
-
-        let comm_time = match rec.sender_done {
-            Some(t) => t.saturating_since(Time::ZERO),
-            None => panic!(
+        let Recorder {
+            out,
+            sender_cpu_busy,
+            ..
+        } = self.execute(seed, spec, false);
+        let Some(comm_time) = out.comm_time else {
+            panic!(
                 "scenario did not complete within {}: protocol={} n={} msg={}B \
                  (sent={} delivered={} drops={})",
                 self.time_cap,
                 self.protocol.name(),
                 self.n_receivers,
                 self.msg_size,
-                rec.messages_sent.len(),
-                rec.deliveries.len(),
-                rec.trace.total_drops(),
-            ),
+                out.messages_sent,
+                out.deliveries,
+                out.trace.total_drops(),
+            )
         };
-        let delivery_times: Vec<(u16, f64)> = rec
-            .deliveries
+        let delivery_times: Vec<(u16, f64)> = out
+            .delivered_msgs
             .iter()
             .map(|&(rank, _, t, _)| (rank.0, t.saturating_since(Time::ZERO).as_secs_f64()))
             .collect();
@@ -371,12 +349,12 @@ impl Scenario {
             comm_time,
             delivery_times,
             throughput_mbps: total_bytes * 8.0 / comm_time.as_secs_f64() / 1e6,
-            sender_cpu_utilization: rec.sender_cpu_busy.as_secs_f64()
+            sender_cpu_utilization: sender_cpu_busy.as_secs_f64()
                 / comm_time.as_secs_f64().max(1e-12),
-            sender_stats: rec.sender_stats,
-            receiver_stats: rec.receiver_stats,
-            deliveries: rec.deliveries.len(),
-            trace: rec.trace,
+            sender_stats: out.sender_stats,
+            receiver_stats: out.receiver_stats,
+            deliveries: out.deliveries,
+            trace: out.trace,
         }
     }
 
@@ -400,7 +378,7 @@ impl Scenario {
     /// every live receiver or abort with a typed error within the time
     /// cap", and this entry point reports which of those happened. The
     /// time cap doubles as the virtual-time watchdog — a protocol that
-    /// hangs shows up as `bounded() == false`, not as a wedged test.
+    /// hangs shows up as `completed == false`, not as a wedged test.
     pub fn run_chaos(&self, seed: u64) -> ChaosOutcome {
         self.run_chaos_inner(seed, None)
     }
@@ -423,31 +401,55 @@ impl Scenario {
     }
 
     fn run_chaos_inner(&self, seed: u64, spec: Option<&TraceSpec>) -> ChaosOutcome {
-        let rec = self.execute(seed, spec, true);
-        ChaosOutcome {
-            completed: rec.sender_done.is_some(),
-            comm_time: rec.sender_done.map(|t| t.saturating_since(Time::ZERO)),
-            messages_sent: rec.messages_sent.len(),
-            deliveries: rec.deliveries.len(),
-            failures: rec.failures.iter().map(|&(id, e, _)| (id, e)).collect(),
-            receiver_failures: rec.receiver_failures.clone(),
-            evictions: rec.evictions.clone(),
-            joins: rec.joins.clone(),
-            restarts: rec.restarts,
-            backpressure: rec.backpressure.iter().map(|&(id, c, _)| (id, c)).collect(),
-            delivered_msgs: rec.deliveries.clone(),
-            delivered_crcs: rec.delivery_crcs.clone(),
-            flight_dumps: rec.flight_dumps.clone(),
-            sender_stats: rec.sender_stats.clone(),
-            receiver_stats: rec.receiver_stats.clone(),
-            trace: rec.trace,
+        self.execute(seed, spec, true).out
+    }
+}
+
+/// Spawn one group of a reliable multicast protocol on `nodes`: the sender
+/// with `msgs` queued, then a receiver on each receiver host, each seeded
+/// with a buffer from `spares` while it has one. With membership on, a
+/// crash-restarted receiver host reboots with no protocol state and must
+/// rejoin through JOIN/SYNC.
+pub(crate) fn spawn_group(
+    sim: &mut Sim,
+    nodes: &Nodes,
+    cfg: ProtocolConfig,
+    msgs: &[Bytes],
+    seed: u64,
+    trace: Option<&TraceSpec>,
+    spares: &mut Vec<Bytes>,
+) {
+    let n = nodes.addr.receiver_hosts.len();
+    let gspec = GroupSpec::new(n as u16);
+    let mut sender = Sender::new(cfg, gspec);
+    TraceSpec::attach(trace, &mut sender);
+    for m in msgs {
+        sender.send_message(Time::ZERO, m.clone());
+    }
+    nodes.spawn(sim, NodeRole::Sender, sender, |_| None, None);
+    for index in 0..n {
+        let rank = Rank::from_receiver_index(index);
+        let mut r = Receiver::new(cfg, gspec, rank, seed);
+        if let Some(buf) = spares.pop() {
+            r.seed_spare(buf);
         }
+        TraceSpec::attach(trace, &mut r);
+        let rebuild = cfg.membership.then(|| {
+            let respawn_trace = trace.cloned();
+            Box::new(move |now| {
+                let mut r = Receiver::new_joining(cfg, gspec, rank, seed, now);
+                TraceSpec::attach(respawn_trace.as_ref(), &mut r);
+                r
+            }) as Box<dyn FnMut(Time) -> Receiver>
+        });
+        let role = NodeRole::Receiver { index };
+        nodes.spawn(sim, role, r, Receiver::take_spare, rebuild);
     }
 }
 
 /// Observability wiring for one traced execution.
 #[derive(Clone)]
-struct TraceSpec {
+pub(crate) struct TraceSpec {
     /// Shared sink: endpoints and the simulator interleave into it in
     /// deterministic simulation-event order.
     sink: MemorySink,
@@ -470,7 +472,7 @@ impl TraceSpec {
 
 /// Outcome of a chaos run: either the sender resolved every message
 /// (delivered or typed-failed) inside the time cap, or it hung.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosOutcome {
     /// The sender resolved all messages (success *or* typed abort)
     /// within the time cap.
@@ -509,14 +511,6 @@ pub struct ChaosOutcome {
     pub receiver_stats: Vec<Stats>,
     /// Network-level counters, including chaos drop causes.
     pub trace: TraceCounters,
-}
-
-impl ChaosOutcome {
-    /// The bounded-time liveness guarantee: every message either
-    /// succeeded or aborted with a typed error — the sender never hung.
-    pub fn bounded(&self) -> bool {
-        self.completed
-    }
 }
 
 /// Outcome of a scenario run.

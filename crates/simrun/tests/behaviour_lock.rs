@@ -84,7 +84,7 @@ fn clean_digest(sc: &Scenario, seed: u64) -> u32 {
 
 fn chaos_digest(sc: &Scenario, seed: u64) -> u32 {
     let outcome = chaotic(sc.clone()).run_chaos(seed);
-    assert!(outcome.bounded(), "chaos run hung");
+    assert!(outcome.completed, "chaos run hung");
     crc32c(format!("{outcome:?}").as_bytes())
 }
 
@@ -269,7 +269,7 @@ fn layered(fam: &str, plan: &str) -> Scenario {
 /// must read back as the records that wrote it.
 fn layered_run(fam: &str, plan: &str, seed: u64) -> (u32, Stats, Stats, BTreeSet<&'static str>) {
     let (outcome, records) = layered(fam, plan).run_chaos_traced(seed, 64);
-    assert!(outcome.bounded(), "{fam}/{plan} seed {seed} hung");
+    assert!(outcome.completed, "{fam}/{plan} seed {seed} hung");
     let jsonl: String = records.iter().map(|r| r.to_json() + "\n").collect();
     let back = rmtrace::parse_jsonl(&jsonl)
         .unwrap_or_else(|(l, e)| panic!("{fam}/{plan} seed {seed}: trace line {l}: {e}"));

@@ -48,7 +48,7 @@ fn storm(cfg: ProtocolConfig, seed: u64) -> (ChaosOutcome, u32) {
 fn exactly_once_bit_intact_under_combined_storm() {
     for (name, cfg) in hardened_families() {
         let (out, expect_crc) = storm(cfg, 1);
-        assert!(out.bounded(), "{name} hung under the byzantine storm");
+        assert!(out.completed, "{name} hung under the byzantine storm");
         assert_eq!(out.messages_sent, 1, "{name}: message did not complete");
         assert!(out.failures.is_empty(), "{name}: {:?}", out.failures);
 
@@ -96,7 +96,7 @@ fn storm_holds_across_seeds_and_is_deterministic() {
     let (cfg_name, cfg) = hardened_families()[1]; // nak-polling: chattiest
     for seed in [2u64, 3] {
         let (out, expect_crc) = storm(cfg, seed);
-        assert!(out.bounded(), "{cfg_name} seed {seed} hung");
+        assert!(out.completed, "{cfg_name} seed {seed} hung");
         assert_eq!(out.delivered_crcs.len(), N as usize, "seed {seed}");
         assert!(out.delivered_crcs.iter().all(|&(_, _, c)| c == expect_crc));
     }

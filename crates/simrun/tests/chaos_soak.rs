@@ -1,7 +1,7 @@
 //! The chaos soak: every protocol family driven through every fault in
 //! the campaign grid, asserting the bounded-time liveness contract —
 //! deliver to all live receivers or abort with a typed error within the
-//! virtual-time cap. A hang shows up as `bounded() == false` (the cap is
+//! virtual-time cap. A hang shows up as `completed == false` (the cap is
 //! the watchdog), a panic fails the test outright.
 
 use netsim::{DropCause, FaultPlan, HostId};
@@ -35,7 +35,7 @@ fn every_family_survives_burst_loss() {
     let plan = FaultPlan::default().with_burst(0.05, 8.0);
     for (name, cfg) in families(LivenessConfig::bounded(20)) {
         let out = soak(cfg, plan.clone(), 1);
-        assert!(out.bounded(), "{name} hung under burst loss");
+        assert!(out.completed, "{name} hung under burst loss");
         assert_eq!(out.messages_sent, 1, "{name} failed a recoverable run");
         assert!(out.failures.is_empty(), "{name}: {:?}", out.failures);
         assert_eq!(out.deliveries, N as usize, "{name} lost a receiver");
@@ -55,7 +55,7 @@ fn every_family_survives_receiver_crash_with_eviction() {
     let plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
     for (name, cfg) in families(LivenessConfig::evicting(6)) {
         let out = soak(cfg, plan.clone(), 1);
-        assert!(out.bounded(), "{name} hung on a crashed receiver");
+        assert!(out.completed, "{name} hung on a crashed receiver");
         assert_eq!(
             out.messages_sent, 1,
             "{name} must complete to survivors, got failures {:?}",
@@ -81,7 +81,7 @@ fn crash_without_eviction_fails_typed_not_hangs() {
     let plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
     for (name, cfg) in families(LivenessConfig::bounded(5)) {
         let out = soak(cfg, plan.clone(), 1);
-        assert!(out.bounded(), "{name} hung instead of aborting");
+        assert!(out.completed, "{name} hung instead of aborting");
         assert_eq!(
             out.messages_sent, 0,
             "{name} claimed success with a dead member"
@@ -104,7 +104,7 @@ fn every_family_rides_out_a_link_down_window() {
     let plan = FaultPlan::default().with_link_down(HostId(2), Time::from_millis(3), outage_end);
     for (name, cfg) in families(LivenessConfig::PAPER) {
         let out = soak(cfg, plan.clone(), 1);
-        assert!(out.bounded(), "{name} hung across a transient outage");
+        assert!(out.completed, "{name} hung across a transient outage");
         assert_eq!(out.messages_sent, 1, "{name}: {:?}", out.failures);
         assert_eq!(out.deliveries, N as usize, "{name} lost a receiver");
         assert!(
@@ -126,7 +126,7 @@ fn every_family_waits_out_a_paused_receiver() {
         FaultPlan::default().with_pause(HostId(3), Time::from_millis(2), Time::from_millis(152));
     for (name, cfg) in families(LivenessConfig::bounded(20)) {
         let out = soak(cfg, plan.clone(), 1);
-        assert!(out.bounded(), "{name} hung on a paused receiver");
+        assert!(out.completed, "{name} hung on a paused receiver");
         assert_eq!(out.messages_sent, 1, "{name}: {:?}", out.failures);
         assert_eq!(out.deliveries, N as usize, "{name} lost a receiver");
     }

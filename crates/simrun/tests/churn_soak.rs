@@ -64,7 +64,7 @@ fn ledger(out: &ChaosOutcome) -> BTreeMap<u16, Vec<u64>> {
 fn crash_partition_heal_rejoin_is_exactly_once_for_all_families() {
     for (name, cfg) in families() {
         let out = run(cfg, acceptance_plan(), 1);
-        assert!(out.bounded(), "{name} hung under crash + partition");
+        assert!(out.completed, "{name} hung under crash + partition");
         assert_eq!(
             out.messages_sent, MSGS,
             "{name} failed messages: {:?}",

@@ -40,7 +40,7 @@ fn lossy(cfg: ProtocolConfig, n: u16, msg: usize, loss: f64, seed: u64) -> Chaos
 }
 
 fn assert_exactly_once(name: &str, loss: f64, out: &ChaosOutcome, n: u16, expect_crc: u32) {
-    assert!(out.bounded(), "{name}@{loss}: hung");
+    assert!(out.completed, "{name}@{loss}: hung");
     assert_eq!(
         out.messages_sent, 1,
         "{name}@{loss}: aborted a recoverable run: {:?}",
@@ -92,7 +92,7 @@ fn five_families_exactly_once_across_loss_sweep() {
 fn fec_codes_and_decodes_under_loss() {
     let (_, cfg) = families().pop().expect("fec is last");
     let out = lossy(cfg, N, MSG, 0.10, 1);
-    assert!(out.bounded(), "fec hung at 10% loss");
+    assert!(out.completed, "fec hung at 10% loss");
     let s = &out.sender_stats;
     assert!(
         s.repairs_sent + s.parity_sent > 0,

@@ -75,7 +75,7 @@ fn forced_liveness_failure_dumps_the_flight_recorder() {
     let mut sc = Scenario::new(Protocol::Rm(cfg), 8, 200_000);
     sc.fault_plan = FaultPlan::default().with_crash(HostId(1), Time::from_millis(4));
     let (out, records) = sc.run_chaos_traced(1, 64);
-    assert!(out.bounded(), "run hung instead of aborting");
+    assert!(out.completed, "run hung instead of aborting");
     assert!(!out.failures.is_empty(), "crash should abort the message");
     assert!(
         !out.flight_dumps.is_empty(),

@@ -115,6 +115,29 @@ fn quick_effort_smoke_for_cheap_experiments() {
     }
 }
 
+/// Two groups on one switch, each spawned as a scenario spawns its one:
+/// flooding carries both groups' data on every downlink, IGMP snooping
+/// keeps each group's to its own.
+#[test]
+fn two_groups_halve_each_other_only_under_flooding() {
+    let t = run_experiment("ablate_two_groups", Effort::QUICK);
+    let time = |label: &str| -> f64 {
+        let row = t.rows.iter().find(|r| r[0] == label).expect(label);
+        row[1].parse().expect("a time in seconds")
+    };
+    let alone = time("one group alone");
+    for group in ["A", "B"] {
+        let flooded = time(&format!("concurrent, flooding (group {group})"));
+        assert!(
+            flooded >= 1.9 * alone,
+            "flooding {group}: {flooded} vs {alone}"
+        );
+        let snooped = time(&format!("concurrent, IGMP snooping (group {group})"));
+        let off = (snooped - alone).abs() / alone;
+        assert!(off <= 0.01, "snooping {group}: {snooped} vs {alone}");
+    }
+}
+
 #[test]
 #[should_panic(expected = "unknown experiment id")]
 fn unknown_experiment_rejected() {

@@ -54,6 +54,35 @@ fn a_run_does_not_depend_on_the_runs_before_it() {
     }
 }
 
+/// `run` and `run_chaos` read one record of the run: on a clean network
+/// they report the same run, delivery for delivery.
+#[test]
+fn run_and_run_chaos_report_the_same_run() {
+    const SIZE: usize = 500_000;
+    for (name, cfg) in experiments::families(30) {
+        let sc = Scenario::new(Protocol::Rm(cfg), 30, SIZE);
+        let (r, c) = (sc.run(1), sc.run_chaos(1));
+        assert!(c.completed, "{name}");
+        assert_eq!(Some(r.comm_time), c.comm_time, "{name}: comm_time");
+        assert_eq!(r.deliveries, c.deliveries, "{name}: deliveries");
+        // `RunResult` carries no message id: one message, so each is 0.
+        let plain: Vec<(u16, u64, f64)> = r
+            .delivery_times
+            .iter()
+            .map(|&(rank, t)| (rank, 0, t))
+            .collect();
+        let chaos: Vec<(u16, u64, f64)> = c
+            .delivered_msgs
+            .iter()
+            .map(|&(rank, id, t, _)| (rank.0, id, t.saturating_since(Time::ZERO).as_secs_f64()))
+            .collect();
+        assert_eq!(plain, chaos, "{name}: deliveries");
+        assert_eq!(r.sender_stats, c.sender_stats, "{name}: sender_stats");
+        assert_eq!(r.receiver_stats, c.receiver_stats, "{name}: receiver_stats");
+        assert_eq!(r.trace, c.trace, "{name}: trace");
+    }
+}
+
 /// Crash-restart of rank 2's host with dynamic membership: the reborn
 /// endpoint comes from `Nodes::spawn`'s `rebuild`, with no buffer.
 fn churn_scenario() -> Scenario {

@@ -82,7 +82,7 @@ impl ClusterConfig {
 }
 
 /// What a cluster run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClusterResult {
     /// Wall time from start to the sender's final completion.
     pub elapsed: StdDuration,
@@ -331,7 +331,7 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
                     cfg.timeout,
                     tally.resolved,
                     n_msgs,
-                    tally.deliveries.len()
+                    tally.out.deliveries.len()
                 ),
             ));
         }
@@ -375,39 +375,25 @@ pub fn run_cluster(cfg: ClusterConfig, msgs: Vec<Bytes>) -> io::Result<ClusterRe
         s.flush();
     }
 
-    let sender_stats = tally.stats.remove(&Rank::SENDER).unwrap_or_default();
-    Ok(ClusterResult {
-        elapsed: tally.elapsed.unwrap_or_else(|| start.elapsed()),
-        deliveries: tally.deliveries,
-        sender_stats,
-        receiver_stats: tally.stats,
-        failures: tally.failures,
-        evictions: tally.evictions,
-        joins: tally.joins,
-        backpressure: tally.backpressure,
-        flight_dumps: tally.flight_dumps,
-    })
+    if tally.out.elapsed.is_zero() {
+        // No message completed last: the run lasted until it was stopped.
+        tally.out.elapsed = start.elapsed();
+    }
+    Ok(tally.out)
 }
 
 /// Everything the coordinator has heard from the node threads so far.
 #[derive(Default)]
 struct Tally {
+    /// What the run has produced; `elapsed` is stamped when the sender
+    /// completes the last message, if that is how the last one resolved.
+    out: ClusterResult,
     /// Messages queued on the sender.
     n_msgs: u64,
     /// Messages the sender has completed or abandoned.
     resolved: u64,
     /// Ids of the messages the sender completed.
     sent: Vec<u64>,
-    /// When the sender completed the last message, if that is how the
-    /// last one resolved.
-    elapsed: Option<StdDuration>,
-    deliveries: Vec<(Rank, u64, Bytes)>,
-    failures: Vec<(Rank, u64, SessionError)>,
-    evictions: Vec<(Rank, Rank, u64)>,
-    joins: Vec<(Rank, u32)>,
-    backpressure: Vec<(u64, bool)>,
-    flight_dumps: Vec<(Rank, FlightDump)>,
-    stats: HashMap<Rank, Stats>,
 }
 
 impl Tally {
@@ -417,11 +403,15 @@ impl Tally {
     /// receiver owes only the tail of the stream): those runs settle by
     /// silence.
     fn settled(&self, live: &[Rank]) -> bool {
-        let evicted = |r: &Rank| self.evictions.iter().any(|(_, peer, _)| peer == r);
-        let delivered =
-            |r: &Rank, id: &u64| self.deliveries.iter().any(|(at, m, _)| at == r && m == id);
-        self.failures.is_empty()
-            && self.joins.is_empty()
+        let evicted = |r: &Rank| self.out.evictions.iter().any(|(_, peer, _)| peer == r);
+        let delivered = |r: &Rank, id: &u64| {
+            self.out
+                .deliveries
+                .iter()
+                .any(|(at, m, _)| at == r && m == id)
+        };
+        self.out.failures.is_empty()
+            && self.out.joins.is_empty()
             && live
                 .iter()
                 .filter(|r| !evicted(r))
@@ -431,8 +421,12 @@ impl Tally {
     fn absorb(&mut self, report: Report) {
         let (rank, at, ev) = match report {
             Report::App { rank, at, ev } => (rank, at, ev),
+            Report::Finished { rank, stats } if rank == Rank::SENDER => {
+                self.out.sender_stats = *stats;
+                return;
+            }
             Report::Finished { rank, stats } => {
-                self.stats.insert(rank, *stats);
+                self.out.receiver_stats.insert(rank, *stats);
                 return;
             }
         };
@@ -441,14 +435,14 @@ impl Tally {
                 self.sent.push(msg_id);
                 self.resolved += 1;
                 if self.resolved == self.n_msgs {
-                    self.elapsed = Some(at);
+                    self.out.elapsed = at;
                 }
             }
             AppEvent::MessageDelivered { msg_id, data } => {
-                self.deliveries.push((rank, msg_id, data));
+                self.out.deliveries.push((rank, msg_id, data));
             }
             AppEvent::MessageFailed { msg_id, error } => {
-                self.failures.push((rank, msg_id, error));
+                self.out.failures.push((rank, msg_id, error));
                 // Only the sender's verdict resolves a message; receiver
                 // give-ups are informational.
                 if rank == Rank::SENDER {
@@ -456,13 +450,13 @@ impl Tally {
                 }
             }
             AppEvent::ReceiverEvicted { msg_id, rank: peer } => {
-                self.evictions.push((rank, peer, msg_id));
+                self.out.evictions.push((rank, peer, msg_id));
             }
-            AppEvent::ReceiverJoined { rank: peer, epoch } => self.joins.push((peer, epoch)),
+            AppEvent::ReceiverJoined { rank: peer, epoch } => self.out.joins.push((peer, epoch)),
             AppEvent::Backpressure { msg_id, congested } => {
-                self.backpressure.push((msg_id, congested));
+                self.out.backpressure.push((msg_id, congested));
             }
-            AppEvent::FlightRecorderDump { dump } => self.flight_dumps.push((rank, dump)),
+            AppEvent::FlightRecorderDump { dump } => self.out.flight_dumps.push((rank, dump)),
         }
     }
 }
@@ -489,10 +483,14 @@ mod tests {
             ..Tally::default()
         };
         tally.absorb(failed(Rank::from_receiver_index(1), 0));
-        assert_eq!(tally.failures.len(), 1, "a receiver's give-up is recorded");
+        assert_eq!(
+            tally.out.failures.len(),
+            1,
+            "a receiver's give-up is recorded"
+        );
         assert_eq!(tally.resolved, 0, "but resolves nothing");
         tally.absorb(failed(Rank::SENDER, 0));
-        assert_eq!((tally.failures.len(), tally.resolved), (2, 1));
+        assert_eq!((tally.out.failures.len(), tally.resolved), (2, 1));
         // The last message completing is what stamps `elapsed`.
         let at = StdDuration::from_millis(7);
         tally.absorb(Report::App {
@@ -500,7 +498,7 @@ mod tests {
             at,
             ev: AppEvent::MessageSent { msg_id: 1 },
         });
-        assert_eq!((tally.resolved, tally.elapsed), (2, Some(at)));
+        assert_eq!((tally.resolved, tally.out.elapsed), (2, at));
     }
 
     #[test]
@@ -543,7 +541,7 @@ mod tests {
             AppEvent::ReceiverJoined { rank: r3, epoch },
         ));
         assert!(!tally.settled(&live));
-        tally.joins.clear();
+        tally.out.joins.clear();
         tally.absorb(failed(r1, 1));
         assert!(!tally.settled(&live));
     }

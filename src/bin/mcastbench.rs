@@ -98,6 +98,30 @@ fn parse_args() -> Args {
             }
         }
     }
+    // Out of range, each of these would panic deep in a run, or (`--loss
+    // 1`) spin the simulator to its time cap: refuse them before anything
+    // runs.
+    let in_range = [
+        ("--receivers", a.receivers >= 1, "at least 1"),
+        (
+            "--packet",
+            (1..=65_000).contains(&a.packet),
+            "1 to 65000 bytes",
+        ),
+        ("--window", a.window != Some(0), "at least 1"),
+        ("--poll", a.poll != Some(0), "at least 1"),
+        ("--height", a.height >= 1, "at least 1"),
+        ("--seeds", a.seeds != Some(0), "at least 1"),
+        (
+            "--loss",
+            a.loss.is_none_or(|p| (0.0..1.0).contains(&p)),
+            "in [0, 1)",
+        ),
+    ];
+    if let Some((flag, _, want)) = in_range.iter().find(|(_, ok, _)| !ok) {
+        eprintln!("{flag} must be {want}");
+        std::process::exit(2)
+    }
     a
 }
 
@@ -162,8 +186,8 @@ fn main() {
             usage()
         }
     };
-    // Validated constructor: rejects out-of-range probabilities up front
-    // instead of letting an impossible loss rate spin until the time cap.
+    // `parse_args` has kept the rate in [0, 1): the constructor accepts a
+    // certain loss, which never converges and spins to the time cap.
     sc.fault_plan = netsim::FaultPlan::default().with_frame_loss(a.loss.unwrap_or(0.0));
 
     let r = sc.run_avg();
