@@ -10,7 +10,7 @@
 //!   see `simrun`'s `SerialUnicast` driver; no extra engine is needed
 //!   here.
 
-use crate::endpoint::{AppEvent, Dest, Endpoint, Transmit};
+use crate::endpoint::{AppEvent, Dest, Endpoint, Io, Transmit};
 use crate::packet::{self, Body, Packet};
 use crate::sender::Sender;
 use crate::stats::Stats;
@@ -23,9 +23,7 @@ pub struct RawUdpSender {
     group: GroupSpec,
     packet_size: usize,
     rto: Duration,
-    stats: Stats,
-    out: VecDeque<Transmit>,
-    events: VecDeque<AppEvent>,
+    io: Io,
     /// Active message: `(msg_id, k, final-ack flags per receiver, last packet)`.
     active: Option<Active>,
     queue: VecDeque<(u64, Bytes)>,
@@ -48,9 +46,7 @@ impl RawUdpSender {
             group,
             packet_size,
             rto,
-            stats: Stats::default(),
-            out: VecDeque::new(),
-            events: VecDeque::new(),
+            io: Io::new(Rank::SENDER, false),
             active: None,
             queue: VecDeque::new(),
             next_msg_id: 0,
@@ -92,10 +88,10 @@ impl RawUdpSender {
             if seq + 1 == k {
                 last_packet = payload.clone();
             }
-            self.stats.data_sent += 1;
-            self.stats.payload_bytes_sent += chunk.len() as u64;
-            self.stats.user_copy_bytes += chunk.len() as u64;
-            self.out.push_back(Transmit {
+            self.io.stats.data_sent += 1;
+            self.io.stats.payload_bytes_sent += chunk.len() as u64;
+            self.io.stats.user_copy_bytes += chunk.len() as u64;
+            self.io.out.push_back(Transmit {
                 dest: Dest::Receivers,
                 payload,
                 copied: chunk.len(),
@@ -118,10 +114,10 @@ impl Endpoint for RawUdpSender {
             body: Body::Ack { next_expected, .. },
         }) = Packet::parse(datagram)
         else {
-            self.stats.decode_errors += 1;
+            self.io.stats.decode_errors += 1;
             return;
         };
-        self.stats.acks_received += 1;
+        self.io.stats.acks_received += 1;
         let Some(a) = self.active.as_mut() else {
             return;
         };
@@ -136,8 +132,8 @@ impl Endpoint for RawUdpSender {
         if a.acked.iter().all(|&x| x) {
             let msg_id = a.msg_id;
             self.active = None;
-            self.stats.messages_completed += 1;
-            self.events.push_back(AppEvent::MessageSent { msg_id });
+            self.io.stats.messages_completed += 1;
+            self.io.events.push_back(AppEvent::MessageSent { msg_id });
             self.start_next(now);
         }
     }
@@ -152,33 +148,25 @@ impl Endpoint for RawUdpSender {
         }
         // Re-blast only the last packet to re-trigger the final ACKs.
         a.last_tx = now;
-        self.stats.retx_sent += 1;
-        self.stats.timeouts += 1;
-        self.out.push_back(Transmit {
-            dest: Dest::Receivers,
-            payload: a.last_packet.clone(),
-            copied: 0,
-        });
+        self.io.stats.retx_sent += 1;
+        self.io.stats.timeouts += 1;
+        self.io.send(Dest::Receivers, a.last_packet.clone());
     }
 
     fn poll_timeout(&self) -> Option<Time> {
         self.active.as_ref().map(|a| a.last_tx + self.rto)
     }
 
-    fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.out.pop_front()
-    }
-
-    fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     fn is_idle(&self) -> bool {
-        self.active.is_none() && self.queue.is_empty() && self.out.is_empty()
+        self.active.is_none() && self.queue.is_empty() && self.io.out.is_empty()
+    }
+
+    fn io(&self) -> &Io {
+        &self.io
+    }
+
+    fn io_mut(&mut self) -> &mut Io {
+        &mut self.io
     }
 }
 
@@ -186,9 +174,7 @@ impl Endpoint for RawUdpSender {
 /// packet, delivers only if nothing was lost.
 pub struct RawUdpReceiver {
     rank: Rank,
-    stats: Stats,
-    out: VecDeque<Transmit>,
-    events: VecDeque<AppEvent>,
+    io: Io,
     cur_transfer: Option<u32>,
     buf: Vec<u8>,
     next: u32,
@@ -202,9 +188,7 @@ impl RawUdpReceiver {
         assert!(!rank.is_sender());
         RawUdpReceiver {
             rank,
-            stats: Stats::default(),
-            out: VecDeque::new(),
-            events: VecDeque::new(),
+            io: Io::new(rank, false),
             cur_transfer: None,
             buf: Vec::new(),
             next: 0,
@@ -221,10 +205,10 @@ impl Endpoint for RawUdpReceiver {
             body: Body::Data(body),
         }) = Packet::parse(datagram)
         else {
-            self.stats.decode_errors += 1;
+            self.io.stats.decode_errors += 1;
             return;
         };
-        self.stats.data_received += 1;
+        self.io.stats.data_received += 1;
         if self.cur_transfer != Some(header.transfer) {
             // New blast begins.
             self.cur_transfer = Some(header.transfer);
@@ -238,7 +222,7 @@ impl Endpoint for RawUdpReceiver {
             self.buf.extend_from_slice(body);
             self.next += 1;
         } else if seq < self.next {
-            self.stats.data_discarded += 1;
+            self.io.stats.data_discarded += 1;
         }
         // Gaps are silently lost: this is raw UDP.
         if header.flags.contains(PacketFlags::LAST) {
@@ -246,22 +230,21 @@ impl Endpoint for RawUdpReceiver {
             self.k = Some(k);
             // Acknowledge receipt of the last packet (paper Fig. 9 setup),
             // whether or not earlier packets were lost.
-            self.stats.acks_sent += 1;
-            self.out.push_back(Transmit {
-                dest: Dest::Sender,
-                payload: packet::encode_ack(self.rank, header.transfer, SeqNo(k)),
-                copied: 0,
-            });
+            self.io.stats.acks_sent += 1;
+            self.io.send(
+                Dest::Sender,
+                packet::encode_ack(self.rank, header.transfer, SeqNo(k)),
+            );
             if self.next == k && !self.delivered {
                 self.delivered = true;
-                self.stats.messages_completed += 1;
-                self.events.push_back(AppEvent::MessageDelivered {
+                self.io.stats.messages_completed += 1;
+                self.io.events.push_back(AppEvent::MessageDelivered {
                     msg_id: (header.transfer / 2) as u64,
                     data: Bytes::from(std::mem::take(&mut self.buf)),
                 });
             }
         }
-        self.stats.sample_buffer(self.buf.len());
+        self.io.stats.sample_buffer(self.buf.len());
     }
 
     fn handle_timeout(&mut self, _now: Time) {}
@@ -270,20 +253,16 @@ impl Endpoint for RawUdpReceiver {
         None
     }
 
-    fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.out.pop_front()
-    }
-
-    fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     fn is_idle(&self) -> bool {
-        self.out.is_empty()
+        self.io.out.is_empty()
+    }
+
+    fn io(&self) -> &Io {
+        &self.io
+    }
+
+    fn io_mut(&mut self) -> &mut Io {
+        &mut self.io
     }
 }
 
@@ -370,8 +349,9 @@ pub struct SerialUnicastSender {
     group: GroupSpec,
     subs: Vec<Sender>,
     active: usize,
-    stats: Stats,
-    events: VecDeque<AppEvent>,
+    /// Counters merged from the per-receiver engines, and the one
+    /// completion event; datagrams come straight from the active engine.
+    io: Io,
     started: bool,
     /// Per-receiver payloads (identical for a broadcast, distinct for a
     /// scatter).
@@ -393,8 +373,7 @@ impl SerialUnicastSender {
             group,
             subs,
             active: 0,
-            stats: Stats::default(),
-            events: VecDeque::new(),
+            io: Io::new(Rank::SENDER, false),
             started: false,
             parts: None,
         }
@@ -432,8 +411,10 @@ impl SerialUnicastSender {
                         let data = self.parts.as_ref().expect("message set")[self.active].clone();
                         self.subs[self.active].send_message(now, data);
                     } else {
-                        self.stats.messages_completed += 1;
-                        self.events.push_back(AppEvent::MessageSent { msg_id: 0 });
+                        self.io.stats.messages_completed += 1;
+                        self.io
+                            .events
+                            .push_back(AppEvent::MessageSent { msg_id: 0 });
                     }
                 }
                 Some(_) => {}
@@ -447,17 +428,14 @@ impl SerialUnicastSender {
         for s in &self.subs {
             merged.merge(s.stats());
         }
-        merged.messages_completed = self.stats.messages_completed;
+        merged.messages_completed = self.io.stats.messages_completed;
         merged.peak_buffer_bytes = self
             .subs
             .iter()
             .map(|s| s.stats().peak_buffer_bytes)
             .max()
             .unwrap_or(0);
-        self.stats = Stats {
-            messages_completed: self.stats.messages_completed,
-            ..merged
-        };
+        self.io.stats = merged;
     }
 }
 
@@ -494,16 +472,16 @@ impl Endpoint for SerialUnicastSender {
         })
     }
 
-    fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     fn is_idle(&self) -> bool {
         self.active >= self.subs.len()
+    }
+
+    fn io(&self) -> &Io {
+        &self.io
+    }
+
+    fn io_mut(&mut self) -> &mut Io {
+        &mut self.io
     }
 }
 

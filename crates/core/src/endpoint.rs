@@ -13,8 +13,14 @@
 //!
 //! The driver (simulator host adapter, UDP thread, or the in-process
 //! loopback) owns sockets and clocks; the engine owns all protocol state.
+//!
+//! Each engine also owns its outputs in one [`Io`]: counters, trace, and
+//! the datagrams and events not yet taken. Its layers are lent `&mut` to
+//! that value, and the drain side of [`Endpoint`] (`poll_transmit`,
+//! `poll_event`, `stats`, the trace hooks) is written once over it.
 
 use crate::error::SessionError;
+use crate::packet::{self, Packet};
 use crate::stats::Stats;
 use bytes::Bytes;
 use rmtrace::{DropCause, TraceEvent, Tracer};
@@ -107,7 +113,9 @@ pub enum AppEvent {
     },
 }
 
-/// The driver-facing face of every protocol engine.
+/// The driver-facing face of every protocol engine. An engine writes its
+/// inputs, its deadline and its idleness, and lends its [`Io`]; the drain
+/// methods are provided over that.
 pub trait Endpoint {
     /// Feed one received datagram (UDP payload) at local time `now`.
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]);
@@ -119,69 +127,113 @@ pub trait Endpoint {
     /// any. Re-query after every other call; deadlines move.
     fn poll_timeout(&self) -> Option<Time>;
 
-    /// Take the next datagram to transmit, if any. Drivers drain this
-    /// after every `handle_*` call.
-    fn poll_transmit(&mut self) -> Option<Transmit>;
-
-    /// Take the next application event, if any.
-    fn poll_event(&mut self) -> Option<AppEvent>;
-
-    /// Instrumentation counters.
-    fn stats(&self) -> &Stats;
-
     /// `true` when the endpoint has nothing in flight and nothing queued:
     /// drivers may use this for quiescence detection.
     fn is_idle(&self) -> bool;
 
+    /// The engine's outputs.
+    fn io(&self) -> &Io;
+
+    /// The engine's outputs, for the drain methods.
+    fn io_mut(&mut self) -> &mut Io;
+
+    /// Take the next datagram to transmit, if any, sealed when integrity
+    /// is on. Drivers drain this after every `handle_*` call.
+    fn poll_transmit(&mut self) -> Option<Transmit> {
+        let io = self.io_mut();
+        let mut tx = io.out.pop_front()?;
+        if io.integrity {
+            tx.payload = packet::seal_in_place(tx.payload);
+        }
+        Some(tx)
+    }
+
+    /// Take the next application event, if any.
+    fn poll_event(&mut self) -> Option<AppEvent> {
+        self.io_mut().events.pop_front()
+    }
+
+    /// Instrumentation counters.
+    fn stats(&self) -> &Stats {
+        &self.io().stats
+    }
+
     /// Attach a trace sink receiving this endpoint's protocol events.
-    /// Engines without tracing support ignore the sink (default).
     fn set_trace_sink(&mut self, sink: Box<dyn rmtrace::TraceSink>) {
-        let _ = sink;
+        self.io_mut().tracer.set_sink(sink);
     }
 
     /// Keep the last `cap` events in a flight recorder, dumped as an
     /// [`AppEvent::FlightRecorderDump`] when a failure is recorded.
-    /// Ignored by engines without tracing support (default).
     fn enable_flight_recorder(&mut self, cap: usize) {
-        let _ = cap;
+        self.io_mut().tracer.enable_flight_recorder(cap);
     }
 }
 
-/// An endpoint's outputs, lent to one of its layers for one call: its
-/// counters, its trace, and its datagram and application-event queues.
-pub(crate) struct Io<'a> {
-    pub(crate) stats: &'a mut Stats,
-    pub(crate) tracer: &'a mut Tracer,
-    pub(crate) out: &'a mut VecDeque<Transmit>,
-    pub(crate) events: &'a mut VecDeque<AppEvent>,
+/// An engine's outputs: its counters, its trace, and the datagrams and
+/// application events it has produced that the driver has not taken yet.
+/// Every engine holds exactly one and lends it, `&mut`, to each of its
+/// layers; [`Endpoint`]'s drain methods read from it.
+#[derive(Clone)]
+pub struct Io {
+    pub(crate) stats: Stats,
+    pub(crate) tracer: Tracer,
+    pub(crate) out: VecDeque<Transmit>,
+    pub(crate) events: VecDeque<AppEvent>,
+    /// Check the CRC32C trailer of every datagram parsed and append one
+    /// to every datagram taken.
+    integrity: bool,
 }
 
-/// Lend an endpoint's outputs to a layer call. The borrows are of single
-/// fields, so the layer itself can be borrowed alongside.
-macro_rules! io {
-    ($s:ident) => {
-        &mut $crate::endpoint::Io {
-            stats: &mut $s.stats,
-            tracer: &mut $s.tracer,
-            out: &mut $s.out,
-            events: &mut $s.events,
+impl Io {
+    /// Empty outputs for the engine at `rank`, with its tracer off.
+    pub(crate) fn new(rank: Rank, integrity: bool) -> Self {
+        Io {
+            stats: Stats::default(),
+            tracer: Tracer::off(rank.0),
+            out: VecDeque::new(),
+            events: VecDeque::new(),
+            integrity,
         }
-    };
-}
-pub(crate) use io;
+    }
 
-/// Count and trace, as a drop at `now`, a datagram that did not parse.
-pub(crate) fn undecodable(now: Time, e: WireError, io: &mut Io<'_>) {
-    io.stats.decode_errors += 1;
-    let cause = match e {
-        WireError::ChecksumMismatch { .. } | WireError::ChecksumMissing => {
-            io.stats.integrity_fail += 1;
-            DropCause::IntegrityFail
+    /// Parse a received datagram. One that does not parse is counted and
+    /// traced as a drop at `now`, and yields `None`.
+    pub(crate) fn parse<'d>(&mut self, now: Time, datagram: &'d [u8]) -> Option<Packet<'d>> {
+        let e = match Packet::parse_checked(datagram, self.integrity) {
+            Ok(p) => return Some(p),
+            Err(e) => e,
+        };
+        self.stats.decode_errors += 1;
+        let cause = match e {
+            WireError::ChecksumMismatch { .. } | WireError::ChecksumMissing => {
+                self.stats.integrity_fail += 1;
+                DropCause::IntegrityFail
+            }
+            _ => {
+                self.stats.malformed_rx += 1;
+                DropCause::MalformedRx
+            }
+        };
+        self.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
+        None
+    }
+
+    /// Queue a control datagram: one that copied no user bytes.
+    pub(crate) fn send(&mut self, dest: Dest, payload: Bytes) {
+        self.out.push_back(Transmit {
+            dest,
+            payload,
+            copied: 0,
+        });
+    }
+
+    /// Queue the flight recorder's post-mortem, if one is enabled, for a
+    /// failure just counted.
+    pub(crate) fn flight_dump(&mut self, now: Time, reason: &str) {
+        let snapshot = self.stats.snapshot();
+        if let Some(dump) = self.tracer.flight_dump(now.as_nanos(), reason, snapshot) {
+            self.events.push_back(AppEvent::FlightRecorderDump { dump });
         }
-        _ => {
-            io.stats.malformed_rx += 1;
-            DropCause::MalformedRx
-        }
-    };
-    io.tracer.emit(now.as_nanos(), TraceEvent::Drop { cause });
+    }
 }

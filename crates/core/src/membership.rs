@@ -22,7 +22,7 @@
 //! It is plain data: no clocks, no I/O, usable identically by the
 //! simulator-driven and the real-socket backends.
 
-use crate::endpoint::{AppEvent, Dest, Io, Transmit};
+use crate::endpoint::{AppEvent, Dest, Io};
 use crate::packet;
 use crate::sender::Sender;
 use crate::stats::Stats;
@@ -107,17 +107,16 @@ impl Members {
     }
 
     /// Multicast a heartbeat announce carrying the current epoch.
-    fn announce(&self, io: &mut Io<'_>) {
+    fn announce(&self, io: &mut Io) {
         io.stats.heartbeats_sent += 1;
-        io.out.push_back(Transmit {
-            dest: Dest::Receivers,
-            payload: packet::encode_membership(PacketType::Heartbeat, Rank::SENDER, self.epoch),
-            copied: 0,
-        });
+        io.send(
+            Dest::Receivers,
+            packet::encode_membership(PacketType::Heartbeat, Rank::SENDER, self.epoch),
+        );
     }
 
     /// Move to the next epoch.
-    fn next_epoch(&mut self, now: Time, io: &mut Io<'_>) {
+    fn next_epoch(&mut self, now: Time, io: &mut Io) {
         self.epoch += 1;
         io.tracer.emit(
             now.as_nanos(),
@@ -127,7 +126,7 @@ impl Members {
 
     /// After a batch of evictions: with membership on, move the epoch once
     /// and announce it.
-    pub(crate) fn announce_change(&mut self, now: Time, io: &mut Io<'_>) {
+    pub(crate) fn announce_change(&mut self, now: Time, io: &mut Io) {
         if self.enabled() {
             self.next_epoch(now, io);
             self.announce(io);
@@ -136,7 +135,7 @@ impl Members {
 
     /// Going busy: start the heartbeat schedule with an immediate announce
     /// so receivers can prove liveness before the first miss is counted.
-    pub(crate) fn start_heartbeats(&mut self, now: Time, io: &mut Io<'_>) {
+    pub(crate) fn start_heartbeats(&mut self, now: Time, io: &mut Io) {
         if self.enabled() && self.hb_deadline.is_none() {
             self.announce(io);
             self.hb_deadline = Some(now + HEARTBEAT_INTERVAL);
@@ -152,7 +151,7 @@ impl Members {
     /// miss, and return those past the eviction threshold. An idle sender
     /// (`busy == false`) disarms the schedule instead, so drivers reach
     /// quiescence.
-    pub(crate) fn tick(&mut self, now: Time, busy: bool, io: &mut Io<'_>) -> Vec<Rank> {
+    pub(crate) fn tick(&mut self, now: Time, busy: bool, io: &mut Io) -> Vec<Rank> {
         if !busy {
             self.hb_deadline = None;
             return Vec::new();
@@ -235,12 +234,11 @@ impl Members {
     /// it restarted, so its old acknowledgment state is gone and the caller
     /// must stop waiting for it. That is pending admission, not a failure:
     /// no `ReceiverEvicted` event, no epoch change yet.
-    pub(crate) fn join(&mut self, rank: Rank, io: &mut Io<'_>) -> bool {
-        io.out.push_back(Transmit {
-            dest: Dest::Rank(rank),
-            payload: packet::encode_membership(PacketType::Welcome, Rank::SENDER, self.epoch),
-            copied: 0,
-        });
+    pub(crate) fn join(&mut self, rank: Rank, io: &mut Io) -> bool {
+        io.send(
+            Dest::Rank(rank),
+            packet::encode_membership(PacketType::Welcome, Rank::SENDER, self.epoch),
+        );
         let idx = rank.receiver_index();
         let restarted = !self.evicted[idx];
         self.mark_out(idx);
@@ -266,7 +264,7 @@ impl Members {
         now: Time,
         next_msg: u64,
         tree: Option<&TreeTopology>,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         if self.pending_joins.is_empty() {
             return;
@@ -288,9 +286,9 @@ impl Members {
                 }
             }
             io.stats.joins += 1;
-            io.out.push_back(Transmit {
-                dest: Dest::Rank(rank),
-                payload: packet::encode_sync(
+            io.send(
+                Dest::Rank(rank),
+                packet::encode_sync(
                     Rank::SENDER,
                     SyncBody {
                         epoch: self.epoch,
@@ -299,8 +297,7 @@ impl Members {
                         flags,
                     },
                 ),
-                copied: 0,
-            });
+            );
             io.events.push_back(AppEvent::ReceiverJoined {
                 rank,
                 epoch: self.epoch,
@@ -354,28 +351,26 @@ impl Admission {
 
     /// Not a member yet: discard everything until a SYNC, and ask the
     /// sender to admit `rank`.
-    pub(crate) fn start_joining(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
+    pub(crate) fn start_joining(&mut self, now: Time, rank: Rank, io: &mut Io) {
         self.epoch = 0;
         self.min_transfer = u32::MAX;
         self.send_join(now, rank, io);
     }
 
-    fn send_join(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
-        io.out.push_back(Transmit {
-            dest: Dest::Sender,
-            payload: packet::encode_membership(PacketType::Join, rank, self.epoch),
-            copied: 0,
-        });
+    fn send_join(&mut self, now: Time, rank: Rank, io: &mut Io) {
+        io.send(
+            Dest::Sender,
+            packet::encode_membership(PacketType::Join, rank, self.epoch),
+        );
         self.join_deadline = Some(now + JOIN_RETRY);
     }
 
     /// Announce `rank`'s voluntary departure.
-    pub(crate) fn leave(&self, rank: Rank, io: &mut Io<'_>) {
-        io.out.push_back(Transmit {
-            dest: Dest::Sender,
-            payload: packet::encode_membership(PacketType::Leave, rank, self.epoch),
-            copied: 0,
-        });
+    pub(crate) fn leave(&self, rank: Rank, io: &mut Io) {
+        io.send(
+            Dest::Sender,
+            packet::encode_membership(PacketType::Leave, rank, self.epoch),
+        );
     }
 
     /// The membership epoch this receiver stamps on its ACKs/NAKs.
@@ -390,7 +385,7 @@ impl Admission {
 
     /// Adopt a (possibly newer) epoch announced by the sender (in a
     /// heartbeat, a WELCOME or a SYNC), tracing the transition.
-    pub(crate) fn adopt_epoch(&mut self, now: Time, epoch: u32, io: &mut Io<'_>) {
+    pub(crate) fn adopt_epoch(&mut self, now: Time, epoch: u32, io: &mut Io) {
         if epoch > self.epoch {
             self.epoch = epoch;
             io.tracer
@@ -408,7 +403,7 @@ impl Admission {
         epoch: u32,
         rank: Rank,
         parent: Option<Rank>,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         self.adopt_epoch(now, epoch, io);
         if self.join_deadline.is_some() {
@@ -417,11 +412,10 @@ impl Admission {
         }
         for dest in iter::once(Dest::Sender).chain(parent.map(Dest::Rank)) {
             io.stats.heartbeats_sent += 1;
-            io.out.push_back(Transmit {
+            io.send(
                 dest,
-                payload: packet::encode_membership(PacketType::Heartbeat, rank, self.epoch),
-                copied: 0,
-            });
+                packet::encode_membership(PacketType::Heartbeat, rank, self.epoch),
+            );
         }
     }
 
@@ -429,7 +423,7 @@ impl Admission {
     /// transfers from the returned cutoff. Anything older completes (or
     /// fails) without us; [`Admission::admitted`] follows once the caller
     /// has let it go.
-    pub(crate) fn on_sync(&mut self, now: Time, body: &SyncBody, io: &mut Io<'_>) -> u32 {
+    pub(crate) fn on_sync(&mut self, now: Time, body: &SyncBody, io: &mut Io) -> u32 {
         self.adopt_epoch(now, body.epoch, io);
         self.min_transfer = if self.join_deadline.is_some() {
             body.next_transfer
@@ -454,7 +448,7 @@ impl Admission {
     }
 
     /// At `now`: re-send `rank`'s JOIN if the retry timer fired.
-    pub(crate) fn on_timeout(&mut self, now: Time, rank: Rank, io: &mut Io<'_>) {
+    pub(crate) fn on_timeout(&mut self, now: Time, rank: Rank, io: &mut Io) {
         if self.join_deadline.is_some_and(|d| d <= now) {
             self.send_join(now, rank, io); // re-arms the retry timer
         }
@@ -471,21 +465,10 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::io;
-    use rmtrace::Tracer;
-    use std::collections::VecDeque;
-
-    /// The outputs a `Members` call is lent.
-    struct Outputs {
-        stats: Stats,
-        tracer: Tracer,
-        out: VecDeque<Transmit>,
-        events: VecDeque<AppEvent>,
-    }
 
     /// One heartbeat period, after which rank 1 proves it is alive.
-    fn tick(m: &mut Members, o: &mut Outputs) -> Vec<Rank> {
-        let silent = m.tick(Time::ZERO, true, io!(o));
+    fn tick(m: &mut Members, o: &mut Io) -> Vec<Rank> {
+        let silent = m.tick(Time::ZERO, true, o);
         assert!(m.accept(Rank(1), Some(m.epoch()), &mut o.stats));
         silent
     }
@@ -493,12 +476,7 @@ mod tests {
     #[test]
     fn silent_member_is_suspected_once_then_reported() {
         let mut m = Members::new(2, true);
-        let mut o = Outputs {
-            stats: Stats::default(),
-            tracer: Tracer::off(0),
-            out: VecDeque::new(),
-            events: VecDeque::new(),
-        };
+        let mut o = Io::new(Rank::SENDER, false);
         // Rank 2 is silent: suspected at its third miss, counted once.
         for miss in 1..EVICT_MISSES {
             assert!(tick(&mut m, &mut o).is_empty(), "miss {miss}");

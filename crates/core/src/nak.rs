@@ -74,7 +74,7 @@ impl NakSchedule {
         expected: u32,
         cfg: &ProtocolConfig,
         stamp: Stamp,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         // Load-aware scaling: the static suppression interval stretches
         // with observed retransmission traffic (identity when disabled).
@@ -158,7 +158,7 @@ impl NakSchedule {
         cfg: &ProtocolConfig,
         stamp: Stamp,
         stalled: impl FnOnce() -> Option<(u32, u32)>,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         if let Some(p) = self.pending.take() {
             if p.deadline <= now {

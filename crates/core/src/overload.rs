@@ -437,8 +437,8 @@ impl Overload {
 
     /// Admit an ACK that does not complete its transfer; `false` means it
     /// was shed.
-    pub(crate) fn admit_ack(&mut self, now: Time, transfer: u32, io: &mut Io<'_>) -> bool {
-        let admitted = self.paced(now, transfer, io.tracer);
+    pub(crate) fn admit_ack(&mut self, now: Time, transfer: u32, io: &mut Io) -> bool {
+        let admitted = self.paced(now, transfer, &mut io.tracer);
         if !admitted {
             io.stats.acks_shed += 1;
         }
@@ -449,14 +449,8 @@ impl Overload {
     /// collapsed into one seen within the suppression interval — a storm
     /// of NAKs for the same packet triggers one retransmission decision,
     /// not hundreds.
-    pub(crate) fn admit_nak(
-        &mut self,
-        now: Time,
-        transfer: u32,
-        seq: u32,
-        io: &mut Io<'_>,
-    ) -> bool {
-        if !self.paced(now, transfer, io.tracer) {
+    pub(crate) fn admit_nak(&mut self, now: Time, transfer: u32, seq: u32, io: &mut Io) -> bool {
+        if !self.paced(now, transfer, &mut io.tracer) {
             io.stats.naks_shed += 1;
             return false;
         }
@@ -480,12 +474,7 @@ impl Overload {
 
     /// Multiplicative decrease on a congestion signal (retransmission
     /// timeout or fresh NAK). Returns the cap to hold the data window to.
-    pub(crate) fn on_congestion(
-        &mut self,
-        now: Time,
-        transfer: u32,
-        io: &mut Io<'_>,
-    ) -> Option<u32> {
+    pub(crate) fn on_congestion(&mut self, now: Time, transfer: u32, io: &mut Io) -> Option<u32> {
         let a = self.aimd.as_mut()?;
         if a.on_congestion() {
             io.stats.window_shrinks += 1;
@@ -505,7 +494,7 @@ impl Overload {
         now: Time,
         (msg_id, transfer): (u64, u32),
         acked: u32,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) -> Option<u32> {
         let a = self.aimd.as_mut()?;
         let changed = a.on_progress(acked as usize);
@@ -530,7 +519,7 @@ impl Overload {
     /// The data window stalled full with payload left to send: on an
     /// AIMD-shrunk window that is backpressure the application should
     /// hear about (edge-triggered).
-    pub(crate) fn on_stall(&mut self, now: Time, names: (u64, u32), io: &mut Io<'_>) {
+    pub(crate) fn on_stall(&mut self, now: Time, names: (u64, u32), io: &mut Io) {
         if !self.backpressured && self.aimd.as_ref().is_some_and(|a| a.cap() < self.window) {
             self.backpressure_edge(true, now, names, io);
         }
@@ -538,7 +527,7 @@ impl Overload {
 
     /// Clear the backpressure edge, if set. At a message boundary the
     /// message is named with transfer `0`: no transfer is in flight.
-    pub(crate) fn clear_backpressure(&mut self, now: Time, names: (u64, u32), io: &mut Io<'_>) {
+    pub(crate) fn clear_backpressure(&mut self, now: Time, names: (u64, u32), io: &mut Io) {
         if self.backpressured {
             self.backpressure_edge(false, now, names, io);
         }
@@ -549,7 +538,7 @@ impl Overload {
         congested: bool,
         now: Time,
         (msg_id, transfer): (u64, u32),
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         self.backpressured = congested;
         io.stats.backpressure_signals += 1;

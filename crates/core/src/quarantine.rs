@@ -89,7 +89,7 @@ impl Quarantine {
         transfer: u32,
         horizon: u32,
         laggards: &mut Vec<Rank>,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         laggards.retain(|&rank| {
             let slot = &mut self.slots[rank.receiver_index()];
@@ -182,7 +182,7 @@ impl Quarantine {
     /// out, or it is being evicted. Every eviction comes through here, so
     /// no receiver is ever both quarantined and evicted (`S7`). Returns
     /// the entry's transfer and spent rounds, if `rank` was quarantined.
-    pub(crate) fn resolve(&mut self, rank: Rank, now: Time, io: &mut Io<'_>) -> Option<(u32, u32)> {
+    pub(crate) fn resolve(&mut self, rank: Rank, now: Time, io: &mut Io) -> Option<(u32, u32)> {
         let q = self.slots.get_mut(rank.receiver_index())?.take()?;
         io.stats.quarantine_evicted += 1;
         io.tracer.emit(
@@ -206,7 +206,7 @@ impl Quarantine {
 
     /// Message boundary: every quarantined receiver has (by the completion
     /// gate) caught up, and rejoins the next message's proof obligation.
-    pub(crate) fn rejoin_all(&mut self, now: Time, io: &mut Io<'_>) {
+    pub(crate) fn rejoin_all(&mut self, now: Time, io: &mut Io) {
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             let Some(q) = slot.take() else {
                 continue;

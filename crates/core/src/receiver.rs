@@ -24,20 +24,19 @@
 
 use crate::assembler::{Assembly, Offer};
 use crate::config::{ProtocolConfig, ProtocolKind};
-use crate::endpoint::{self, io, AppEvent, Dest, Endpoint, Io, Transmit};
+use crate::endpoint::{AppEvent, Dest, Endpoint, Io};
 use crate::error::SessionError;
 use crate::membership::Admission;
 use crate::nak::NakSchedule;
 use crate::packet::{self, Body, Packet};
-use crate::stats::Stats;
 use crate::tree::{Aggregator, TreeTopology};
 
 use bytes::Bytes;
-use rmtrace::{TraceEvent, Tracer};
+use rmtrace::TraceEvent;
 use rmwire::{
     AllocBody, GroupSpec, Header, PacketFlags, PacketType, Rank, RepairBody, SeqNo, Time,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// How many finished transfers of acknowledgment state to retain for
@@ -154,7 +153,7 @@ pub(crate) struct Stamp {
 impl Stamp {
     /// Queue one ACK or NAK to `dest`: the one place a receiver's feedback
     /// is counted, traced and encoded.
-    pub(crate) fn send(self, io: &mut Io<'_>, kind: Feedback, dest: Dest, transfer: u32, seq: u32) {
+    pub(crate) fn send(self, io: &mut Io, kind: Feedback, dest: Dest, transfer: u32, seq: u32) {
         let (rank, s, t) = (self.rank, SeqNo(seq), self.now.as_nanos());
         let payload = match kind {
             Feedback::Ack => {
@@ -174,11 +173,7 @@ impl Stamp {
                 packet::nak(rank, transfer, s, self.epoch)
             }
         };
-        io.out.push_back(Transmit {
-            dest,
-            payload,
-            copied: 0,
-        });
+        io.send(dest, payload);
     }
 }
 
@@ -192,9 +187,8 @@ pub struct Receiver {
     cfg: ProtocolConfig,
     group: GroupSpec,
     rank: Rank,
-    stats: Stats,
-    out: VecDeque<Transmit>,
-    events: VecDeque<AppEvent>,
+    /// Counters, trace and the queued datagrams and events.
+    io: Io,
     transfers: BTreeMap<u32, TransferState>,
     max_seen: u32,
     /// Allocation bodies awaiting their data transfer.
@@ -215,7 +209,6 @@ pub struct Receiver {
     /// Last instant any packet arrived (base of the receiver give-up
     /// timer).
     last_heard: Time,
-    tracer: Tracer,
 }
 
 impl Receiver {
@@ -239,16 +232,13 @@ impl Receiver {
             cfg,
             group,
             rank,
-            stats: Stats::default(),
-            out: VecDeque::new(),
-            events: VecDeque::new(),
+            io: Io::new(rank, cfg.integrity),
             transfers: BTreeMap::new(),
             max_seen: 0,
             alloc_pending: HashMap::new(),
             spare: None,
             tree,
             last_heard: Time::ZERO,
-            tracer: Tracer::off(rank.0),
         }
     }
 
@@ -266,14 +256,14 @@ impl Receiver {
         assert!(cfg.membership, "joining requires dynamic membership");
         let mut r = Receiver::new(cfg, group, rank, seed);
         r.last_heard = now;
-        r.admission.start_joining(now, rank, io!(r));
+        r.admission.start_joining(now, rank, &mut r.io);
         r
     }
 
     /// Announce a voluntary departure: the sender drops this receiver
     /// from the proof obligation immediately.
     pub fn leave(&mut self) {
-        self.admission.leave(self.rank, io!(self));
+        self.admission.leave(self.rank, &mut self.io);
     }
 
     /// The membership epoch this receiver stamps on its ACKs/NAKs.
@@ -376,14 +366,15 @@ impl Receiver {
 
     /// Count and trace a data or repair packet dropped unprocessed.
     fn discard(&mut self, now: Time, transfer: u32, seq: u32) {
-        self.stats.data_discarded += 1;
-        self.tracer
+        self.io.stats.data_discarded += 1;
+        self.io
+            .tracer
             .emit(now.as_nanos(), TraceEvent::DataDiscarded { transfer, seq });
     }
 
     fn on_data(&mut self, now: Time, header: Header, body: DataBody<'_>) {
         let _span = rmprof::span!(rmprof::Stage::RecvAssembly);
-        self.stats.data_received += 1;
+        self.io.stats.data_received += 1;
         // Any sender traffic proves the sender is alive (give-up timer).
         self.last_heard = now;
         let transfer = header.transfer;
@@ -459,9 +450,11 @@ impl Receiver {
         match offer {
             Offer::Duplicate => self.discard(now, transfer, seq),
             Offer::Rejected => self
+                .io
                 .tracer
                 .emit(now.as_nanos(), TraceEvent::DataDiscarded { transfer, seq }),
             Offer::InOrder | Offer::Buffered => self
+                .io
                 .tracer
                 .emit(now.as_nanos(), TraceEvent::DataRecv { transfer, seq }),
         }
@@ -472,7 +465,7 @@ impl Receiver {
             .get(&transfer)
             .and_then(|s| s.assembly.as_ref())
             .map_or(0, |a| a.buffered_bytes());
-        self.stats.sample_buffer(buffered);
+        self.io.stats.sample_buffer(buffered);
 
         // Record the allocation body for the upcoming data transfer —
         // after capping what it may demand: the body reaches
@@ -482,9 +475,9 @@ impl Receiver {
             if matches!(offer, Offer::InOrder) {
                 let packets = b.msg_len.div_ceil(u64::from(b.packet_size.max(1)));
                 if b.msg_len > MAX_ALLOC_BYTES || packets > MAX_ALLOC_PACKETS {
-                    self.stats.decode_errors += 1;
-                    self.stats.malformed_rx += 1;
-                    self.tracer.emit(
+                    self.io.stats.decode_errors += 1;
+                    self.io.stats.malformed_rx += 1;
+                    self.io.tracer.emit(
                         now.as_nanos(),
                         TraceEvent::DataDiscarded {
                             transfer: b.data_transfer,
@@ -519,10 +512,12 @@ impl Receiver {
             // Transfer ids hold a message id's low 31 bits
             // (`Sender::data_transfer_id`): from message 2^31 on this wraps.
             let msg_id = (transfer / 2) as u64;
-            self.stats.messages_completed += 1;
-            self.tracer
+            self.io.stats.messages_completed += 1;
+            self.io
+                .tracer
                 .emit(now.as_nanos(), TraceEvent::Delivered { transfer, msg_id });
-            self.events
+            self.io
+                .events
                 .push_back(AppEvent::MessageDelivered { msg_id, data });
             // A newly delivered message obsoletes the pending NAK state for
             // this transfer.
@@ -541,7 +536,7 @@ impl Receiver {
             let expected = self.transfers[&transfer].own_next;
             let stamp = self.stamp(now);
             self.naks
-                .consider(now, transfer, expected, &self.cfg, stamp, io!(self));
+                .consider(now, transfer, expected, &self.cfg, stamp, &mut self.io);
         }
 
         self.prune();
@@ -605,13 +600,13 @@ impl Receiver {
                 let stamp = self.stamp(now);
                 let tree = self.tree.as_ref().expect("the tree family aggregates");
                 let st = self.transfers.get_mut(&transfer).expect("state exists");
-                tree.send_aggregate(transfer, st, force, stamp, io!(self));
+                tree.send_aggregate(transfer, st, force, stamp, &mut self.io);
                 false
             }
         };
         if ack {
             let stamp = self.stamp(now);
-            stamp.send(io!(self), Feedback::Ack, Dest::Sender, transfer, next);
+            stamp.send(&mut self.io, Feedback::Ack, Dest::Sender, transfer, next);
         }
     }
 
@@ -627,7 +622,7 @@ impl Receiver {
     /// natively (the assembly reports it as a duplicate).
     fn on_repair(&mut self, now: Time, header: Header, body: RepairBody, payload: &[u8]) {
         let _span = rmprof::span!(rmprof::Stage::FecDecode);
-        self.stats.repairs_received += 1;
+        self.io.stats.repairs_received += 1;
         self.last_heard = now;
         let transfer = header.transfer;
         if !self.admission.admits(transfer) {
@@ -646,7 +641,7 @@ impl Receiver {
         // re-codes losses that stay unresolved.
         if let Some(st) = self.transfers.get(&transfer) {
             if st.repair_gen.is_some_and(|g| body.generation <= g) {
-                self.stats.repairs_replayed += 1;
+                self.io.stats.repairs_replayed += 1;
                 return;
             }
         }
@@ -683,11 +678,12 @@ impl Receiver {
             .as_ref()
             .map_or(Ok(None), |asm| asm.decode(&body, payload));
         match decoded {
-            Ok(None) => self.stats.repairs_useless += 1,
-            Err(()) => self.stats.repairs_undecodable += 1,
+            Ok(None) => self.io.stats.repairs_useless += 1,
+            Err(()) => self.io.stats.repairs_undecodable += 1,
             Ok(Some((seq, chunk))) => {
-                self.stats.repairs_decoded += 1;
-                self.tracer
+                self.io.stats.repairs_decoded += 1;
+                self.io
+                    .tracer
                     .emit(now.as_nanos(), TraceEvent::RepairDecoded { transfer, seq });
                 // Feed the reconstruction through the ordinary data path
                 // under a synthesized header. RETX makes the NakPolling-
@@ -710,11 +706,11 @@ impl Receiver {
     // ------------------------------------------------------------------
 
     fn on_peer_ack(&mut self, now: Time, header: &Header, next_expected: u32) {
-        self.stats.acks_received += 1;
+        self.io.stats.acks_received += 1;
         let stamp = self.stamp(now);
         if let Some(tree) = self.tree.as_mut() {
             let transfers = &mut self.transfers;
-            tree.on_ack(now, header, next_expected, transfers, stamp, io!(self));
+            tree.on_ack(now, header, next_expected, transfers, stamp, &mut self.io);
         }
     }
 
@@ -752,22 +748,19 @@ impl Receiver {
             return;
         }
         for (msg_id, transfer) in failed {
-            self.stats.messages_failed += 1;
-            self.events.push_back(AppEvent::MessageFailed {
+            self.io.stats.messages_failed += 1;
+            self.io.events.push_back(AppEvent::MessageFailed {
                 msg_id,
                 error: SessionError::SenderStalled { transfer },
             });
         }
-        let snapshot = self.stats.snapshot();
-        if let Some(dump) = self.tracer.flight_dump(now.as_nanos(), reason, snapshot) {
-            self.events.push_back(AppEvent::FlightRecorderDump { dump });
-        }
+        self.io.flight_dump(now, reason);
     }
 
     /// A heartbeat arrived: from one of our tree children, it re-bases the
     /// child's eviction timer; from the sender, admission answers it.
     fn on_heartbeat(&mut self, now: Time, src: Rank, epoch: u32) {
-        self.stats.heartbeats_received += 1;
+        self.io.stats.heartbeats_received += 1;
         if let Some(tree) = self.tree.as_mut() {
             if tree.on_heartbeat(now, src, &self.transfers) {
                 return;
@@ -777,7 +770,7 @@ impl Receiver {
             self.last_heard = now;
             let parent = self.tree.as_ref().and_then(Aggregator::parent);
             self.admission
-                .on_announce(now, epoch, self.rank, parent, io!(self));
+                .on_announce(now, epoch, self.rank, parent, &mut self.io);
         }
     }
 
@@ -786,7 +779,7 @@ impl Receiver {
     /// (or fails) without us.
     fn on_sync(&mut self, now: Time, body: rmwire::SyncBody) {
         self.last_heard = now;
-        let cutoff = self.admission.on_sync(now, &body, io!(self));
+        let cutoff = self.admission.on_sync(now, &body, &mut self.io);
         if body.detached_root() {
             if let Some(tree) = self.tree.as_mut() {
                 tree.detach();
@@ -798,7 +791,7 @@ impl Receiver {
         // Abandon incomplete pre-admission transfers: the sender fulfils
         // them toward the members of their epoch, not toward us.
         self.abandon(now, cutoff.into(), "SYNC abandoned pre-admission transfers");
-        self.admission.admitted(&mut self.stats);
+        self.admission.admitted(&mut self.io.stats);
     }
 }
 
@@ -897,8 +890,8 @@ impl Receiver {
             tree.hash_into(h);
         }
         self.admission.hash_into(h);
-        h.write_usize(self.out.len());
-        h.write_usize(self.events.len());
+        h.write_usize(self.io.out.len());
+        h.write_usize(self.io.events.len());
     }
 
     /// Panic on any violated invariant (`debug_assertions` only; see
@@ -917,30 +910,28 @@ impl Receiver {
 
 impl Endpoint for Receiver {
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]) {
-        let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
-            Ok(p) => p,
-            Err(e) => return endpoint::undecodable(now, e, io!(self)),
+        let Some(Packet { header, body }) = self.io.parse(now, datagram) else {
+            return;
         };
-        let Packet { header, body } = pkt;
         match body {
             Body::Data(chunk) => self.on_data(now, header, DataBody::Chunk(chunk)),
             Body::Alloc(alloc) => self.on_data(now, header, DataBody::Alloc(alloc)),
             Body::Ack { next_expected, .. } => self.on_peer_ack(now, &header, next_expected.0),
             Body::Nak { expected, .. } => {
                 self.naks
-                    .on_peer_nak(header.transfer, expected.0, &mut self.stats)
+                    .on_peer_nak(header.transfer, expected.0, &mut self.io.stats)
             }
             Body::Heartbeat { epoch } => self.on_heartbeat(now, header.src_rank, epoch),
             // The sender acknowledged our JOIN. Admission itself still
             // waits on the SYNC handoff at the next message boundary.
             Body::Welcome { epoch } => {
                 self.last_heard = now;
-                self.admission.adopt_epoch(now, epoch, io!(self));
+                self.admission.adopt_epoch(now, epoch, &mut self.io);
             }
             Body::Sync(sync) => self.on_sync(now, sync),
             Body::Coded { block, payload } => self.on_repair(now, header, block, payload),
             // Sender-bound admission control that strayed to a receiver.
-            Body::Join { .. } | Body::Leave { .. } => self.stats.data_discarded += 1,
+            Body::Join { .. } | Body::Leave { .. } => self.io.stats.data_discarded += 1,
         }
         #[cfg(debug_assertions)]
         self.debug_audit();
@@ -950,11 +941,11 @@ impl Endpoint for Receiver {
         let stamp = self.stamp(now);
         let stalled = || stalled_target(&self.transfers, &self.alloc_pending);
         self.naks
-            .on_timeout(now, &self.cfg, stamp, stalled, io!(self));
+            .on_timeout(now, &self.cfg, stamp, stalled, &mut self.io);
         if let Some(tree) = self.tree.as_mut() {
-            tree.on_timeout(now, &mut self.transfers, stamp, io!(self));
+            tree.on_timeout(now, &mut self.transfers, stamp, &mut self.io);
         }
-        self.admission.on_timeout(now, self.rank, io!(self));
+        self.admission.on_timeout(now, self.rank, &mut self.io);
         if self.giveup_deadline().is_some_and(|d| d <= now) {
             self.abandon(now, u64::MAX, "receiver gave up on silent sender");
         }
@@ -974,32 +965,16 @@ impl Endpoint for Receiver {
         .min()
     }
 
-    fn poll_transmit(&mut self) -> Option<Transmit> {
-        let mut tx = self.out.pop_front()?;
-        if self.cfg.integrity {
-            tx.payload = packet::seal_in_place(tx.payload);
-        }
-        Some(tx)
-    }
-
-    fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    fn set_trace_sink(&mut self, sink: Box<dyn rmtrace::TraceSink>) {
-        self.tracer.set_sink(sink);
-    }
-
-    fn enable_flight_recorder(&mut self, cap: usize) {
-        self.tracer.enable_flight_recorder(cap);
-    }
-
     fn is_idle(&self) -> bool {
-        self.out.is_empty() && self.poll_timeout().is_none()
+        self.io.out.is_empty() && self.poll_timeout().is_none()
+    }
+
+    fn io(&self) -> &Io {
+        &self.io
+    }
+
+    fn io_mut(&mut self) -> &mut Io {
+        &mut self.io
     }
 }
 
@@ -1007,6 +982,7 @@ impl Endpoint for Receiver {
 mod tests {
     use super::*;
     use crate::config::TreeShape;
+    use crate::endpoint::Transmit;
     use bytes::Bytes;
 
     fn cfg(kind: ProtocolKind) -> ProtocolConfig {

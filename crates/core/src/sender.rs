@@ -18,18 +18,17 @@
 
 use crate::config::{ProtocolConfig, ProtocolKind, WindowDiscipline, RTO_MAX};
 use crate::coverage::Release;
-use crate::endpoint::{self, io, AppEvent, Dest, Endpoint, Transmit};
+use crate::endpoint::{AppEvent, Dest, Endpoint, Io, Transmit};
 use crate::error::SessionError;
 use crate::fec::{self, FecState};
 use crate::membership::Members;
 use crate::overload::Overload;
 use crate::packet::{self, Body, Packet};
 use crate::quarantine::{Quarantine, Round};
-use crate::stats::Stats;
 use crate::tree::TreeTopology;
 use crate::window::SendWindow;
 use bytes::Bytes;
-use rmtrace::{TraceEvent, Tracer};
+use rmtrace::TraceEvent;
 use rmwire::{
     AllocBody, Duration, GroupSpec, PacketFlags, PacketType, Rank, RepairBody, SeqNo, Time,
 };
@@ -107,9 +106,8 @@ pub struct Sender {
     cfg: ProtocolConfig,
     group: GroupSpec,
     tree: Option<TreeTopology>,
-    stats: Stats,
-    out: VecDeque<Transmit>,
-    events: VecDeque<AppEvent>,
+    /// Counters, trace and the queued datagrams and events.
+    io: Io,
     queue: VecDeque<(u64, Bytes)>,
     next_msg_id: u64,
     /// The message being transferred.
@@ -127,8 +125,6 @@ pub struct Sender {
     quarantine: Quarantine,
     /// AIMD cap, feedback admission and load-scaled suppression.
     overload: Overload,
-    /// Trace sink + flight recorder handle (inert by default).
-    tracer: Tracer,
 }
 
 impl Sender {
@@ -146,9 +142,7 @@ impl Sender {
             cfg,
             group,
             tree,
-            stats: Stats::default(),
-            out: VecDeque::new(),
-            events: VecDeque::new(),
+            io: Io::new(Rank::SENDER, cfg.integrity),
             queue: VecDeque::new(),
             next_msg_id: 0,
             transfer: None,
@@ -157,7 +151,6 @@ impl Sender {
             members: Members::new(n, cfg.membership),
             quarantine: Quarantine::new(&cfg.overload, n),
             overload: Overload::new(&cfg, n),
-            tracer: Tracer::off(Rank::SENDER.0),
         }
     }
 
@@ -234,7 +227,7 @@ impl Sender {
 
     fn begin_transfer(&mut self, now: Time, msg_id: u64, data: Bytes, phase: Phase) {
         self.transfer = Some(self.make_transfer(msg_id, data, phase));
-        self.members.start_heartbeats(now, io!(self));
+        self.members.start_heartbeats(now, &mut self.io);
         self.pump(now);
     }
 
@@ -320,12 +313,15 @@ impl Sender {
             self.emit_data(now, Which::Staged, seq, false, Dest::Receivers);
         }
         if let Some((msg_id, transfer, base)) = stall {
-            self.tracer
+            self.io
+                .tracer
                 .emit(now.as_nanos(), TraceEvent::WindowStall { transfer, base });
-            self.overload.on_stall(now, (msg_id, transfer), io!(self));
+            self.overload
+                .on_stall(now, (msg_id, transfer), &mut self.io);
         }
         if let Some(t) = &self.transfer {
-            self.stats
+            self.io
+                .stats
                 .sample_buffer(t.win.buffered_bytes(self.cfg.packet_size));
         }
     }
@@ -397,13 +393,13 @@ impl Sender {
         };
 
         if retx {
-            self.stats.retx_sent += 1;
-            if self.tracer.active() {
+            self.io.stats.retx_sent += 1;
+            if self.io.tracer.active() {
                 let nth = self
                     .tref(which)
                     .and_then(|t| t.win.slot(seq))
                     .map_or(0, |s| s.retx);
-                self.tracer.emit(
+                self.io.tracer.emit(
                     now.as_nanos(),
                     TraceEvent::Retransmit {
                         transfer: tid,
@@ -413,15 +409,16 @@ impl Sender {
                 );
             }
         } else {
-            self.stats.data_sent += 1;
+            self.io.stats.data_sent += 1;
             if phase == Phase::Data {
-                self.stats.payload_bytes_sent += (payload.len() - rmwire::HEADER_LEN) as u64;
-                self.stats.user_copy_bytes += copied as u64;
+                self.io.stats.payload_bytes_sent += (payload.len() - rmwire::HEADER_LEN) as u64;
+                self.io.stats.user_copy_bytes += copied as u64;
             }
-            self.tracer
+            self.io
+                .tracer
                 .emit(now.as_nanos(), TraceEvent::DataSent { transfer: tid, seq });
         }
-        self.out.push_back(Transmit {
+        self.io.out.push_back(Transmit {
             dest,
             payload,
             copied,
@@ -432,7 +429,7 @@ impl Sender {
     /// touch window state. A refusal may have queued an implicit rejoin,
     /// admitted on the spot if the sender sits at a message boundary.
     fn accept_member_traffic(&mut self, now: Time, rank: Rank, epoch: Option<u32>) -> bool {
-        let accepted = self.members.accept(rank, epoch, &mut self.stats);
+        let accepted = self.members.accept(rank, epoch, &mut self.io.stats);
         if !accepted {
             self.try_admit(now);
         }
@@ -448,7 +445,7 @@ impl Sender {
         epoch: Option<u32>,
     ) {
         let _span = rmprof::span!(rmprof::Stage::SenderWindow);
-        self.stats.acks_received += 1;
+        self.io.stats.acks_received += 1;
         if rank.is_sender() || !self.group.contains(rank) {
             return;
         }
@@ -474,10 +471,10 @@ impl Sender {
         // reaches window bookkeeping. Completion-critical ACKs (those
         // covering a whole transfer) are always admitted.
         let completion = self.tref(which).is_some_and(|t| next_expected >= t.win.k());
-        if !completion && !self.overload.admit_ack(now, transfer_id, io!(self)) {
+        if !completion && !self.overload.admit_ack(now, transfer_id, &mut self.io) {
             return;
         }
-        self.tracer.emit(
+        self.io.tracer.emit(
             now.as_nanos(),
             TraceEvent::AckReceived {
                 from: rank.0,
@@ -493,7 +490,7 @@ impl Sender {
             let (msg_id, tid, new_base) = (t.msg_id, t.id(), t.win.base());
             let done = t.win.all_released();
             if progressed {
-                self.tracer.emit(
+                self.io.tracer.emit(
                     now.as_nanos(),
                     TraceEvent::WindowRelease {
                         transfer: tid,
@@ -505,7 +502,7 @@ impl Sender {
                     let acked = new_base - before;
                     let cap = self
                         .overload
-                        .on_progress(now, (msg_id, tid), acked, io!(self));
+                        .on_progress(now, (msg_id, tid), acked, &mut self.io);
                     self.hold_window(cap);
                 }
             }
@@ -532,7 +529,7 @@ impl Sender {
         epoch: Option<u32>,
     ) {
         let _span = rmprof::span!(rmprof::Stage::SenderWindow);
-        self.stats.naks_received += 1;
+        self.io.stats.naks_received += 1;
         if rank.is_sender() || !self.group.contains(rank) {
             return;
         }
@@ -550,11 +547,11 @@ impl Sender {
         }
         if !self
             .overload
-            .admit_nak(now, transfer_id, expected, io!(self))
+            .admit_nak(now, transfer_id, expected, &mut self.io)
         {
             return;
         }
-        self.tracer.emit(
+        self.io.tracer.emit(
             now.as_nanos(),
             TraceEvent::NakReceived {
                 from: rank.0,
@@ -611,7 +608,7 @@ impl Sender {
                 slot.retx += 1;
                 self.emit_data(now, which, seq, true, dest);
             } else {
-                self.stats.retx_suppressed += 1;
+                self.io.stats.retx_suppressed += 1;
             }
         }
     }
@@ -632,7 +629,7 @@ impl Sender {
             _ => false,
         });
         if buffered {
-            self.stats.naks_coded += 1;
+            self.io.stats.naks_coded += 1;
         }
         buffered
     }
@@ -696,7 +693,7 @@ impl Sender {
                     slot.retx += 1;
                 }
             }
-            self.stats.repairs_sent += 1;
+            self.io.stats.repairs_sent += 1;
             let generation = body.generation;
             TraceEvent::RepairSent {
                 transfer,
@@ -705,19 +702,18 @@ impl Sender {
                 generation,
             }
         } else {
-            self.stats.parity_sent += 1;
+            self.io.stats.parity_sent += 1;
             TraceEvent::ParitySent {
                 transfer,
                 base,
                 coded,
             }
         };
-        self.tracer.emit(now.as_nanos(), event);
-        self.out.push_back(Transmit {
-            dest: Dest::Receivers,
-            payload: packet::encode_coded(ptype, Rank::SENDER, transfer, body, &xor),
-            copied: 0,
-        });
+        self.io.tracer.emit(now.as_nanos(), event);
+        self.io.send(
+            Dest::Receivers,
+            packet::encode_coded(ptype, Rank::SENDER, transfer, body, &xor),
+        );
     }
 
     fn finish_transfer(&mut self, now: Time) {
@@ -735,8 +731,8 @@ impl Sender {
                 self.maybe_stage_next(now);
             }
             Phase::Data => {
-                self.stats.messages_completed += 1;
-                self.events.push_back(AppEvent::MessageSent { msg_id });
+                self.io.stats.messages_completed += 1;
+                self.io.events.push_back(AppEvent::MessageSent { msg_id });
                 self.close_message(now, msg_id);
             }
         }
@@ -749,9 +745,9 @@ impl Sender {
     /// queue.
     fn close_message(&mut self, now: Time, msg_id: u64) {
         debug_assert!(self.transfer.is_none());
-        self.quarantine.rejoin_all(now, io!(self));
+        self.quarantine.rejoin_all(now, &mut self.io);
         self.overload
-            .clear_backpressure(now, (msg_id, 0), io!(self));
+            .clear_backpressure(now, (msg_id, 0), &mut self.io);
         // Message boundary: admit pending joiners before the next message's
         // proof obligation is built (no-op while a staged allocation is
         // still in flight — its release was built on the old membership).
@@ -839,20 +835,21 @@ impl Sender {
         for &rank in ranks {
             debug_assert!(!self.members.is_evicted(rank.receiver_index()));
             self.members.mark_out(rank.receiver_index());
-            self.quarantine.resolve(rank, now, io!(self));
-            self.stats.evictions += 1;
-            self.tracer.emit(
+            self.quarantine.resolve(rank, now, &mut self.io);
+            self.io.stats.evictions += 1;
+            self.io.tracer.emit(
                 now.as_nanos(),
                 TraceEvent::Evicted {
                     peer: rank.0,
                     transfer,
                 },
             );
-            self.events
+            self.io
+                .events
                 .push_back(AppEvent::ReceiverEvicted { msg_id, rank });
             self.drop_from_releases(rank);
         }
-        self.members.announce_change(now, io!(self));
+        self.members.announce_change(now, &mut self.io);
         self.settle(now);
     }
 
@@ -861,7 +858,7 @@ impl Sender {
         if !self.members.enabled() || rank.is_sender() || !self.group.contains(rank) {
             return;
         }
-        if self.members.join(rank, io!(self)) {
+        if self.members.join(rank, &mut self.io) {
             // A member we believed active restarted: its receive state is
             // gone, so any quarantine catch-up aimed at the old incarnation
             // is moot, and the in-flight transfers stop waiting for it.
@@ -885,7 +882,7 @@ impl Sender {
     /// A receiver's heartbeat reply: proof of life (or an implicit rejoin
     /// request when it comes from a non-member).
     fn on_heartbeat(&mut self, now: Time, rank: Rank, epoch: u32) {
-        self.stats.heartbeats_received += 1;
+        self.io.stats.heartbeats_received += 1;
         if !self.members.enabled() || rank.is_sender() || !self.group.contains(rank) {
             return;
         }
@@ -896,7 +893,7 @@ impl Sender {
     /// evict those the detector gave up on.
     fn heartbeat_tick(&mut self, now: Time) {
         let busy = self.transfer.is_some() || self.staged.is_some() || !self.queue.is_empty();
-        let silent = self.members.tick(now, busy, io!(self));
+        let silent = self.members.tick(now, busy, &mut self.io);
         if !silent.is_empty() {
             self.evict(now, &silent, self.current_names());
         }
@@ -910,7 +907,7 @@ impl Sender {
         }
         let next_msg = self.queue.front().map_or(self.next_msg_id, |&(id, _)| id);
         self.members
-            .admit(now, next_msg, self.tree.as_ref(), io!(self));
+            .admit(now, next_msg, self.tree.as_ref(), &mut self.io);
     }
 
     /// Re-evaluate both in-flight transfers against their (possibly just
@@ -926,7 +923,7 @@ impl Sender {
         if let Some(t) = self.transfer.as_mut() {
             if t.release_to(t.release.released().min(t.win.k()), base_rto) {
                 let (tid, new_base) = (t.id(), t.win.base());
-                self.tracer.emit(
+                self.io.tracer.emit(
                     now.as_nanos(),
                     TraceEvent::WindowRelease {
                         transfer: tid,
@@ -944,14 +941,9 @@ impl Sender {
 
     /// Abandon a message with a typed error and move on to the next.
     fn fail_message(&mut self, which: Which, now: Time, error: SessionError) {
-        self.stats.messages_failed += 1;
-        if let Some(dump) = self.tracer.flight_dump(
-            now.as_nanos(),
-            &format!("sender abandoned message: {error:?}"),
-            self.stats.snapshot(),
-        ) {
-            self.events.push_back(AppEvent::FlightRecorderDump { dump });
-        }
+        self.io.stats.messages_failed += 1;
+        self.io
+            .flight_dump(now, &format!("sender abandoned message: {error:?}"));
         match which {
             Which::Cur => {
                 let msg_id = self
@@ -959,13 +951,14 @@ impl Sender {
                     .take()
                     .expect("failing without a transfer")
                     .msg_id;
-                self.events
+                self.io
+                    .events
                     .push_back(AppEvent::MessageFailed { msg_id, error });
                 self.close_message(now, msg_id);
             }
             Which::Staged => {
                 let st = self.staged.take().expect("staged exists");
-                self.events.push_back(AppEvent::MessageFailed {
+                self.io.events.push_back(AppEvent::MessageFailed {
                     msg_id: st.msg_id,
                     error,
                 });
@@ -977,7 +970,7 @@ impl Sender {
     /// A congestion signal (retransmission timeout or fresh NAK) on the
     /// current transfer: the AIMD cap halves.
     fn congestion(&mut self, now: Time, transfer_id: u32) {
-        let cap = self.overload.on_congestion(now, transfer_id, io!(self));
+        let cap = self.overload.on_congestion(now, transfer_id, &mut self.io);
         self.hold_window(cap);
     }
 
@@ -1013,7 +1006,7 @@ impl Sender {
         }
         let (tid, horizon) = (t.id(), t.release.released().min(t.win.k()));
         self.quarantine
-            .enter(now, tid, horizon, &mut laggards, io!(self));
+            .enter(now, tid, horizon, &mut laggards, &mut self.io);
         if laggards.is_empty() {
             return false;
         }
@@ -1046,11 +1039,11 @@ impl Sender {
                 Some(Round::Serve(seqs)) => {
                     for seq in seqs {
                         self.emit_data(now, Which::Cur, seq, true, Dest::Rank(rank));
-                        self.stats.catchup_retx_sent += 1;
+                        self.io.stats.catchup_retx_sent += 1;
                     }
                 }
                 Some(Round::Spent) => {
-                    let Some((transfer, rounds)) = self.quarantine.resolve(rank, now, io!(self))
+                    let Some((transfer, rounds)) = self.quarantine.resolve(rank, now, &mut self.io)
                     else {
                         continue;
                     };
@@ -1147,8 +1140,8 @@ impl Sender {
         self.members.hash_into(h);
         self.overload.hash_into(h);
         self.quarantine.hash_into(h);
-        h.write_usize(self.out.len());
-        h.write_usize(self.events.len());
+        h.write_usize(self.io.out.len());
+        h.write_usize(self.io.events.len());
     }
 
     /// Panic on any violated invariant. Compiled only under
@@ -1168,11 +1161,9 @@ impl Sender {
 
 impl Endpoint for Sender {
     fn handle_datagram(&mut self, now: Time, datagram: &[u8]) {
-        let pkt = match Packet::parse_checked(datagram, self.cfg.integrity) {
-            Ok(p) => p,
-            Err(e) => return endpoint::undecodable(now, e, io!(self)),
+        let Some(Packet { header, body }) = self.io.parse(now, datagram) else {
+            return;
         };
-        let Packet { header, body } = pkt;
         let from = header.src_rank;
         match body {
             Body::Ack {
@@ -1192,7 +1183,7 @@ impl Endpoint for Sender {
             | Body::Coded { .. } => {
                 // Data (or echoed sender-side control) flowing toward the
                 // sender is not expected; ignore.
-                self.stats.data_discarded += 1;
+                self.io.stats.data_discarded += 1;
             }
         }
         #[cfg(debug_assertions)]
@@ -1219,13 +1210,13 @@ impl Endpoint for Sender {
             if deadline.is_none_or(|d| d > now) {
                 continue;
             }
-            self.stats.timeouts += 1;
+            self.io.stats.timeouts += 1;
             let (tid, streak, rto) = {
                 let t = self.tmut(which).expect("transfer exists");
                 t.streak += 1;
                 (t.id(), t.streak, t.cur_rto)
             };
-            self.tracer.emit(
+            self.io.tracer.emit(
                 now.as_nanos(),
                 TraceEvent::TimeoutFired {
                     transfer: tid,
@@ -1298,35 +1289,19 @@ impl Endpoint for Sender {
         .min()
     }
 
-    fn poll_transmit(&mut self) -> Option<Transmit> {
-        let mut tx = self.out.pop_front()?;
-        if self.cfg.integrity {
-            tx.payload = packet::seal_in_place(tx.payload);
-        }
-        Some(tx)
-    }
-
-    fn poll_event(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
     fn is_idle(&self) -> bool {
         self.transfer.is_none()
             && self.staged.is_none()
             && self.queue.is_empty()
-            && self.out.is_empty()
+            && self.io.out.is_empty()
     }
 
-    fn set_trace_sink(&mut self, sink: Box<dyn rmtrace::TraceSink>) {
-        self.tracer.set_sink(sink);
+    fn io(&self) -> &Io {
+        &self.io
     }
 
-    fn enable_flight_recorder(&mut self, cap: usize) {
-        self.tracer.enable_flight_recorder(cap);
+    fn io_mut(&mut self) -> &mut Io {
+        &mut self.io
     }
 }
 

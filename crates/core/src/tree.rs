@@ -245,7 +245,7 @@ impl Aggregator {
         st: &mut TransferState,
         force: bool,
         stamp: Stamp,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         let agg = self.aggregate(st);
         let advanced = st.sent_up.is_none_or(|s| agg > s);
@@ -274,7 +274,7 @@ impl Aggregator {
         next: u32,
         transfers: &mut BTreeMap<u32, TransferState>,
         stamp: Stamp,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         let Some(slot) = self.slot(header.src_rank) else {
             return; // not one of our tree children; stray
@@ -349,7 +349,7 @@ impl Aggregator {
         now: Time,
         transfers: &mut BTreeMap<u32, TransferState>,
         stamp: Stamp,
-        io: &mut Io<'_>,
+        io: &mut Io,
     ) {
         if self.deadline.is_none_or(|d| d > now) {
             return;

@@ -100,8 +100,13 @@ fn parse_args() -> Args {
     }
     // Out of range, each of these would panic deep in a run, or (`--loss
     // 1`) spin the simulator to its time cap: refuse them before anything
-    // runs.
+    // runs. An unknown backend would otherwise run the simulator.
     let in_range = [
+        (
+            "--backend",
+            matches!(a.backend.as_str(), "sim" | "udp"),
+            "sim or udp",
+        ),
         ("--receivers", a.receivers >= 1, "at least 1"),
         (
             "--packet",
@@ -109,6 +114,11 @@ fn parse_args() -> Args {
             "1 to 65000 bytes",
         ),
         ("--window", a.window != Some(0), "at least 1"),
+        (
+            "--window",
+            a.protocol != "ring" || a.window.is_none_or(|w| w > a.receivers as usize),
+            "more than --receivers for ring",
+        ),
         ("--poll", a.poll != Some(0), "at least 1"),
         ("--height", a.height >= 1, "at least 1"),
         ("--seeds", a.seeds != Some(0), "at least 1"),

@@ -1,5 +1,6 @@
-//! `mcastbench`'s command line: out-of-range values, and options the chosen
-//! backend cannot honour, are refused before anything runs.
+//! `mcastbench`'s command line: out-of-range values (an unknown backend
+//! and a ring window no larger than the group among them), and options the
+//! chosen backend cannot honour, are refused before anything runs.
 
 use std::process::Command;
 
@@ -32,6 +33,9 @@ fn out_of_range_options_are_refused_before_anything_runs() {
         &["--packet", "70000"],
         &["--seeds", "0"],
         &["--protocol", "tree", "--height", "0"],
+        &["--backend", "bogus"],
+        &["--protocol", "ring", "--window", "2"],
+        &["--backend", "udp", "--protocol", "ring", "--window", "2"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mcastbench"))
             .args(["--receivers", "2", "--size", "1000", "--seeds", "1"])
